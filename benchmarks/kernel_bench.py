@@ -2,8 +2,10 @@
 """Benchmark the jitted kernels against the pure-numpy fallback.
 
 The parent process runs itself twice as a child: once with numba enabled
-(default) and once with QLT_NO_NUMBA=1, then prints a comparison table.
-Kernel selection happens at import time, so fresh interpreters are required.
+(default) and once with QLT_NO_NUMBA=1, then prints a table whose columns
+name the kernel path each child actually ran.  Where numba cannot be
+imported both children run numpy, and no speedup is printed.  Kernel
+selection happens at import time, so fresh interpreters are required.
 """
 
 import json
@@ -80,11 +82,27 @@ def main():
             env=env, check=True, capture_output=True, text=True,
         ).stdout
         rows[mode] = json.loads(out.strip().splitlines()[-1])
+    print("\n".join(format_table(rows["numba"], rows["numpy"])))
+
+
+def format_table(default, fallback):
+    """Table lines for the default-path and QLT_NO_NUMBA=1 child results.
+
+    Each time column is headed by the kernel path its child reports; a
+    speedup is printed only when the two children ran different paths.
+    """
+    heads = ["numba" if r["numba"] else "numpy" for r in (default, fallback)]
+    compare = heads[0] != heads[1]
     width = max(len(k) for k in CASES)
-    print(f"{'case':<{width}}   {'numba':>10}   {'numpy':>10}   speedup")
+    head = f"{'case':<{width}}   {heads[0]:>10}   {heads[1]:>10}"
+    lines = [head + "   speedup" if compare else head]
     for label in CASES:
-        a, b = rows["numba"][label], rows["numpy"][label]
-        print(f"{label:<{width}}   {a * 1e3:>8.2f}ms   {b * 1e3:>8.2f}ms   {b / a:>6.2f}x")
+        a, b = default[label], fallback[label]
+        line = f"{label:<{width}}   {a * 1e3:>8.2f}ms   {b * 1e3:>8.2f}ms"
+        lines.append(line + (f"   {b / a:>6.2f}x" if compare else ""))
+    if not compare:
+        lines.append("no comparison: numba is not importable")
+    return lines
 
 
 if __name__ == "__main__":

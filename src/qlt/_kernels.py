@@ -38,6 +38,9 @@ def _nearest_np(x, levels, thresholds):
     return levels[idx]
 
 
+# chain_build turns each Gaussian segment gauss[offsets[i]:offsets[i+1]] into
+# a unit Householder vector in the same slice of w.  gauss and w may be the
+# same array: both kernels read a segment in full before writing it.
 def _chain_build_np(gauss, offsets, w, betas):
     nfac = offsets.shape[0] - 1
     for i in range(nfac):

@@ -361,6 +361,8 @@ def _method_from(params: dict, seed: int):
 
 
 def _grid(spec: dict) -> np.ndarray:
+    if spec["start"] > spec["stop"]:
+        raise ConfigError(f"grid start {spec['start']} is above its stop {spec['stop']}")
     n = int(round((spec["stop"] - spec["start"]) / spec["step"])) + 1
     return spec["start"] + spec["step"] * np.arange(n)
 

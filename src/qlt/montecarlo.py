@@ -9,7 +9,9 @@ Haar transforms are drawn two ways: :func:`sample_haar_unitary` materializes
 the matrix by QR of a complex Ginibre draw with the R-diagonal phase
 normalization; the trial runners instead use an equivalent product of random
 Householder reflections (exact Haar law) that applies in O(n^2) time without
-forming the matrix, which keeps large-N runs fast.
+forming the matrix, which keeps large-N runs fast.  A trial holds one
+16*(n(n+1)/2 - 1)-byte reflector buffer (33.6 MB at n=2048), and only one
+trial's chain is alive at a time.
 """
 
 import json
@@ -20,7 +22,7 @@ import numpy as np
 
 from . import _kernels
 from ._rng import substream
-from .analysis import SubbandPlan, predict_spectrum
+from .analysis import SubbandPlan, _floats, predict_spectrum
 from .moments import (
     ChannelSpec,
     MonteCarlo,
@@ -30,6 +32,11 @@ from .moments import (
     tx_moments,
 )
 from .quantizer import QuantizerSpec, quantize
+
+# Gaussians drawn per generator call while filling a chain's reflector buffer.
+# The generator writes only into contiguous arrays and w.real / w.imag are
+# strided views, so draws go through a float scratch of at most this size.
+_DRAW_CHUNK = 1 << 16
 
 
 def sample_haar_unitary(n: int, seed) -> np.ndarray:
@@ -54,6 +61,11 @@ class HouseholderChain:
     The first column of each successive trailing block is a uniformly drawn
     unit vector, which by the subgroup structure of the unitary group yields
     an exactly Haar-distributed product; applying it to a vector costs O(n^2).
+
+    The reflectors live in one complex buffer ``w`` of n(n+1)/2 - 1 entries
+    (16 bytes each).  It is drawn and built in place, so construction needs
+    no second buffer of that size; the random stream is consumed exactly as
+    by a full draw of all real parts, then all imaginary parts.
     """
 
     def __init__(self, n: int, rng: np.random.Generator):
@@ -63,11 +75,16 @@ class HouseholderChain:
         sizes = np.arange(n, 1, -1, dtype=np.int64)
         self.offsets = np.concatenate(([0], np.cumsum(sizes)))
         total = int(self.offsets[-1])
-        gauss = (rng.standard_normal(total) + 1j * rng.standard_normal(total)) / np.sqrt(2.0)
         self.w = np.empty(total, np.complex128)
+        chunk = np.empty(min(total, _DRAW_CHUNK))
+        for part in (self.w.real, self.w.imag):
+            for a in range(0, total, _DRAW_CHUNK):
+                drawn = rng.standard_normal(out=chunk[:total - a])
+                part[a:a + drawn.size] = drawn
+        self.w /= np.sqrt(2.0)
         self.betas = np.empty(max(n - 1, 0), np.complex128)
         if total:
-            _kernels.chain_build(gauss, self.offsets, self.w, self.betas)
+            _kernels.chain_build(self.w, self.offsets, self.w, self.betas)
         self.gamma = np.exp(2j * np.pi * rng.random())
 
     def apply(self, v: np.ndarray) -> np.ndarray:
@@ -178,10 +195,6 @@ class SimReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
-def _floats(values) -> tuple[float, ...]:
-    return tuple(float(v) for v in values)
-
-
 def _draw_symbols(rng, powers, assign):
     p = np.asarray(powers)[assign]
     scale = np.sqrt(p / 2.0)
@@ -252,6 +265,7 @@ def _run(cfg: SimConfig, with_chain: bool) -> SimReport:
 
     for t in range(cfg.trials):
         rng = substream(cfg.seed, "trial", t)
+        chain = None  # free the last trial's reflectors before drawing the next
         chain = HouseholderChain(n, rng) if cfg.transform == "haar" else None
         z = _draw_symbols(rng, powers, assign)
         if chain is not None:

@@ -203,6 +203,35 @@ def test_sweep_aclr_boundary(tmp_path):
             assert r_lin == ""
 
 
+@pytest.mark.parametrize(
+    "experiment, grid_key, params",
+    [
+        ("sweep-snr", "snr_db", {"bits": [1], "fractions": [0.5, 0.5], "powers": [2.0, 0.0]}),
+        ("sweep-aclr", "aclr_db", {"bits": [1], "fractions": [0.5, 0.5]}),
+    ],
+    ids=["sweep-snr", "sweep-aclr"],
+)
+def test_sweep_grid_direction(tmp_path, capsys, experiment, grid_key, params):
+    def cfg(name, start, stop):
+        return {
+            "schema_version": 1,
+            "experiment": experiment,
+            "output": {"format": "json", "path": str(tmp_path / name)},
+            "params": dict(params, **{grid_key: {"start": start, "stop": stop, "step": 1.0}}),
+        }
+
+    # a reversed grid is a config error and writes nothing
+    bad = write_cfg(tmp_path, cfg("reversed", 5.0, 0.0), "reversed.json")
+    assert main([experiment, "--config", bad]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "reversed").exists()
+    # start == stop is a one-point grid
+    one = write_cfg(tmp_path, cfg("one", 3.0, 3.0), "one.json")
+    assert main([experiment, "--config", one]) == 0
+    rows = json.loads((tmp_path / "one" / f"{experiment}.json").read_text())["rows"]
+    assert [r[grid_key] for r in rows] == [3.0]
+
+
 def test_montecarlo_subcommand_and_per_trial_csv(tmp_path):
     cfg = {
         "schema_version": 1,

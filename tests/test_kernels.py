@@ -1,6 +1,8 @@
+import importlib.util
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -91,3 +93,38 @@ def test_numba_is_default_path():
     )
     env = {k: v for k, v in os.environ.items() if k != "QLT_NO_NUMBA"}
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+def test_chain_build_in_place():
+    # gauss and w may be the same array, on either path
+    rng = substream(4, "kern-alias")
+    n = 40
+    offsets = np.concatenate(([0], np.cumsum(np.arange(n, 1, -1, dtype=np.int64))))
+    total = int(offsets[-1])
+    for build in (_kernels.chain_build, _kernels._chain_build_np):
+        gauss = rng.standard_normal(total) + 1j * rng.standard_normal(total)
+        w = np.empty(total, np.complex128)
+        betas = np.empty(n - 1, np.complex128)
+        build(gauss, offsets, w, betas)
+        betas_in_place = np.empty(n - 1, np.complex128)
+        build(gauss, offsets, gauss, betas_in_place)
+        np.testing.assert_array_equal(gauss, w)
+        np.testing.assert_array_equal(betas_in_place, betas)
+
+
+def test_kernel_bench_labels_columns_by_reported_path():
+    spec = importlib.util.spec_from_file_location(
+        "kernel_bench", Path(__file__).parents[1] / "benchmarks" / "kernel_bench.py"
+    )
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    times = dict.fromkeys(bench.CASES, 0.002)
+
+    both_numpy = bench.format_table(dict(times, numba=False), dict(times, numba=False))
+    assert both_numpy[0].split()[1:] == ["numpy", "numpy"]
+    assert all(not line.endswith("x") for line in both_numpy)
+    assert both_numpy[-1] == "no comparison: numba is not importable"
+
+    compared = bench.format_table(dict(times, numba=True), dict(times, numba=False))
+    assert compared[0].split()[1:] == ["numba", "numpy", "speedup"]
+    assert all(line.endswith("1.00x") for line in compared[1:])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,9 @@ from qlt import (
     sample_haar_unitary,
     subband_assignment,
 )
+from qlt import _kernels
 from qlt._rng import substream
+from qlt.montecarlo import _DRAW_CHUNK
 
 ONE_BIT = QuantizerSpec.uniform_midrise(1, 1.0)
 SHAPED_PLAN = SubbandPlan((0.5, 0.5), (2.0, 0.0))
@@ -95,6 +98,69 @@ def test_norm_preservation_through_pipeline():
     z = rng.standard_normal(512) + 1j * rng.standard_normal(512)
     for y in (chain.apply(z), chain.apply_adjoint(z)):
         assert abs(np.linalg.norm(y) - np.linalg.norm(z)) < 1e-10 * np.linalg.norm(z)
+
+
+def _reflector_bytes(n):
+    return 16 * (n * (n + 1) // 2 - 1)
+
+
+def _reference_chain(n, rng):
+    # full real draw, full imaginary draw, then a build into a second buffer
+    sizes = np.arange(n, 1, -1, dtype=np.int64)
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    total = int(offsets[-1])
+    gauss = (rng.standard_normal(total) + 1j * rng.standard_normal(total)) / np.sqrt(2.0)
+    w = np.empty(total, np.complex128)
+    betas = np.empty(max(n - 1, 0), np.complex128)
+    if total:
+        _kernels.chain_build(gauss, offsets, w, betas)
+    return w, betas, np.exp(2j * np.pi * rng.random())
+
+
+# an n whose reflector count spans several draw chunks and is not a multiple
+# of the chunk size
+_MULTI_CHUNK_N = math.isqrt(7 * _DRAW_CHUNK)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 1024, _MULTI_CHUNK_N])
+def test_householder_chain_stream_identity(n):
+    if n == _MULTI_CHUNK_N:
+        count = _reflector_bytes(n) // 16
+        assert count > 3 * _DRAW_CHUNK and count % _DRAW_CHUNK
+    chain = HouseholderChain(n, substream(21, "trial", 4))
+    w, betas, gamma = _reference_chain(n, substream(21, "trial", 4))
+    np.testing.assert_array_equal(chain.w.view(float), w.view(float))
+    np.testing.assert_array_equal(chain.betas.view(float), betas.view(float))
+    np.testing.assert_array_equal(
+        np.array([chain.gamma]).view(float), np.array([gamma]).view(float)
+    )
+
+
+def _traced_peak(fn):
+    """Peak bytes that fn holds at once, as numpy reports them to tracemalloc."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_householder_chain_holds_one_reflector_buffer():
+    n = 2048
+    peak = _traced_peak(lambda: HouseholderChain(n, substream(0, "trial", 0)))
+    assert peak <= 1.15 * _reflector_bytes(n)
+
+
+@pytest.mark.parametrize("runner", [run_tx_trials, run_chain_trials], ids=lambda f: f.__name__)
+def test_trials_hold_one_chain_at_a_time(runner):
+    def cfg(n, trials):
+        return SimConfig(size=n, plan=SHAPED_PLAN, dac=ONE_BIT, trials=trials, seed=5)
+
+    runner(cfg(8, 2))  # first-call caches stay out of the measured peak
+    n = 1024
+    peak = _traced_peak(lambda: runner(cfg(n, 3)))
+    assert peak <= 1.5 * _reflector_bytes(n)
 
 
 def test_subband_assignment_fractions():
