@@ -17,6 +17,7 @@ import time
 CASES = {
     "midrise 4-bit, 4M samples": ("midrise", 4_000_000),
     "nearest-level, 4M samples": ("nearest", 4_000_000),
+    "householder chain build, n=2048": ("build", 2048),
     "householder chain apply, n=4096": ("chain", 4096),
     "tx trial end-to-end, n=2048": ("trial", 2048),
 }
@@ -29,6 +30,7 @@ def run_child():
 
     from qlt import _kernels
     from qlt._rng import substream
+    from qlt.montecarlo import HouseholderChain
 
     _kernels.warmup()
     results = {"numba": _kernels.NUMBA_ENABLED}
@@ -44,9 +46,9 @@ def run_child():
             levels = np.linspace(-2.5, 2.5, 16)
             thr = (levels[:-1] + levels[1:]) / 2
             fn = lambda: _kernels.nearest_map(x, levels, thr)
+        elif kind == "build":
+            fn = lambda: HouseholderChain(size, substream(1, "bench-chain"))
         elif kind == "chain":
-            from qlt.montecarlo import HouseholderChain
-
             chain = HouseholderChain(size, substream(1, "bench-chain"))
             z = rng.standard_normal(size) + 1j * rng.standard_normal(size)
             fn = lambda: chain.apply(z)

@@ -39,20 +39,25 @@ def _nearest_np(x, levels, thresholds):
 
 
 # chain_build turns each Gaussian segment gauss[offsets[i]:offsets[i+1]] into
-# a unit Householder vector in the same slice of w.  gauss and w may be the
-# same array: both kernels read a segment in full before writing it.
+# a unit Householder vector in the same slice of w, and its phase into
+# betas[i].  It may be called on any run of whole segments, with offsets
+# rebased to 0; each segment's result does not depend on which other segments
+# share the call.  gauss and w may be the same array: both kernels read a
+# segment in full before writing it.  The numpy kernel works on the whole run
+# at once, so its temporaries scale with the run, not with one segment.
 def _chain_build_np(gauss, offsets, w, betas):
-    nfac = offsets.shape[0] - 1
-    for i in range(nfac):
-        seg = gauss[offsets[i]:offsets[i + 1]].copy()
-        nrm = np.sqrt(np.sum(seg.real**2 + seg.imag**2))
-        a0 = seg[0]
-        r0 = abs(a0)
-        phase = a0 / r0 if r0 > 0.0 else 1.0 + 0.0j
-        betas[i] = -phase
-        seg[0] += phase * nrm
-        seg /= np.sqrt(np.sum(seg.real**2 + seg.imag**2))
-        w[offsets[i]:offsets[i + 1]] = seg
+    end = offsets[-1]
+    starts = offsets[:-1]
+    a0 = gauss[starts]
+    nrm = np.sqrt(np.add.reduceat(gauss.real[:end]**2 + gauss.imag[:end]**2, starts))
+    r0 = np.hypot(a0.real, a0.imag)
+    phase = np.divide(a0, r0, out=np.ones_like(a0), where=r0 > 0.0)
+    betas[:] = -phase
+    if w is not gauss:
+        w[:end] = gauss[:end]
+    v = w[:end]
+    v[starts] = a0 + phase * nrm
+    v /= np.repeat(np.sqrt(np.add.reduceat(v.real**2 + v.imag**2, starts)), np.diff(offsets))
 
 
 def _chain_apply_np(w, offsets, betas, gamma, z, forward):
@@ -64,12 +69,12 @@ def _chain_apply_np(w, offsets, betas, gamma, z, forward):
             wk = w[offsets[i]:offsets[i + 1]]
             seg = z[n - wk.shape[0]:]
             seg[0] *= betas[i]
-            seg -= 2.0 * wk * np.vdot(wk, seg)
+            seg -= wk * (2.0 * np.vdot(wk, seg))
     else:
         for i in range(nfac):
             wk = w[offsets[i]:offsets[i + 1]]
             seg = z[n - wk.shape[0]:]
-            seg -= 2.0 * wk * np.vdot(wk, seg)
+            seg -= wk * (2.0 * np.vdot(wk, seg))
             seg[0] *= np.conj(betas[i])
         z[n - 1] *= np.conj(gamma)
 

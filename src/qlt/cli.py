@@ -319,13 +319,32 @@ def package_defaults() -> dict:
 # config handling
 # ---------------------------------------------------------------------------
 
+def _finite(convert):
+    def parse(text: str):
+        if not math.isfinite(float(text)):
+            _non_finite(text)
+        return convert(text)
+
+    return parse
+
+
+def _non_finite(text: str):
+    # JSON number literals past the float range (1e400, or a 400-digit
+    # integer) and the NaN / Infinity extensions would reach the numerics as
+    # inf or nan, or overflow there
+    raise ConfigError(f"config number {text} is not finite")
+
+
 def _load_config(path: str, experiment: str) -> dict:
     try:
         text = Path(path).read_text()
     except OSError as e:
         raise ConfigError(f"cannot read config: {e}") from e
     try:
-        cfg = json.loads(text)
+        cfg = json.loads(
+            text, parse_float=_finite(float), parse_int=_finite(int),
+            parse_constant=_non_finite,
+        )
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}") from e
     try:

@@ -65,7 +65,9 @@ class HouseholderChain:
     The reflectors live in one complex buffer ``w`` of n(n+1)/2 - 1 entries
     (16 bytes each).  It is drawn and built in place, so construction needs
     no second buffer of that size; the random stream is consumed exactly as
-    by a full draw of all real parts, then all imaginary parts.
+    by a full draw of all real parts, then all imaginary parts.  Segments are
+    built as their imaginary parts land: after each imaginary chunk, the run
+    of segments it completed is built in one kernel call.
     """
 
     def __init__(self, n: int, rng: np.random.Generator):
@@ -73,18 +75,26 @@ class HouseholderChain:
             raise ValueError("n must be >= 1")
         self.n = n
         sizes = np.arange(n, 1, -1, dtype=np.int64)
-        self.offsets = np.concatenate(([0], np.cumsum(sizes)))
-        total = int(self.offsets[-1])
+        offs = self.offsets = np.concatenate(([0], np.cumsum(sizes)))
+        total = int(offs[-1])
         self.w = np.empty(total, np.complex128)
+        self.betas = np.empty(max(n - 1, 0), np.complex128)
         chunk = np.empty(min(total, _DRAW_CHUNK))
-        for part in (self.w.real, self.w.imag):
+        built = 0  # segments whose imaginary parts have all landed, and are built
+        for part, imag in ((self.w.real, False), (self.w.imag, True)):
             for a in range(0, total, _DRAW_CHUNK):
                 drawn = rng.standard_normal(out=chunk[:total - a])
-                part[a:a + drawn.size] = drawn
-        self.w /= np.sqrt(2.0)
-        self.betas = np.empty(max(n - 1, 0), np.complex128)
-        if total:
-            _kernels.chain_build(self.w, self.offsets, self.w, self.betas)
+                b = a + drawn.size
+                np.multiply(drawn, 1.0 / np.sqrt(2.0), out=part[a:b])
+                if not imag:
+                    continue
+                done = int(np.searchsorted(offs, b, side="right")) - 1
+                if done > built:
+                    run = self.w[offs[built]:offs[done]]
+                    _kernels.chain_build(
+                        run, offs[built:done + 1] - offs[built], run, self.betas[built:done]
+                    )
+                    built = done
         self.gamma = np.exp(2j * np.pi * rng.random())
 
     def apply(self, v: np.ndarray) -> np.ndarray:

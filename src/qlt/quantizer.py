@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import UnboundedConstellationError
+from .errors import NumericalFailureError, UnboundedConstellationError
 
 #: Default loading factor: clip = DEFAULT_KAPPA * sqrt(input_power / 2).
 DEFAULT_KAPPA = 3.0
@@ -145,10 +145,17 @@ def _map_dim(spec: QuantizerSpec, x: np.ndarray) -> np.ndarray:
 
 def quantize(spec: QuantizerSpec, u):
     """Apply the quantizer to a complex scalar or array (real and imaginary
-    parts independently).  Total function: never raises on any finite input."""
+    parts independently).
+
+    Every non-NaN input maps into the constellation; +/-inf parts map to the
+    extreme levels.  A NaN real or imaginary part raises
+    :class:`NumericalFailureError`, since it has no nearest level.  The
+    identity quantizer passes any input through unchecked."""
     if spec.is_identity:
         return u
     arr = np.asarray(u, dtype=complex)
+    if np.isnan(arr).any():
+        raise NumericalFailureError("NaN input to the quantizer")
     scalar = arr.ndim == 0
     flat = arr.ravel()
     out = _map_dim(spec, np.ascontiguousarray(flat.real)) + 1j * _map_dim(

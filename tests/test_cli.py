@@ -65,6 +65,27 @@ def test_malformed_config_exits_2_without_output(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "literal", ["1e400", "-1e400", "1" + "0" * 400, "NaN", "Infinity", "-Infinity"]
+)
+def test_non_finite_config_number_exits_2_without_output(tmp_path, capsys, literal):
+    cfg = {
+        "schema_version": 1,
+        "experiment": "spectrum",
+        "output": {"format": "json", "path": str(tmp_path / "out")},
+        "params": {
+            "quantizer": {"kind": "uniform_midrise", "bits": 1, "clip": 1.0},
+            "fractions": [0.5, 0.5],
+            "powers": ["POWER", 0.0],
+        },
+    }
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg).replace('"POWER"', literal))
+    assert main(["spectrum", "--config", str(p)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_numerical_failure_exits_3(tmp_path, capsys):
     cfg = {
         "schema_version": 1,

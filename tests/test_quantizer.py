@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qlt import (
+    NumericalFailureError,
     QuantizerSpec,
     UnboundedConstellationError,
     constellation_of,
@@ -133,3 +134,21 @@ def test_json_round_trip():
         quantizer_from_json({"kind": "uniform_midrise", "bits": 3, "clip": 2.6, "junk": 1})
     with pytest.raises(ValueError):
         quantizer_from_json({"kind": "nope"})
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [QuantizerSpec.uniform_midrise(2, 3.0), QuantizerSpec.custom_levels([-2.0, -0.5, 1.0])],
+    ids=["uniform_midrise", "custom_levels"],
+)
+def test_nan_input_is_a_numerical_failure(spec):
+    for u in (complex(np.nan, np.inf), complex(0.2, np.nan)):
+        with pytest.raises(NumericalFailureError):
+            quantize(spec, u)
+    with pytest.raises(NumericalFailureError):
+        quantize(spec, np.array([[0.1 + 0.2j, 1.0], [complex(np.nan, 0.0), -1.0]]))
+    # +-inf still maps to the extreme levels
+    lv = spec.levels_per_dim()
+    assert quantize(spec, complex(np.inf, -np.inf)) == complex(lv[-1], lv[0])
+    out = quantize(spec, np.array([complex(-np.inf, 0.3), complex(0.3, np.inf)]))
+    assert out[0].real == lv[0] and out[1].imag == lv[-1]
