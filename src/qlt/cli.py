@@ -13,7 +13,9 @@ import io
 import json
 import math
 import sys
+from dataclasses import fields, is_dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import jsonschema
 import numpy as np
@@ -47,241 +49,187 @@ from .quantizer import (
     constellation_of,
     quantizer_from_json,
 )
-from .waveform import (
-    DEFAULT_FILTER_ATTEN_DB,
-    DEFAULT_FILTER_TAPS,
-    DEFAULT_SYMBOL_TAPER,
-    WaveformConfig,
-    apply_dac_and_measure,
-    synthesize_baseband,
-)
+from .waveform import WaveformConfig, apply_dac_and_measure, synthesize_baseband
 
 SCHEMA_VERSION = 1
 
-_QUANTIZER = {
-    "type": "object",
-    "properties": {
-        "kind": {"enum": ["identity", "uniform_midrise", "custom_levels"]},
-        "bits": {"type": "integer", "minimum": 1},
-        "clip": {"type": "number", "exclusiveMinimum": 0},
-        "levels": {"type": "array", "items": {"type": "number"}, "minItems": 1},
-    },
-    "required": ["kind"],
-    "additionalProperties": False,
+# --- the experiment table: every schema, default and defaults dump derives from it
+
+#: Markers for a key with no default: it must be given, or it may be left out.
+REQUIRED = object()
+OPTIONAL = object()
+
+
+class _Table(dict):
+    """The keys of a JSON object: name -> (spec, default).
+
+    A spec is a JSON schema fragment or a nested ``_Table``; a default is a
+    value, ``REQUIRED``, ``OPTIONAL`` or a ``_ForKind``.  The object's schema
+    requires the ``REQUIRED`` keys and rejects unknown ones.
+    """
+
+
+class _ForKind(NamedTuple):
+    """A default that applies only where the object's ``kind`` is ``kind``."""
+
+    kind: str
+    value: object
+
+
+_WAVEFORM = {f.name: f.default for f in fields(WaveformConfig)}
+_SIM = {f.name: f.default for f in fields(SimConfig)}
+
+_NUMBER = {"type": "number"}
+_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
+_NON_NEGATIVE = {"type": "number", "minimum": 0}
+_BOOL = {"type": "boolean"}
+_NUMLIST = {"type": "array", "items": _NUMBER, "minItems": 1}
+
+
+def _int(minimum: int) -> dict:
+    return {"type": "integer", "minimum": minimum}
+
+
+_BITS = {"oneOf": [_int(1), {"type": "null"}]}
+_BITS_LIST = {"type": "array", "items": _BITS, "minItems": 1}
+
+_QUANTIZER = _Table(
+    kind=({"enum": ["identity", "uniform_midrise", "custom_levels"]}, REQUIRED),
+    bits=(_int(1), OPTIONAL),
+    clip=(_POSITIVE, OPTIONAL),
+    levels=(_NUMLIST, OPTIONAL),
+)
+_CHANNEL = _Table(kind=({"enum": ["awgn"]}, REQUIRED), noise_power=(_NON_NEGATIVE, REQUIRED))
+_METHOD = _Table(
+    kind=({"enum": ["quadrature", "montecarlo"]}, REQUIRED),
+    nodes=(_int(3), _ForKind("quadrature", DEFAULT_QUADRATURE_NODES)),
+    samples=(_int(100), _ForKind("montecarlo", DEFAULT_MC_SAMPLES)),
+)
+_GRID = _Table(start=(_NUMBER, REQUIRED), stop=(_NUMBER, REQUIRED), step=(_POSITIVE, REQUIRED))
+_DAC = _Table(
+    bits=(_BITS, REQUIRED), kappa=(_POSITIVE, _WAVEFORM["dac_kappa"]), clip=(_POSITIVE, OPTIONAL)
+)
+_PLAN = {"fractions": (_NUMLIST, REQUIRED), "powers": (_NUMLIST, REQUIRED)}
+
+# experiment -> its params; the defaults are merged into resolved configs so a
+# logged config fully reproduces its run even if package defaults change later
+EXPERIMENTS = {
+    "moments": _Table(
+        quantizer=(_QUANTIZER, REQUIRED),
+        pbar=(_POSITIVE, REQUIRED),
+        method=(_METHOD, {"kind": "quadrature"}),
+        channel=(_CHANNEL, OPTIONAL),
+        adc=(_QUANTIZER, OPTIONAL),
+    ),
+    "spectrum": _Table(quantizer=(_QUANTIZER, REQUIRED), **_PLAN),
+    "rate": _Table(
+        quantizer=(_QUANTIZER, REQUIRED),
+        **_PLAN,
+        noise_power=(_NON_NEGATIVE, REQUIRED),
+        adc=(_QUANTIZER, OPTIONAL),
+    ),
+    "upper-bound": _Table(
+        quantizer=(_QUANTIZER, REQUIRED),
+        fractions=(_NUMLIST, REQUIRED),
+        band_energy=(_NUMLIST, REQUIRED),
+        include_gap=(_BOOL, False),
+        pbar=(_POSITIVE, 1.0),
+    ),
+    "sweep-snr": _Table(
+        bits=(_BITS_LIST, REQUIRED),
+        kappa=(_POSITIVE, DEFAULT_KAPPA),
+        **_PLAN,
+        snr_db=(_GRID, REQUIRED),
+    ),
+    "sweep-aclr": _Table(
+        bits=(_BITS_LIST, REQUIRED),
+        kappa=(_POSITIVE, DEFAULT_KAPPA),
+        fractions=(_NUMLIST, REQUIRED),
+        aclr_db=(_GRID, REQUIRED),
+        pbar=(_POSITIVE, 1.0),
+    ),
+    "montecarlo": _Table(
+        size=(_int(1), REQUIRED),
+        transform=({"enum": ["haar", "fft"]}, _SIM["transform"]),
+        trials=(_int(1), _SIM["trials"]),
+        **_PLAN,
+        quantizer=(_QUANTIZER, REQUIRED),
+        channel=(_CHANNEL, OPTIONAL),
+        adc=(_QUANTIZER, OPTIONAL),
+        assignment=({"enum": ["contiguous", "interleaved"]}, _SIM["assignment"]),
+        mode=({"enum": ["tx", "chain"]}, "tx"),
+        per_trial_csv=(_BOOL, False),
+    ),
+    "waveform": _Table(
+        occupied_bandwidth=(_POSITIVE, _WAVEFORM["occupied_bandwidth"]),
+        sample_rate=(_POSITIVE, _WAVEFORM["sample_rate"]),
+        guard_band=(_NON_NEGATIVE, _WAVEFORM["guard_band"]),
+        num_subcarriers=(_int(8), _WAVEFORM["num_subcarriers"]),
+        num_symbols=(_int(1), _WAVEFORM["num_symbols"]),
+        dac=(_DAC, REQUIRED),
+        symbol_taper=({"type": "number", "minimum": 0, "maximum": 1}, _WAVEFORM["symbol_taper"]),
+        filter_taps=(_int(11), _WAVEFORM["filter_taps"]),
+        filter_attenuation_db=(_POSITIVE, _WAVEFORM["filter_attenuation_db"]),
+        zoh=(_BOOL, _WAVEFORM["zoh"]),
+        psd_segment_length=(_int(64), _WAVEFORM["psd_segment_length"]),
+        psd_overlap=({"type": "number", "minimum": 0, "maximum": 0.9}, _WAVEFORM["psd_overlap"]),
+        psd_window=({"type": "string"}, _WAVEFORM["psd_window"]),
+    ),
 }
 
-_CHANNEL = {
-    "type": "object",
-    "properties": {
-        "kind": {"enum": ["awgn"]},
-        "noise_power": {"type": "number", "minimum": 0},
-    },
-    "required": ["kind", "noise_power"],
-    "additionalProperties": False,
-}
+_OUTPUT = _Table(format=({"enum": ["csv", "json"]}, "json"), path=({"type": "string"}, "."))
+_CONFIG = _Table(
+    schema_version=({"const": SCHEMA_VERSION}, REQUIRED),
+    experiment=({"enum": sorted(EXPERIMENTS)}, REQUIRED),
+    seed=(_int(0), 0),
+    output=(_OUTPUT, {}),
+    params=({"type": "object"}, REQUIRED),
+)
 
-_METHOD = {
-    "type": "object",
-    "properties": {
-        "kind": {"enum": ["quadrature", "montecarlo"]},
-        "nodes": {"type": "integer", "minimum": 3},
-        "samples": {"type": "integer", "minimum": 100},
-    },
-    "required": ["kind"],
-    "additionalProperties": False,
-}
 
-_NUMLIST = {"type": "array", "items": {"type": "number"}, "minItems": 1}
+def schema_of(spec) -> dict:
+    """The JSON schema of a table (or of a plain schema fragment)."""
+    if not isinstance(spec, _Table):
+        return spec
+    return {
+        "type": "object",
+        "properties": {name: schema_of(s) for name, (s, _) in spec.items()},
+        "required": [name for name, (_, d) in spec.items() if d is REQUIRED],
+        "additionalProperties": False,
+    }
 
-_GRID = {
-    "type": "object",
-    "properties": {
-        "start": {"type": "number"},
-        "stop": {"type": "number"},
-        "step": {"type": "number", "exclusiveMinimum": 0},
-    },
-    "required": ["start", "stop", "step"],
-    "additionalProperties": False,
-}
 
-_BITS_LIST = {
-    "type": "array",
-    "items": {"oneOf": [{"type": "integer", "minimum": 1}, {"type": "null"}]},
-    "minItems": 1,
-}
+def _fill(table: _Table, doc: dict) -> dict:
+    """``doc`` with every default of ``table`` filled in, nested objects too."""
+    out = dict(doc)
+    for name, (spec, default) in table.items():
+        if isinstance(default, _ForKind):
+            default = default.value if doc["kind"] == default.kind else OPTIONAL
+        if name not in out and default not in (REQUIRED, OPTIONAL):
+            out[name] = default
+        if name in out and isinstance(spec, _Table):
+            out[name] = _fill(spec, out[name])
+    return out
 
-_DAC = {
-    "type": "object",
-    "properties": {
-        "bits": {"oneOf": [{"type": "integer", "minimum": 1}, {"type": "null"}]},
-        "kappa": {"type": "number", "exclusiveMinimum": 0},
-        "clip": {"type": "number", "exclusiveMinimum": 0},
-    },
-    "required": ["bits"],
-    "additionalProperties": False,
-}
 
-_PARAM_SCHEMAS = {
-    "moments": {
-        "type": "object",
-        "properties": {
-            "quantizer": _QUANTIZER,
-            "pbar": {"type": "number", "exclusiveMinimum": 0},
-            "method": _METHOD,
-            "channel": _CHANNEL,
-            "adc": _QUANTIZER,
-        },
-        "required": ["quantizer", "pbar"],
-        "additionalProperties": False,
-    },
-    "spectrum": {
-        "type": "object",
-        "properties": {
-            "quantizer": _QUANTIZER,
-            "fractions": _NUMLIST,
-            "powers": _NUMLIST,
-        },
-        "required": ["quantizer", "fractions", "powers"],
-        "additionalProperties": False,
-    },
-    "rate": {
-        "type": "object",
-        "properties": {
-            "quantizer": _QUANTIZER,
-            "fractions": _NUMLIST,
-            "powers": _NUMLIST,
-            "noise_power": {"type": "number", "minimum": 0},
-            "adc": _QUANTIZER,
-        },
-        "required": ["quantizer", "fractions", "powers", "noise_power"],
-        "additionalProperties": False,
-    },
-    "upper-bound": {
-        "type": "object",
-        "properties": {
-            "quantizer": _QUANTIZER,
-            "fractions": _NUMLIST,
-            "band_energy": _NUMLIST,
-            "include_gap": {"type": "boolean"},
-            "pbar": {"type": "number", "exclusiveMinimum": 0},
-        },
-        "required": ["quantizer", "fractions", "band_energy"],
-        "additionalProperties": False,
-    },
-    "sweep-snr": {
-        "type": "object",
-        "properties": {
-            "bits": _BITS_LIST,
-            "kappa": {"type": "number", "exclusiveMinimum": 0},
-            "fractions": _NUMLIST,
-            "powers": _NUMLIST,
-            "snr_db": _GRID,
-        },
-        "required": ["bits", "fractions", "powers", "snr_db"],
-        "additionalProperties": False,
-    },
-    "sweep-aclr": {
-        "type": "object",
-        "properties": {
-            "bits": _BITS_LIST,
-            "kappa": {"type": "number", "exclusiveMinimum": 0},
-            "fractions": _NUMLIST,
-            "aclr_db": _GRID,
-            "pbar": {"type": "number", "exclusiveMinimum": 0},
-        },
-        "required": ["bits", "fractions", "aclr_db"],
-        "additionalProperties": False,
-    },
-    "montecarlo": {
-        "type": "object",
-        "properties": {
-            "size": {"type": "integer", "minimum": 1},
-            "transform": {"enum": ["haar", "fft"]},
-            "trials": {"type": "integer", "minimum": 1},
-            "fractions": _NUMLIST,
-            "powers": _NUMLIST,
-            "quantizer": _QUANTIZER,
-            "channel": _CHANNEL,
-            "adc": _QUANTIZER,
-            "assignment": {"enum": ["contiguous", "interleaved"]},
-            "mode": {"enum": ["tx", "chain"]},
-            "per_trial_csv": {"type": "boolean"},
-        },
-        "required": ["size", "fractions", "powers", "quantizer"],
-        "additionalProperties": False,
-    },
-    "waveform": {
-        "type": "object",
-        "properties": {
-            "occupied_bandwidth": {"type": "number", "exclusiveMinimum": 0},
-            "sample_rate": {"type": "number", "exclusiveMinimum": 0},
-            "guard_band": {"type": "number", "minimum": 0},
-            "num_subcarriers": {"type": "integer", "minimum": 8},
-            "num_symbols": {"type": "integer", "minimum": 1},
-            "dac": _DAC,
-            "symbol_taper": {"type": "number", "minimum": 0, "maximum": 1},
-            "filter_taps": {"type": "integer", "minimum": 11},
-            "filter_attenuation_db": {"type": "number", "exclusiveMinimum": 0},
-            "zoh": {"type": "boolean"},
-            "psd_segment_length": {"type": "integer", "minimum": 64},
-            "psd_overlap": {"type": "number", "minimum": 0, "maximum": 0.9},
-            "psd_window": {"type": "string"},
-        },
-        "required": ["dac"],
-        "additionalProperties": False,
-    },
-}
+def _defaults(table: _Table) -> dict:
+    """What ``_fill`` adds to an object that holds only its required keys."""
+    out = {}
+    for name, (spec, default) in table.items():
+        if isinstance(spec, _Table) and default is REQUIRED:
+            default = _defaults(spec) or OPTIONAL
+        elif isinstance(spec, _Table) and default is not OPTIONAL:
+            default = _fill(spec, default)
+        if default not in (REQUIRED, OPTIONAL):
+            out[name] = default
+    return out
 
-# parameter defaults merged into resolved configs so a logged config fully
-# reproduces its run even if package defaults change later
-_PARAM_DEFAULTS = {
-    "moments": {"method": {"kind": "quadrature", "nodes": DEFAULT_QUADRATURE_NODES}},
-    "spectrum": {},
-    "rate": {},
-    "upper-bound": {"include_gap": False, "pbar": 1.0},
-    "sweep-snr": {"kappa": DEFAULT_KAPPA},
-    "sweep-aclr": {"kappa": DEFAULT_KAPPA, "pbar": 1.0},
-    "montecarlo": {
-        "transform": "haar",
-        "trials": 20,
-        "assignment": "contiguous",
-        "mode": "tx",
-        "per_trial_csv": False,
-    },
-    "waveform": {
-        "occupied_bandwidth": 200e6,
-        "sample_rate": 983.04e6,
-        "guard_band": 10e6,
-        "num_subcarriers": 1024,
-        "num_symbols": 256,
-        "symbol_taper": DEFAULT_SYMBOL_TAPER,
-        "filter_taps": DEFAULT_FILTER_TAPS,
-        "filter_attenuation_db": DEFAULT_FILTER_ATTEN_DB,
-        "zoh": True,
-        "psd_segment_length": 4096,
-        "psd_overlap": 0.5,
-        "psd_window": "hann",
-    },
-}
 
-_TOP_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "schema_version": {"const": SCHEMA_VERSION},
-        "experiment": {"enum": sorted(_PARAM_SCHEMAS)},
-        "seed": {"type": "integer", "minimum": 0},
-        "output": {
-            "type": "object",
-            "properties": {
-                "format": {"enum": ["csv", "json"]},
-                "path": {"type": "string"},
-            },
-            "additionalProperties": False,
-        },
-        "params": {"type": "object"},
-    },
-    "required": ["schema_version", "experiment", "params"],
-    "additionalProperties": False,
+# built once: constructing a validator skips the metaschema check that
+# jsonschema.validate repeats on every call
+_VALIDATORS = {
+    name: jsonschema.Draft202012Validator(schema_of(table))
+    for name, table in {"config": _CONFIG, **EXPERIMENTS}.items()
 }
 
 
@@ -294,30 +242,11 @@ def package_defaults() -> dict:
         "montecarlo_samples": DEFAULT_MC_SAMPLES,
         "feasibility_slack": FEASIBILITY_SLACK,
         "tilt_tolerance": TILT_TOL,
-        "sim": {
-            "size": 2048,
-            "trials": 20,
-            "transform": "haar",
-            "assignment": "contiguous",
-        },
-        "waveform": {
-            "occupied_bandwidth": 200e6,
-            "sample_rate": 983.04e6,
-            "guard_band": 10e6,
-            "num_subcarriers": 1024,
-            "num_symbols": 256,
-            "symbol_taper": DEFAULT_SYMBOL_TAPER,
-            "filter_taps": DEFAULT_FILTER_TAPS,
-            "filter_attenuation_db": DEFAULT_FILTER_ATTEN_DB,
-            "zoh": True,
-            "psd": {"segment_length": 4096, "overlap": 0.5, "window": "hann"},
-        },
+        "params": {name: _defaults(table) for name, table in EXPERIMENTS.items()},
     }
 
 
-# ---------------------------------------------------------------------------
-# config handling
-# ---------------------------------------------------------------------------
+# --- config handling
 
 def _finite(convert):
     def parse(text: str):
@@ -335,48 +264,39 @@ def _non_finite(text: str):
     raise ConfigError(f"config number {text} is not finite")
 
 
+def _validate(doc, name: str):
+    error = jsonschema.exceptions.best_match(_VALIDATORS[name].iter_errors(doc))
+    if error is not None:
+        raise ConfigError(f"config schema violation: {error.message}")
+
+
 def _load_config(path: str, experiment: str) -> dict:
     try:
         text = Path(path).read_text()
     except OSError as e:
         raise ConfigError(f"cannot read config: {e}") from e
     try:
-        cfg = json.loads(
-            text, parse_float=_finite(float), parse_int=_finite(int),
-            parse_constant=_non_finite,
-        )
+        cfg = json.loads(text, parse_float=_finite(float), parse_int=_finite(int),
+                         parse_constant=_non_finite)
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}") from e
-    try:
-        jsonschema.validate(cfg, _TOP_SCHEMA)
-        jsonschema.validate(cfg["params"], _PARAM_SCHEMAS[cfg["experiment"]])
-    except jsonschema.ValidationError as e:
-        raise ConfigError(f"config schema violation: {e.message}") from e
+    _validate(cfg, "config")
+    _validate(cfg["params"], cfg["experiment"])
     if cfg["experiment"] != experiment:
-        raise ConfigError(
-            f"config is for experiment {cfg['experiment']!r}, not {experiment!r}"
-        )
+        raise ConfigError(f"config is for experiment {cfg['experiment']!r}, not {experiment!r}")
     return cfg
 
 
 def _resolve_config(cfg: dict, args) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "experiment": cfg["experiment"],
-        "seed": args.seed if args.seed is not None else cfg.get("seed", 0),
-        "output": {
-            "format": args.format or cfg.get("output", {}).get("format", "json"),
-            "path": args.out or cfg.get("output", {}).get("path", "."),
-        },
-        "params": {**_PARAM_DEFAULTS[cfg["experiment"]], **cfg["params"]},
-    }
-
-
-def _method_from(params: dict, seed: int):
-    m = params.get("method", {"kind": "quadrature"})
-    if m["kind"] == "quadrature":
-        return Quadrature(nodes=m.get("nodes", DEFAULT_QUADRATURE_NODES))
-    return MonteCarlo(samples=m.get("samples", DEFAULT_MC_SAMPLES), seed=seed)
+    resolved = _fill(_CONFIG, cfg)
+    resolved["params"] = _fill(EXPERIMENTS[cfg["experiment"]], cfg["params"])
+    if args.seed is not None:
+        resolved["seed"] = args.seed
+    if args.format:
+        resolved["output"]["format"] = args.format
+    if args.out:
+        resolved["output"]["path"] = args.out
+    return resolved
 
 
 def _grid(spec: dict) -> np.ndarray:
@@ -392,20 +312,22 @@ def _quantizer_for_bits(bits, kappa, pbar) -> QuantizerSpec:
     return QuantizerSpec.uniform_midrise(bits, clip_for_power(pbar, kappa))
 
 
-# ---------------------------------------------------------------------------
-# result serialization (deterministic bytes)
-# ---------------------------------------------------------------------------
+# --- result serialization (deterministic bytes)
+
+def _scalar(v):
+    """A numpy scalar as a Python one; +/-inf as the strings "inf" and "-inf"."""
+    if isinstance(v, np.generic):
+        v = v.item()
+    if isinstance(v, float) and math.isinf(v):
+        return "inf" if v > 0 else "-inf"
+    return v
+
 
 def _fmt(v):
+    v = _scalar(v)
     if v is None:
         return ""
-    if isinstance(v, (np.floating, np.integer)):
-        v = v.item()
-    if isinstance(v, float):
-        if math.isinf(v):
-            return "inf" if v > 0 else "-inf"
-        return repr(v)
-    return str(v)
+    return repr(v) if isinstance(v, float) else str(v)
 
 
 def _csv_bytes(header, rows) -> str:
@@ -417,44 +339,59 @@ def _csv_bytes(header, rows) -> str:
     return buf.getvalue()
 
 
-def _json_bytes(obj) -> str:
+def json_text(obj) -> str:
+    """The JSON text every result and resolved config is written as.
+
+    Keys are sorted; dataclasses become objects, tuples arrays and numpy
+    scalars Python numbers; +/-inf become the strings "inf" and "-inf".
+    """
     def conv(v):
+        if is_dataclass(v):
+            v = vars(v)
         if isinstance(v, dict):
             return {k: conv(x) for k, x in v.items()}
         if isinstance(v, (list, tuple)):
             return [conv(x) for x in v]
-        if isinstance(v, (np.floating, np.integer)):
-            return v.item()
-        if isinstance(v, float) and math.isinf(v):
-            return "inf" if v > 0 else "-inf"
-        return v
+        return _scalar(v)
 
     return json.dumps(conv(obj), indent=2, sort_keys=True) + "\n"
 
 
-def _rows_or_json(resolved, header, rows, obj):
+def _stamped(resolved: dict, record: dict) -> dict:
+    """``record``, then the run's seed and the package version."""
+    return {**record, "seed": resolved["seed"], "version": __version__}
+
+
+def _rows_or_json(resolved, header, rows, obj=None):
+    """The result file: ``rows`` as CSV, or ``obj`` (by default the rows) as JSON."""
     if resolved["output"]["format"] == "csv":
         return {f"{resolved['experiment']}.csv": _csv_bytes(header, rows)}
-    return {f"{resolved['experiment']}.json": _json_bytes(obj)}
+    if obj is None:
+        obj = {"rows": [dict(zip(header, r)) for r in rows]}
+    return {f"{resolved['experiment']}.json": json_text(obj)}
 
 
-# ---------------------------------------------------------------------------
-# experiment implementations: each returns {filename: text}
-# ---------------------------------------------------------------------------
+# --- experiment implementations: each returns {filename: text}
 
 def _run_moments(resolved: dict) -> dict:
     p = resolved["params"]
     q = quantizer_from_json(p["quantizer"])
-    method = _method_from(p, resolved["seed"])
+    how = p["method"]
+    if how["kind"] == "quadrature":
+        method = Quadrature(nodes=how["nodes"])
+    else:
+        method = MonteCarlo(samples=how["samples"], seed=resolved["seed"])
     if "channel" in p:
         ch = ChannelSpec.awgn(p["channel"]["noise_power"])
         adc = quantizer_from_json(p.get("adc", {"kind": "identity"}))
         m = chain_moments(q, ch, adc, p["pbar"], method)
         scope = "chain"
+    elif "adc" in p:
+        raise ConfigError("moments: an adc needs a channel; without one the run is tx-only")
     else:
         m = tx_moments(q, p["pbar"], method)
         scope = "tx"
-    rec = {
+    rec = _stamped(resolved, {
         "scope": scope,
         "gain_re": float(np.real(m.gain)),
         "gain_im": float(np.imag(m.gain)),
@@ -462,9 +399,7 @@ def _run_moments(resolved: dict) -> dict:
         "input_power": m.input_power,
         "gain_stderr": m.gain_stderr,
         "noise_stderr": m.noise_stderr,
-        "seed": resolved["seed"],
-        "version": __version__,
-    }
+    })
     return _rows_or_json(resolved, list(rec), [list(rec.values())], rec)
 
 
@@ -479,15 +414,7 @@ def _run_spectrum(resolved: dict) -> dict:
          rep.min_share[i], rep.total_energy]
         for i in range(plan.num_bands)
     ]
-    obj = {
-        "band_energy": rep.band_energy,
-        "band_share": rep.band_share,
-        "min_share": rep.min_share,
-        "total_energy": rep.total_energy,
-        "seed": resolved["seed"],
-        "version": __version__,
-    }
-    return _rows_or_json(resolved, header, rows, obj)
+    return _rows_or_json(resolved, header, rows, _stamped(resolved, vars(rep)))
 
 
 def _run_rate(resolved: dict) -> dict:
@@ -495,67 +422,42 @@ def _run_rate(resolved: dict) -> dict:
     plan = SubbandPlan(fractions=tuple(p["fractions"]), powers=tuple(p["powers"]))
     q = quantizer_from_json(p["quantizer"])
     if "adc" in p:
-        m = chain_moments(
-            q, ChannelSpec.awgn(p["noise_power"]), quantizer_from_json(p["adc"]),
-            plan.mean_power,
-        )
+        adc = quantizer_from_json(p["adc"])
+        m = chain_moments(q, ChannelSpec.awgn(p["noise_power"]), adc, plan.mean_power)
         rep = linear_rate(plan, m)
     else:
         rep = awgn_linear_rate(plan, tx_moments(q, plan.mean_power), p["noise_power"])
-    obj = {
-        "bits_per_symbol": rep.bits_per_symbol,
-        "band_bits": rep.band_bits,
-        "shaping_loss_bits": rep.shaping_loss_bits,
-        "regime": rep.regime,
-        "seed": resolved["seed"],
-        "version": __version__,
-    }
     header = ["band", "fraction", "power", "bits", "total_bits", "regime"]
     rows = [
         [i, plan.fractions[i], plan.powers[i], rep.band_bits[i], rep.bits_per_symbol,
          rep.regime]
         for i in range(plan.num_bands)
     ]
-    return _rows_or_json(resolved, header, rows, obj)
+    return _rows_or_json(resolved, header, rows, _stamped(resolved, vars(rep)))
 
 
 def _run_upper_bound(resolved: dict) -> dict:
     p = resolved["params"]
     q = quantizer_from_json(p["quantizer"])
     cset = constellation_of(q)
-    m = tx_moments(q, p.get("pbar", 1.0)) if p.get("include_gap") else None
+    m = tx_moments(q, p["pbar"]) if p["include_gap"] else None
     rep = rate_upper_bound(cset, p["band_energy"], p["fractions"], m_tx=m)
-    obj = {
-        "max_entropy_bits": rep.max_entropy_bits,
-        "shaping_loss_bits": rep.shaping_loss_bits,
-        "bits_per_symbol": rep.bits_per_symbol,
-        "tilt": None if math.isnan(rep.tilt) else rep.tilt,
-        "gap_bits": rep.gap_bits,
-        "mask_infeasible": rep.mask_infeasible,
-        "seed": resolved["seed"],
-        "version": __version__,
-    }
-    header = list(obj)
-    return _rows_or_json(resolved, header, [list(obj.values())], obj)
+    rec = _stamped(resolved, {**vars(rep), "tilt": None if math.isnan(rep.tilt) else rep.tilt})
+    return _rows_or_json(resolved, list(rec), [list(rec.values())], rec)
 
 
 def _run_sweep_snr(resolved: dict) -> dict:
     p = resolved["params"]
     plan = SubbandPlan(fractions=tuple(p["fractions"]), powers=tuple(p["powers"]))
-    kappa = p.get("kappa", DEFAULT_KAPPA)
     rows = []
     for bits in p["bits"]:
-        q = _quantizer_for_bits(bits, kappa, plan.mean_power)
+        q = _quantizer_for_bits(bits, p["kappa"], plan.mean_power)
         m = tx_moments(q, plan.mean_power)
         for snr_db in _grid(p["snr_db"]):
             rep = awgn_rate_at_transmit_snr(plan, m, 10.0 ** (snr_db / 10.0))
-            rows.append(
-                [float(snr_db), "inf" if bits is None else bits, rep.bits_per_symbol,
-                 resolved["seed"], __version__]
-            )
-    header = ["snr_db", "bits", "rate_bps", "seed", "version"]
-    obj = {"rows": [dict(zip(header, r)) for r in rows]}
-    return _rows_or_json(resolved, header, rows, obj)
+            rows.append([float(snr_db), "inf" if bits is None else bits, rep.bits_per_symbol,
+                         resolved["seed"], __version__])
+    return _rows_or_json(resolved, ["snr_db", "bits", "rate_bps", "seed", "version"], rows)
 
 
 def _run_sweep_aclr(resolved: dict) -> dict:
@@ -563,13 +465,12 @@ def _run_sweep_aclr(resolved: dict) -> dict:
     fr = tuple(p["fractions"])
     if len(fr) != 2:
         raise ConfigError("sweep-aclr is defined for exactly two sub-bands")
-    pbar = p.get("pbar", 1.0)
-    kappa = p.get("kappa", DEFAULT_KAPPA)
+    pbar = p["pbar"]
     rows = []
     for bits in p["bits"]:
         if bits is None:
             raise ConfigError("sweep-aclr requires finite DAC resolutions")
-        q = _quantizer_for_bits(bits, kappa, pbar)
+        q = _quantizer_for_bits(bits, p["kappa"], pbar)
         m = tx_moments(q, pbar)
         cset = constellation_of(q)
         s_tot = (abs(m.gain) ** 2 + m.noise) * pbar
@@ -581,39 +482,35 @@ def _run_sweep_aclr(resolved: dict) -> dict:
             except FeasibilityError:
                 r_lin = None
             ub = rate_upper_bound(cset, (nu[0] * s_tot, nu[1] * s_tot), fr)
-            rows.append(
-                [float(aclr_db), bits, r_lin, ub.bits_per_symbol,
-                 resolved["seed"], __version__]
-            )
-    header = ["aclr_db", "bits", "r_lin", "r_upper", "seed", "version"]
-    obj = {"rows": [dict(zip(header, r)) for r in rows]}
-    return _rows_or_json(resolved, header, rows, obj)
+            rows.append([float(aclr_db), bits, r_lin, ub.bits_per_symbol,
+                         resolved["seed"], __version__])
+    return _rows_or_json(resolved, ["aclr_db", "bits", "r_lin", "r_upper", "seed", "version"], rows)
 
 
 def _run_montecarlo(resolved: dict) -> dict:
     p = resolved["params"]
-    plan = SubbandPlan(fractions=tuple(p["fractions"]), powers=tuple(p["powers"]))
+    chain = p["mode"] == "chain"
+    if not chain and ("channel" in p or "adc" in p):
+        raise ConfigError("montecarlo: channel and adc apply only in mode 'chain'")
     cfg = SimConfig(
         size=p["size"],
-        plan=plan,
+        plan=SubbandPlan(fractions=tuple(p["fractions"]), powers=tuple(p["powers"])),
         dac=quantizer_from_json(p["quantizer"]),
-        transform=p.get("transform", "haar"),
-        trials=p.get("trials", 20),
+        transform=p["transform"],
+        trials=p["trials"],
         seed=resolved["seed"],
-        channel=ChannelSpec.awgn(p.get("channel", {"noise_power": 0.0})["noise_power"])
-        if "channel" in p
-        else ChannelSpec.awgn(0.0),
+        channel=ChannelSpec.awgn(p["channel"]["noise_power"] if "channel" in p else 0.0),
         adc=quantizer_from_json(p.get("adc", {"kind": "identity"})),
-        assignment=p.get("assignment", "contiguous"),
+        assignment=p["assignment"],
     )
-    mode = p.get("mode", "tx")
-    rep = run_chain_trials(cfg) if mode == "chain" else run_tx_trials(cfg)
-    files = {"montecarlo.json": rep.to_json() + "\n"}
-    if p.get("per_trial_csv", False):
-        rows = []
-        for t, band_vals in enumerate(rep.trial_band_energy):
-            for b, val in enumerate(band_vals):
-                rows.append([t, b, val, rep.predicted_band_energy[b]])
+    rep = run_chain_trials(cfg) if chain else run_tx_trials(cfg)
+    files = {"montecarlo.json": json_text(rep)}
+    if p["per_trial_csv"]:
+        rows = [
+            [t, b, val, rep.predicted_band_energy[b]]
+            for t, band_vals in enumerate(rep.trial_band_energy)
+            for b, val in enumerate(band_vals)
+        ]
         files["montecarlo_trials.csv"] = _csv_bytes(
             ["trial", "band", "empirical_s", "predicted_s"], rows
         )
@@ -624,27 +521,17 @@ def _run_waveform(resolved: dict) -> dict:
     p = dict(resolved["params"])
     dac = p.pop("dac")
     cfg = WaveformConfig(
-        dac_bits=dac["bits"],
-        dac_kappa=dac.get("kappa", DEFAULT_KAPPA),
-        dac_clip=dac.get("clip"),
-        seed=resolved["seed"],
-        **p,
+        dac_bits=dac["bits"], dac_kappa=dac["kappa"], dac_clip=dac.get("clip"),
+        seed=resolved["seed"], **p,
     )
-    stream = synthesize_baseband(cfg)
-    rep = apply_dac_and_measure(cfg, stream)
-    d = rep.to_dict()
-    freq = d.pop("psd_freq")
-    psd = d.pop("psd")
-    d["seed"] = resolved["seed"]
-    d["version"] = __version__
-    psd_db = [10.0 * math.log10(v) if v > 0 else -math.inf for v in psd]
-    files = {
-        "waveform.json": _json_bytes(d),
-        "waveform_psd.csv": _csv_bytes(
-            ["freq_hz", "psd_db"], list(zip(freq, psd_db))
-        ),
+    rep = apply_dac_and_measure(cfg, synthesize_baseband(cfg))
+    rec = _stamped(resolved, vars(rep))
+    freq = rec.pop("psd_freq")
+    psd_db = [10.0 * math.log10(v) if v > 0 else -math.inf for v in rec.pop("psd")]
+    return {
+        "waveform.json": json_text(rec),
+        "waveform_psd.csv": _csv_bytes(["freq_hz", "psd_db"], list(zip(freq, psd_db))),
     }
-    return files
 
 
 _RUNNERS = {
@@ -659,24 +546,12 @@ _RUNNERS = {
 }
 
 
-def _cmd_defaults(args) -> int:
-    d = package_defaults()
-    if args.format == "csv":
-        flat = []
-
-        def walk(prefix, obj):
-            for k, v in obj.items():
-                key = f"{prefix}.{k}" if prefix else k
-                if isinstance(v, dict):
-                    walk(key, v)
-                else:
-                    flat.append([key, v])
-
-        walk("", d)
-        sys.stdout.write(_csv_bytes(["key", "value"], flat))
-    else:
-        sys.stdout.write(_json_bytes(d))
-    return 0
+def _flat(d: dict, prefix: str = ""):
+    for k, v in d.items():
+        if isinstance(v, dict):
+            yield from _flat(v, f"{prefix}{k}.")
+        else:
+            yield [prefix + k, v]
 
 
 def main(argv=None) -> int:
@@ -695,7 +570,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "defaults":
-        return _cmd_defaults(args)
+        d = package_defaults()
+        text = json_text(d) if args.format == "json" else _csv_bytes(["key", "value"], _flat(d))
+        sys.stdout.write(text)
+        return 0
 
     try:
         cfg = _load_config(args.config, args.command)
@@ -710,7 +588,7 @@ def main(argv=None) -> int:
 
     out_dir = Path(resolved["output"]["path"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "resolved_config.json").write_text(_json_bytes(resolved))
+    (out_dir / "resolved_config.json").write_text(json_text(resolved))
     for name, text in files.items():
         (out_dir / name).write_text(text)
         print(f"wrote {out_dir / name}")

@@ -14,7 +14,6 @@ forming the matrix, which keeps large-N runs fast.  A trial holds one
 trial's chain is alive at a time.
 """
 
-import json
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -188,21 +187,6 @@ class SimReport:
     band_correlation: Optional[tuple] = None
     band_correlation_se: Optional[tuple] = None
     predicted_band_correlation: Optional[tuple] = None
-
-    def to_dict(self) -> dict:
-        def conv(v):
-            if isinstance(v, dict):
-                return {k: conv(x) for k, x in v.items()}
-            if isinstance(v, (tuple, list)):
-                return [conv(x) for x in v]
-            if isinstance(v, (np.floating, np.integer)):
-                return v.item()
-            return v
-
-        return {k: conv(v) for k, v in self.__dict__.items()}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 def _draw_symbols(rng, powers, assign):

@@ -12,7 +12,6 @@ adjacent measurement band has the same width and starts one ``guard_band``
 beyond the occupied edge (mirrored on both sides, averaged).
 """
 
-import json
 import math
 from dataclasses import dataclass, replace
 
@@ -118,20 +117,6 @@ class AclrReport:
     dac_clip_used: float | None
     saturated_fraction: float
     clip_warning: bool
-
-    def to_dict(self) -> dict:
-        out = {}
-        for k, v in self.__dict__.items():
-            if isinstance(v, tuple):
-                out[k] = [float(x) for x in v]
-            elif isinstance(v, (np.floating, np.integer)):
-                out[k] = v.item()
-            else:
-                out[k] = v
-        return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 def design_interp_filter(cfg: WaveformConfig) -> np.ndarray:

@@ -32,7 +32,7 @@ from qlt import (
     share_floor,
     tx_moments,
 )
-from qlt.cli import main as cli_main
+from qlt.cli import json_text, main as cli_main
 
 ONE_BIT = QuantizerSpec.uniform_midrise(1, 1.0)
 ONE_BIT_GAIN = 2.0 / math.sqrt(math.pi)
@@ -339,12 +339,12 @@ def test_c10_waveform_agn_agreement():
 def test_c11_determinism(tmp_path):
     plan = SubbandPlan((0.5, 0.5), (2.0, 0.0))
     cfg = SimConfig(size=512, plan=plan, dac=ONE_BIT, trials=5, seed=2048)
-    sim_same = run_tx_trials(cfg).to_json() == run_tx_trials(cfg).to_json()
+    sim_same = json_text(run_tx_trials(cfg)) == json_text(run_tx_trials(cfg))
 
     from qlt import WaveformConfig, measure_aclr
 
     wcfg = WaveformConfig(dac_bits=4, num_symbols=32, seed=3)
-    wave_same = measure_aclr(wcfg).to_json() == measure_aclr(wcfg).to_json()
+    wave_same = json_text(measure_aclr(wcfg)) == json_text(measure_aclr(wcfg))
 
     cli_cfg = {
         "schema_version": 1,

@@ -1,8 +1,13 @@
+import argparse
+import copy
 import json
 import math
+import pathlib
 
 import pytest
+from jsonschema import Draft202012Validator
 
+from qlt import cli
 from qlt.cli import main, package_defaults
 
 
@@ -329,12 +334,247 @@ def test_seed_override_changes_results(tmp_path):
 
 
 def test_shipped_presets_validate(tmp_path):
-    import pathlib
-
     configs = pathlib.Path(__file__).resolve().parents[1] / "configs"
-    for preset in sorted(configs.glob("*.json")):
+    presets = sorted(configs.glob("*.json"))
+    assert len(presets) == 5
+    for preset in presets:
         doc = json.loads(preset.read_text())
+        # every preset loads and resolves; the presets spell out every key they
+        # rely on, so resolving adds defaults but changes none of their values
+        cfg = cli._load_config(str(preset), doc["experiment"])
+        resolved = cli._resolve_config(cfg, argparse.Namespace(seed=None, format=None, out=None))
+        assert {k: resolved["params"][k] for k in doc["params"]} == doc["params"]
         if doc["experiment"] in ("montecarlo", "waveform"):
             continue  # exercised separately; these run longer
         out = str(tmp_path / preset.stem)
         assert main([doc["experiment"], "--config", str(preset), "--out", out]) == 0
+
+
+Q1 = {"kind": "uniform_midrise", "bits": 1, "clip": 1.0}
+
+# the required params of each experiment, and nothing else
+MINIMAL = {
+    "moments": {"quantizer": Q1, "pbar": 1.0},
+    "spectrum": {"quantizer": Q1, "fractions": [0.5, 0.5], "powers": [2.0, 0.0]},
+    "rate": {"quantizer": Q1, "fractions": [0.5, 0.5], "powers": [2.0, 0.0], "noise_power": 0.1},
+    "upper-bound": {"quantizer": Q1, "fractions": [0.5, 0.5], "band_energy": [1.0, 1.0]},
+    "sweep-snr": {
+        "bits": [1], "fractions": [0.5, 0.5], "powers": [2.0, 0.0],
+        "snr_db": {"start": 0.0, "stop": 1.0, "step": 1.0},
+    },
+    "sweep-aclr": {
+        "bits": [1], "fractions": [0.5, 0.5], "aclr_db": {"start": 0.0, "stop": 1.0, "step": 1.0},
+    },
+    "montecarlo": {"size": 16, "fractions": [0.5, 0.5], "powers": [2.0, 0.0], "quantizer": Q1},
+    "waveform": {"dac": {"bits": 4}},
+}
+
+
+def _merged(base, extra):
+    out = dict(base)
+    for k, v in extra.items():
+        out[k] = _merged(base[k], v) if isinstance(v, dict) and k in base else v
+    return out
+
+
+@pytest.mark.parametrize("experiment", sorted(MINIMAL))
+def test_defaults_dump_is_what_a_minimal_config_resolves_to(tmp_path, capsys, experiment):
+    assert main(["defaults"]) == 0
+    dumped = json.loads(capsys.readouterr().out)["params"][experiment]
+    cfg = {"schema_version": 1, "experiment": experiment, "params": MINIMAL[experiment]}
+    out = tmp_path / "out"
+    assert main([experiment, "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+    resolved = json.loads((out / "resolved_config.json").read_text())
+    assert resolved["params"] == _merged(MINIMAL[experiment], dumped)
+
+
+def test_defaults_dump_layout(capsys):
+    assert main(["defaults", "--format", "csv"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert "params.waveform.psd_window,hann" in rows
+    assert "params.waveform.dac.kappa,3.0" in rows
+    assert "params.moments.method.nodes,129" in rows
+    assert "params.montecarlo.trials,20" in rows
+    assert not [r for r in rows if r.startswith(("sim.", "waveform."))]
+
+
+@pytest.mark.parametrize(
+    "experiment, given, recorded",
+    [
+        ("waveform", {"dac": {"bits": 4}}, {"dac": {"bits": 4, "kappa": 3.0}}),
+        ("waveform", {"dac": {"bits": None}}, {"dac": {"bits": None, "kappa": 3.0}}),
+        (
+            "moments",
+            {"method": {"kind": "montecarlo"}},
+            {"method": {"kind": "montecarlo", "samples": 1_000_000}},
+        ),
+        (
+            "moments",
+            {"method": {"kind": "quadrature"}},
+            {"method": {"kind": "quadrature", "nodes": 129}},
+        ),
+        (
+            "moments",
+            {"method": {"kind": "montecarlo", "samples": 500}},
+            {"method": {"kind": "montecarlo", "samples": 500}},
+        ),
+    ],
+    ids=[
+        "dac-kappa", "ideal-dac-kappa", "montecarlo-samples", "quadrature-nodes",
+        "given-samples-kept",
+    ],
+)
+def test_resolved_config_fills_nested_defaults(tmp_path, experiment, given, recorded):
+    params = dict(MINIMAL[experiment], **given)
+    if experiment == "waveform":
+        params["num_symbols"] = 8
+    cfg = {"schema_version": 1, "experiment": experiment, "params": params}
+    out = tmp_path / "out"
+    assert main([experiment, "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+    resolved = json.loads((out / "resolved_config.json").read_text())
+    for key, value in recorded.items():
+        assert resolved["params"][key] == value
+
+
+@pytest.mark.parametrize(
+    "experiment, extra",
+    [
+        ("moments", {"adc": Q1}),
+        ("montecarlo", {"channel": {"kind": "awgn", "noise_power": 0.1}}),
+        ("montecarlo", {"adc": Q1}),
+        ("montecarlo", {"mode": "tx", "channel": {"kind": "awgn", "noise_power": 0.1}, "adc": Q1}),
+    ],
+    ids=["moments-adc-without-channel", "tx-channel", "tx-adc", "tx-explicit-channel-and-adc"],
+)
+def test_ignored_params_are_config_errors(tmp_path, capsys, experiment, extra):
+    params = dict(MINIMAL[experiment], **extra)
+    cfg = {"schema_version": 1, "experiment": experiment, "params": params}
+    out = tmp_path / "out"
+    assert main([experiment, "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+DELETE = object()
+LEVELS = {"kind": "custom_levels", "levels": [-1.0, 1.0]}
+AWGN = {"kind": "awgn", "noise_power": 0.1}
+GRID = {"start": 0.0, "stop": 1.0, "step": 1.0}
+
+# one case per constraint of the config schemas: (experiment, path, value);
+# DELETE removes the key
+INVALID = {
+    # top level
+    "schema-version": ("moments", ("schema_version",), 2),
+    "no-schema-version": ("moments", ("schema_version",), DELETE),
+    "unknown-experiment": ("moments", ("experiment",), "nope"),
+    "no-experiment": ("moments", ("experiment",), DELETE),
+    "seed-negative": ("moments", ("seed",), -1),
+    "seed-float": ("moments", ("seed",), 1.5),
+    "output-unknown-key": ("moments", ("output",), {"dir": "x"}),
+    "output-format": ("moments", ("output",), {"format": "xml"}),
+    "output-path-type": ("moments", ("output",), {"path": 3}),
+    "params-type": ("moments", ("params",), [1]),
+    "no-params": ("moments", ("params",), DELETE),
+    "top-unknown-key": ("moments", ("extra",), 1),
+    # a missing required key in each experiment
+    **{
+        f"missing-{exp}-{key}": (exp, ("params", key), DELETE)
+        for exp, key in [
+            ("moments", "quantizer"), ("moments", "pbar"), ("spectrum", "quantizer"),
+            ("spectrum", "fractions"), ("spectrum", "powers"), ("rate", "noise_power"),
+            ("upper-bound", "band_energy"), ("sweep-snr", "bits"), ("sweep-snr", "snr_db"),
+            ("sweep-aclr", "fractions"), ("sweep-aclr", "aclr_db"), ("montecarlo", "size"),
+            ("montecarlo", "quantizer"), ("waveform", "dac"),
+        ]
+    },
+    # an unknown key in each experiment's params
+    **{f"{exp}-unknown-param": (exp, ("params", "bogus"), 1) for exp in MINIMAL},
+    # quantizer
+    "quantizer-kind": ("spectrum", ("params", "quantizer"), {"kind": "round"}),
+    "quantizer-no-kind": ("spectrum", ("params", "quantizer"), {"bits": 1, "clip": 1.0}),
+    "quantizer-bits": ("spectrum", ("params", "quantizer"), dict(Q1, bits=0)),
+    "quantizer-clip": ("spectrum", ("params", "quantizer"), dict(Q1, clip=0.0)),
+    "quantizer-levels-empty": ("spectrum", ("params", "quantizer"), dict(LEVELS, levels=[])),
+    "quantizer-levels-type": ("spectrum", ("params", "quantizer"), dict(LEVELS, levels=["a"])),
+    "quantizer-unknown-key": ("spectrum", ("params", "quantizer"), dict(Q1, gain=1.0)),
+    "adc-kind": ("rate", ("params", "adc"), {"kind": "round"}),
+    # channel
+    "channel-kind": ("moments", ("params", "channel"), dict(AWGN, kind="rayleigh")),
+    "channel-noise-negative": ("moments", ("params", "channel"), dict(AWGN, noise_power=-0.1)),
+    "channel-no-noise": ("moments", ("params", "channel"), {"kind": "awgn"}),
+    "channel-unknown-key": ("moments", ("params", "channel"), dict(AWGN, fade=1)),
+    # method
+    "method-kind": ("moments", ("params", "method"), {"kind": "exact"}),
+    "method-no-kind": ("moments", ("params", "method"), {"nodes": 9}),
+    "method-nodes": ("moments", ("params", "method"), {"kind": "quadrature", "nodes": 2}),
+    "method-samples": ("moments", ("params", "method"), {"kind": "montecarlo", "samples": 99}),
+    "method-unknown-key": ("moments", ("params", "method"), {"kind": "quadrature", "seed": 1}),
+    # scalar params
+    "pbar-zero": ("moments", ("params", "pbar"), 0.0),
+    "fractions-empty": ("spectrum", ("params", "fractions"), []),
+    "powers-type": ("spectrum", ("params", "powers"), [2.0, "x"]),
+    "noise-power-negative": ("rate", ("params", "noise_power"), -0.1),
+    "include-gap-type": ("upper-bound", ("params", "include_gap"), "yes"),
+    "upper-bound-pbar": ("upper-bound", ("params", "pbar"), 0.0),
+    # sweeps
+    "bits-empty": ("sweep-snr", ("params", "bits"), []),
+    "bits-zero": ("sweep-snr", ("params", "bits"), [0]),
+    "kappa-zero": ("sweep-snr", ("params", "kappa"), 0.0),
+    "step-zero": ("sweep-snr", ("params", "snr_db"), dict(GRID, step=0.0)),
+    "step-negative": ("sweep-aclr", ("params", "aclr_db"), dict(GRID, step=-1.0)),
+    "grid-no-start": ("sweep-snr", ("params", "snr_db"), {"stop": 1.0, "step": 1.0}),
+    "grid-unknown-key": ("sweep-snr", ("params", "snr_db"), dict(GRID, n=2)),
+    "sweep-aclr-pbar": ("sweep-aclr", ("params", "pbar"), -1.0),
+    # montecarlo
+    "size-zero": ("montecarlo", ("params", "size"), 0),
+    "trials-zero": ("montecarlo", ("params", "trials"), 0),
+    "transform": ("montecarlo", ("params", "transform"), "dct"),
+    "assignment": ("montecarlo", ("params", "assignment"), "random"),
+    "mode": ("montecarlo", ("params", "mode"), "rx"),
+    "per-trial-csv-type": ("montecarlo", ("params", "per_trial_csv"), 1),
+    # waveform
+    "occupied-bandwidth": ("waveform", ("params", "occupied_bandwidth"), 0.0),
+    "sample-rate": ("waveform", ("params", "sample_rate"), 0.0),
+    "guard-band": ("waveform", ("params", "guard_band"), -1.0),
+    "num-subcarriers": ("waveform", ("params", "num_subcarriers"), 4),
+    "num-symbols": ("waveform", ("params", "num_symbols"), 0),
+    "symbol-taper-high": ("waveform", ("params", "symbol_taper"), 1.5),
+    "symbol-taper-low": ("waveform", ("params", "symbol_taper"), -0.1),
+    "filter-taps": ("waveform", ("params", "filter_taps"), 7),
+    "filter-attenuation": ("waveform", ("params", "filter_attenuation_db"), 0.0),
+    "zoh-type": ("waveform", ("params", "zoh"), "no"),
+    "psd-segment-length": ("waveform", ("params", "psd_segment_length"), 32),
+    "psd-overlap-high": ("waveform", ("params", "psd_overlap"), 0.95),
+    "psd-overlap-low": ("waveform", ("params", "psd_overlap"), -0.1),
+    "psd-window-type": ("waveform", ("params", "psd_window"), 3),
+    "dac-no-bits": ("waveform", ("params", "dac"), {"kappa": 3.0}),
+    "dac-bits": ("waveform", ("params", "dac"), {"bits": 0}),
+    "dac-kappa": ("waveform", ("params", "dac"), {"bits": 4, "kappa": 0.0}),
+    "dac-clip": ("waveform", ("params", "dac"), {"bits": 4, "clip": 0.0}),
+    "dac-unknown-key": ("waveform", ("params", "dac"), {"bits": 4, "gain": 1.0}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVALID))
+def test_invalid_params_exit_2_without_output(tmp_path, capsys, case):
+    experiment, path, value = INVALID[case]
+    params = copy.deepcopy(MINIMAL[experiment])
+    doc = {"schema_version": 1, "experiment": experiment, "params": params}
+    *parents, last = path
+    target = doc
+    for key in parents:
+        target = target[key]
+    if value is DELETE:
+        del target[last]
+    else:
+        target[last] = value
+    out = tmp_path / "out"
+    assert main([experiment, "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 2
+    assert "config error: config schema violation" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_schemas_pass_the_metaschema():
+    assert set(cli._VALIDATORS) == {"config", *cli.EXPERIMENTS}
+    for validator in cli._VALIDATORS.values():
+        Draft202012Validator.check_schema(validator.schema)

@@ -17,6 +17,7 @@ from qlt import (
 )
 from qlt import _kernels
 from qlt._rng import substream
+from qlt.cli import json_text
 from qlt.montecarlo import _DRAW_CHUNK
 
 ONE_BIT = QuantizerSpec.uniform_midrise(1, 1.0)
@@ -329,8 +330,8 @@ def test_chain_one_bit_noiseless_correlation_limit():
 
 def test_determinism_bit_identical_reports():
     cfg = SimConfig(size=256, plan=SHAPED_PLAN, dac=ONE_BIT, trials=5, seed=77)
-    a = run_tx_trials(cfg).to_json()
-    b = run_tx_trials(cfg).to_json()
+    a = json_text(run_tx_trials(cfg))
+    b = json_text(run_tx_trials(cfg))
     assert a == b
     c = run_tx_trials(SimConfig(size=256, plan=SHAPED_PLAN, dac=ONE_BIT, trials=5, seed=78))
-    assert a != c.to_json()
+    assert a != json_text(c)

@@ -12,6 +12,7 @@ from qlt import (
     measure_aclr,
     synthesize_baseband,
 )
+from qlt.cli import json_text
 
 BASE = WaveformConfig(num_symbols=128, seed=7)
 
@@ -157,9 +158,9 @@ def test_determinism():
     cfg = replace(BASE, dac_bits=3, num_symbols=32)
     a = apply_dac_and_measure(cfg, synthesize_baseband(cfg))
     b = apply_dac_and_measure(cfg, synthesize_baseband(cfg))
-    assert a.to_json() == b.to_json()
+    assert json_text(a) == json_text(b)
     c = measure_aclr(replace(cfg, seed=8))
-    assert a.to_json() != c.to_json()
+    assert json_text(a) != json_text(c)
 
 
 def test_empty_stream_rejected():
