@@ -324,6 +324,8 @@ def _scalar(v):
 
 
 def _fmt(v):
+    if type(v) is float:  # the bulk of CSV cells; repr gives inf, -inf, nan
+        return repr(v)
     v = _scalar(v)
     if v is None:
         return ""

@@ -199,6 +199,9 @@ def quantizer_from_json(obj: dict) -> QuantizerSpec:
     extra = set(obj) - known[kind] - {"kind"}
     if extra:
         raise ValueError(f"unknown quantizer keys {sorted(extra)}")
+    missing = known[kind] - set(obj)
+    if missing:
+        raise ValueError(f"quantizer kind {kind!r} is missing keys {sorted(missing)}")
     if kind == "identity":
         return QuantizerSpec.identity()
     if kind == "uniform_midrise":

@@ -4,6 +4,7 @@ import json
 import math
 import pathlib
 
+import numpy as np
 import pytest
 from jsonschema import Draft202012Validator
 
@@ -578,3 +579,49 @@ def test_config_schemas_pass_the_metaschema():
     assert set(cli._VALIDATORS) == {"config", *cli.EXPERIMENTS}
     for validator in cli._VALIDATORS.values():
         Draft202012Validator.check_schema(validator.schema)
+
+
+@pytest.mark.parametrize(
+    "quantizer, missing",
+    [
+        ({"kind": "uniform_midrise", "clip": 1.0}, "['bits']"),
+        ({"kind": "uniform_midrise", "bits": 1}, "['clip']"),
+        ({"kind": "custom_levels"}, "['levels']"),
+    ],
+    ids=["midrise-no-bits", "midrise-no-clip", "custom-levels-no-levels"],
+)
+def test_quantizer_missing_key_exits_2_without_output(tmp_path, capsys, quantizer, missing):
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, moments_cfg(str(out), quantizer=quantizer))
+    assert main(["moments", "--config", cfg]) == 2
+    assert f"config error: quantizer kind {quantizer['kind']!r} is missing keys {missing}" in (
+        capsys.readouterr().err
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "value, cell",
+    [
+        (0.1, "0.1"),
+        (-2.5e-300, "-2.5e-300"),
+        (np.float64(1 / 3), "0.3333333333333333"),
+        (math.inf, "inf"),
+        (-math.inf, "-inf"),
+        (np.float64(-math.inf), "-inf"),
+        (math.nan, "nan"),
+        (np.float64(math.nan), "nan"),
+        (None, ""),
+        (7, "7"),
+        (np.int64(-7), "-7"),
+        (True, "True"),
+        ("a,b", "a,b"),
+    ],
+)
+def test_csv_cell_text(value, cell):
+    assert cli._fmt(value) == cell
+
+
+def test_csv_bytes_quote_and_format_cells():
+    rows = [(0.1, np.float64(-math.inf), None), (np.int64(3), "a,b", math.nan)]
+    assert cli._csv_bytes(["x", "y", "z"], rows) == 'x,y,z\n0.1,-inf,\n3,"a,b",nan\n'

@@ -34,10 +34,34 @@ def test_default_geometry():
     assert cfg.filter_cutoff == pytest.approx(105e6)
 
 
+def _complex_interpolation(cfg):
+    """The interpolated stream by the complex filter, the oracle of the rail filter."""
+    # the same symbols at the baseband rate: the stream before interpolation
+    flat = replace(cfg, sample_rate=cfg.baseband_rate)
+    assert flat.interp_factor == 1 and flat.active_subcarriers == cfg.active_subcarriers
+    stream = synthesize_baseband(flat)
+    up = cfg.interp_factor
+    delay = (cfg.filter_taps - 1) // 2
+    h = design_interp_filter(cfg)
+    return sig.upfirdn(h * up, stream, up=up)[delay : delay + stream.size * up]
+
+
 def test_all_subcarriers_off_gives_silence():
     cfg = replace(BASE, enabled_subcarriers=(), num_symbols=4)
     stream = synthesize_baseband(cfg)
     assert np.all(stream == 0)
+    assert stream.tobytes() == _complex_interpolation(cfg).tobytes()
+
+
+@pytest.mark.parametrize("num_subcarriers", [512, 1024, 2048])
+@pytest.mark.parametrize("taps", [127, 255, 511])
+@pytest.mark.parametrize("up, sample_rate", [(2, 491.52e6), (3, 737.28e6), (4, 983.04e6)])
+def test_rail_interpolation_is_bit_identical(up, sample_rate, taps, num_subcarriers):
+    cfg = replace(
+        BASE, sample_rate=sample_rate, filter_taps=taps, num_subcarriers=num_subcarriers, num_symbols=4
+    )
+    assert cfg.interp_factor == up
+    assert synthesize_baseband(cfg).tobytes() == _complex_interpolation(cfg).tobytes()
 
 
 def test_single_subcarrier_is_a_tone():
