@@ -49,7 +49,6 @@ from .montecarlo import (
     SimReport,
     run_chain_trials,
     run_tx_trials,
-    sample_haar_unitary,
     subband_assignment,
 )
 from .quantizer import (

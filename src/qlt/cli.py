@@ -302,7 +302,9 @@ def _resolve_config(cfg: dict, args) -> dict:
 def _grid(spec: dict) -> np.ndarray:
     if spec["start"] > spec["stop"]:
         raise ConfigError(f"grid start {spec['start']} is above its stop {spec['stop']}")
-    n = int(round((spec["stop"] - spec["start"]) / spec["step"])) + 1
+    # every point lies at or below stop; the slack absorbs the rounding of
+    # (stop - start) / step when stop is a whole number of steps past start
+    n = math.floor((spec["stop"] - spec["start"]) / spec["step"] + 1e-9) + 1
     return spec["start"] + spec["step"] * np.arange(n)
 
 

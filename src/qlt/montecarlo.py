@@ -5,13 +5,11 @@ modulate -> quantize -> (channel -> quantize) -> demodulate signal chain,
 accumulating per-band energies, quantization-noise Gaussianity diagnostics,
 and per-band input/output correlations against their predicted limits.
 
-Haar transforms are drawn two ways: :func:`sample_haar_unitary` materializes
-the matrix by QR of a complex Ginibre draw with the R-diagonal phase
-normalization; the trial runners instead use an equivalent product of random
-Householder reflections (exact Haar law) that applies in O(n^2) time without
-forming the matrix, which keeps large-N runs fast.  A trial holds one
-16*(n(n+1)/2 - 1)-byte reflector buffer (33.6 MB at n=2048), and only one
-trial's chain is alive at a time.
+Haar transforms are drawn as a product of random Householder reflections
+(exact Haar law) that applies in O(n^2) time without forming the matrix,
+which keeps large-N runs fast.  A trial holds one 16*(n(n+1)/2 - 1)-byte
+reflector buffer (33.6 MB at n=2048), and only one trial's chain is alive at
+a time.
 """
 
 from dataclasses import dataclass, field
@@ -36,22 +34,6 @@ from .quantizer import QuantizerSpec, quantize
 # The generator writes only into contiguous arrays and w.real / w.imag are
 # strided views, so draws go through a float scratch of at most this size.
 _DRAW_CHUNK = 1 << 16
-
-
-def sample_haar_unitary(n: int, seed) -> np.ndarray:
-    """Draw an n x n Haar-distributed unitary matrix.
-
-    QR of an i.i.d. complex-Gaussian matrix, with the Q columns rotated by the
-    phases of R's diagonal so that the factor is exactly Haar.  ``seed`` may
-    be an integer or a numpy Generator.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    rng = seed if isinstance(seed, np.random.Generator) else substream(seed, "haar-qr")
-    g = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(g)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
 
 
 class HouseholderChain:

@@ -3,14 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from qlt import _kernels
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    # compile jitted kernels once so timed assertions see steady-state speed
-    _kernels.warmup()
-
 
 @pytest.fixture(scope="session")
 def arcsine_band_energies():

@@ -239,12 +239,12 @@ def test_sweep_aclr_boundary(tmp_path):
     ids=["sweep-snr", "sweep-aclr"],
 )
 def test_sweep_grid_direction(tmp_path, capsys, experiment, grid_key, params):
-    def cfg(name, start, stop):
+    def cfg(name, start, stop, step=1.0):
         return {
             "schema_version": 1,
             "experiment": experiment,
             "output": {"format": "json", "path": str(tmp_path / name)},
-            "params": dict(params, **{grid_key: {"start": start, "stop": stop, "step": 1.0}}),
+            "params": dict(params, **{grid_key: {"start": start, "stop": stop, "step": step}}),
         }
 
     # a reversed grid is a config error and writes nothing
@@ -257,6 +257,11 @@ def test_sweep_grid_direction(tmp_path, capsys, experiment, grid_key, params):
     assert main([experiment, "--config", one]) == 0
     rows = json.loads((tmp_path / "one" / f"{experiment}.json").read_text())["rows"]
     assert [r[grid_key] for r in rows] == [3.0]
+    # a step that does not divide the range ends at the last point below stop
+    short = write_cfg(tmp_path, cfg("short", 0.0, 1.0, 0.6), "short.json")
+    assert main([experiment, "--config", short]) == 0
+    rows = json.loads((tmp_path / "short" / f"{experiment}.json").read_text())["rows"]
+    assert [r[grid_key] for r in rows] == [0.0, 0.6]
 
 
 def test_montecarlo_subcommand_and_per_trial_csv(tmp_path):

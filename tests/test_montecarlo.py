@@ -12,7 +12,6 @@ from qlt import (
     SubbandPlan,
     run_chain_trials,
     run_tx_trials,
-    sample_haar_unitary,
     subband_assignment,
 )
 from qlt import _kernels
@@ -22,6 +21,20 @@ from qlt.montecarlo import _DRAW_CHUNK
 
 ONE_BIT = QuantizerSpec.uniform_midrise(1, 1.0)
 SHAPED_PLAN = SubbandPlan((0.5, 0.5), (2.0, 0.0))
+
+
+def sample_haar_unitary(n: int, seed) -> np.ndarray:
+    """Draw an n x n Haar-distributed unitary matrix.
+
+    QR of an i.i.d. complex-Gaussian matrix, with the Q columns rotated by the
+    phases of R's diagonal so that the factor is exactly Haar.  ``seed`` may
+    be an integer or a numpy Generator.
+    """
+    rng = seed if isinstance(seed, np.random.Generator) else substream(seed, "haar-qr")
+    g = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
+    q, r = np.linalg.qr(g)
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
 
 
 def test_haar_unitary_scalar_case():

@@ -31,14 +31,44 @@ def test_two_bit_saturation():
     np.testing.assert_allclose(levels, [-3.0, -1.0, 1.0, 3.0])
 
 
-def test_midrise_levels_nearest_rule():
-    q = QuantizerSpec.uniform_midrise(3, 2.6)
+def _assert_nearest_level(q, clip, rng, atol):
+    # brute-force oracle: levels[argmin |x - level|] on each of the real and
+    # imaginary parts; a sample beyond the outer levels is nearest to the
+    # outer level, so clipping x to them first keeps +-inf comparable
     levels = q.levels_per_dim()
+    x = np.concatenate((
+        rng.uniform(-2 * clip, 2 * clip, 4000),
+        levels,
+        [-10 * clip, 10 * clip, -np.inf, np.inf],
+    ))
+    u = np.empty(x.size, complex)
+    u.real, u.imag = x, x[::-1]
+    got = quantize(q, u)
+    for part, xs in ((got.real, x), (got.imag, x[::-1])):
+        xc = np.clip(xs, levels[0], levels[-1])
+        brute = levels[np.argmin(np.abs(xc[:, None] - levels[None, :]), axis=1)]
+        np.testing.assert_allclose(part, brute, rtol=0, atol=atol)
+
+
+def test_midrise_levels_nearest_rule():
+    # the midrise output -clip + idx*step differs from levels_per_dim() by
+    # rounding, a few 1e-16 * clip
     rng = np.random.default_rng(0)
-    x = rng.uniform(-5, 5, 4000)
-    got = np.asarray(quantize(q, x + 0j)).real
-    brute = levels[np.argmin(np.abs(x[:, None] - levels[None, :]), axis=1)]
-    np.testing.assert_allclose(got, brute)
+    for bits in range(1, 9):
+        for clip in (0.3, 1.0, 2.6, 7.5):
+            q = QuantizerSpec.uniform_midrise(bits, clip)
+            _assert_nearest_level(q, clip, rng, atol=1e-15 * clip)
+
+
+@pytest.mark.parametrize(
+    "levels", [(-2.0, -0.3, 0.1, 1.7), (-1.0, 1.0), (-5.0, -4.0, 0.0, 0.5, 3.0, 40.0)]
+)
+def test_custom_levels_nearest_rule(levels):
+    q = QuantizerSpec.custom_levels(levels)
+    _assert_nearest_level(q, max(abs(v) for v in levels), np.random.default_rng(1), atol=0.0)
+    # a sample exactly on a threshold maps to the upper level
+    thr = q.thresholds_per_dim()
+    np.testing.assert_array_equal(quantize(q, thr + 1j * thr), np.array(levels[1:]) * (1 + 1j))
 
 
 def test_constellation_one_bit():
