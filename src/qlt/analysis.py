@@ -7,6 +7,7 @@ shaping penalty follow the conventions documented on each operation.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -47,7 +48,7 @@ class SubbandPlan:
         object.__setattr__(self, "fractions", tuple(float(v) for v in fr))
         object.__setattr__(self, "powers", tuple(float(v) for v in pw))
 
-    @property
+    @cached_property
     def mean_power(self) -> float:
         return float(np.dot(self.fractions, self.powers))
 

@@ -4,6 +4,8 @@ The bound is built from the cumulant generating function of the energy of a
 uniformly drawn constellation point, its Legendre transform, and the maximum
 entropy achievable at a target mean energy (an exponentially tilted law).
 Cumulant and rate-function values are in nats; entropies and rates in bits.
+Each constellation solves the maximum entropy once per exact target energy
+and keeps the result for its own lifetime.
 """
 
 import math
@@ -38,12 +40,6 @@ class UpperBoundReport:
     mask_infeasible: bool = False
 
 
-def _energy_classes(cset: Constellation):
-    """Deduplicated (energy, multiplicity) classes of the constellation."""
-    energies, counts = np.unique(cset.energies, return_counts=True)
-    return energies, counts.astype(float)
-
-
 def _clamp_to_range(s: float, e_lo: float, e_hi: float) -> float:
     """Absorb float round-off: targets within ~1 ulp of the achievable range
     snap onto it rather than failing as infeasible."""
@@ -65,16 +61,16 @@ def _log_mgf_terms(energies, counts, theta, size):
 
 def cumulant(cset: Constellation, theta: float) -> float:
     """Cumulant generating function of the point energy at tilt theta (nats)."""
-    energies, counts = _energy_classes(cset)
+    energies, counts, _ = cset.energy_classes
     val, _, _ = _log_mgf_terms(energies, counts, float(theta), cset.size)
     return val
 
 
 def tilted_mean_energy(cset: Constellation, theta: float) -> float:
     """Mean energy under the exponentially tilted law (the cumulant derivative)."""
-    energies, counts = _energy_classes(cset)
+    energies, counts, weighted = cset.energy_classes
     _, expo, total = _log_mgf_terms(energies, counts, float(theta), cset.size)
-    return float(np.dot(counts * energies, expo) / total)
+    return float(np.dot(weighted, expo) / total)
 
 
 def tilted_distribution(cset: Constellation, theta: float) -> np.ndarray:
@@ -91,7 +87,7 @@ def rate_function(cset: Constellation, s: float) -> tuple[float, float]:
     tilted_mean_energy(theta) = s by bisection on an expanding bracket
     (monotone by convexity of the cumulant).
     """
-    energies, counts = _energy_classes(cset)
+    energies, _, _ = cset.energy_classes
     e_lo, e_hi = float(energies[0]), float(energies[-1])
     e_mean = cset.mean_energy
     s = _clamp_to_range(s, e_lo, e_hi)
@@ -130,7 +126,18 @@ def rate_function(cset: Constellation, s: float) -> tuple[float, float]:
 
 
 def _entropy_and_tilt(cset: Constellation, s: float) -> tuple[float, float]:
-    energies, counts = _energy_classes(cset)
+    """Max entropy (bits) and tilt at target energy s, solved once per exact
+    target on each constellation; failed solves are not memoized, so they
+    raise again on every call."""
+    s = float(s)
+    memo = cset.solved_targets
+    if s not in memo:
+        memo[s] = _solve_entropy_and_tilt(cset, s)
+    return memo[s]
+
+
+def _solve_entropy_and_tilt(cset: Constellation, s: float) -> tuple[float, float]:
+    energies, counts, _ = cset.energy_classes
     s = _clamp_to_range(s, float(energies[0]), float(energies[-1]))
     if energies.size > 1 and s == float(energies[0]):
         return math.log2(counts[0]), math.nan

@@ -9,6 +9,7 @@ are written to the output directory.  Exit codes: 0 success, 2 config error,
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -558,7 +559,9 @@ def _flat(d: dict, prefix: str = ""):
             yield [prefix + k, v]
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and reused for the process."""
     parser = argparse.ArgumentParser(
         prog="qlt", description="quantized linear transceiver analysis"
     )
@@ -571,7 +574,11 @@ def main(argv=None) -> int:
         sp.add_argument("--format", choices=["csv", "json"], default=None)
     spd = sub.add_parser("defaults", help="dump all default decisions")
     spd.add_argument("--format", choices=["csv", "json"], default="json")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     if args.command == "defaults":
         d = package_defaults()

@@ -228,12 +228,9 @@ def _run(cfg: SimConfig, with_chain: bool) -> SimReport:
     pred = predict_spectrum(plan, m_tx)
     m_rx = None
     if with_chain:
-        try:
-            m_rx = chain_moments(cfg.dac, cfg.channel, cfg.adc, pbar, Quadrature())
-        except ValueError:
-            m_rx = chain_moments(
-                cfg.dac, cfg.channel, cfg.adc, pbar, MonteCarlo(seed=cfg.seed)
-            )
+        # quadrature cannot integrate over a custom channel's noise law
+        method = Quadrature() if cfg.channel.noise_sampler is None else MonteCarlo(seed=cfg.seed)
+        m_rx = chain_moments(cfg.dac, cfg.channel, cfg.adc, pbar, method)
 
     trial_s = np.empty((cfg.trials, nb))
     rho_trials = np.empty((cfg.trials, nb)) if with_chain else None

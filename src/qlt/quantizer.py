@@ -15,6 +15,7 @@ boundary rounds toward +inf.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -98,27 +99,51 @@ class QuantizerSpec:
 
 @dataclass(frozen=True)
 class Constellation:
-    """Finite set of complex output points of a quantizer."""
+    """Finite set of complex output points of a quantizer.
+
+    ``points`` is a read-only copy of the array passed in, so the energy data
+    and solve memo derived from it below stay valid for the object's life.
+    """
 
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=complex)
+        pts = np.array(self.points, dtype=complex)
         if pts.size == 0:
             raise ValueError("constellation must be non-empty")
         if np.unique(pts).size != pts.size:
             raise ValueError("duplicate constellation points are forbidden")
+        pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
 
     @property
     def size(self) -> int:
         return self.points.size
 
-    @property
+    @cached_property
     def energies(self) -> np.ndarray:
         # re^2 + im^2 rather than abs()**2: exact for grid constellations, so
         # equal-energy points deduplicate into exact classes downstream
-        return self.points.real**2 + self.points.imag**2
+        e = self.points.real**2 + self.points.imag**2
+        e.flags.writeable = False
+        return e
+
+    @cached_property
+    def energy_classes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Sorted distinct point energies, their multiplicities (as floats)
+        and multiplicity times energy, as every tilt-solver step reads them."""
+        energies, counts = np.unique(self.energies, return_counts=True)
+        counts = counts.astype(float)
+        weighted = counts * energies
+        for a in (energies, counts, weighted):
+            a.flags.writeable = False
+        return energies, counts, weighted
+
+    @cached_property
+    def solved_targets(self) -> dict:
+        """Memo of :mod:`qlt.bounds` max-entropy solves, keyed by the exact
+        target energy; it lives and dies with this object."""
+        return {}
 
     @property
     def min_energy(self) -> float:

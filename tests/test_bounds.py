@@ -1,8 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+import qlt.bounds
 from qlt import (
     BoundaryEnergyError,
     Constellation,
@@ -20,6 +22,7 @@ from qlt import (
     tilted_mean_energy,
     tx_moments,
 )
+from qlt.cli import main
 
 QPSK = Constellation(points=np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]))
 GRID16 = constellation_of(QuantizerSpec.uniform_midrise(2, 3.0))
@@ -173,3 +176,109 @@ def test_upper_bound_input_validation():
         rate_upper_bound(QPSK, (1.0,), (0.5, 0.5))
     with pytest.raises(InfeasibleEnergyError):
         rate_upper_bound(QPSK, (9.0, 9.0), (0.5, 0.5))
+
+
+def _interior_targets(cset, fracs):
+    lo, hi = cset.min_energy, cset.max_energy
+    return [lo + f * (hi - lo) for f in fracs] if hi > lo else [lo]
+
+
+def _solve_hex(cset, s):
+    ub = rate_upper_bound(cset, (0.7 * s, 0.3 * s), (0.5, 0.5))
+    return [x.hex() for x in (max_entropy(cset, s), ub.max_entropy_bits, ub.tilt,
+                              ub.bits_per_symbol)]
+
+
+@pytest.mark.parametrize("bits", [1, 2, 3, 4, 5, 6, "grid16"])
+def test_solve_memo_is_bit_identical_to_a_fresh_constellation(bits):
+    def fresh():
+        if bits == "grid16":
+            return Constellation(points=GRID16.points)
+        return constellation_of(QuantizerSpec.uniform_midrise(bits, 1.7))
+
+    warm = fresh()
+    targets = _interior_targets(warm, (0.05, 0.31, 0.5, 0.77, 0.93))
+    for s in _interior_targets(warm, (0.2, 0.6, 0.9)) + targets:
+        max_entropy(warm, s)
+    for s in targets:
+        assert _solve_hex(warm, s) == _solve_hex(fresh(), s), s
+
+
+def test_failed_solves_raise_on_every_call(monkeypatch):
+    cset = constellation_of(QuantizerSpec.uniform_midrise(3, 1.5))
+    solves = []
+    original = qlt.bounds.rate_function
+
+    def counting(c, s):
+        solves.append(s)
+        return original(c, s)
+
+    monkeypatch.setattr(qlt.bounds, "rate_function", counting)
+    too_high = 2.0 * cset.max_energy
+    for i in range(3):
+        with pytest.raises(InfeasibleEnergyError):
+            max_entropy(cset, too_high)
+        with pytest.raises(InfeasibleEnergyError):
+            rate_upper_bound(cset, (too_high, 0.0), (0.5, 0.5))
+        assert len(solves) == 2 * (i + 1)
+        # the tilt diverges on the boundary; max_entropy maps it onto the
+        # energy class instead, and both answers hold on repeat calls
+        with pytest.raises(BoundaryEnergyError):
+            rate_function(cset, cset.max_energy)
+        assert max_entropy(cset, cset.max_energy) == 2.0
+    assert too_high not in cset.solved_targets
+
+
+def _aclr_cfg(tmp_path, out):
+    cfg = {
+        "schema_version": 1,
+        "experiment": "sweep-aclr",
+        "output": {"format": "csv", "path": str(tmp_path / out)},
+        "params": {
+            "bits": [1, 2, 3],
+            "fractions": [0.5, 0.5],
+            "aclr_db": {"start": 0.0, "stop": 20.0, "step": 0.25},
+        },
+    }
+    path = tmp_path / f"{out}.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+def test_sweep_aclr_solves_each_total_energy_once(tmp_path, monkeypatch):
+    totals, solves = set(), []
+    entropy_and_tilt, rate_fn = qlt.bounds._entropy_and_tilt, qlt.bounds.rate_function
+
+    def recording(cset, s):
+        totals.add((id(cset), s))
+        return entropy_and_tilt(cset, s)
+
+    def counting(cset, s):
+        solves.append(s)
+        return rate_fn(cset, s)
+
+    monkeypatch.setattr(qlt.bounds, "_entropy_and_tilt", recording)
+    monkeypatch.setattr(qlt.bounds, "rate_function", counting)
+    assert main(["sweep-aclr", "--config", _aclr_cfg(tmp_path, "o")]) == 0
+    rows = (tmp_path / "o" / "sweep-aclr.csv").read_text().splitlines()[1:]
+    assert len(rows) == 243  # 81 points x 3 resolutions, one bound each
+    # the totals differ only by rounding: a few per resolution
+    assert 0 < len(solves) <= len(totals) < 30
+
+
+def test_solve_memo_does_not_outlive_its_op(tmp_path, monkeypatch):
+    counts = []
+    original = qlt.bounds.tilted_mean_energy
+
+    def counting(cset, theta):
+        counts[-1] += 1
+        return original(cset, theta)
+
+    monkeypatch.setattr(qlt.bounds, "tilted_mean_energy", counting)
+    for out in ("a", "b"):
+        counts.append(0)
+        assert main(["sweep-aclr", "--config", _aclr_cfg(tmp_path, out)]) == 0
+    assert counts[0] == counts[1] > 0
+    assert (tmp_path / "a" / "sweep-aclr.csv").read_bytes() == (
+        tmp_path / "b" / "sweep-aclr.csv"
+    ).read_bytes()

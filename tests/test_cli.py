@@ -2,7 +2,10 @@ import argparse
 import copy
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -630,3 +633,43 @@ def test_csv_cell_text(value, cell):
 def test_csv_bytes_quote_and_format_cells():
     rows = [(0.1, np.float64(-math.inf), None), (np.int64(3), "a,b", math.nan)]
     assert cli._csv_bytes(["x", "y", "z"], rows) == 'x,y,z\n0.1,-inf,\n3,"a,b",nan\n'
+
+
+def test_parser_reuse_matches_fresh_processes(tmp_path, capsys):
+    rate_cfg = write_cfg(tmp_path, {
+        "schema_version": 1,
+        "experiment": "rate",
+        "output": {"format": "json", "path": str(tmp_path / "out")},
+        "params": {
+            "quantizer": {"kind": "uniform_midrise", "bits": 2, "clip": 1.5},
+            "fractions": [0.5, 0.5],
+            "powers": [1.5, 0.5],
+            "noise_power": 0.1,
+        },
+    })
+    commands = [
+        ["rate", "--config", rate_cfg],
+        ["defaults", "--format", "csv"],
+        ["no-such-command"],
+    ]
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    fresh = []
+    for argv in commands:
+        proc = subprocess.run(
+            [sys.executable, "-m", "qlt.cli", *argv], capture_output=True, text=True, env=env
+        )
+        result = (tmp_path / "out" / "rate.json").read_bytes() if argv[0] == "rate" else None
+        fresh.append((proc.returncode, proc.stdout, proc.stderr, result))
+    (tmp_path / "out" / "rate.json").unlink()
+    capsys.readouterr()
+    for argv, want in zip(commands, fresh):
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+        out, err = capsys.readouterr()
+        result = (tmp_path / "out" / "rate.json").read_bytes() if argv[0] == "rate" else None
+        assert (code, out, err, result) == want, argv
+    assert [w[0] for w in fresh] == [0, 0, 2]

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -6,10 +7,12 @@ import pytest
 
 from qlt import (
     ChannelSpec,
+    MonteCarlo,
     HouseholderChain,
     QuantizerSpec,
     SimConfig,
     SubbandPlan,
+    chain_moments,
     run_chain_trials,
     run_tx_trials,
     subband_assignment,
@@ -348,3 +351,43 @@ def test_determinism_bit_identical_reports():
     assert a == b
     c = run_tx_trials(SimConfig(size=256, plan=SHAPED_PLAN, dac=ONE_BIT, trials=5, seed=78))
     assert a != json_text(c)
+
+
+def _custom_chain_cfg(channel):
+    return SimConfig(
+        size=64, plan=SubbandPlan((0.5, 0.5), (1.5, 0.5)),
+        dac=QuantizerSpec.uniform_midrise(2, 1.8), channel=channel,
+        adc=QuantizerSpec.uniform_midrise(3, 2.6), trials=3, seed=21,
+    )
+
+
+def test_chain_trials_propagate_a_custom_map_error():
+    calls = []
+
+    def map_fn(x, xi):
+        calls.append(len(x))
+        if len(calls) == 1:
+            raise ValueError("map rejects its first input")
+        return x + xi
+
+    with pytest.raises(ValueError, match="first input"):
+        run_chain_trials(_custom_chain_cfg(ChannelSpec.custom(map_fn)))
+    assert len(calls) == 1
+
+
+def test_chain_trials_with_a_custom_noise_law_use_seeded_monte_carlo():
+    ch = ChannelSpec.custom(
+        lambda x, xi: 0.9j * x + xi,
+        noise_sampler=lambda rng, n: 0.3 * (rng.standard_normal(n) + 1j * rng.standard_normal(n)),
+    )
+    cfg = _custom_chain_cfg(ch)
+    text = json_text(run_chain_trials(cfg))
+    # the report as the quadrature-then-Monte-Carlo retry produced it
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "21fc42d8f96100557a9b692079001cfe69102c297f99f7a7f2c0f169f1b02bfc"
+    )
+    m = chain_moments(cfg.dac, ch, cfg.adc, cfg.plan.mean_power, MonteCarlo(seed=cfg.seed))
+    g2 = abs(m.gain) ** 2
+    powers = np.asarray(cfg.plan.powers)
+    want = g2 * powers / (g2 * powers + m.noise * cfg.plan.mean_power)
+    assert run_chain_trials(cfg).predicted_band_correlation == tuple(want.tolist())

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qlt import (
+    Constellation,
     NumericalFailureError,
     QuantizerSpec,
     UnboundedConstellationError,
@@ -182,3 +183,17 @@ def test_nan_input_is_a_numerical_failure(spec):
     assert quantize(spec, complex(np.inf, -np.inf)) == complex(lv[-1], lv[0])
     out = quantize(spec, np.array([complex(-np.inf, 0.3), complex(0.3, np.inf)]))
     assert out[0].real == lv[0] and out[1].imag == lv[-1]
+
+
+def test_constellation_arrays_are_read_only():
+    given = np.array([1 + 1j, 1 - 1j, -1 + 1j, -3 - 1j])
+    cset = Constellation(points=given)
+    for arr in (cset.points, cset.energies, *cset.energy_classes):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    # the constellation holds a copy, so the caller's array stays writeable
+    given[0] = 5.0
+    assert cset.points[0] == 1 + 1j
+    assert cset.energies.tolist() == [2.0, 2.0, 2.0, 10.0]
+    energies, counts, weighted = cset.energy_classes
+    assert (energies.tolist(), counts.tolist(), weighted.tolist()) == ([2.0, 10.0], [3.0, 1.0], [6.0, 10.0])
