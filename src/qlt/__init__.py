@@ -66,7 +66,6 @@ from .waveform import (
     apply_dac_and_measure,
     design_interp_filter,
     measure_aclr,
-    sweep_bits,
     synthesize_baseband,
 )
 

@@ -11,7 +11,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ContractError, FeasibilityError, InfiniteRateError
+from .errors import ContractError, FeasibilityError, InfiniteRateError, NumericalFailureError
 from .moments import AgnMoments
 
 #: Absolute slack used in feasibility boundary comparisons, absorbing
@@ -135,8 +135,8 @@ def feasible_fractions(fractions, m_tx: AgnMoments, nu) -> bool:
     return bool(np.all(arr >= floor - FEASIBILITY_SLACK))
 
 
-def powers_from_fractions(fractions, m_tx: AgnMoments, pbar: float, nu) -> np.ndarray:
-    """Invert a feasible share vector into per-band symbol energies."""
+def _above_floor(fractions, m_tx: AgnMoments, nu) -> tuple[np.ndarray, np.ndarray]:
+    """Fractions and shares as arrays; FeasibilityError at the first share below its floor."""
     arr = _check_simplex(nu)
     fr = np.asarray(fractions, dtype=float)
     floor = share_floor(fr, m_tx)
@@ -144,6 +144,12 @@ def powers_from_fractions(fractions, m_tx: AgnMoments, pbar: float, nu) -> np.nd
     if bad.size:
         b = int(bad[0])
         raise FeasibilityError(band=b, floor=float(floor[b]), value=float(arr[b]))
+    return fr, arr
+
+
+def powers_from_fractions(fractions, m_tx: AgnMoments, pbar: float, nu) -> np.ndarray:
+    """Invert a feasible share vector into per-band symbol energies."""
+    fr, arr = _above_floor(fractions, m_tx, nu)
     g2 = abs(m_tx.gain) ** 2
     if g2 == 0:
         raise ValueError("zero-gain chain cannot be inverted")
@@ -169,21 +175,25 @@ def kl_divergence(delta, nu) -> float:
     return float(total)
 
 
-def linear_rate(plan: SubbandPlan, m_rx: AgnMoments) -> RateReport:
-    """Rate lower bound of the linear transceiver given full-chain moments."""
-    _check_power_match(m_rx, plan.mean_power)
-    if m_rx.noise == 0.0:
+def _rate(plan: SubbandPlan, gain, noise: float, regime: str) -> RateReport:
+    """The per-band log2(1 + |gain|^2 powers / (noise mean_power)) rate."""
+    if noise == 0.0:
         raise InfiniteRateError("noiseless identity chain: rate is unbounded")
     fr = np.asarray(plan.fractions)
     pw = np.asarray(plan.powers)
-    g2 = abs(m_rx.gain) ** 2
-    terms = fr * np.log2(1.0 + g2 * pw / (m_rx.noise * plan.mean_power))
+    terms = fr * np.log2(1.0 + abs(gain) ** 2 * pw / (noise * plan.mean_power))
     return RateReport(
         bits_per_symbol=float(terms.sum()),
         band_bits=_floats(terms),
         shaping_loss_bits=0.0,
-        regime="general_chain",
+        regime=regime,
     )
+
+
+def linear_rate(plan: SubbandPlan, m_rx: AgnMoments) -> RateReport:
+    """Rate lower bound of the linear transceiver given full-chain moments."""
+    _check_power_match(m_rx, plan.mean_power)
+    return _rate(plan, m_rx.gain, m_rx.noise, "general_chain")
 
 
 def awgn_linear_rate(plan: SubbandPlan, m_tx: AgnMoments, noise_power: float) -> RateReport:
@@ -195,18 +205,10 @@ def awgn_linear_rate(plan: SubbandPlan, m_tx: AgnMoments, noise_power: float) ->
     if noise_power < 0:
         raise ValueError("noise_power must be >= 0")
     _check_power_match(m_tx, plan.mean_power)
-    eff = AgnMoments(
-        gain=m_tx.gain,
-        noise=m_tx.noise + noise_power / plan.mean_power,
-        input_power=plan.mean_power,
-    )
-    rep = linear_rate(plan, eff)
-    return RateReport(
-        bits_per_symbol=rep.bits_per_symbol,
-        band_bits=rep.band_bits,
-        shaping_loss_bits=0.0,
-        regime="awgn",
-    )
+    noise = m_tx.noise + noise_power / plan.mean_power
+    if not math.isfinite(noise):
+        raise NumericalFailureError("non-finite decomposition moments")
+    return _rate(plan, m_tx.gain, noise, "awgn")
 
 
 def awgn_rate_at_transmit_snr(plan: SubbandPlan, m_tx: AgnMoments, snr: float) -> RateReport:
@@ -228,13 +230,7 @@ def noise_free_rate(fractions, m_tx: AgnMoments, nu) -> RateReport:
     log2(1 + |gain|^2/noise) minus the shaping penalty D(fractions || nu)."""
     if m_tx.noise == 0.0:
         raise InfiniteRateError("identity DAC with no noise: rate is unbounded")
-    arr = _check_simplex(nu)
-    fr = np.asarray(fractions, dtype=float)
-    floor = share_floor(fr, m_tx)
-    bad = np.where(arr < floor - FEASIBILITY_SLACK)[0]
-    if bad.size:
-        b = int(bad[0])
-        raise FeasibilityError(band=b, floor=float(floor[b]), value=float(arr[b]))
+    fr, arr = _above_floor(fractions, m_tx, nu)
     g2 = abs(m_tx.gain) ** 2
     kl = kl_divergence(fr, arr)
     total = math.log2(1.0 + g2 / m_tx.noise) - kl

@@ -50,7 +50,7 @@ from .quantizer import (
     constellation_of,
     quantizer_from_json,
 )
-from .waveform import WaveformConfig, apply_dac_and_measure, synthesize_baseband
+from .waveform import WaveformConfig, measure_aclr
 
 SCHEMA_VERSION = 1
 
@@ -143,9 +143,9 @@ EXPERIMENTS = {
         snr_db=(_GRID, REQUIRED),
     ),
     "sweep-aclr": _Table(
-        bits=(_BITS_LIST, REQUIRED),
+        bits=({**_BITS_LIST, "items": _int(1)}, REQUIRED),
         kappa=(_POSITIVE, DEFAULT_KAPPA),
-        fractions=(_NUMLIST, REQUIRED),
+        fractions=({**_NUMLIST, "minItems": 2, "maxItems": 2}, REQUIRED),
         aclr_db=(_GRID, REQUIRED),
         pbar=(_POSITIVE, 1.0),
     ),
@@ -201,28 +201,20 @@ def schema_of(spec) -> dict:
 
 
 def _fill(table: _Table, doc: dict) -> dict:
-    """``doc`` with every default of ``table`` filled in, nested objects too."""
+    """``doc`` with every default of ``table`` filled in, nested objects too.
+
+    A missing required object gets its defaults, if any, so ``_fill(table, {})``
+    is what ``_fill`` adds to an object that holds only its required keys."""
     out = dict(doc)
     for name, (spec, default) in table.items():
         if isinstance(default, _ForKind):
-            default = default.value if doc["kind"] == default.kind else OPTIONAL
+            default = default.value if doc.get("kind") == default.kind else OPTIONAL
         if name not in out and default not in (REQUIRED, OPTIONAL):
             out[name] = default
-        if name in out and isinstance(spec, _Table):
-            out[name] = _fill(spec, out[name])
-    return out
-
-
-def _defaults(table: _Table) -> dict:
-    """What ``_fill`` adds to an object that holds only its required keys."""
-    out = {}
-    for name, (spec, default) in table.items():
-        if isinstance(spec, _Table) and default is REQUIRED:
-            default = _defaults(spec) or OPTIONAL
-        elif isinstance(spec, _Table) and default is not OPTIONAL:
-            default = _fill(spec, default)
-        if default not in (REQUIRED, OPTIONAL):
-            out[name] = default
+        if isinstance(spec, _Table) and (name in out or default is REQUIRED):
+            filled = _fill(spec, out.get(name, {}))
+            if filled or name in out:
+                out[name] = filled
     return out
 
 
@@ -243,7 +235,7 @@ def package_defaults() -> dict:
         "montecarlo_samples": DEFAULT_MC_SAMPLES,
         "feasibility_slack": FEASIBILITY_SLACK,
         "tilt_tolerance": TILT_TOL,
-        "params": {name: _defaults(table) for name, table in EXPERIMENTS.items()},
+        "params": {name: _fill(table, {}) for name, table in EXPERIMENTS.items()},
     }
 
 
@@ -297,6 +289,8 @@ def _resolve_config(cfg: dict, args) -> dict:
         resolved["output"]["format"] = args.format
     if args.out:
         resolved["output"]["path"] = args.out
+    if resolved["output"]["format"] == "csv" and cfg["experiment"] in ("montecarlo", "waveform"):
+        raise ConfigError(f"{cfg['experiment']}: output.format 'csv' is ignored")
     return resolved
 
 
@@ -348,7 +342,8 @@ def json_text(obj) -> str:
     """The JSON text every result and resolved config is written as.
 
     Keys are sorted; dataclasses become objects, tuples arrays and numpy
-    scalars Python numbers; +/-inf become the strings "inf" and "-inf".
+    scalars Python numbers; +/-inf become the strings "inf" and "-inf", and
+    NaN becomes null, so the text is strict JSON.
     """
     def conv(v):
         if is_dataclass(v):
@@ -357,7 +352,8 @@ def json_text(obj) -> str:
             return {k: conv(x) for k, x in v.items()}
         if isinstance(v, (list, tuple)):
             return [conv(x) for x in v]
-        return _scalar(v)
+        v = _scalar(v)
+        return None if isinstance(v, float) and math.isnan(v) else v
 
     return json.dumps(conv(obj), indent=2, sort_keys=True) + "\n"
 
@@ -468,13 +464,9 @@ def _run_sweep_snr(resolved: dict) -> dict:
 def _run_sweep_aclr(resolved: dict) -> dict:
     p = resolved["params"]
     fr = tuple(p["fractions"])
-    if len(fr) != 2:
-        raise ConfigError("sweep-aclr is defined for exactly two sub-bands")
     pbar = p["pbar"]
     rows = []
     for bits in p["bits"]:
-        if bits is None:
-            raise ConfigError("sweep-aclr requires finite DAC resolutions")
         q = _quantizer_for_bits(bits, p["kappa"], pbar)
         m = tx_moments(q, pbar)
         cset = constellation_of(q)
@@ -529,8 +521,7 @@ def _run_waveform(resolved: dict) -> dict:
         dac_bits=dac["bits"], dac_kappa=dac["kappa"], dac_clip=dac.get("clip"),
         seed=resolved["seed"], **p,
     )
-    rep = apply_dac_and_measure(cfg, synthesize_baseband(cfg))
-    rec = _stamped(resolved, vars(rep))
+    rec = _stamped(resolved, vars(measure_aclr(cfg)))
     freq = rec.pop("psd_freq")
     psd_db = [10.0 * math.log10(v) if v > 0 else -math.inf for v in rec.pop("psd")]
     return {

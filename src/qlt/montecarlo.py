@@ -262,8 +262,10 @@ def _run(cfg: SimConfig, with_chain: bool) -> SimReport:
         w_parts.append(w)
         z_parts.append(z)
 
+    def trial_se(x):
+        return x.std(axis=0, ddof=1) / np.sqrt(cfg.trials) if cfg.trials > 1 else np.zeros(nb)
+
     mean_s = trial_s.mean(axis=0)
-    se_s = trial_s.std(axis=0, ddof=1) / np.sqrt(cfg.trials) if cfg.trials > 1 else np.zeros(nb)
     total = float(mean_s.sum())
     pred_s = np.asarray(pred.band_energy)
     rel_err = np.abs(mean_s - pred_s) / np.where(pred_s > 0, pred_s, 1.0)
@@ -273,17 +275,13 @@ def _run(cfg: SimConfig, with_chain: bool) -> SimReport:
     rho = rho_se = rho_pred = None
     if with_chain:
         rho = _floats(rho_trials.mean(axis=0))
-        rho_se = _floats(
-            rho_trials.std(axis=0, ddof=1) / np.sqrt(cfg.trials)
-            if cfg.trials > 1
-            else np.zeros(nb)
-        )
+        rho_se = _floats(trial_se(rho_trials))
         g2 = abs(m_rx.gain) ** 2
         rho_pred = _floats(g2 * powers / (g2 * powers + m_rx.noise * pbar))
 
     return SimReport(
         band_energy=_floats(mean_s),
-        band_energy_se=_floats(se_s),
+        band_energy_se=_floats(trial_se(trial_s)),
         band_share=_floats(mean_s / total),
         total_energy=total,
         predicted_band_energy=_floats(pred_s),

@@ -18,7 +18,7 @@ beyond the occupied edge (mirrored on both sides, averaged).
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import signal as sig
@@ -58,7 +58,6 @@ class WaveformConfig:
     symbol_taper: float = DEFAULT_SYMBOL_TAPER
     filter_taps: int = DEFAULT_FILTER_TAPS
     filter_attenuation_db: float = DEFAULT_FILTER_ATTEN_DB
-    cutoff: float | None = None  # default: occupied/2 + guard/2
     zoh: bool = True
     psd_segment_length: int = 4096
     psd_overlap: float = 0.5
@@ -73,6 +72,8 @@ class WaveformConfig:
             raise ValueError("occupied_bandwidth + 2*guard_band must fit in sample_rate")
         if self.psd_segment_length & (self.psd_segment_length - 1):
             raise ValueError("psd_segment_length must be a power of two")
+        if self.num_symbols < 1:
+            raise ValueError("num_symbols must be >= 1")
         if self.num_subcarriers < 8:
             raise ValueError("num_subcarriers must be >= 8")
         if not 0.0 <= self.symbol_taper <= 1.0:
@@ -96,8 +97,6 @@ class WaveformConfig:
 
     @property
     def filter_cutoff(self) -> float:
-        if self.cutoff is not None:
-            return self.cutoff
         return self.occupied_bandwidth / 2.0 + self.guard_band / 2.0
 
 
@@ -146,7 +145,7 @@ def _edge_window(nfft: int, taper: float) -> tuple[np.ndarray, int]:
     return np.sqrt(power), ov
 
 
-def synthesize_baseband(cfg: WaveformConfig, num_symbols: int | None = None, seed=None) -> np.ndarray:
+def synthesize_baseband(cfg: WaveformConfig) -> np.ndarray:
     """Generate the interpolated pre-DAC sample stream at the DAC rate.
 
     Each multicarrier symbol carries i.i.d. complex-Gaussian subcarriers on
@@ -155,10 +154,8 @@ def synthesize_baseband(cfg: WaveformConfig, num_symbols: int | None = None, see
     a flat power envelope), then the stream is zero-stuff upsampled through
     the interpolation filter.  Filter edge transients are trimmed.
     """
-    nsym = cfg.num_symbols if num_symbols is None else num_symbols
-    if nsym < 1:
-        raise ValueError("num_symbols must be >= 1")
-    rng = substream(cfg.seed if seed is None else seed, "waveform-baseband")
+    nsym = cfg.num_symbols
+    rng = substream(cfg.seed, "waveform-baseband")
     nfft = cfg.num_subcarriers
     active = cfg.active_subcarriers
     bins = np.r_[0 : active // 2, nfft - active // 2 : nfft]
@@ -261,6 +258,9 @@ def apply_dac_and_measure(cfg: WaveformConfig, stream: np.ndarray) -> AclrReport
     inband = np.abs(freq) <= w / 2.0
     upper = (freq > w / 2.0 + g) & (freq <= 3.0 * w / 2.0 + g)
     lower = (freq < -(w / 2.0 + g)) & (freq >= -(3.0 * w / 2.0 + g))
+    for side, sel in (("upper", upper), ("lower", lower)):
+        if not sel.any():
+            raise ValueError(f"the {side} adjacent band holds no PSD bin")
     p_in = float(np.sum(pxx[inband]) * df)
     p_adj = float(0.5 * (np.sum(pxx[upper]) + np.sum(pxx[lower])) * df)
 
@@ -307,12 +307,3 @@ def _oob_flatness(cfg, freq, pxx, upper, lower) -> float:
 def measure_aclr(cfg: WaveformConfig) -> AclrReport:
     """Synthesize with the config's seed and measure in one step."""
     return apply_dac_and_measure(cfg, synthesize_baseband(cfg))
-
-
-def sweep_bits(cfg: WaveformConfig, bits_list) -> list[tuple[int, AclrReport]]:
-    """Measure the ACLR for several DAC resolutions on identical symbols."""
-    out = []
-    for b in bits_list:
-        c = replace(cfg, dac_bits=b)
-        out.append((b, measure_aclr(c)))
-    return out

@@ -8,6 +8,7 @@ from qlt import (
     ContractError,
     FeasibilityError,
     InfiniteRateError,
+    NumericalFailureError,
     QuantizerSpec,
     SubbandPlan,
     awgn_linear_rate,
@@ -200,6 +201,14 @@ def test_awgn_rate_monotone_in_noise_and_power():
     base = loaded_rate((1.0, 1.0))
     assert loaded_rate((1.5, 1.0)) > base
     assert loaded_rate((1.0, 1.5)) > base
+
+
+def test_awgn_rate_overflowing_noise_is_a_numerical_failure():
+    # noise_power / mean_power = 1e308 / 1e-10 overflows to inf
+    plan = SubbandPlan((0.5, 0.5), (2e-10, 0.0))
+    m = tx_moments(QuantizerSpec.identity(), plan.mean_power)
+    with pytest.raises(NumericalFailureError):
+        awgn_linear_rate(plan, m, 1e308)
 
 
 def test_one_bit_noise_free_flat_rate():

@@ -309,6 +309,30 @@ def test_waveform_subcommand(tmp_path):
     assert len(psd) > 1000
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_waveform_nan_flatness_is_written_as_null(tmp_path):
+    # at 221 MS/s each adjacent band holds too few PSD bins to measure flatness
+    params = {"dac": {"bits": 4}, "num_symbols": 8, "sample_rate": 221e6}
+    cfg = {"schema_version": 1, "experiment": "waveform", "params": params}
+    out = tmp_path / "out"
+    assert main(["waveform", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+    rep = json.loads((out / "waveform.json").read_text(), parse_constant=_reject_constant)
+    assert rep["oob_flatness_db"] is None
+
+
+def test_waveform_empty_adjacent_band_exits_2_without_output(tmp_path, capsys):
+    # the adjacent bands start at the Nyquist edge, so no PSD bin falls in them
+    params = {"dac": {"bits": 4}, "num_symbols": 8, "sample_rate": 220e6}
+    cfg = {"schema_version": 1, "experiment": "waveform", "params": params}
+    out = tmp_path / "out"
+    assert main(["waveform", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 2
+    assert "adjacent band holds no PSD bin" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_rerun_with_resolved_config_is_byte_identical(tmp_path):
     out1 = str(tmp_path / "a")
     cfg = write_cfg(tmp_path, moments_cfg(out1, method={"kind": "montecarlo", "samples": 10000}))
@@ -464,6 +488,19 @@ def test_ignored_params_are_config_errors(tmp_path, capsys, experiment, extra):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("experiment", ["montecarlo", "waveform"])
+@pytest.mark.parametrize("flag", [False, True], ids=["config", "flag"])
+def test_csv_format_of_fixed_format_runs_is_a_config_error(tmp_path, capsys, experiment, flag):
+    cfg = {"schema_version": 1, "experiment": experiment, "params": MINIMAL[experiment]}
+    if not flag:
+        cfg["output"] = {"format": "csv"}
+    out = tmp_path / "out"
+    argv = [experiment, "--config", write_cfg(tmp_path, cfg), "--out", str(out)]
+    assert main(argv + (["--format", "csv"] if flag else [])) == 2
+    assert "output.format 'csv' is ignored" in capsys.readouterr().err
+    assert not out.exists()
+
+
 DELETE = object()
 LEVELS = {"kind": "custom_levels", "levels": [-1.0, 1.0]}
 AWGN = {"kind": "awgn", "noise_power": 0.1}
@@ -534,6 +571,8 @@ INVALID = {
     "grid-no-start": ("sweep-snr", ("params", "snr_db"), {"stop": 1.0, "step": 1.0}),
     "grid-unknown-key": ("sweep-snr", ("params", "snr_db"), dict(GRID, n=2)),
     "sweep-aclr-pbar": ("sweep-aclr", ("params", "pbar"), -1.0),
+    "sweep-aclr-three-bands": ("sweep-aclr", ("params", "fractions"), [0.25, 0.25, 0.5]),
+    "sweep-aclr-ideal-dac": ("sweep-aclr", ("params", "bits"), [1, None]),
     # montecarlo
     "size-zero": ("montecarlo", ("params", "size"), 0),
     "trials-zero": ("montecarlo", ("params", "trials"), 0),

@@ -1,0 +1,67 @@
+"""The shipped presets' result files, pinned byte for byte.
+
+Each preset in configs/ runs in-process with its own seed, and the sha256 of
+every file it writes is compared with the digest recorded here.
+``resolved_config.json`` is hashed with ``output.path`` removed, since that
+holds the output directory.  A change that moves preset bytes on purpose
+records the new digests and says why.
+"""
+
+import hashlib
+import json
+import pathlib
+
+import pytest
+
+from qlt.cli import json_text, main
+
+CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
+
+DIGESTS = {
+    "fig2_sweep_snr": {
+        "resolved_config.json": "6594d50bdcbe06e3d6c451793f074be5aa73eb8735cecd355a693bb2f1a2bd87",
+        "sweep-snr.csv": "07905f3f7c4b6b02158ffe2831bf089ca1b7be515dd3f52f37fc22c777e34aae",
+    },
+    "fig3_sweep_aclr": {
+        "resolved_config.json": "885e674228ac91faa48d415633ee649fff1d2d22ce7521a2a0459c0fc40273dc",
+        "sweep-aclr.csv": "d98cc5e1de8d8a86709e26b9c628a6eff7621f4726f4769424f7619a21502fb7",
+    },
+    "moments_3bit": {
+        "moments.json": "02e40c97b9fed4fa5d2fbc4daa7aaa6cf7cd49ddfc2cc47900116a087194ee6c",
+        "resolved_config.json": "105d26e21005df3db30dd3acc928e5b02f46213841c39990813c60b38b81201f",
+    },
+    "montecarlo_tx_1bit": {
+        "montecarlo.json": "8cae99d96d6fdce990420d1a7177c48a6f6a69b4759e6d315745aac55cc6efb7",
+        "montecarlo_trials.csv": "54f96bb8258a16739a3ce264da914ee020d703174050e736bc23a51406c7b5b6",
+        "resolved_config.json": "a1a20db1d624c80b718917a006a1a03b49bf9d36c8b01db5c9f21ac8c66001fd",
+    },
+    "waveform_nr200_b4": {
+        "resolved_config.json": "6943bfd60167897e1ce6a9eb4801cb5d91ce80c7aeb8548c7ececfe1f9f9adc4",
+        "waveform.json": "5b8c3adf9801d8397c38ea0b87c5b49211a76472c21d8bb56a99ca916e90bcb8",
+        "waveform_psd.csv": "b6500d0fe51ed8ec1dec9456891ffb934ef340967db823e42a78fc53fcb02dff",
+    },
+}
+
+
+def preset_digests(preset: pathlib.Path, out: pathlib.Path) -> dict:
+    """Run ``preset`` into ``out``; sha256 per written file name."""
+    experiment = json.loads(preset.read_text())["experiment"]
+    assert main([experiment, "--config", str(preset), "--out", str(out)]) == 0
+    digests = {}
+    for path in sorted(out.iterdir()):
+        data = path.read_bytes()
+        if path.name == "resolved_config.json":
+            resolved = json.loads(data)
+            del resolved["output"]["path"]
+            data = json_text(resolved).encode()
+        digests[path.name] = hashlib.sha256(data).hexdigest()
+    return digests
+
+
+def test_every_preset_is_pinned():
+    assert sorted(p.stem for p in CONFIGS.glob("*.json")) == sorted(DIGESTS)
+
+
+@pytest.mark.parametrize("name", sorted(DIGESTS))
+def test_preset_outputs_are_byte_identical(tmp_path, capsys, name):
+    assert preset_digests(CONFIGS / f"{name}.json", tmp_path / name) == DIGESTS[name]

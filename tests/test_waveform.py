@@ -24,6 +24,8 @@ def test_config_validation():
         WaveformConfig(psd_segment_length=1000)
     with pytest.raises(ValueError):
         WaveformConfig(dac_bits=0)
+    with pytest.raises(ValueError, match="num_symbols"):
+        WaveformConfig(num_symbols=0)
 
 
 def test_default_geometry():
