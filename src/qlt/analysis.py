@@ -121,10 +121,15 @@ def _check_simplex(nu) -> np.ndarray:
     arr = np.asarray(nu, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("share vector must be a non-empty 1-D sequence")
-    if np.any(arr < -FEASIBILITY_SLACK):
+    # checked as Python floats, far faster than numpy reductions over a few
+    # shares; a NaN or infinite share makes the total non-finite (inf + -inf
+    # without a RuntimeWarning), which fails the first test
+    shares = arr.tolist()
+    total = sum(shares)
+    if not abs(total - 1.0) <= _SIMPLEX_TOL:
+        raise ValueError(f"shares must be finite and sum to 1 (got sum {total})")
+    if min(shares) < -FEASIBILITY_SLACK:
         raise ValueError("shares must be non-negative")
-    if abs(arr.sum() - 1.0) > _SIMPLEX_TOL:
-        raise ValueError(f"shares must sum to 1 (got {arr.sum()})")
     return arr
 
 
@@ -152,7 +157,7 @@ def powers_from_fractions(fractions, m_tx: AgnMoments, pbar: float, nu) -> np.nd
     fr, arr = _above_floor(fractions, m_tx, nu)
     g2 = abs(m_tx.gain) ** 2
     if g2 == 0:
-        raise ValueError("zero-gain chain cannot be inverted")
+        raise NumericalFailureError("zero-gain chain cannot be inverted")
     powers = (arr / fr * (g2 + m_tx.noise) - m_tx.noise) * pbar / g2
     powers[(powers < 0) & (powers > -1e-9 * pbar)] = 0.0
     return powers

@@ -465,14 +465,19 @@ def _run_sweep_aclr(resolved: dict) -> dict:
     p = resolved["params"]
     fr = tuple(p["fractions"])
     pbar = p["pbar"]
+    grid = _grid(p["aclr_db"])
+    with np.errstate(over="ignore"):
+        ratios = [10.0 ** (aclr_db / 10.0) for aclr_db in grid]
+    for aclr_db, ratio in zip(grid, ratios):
+        if not math.isfinite(ratio):
+            raise ValueError(f"aclr_db grid point {aclr_db} dB overflows its power ratio")
     rows = []
     for bits in p["bits"]:
         q = _quantizer_for_bits(bits, p["kappa"], pbar)
         m = tx_moments(q, pbar)
         cset = constellation_of(q)
         s_tot = (abs(m.gain) ** 2 + m.noise) * pbar
-        for aclr_db in _grid(p["aclr_db"]):
-            ratio = 10.0 ** (aclr_db / 10.0)
+        for aclr_db, ratio in zip(grid, ratios):
             nu = (ratio / (1.0 + ratio), 1.0 / (1.0 + ratio))
             try:
                 r_lin = noise_free_rate(fr, m, nu).bits_per_symbol

@@ -182,10 +182,9 @@ def quantize(spec: QuantizerSpec, u):
     if np.isnan(arr).any():
         raise NumericalFailureError("NaN input to the quantizer")
     scalar = arr.ndim == 0
-    flat = arr.ravel()
-    out = _map_dim(spec, np.ascontiguousarray(flat.real)) + 1j * _map_dim(
-        spec, np.ascontiguousarray(flat.imag)
-    )
+    # both rails in one pass over the contiguous array's interleaved
+    # (re, im) float view
+    out = _map_dim(spec, arr.ravel().view(float)).view(complex)
     if scalar:
         return complex(out[0])
     return out.reshape(arr.shape)

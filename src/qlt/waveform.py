@@ -12,6 +12,13 @@ signals.  Its taps are real, so the complex filter's products with their
 zero imaginary parts add exact zeros; the rails get the same products summed
 in the same order, at half the multiplies, and the output is bit-identical.
 
+The Welch estimate (Welch 1967) is two-sided, undetrended and density-scaled,
+with the segment count, window and frequency grid of ``scipy.signal.welch``.
+Its frames are strided views of the quantized stream, windowed and
+transformed in batches of at most ``_WELCH_BATCH_SAMPLES`` samples; only the
+running sum of their power spectra is kept, so the estimate needs a few MB
+beyond the stream and agrees with scipy's to about 1e-13 relative.
+
 Band geometry: the signal occupies ``occupied_bandwidth`` around DC; the
 adjacent measurement band has the same width and starts one ``guard_band``
 beyond the occupied edge (mirrored on both sides, averaged).
@@ -106,7 +113,8 @@ class AclrReport:
 
     ``predicted_aclr_db`` is None for an ideal DAC (no quantization noise).
     ``psd`` is the final (ZOH-shaped if enabled) density; the Parseval ratio
-    is computed on the raw estimate before shaping.
+    and the out-of-band flatness are computed on the raw estimate before
+    shaping.
     """
 
     inband_power: float
@@ -200,6 +208,30 @@ def _resolve_dac(cfg: WaveformConfig, stream_power: float) -> QuantizerSpec | No
     return QuantizerSpec.uniform_midrise(cfg.dac_bits, clip)
 
 
+#: Most samples one FFT call of the Welch estimate transforms; the frames of a
+#: batch and their spectra stay a few MB, whatever the stream length.
+_WELCH_BATCH_SAMPLES = 2**18
+
+
+def _welch(cfg: WaveformConfig, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Frequencies and two-sided Welch density of ``x``, both fftshifted; the
+    batching is described in the module docstring."""
+    seg = min(cfg.psd_segment_length, x.size)
+    hop = seg - int(seg * cfg.psd_overlap)
+    win = sig.get_window(cfg.psd_window, seg)
+    frames = np.lib.stride_tricks.sliding_window_view(x, seg)[::hop]
+    acc = np.zeros(seg)
+    batch = max(1, _WELCH_BATCH_SAMPLES // seg)
+    for i in range(0, len(frames), batch):
+        spec = np.fft.fft(frames[i : i + batch] * win, axis=-1)
+        power = spec.real**2
+        power += spec.imag**2
+        acc += power.sum(axis=0)
+    pxx = acc / (len(frames) * cfg.sample_rate * np.sum(win**2))
+    freq = np.fft.fftfreq(seg, 1.0 / cfg.sample_rate)
+    return np.fft.fftshift(freq), np.fft.fftshift(pxx)
+
+
 def apply_dac_and_measure(cfg: WaveformConfig, stream: np.ndarray) -> AclrReport:
     """Quantize the stream, estimate the Welch PSD and integrate the ACLR.
 
@@ -234,24 +266,11 @@ def apply_dac_and_measure(cfg: WaveformConfig, stream: np.ndarray) -> AclrReport
             else None
         )
 
-    seg = min(cfg.psd_segment_length, quantized.size)
-    freq, pxx = sig.welch(
-        quantized,
-        fs=cfg.sample_rate,
-        window=cfg.psd_window,
-        nperseg=seg,
-        noverlap=int(seg * cfg.psd_overlap),
-        return_onesided=False,
-        detrend=False,
-        scaling="density",
-    )
-    freq = np.fft.fftshift(freq)
-    pxx = np.fft.fftshift(pxx)
+    freq, density = _welch(cfg, quantized)
     df = float(freq[1] - freq[0])
-    parseval = float(np.sum(pxx) * df / np.mean(np.abs(quantized) ** 2))
+    parseval = float(np.sum(density) * df / np.mean(np.abs(quantized) ** 2))
 
-    if cfg.zoh:
-        pxx = pxx * np.sinc(freq / cfg.sample_rate) ** 2
+    pxx = density * np.sinc(freq / cfg.sample_rate) ** 2 if cfg.zoh else density
 
     w = cfg.occupied_bandwidth
     g = cfg.guard_band
@@ -264,7 +283,7 @@ def apply_dac_and_measure(cfg: WaveformConfig, stream: np.ndarray) -> AclrReport
     p_in = float(np.sum(pxx[inband]) * df)
     p_adj = float(0.5 * (np.sum(pxx[upper]) + np.sum(pxx[lower])) * df)
 
-    flatness = _oob_flatness(cfg, freq, pxx, upper, lower)
+    flatness = _oob_flatness(density, upper, lower)
 
     return AclrReport(
         inband_power=p_in,
@@ -287,13 +306,12 @@ def apply_dac_and_measure(cfg: WaveformConfig, stream: np.ndarray) -> AclrReport
 _FLATNESS_SMOOTH_BINS = 32
 
 
-def _oob_flatness(cfg, freq, pxx, upper, lower) -> float:
-    """Max-minus-min (dB) of the smoothed, ZOH-compensated adjacent-band PSD."""
+def _oob_flatness(density, upper, lower) -> float:
+    """Max-minus-min (dB) of the smoothed adjacent-band density, taken before
+    the ZOH shaping."""
     worst = -math.inf
     for sel in (upper, lower):
-        v = pxx[sel]
-        if cfg.zoh:
-            v = v / np.sinc(freq[sel] / cfg.sample_rate) ** 2
+        v = density[sel]
         if v.size < 2 * _FLATNESS_SMOOTH_BINS:
             continue
         k = np.ones(_FLATNESS_SMOOTH_BINS) / _FLATNESS_SMOOTH_BINS

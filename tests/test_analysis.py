@@ -130,6 +130,25 @@ def test_powers_from_fractions_examples():
     assert err.value.floor == pytest.approx(0.5 - 1 / math.pi)
 
 
+@pytest.mark.parametrize("nu", [(math.nan, math.nan), (0.5, math.nan), (math.inf, -math.inf)])
+def test_non_finite_shares_are_rejected(nu):
+    m = one_bit_moments()
+    for call in (
+        lambda: noise_free_rate((0.5, 0.5), m, nu),
+        lambda: powers_from_fractions((0.5, 0.5), m, 1.0, nu),
+        lambda: feasible_fractions((0.5, 0.5), m, nu),
+    ):
+        with pytest.raises(ValueError, match="finite"):
+            call()
+
+
+def test_zero_gain_inversion_is_a_numerical_failure():
+    m = AgnMoments(gain=0.0, noise=1.0, input_power=1.0)
+    # with no signal gain every share sits on its floor, the fractions
+    with pytest.raises(NumericalFailureError, match="zero-gain"):
+        powers_from_fractions((0.25, 0.75), m, 1.0, (0.25, 0.75))
+
+
 def test_share_round_trip():
     rng = np.random.default_rng(1)
     m = tx_moments(QuantizerSpec.uniform_midrise(2, 1.9), 1.0)

@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -231,6 +232,25 @@ def test_sweep_aclr_boundary(tmp_path):
             assert r_lin != ""
         else:
             assert r_lin == ""
+
+
+def test_sweep_aclr_overflowing_grid_exits_2_without_output(tmp_path, capsys):
+    cfg = {
+        "schema_version": 1,
+        "experiment": "sweep-aclr",
+        "output": {"format": "csv", "path": str(tmp_path / "out")},
+        "params": {
+            "bits": [2],
+            "fractions": [0.5, 0.5],
+            "aclr_db": {"start": 3090, "stop": 3100, "step": 10},
+        },
+    }
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["sweep-aclr", "--config", write_cfg(tmp_path, cfg)]) == 2
+    assert caught == []
+    assert "grid point 3090" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(

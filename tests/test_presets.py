@@ -37,8 +37,8 @@ DIGESTS = {
     },
     "waveform_nr200_b4": {
         "resolved_config.json": "6943bfd60167897e1ce6a9eb4801cb5d91ce80c7aeb8548c7ececfe1f9f9adc4",
-        "waveform.json": "5b8c3adf9801d8397c38ea0b87c5b49211a76472c21d8bb56a99ca916e90bcb8",
-        "waveform_psd.csv": "b6500d0fe51ed8ec1dec9456891ffb934ef340967db823e42a78fc53fcb02dff",
+        "waveform.json": "827cfc443d362900b2ee90fa6420391e7c3bc1abdcc9e5b687760ba6ade2f612",
+        "waveform_psd.csv": "12bc47d06c01e4c36c4c4e6555fa87014e8c9f1fbe8306ae373e77ff6820f7dc",
     },
 }
 

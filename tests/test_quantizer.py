@@ -11,6 +11,7 @@ from qlt import (
     quantizer_from_json,
     quantizer_to_json,
 )
+from qlt.quantizer import _map_dim
 
 
 def test_identity_passthrough():
@@ -197,3 +198,31 @@ def test_constellation_arrays_are_read_only():
     assert cset.energies.tolist() == [2.0, 2.0, 2.0, 10.0]
     energies, counts, weighted = cset.energy_classes
     assert (energies.tolist(), counts.tolist(), weighted.tolist()) == ([2.0, 10.0], [3.0, 1.0], [6.0, 10.0])
+
+
+def _two_rail_quantize(spec, u):
+    """Each rail quantized on its own copy, then reassembled as re + 1j*im."""
+    flat = np.asarray(u, dtype=complex).ravel()
+    re = _map_dim(spec, np.ascontiguousarray(flat.real))
+    im = _map_dim(spec, np.ascontiguousarray(flat.imag))
+    return re + 1j * im
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [QuantizerSpec.uniform_midrise(3, 1.7), QuantizerSpec.custom_levels([-1.5, -0.2, 0.0, 0.7, 2.0])],
+    ids=["uniform_midrise", "custom_levels"],
+)
+def test_interleaved_quantize_matches_two_rails_bytewise(spec):
+    rng = np.random.default_rng(4)
+    random = 1.5 * (rng.standard_normal(4096) + 1j * rng.standard_normal(4096))
+    edges = np.concatenate((spec.thresholds_per_dim(), spec.levels_per_dim(), [np.inf, -np.inf]))
+    # every pair of edge values, set rail by rail (1j * inf would put a NaN
+    # on the real rail)
+    grid = np.empty((edges.size, edges.size), dtype=complex)
+    grid.real = edges[:, None]
+    grid.imag = edges[None, :]
+    for u in (random, grid, random.reshape(64, 64).T):
+        got = quantize(spec, u)
+        assert got.shape == u.shape
+        assert got.tobytes() == _two_rail_quantize(spec, u).tobytes()

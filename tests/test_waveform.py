@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -13,6 +14,7 @@ from qlt import (
     synthesize_baseband,
 )
 from qlt.cli import json_text
+from qlt.waveform import _welch
 
 BASE = WaveformConfig(num_symbols=128, seed=7)
 
@@ -192,3 +194,47 @@ def test_determinism():
 def test_empty_stream_rejected():
     with pytest.raises(ValueError):
         apply_dac_and_measure(BASE, np.array([]))
+
+
+@pytest.mark.parametrize("window", ["hann", "hamming", "boxcar"])
+@pytest.mark.parametrize("overlap", [0.0, 0.5, 0.9])
+@pytest.mark.parametrize("seg", [64, 4096, 8192])
+def test_welch_matches_scipy(seg, overlap, window):
+    cfg = WaveformConfig(psd_segment_length=seg, psd_overlap=overlap, psd_window=window)
+    rng = np.random.default_rng(seg)
+    for n in (64, 5000, 99991, seg):
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        nperseg = min(seg, n)
+        want_f, want_p = sig.welch(
+            x,
+            fs=cfg.sample_rate,
+            window=window,
+            nperseg=nperseg,
+            noverlap=int(nperseg * overlap),
+            return_onesided=False,
+            detrend=False,
+            scaling="density",
+        )
+        freq, pxx = _welch(cfg, x)
+        np.testing.assert_array_equal(freq, np.fft.fftshift(want_f))
+        np.testing.assert_allclose(pxx, np.fft.fftshift(want_p), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("num_subcarriers, num_symbols, seg", [(1024, 256, 4096), (2048, 96, 8192)])
+def test_measurement_memory_stays_near_the_stream(num_subcarriers, num_symbols, seg):
+    # the quantized copy plus per-batch Welch buffers; no segment matrix
+    cfg = WaveformConfig(
+        num_subcarriers=num_subcarriers,
+        num_symbols=num_symbols,
+        psd_segment_length=seg,
+        dac_bits=4,
+        seed=7,
+    )
+    stream = synthesize_baseband(cfg)
+    tracemalloc.start()
+    try:
+        apply_dac_and_measure(cfg, stream)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * stream.nbytes
