@@ -37,7 +37,6 @@ from .errors import (
 )
 from .moments import (
     AgnMoments,
-    ChannelSpec,
     MonteCarlo,
     Quadrature,
     chain_moments,

@@ -96,7 +96,7 @@ def share_floor(fractions, m: AgnMoments) -> np.ndarray:
     share can be pushed below this floor by any power allocation.
     """
     fr = np.asarray(fractions, dtype=float)
-    g2 = abs(m.gain) ** 2
+    g2 = m.gain**2
     return fr * m.noise / (g2 + m.noise)
 
 
@@ -105,7 +105,7 @@ def predict_spectrum(plan: SubbandPlan, m_tx: AgnMoments) -> SpectrumReport:
     _check_power_match(m_tx, plan.mean_power)
     fr = np.asarray(plan.fractions)
     pw = np.asarray(plan.powers)
-    g2 = abs(m_tx.gain) ** 2
+    g2 = m_tx.gain**2
     pbar = plan.mean_power
     s = fr * (g2 * pw + m_tx.noise * pbar)
     s_tot = (g2 + m_tx.noise) * pbar
@@ -155,7 +155,7 @@ def _above_floor(fractions, m_tx: AgnMoments, nu) -> tuple[np.ndarray, np.ndarra
 def powers_from_fractions(fractions, m_tx: AgnMoments, pbar: float, nu) -> np.ndarray:
     """Invert a feasible share vector into per-band symbol energies."""
     fr, arr = _above_floor(fractions, m_tx, nu)
-    g2 = abs(m_tx.gain) ** 2
+    g2 = m_tx.gain**2
     if g2 == 0:
         raise NumericalFailureError("zero-gain chain cannot be inverted")
     powers = (arr / fr * (g2 + m_tx.noise) - m_tx.noise) * pbar / g2
@@ -181,12 +181,12 @@ def kl_divergence(delta, nu) -> float:
 
 
 def _rate(plan: SubbandPlan, gain, noise: float, regime: str) -> RateReport:
-    """The per-band log2(1 + |gain|^2 powers / (noise mean_power)) rate."""
+    """The per-band log2(1 + gain^2 powers / (noise mean_power)) rate."""
     if noise == 0.0:
         raise InfiniteRateError("noiseless identity chain: rate is unbounded")
     fr = np.asarray(plan.fractions)
     pw = np.asarray(plan.powers)
-    terms = fr * np.log2(1.0 + abs(gain) ** 2 * pw / (noise * plan.mean_power))
+    terms = fr * np.log2(1.0 + gain**2 * pw / (noise * plan.mean_power))
     return RateReport(
         bits_per_symbol=float(terms.sum()),
         band_bits=_floats(terms),
@@ -226,7 +226,7 @@ def awgn_rate_at_transmit_snr(plan: SubbandPlan, m_tx: AgnMoments, snr: float) -
     """
     if snr <= 0:
         raise ValueError("snr must be positive")
-    s_tot = (abs(m_tx.gain) ** 2 + m_tx.noise) * plan.mean_power
+    s_tot = (m_tx.gain**2 + m_tx.noise) * plan.mean_power
     return awgn_linear_rate(plan, m_tx, s_tot / snr)
 
 
@@ -236,7 +236,7 @@ def noise_free_rate(fractions, m_tx: AgnMoments, nu) -> RateReport:
     if m_tx.noise == 0.0:
         raise InfiniteRateError("identity DAC with no noise: rate is unbounded")
     fr, arr = _above_floor(fractions, m_tx, nu)
-    g2 = abs(m_tx.gain) ** 2
+    g2 = m_tx.gain**2
     kl = kl_divergence(fr, arr)
     total = math.log2(1.0 + g2 / m_tx.noise) - kl
     # per-band split via the identity with the equivalent power allocation

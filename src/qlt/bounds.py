@@ -167,8 +167,10 @@ def rate_upper_bound(
     """Capacity upper bound for target per-band energies, any modulator.
 
     The bound is the maximum entropy at the total energy minus the shaping
-    penalty D(fractions || shares).  With transmit moments supplied, also
-    reports the gap to the flat-allocation linear rate.
+    penalty D(fractions || shares).  It is negative where that penalty exceeds
+    the entropy: no modulator on ``cset`` meets those band shares.  With
+    transmit moments supplied, also reports the gap to the flat-allocation
+    linear rate.
     """
     s = np.asarray(band_energy, dtype=float)
     fr = np.asarray(fractions, dtype=float)
@@ -195,7 +197,7 @@ def rate_upper_bound(
         if m_tx.noise == 0.0:
             gap = -math.inf
         else:
-            gap = h - math.log2(1.0 + abs(m_tx.gain) ** 2 / m_tx.noise)
+            gap = h - math.log2(1.0 + m_tx.gain**2 / m_tx.noise)
     return UpperBoundReport(
         max_entropy_bits=h,
         shaping_loss_bits=kl,

@@ -33,15 +33,7 @@ from .analysis import (
 )
 from .bounds import TILT_TOL, rate_upper_bound
 from .errors import ConfigError, FeasibilityError, QltError
-from .moments import (
-    DEFAULT_MC_SAMPLES,
-    DEFAULT_QUADRATURE_NODES,
-    ChannelSpec,
-    MonteCarlo,
-    Quadrature,
-    chain_moments,
-    tx_moments,
-)
+from .moments import DEFAULT_MC_SAMPLES, MonteCarlo, Quadrature, chain_moments, tx_moments
 from .montecarlo import SimConfig, run_chain_trials, run_tx_trials
 from .quantizer import (
     DEFAULT_KAPPA,
@@ -53,6 +45,11 @@ from .quantizer import (
 from .waveform import WaveformConfig, measure_aclr
 
 SCHEMA_VERSION = 1
+
+#: Schema-only default of the moments method's ``nodes``: the key is accepted
+#: and recorded but has no effect, since the quadrature is exact cell sums.  It
+#: goes when the benchmark stops sending it (ROADMAP items 1-2).
+DEFAULT_QUADRATURE_NODES = 129
 
 # --- the experiment table: every schema, default and defaults dump derives from it
 
@@ -379,13 +376,12 @@ def _run_moments(resolved: dict) -> dict:
     q = quantizer_from_json(p["quantizer"])
     how = p["method"]
     if how["kind"] == "quadrature":
-        method = Quadrature(nodes=how["nodes"])
+        method = Quadrature()
     else:
         method = MonteCarlo(samples=how["samples"], seed=resolved["seed"])
     if "channel" in p:
-        ch = ChannelSpec.awgn(p["channel"]["noise_power"])
         adc = quantizer_from_json(p.get("adc", {"kind": "identity"}))
-        m = chain_moments(q, ch, adc, p["pbar"], method)
+        m = chain_moments(q, p["channel"]["noise_power"], adc, p["pbar"], method)
         scope = "chain"
     elif "adc" in p:
         raise ConfigError("moments: an adc needs a channel; without one the run is tx-only")
@@ -394,8 +390,8 @@ def _run_moments(resolved: dict) -> dict:
         scope = "tx"
     rec = _stamped(resolved, {
         "scope": scope,
-        "gain_re": float(np.real(m.gain)),
-        "gain_im": float(np.imag(m.gain)),
+        "gain_re": m.gain,
+        "gain_im": 0.0,
         "noise": m.noise,
         "input_power": m.input_power,
         "gain_stderr": m.gain_stderr,
@@ -424,7 +420,7 @@ def _run_rate(resolved: dict) -> dict:
     q = quantizer_from_json(p["quantizer"])
     if "adc" in p:
         adc = quantizer_from_json(p["adc"])
-        m = chain_moments(q, ChannelSpec.awgn(p["noise_power"]), adc, plan.mean_power)
+        m = chain_moments(q, p["noise_power"], adc, plan.mean_power)
         rep = linear_rate(plan, m)
     else:
         rep = awgn_linear_rate(plan, tx_moments(q, plan.mean_power), p["noise_power"])
@@ -476,7 +472,7 @@ def _run_sweep_aclr(resolved: dict) -> dict:
         q = _quantizer_for_bits(bits, p["kappa"], pbar)
         m = tx_moments(q, pbar)
         cset = constellation_of(q)
-        s_tot = (abs(m.gain) ** 2 + m.noise) * pbar
+        s_tot = (m.gain**2 + m.noise) * pbar
         for aclr_db, ratio in zip(grid, ratios):
             nu = (ratio / (1.0 + ratio), 1.0 / (1.0 + ratio))
             try:
@@ -501,7 +497,7 @@ def _run_montecarlo(resolved: dict) -> dict:
         transform=p["transform"],
         trials=p["trials"],
         seed=resolved["seed"],
-        channel=ChannelSpec.awgn(p["channel"]["noise_power"] if "channel" in p else 0.0),
+        noise_power=p["channel"]["noise_power"] if "channel" in p else 0.0,
         adc=quantizer_from_json(p.get("adc", {"kind": "identity"})),
         assignment=p["assignment"],
     )

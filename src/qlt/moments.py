@@ -4,18 +4,17 @@ For a componentwise map applied to ``U ~ CN(0, input_power)`` the decomposition
 is ``output = gain * U + noise_term`` with ``gain = E[conj(S) U] / input_power``
 and ``noise = E|S - gain U|^2 / input_power`` (noise variance normalized by the
 input power).  ``S`` is the transmit quantizer output for :func:`tx_moments`
-and the full DAC -> channel -> ADC output for :func:`chain_moments`.
+and the full DAC -> AWGN -> ADC output for :func:`chain_moments`.  Circular
+AWGN and a quantizer acting alike on I and Q make the chain I/Q-symmetric, so
+the gain is real.
 
-Two evaluation paths are provided.  The deterministic path resolves
+Two evaluation paths are provided.  The deterministic path resolves the
 piecewise-constant maps over Gaussian inputs exactly, via per-level-cell
-Gaussian CDF/PDF sums (quantizers are discontinuous, so blind Gauss-Hermite
-quadrature would converge poorly); smooth custom channel maps fall back to a
-tensorized Gauss-Hermite rule over the two real dimensions.  The sampling path
-is a seeded Monte-Carlo estimate carrying standard errors.
+Gaussian CDF/PDF sums.  The sampling path is a seeded Monte-Carlo estimate
+carrying standard errors.
 """
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.special import ndtr  # Gaussian CDF, vectorized and exact in the tails
@@ -24,20 +23,13 @@ from ._rng import substream
 from .errors import NumericalFailureError
 from .quantizer import QuantizerSpec, quantize
 
-#: Gauss-Hermite nodes per real dimension used by the deterministic fallback.
-DEFAULT_QUADRATURE_NODES = 129
-
 #: Monte-Carlo defaults for the sampling path.
 DEFAULT_MC_SAMPLES = 1_000_000
 
 
 @dataclass(frozen=True)
 class Quadrature:
-    """Deterministic evaluation: exact Gaussian cell sums for quantizer
-    chains, tensorized Gauss-Hermite (``nodes`` per real dimension) for
-    smooth custom maps."""
-
-    nodes: int = DEFAULT_QUADRATURE_NODES
+    """Deterministic evaluation: exact Gaussian cell sums."""
 
 
 @dataclass(frozen=True)
@@ -52,58 +44,24 @@ class MonteCarlo:
 class AgnMoments:
     """Decomposition moments of a nonlinear chain at a given input power.
 
-    gain may be complex for custom channel maps; for I/Q-symmetric chains it
-    is exactly real.  noise is the noise variance divided by input_power.
-    Standard errors are populated only by the Monte-Carlo path.
+    noise is the noise variance divided by input_power.  Standard errors are
+    populated only by the Monte-Carlo path.
     """
 
-    gain: complex | float
+    gain: float
     noise: float
     input_power: float
     gain_stderr: float | None = None
     noise_stderr: float | None = None
 
     def __post_init__(self):
-        if not (np.isfinite(self.noise) and np.isfinite(abs(self.gain))):
+        if not (np.isfinite(self.noise) and np.isfinite(self.gain)):
             raise NumericalFailureError("non-finite decomposition moments")
         if self.noise < 0:
             # tiny negatives can arise from float cancellation in exact paths
-            if self.noise < -1e-12 * max(1.0, abs(self.gain) ** 2):
+            if self.noise < -1e-12 * max(1.0, self.gain**2):
                 raise NumericalFailureError(f"negative noise variance {self.noise}")
             object.__setattr__(self, "noise", 0.0)
-
-
-@dataclass(frozen=True)
-class ChannelSpec:
-    """Memoryless channel ``y = F(x, noise)`` applied per complex sample.
-
-    ``awgn``: ``y = x + xi`` with ``xi ~ CN(0, noise_power)``.
-    ``custom``: arbitrary vectorized complex map with an optional noise
-    sampler ``(rng, size) -> complex array`` (``None`` means noiseless).
-    """
-
-    kind: str
-    noise_power: float = 0.0
-    map_fn: Callable | None = None
-    noise_sampler: Callable | None = None
-
-    def __post_init__(self):
-        if self.kind == "awgn":
-            if self.noise_power < 0:
-                raise ValueError("noise_power must be >= 0")
-        elif self.kind == "custom":
-            if self.map_fn is None:
-                raise ValueError("custom channel requires map_fn")
-        else:
-            raise ValueError(f"unknown channel kind {self.kind!r}")
-
-    @classmethod
-    def awgn(cls, noise_power: float) -> "ChannelSpec":
-        return cls(kind="awgn", noise_power=float(noise_power))
-
-    @classmethod
-    def custom(cls, map_fn, noise_sampler=None) -> "ChannelSpec":
-        return cls(kind="custom", map_fn=map_fn, noise_sampler=noise_sampler)
 
 
 # ---------------------------------------------------------------------------
@@ -117,22 +75,19 @@ def _norm_pdf(z):
 def _dim_cells(spec: QuantizerSpec, sigma: float):
     """Per-dimension cell statistics of a quantizer driven by N(0, sigma^2).
 
-    Returns (levels, prob, m1, m2) where for each output level cell
-    ``prob = P(X in cell)``, ``m1 = E[X; cell]`` and ``m2 = E[X^2; cell]``.
+    Returns (levels, prob, m1) where for each output level cell
+    ``prob = P(X in cell)`` and ``m1 = E[X; cell]``.
     """
     lv = spec.levels_per_dim()
     thr = np.concatenate(([-np.inf], spec.thresholds_per_dim(), [np.inf]))
     z = thr / sigma
     cdf = np.concatenate(([0.0], ndtr(z[1:-1]), [1.0]))
     pdf = np.zeros_like(z)
-    zpdf = np.zeros_like(z)
     inner = np.isfinite(z)
     pdf[inner] = _norm_pdf(z[inner])
-    zpdf[inner] = z[inner] * pdf[inner]
     prob = np.diff(cdf)
     m1 = sigma * (pdf[:-1] - pdf[1:])
-    m2 = sigma**2 * (prob - (zpdf[1:] - zpdf[:-1]))
-    return lv, prob, m1, m2
+    return lv, prob, m1
 
 
 def _dim_qx_q2(spec: QuantizerSpec, sigma: float):
@@ -141,7 +96,7 @@ def _dim_qx_q2(spec: QuantizerSpec, sigma: float):
     Kept as numpy scalars so pathological level sets overflow to inf (caught
     by the moment validator) instead of raising mid-computation.
     """
-    lv, prob, m1, _ = _dim_cells(spec, sigma)
+    lv, prob, m1 = _dim_cells(spec, sigma)
     with np.errstate(over="ignore"):
         return lv @ m1, lv**2 @ prob
 
@@ -177,7 +132,7 @@ def _tx_exact(q: QuantizerSpec, pbar: float) -> AgnMoments:
     return AgnMoments(gain=float(gain), noise=float(noise), input_power=pbar)
 
 
-def _chain_exact_awgn(qtx, noise_power, qrx, pbar) -> AgnMoments:
+def _chain_exact(qtx, noise_power, qrx, pbar) -> AgnMoments:
     sigma = np.sqrt(pbar / 2.0)
     sigma_n = np.sqrt(noise_power / 2.0)
     if qrx.is_identity:
@@ -197,76 +152,30 @@ def _chain_exact_awgn(qtx, noise_power, qrx, pbar) -> AgnMoments:
         else:
             # both sides quantized: condition on the transmit cell, the receive
             # response to (level + noise) is again a Gaussian cell sum
-            lt, prob, m1, _ = _dim_cells(qtx, sigma)
+            lt, prob, m1 = _dim_cells(qtx, sigma)
             g1, g2 = _dim_noisy_response(qrx, lt, sigma_n)
             gain = 2.0 * (g1 @ m1) / pbar
             noise = 2.0 * (g2 @ prob) / pbar - gain**2
     return AgnMoments(gain=float(gain), noise=float(noise), input_power=pbar)
 
 
-def _gh_grid(nodes: int, sigma: float):
-    """Complex Gauss-Hermite grid for E[f(U)], U ~ CN(0, 2 sigma^2)."""
-    x, w = np.polynomial.hermite.hermgauss(nodes)
-    pts = np.sqrt(2.0) * sigma * x
-    u = pts[:, None] + 1j * pts[None, :]
-    wt = (w[:, None] * w[None, :]) / np.pi
-    return u.ravel(), wt.ravel()
-
-
-def _moments_from_samples(s, u, weights, pbar) -> AgnMoments:
-    gain = np.sum(weights * np.conj(s) * u) / pbar
-    if abs(gain.imag) < 1e-12 * max(1.0, abs(gain.real)):
-        gain = float(gain.real)
-    noise = float(np.sum(weights * np.abs(s - gain * u) ** 2).real) / pbar
-    return AgnMoments(gain=gain, noise=noise, input_power=pbar)
-
-
-def _chain_quadrature_custom(qtx, ch, qrx, pbar, nodes) -> AgnMoments:
-    if ch.noise_sampler is not None:
-        raise ValueError(
-            "quadrature does not support custom channels with a noise law; "
-            "use the MonteCarlo method"
-        )
-    sigma = np.sqrt(pbar / 2.0)
-    if not qtx.is_identity:
-        # the transmit quantizer output is constant per 2-D level cell, so the
-        # (smooth) remainder of the chain only needs the per-cell input moments
-        lv, prob, m1, m2 = _dim_cells(qtx, sigma)
-        u_eff = (m1[:, None] * prob[None, :] + 1j * prob[:, None] * m1[None, :]).ravel()
-        wt = (prob[:, None] * prob[None, :]).ravel()
-        v = (lv[:, None] + 1j * lv[None, :]).ravel()
-        s = np.asarray(quantize(qrx, ch.map_fn(v, np.zeros_like(v))), complex)
-        gain = np.sum(np.conj(s) * u_eff) / pbar
-        if abs(gain.imag) < 1e-12 * max(1.0, abs(gain.real)):
-            gain = float(gain.real)
-        # E|S - gain U|^2 expanded with exact per-cell first/second moments
-        eu2 = (m2[:, None] * prob[None, :] + prob[:, None] * m2[None, :]).ravel()
-        es2 = np.sum(wt * np.abs(s) ** 2)
-        cross = np.sum(np.conj(s) * gain * u_eff)
-        noise = float((es2 - 2.0 * np.real(cross) + abs(gain) ** 2 * np.sum(eu2)).real) / pbar
-        return AgnMoments(gain=gain, noise=noise, input_power=pbar)
-    u, wt = _gh_grid(nodes, sigma)
-    s = quantize(qrx, ch.map_fn(u, np.zeros_like(u)))
-    return _moments_from_samples(np.asarray(s, complex), u, wt, pbar)
-
-
 # ---------------------------------------------------------------------------
 # Monte-Carlo path
 # ---------------------------------------------------------------------------
 
-def _apply_channel(ch: ChannelSpec, x: np.ndarray, rng) -> np.ndarray:
-    if ch.kind == "awgn":
-        if ch.noise_power == 0.0:
-            return x
-        scale = np.sqrt(ch.noise_power / 2.0)
-        xi = scale * (rng.standard_normal(x.shape) + 1j * rng.standard_normal(x.shape))
-        return x + xi
-    xi = (
-        ch.noise_sampler(rng, x.shape[0])
-        if ch.noise_sampler is not None
-        else np.zeros(x.shape[0], complex)
-    )
-    return ch.map_fn(x, xi)
+def add_awgn(x: np.ndarray, noise_power: float, rng) -> np.ndarray:
+    """``x + xi`` with ``xi ~ CN(0, noise_power)``; a zero noise power draws
+    nothing from ``rng``."""
+    if noise_power == 0.0:
+        return x
+    scale = np.sqrt(noise_power / 2.0)
+    xi = scale * (rng.standard_normal(x.shape) + 1j * rng.standard_normal(x.shape))
+    return x + xi
+
+
+def _check_noise_power(noise_power: float) -> None:
+    if not noise_power >= 0:  # also rejects NaN
+        raise ValueError("noise_power must be >= 0")
 
 
 def _mc_moments(sample_chain, pbar, method: MonteCarlo, tag) -> AgnMoments:
@@ -276,14 +185,11 @@ def _mc_moments(sample_chain, pbar, method: MonteCarlo, tag) -> AgnMoments:
     u = sigma * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
     s = sample_chain(u, rng)
     cross = np.conj(s) * u
-    gain_c = np.mean(cross) / pbar
-    if abs(gain_c.imag) < 3.0 * np.std(cross.imag) / np.sqrt(n) / pbar + 1e-15:
-        gain = float(gain_c.real)
-    else:
-        gain = complex(gain_c)
+    # the chain is I/Q-symmetric, so the imaginary part is sampling noise
+    gain = float((np.mean(cross) / pbar).real)
     resid = np.abs(s - gain * u) ** 2
     noise = float(np.mean(resid)) / pbar
-    if not np.isfinite(noise) or not np.isfinite(abs(gain_c)):
+    if not np.isfinite(noise) or not np.isfinite(gain):
         raise NumericalFailureError("Monte-Carlo expectation did not converge to a finite value")
     gain_se = float(np.std(cross.real) / np.sqrt(n)) / pbar
     noise_se = float(np.std(resid) / np.sqrt(n)) / pbar
@@ -308,19 +214,19 @@ def tx_moments(q: QuantizerSpec, pbar: float, method=Quadrature()) -> AgnMoments
 
 
 def chain_moments(
-    qtx: QuantizerSpec, ch: ChannelSpec, qrx: QuantizerSpec, pbar: float, method=Quadrature()
+    qtx: QuantizerSpec, noise_power: float, qrx: QuantizerSpec, pbar: float, method=Quadrature()
 ) -> AgnMoments:
-    """Decomposition moments of the full DAC -> channel -> ADC chain."""
+    """Decomposition moments of the full DAC -> AWGN -> ADC chain, with
+    ``noise_power`` the channel's complex noise variance."""
     if pbar <= 0:
         raise ValueError("pbar must be positive")
+    _check_noise_power(noise_power)
     if isinstance(method, Quadrature):
-        if ch.kind == "awgn":
-            return _chain_exact_awgn(qtx, ch.noise_power, qrx, pbar)
-        return _chain_quadrature_custom(qtx, ch, qrx, pbar, method.nodes)
+        return _chain_exact(qtx, noise_power, qrx, pbar)
     if isinstance(method, MonteCarlo):
 
         def sample_chain(u, rng):
-            return quantize(qrx, _apply_channel(ch, np.asarray(quantize(qtx, u)), rng))
+            return quantize(qrx, add_awgn(np.asarray(quantize(qtx, u)), noise_power, rng))
 
         return _mc_moments(sample_chain, pbar, method, "chain")
     raise TypeError("method must be Quadrature or MonteCarlo")

@@ -1,7 +1,7 @@
 """Finite-size Monte-Carlo validation of the decomposition predictions.
 
 Each trial draws a fresh random unitary transform and runs the full
-modulate -> quantize -> (channel -> quantize) -> demodulate signal chain,
+modulate -> quantize -> (AWGN -> quantize) -> demodulate signal chain,
 accumulating per-band energies, quantization-noise Gaussianity diagnostics,
 and per-band input/output correlations against their predicted limits.
 
@@ -20,14 +20,7 @@ import numpy as np
 from . import _kernels
 from ._rng import substream
 from .analysis import SubbandPlan, _floats, predict_spectrum
-from .moments import (
-    ChannelSpec,
-    MonteCarlo,
-    Quadrature,
-    _apply_channel,
-    chain_moments,
-    tx_moments,
-)
+from .moments import _check_noise_power, add_awgn, chain_moments, tx_moments
 from .quantizer import QuantizerSpec, quantize
 
 # Gaussians drawn per generator call while filling a chain's reflector buffer.
@@ -124,7 +117,7 @@ class SimConfig:
     transform: str = "haar"  # "haar" | "fft"
     trials: int = 20
     seed: int = 0
-    channel: ChannelSpec = field(default_factory=lambda: ChannelSpec.awgn(0.0))
+    noise_power: float = 0.0  # AWGN between the DAC and the ADC
     adc: QuantizerSpec = field(default_factory=QuantizerSpec.identity)
     assignment: str | tuple = "contiguous"
 
@@ -135,6 +128,7 @@ class SimConfig:
             raise ValueError("trials must be >= 1")
         if self.transform not in ("haar", "fft"):
             raise ValueError("transform must be 'haar' or 'fft'")
+        _check_noise_power(self.noise_power)
         self.assignment_array()  # validates
 
     def assignment_array(self) -> np.ndarray:
@@ -224,13 +218,9 @@ def _run(cfg: SimConfig, with_chain: bool) -> SimReport:
     pbar = plan.mean_power
     powers = np.asarray(plan.powers)
 
-    m_tx = tx_moments(cfg.dac, pbar, Quadrature())
+    m_tx = tx_moments(cfg.dac, pbar)
     pred = predict_spectrum(plan, m_tx)
-    m_rx = None
-    if with_chain:
-        # quadrature cannot integrate over a custom channel's noise law
-        method = Quadrature() if cfg.channel.noise_sampler is None else MonteCarlo(seed=cfg.seed)
-        m_rx = chain_moments(cfg.dac, cfg.channel, cfg.adc, pbar, method)
+    m_rx = chain_moments(cfg.dac, cfg.noise_power, cfg.adc, pbar) if with_chain else None
 
     trial_s = np.empty((cfg.trials, nb))
     rho_trials = np.empty((cfg.trials, nb)) if with_chain else None
@@ -250,7 +240,7 @@ def _run(cfg: SimConfig, with_chain: bool) -> SimReport:
         trial_s[t] = _band_energy(r, assign, nb, n)
 
         if with_chain:
-            y = _apply_channel(cfg.channel, x, rng)
+            y = add_awgn(x, cfg.noise_power, rng)
             s_rx = np.asarray(quantize(cfg.adc, y))
             z_hat = chain.apply(s_rx) if chain is not None else np.fft.fft(s_rx, norm="ortho")
             w = z_hat - m_rx.gain * z
@@ -276,7 +266,7 @@ def _run(cfg: SimConfig, with_chain: bool) -> SimReport:
     if with_chain:
         rho = _floats(rho_trials.mean(axis=0))
         rho_se = _floats(trial_se(rho_trials))
-        g2 = abs(m_rx.gain) ** 2
+        g2 = m_rx.gain**2
         rho_pred = _floats(g2 * powers / (g2 * powers + m_rx.noise * pbar))
 
     return SimReport(

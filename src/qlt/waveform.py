@@ -31,7 +31,7 @@ import numpy as np
 from scipy import signal as sig
 
 from ._rng import substream
-from .moments import Quadrature, tx_moments
+from .moments import tx_moments
 from .quantizer import DEFAULT_KAPPA, QuantizerSpec, clip_for_power, quantize
 
 #: Per-symbol raised-cosine taper fraction (Tukey window alpha).
@@ -258,10 +258,10 @@ def apply_dac_and_measure(cfg: WaveformConfig, stream: np.ndarray) -> AclrReport
         saturated = float(
             np.mean((np.abs(stream.real) > clip_used) | (np.abs(stream.imag) > clip_used))
         )
-        m = tx_moments(dac, power, Quadrature())
+        m = tx_moments(dac, power)
         delta = cfg.occupied_bandwidth / cfg.sample_rate
         predicted_db = (
-            10.0 * math.log10(1.0 + abs(m.gain) ** 2 / (delta * m.noise))
+            10.0 * math.log10(1.0 + m.gain**2 / (delta * m.noise))
             if m.noise > 0
             else None
         )

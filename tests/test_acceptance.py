@@ -11,7 +11,6 @@ import time
 import numpy as np
 
 from qlt import (
-    ChannelSpec,
     MonteCarlo,
     QuantizerSpec,
     SimConfig,
@@ -71,7 +70,7 @@ def test_c2_awgn_shortcut_identity():
         q = QuantizerSpec.uniform_midrise(bits, clip_for_power(1.0))
         base = tx_moments(q, 1.0)
         for s2 in (0.1, 1.0, 10.0):
-            m = chain_moments(q, ChannelSpec.awgn(s2), QuantizerSpec.identity(), 1.0)
+            m = chain_moments(q, s2, QuantizerSpec.identity(), 1.0)
             worst = max(worst, abs(m.gain - base.gain), abs(m.noise - (base.noise + s2)))
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-6 and elapsed < 10.0
@@ -169,7 +168,7 @@ def test_c5_rate_formula_cross_consistency():
 def test_c6_correlation_limit():
     plan = SubbandPlan((0.5, 0.5), (1.0, 1.0))
     cfg = SimConfig(size=2048, plan=plan, dac=ONE_BIT, trials=12, seed=99,
-                    channel=ChannelSpec.awgn(0.0))
+                    noise_power=0.0)
     rep = run_chain_trials(cfg)
     target = 2.0 / math.pi
     worst = max(abs(r - target) / target for r in rep.band_correlation)

@@ -179,6 +179,24 @@ def test_moments_chain_and_upper_bound(tmp_path):
     assert rec["gap_bits"] == pytest.approx(2.0 - math.log2(1 + 2 / (math.pi - 2)))
 
 
+def test_moments_chain_record_has_a_real_gain(tmp_path):
+    # this Monte-Carlo run's sampled cross moment has an imaginary part beyond
+    # 3 standard errors of zero; the chain is I/Q-symmetric, so it is noise
+    cfg = moments_cfg(
+        str(tmp_path / "out"),
+        quantizer={"kind": "uniform_midrise", "bits": 2, "clip": 2.044042},
+        pbar=1.581,
+        method={"kind": "montecarlo", "samples": 20000},
+        channel={"kind": "awgn", "noise_power": 0.0539},
+        adc={"kind": "identity"},
+    )
+    cfg["seed"] = 726327979
+    assert main(["moments", "--config", write_cfg(tmp_path, cfg)]) == 0
+    rec = json.loads((tmp_path / "out" / "moments.json").read_text())
+    assert rec["gain_im"] == 0.0
+    assert rec["gain_re"] == 0.991011879806628  # the real part, as before
+
+
 def test_sweep_snr_shape(tmp_path):
     cfg = {
         "schema_version": 1,
@@ -232,6 +250,26 @@ def test_sweep_aclr_boundary(tmp_path):
             assert r_lin != ""
         else:
             assert r_lin == ""
+
+
+def test_sweep_aclr_negative_upper_bound_is_a_result(tmp_path):
+    # at 18 dB the 1-bit shaping loss exceeds the 2 bits of entropy: no
+    # modulator meets these band shares, which a negative bound reports
+    cfg = {
+        "schema_version": 1,
+        "experiment": "sweep-aclr",
+        "output": {"format": "json", "path": str(tmp_path / "out")},
+        "params": {
+            "bits": [1],
+            "fractions": [0.5, 0.5],
+            "aclr_db": {"start": 18.0, "stop": 18.0, "step": 1.0},
+        },
+    }
+    assert main(["sweep-aclr", "--config", write_cfg(tmp_path, cfg)]) == 0
+    (row,) = json.loads((tmp_path / "out" / "sweep-aclr.json").read_text())["rows"]
+    assert row["aclr_db"] == 18.0
+    assert row["r_upper"] < 0
+    assert row["r_lin"] is None
 
 
 def test_sweep_aclr_overflowing_grid_exits_2_without_output(tmp_path, capsys):
