@@ -7,6 +7,7 @@ from .analysis import (
     SubbandPlan,
     awgn_linear_rate,
     awgn_rate_at_transmit_snr,
+    awgn_rates_at_transmit_snr,
     feasible_fractions,
     kl_divergence,
     linear_rate,
@@ -23,6 +24,7 @@ from .bounds import (
     rate_upper_bound,
     tilted_distribution,
     tilted_mean_energy,
+    upper_bound_rates,
 )
 from .errors import (
     BoundaryEnergyError,

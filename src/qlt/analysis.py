@@ -180,13 +180,19 @@ def kl_divergence(delta, nu) -> float:
     return float(total)
 
 
-def _rate(plan: SubbandPlan, gain, noise: float, regime: str) -> RateReport:
-    """The per-band log2(1 + gain^2 powers / (noise mean_power)) rate."""
-    if noise == 0.0:
+def _rate_terms(plan: SubbandPlan, gain: float, noise) -> np.ndarray:
+    """The per-band fractions * log2(1 + gain^2 powers / (noise mean_power)),
+    one row per noise value."""
+    noise = np.asarray(noise, dtype=float)
+    if np.any(noise == 0.0):
         raise InfiniteRateError("noiseless identity chain: rate is unbounded")
     fr = np.asarray(plan.fractions)
     pw = np.asarray(plan.powers)
-    terms = fr * np.log2(1.0 + gain**2 * pw / (noise * plan.mean_power))
+    return fr * np.log2(1.0 + gain**2 * pw / (noise[..., None] * plan.mean_power))
+
+
+def _rate(plan: SubbandPlan, gain: float, noise: float, regime: str) -> RateReport:
+    terms = _rate_terms(plan, gain, noise)
     return RateReport(
         bits_per_symbol=float(terms.sum()),
         band_bits=_floats(terms),
@@ -201,19 +207,32 @@ def linear_rate(plan: SubbandPlan, m_rx: AgnMoments) -> RateReport:
     return _rate(plan, m_rx.gain, m_rx.noise, "general_chain")
 
 
+def _awgn_noise(plan: SubbandPlan, m_tx: AgnMoments, noise_power):
+    """Normalized chain noise: the transmit noise plus noise_power / mean_power."""
+    if np.any(noise_power < 0):
+        raise ValueError("noise_power must be >= 0")
+    _check_power_match(m_tx, plan.mean_power)
+    noise = m_tx.noise + noise_power / plan.mean_power
+    if not np.all(np.isfinite(noise)):
+        raise NumericalFailureError("non-finite decomposition moments")
+    return noise
+
+
 def awgn_linear_rate(plan: SubbandPlan, m_tx: AgnMoments, noise_power: float) -> RateReport:
     """Rate lower bound over an AWGN channel with an unquantized receiver.
 
     Uses the shortcut that the chain moments equal the transmit moments with
     noise_power / mean_power added to the normalized noise variance.
     """
-    if noise_power < 0:
-        raise ValueError("noise_power must be >= 0")
-    _check_power_match(m_tx, plan.mean_power)
-    noise = m_tx.noise + noise_power / plan.mean_power
-    if not math.isfinite(noise):
-        raise NumericalFailureError("non-finite decomposition moments")
-    return _rate(plan, m_tx.gain, noise, "awgn")
+    return _rate(plan, m_tx.gain, _awgn_noise(plan, m_tx, noise_power), "awgn")
+
+
+def _noise_at_snr(plan: SubbandPlan, m_tx: AgnMoments, snr):
+    snr = np.asarray(snr, dtype=float)
+    if np.any(snr <= 0):
+        raise ValueError("snr must be positive")
+    s_tot = (m_tx.gain**2 + m_tx.noise) * plan.mean_power
+    return _awgn_noise(plan, m_tx, s_tot / snr)
 
 
 def awgn_rate_at_transmit_snr(plan: SubbandPlan, m_tx: AgnMoments, snr: float) -> RateReport:
@@ -224,10 +243,14 @@ def awgn_rate_at_transmit_snr(plan: SubbandPlan, m_tx: AgnMoments, snr: float) -
     pinning the transmit-side SNR makes their rate curves comparable (and
     reduces to ``noise_power = mean_power / snr`` for an ideal DAC).
     """
-    if snr <= 0:
-        raise ValueError("snr must be positive")
-    s_tot = (m_tx.gain**2 + m_tx.noise) * plan.mean_power
-    return awgn_linear_rate(plan, m_tx, s_tot / snr)
+    return _rate(plan, m_tx.gain, _noise_at_snr(plan, m_tx, snr), "awgn")
+
+
+def awgn_rates_at_transmit_snr(plan: SubbandPlan, m_tx: AgnMoments, snr) -> np.ndarray:
+    """``awgn_rate_at_transmit_snr(...).bits_per_symbol`` at each SNR of a
+    1-D grid, in one pass.  A grid with a point the scalar call rejects is
+    rejected whole; on an ascending grid, with its first such point's error."""
+    return _rate_terms(plan, m_tx.gain, _noise_at_snr(plan, m_tx, snr)).sum(axis=-1)
 
 
 def noise_free_rate(fractions, m_tx: AgnMoments, nu) -> RateReport:

@@ -161,6 +161,30 @@ def max_entropy(cset: Constellation, s: float) -> float:
     return _entropy_and_tilt(cset, s)[0]
 
 
+def _bound_rows(cset: Constellation, band_energy: np.ndarray, fractions) -> list[tuple]:
+    """(max entropy, tilt, shaping loss) for each row of target band energies;
+    the loss is None where a band of positive fraction has a zero share.  Rows
+    are checked and solved in order: a failing row raises what it would alone.
+    """
+    fr = np.asarray(fractions, dtype=float)
+    if band_energy.shape[1:] != fr.shape:
+        raise ValueError("band_energy and fractions must have equal length")
+    s_tot = band_energy.sum(axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        shares = band_energy / s_tot[:, None]
+    negative = np.any(band_energy < 0, axis=-1).tolist()
+    masked = np.any((shares == 0) & (fr > 0), axis=-1).tolist()
+    out = []
+    for row, total, neg, mask in zip(shares.tolist(), s_tot.tolist(), negative, masked):
+        if neg:
+            raise ValueError("band energies must be non-negative")
+        if total <= 0:
+            raise ValueError("total target energy must be positive")
+        h, tilt = _entropy_and_tilt(cset, total)
+        out.append((h, tilt, None if mask else kl_divergence(fr, row)))
+    return out
+
+
 def rate_upper_bound(
     cset: Constellation, band_energy, fractions, m_tx: AgnMoments | None = None
 ) -> UpperBoundReport:
@@ -173,17 +197,10 @@ def rate_upper_bound(
     linear rate.
     """
     s = np.asarray(band_energy, dtype=float)
-    fr = np.asarray(fractions, dtype=float)
-    if s.shape != fr.shape:
+    if s.ndim != 1:
         raise ValueError("band_energy and fractions must have equal length")
-    if np.any(s < 0):
-        raise ValueError("band energies must be non-negative")
-    s_tot = float(s.sum())
-    if s_tot <= 0:
-        raise ValueError("total target energy must be positive")
-    shares = s / s_tot
-    h, tilt = _entropy_and_tilt(cset, s_tot)
-    if np.any((shares == 0) & (fr > 0)):
+    [(h, tilt, kl)] = _bound_rows(cset, s[None], fractions)
+    if kl is None:
         return UpperBoundReport(
             max_entropy_bits=h,
             shaping_loss_bits=math.inf,
@@ -191,7 +208,6 @@ def rate_upper_bound(
             tilt=tilt,
             mask_infeasible=True,
         )
-    kl = kl_divergence(fr, shares)
     gap = None
     if m_tx is not None:
         if m_tx.noise == 0.0:
@@ -205,3 +221,10 @@ def rate_upper_bound(
         tilt=tilt,
         gap_bits=gap,
     )
+
+
+def upper_bound_rates(cset: Constellation, band_energy, fractions) -> list[float]:
+    """``rate_upper_bound(cset, row, fractions).bits_per_symbol`` for each row
+    of a 2-D array of band energies, in one pass."""
+    rows = _bound_rows(cset, np.asarray(band_energy, dtype=float), fractions)
+    return [-math.inf if kl is None else h - kl for h, _, kl in rows]

@@ -26,12 +26,12 @@ from .analysis import (
     FEASIBILITY_SLACK,
     SubbandPlan,
     awgn_linear_rate,
-    awgn_rate_at_transmit_snr,
+    awgn_rates_at_transmit_snr,
     linear_rate,
     noise_free_rate,
     predict_spectrum,
 )
-from .bounds import TILT_TOL, rate_upper_bound
+from .bounds import TILT_TOL, rate_upper_bound, upper_bound_rates
 from .errors import ConfigError, FeasibilityError, QltError
 from .moments import DEFAULT_MC_SAMPLES, MonteCarlo, Quadrature, chain_moments, tx_moments
 from .montecarlo import SimConfig, run_chain_trials, run_tx_trials
@@ -63,12 +63,14 @@ class _Table(dict):
 
     A spec is a JSON schema fragment or a nested ``_Table``; a default is a
     value, ``REQUIRED``, ``OPTIONAL`` or a ``_ForKind``.  The object's schema
-    requires the ``REQUIRED`` keys and rejects unknown ones.
+    requires the ``REQUIRED`` keys, and those of its ``kind``, and rejects
+    unknown ones.
     """
 
 
 class _ForKind(NamedTuple):
-    """A default that applies only where the object's ``kind`` is ``kind``."""
+    """A default, or ``REQUIRED``, that applies only where the object's
+    ``kind`` is ``kind``."""
 
     kind: str
     value: object
@@ -93,9 +95,9 @@ _BITS_LIST = {"type": "array", "items": _BITS, "minItems": 1}
 
 _QUANTIZER = _Table(
     kind=({"enum": ["identity", "uniform_midrise", "custom_levels"]}, REQUIRED),
-    bits=(_int(1), OPTIONAL),
-    clip=(_POSITIVE, OPTIONAL),
-    levels=(_NUMLIST, OPTIONAL),
+    bits=(_int(1), _ForKind("uniform_midrise", REQUIRED)),
+    clip=(_POSITIVE, _ForKind("uniform_midrise", REQUIRED)),
+    levels=(_NUMLIST, _ForKind("custom_levels", REQUIRED)),
 )
 _CHANNEL = _Table(kind=({"enum": ["awgn"]}, REQUIRED), noise_power=(_NON_NEGATIVE, REQUIRED))
 _METHOD = _Table(
@@ -189,12 +191,23 @@ def schema_of(spec) -> dict:
     """The JSON schema of a table (or of a plain schema fragment)."""
     if not isinstance(spec, _Table):
         return spec
-    return {
+    schema = {
         "type": "object",
         "properties": {name: schema_of(s) for name, (s, _) in spec.items()},
         "required": [name for name, (_, d) in spec.items() if d is REQUIRED],
         "additionalProperties": False,
     }
+    by_kind = {}
+    for name, (_, d) in spec.items():
+        if isinstance(d, _ForKind) and d.value is REQUIRED:
+            by_kind.setdefault(d.kind, []).append(name)
+    if by_kind:
+        schema["allOf"] = [
+            {"if": {"properties": {"kind": {"const": kind}}, "required": ["kind"]},
+             "then": {"required": names}}
+            for kind, names in by_kind.items()
+        ]
+    return schema
 
 
 def _fill(table: _Table, doc: dict) -> dict:
@@ -317,21 +330,13 @@ def _scalar(v):
     return v
 
 
-def _fmt(v):
-    if type(v) is float:  # the bulk of CSV cells; repr gives inf, -inf, nan
-        return repr(v)
-    v = _scalar(v)
-    if v is None:
-        return ""
-    return repr(v) if isinstance(v, float) else str(v)
-
-
 def _csv_bytes(header, rows) -> str:
+    """CSV text; a cell is ``str`` of its value (floats give inf, -inf and
+    nan), and None is an empty cell."""
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(header)
-    for row in rows:
-        w.writerow([_fmt(v) for v in row])
+    w.writerows(rows)
     return buf.getvalue()
 
 
@@ -446,14 +451,17 @@ def _run_upper_bound(resolved: dict) -> dict:
 def _run_sweep_snr(resolved: dict) -> dict:
     p = resolved["params"]
     plan = SubbandPlan(fractions=tuple(p["fractions"]), powers=tuple(p["powers"]))
+    grid = _grid(p["snr_db"])
+    # one scalar power per point: numpy's array power differs in the last bit
+    # at some points
+    snr = [10.0 ** (snr_db / 10.0) for snr_db in grid]
     rows = []
     for bits in p["bits"]:
         q = _quantizer_for_bits(bits, p["kappa"], plan.mean_power)
-        m = tx_moments(q, plan.mean_power)
-        for snr_db in _grid(p["snr_db"]):
-            rep = awgn_rate_at_transmit_snr(plan, m, 10.0 ** (snr_db / 10.0))
-            rows.append([float(snr_db), "inf" if bits is None else bits, rep.bits_per_symbol,
-                         resolved["seed"], __version__])
+        rates = awgn_rates_at_transmit_snr(plan, tx_moments(q, plan.mean_power), snr)
+        label = "inf" if bits is None else bits
+        rows.extend([snr_db, label, r, resolved["seed"], __version__]
+                    for snr_db, r in zip(map(float, grid), rates.tolist()))
     return _rows_or_json(resolved, ["snr_db", "bits", "rate_bps", "seed", "version"], rows)
 
 
@@ -463,25 +471,22 @@ def _run_sweep_aclr(resolved: dict) -> dict:
     pbar = p["pbar"]
     grid = _grid(p["aclr_db"])
     with np.errstate(over="ignore"):
-        ratios = [10.0 ** (aclr_db / 10.0) for aclr_db in grid]
+        ratios = np.array([10.0 ** (aclr_db / 10.0) for aclr_db in grid])
     for aclr_db, ratio in zip(grid, ratios):
         if not math.isfinite(ratio):
             raise ValueError(f"aclr_db grid point {aclr_db} dB overflows its power ratio")
+    nu = np.stack([ratios / (1.0 + ratios), 1.0 / (1.0 + ratios)], axis=-1)
     rows = []
     for bits in p["bits"]:
         q = _quantizer_for_bits(bits, p["kappa"], pbar)
         m = tx_moments(q, pbar)
-        cset = constellation_of(q)
-        s_tot = (m.gain**2 + m.noise) * pbar
-        for aclr_db, ratio in zip(grid, ratios):
-            nu = (ratio / (1.0 + ratio), 1.0 / (1.0 + ratio))
+        r_upper = upper_bound_rates(constellation_of(q), nu * ((m.gain**2 + m.noise) * pbar), fr)
+        for aclr_db, shares, ub in zip(map(float, grid), nu.tolist(), r_upper):
             try:
-                r_lin = noise_free_rate(fr, m, nu).bits_per_symbol
+                r_lin = noise_free_rate(fr, m, shares).bits_per_symbol
             except FeasibilityError:
                 r_lin = None
-            ub = rate_upper_bound(cset, (nu[0] * s_tot, nu[1] * s_tot), fr)
-            rows.append([float(aclr_db), bits, r_lin, ub.bits_per_symbol,
-                         resolved["seed"], __version__])
+            rows.append([aclr_db, bits, r_lin, ub, resolved["seed"], __version__])
     return _rows_or_json(resolved, ["aclr_db", "bits", "r_lin", "r_upper", "seed", "version"], rows)
 
 

@@ -1,5 +1,7 @@
 import argparse
 import copy
+import csv
+import io
 import json
 import math
 import os
@@ -10,9 +12,22 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 
-from qlt import cli
+from qlt import (
+    FeasibilityError,
+    QuantizerSpec,
+    SubbandPlan,
+    awgn_rate_at_transmit_snr,
+    cli,
+    clip_for_power,
+    constellation_of,
+    noise_free_rate,
+    rate_upper_bound,
+    tx_moments,
+)
 from qlt.cli import main, package_defaults
 
 
@@ -289,6 +304,136 @@ def test_sweep_aclr_overflowing_grid_exits_2_without_output(tmp_path, capsys):
     assert caught == []
     assert "grid point 3090" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_sweep_snr_underflowing_grid_exits_2_without_output(tmp_path, capsys):
+    # 10 ** (-400) underflows to an SNR of 0, which the rate rejects
+    cfg = {
+        "schema_version": 1,
+        "experiment": "sweep-snr",
+        "output": {"format": "csv", "path": str(tmp_path / "out")},
+        "params": {
+            "bits": [2, None],
+            "fractions": [0.5, 0.5],
+            "powers": [1.5, 0.5],
+            "snr_db": {"start": -4000, "stop": -3990, "step": 1},
+        },
+    }
+    assert main(["sweep-snr", "--config", write_cfg(tmp_path, cfg)]) == 2
+    assert "config error: snr must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_aclr_underflowing_ratio_is_mask_infeasible(tmp_path):
+    # a power ratio of 0 leaves the first band no share: no linear rate, and
+    # an upper bound of -inf
+    cfg = {
+        "schema_version": 1,
+        "experiment": "sweep-aclr",
+        "output": {"format": "csv", "path": str(tmp_path / "out")},
+        "params": {
+            "bits": [1, 3],
+            "fractions": [0.5, 0.5],
+            "aclr_db": {"start": -4000, "stop": -3998, "step": 1},
+        },
+    }
+    assert main(["sweep-aclr", "--config", write_cfg(tmp_path, cfg)]) == 0
+    lines = (tmp_path / "out" / "sweep-aclr.csv").read_text().splitlines()
+    assert lines[1:] == [
+        f"{db},{bits},,-inf,0,{cli.__version__}" for bits in (1, 3) for db in (-4000.0, -3999.0, -3998.0)
+    ]
+
+
+def _grid_spec(start, points, step):
+    return {"start": start, "stop": start + (points - 1) * step, "step": step}
+
+
+@st.composite
+def _plans(draw):
+    parts = draw(st.lists(st.integers(1, 8), min_size=2, max_size=4))
+    powers = draw(st.lists(st.just(0.0) | st.floats(0.01, 3.0), min_size=len(parts),
+                           max_size=len(parts)).filter(any))
+    return [p / sum(parts) for p in parts], powers
+
+
+def _sweep_rows(out_root, experiment, params):
+    out = out_root.mktemp(experiment)
+    cfg = {"schema_version": 1, "experiment": experiment, "seed": 4,
+           "output": {"format": "csv", "path": str(out)}, "params": params}
+    assert main([experiment, "--config", write_cfg(out, cfg)]) == 0
+    header, *rows = csv.reader(io.StringIO((out / f"{experiment}.csv").read_text()))
+    return rows
+
+
+def _hex(cell):
+    return None if cell == "" else float(cell).hex()
+
+
+_SNR_PLAN = ([0.25, 0.75], [0.0, 4 / 3])
+
+
+@settings(derandomize=True, database=None, max_examples=20, deadline=None)
+@given(
+    plan=_plans(),
+    bits=st.lists(st.none() | st.integers(1, 8), min_size=1, max_size=3),
+    kappa=st.floats(1.0, 5.0),
+    grid=st.builds(_grid_spec, st.integers(-20, 40), st.integers(1, 12), st.integers(1, 5))
+    | st.builds(_grid_spec, st.floats(-20.0, 40.0), st.integers(1, 12),
+                st.sampled_from([0.1, 0.25, 1.5])),
+)
+@example(plan=_SNR_PLAN, bits=[None, 3], kappa=3.0, grid=_grid_spec(-10, 5, 5))
+@example(plan=_SNR_PLAN, bits=[2, 5, None], kappa=2.5, grid=_grid_spec(-10.0, 160, 0.25))
+def test_sweep_snr_rows_match_per_point_rates(tmp_path_factory, plan, bits, kappa, grid):
+    rows = _sweep_rows(tmp_path_factory, "sweep-snr", {
+        "bits": bits, "kappa": kappa, "fractions": plan[0], "powers": plan[1], "snr_db": grid,
+    })
+    p = SubbandPlan(fractions=tuple(plan[0]), powers=tuple(plan[1]))
+    expected = []
+    for b in bits:
+        q = QuantizerSpec.identity() if b is None else QuantizerSpec.uniform_midrise(
+            b, clip_for_power(p.mean_power, kappa))
+        m = tx_moments(q, p.mean_power)
+        for db in cli._grid(grid):
+            rate = awgn_rate_at_transmit_snr(p, m, 10.0 ** (db / 10.0)).bits_per_symbol
+            expected.append([str(float(db)), "inf" if b is None else str(b), rate.hex()])
+    assert [[r[0], r[1], _hex(r[2])] for r in rows] == expected
+
+
+@settings(derandomize=True, database=None, max_examples=20, deadline=None)
+@given(
+    split=st.integers(4, 28),
+    bits=st.lists(st.integers(1, 6), min_size=1, max_size=3),
+    kappa=st.floats(1.5, 5.0),
+    pbar=st.floats(0.25, 4.0),
+    grid=st.builds(_grid_spec, st.integers(-5, 25), st.integers(1, 12), st.integers(1, 3))
+    | st.builds(_grid_spec, st.floats(-5.0, 25.0), st.integers(1, 12),
+                st.sampled_from([0.125, 0.5, 1.5]))
+    # the first point's power ratio underflows to 0
+    | st.builds(lambda x: _grid_spec(-4000.0, 2, 4000.0 + x), st.floats(0.0, 20.0)),
+)
+@example(split=8, bits=[1, 4], kappa=3.0, pbar=1.0, grid=_grid_spec(-4000.0, 2, 4010.0))
+def test_sweep_aclr_rows_match_per_point_bounds(tmp_path_factory, split, bits, kappa, pbar, grid):
+    fr = [split / 32, 1.0 - split / 32]
+    rows = _sweep_rows(tmp_path_factory, "sweep-aclr", {
+        "bits": bits, "kappa": kappa, "fractions": fr, "aclr_db": grid, "pbar": pbar,
+    })
+    expected = []
+    for b in bits:
+        q = QuantizerSpec.uniform_midrise(b, clip_for_power(pbar, kappa))
+        m = tx_moments(q, pbar)
+        s_tot = (m.gain**2 + m.noise) * pbar
+        for db in cli._grid(grid):
+            ratio = 10.0 ** (db / 10.0)
+            nu = (ratio / (1.0 + ratio), 1.0 / (1.0 + ratio))
+            try:
+                r_lin = noise_free_rate(fr, m, nu).bits_per_symbol.hex()
+            except FeasibilityError:
+                r_lin = None
+            ub = rate_upper_bound(constellation_of(q), (nu[0] * s_tot, nu[1] * s_tot), fr)
+            expected.append([str(float(db)), str(b), r_lin, ub.bits_per_symbol.hex()])
+    assert [[r[0], r[1], _hex(r[2]), _hex(r[3])] for r in rows] == expected
+    if grid["start"] == -4000.0:
+        assert [r[2:4] for r in rows[::2]] == [["", "-inf"]] * len(bits)
 
 
 @pytest.mark.parametrize(
@@ -689,9 +834,9 @@ def test_config_schemas_pass_the_metaschema():
 @pytest.mark.parametrize(
     "quantizer, missing",
     [
-        ({"kind": "uniform_midrise", "clip": 1.0}, "['bits']"),
-        ({"kind": "uniform_midrise", "bits": 1}, "['clip']"),
-        ({"kind": "custom_levels"}, "['levels']"),
+        ({"kind": "uniform_midrise", "clip": 1.0}, "bits"),
+        ({"kind": "uniform_midrise", "bits": 1}, "clip"),
+        ({"kind": "custom_levels"}, "levels"),
     ],
     ids=["midrise-no-bits", "midrise-no-clip", "custom-levels-no-levels"],
 )
@@ -699,7 +844,7 @@ def test_quantizer_missing_key_exits_2_without_output(tmp_path, capsys, quantize
     out = tmp_path / "out"
     cfg = write_cfg(tmp_path, moments_cfg(str(out), quantizer=quantizer))
     assert main(["moments", "--config", cfg]) == 2
-    assert f"config error: quantizer kind {quantizer['kind']!r} is missing keys {missing}" in (
+    assert f"config error: config schema violation: {missing!r} is a required property" in (
         capsys.readouterr().err
     )
     assert not out.exists()
@@ -719,12 +864,15 @@ def test_quantizer_missing_key_exits_2_without_output(tmp_path, capsys, quantize
         (None, ""),
         (7, "7"),
         (np.int64(-7), "-7"),
+        (1e16, "1e+16"),
+        (1e-5, "1e-05"),
         (True, "True"),
         ("a,b", "a,b"),
     ],
 )
 def test_csv_cell_text(value, cell):
-    assert cli._fmt(value) == cell
+    header, row = csv.reader(io.StringIO(cli._csv_bytes(["x"], [[value]])))
+    assert row == [cell]
 
 
 def test_csv_bytes_quote_and_format_cells():
