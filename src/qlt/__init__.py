@@ -58,8 +58,6 @@ from .quantizer import (
     clip_for_power,
     constellation_of,
     quantize,
-    quantizer_from_json,
-    quantizer_to_json,
 )
 from .waveform import (
     AclrReport,

@@ -135,9 +135,11 @@ def _check_simplex(nu) -> np.ndarray:
 
 def feasible_fractions(fractions, m_tx: AgnMoments, nu) -> bool:
     """True iff the share vector is achievable by some power allocation."""
-    arr = _check_simplex(nu)
-    floor = share_floor(fractions, m_tx)
-    return bool(np.all(arr >= floor - FEASIBILITY_SLACK))
+    try:
+        _above_floor(fractions, m_tx, nu)
+    except FeasibilityError:
+        return False
+    return True
 
 
 def _above_floor(fractions, m_tx: AgnMoments, nu) -> tuple[np.ndarray, np.ndarray]:
@@ -209,7 +211,7 @@ def linear_rate(plan: SubbandPlan, m_rx: AgnMoments) -> RateReport:
 
 def _awgn_noise(plan: SubbandPlan, m_tx: AgnMoments, noise_power):
     """Normalized chain noise: the transmit noise plus noise_power / mean_power."""
-    if np.any(noise_power < 0):
+    if not np.all(noise_power >= 0):
         raise ValueError("noise_power must be >= 0")
     _check_power_match(m_tx, plan.mean_power)
     noise = m_tx.noise + noise_power / plan.mean_power
@@ -229,7 +231,7 @@ def awgn_linear_rate(plan: SubbandPlan, m_tx: AgnMoments, noise_power: float) ->
 
 def _noise_at_snr(plan: SubbandPlan, m_tx: AgnMoments, snr):
     snr = np.asarray(snr, dtype=float)
-    if np.any(snr <= 0):
+    if not np.all(snr > 0):
         raise ValueError("snr must be positive")
     s_tot = (m_tx.gain**2 + m_tx.noise) * plan.mean_power
     return _awgn_noise(plan, m_tx, s_tot / snr)

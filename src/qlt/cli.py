@@ -15,6 +15,7 @@ import json
 import math
 import sys
 from dataclasses import fields, is_dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import NamedTuple
 
@@ -35,13 +36,7 @@ from .bounds import TILT_TOL, rate_upper_bound, upper_bound_rates
 from .errors import ConfigError, FeasibilityError, QltError
 from .moments import DEFAULT_MC_SAMPLES, MonteCarlo, Quadrature, chain_moments, tx_moments
 from .montecarlo import SimConfig, run_chain_trials, run_tx_trials
-from .quantizer import (
-    DEFAULT_KAPPA,
-    QuantizerSpec,
-    clip_for_power,
-    constellation_of,
-    quantizer_from_json,
-)
+from .quantizer import DEFAULT_KAPPA, QuantizerSpec, constellation_of
 from .waveform import WaveformConfig, measure_aclr
 
 SCHEMA_VERSION = 1
@@ -313,10 +308,25 @@ def _grid(spec: dict) -> np.ndarray:
     return spec["start"] + spec["step"] * np.arange(n)
 
 
-def _quantizer_for_bits(bits, kappa, pbar) -> QuantizerSpec:
-    if bits is None:
-        return QuantizerSpec.identity()
-    return QuantizerSpec.uniform_midrise(bits, clip_for_power(pbar, kappa))
+def _quantizer(obj: dict) -> QuantizerSpec:
+    """The spec of a quantizer object that has passed the schema."""
+    if obj["kind"] == "uniform_midrise":
+        # the schema's integer admits 3.0
+        return QuantizerSpec.uniform_midrise(int(obj["bits"]), obj["clip"])
+    if obj["kind"] == "custom_levels":
+        return QuantizerSpec.custom_levels(obj["levels"])
+    return QuantizerSpec.identity()
+
+
+def _power_ratios(grid, name: str) -> list:
+    """The power ratio of each dB grid point, one scalar power per point
+    (numpy's array power differs in the last bit at some points)."""
+    with np.errstate(over="ignore"):
+        ratios = [10.0 ** (db / 10.0) for db in grid]
+    for db, ratio in zip(grid, ratios):
+        if not math.isfinite(ratio):
+            raise ValueError(f"{name} grid point {db} dB overflows its power ratio")
+    return ratios
 
 
 # --- result serialization (deterministic bytes)
@@ -374,18 +384,32 @@ def _rows_or_json(resolved, header, rows, obj=None):
     return {f"{resolved['experiment']}.json": json_text(obj)}
 
 
+def _record(resolved, rec: dict) -> dict:
+    """A one-row result: ``rec``, stamped, as one CSV row or one JSON object."""
+    rec = _stamped(resolved, rec)
+    return _rows_or_json(resolved, list(rec), [list(rec.values())], rec)
+
+
+def _per_band(resolved, plan: SubbandPlan, rep, header, *columns) -> dict:
+    """A per-band table: band, fraction and power, then ``columns``, one value
+    per band each; JSON gets ``rep``, stamped."""
+    rows = [list(row) for row in zip(range(plan.num_bands), plan.fractions, plan.powers, *columns)]
+    return _rows_or_json(resolved, ["band", "fraction", "power", *header], rows,
+                         _stamped(resolved, vars(rep)))
+
+
 # --- experiment implementations: each returns {filename: text}
 
 def _run_moments(resolved: dict) -> dict:
     p = resolved["params"]
-    q = quantizer_from_json(p["quantizer"])
+    q = _quantizer(p["quantizer"])
     how = p["method"]
     if how["kind"] == "quadrature":
         method = Quadrature()
     else:
         method = MonteCarlo(samples=how["samples"], seed=resolved["seed"])
     if "channel" in p:
-        adc = quantizer_from_json(p.get("adc", {"kind": "identity"}))
+        adc = _quantizer(p.get("adc", {"kind": "identity"}))
         m = chain_moments(q, p["channel"]["noise_power"], adc, p["pbar"], method)
         scope = "chain"
     elif "adc" in p:
@@ -393,7 +417,7 @@ def _run_moments(resolved: dict) -> dict:
     else:
         m = tx_moments(q, p["pbar"], method)
         scope = "tx"
-    rec = _stamped(resolved, {
+    return _record(resolved, {
         "scope": scope,
         "gain_re": m.gain,
         "gain_im": 0.0,
@@ -402,62 +426,46 @@ def _run_moments(resolved: dict) -> dict:
         "gain_stderr": m.gain_stderr,
         "noise_stderr": m.noise_stderr,
     })
-    return _rows_or_json(resolved, list(rec), [list(rec.values())], rec)
 
 
 def _run_spectrum(resolved: dict) -> dict:
     p = resolved["params"]
-    plan = SubbandPlan(fractions=tuple(p["fractions"]), powers=tuple(p["powers"]))
-    m = tx_moments(quantizer_from_json(p["quantizer"]), plan.mean_power)
-    rep = predict_spectrum(plan, m)
-    header = ["band", "fraction", "power", "energy", "share", "min_share", "total_energy"]
-    rows = [
-        [i, plan.fractions[i], plan.powers[i], rep.band_energy[i], rep.band_share[i],
-         rep.min_share[i], rep.total_energy]
-        for i in range(plan.num_bands)
-    ]
-    return _rows_or_json(resolved, header, rows, _stamped(resolved, vars(rep)))
+    plan = SubbandPlan(p["fractions"], p["powers"])
+    rep = predict_spectrum(plan, tx_moments(_quantizer(p["quantizer"]), plan.mean_power))
+    return _per_band(resolved, plan, rep, ["energy", "share", "min_share", "total_energy"],
+                     rep.band_energy, rep.band_share, rep.min_share, repeat(rep.total_energy))
 
 
 def _run_rate(resolved: dict) -> dict:
     p = resolved["params"]
-    plan = SubbandPlan(fractions=tuple(p["fractions"]), powers=tuple(p["powers"]))
-    q = quantizer_from_json(p["quantizer"])
+    plan = SubbandPlan(p["fractions"], p["powers"])
+    q = _quantizer(p["quantizer"])
     if "adc" in p:
-        adc = quantizer_from_json(p["adc"])
-        m = chain_moments(q, p["noise_power"], adc, plan.mean_power)
+        m = chain_moments(q, p["noise_power"], _quantizer(p["adc"]), plan.mean_power)
         rep = linear_rate(plan, m)
     else:
         rep = awgn_linear_rate(plan, tx_moments(q, plan.mean_power), p["noise_power"])
-    header = ["band", "fraction", "power", "bits", "total_bits", "regime"]
-    rows = [
-        [i, plan.fractions[i], plan.powers[i], rep.band_bits[i], rep.bits_per_symbol,
-         rep.regime]
-        for i in range(plan.num_bands)
-    ]
-    return _rows_or_json(resolved, header, rows, _stamped(resolved, vars(rep)))
+    return _per_band(resolved, plan, rep, ["bits", "total_bits", "regime"],
+                     rep.band_bits, repeat(rep.bits_per_symbol), repeat(rep.regime))
 
 
 def _run_upper_bound(resolved: dict) -> dict:
     p = resolved["params"]
-    q = quantizer_from_json(p["quantizer"])
+    q = _quantizer(p["quantizer"])
     cset = constellation_of(q)
     m = tx_moments(q, p["pbar"]) if p["include_gap"] else None
     rep = rate_upper_bound(cset, p["band_energy"], p["fractions"], m_tx=m)
-    rec = _stamped(resolved, {**vars(rep), "tilt": None if math.isnan(rep.tilt) else rep.tilt})
-    return _rows_or_json(resolved, list(rec), [list(rec.values())], rec)
+    return _record(resolved, {**vars(rep), "tilt": None if math.isnan(rep.tilt) else rep.tilt})
 
 
 def _run_sweep_snr(resolved: dict) -> dict:
     p = resolved["params"]
-    plan = SubbandPlan(fractions=tuple(p["fractions"]), powers=tuple(p["powers"]))
+    plan = SubbandPlan(p["fractions"], p["powers"])
     grid = _grid(p["snr_db"])
-    # one scalar power per point: numpy's array power differs in the last bit
-    # at some points
-    snr = [10.0 ** (snr_db / 10.0) for snr_db in grid]
+    snr = _power_ratios(grid, "snr_db")
     rows = []
     for bits in p["bits"]:
-        q = _quantizer_for_bits(bits, p["kappa"], plan.mean_power)
+        q = QuantizerSpec.midrise_for_power(bits, plan.mean_power, p["kappa"])
         rates = awgn_rates_at_transmit_snr(plan, tx_moments(q, plan.mean_power), snr)
         label = "inf" if bits is None else bits
         rows.extend([snr_db, label, r, resolved["seed"], __version__]
@@ -470,15 +478,11 @@ def _run_sweep_aclr(resolved: dict) -> dict:
     fr = tuple(p["fractions"])
     pbar = p["pbar"]
     grid = _grid(p["aclr_db"])
-    with np.errstate(over="ignore"):
-        ratios = np.array([10.0 ** (aclr_db / 10.0) for aclr_db in grid])
-    for aclr_db, ratio in zip(grid, ratios):
-        if not math.isfinite(ratio):
-            raise ValueError(f"aclr_db grid point {aclr_db} dB overflows its power ratio")
+    ratios = np.array(_power_ratios(grid, "aclr_db"))
     nu = np.stack([ratios / (1.0 + ratios), 1.0 / (1.0 + ratios)], axis=-1)
     rows = []
     for bits in p["bits"]:
-        q = _quantizer_for_bits(bits, p["kappa"], pbar)
+        q = QuantizerSpec.midrise_for_power(bits, pbar, p["kappa"])
         m = tx_moments(q, pbar)
         r_upper = upper_bound_rates(constellation_of(q), nu * ((m.gain**2 + m.noise) * pbar), fr)
         for aclr_db, shares, ub in zip(map(float, grid), nu.tolist(), r_upper):
@@ -497,13 +501,13 @@ def _run_montecarlo(resolved: dict) -> dict:
         raise ConfigError("montecarlo: channel and adc apply only in mode 'chain'")
     cfg = SimConfig(
         size=p["size"],
-        plan=SubbandPlan(fractions=tuple(p["fractions"]), powers=tuple(p["powers"])),
-        dac=quantizer_from_json(p["quantizer"]),
+        plan=SubbandPlan(p["fractions"], p["powers"]),
+        dac=_quantizer(p["quantizer"]),
         transform=p["transform"],
         trials=p["trials"],
         seed=resolved["seed"],
         noise_power=p["channel"]["noise_power"] if "channel" in p else 0.0,
-        adc=quantizer_from_json(p.get("adc", {"kind": "identity"})),
+        adc=_quantizer(p.get("adc", {"kind": "identity"})),
         assignment=p["assignment"],
     )
     rep = run_chain_trials(cfg) if chain else run_tx_trials(cfg)

@@ -12,6 +12,7 @@ reflector buffer (33.6 MB at n=2048), and only one trial's chain is alive at
 a time.
 """
 
+import functools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -210,6 +211,15 @@ def _noise_diagnostics(w: np.ndarray, z: np.ndarray) -> dict:
     }
 
 
+def _transform(kind: str, n: int, rng):
+    """A trial's (modulate, demodulate) pair: a fresh Haar chain's V^H and V,
+    or the unitary inverse FFT and FFT."""
+    if kind == "haar":
+        chain = HouseholderChain(n, rng)
+        return chain.apply_adjoint, chain.apply
+    return functools.partial(np.fft.ifft, norm="ortho"), functools.partial(np.fft.fft, norm="ortho")
+
+
 def _run(cfg: SimConfig, with_chain: bool) -> SimReport:
     plan = cfg.plan
     n = cfg.size
@@ -228,21 +238,18 @@ def _run(cfg: SimConfig, with_chain: bool) -> SimReport:
 
     for t in range(cfg.trials):
         rng = substream(cfg.seed, "trial", t)
-        chain = None  # free the last trial's reflectors before drawing the next
-        chain = HouseholderChain(n, rng) if cfg.transform == "haar" else None
+        # the pair's bound methods hold the trial's chain: free the last
+        # trial's reflectors before drawing the next
+        modulate = demodulate = None
+        modulate, demodulate = _transform(cfg.transform, n, rng)
         z = _draw_symbols(rng, powers, assign)
-        if chain is not None:
-            u = chain.apply_adjoint(z)
-        else:
-            u = np.fft.ifft(z, norm="ortho")
-        x = np.asarray(quantize(cfg.dac, u))
-        r = chain.apply(x) if chain is not None else np.fft.fft(x, norm="ortho")
+        x = np.asarray(quantize(cfg.dac, modulate(z)))
+        r = demodulate(x)
         trial_s[t] = _band_energy(r, assign, nb, n)
 
         if with_chain:
             y = add_awgn(x, cfg.noise_power, rng)
-            s_rx = np.asarray(quantize(cfg.adc, y))
-            z_hat = chain.apply(s_rx) if chain is not None else np.fft.fft(s_rx, norm="ortho")
+            z_hat = demodulate(np.asarray(quantize(cfg.adc, y)))
             w = z_hat - m_rx.gain * z
             for m in range(nb):
                 sel = assign == m

@@ -77,6 +77,15 @@ class QuantizerSpec:
     def custom_levels(cls, levels) -> "QuantizerSpec":
         return cls(kind="custom_levels", levels=tuple(float(v) for v in levels))
 
+    @classmethod
+    def midrise_for_power(cls, bits: int | None, power: float,
+                          kappa: float = DEFAULT_KAPPA) -> "QuantizerSpec":
+        """The ideal DAC for ``bits=None``; otherwise a ``bits``-bit midrise
+        quantizer loaded at ``kappa`` per-dimension sigmas of ``power``."""
+        if bits is None:
+            return cls.identity()
+        return cls.uniform_midrise(bits, clip_for_power(power, kappa))
+
     @property
     def is_identity(self) -> bool:
         return self.kind == "identity"
@@ -198,36 +207,3 @@ def constellation_of(spec: QuantizerSpec) -> Constellation:
     lv = spec.levels_per_dim()
     re, im = np.meshgrid(lv, lv, indexing="ij")
     return Constellation(points=(re + 1j * im).ravel())
-
-
-def quantizer_to_json(spec: QuantizerSpec) -> dict:
-    if spec.kind == "identity":
-        return {"kind": "identity"}
-    if spec.kind == "uniform_midrise":
-        return {"kind": "uniform_midrise", "bits": spec.bits, "clip": spec.clip}
-    return {"kind": "custom_levels", "levels": list(spec.levels)}
-
-
-def quantizer_from_json(obj: dict) -> QuantizerSpec:
-    """Parse ``{"kind": ..., ...}`` quantizer descriptions from config files."""
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ValueError("quantizer description must be an object with a 'kind'")
-    kind = obj["kind"]
-    known = {
-        "identity": set(),
-        "uniform_midrise": {"bits", "clip"},
-        "custom_levels": {"levels"},
-    }
-    if kind not in known:
-        raise ValueError(f"unknown quantizer kind {kind!r}")
-    extra = set(obj) - known[kind] - {"kind"}
-    if extra:
-        raise ValueError(f"unknown quantizer keys {sorted(extra)}")
-    missing = known[kind] - set(obj)
-    if missing:
-        raise ValueError(f"quantizer kind {kind!r} is missing keys {sorted(missing)}")
-    if kind == "identity":
-        return QuantizerSpec.identity()
-    if kind == "uniform_midrise":
-        return QuantizerSpec.uniform_midrise(int(obj["bits"]), float(obj["clip"]))
-    return QuantizerSpec.custom_levels(obj["levels"])

@@ -32,7 +32,7 @@ from scipy import signal as sig
 
 from ._rng import substream
 from .moments import tx_moments
-from .quantizer import DEFAULT_KAPPA, QuantizerSpec, clip_for_power, quantize
+from .quantizer import DEFAULT_KAPPA, QuantizerSpec, quantize
 
 #: Per-symbol raised-cosine taper fraction (Tukey window alpha).
 DEFAULT_SYMBOL_TAPER = 0.1
@@ -201,11 +201,10 @@ def synthesize_baseband(cfg: WaveformConfig) -> np.ndarray:
     return out
 
 
-def _resolve_dac(cfg: WaveformConfig, stream_power: float) -> QuantizerSpec | None:
-    if cfg.dac_bits is None:
-        return None
-    clip = cfg.dac_clip if cfg.dac_clip is not None else clip_for_power(stream_power, cfg.dac_kappa)
-    return QuantizerSpec.uniform_midrise(cfg.dac_bits, clip)
+def _resolve_dac(cfg: WaveformConfig, stream_power: float) -> QuantizerSpec:
+    if cfg.dac_bits is not None and cfg.dac_clip is not None:
+        return QuantizerSpec.uniform_midrise(cfg.dac_bits, cfg.dac_clip)
+    return QuantizerSpec.midrise_for_power(cfg.dac_bits, stream_power, cfg.dac_kappa)
 
 
 #: Most samples one FFT call of the Welch estimate transforms; the frames of a
@@ -246,25 +245,17 @@ def apply_dac_and_measure(cfg: WaveformConfig, stream: np.ndarray) -> AclrReport
         raise ValueError("stream must be non-empty")
     power = float(np.mean(np.abs(stream) ** 2))
     dac = _resolve_dac(cfg, power)
-
-    saturated = 0.0
-    clip_used = None
-    if dac is None:
-        quantized = stream
-        predicted_db = None
-    else:
-        clip_used = float(dac.clip)
-        quantized = np.asarray(quantize(dac, stream))
-        saturated = float(
-            np.mean((np.abs(stream.real) > clip_used) | (np.abs(stream.imag) > clip_used))
-        )
-        m = tx_moments(dac, power)
-        delta = cfg.occupied_bandwidth / cfg.sample_rate
-        predicted_db = (
-            10.0 * math.log10(1.0 + m.gain**2 / (delta * m.noise))
-            if m.noise > 0
-            else None
-        )
+    quantized = np.asarray(quantize(dac, stream))
+    clip_used = dac.clip  # None for the ideal DAC, which never saturates
+    saturated = 0.0 if clip_used is None else float(
+        np.mean((np.abs(stream.real) > clip_used) | (np.abs(stream.imag) > clip_used))
+    )
+    # the ideal DAC adds no noise, so it has no predicted ACLR
+    m = tx_moments(dac, power)
+    delta = cfg.occupied_bandwidth / cfg.sample_rate
+    predicted_db = (
+        10.0 * math.log10(1.0 + m.gain**2 / (delta * m.noise)) if m.noise > 0 else None
+    )
 
     freq, density = _welch(cfg, quantized)
     df = float(freq[1] - freq[0])

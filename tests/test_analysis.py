@@ -12,6 +12,7 @@ from qlt import (
     QuantizerSpec,
     SubbandPlan,
     awgn_linear_rate,
+    awgn_rate_at_transmit_snr,
     feasible_fractions,
     kl_divergence,
     linear_rate,
@@ -228,6 +229,17 @@ def test_awgn_rate_overflowing_noise_is_a_numerical_failure():
     m = tx_moments(QuantizerSpec.identity(), plan.mean_power)
     with pytest.raises(NumericalFailureError):
         awgn_linear_rate(plan, m, 1e308)
+
+
+@pytest.mark.parametrize("rate, message", [
+    (awgn_linear_rate, "noise_power must be >= 0"),
+    (awgn_rate_at_transmit_snr, "snr must be positive"),
+], ids=["noise_power", "snr"])
+def test_nan_noise_is_rejected_like_a_negative_one(rate, message):
+    # as chain_moments and SimConfig reject a NaN noise power
+    plan = SubbandPlan((0.5, 0.5), (1.5, 0.5))
+    with pytest.raises(ValueError, match=message):
+        rate(plan, one_bit_moments(), math.nan)
 
 
 def test_one_bit_noise_free_flat_rate():

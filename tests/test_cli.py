@@ -21,6 +21,7 @@ from qlt import (
     QuantizerSpec,
     SubbandPlan,
     awgn_rate_at_transmit_snr,
+    chain_moments,
     cli,
     clip_for_power,
     constellation_of,
@@ -194,6 +195,24 @@ def test_moments_chain_and_upper_bound(tmp_path):
     assert rec["gap_bits"] == pytest.approx(2.0 - math.log2(1 + 2 / (math.pi - 2)))
 
 
+@pytest.mark.parametrize("params, oracle", [
+    ({"channel": {"kind": "awgn", "noise_power": 0.5}, "adc": {"kind": "identity"}},
+     lambda: chain_moments(QuantizerSpec.uniform_midrise(1, 1.0), 0.5,
+                           QuantizerSpec.identity(), 1.0)),
+    ({"quantizer": {"kind": "uniform_midrise", "bits": 3.0, "clip": 2}},
+     lambda: tx_moments(QuantizerSpec.uniform_midrise(3, 2.0), 1.0)),
+    ({"quantizer": {"kind": "custom_levels", "levels": [-1.5, -0.25, 0.5, 2]}},
+     lambda: tx_moments(QuantizerSpec.custom_levels([-1.5, -0.25, 0.5, 2.0]), 1.0)),
+], ids=["identity-adc", "uniform_midrise-float-bits", "custom_levels"])
+def test_moments_quantizer_objects_are_their_specs(tmp_path, params, oracle):
+    cfg = write_cfg(tmp_path, moments_cfg(str(tmp_path / "out"), **params))
+    assert main(["moments", "--config", cfg]) == 0
+    rec = json.loads((tmp_path / "out" / "moments.json").read_text())
+    m = oracle()
+    assert float.hex(rec["gain_re"]) == float.hex(m.gain)
+    assert float.hex(rec["noise"]) == float.hex(m.noise)
+
+
 def test_moments_chain_record_has_a_real_gain(tmp_path):
     # this Monte-Carlo run's sampled cross moment has an imaginary part beyond
     # 3 standard errors of zero; the chain is I/Q-symmetric, so it is noise
@@ -303,6 +322,27 @@ def test_sweep_aclr_overflowing_grid_exits_2_without_output(tmp_path, capsys):
         assert main(["sweep-aclr", "--config", write_cfg(tmp_path, cfg)]) == 2
     assert caught == []
     assert "grid point 3090" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_snr_overflowing_grid_exits_2_without_output(tmp_path, capsys):
+    # 10 ** 310 overflows a float, like sweep-aclr's power ratio above
+    cfg = {
+        "schema_version": 1,
+        "experiment": "sweep-snr",
+        "output": {"format": "csv", "path": str(tmp_path / "out")},
+        "params": {
+            "bits": [2, None],
+            "fractions": [0.5, 0.5],
+            "powers": [1.5, 0.5],
+            "snr_db": {"start": 3000, "stop": 3100, "step": 100},
+        },
+    }
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["sweep-snr", "--config", write_cfg(tmp_path, cfg)]) == 2
+    assert caught == []
+    assert "snr_db grid point 3100 dB overflows" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -8,8 +8,6 @@ from qlt import (
     UnboundedConstellationError,
     constellation_of,
     quantize,
-    quantizer_from_json,
-    quantizer_to_json,
 )
 from qlt.quantizer import _map_dim
 
@@ -151,21 +149,6 @@ def test_invalid_specs_rejected():
         QuantizerSpec.uniform_midrise(3, -1.0)
     with pytest.raises(ValueError):
         QuantizerSpec.custom_levels([])
-
-
-def test_json_round_trip():
-    specs = [
-        QuantizerSpec.identity(),
-        QuantizerSpec.uniform_midrise(3, 2.6),
-        QuantizerSpec.custom_levels([-1.0, 0.5]),
-    ]
-    for q in specs:
-        assert quantizer_from_json(quantizer_to_json(q)) == q
-    assert quantizer_from_json({"kind": "uniform_midrise", "bits": 3, "clip": 2.6}) == specs[1]
-    with pytest.raises(ValueError):
-        quantizer_from_json({"kind": "uniform_midrise", "bits": 3, "clip": 2.6, "junk": 1})
-    with pytest.raises(ValueError):
-        quantizer_from_json({"kind": "nope"})
 
 
 @pytest.mark.parametrize(
