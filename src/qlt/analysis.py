@@ -143,11 +143,11 @@ def feasible_fractions(fractions, m_tx: AgnMoments, nu) -> bool:
 
 
 def _above_floor(fractions, m_tx: AgnMoments, nu) -> tuple[np.ndarray, np.ndarray]:
-    """Fractions and shares as arrays; FeasibilityError at the first share below its floor."""
+    """Fractions and shares as arrays; FeasibilityError at the first share short of a (NaN) floor."""
     arr = _check_simplex(nu)
     fr = np.asarray(fractions, dtype=float)
     floor = share_floor(fr, m_tx)
-    bad = np.where(arr < floor - FEASIBILITY_SLACK)[0]
+    bad = np.where(~(arr >= floor - FEASIBILITY_SLACK))[0]
     if bad.size:
         b = int(bad[0])
         raise FeasibilityError(band=b, floor=float(floor[b]), value=float(arr[b]))

@@ -59,7 +59,7 @@ class _Table(dict):
     A spec is a JSON schema fragment or a nested ``_Table``; a default is a
     value, ``REQUIRED``, ``OPTIONAL`` or a ``_ForKind``.  The object's schema
     requires the ``REQUIRED`` keys, and those of its ``kind``, and rejects
-    unknown ones.
+    unknown ones; a key one kind requires is rejected under another kind.
     """
 
 
@@ -192,16 +192,18 @@ def schema_of(spec) -> dict:
         "required": [name for name, (_, d) in spec.items() if d is REQUIRED],
         "additionalProperties": False,
     }
-    by_kind = {}
+    by_kind, owner = {}, {}
     for name, (_, d) in spec.items():
         if isinstance(d, _ForKind) and d.value is REQUIRED:
             by_kind.setdefault(d.kind, []).append(name)
+            owner[name] = {"properties": {"kind": {"const": d.kind}}}
     if by_kind:
         schema["allOf"] = [
             {"if": {"properties": {"kind": {"const": kind}}, "required": ["kind"]},
              "then": {"required": names}}
             for kind, names in by_kind.items()
         ]
+        schema["dependentSchemas"] = owner
     return schema
 
 

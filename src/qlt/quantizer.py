@@ -78,8 +78,7 @@ class QuantizerSpec:
         return cls(kind="custom_levels", levels=tuple(float(v) for v in levels))
 
     @classmethod
-    def midrise_for_power(cls, bits: int | None, power: float,
-                          kappa: float = DEFAULT_KAPPA) -> "QuantizerSpec":
+    def midrise_for_power(cls, bits: int | None, power: float, kappa: float) -> "QuantizerSpec":
         """The ideal DAC for ``bits=None``; otherwise a ``bits``-bit midrise
         quantizer loaded at ``kappa`` per-dimension sigmas of ``power``."""
         if bits is None:

@@ -111,6 +111,10 @@ def test_feasibility_examples():
     assert feasible_fractions((0.5, 0.5), m, (0.5 + 1 / math.pi, 0.5 - 1 / math.pi))
     with pytest.raises(ValueError):
         feasible_fractions((0.5, 0.5), m, (0.7, 0.7))
+    # a zero-output quantizer's share floor is 0/0: no share meets it
+    m0 = tx_moments(QuantizerSpec.custom_levels([0.0]), 1.0)
+    with np.errstate(invalid="ignore"):
+        assert not feasible_fractions((0.5, 0.5), m0, (0.5, 0.5))
 
 
 def test_powers_from_fractions_examples():

@@ -786,6 +786,12 @@ INVALID = {
     "quantizer-levels-empty": ("spectrum", ("params", "quantizer"), dict(LEVELS, levels=[])),
     "quantizer-levels-type": ("spectrum", ("params", "quantizer"), dict(LEVELS, levels=["a"])),
     "quantizer-unknown-key": ("spectrum", ("params", "quantizer"), dict(Q1, gain=1.0)),
+    # another kind's keys
+    "quantizer-identity-with-bits": ("spectrum", ("params", "quantizer"),
+                                     {"kind": "identity", "bits": 3}),
+    "quantizer-midrise-with-levels": ("spectrum", ("params", "quantizer"), dict(Q1, levels=[1.0])),
+    "quantizer-levels-with-clip": ("spectrum", ("params", "quantizer"), dict(LEVELS, clip=1.0)),
+    "adc-identity-with-levels": ("rate", ("params", "adc"), {"kind": "identity", "levels": [1.0]}),
     "adc-kind": ("rate", ("params", "adc"), {"kind": "round"}),
     # channel
     "channel-kind": ("moments", ("params", "channel"), dict(AWGN, kind="rayleigh")),
