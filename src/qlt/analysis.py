@@ -109,6 +109,8 @@ def predict_spectrum(plan: SubbandPlan, m_tx: AgnMoments) -> SpectrumReport:
     pbar = plan.mean_power
     s = fr * (g2 * pw + m_tx.noise * pbar)
     s_tot = (g2 + m_tx.noise) * pbar
+    if s_tot == 0:
+        raise NumericalFailureError("zero-output chain: no band has a power share")
     return SpectrumReport(
         band_energy=_floats(s),
         total_energy=float(s_tot),
@@ -258,6 +260,8 @@ def awgn_rates_at_transmit_snr(plan: SubbandPlan, m_tx: AgnMoments, snr) -> np.n
 def noise_free_rate(fractions, m_tx: AgnMoments, nu) -> RateReport:
     """Noise-free rate at a target share vector: the flat-allocation rate
     log2(1 + |gain|^2/noise) minus the shaping penalty D(fractions || nu)."""
+    if m_tx.noise == 0.0 and m_tx.gain == 0.0:
+        raise NumericalFailureError("zero-output chain: the rate is undefined")
     if m_tx.noise == 0.0:
         raise InfiniteRateError("identity DAC with no noise: rate is unbounded")
     fr, arr = _above_floor(fractions, m_tx, nu)

@@ -4,10 +4,10 @@ The bound is built from the cumulant generating function of the energy of a
 uniformly drawn constellation point, its Legendre transform, and the maximum
 entropy achievable at a target mean energy (an exponentially tilted law).
 Cumulant and rate-function values are in nats; entropies and rates in bits.
-Each constellation solves the maximum entropy once per exact target energy
-and keeps the result for its own lifetime.
+A batch of bound rows solves the maximum entropy once per distinct total.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -126,19 +126,9 @@ def rate_function(cset: Constellation, s: float) -> tuple[float, float]:
 
 
 def _entropy_and_tilt(cset: Constellation, s: float) -> tuple[float, float]:
-    """Max entropy (bits) and tilt at target energy s, solved once per exact
-    target on each constellation; failed solves are not memoized, so they
-    raise again on every call."""
-    s = float(s)
-    memo = cset.solved_targets
-    if s not in memo:
-        memo[s] = _solve_entropy_and_tilt(cset, s)
-    return memo[s]
-
-
-def _solve_entropy_and_tilt(cset: Constellation, s: float) -> tuple[float, float]:
+    """Max entropy (bits) and tilt at target energy s."""
     energies, counts, _ = cset.energy_classes
-    s = _clamp_to_range(s, float(energies[0]), float(energies[-1]))
+    s = _clamp_to_range(float(s), float(energies[0]), float(energies[-1]))
     if energies.size > 1 and s == float(energies[0]):
         return math.log2(counts[0]), math.nan
     if energies.size > 1 and s == float(energies[-1]):
@@ -162,10 +152,10 @@ def max_entropy(cset: Constellation, s: float) -> float:
 
 
 def _bound_rows(cset: Constellation, band_energy: np.ndarray, fractions) -> list[tuple]:
-    """(max entropy, tilt, shaping loss) for each row of target band energies;
-    the loss is None where a band of positive fraction has a zero share.  Rows
-    are checked and solved in order: a failing row raises what it would alone.
-    """
+    """(max entropy, tilt, shaping loss) per row of target band energies; the
+    loss is None where a band of positive fraction has a zero share.  Rows are
+    checked in order and each distinct total is solved once, so a failing row
+    raises what it would alone."""
     fr = np.asarray(fractions, dtype=float)
     if band_energy.shape[1:] != fr.shape:
         raise ValueError("band_energy and fractions must have equal length")
@@ -174,13 +164,13 @@ def _bound_rows(cset: Constellation, band_energy: np.ndarray, fractions) -> list
         shares = band_energy / s_tot[:, None]
     negative = np.any(band_energy < 0, axis=-1).tolist()
     masked = np.any((shares == 0) & (fr > 0), axis=-1).tolist()
-    out = []
+    out, solve = [], functools.cache(functools.partial(_entropy_and_tilt, cset))
     for row, total, neg, mask in zip(shares.tolist(), s_tot.tolist(), negative, masked):
         if neg:
             raise ValueError("band energies must be non-negative")
         if total <= 0:
             raise ValueError("total target energy must be positive")
-        h, tilt = _entropy_and_tilt(cset, total)
+        h, tilt = solve(total)
         out.append((h, tilt, None if mask else kl_divergence(fr, row)))
     return out
 

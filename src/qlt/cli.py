@@ -35,7 +35,7 @@ from .analysis import (
 from .bounds import TILT_TOL, rate_upper_bound, upper_bound_rates
 from .errors import ConfigError, FeasibilityError, QltError
 from .moments import DEFAULT_MC_SAMPLES, MonteCarlo, Quadrature, chain_moments, tx_moments
-from .montecarlo import SimConfig, run_chain_trials, run_tx_trials
+from .montecarlo import LAYOUTS, TRANSFORMS, SimConfig, run_chain_trials, run_tx_trials
 from .quantizer import DEFAULT_KAPPA, QuantizerSpec, constellation_of
 from .waveform import WaveformConfig, measure_aclr
 
@@ -145,13 +145,13 @@ EXPERIMENTS = {
     ),
     "montecarlo": _Table(
         size=(_int(1), REQUIRED),
-        transform=({"enum": ["haar", "fft"]}, _SIM["transform"]),
+        transform=({"enum": list(TRANSFORMS)}, _SIM["transform"]),
         trials=(_int(1), _SIM["trials"]),
         **_PLAN,
         quantizer=(_QUANTIZER, REQUIRED),
         channel=(_CHANNEL, OPTIONAL),
         adc=(_QUANTIZER, OPTIONAL),
-        assignment=({"enum": ["contiguous", "interleaved"]}, _SIM["assignment"]),
+        assignment=({"enum": list(LAYOUTS)}, _SIM["assignment"]),
         mode=({"enum": ["tx", "chain"]}, "tx"),
         per_trial_csv=(_BOOL, False),
     ),

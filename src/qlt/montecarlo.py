@@ -1,9 +1,9 @@
 """Finite-size Monte-Carlo validation of the decomposition predictions.
 
-Each trial draws a fresh random unitary transform and runs the full
-modulate -> quantize -> (AWGN -> quantize) -> demodulate signal chain,
-accumulating per-band energies, quantization-noise Gaussianity diagnostics,
-and per-band input/output correlations against their predicted limits.
+Each trial draws a fresh unitary transform (a :data:`TRANSFORMS` entry), runs
+modulate -> DAC -> AWGN -> ADC -> demodulate (a transmit-only trial has no
+noise and an ideal ADC), and accumulates per-band energies, noise Gaussianity
+diagnostics and per-band input/output correlations against their limits.
 
 Haar transforms are drawn as a product of random Householder reflections
 (exact Haar law) that applies in O(n^2) time without forming the matrix,
@@ -12,8 +12,8 @@ reflector buffer (33.6 MB at n=2048), and only one trial's chain is alive at
 a time.
 """
 
-import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -85,27 +85,46 @@ class HouseholderChain:
         return out
 
 
-def subband_assignment(fractions, n: int, layout: str = "contiguous") -> np.ndarray:
-    """Assign each of n transform bins to a sub-band.
+def _contiguous(fr: np.ndarray, n: int) -> np.ndarray:
+    counts = np.diff(np.concatenate(([0], np.rint(np.cumsum(fr) * n).astype(int))))
+    return np.repeat(np.arange(fr.size), counts)
 
-    "contiguous" fills bands in blocks (mimicking spectral masks);
-    "interleaved" spreads bands by a largest-deficit round-robin.  Either way
-    each band's bin count is within one bin of ``fraction * n``.
-    """
-    fr = np.asarray(fractions, dtype=float)
-    if layout == "contiguous":
-        bounds = np.rint(np.cumsum(fr) * n).astype(int)
-        counts = np.diff(np.concatenate(([0], bounds)))
-        return np.repeat(np.arange(fr.size), counts)
-    if layout == "interleaved":
-        counts = np.zeros(fr.size)
-        out = np.empty(n, dtype=int)
-        for k in range(n):
-            m = int(np.argmax(fr * (k + 1) - counts))
-            out[k] = m
-            counts[m] += 1.0
-        return out
-    raise ValueError(f"unknown assignment layout {layout!r}")
+
+def _interleaved(fr: np.ndarray, n: int) -> np.ndarray:
+    counts = np.zeros(fr.size)
+    out = np.empty(n, dtype=int)
+    for k in range(n):
+        m = int(np.argmax(fr * (k + 1) - counts))
+        out[k] = m
+        counts[m] += 1.0
+    return out
+
+
+#: Bin-to-band layouts: "contiguous" fills bands in blocks (mimicking spectral
+#: masks); "interleaved" spreads bands by a largest-deficit round-robin.
+LAYOUTS = {"contiguous": _contiguous, "interleaved": _interleaved}
+
+
+def subband_assignment(fractions, n: int, layout: str = "contiguous") -> np.ndarray:
+    """Assign each of n transform bins to a sub-band by a :data:`LAYOUTS`
+    entry; each band's bin count is within one bin of ``fraction * n``."""
+    if layout not in LAYOUTS:
+        raise ValueError(f"unknown assignment layout {layout!r}")
+    return LAYOUTS[layout](np.asarray(fractions, dtype=float), n)
+
+
+def _haar(n: int, rng):
+    chain = HouseholderChain(n, rng)
+    return chain.apply_adjoint, chain.apply
+
+
+#: Trial transforms: each entry draws one trial's (modulate, demodulate) pair
+#: from that trial's stream -- a fresh Haar chain's V^H and V, or the unitary
+#: inverse FFT and FFT, which draw nothing.
+TRANSFORMS = {
+    "haar": _haar,
+    "fft": lambda n, rng: (partial(np.fft.ifft, norm="ortho"), partial(np.fft.fft, norm="ortho")),
+}
 
 
 @dataclass(frozen=True)
@@ -115,36 +134,23 @@ class SimConfig:
     size: int
     plan: SubbandPlan
     dac: QuantizerSpec
-    transform: str = "haar"  # "haar" | "fft"
+    transform: str = "haar"  # a TRANSFORMS key
     trials: int = 20
     seed: int = 0
     noise_power: float = 0.0  # AWGN between the DAC and the ADC
     adc: QuantizerSpec = field(default_factory=QuantizerSpec.identity)
-    assignment: str | tuple = "contiguous"
+    assignment: str = "contiguous"  # a LAYOUTS key
 
     def __post_init__(self):
         if self.size < 1:
             raise ValueError("size must be >= 1")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.transform not in ("haar", "fft"):
-            raise ValueError("transform must be 'haar' or 'fft'")
+        if self.transform not in TRANSFORMS:
+            raise ValueError(f"transform must be one of {list(TRANSFORMS)}")
+        if self.assignment not in LAYOUTS:
+            raise ValueError(f"unknown assignment layout {self.assignment!r}")
         _check_noise_power(self.noise_power)
-        self.assignment_array()  # validates
-
-    def assignment_array(self) -> np.ndarray:
-        fr = np.asarray(self.plan.fractions)
-        if isinstance(self.assignment, str):
-            return subband_assignment(fr, self.size, self.assignment)
-        a = np.asarray(self.assignment, dtype=int)
-        if a.shape != (self.size,):
-            raise ValueError("explicit assignment must have length size")
-        if a.min() < 0 or a.max() >= fr.size:
-            raise ValueError("assignment indices out of range")
-        counts = np.bincount(a, minlength=fr.size)
-        if np.any(np.abs(counts / self.size - fr) > 1.0 / self.size):
-            raise ValueError("assignment fractions disagree with the plan")
-        return a
 
 
 @dataclass(frozen=True)
@@ -211,29 +217,22 @@ def _noise_diagnostics(w: np.ndarray, z: np.ndarray) -> dict:
     }
 
 
-def _transform(kind: str, n: int, rng):
-    """A trial's (modulate, demodulate) pair: a fresh Haar chain's V^H and V,
-    or the unitary inverse FFT and FFT."""
-    if kind == "haar":
-        chain = HouseholderChain(n, rng)
-        return chain.apply_adjoint, chain.apply
-    return functools.partial(np.fft.ifft, norm="ortho"), functools.partial(np.fft.fft, norm="ortho")
-
-
-def _run(cfg: SimConfig, with_chain: bool) -> SimReport:
+def _run(cfg: SimConfig, with_correlation: bool) -> SimReport:
     plan = cfg.plan
     n = cfg.size
     nb = plan.num_bands
-    assign = cfg.assignment_array()
+    assign = subband_assignment(plan.fractions, n, cfg.assignment)
+    bands = [assign == m for m in range(nb)]
     pbar = plan.mean_power
     powers = np.asarray(plan.powers)
 
-    m_tx = tx_moments(cfg.dac, pbar)
-    pred = predict_spectrum(plan, m_tx)
-    m_rx = chain_moments(cfg.dac, cfg.noise_power, cfg.adc, pbar) if with_chain else None
+    pred = predict_spectrum(plan, tx_moments(cfg.dac, pbar))
+    m = chain_moments(cfg.dac, cfg.noise_power, cfg.adc, pbar)
+    # with nothing after the DAC the received stream is the transmitted one
+    ideal_rx = cfg.noise_power == 0.0 and cfg.adc.is_identity
 
     trial_s = np.empty((cfg.trials, nb))
-    rho_trials = np.empty((cfg.trials, nb)) if with_chain else None
+    rho_trials = np.empty((cfg.trials, nb))
     w_parts, z_parts = [], []
 
     for t in range(cfg.trials):
@@ -241,22 +240,17 @@ def _run(cfg: SimConfig, with_chain: bool) -> SimReport:
         # the pair's bound methods hold the trial's chain: free the last
         # trial's reflectors before drawing the next
         modulate = demodulate = None
-        modulate, demodulate = _transform(cfg.transform, n, rng)
+        modulate, demodulate = TRANSFORMS[cfg.transform](n, rng)
         z = _draw_symbols(rng, powers, assign)
         x = np.asarray(quantize(cfg.dac, modulate(z)))
         r = demodulate(x)
         trial_s[t] = _band_energy(r, assign, nb, n)
 
-        if with_chain:
-            y = add_awgn(x, cfg.noise_power, rng)
-            z_hat = demodulate(np.asarray(quantize(cfg.adc, y)))
-            w = z_hat - m_rx.gain * z
-            for m in range(nb):
-                sel = assign == m
-                rho_trials[t, m] = _corr_mag(z[sel], z_hat[sel]) ** 2
-        else:
-            w = r - m_tx.gain * z
-        w_parts.append(w)
+        y = add_awgn(x, cfg.noise_power, rng)  # draws nothing at noise power 0
+        z_hat = r if ideal_rx else demodulate(np.asarray(quantize(cfg.adc, y)))
+        for b, sel in enumerate(bands):
+            rho_trials[t, b] = _corr_mag(z[sel], z_hat[sel]) ** 2
+        w_parts.append(z_hat - m.gain * z)
         z_parts.append(z)
 
     def trial_se(x):
@@ -269,13 +263,14 @@ def _run(cfg: SimConfig, with_chain: bool) -> SimReport:
 
     diag = _noise_diagnostics(np.concatenate(w_parts), np.concatenate(z_parts))
 
-    rho = rho_se = rho_pred = None
-    if with_chain:
-        rho = _floats(rho_trials.mean(axis=0))
-        rho_se = _floats(trial_se(rho_trials))
-        g2 = m_rx.gain**2
-        rho_pred = _floats(g2 * powers / (g2 * powers + m_rx.noise * pbar))
-
+    corr = {}
+    if with_correlation:
+        g2 = m.gain**2
+        corr = dict(
+            band_correlation=_floats(rho_trials.mean(axis=0)),
+            band_correlation_se=_floats(trial_se(rho_trials)),
+            predicted_band_correlation=_floats(g2 * powers / (g2 * powers + m.noise * pbar)),
+        )
     return SimReport(
         band_energy=_floats(mean_s),
         band_energy_se=_floats(trial_se(trial_s)),
@@ -287,19 +282,19 @@ def _run(cfg: SimConfig, with_chain: bool) -> SimReport:
         band_energy_rel_err=_floats(rel_err),
         noise_diagnostics=diag,
         trial_band_energy=tuple(_floats(row) for row in trial_s),
-        band_correlation=rho,
-        band_correlation_se=rho_se,
-        predicted_band_correlation=rho_pred,
+        **corr,
     )
 
 
 def run_tx_trials(cfg: SimConfig) -> SimReport:
     """Transmit-side experiment: spectrum concentration and quantization-noise
-    Gaussianity/independence diagnostics."""
-    return _run(cfg, with_chain=False)
+    Gaussianity/independence diagnostics.  It is the chain experiment with a
+    noiseless channel and an ideal ADC, whatever ``cfg`` sets for those."""
+    tx = replace(cfg, noise_power=0.0, adc=QuantizerSpec.identity())
+    return _run(tx, with_correlation=False)
 
 
 def run_chain_trials(cfg: SimConfig) -> SimReport:
     """Full-chain experiment: adds the per-band input/output correlation and
     its predicted limit."""
-    return _run(cfg, with_chain=True)
+    return _run(cfg, with_correlation=True)

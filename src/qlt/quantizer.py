@@ -110,7 +110,7 @@ class Constellation:
     """Finite set of complex output points of a quantizer.
 
     ``points`` is a read-only copy of the array passed in, so the energy data
-    and solve memo derived from it below stay valid for the object's life.
+    derived from it below stay valid for the object's life.
     """
 
     points: np.ndarray
@@ -147,12 +147,6 @@ class Constellation:
             a.flags.writeable = False
         return energies, counts, weighted
 
-    @cached_property
-    def solved_targets(self) -> dict:
-        """Memo of :mod:`qlt.bounds` max-entropy solves, keyed by the exact
-        target energy; it lives and dies with this object."""
-        return {}
-
     @property
     def min_energy(self) -> float:
         return float(self.energies.min())
@@ -170,10 +164,7 @@ class Constellation:
 def _map_dim(spec: QuantizerSpec, x: np.ndarray) -> np.ndarray:
     if spec.kind == "uniform_midrise":
         return _kernels.midrise_map(x, float(spec.clip), 2 ** spec.bits)
-    lv = spec.levels_per_dim()
-    if lv.size == 1:
-        return np.full_like(x, lv[0])
-    return _kernels.nearest_map(x, lv, spec.thresholds_per_dim())
+    return _kernels.nearest_map(x, spec.levels_per_dim(), spec.thresholds_per_dim())
 
 
 def quantize(spec: QuantizerSpec, u):

@@ -146,8 +146,6 @@ def _edge_window(nfft: int, taper: float) -> tuple[np.ndarray, int]:
     exactly one, so overlap-added symbols have a flat power envelope.
     """
     ov = int(round(taper * nfft / 2.0))
-    if ov == 0:
-        return np.ones(nfft), 0
     ramp = 0.5 * (1.0 - np.cos(np.pi * (np.arange(ov) + 0.5) / ov))
     power = np.concatenate((ramp, np.ones(nfft - 2 * ov), ramp[::-1]))
     return np.sqrt(power), ov
@@ -179,14 +177,11 @@ def synthesize_baseband(cfg: WaveformConfig) -> np.ndarray:
         scale = 1.0
     symbols = np.fft.ifft(grid, axis=1, norm="ortho") * scale
     win, ov = _edge_window(nfft, cfg.symbol_taper)
-    if ov == 0:
-        stream = symbols.ravel()
-    else:
-        hop = nfft - ov
-        stream = np.zeros(nsym * hop + ov, dtype=complex)
-        symbols = symbols * win
-        for k in range(nsym):
-            stream[k * hop : k * hop + nfft] += symbols[k]
+    hop = nfft - ov
+    stream = np.zeros(nsym * hop + ov, dtype=complex)
+    symbols = symbols * win
+    for k in range(nsym):
+        stream[k * hop : k * hop + nfft] += symbols[k]
 
     up = cfg.interp_factor
     if up == 1:

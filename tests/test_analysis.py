@@ -147,6 +147,18 @@ def test_non_finite_shares_are_rejected(nu):
             call()
 
 
+def test_zero_output_quantizer_is_a_numerical_failure():
+    # a single level at 0 gives gain 0 and noise 0: no power to share
+    m0 = tx_moments(QuantizerSpec.custom_levels([0.0]), 1.0)
+    assert (m0.gain, m0.noise) == (0.0, 0.0)
+    with pytest.raises(NumericalFailureError, match="zero-output chain"):
+        predict_spectrum(SubbandPlan((0.5, 0.5), (1.5, 0.5)), m0)
+    with pytest.raises(NumericalFailureError, match="zero-output chain"):
+        noise_free_rate((0.5, 0.5), m0, (0.5, 0.5))
+    with pytest.raises(InfiniteRateError, match="identity DAC"):
+        noise_free_rate((0.5, 0.5), tx_moments(QuantizerSpec.identity(), 1.0), (0.5, 0.5))
+
+
 def test_zero_gain_inversion_is_a_numerical_failure():
     m = AgnMoments(gain=0.0, noise=1.0, input_power=1.0)
     # with no signal gain every share sits on its floor, the fractions

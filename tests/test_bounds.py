@@ -191,6 +191,8 @@ def _solve_hex(cset, s):
 
 @pytest.mark.parametrize("bits", [1, 2, 3, 4, 5, 6, "grid16"])
 def test_solve_memo_is_bit_identical_to_a_fresh_constellation(bits):
+    # repeated solves on one constellation match a fresh constellation's bit
+    # for bit, whatever was solved on it before
     def fresh():
         if bits == "grid16":
             return Constellation(points=GRID16.points)
@@ -226,7 +228,6 @@ def test_failed_solves_raise_on_every_call(monkeypatch):
         with pytest.raises(BoundaryEnergyError):
             rate_function(cset, cset.max_energy)
         assert max_entropy(cset, cset.max_energy) == 2.0
-    assert too_high not in cset.solved_targets
 
 
 def _aclr_cfg(tmp_path, out):
@@ -266,7 +267,7 @@ def test_sweep_aclr_solves_each_total_energy_once(tmp_path, monkeypatch):
     assert 0 < len(solves) <= len(totals) < 30
 
 
-def test_solve_memo_does_not_outlive_its_op(tmp_path, monkeypatch):
+def test_solves_do_not_carry_across_ops(tmp_path, monkeypatch):
     counts = []
     original = qlt.bounds.tilted_mean_energy
 

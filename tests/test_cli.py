@@ -127,6 +127,29 @@ def test_numerical_failure_exits_3(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("experiment, params", [
+    ("spectrum", {}),
+    ("montecarlo", {"size": 16, "trials": 2}),
+])
+def test_zero_output_quantizer_exits_3_without_output(tmp_path, capsys, experiment, params):
+    cfg = {
+        "schema_version": 1,
+        "experiment": experiment,
+        "output": {"format": "json", "path": str(tmp_path / "out")},
+        "params": {
+            "quantizer": {"kind": "custom_levels", "levels": [0]},
+            "fractions": [0.5, 0.5],
+            "powers": [1.5, 0.5],
+            **params,
+        },
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([experiment, "--config", write_cfg(tmp_path, cfg)]) == 3
+    assert "zero-output chain" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_spectrum_and_rate_csv(tmp_path):
     cfg = {
         "schema_version": 1,

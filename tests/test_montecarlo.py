@@ -193,9 +193,8 @@ def test_sim_config_validation():
         SimConfig(size=0, plan=SHAPED_PLAN, dac=ONE_BIT)
     with pytest.raises(ValueError):
         SimConfig(size=16, plan=SHAPED_PLAN, dac=ONE_BIT, transform="dct")
-    bad = tuple([0] * 15 + [1])  # fractions far from (0.5, 0.5)
-    with pytest.raises(ValueError):
-        SimConfig(size=16, plan=SHAPED_PLAN, dac=ONE_BIT, assignment=bad)
+    with pytest.raises(ValueError, match="unknown assignment layout"):
+        SimConfig(size=16, plan=SHAPED_PLAN, dac=ONE_BIT, assignment="striped")
 
 
 def test_identity_quantizer_trials_have_no_noise():
@@ -249,6 +248,30 @@ def test_tx_trials_layout_independent():
         reps[layout] = run_tx_trials(cfg)
     for layout, rep in reps.items():
         assert max(rep.band_energy_rel_err) < 0.05, layout
+
+
+def _hex(values):
+    return [v.hex() for v in values]
+
+
+@pytest.mark.parametrize("transform", ["haar", "fft"])
+@pytest.mark.parametrize("layout", ["contiguous", "interleaved"])
+def test_tx_trials_are_noiseless_ideal_adc_chain_trials(transform, layout):
+    # a transmit-only trial is the chain trial with nothing after the DAC
+    plan = SubbandPlan((0.3, 0.45, 0.25), (0.5, 1.5, 1.0))
+    cfg = SimConfig(size=96, plan=plan, dac=QuantizerSpec.uniform_midrise(3, 2.2),
+                    transform=transform, trials=4, seed=9, assignment=layout)
+    tx, chain = run_tx_trials(cfg), run_chain_trials(cfg)
+    for name in ("band_energy", "band_energy_se", "band_share"):
+        assert _hex(getattr(tx, name)) == _hex(getattr(chain, name)), name
+    assert _hex(tx.noise_diagnostics.values()) == _hex(chain.noise_diagnostics.values())
+    assert tx.band_correlation is tx.band_correlation_se is tx.predicted_band_correlation is None
+    assert chain.band_correlation is not None
+    # the transmit experiment ignores the channel and the ADC
+    noisy = SimConfig(size=96, plan=plan, dac=QuantizerSpec.uniform_midrise(3, 2.2),
+                      transform=transform, trials=4, seed=9, assignment=layout,
+                      noise_power=0.4, adc=QuantizerSpec.uniform_midrise(2, 1.9))
+    assert json_text(run_tx_trials(noisy)) == json_text(tx)
 
 
 def test_chain_full_noisy_quantized_chain():

@@ -3,8 +3,9 @@
 Each preset in configs/ runs in-process with its own seed, and the sha256 of
 every file it writes is compared with the digest recorded here.
 ``resolved_config.json`` is hashed with ``output.path`` removed, since that
-holds the output directory.  A change that moves preset bytes on purpose
-records the new digests and says why.
+holds the output directory.  The ``qlt defaults`` dumps are pinned the same
+way.  A change that moves these bytes on purpose records the new digests and
+says why.
 """
 
 import hashlib
@@ -43,6 +44,12 @@ DIGESTS = {
 }
 
 
+DEFAULTS_DIGESTS = {
+    "json": "eaacc86e1269402b8a4f0583c07d9d90d9c786bc24747edd28f6a37cb47d523a",
+    "csv": "98a0d68673c1f1b6b9e25a9c6caca5a2a703c5dbcfbc463243bdf9120edafabc",
+}
+
+
 def preset_digests(preset: pathlib.Path, out: pathlib.Path) -> dict:
     """Run ``preset`` into ``out``; sha256 per written file name."""
     experiment = json.loads(preset.read_text())["experiment"]
@@ -65,3 +72,10 @@ def test_every_preset_is_pinned():
 @pytest.mark.parametrize("name", sorted(DIGESTS))
 def test_preset_outputs_are_byte_identical(tmp_path, capsys, name):
     assert preset_digests(CONFIGS / f"{name}.json", tmp_path / name) == DIGESTS[name]
+
+
+@pytest.mark.parametrize("fmt", sorted(DEFAULTS_DIGESTS))
+def test_defaults_dump_is_byte_identical(capsys, fmt):
+    assert main(["defaults", "--format", fmt]) == 0
+    data = capsys.readouterr().out.encode()
+    assert hashlib.sha256(data).hexdigest() == DEFAULTS_DIGESTS[fmt]
