@@ -12,13 +12,22 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ContractError, FeasibilityError, InfiniteRateError, NumericalFailureError
-from .moments import AgnMoments
+from .moments import AgnMoments, _check_noise_power
 
 #: Absolute slack used in feasibility boundary comparisons, absorbing
 #: float round-off of share -> power -> share round trips.
 FEASIBILITY_SLACK = 1e-12
 
 _SIMPLEX_TOL = 1e-9
+
+
+def _check_fractions(fractions) -> None:
+    """ValueError unless the bandwidth fractions are positive and sum to 1."""
+    fr = np.asarray(fractions, dtype=float)
+    if np.any(fr <= 0):
+        raise ValueError("all bandwidth fractions must be positive")
+    if abs(fr.sum() - 1.0) > 1e-12:
+        raise ValueError("bandwidth fractions must sum to 1")
 
 
 @dataclass(frozen=True)
@@ -37,10 +46,7 @@ class SubbandPlan:
         pw = np.asarray(self.powers, dtype=float)
         if fr.ndim != 1 or fr.size == 0 or fr.shape != pw.shape:
             raise ValueError("fractions and powers must be equal-length 1-D sequences")
-        if np.any(fr <= 0):
-            raise ValueError("all bandwidth fractions must be positive")
-        if abs(fr.sum() - 1.0) > 1e-12:
-            raise ValueError("bandwidth fractions must sum to 1")
+        _check_fractions(fr)
         if np.any(pw < 0):
             raise ValueError("powers must be non-negative")
         if float(fr @ pw) <= 0:
@@ -213,8 +219,7 @@ def linear_rate(plan: SubbandPlan, m_rx: AgnMoments) -> RateReport:
 
 def _awgn_noise(plan: SubbandPlan, m_tx: AgnMoments, noise_power):
     """Normalized chain noise: the transmit noise plus noise_power / mean_power."""
-    if not np.all(noise_power >= 0):
-        raise ValueError("noise_power must be >= 0")
+    _check_noise_power(noise_power)
     _check_power_match(m_tx, plan.mean_power)
     noise = m_tx.noise + noise_power / plan.mean_power
     if not np.all(np.isfinite(noise)):

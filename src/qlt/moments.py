@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr  # Gaussian CDF, vectorized and exact in the tails
 
-from ._rng import substream
+from ._rng import complex_normal, substream
 from .errors import NumericalFailureError
 from .quantizer import QuantizerSpec, quantize
 
@@ -72,22 +72,26 @@ def _norm_pdf(z):
     return np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi)
 
 
+def _cell_probs(spec: QuantizerSpec, means: np.ndarray, sigma: float) -> np.ndarray:
+    """``P(m + N in cell)`` for each level cell (columns) and each mean m
+    (rows), N ~ N(0, sigma^2)."""
+    thr = spec.thresholds_per_dim()
+    cdf = np.zeros((means.size, thr.size + 2))
+    cdf[:, -1] = 1.0
+    cdf[:, 1:-1] = ndtr((thr[None, :] - means[:, None]) / sigma)
+    return np.diff(cdf, axis=1)
+
+
 def _dim_cells(spec: QuantizerSpec, sigma: float):
     """Per-dimension cell statistics of a quantizer driven by N(0, sigma^2).
 
     Returns (levels, prob, m1) where for each output level cell
     ``prob = P(X in cell)`` and ``m1 = E[X; cell]``.
     """
-    lv = spec.levels_per_dim()
-    thr = np.concatenate(([-np.inf], spec.thresholds_per_dim(), [np.inf]))
-    z = thr / sigma
-    cdf = np.concatenate(([0.0], ndtr(z[1:-1]), [1.0]))
-    pdf = np.zeros_like(z)
-    inner = np.isfinite(z)
-    pdf[inner] = _norm_pdf(z[inner])
-    prob = np.diff(cdf)
+    z = spec.thresholds_per_dim() / sigma
+    pdf = np.concatenate(([0.0], _norm_pdf(z), [0.0]))
     m1 = sigma * (pdf[:-1] - pdf[1:])
-    return lv, prob, m1
+    return spec.levels_per_dim(), _cell_probs(spec, np.zeros(1), sigma)[0], m1
 
 
 def _dim_qx_q2(spec: QuantizerSpec, sigma: float):
@@ -103,17 +107,12 @@ def _dim_qx_q2(spec: QuantizerSpec, sigma: float):
 
 def _dim_noisy_response(spec: QuantizerSpec, values: np.ndarray, sigma_n: float):
     """(E[q(v + N)], E[q(v + N)^2]) for each v in values, N ~ N(0, sigma_n^2)."""
-    lv = spec.levels_per_dim()
     if sigma_n == 0.0:
+        # a value exactly on a threshold would make the cell sum 0/0
         out = np.asarray(quantize(spec, values + 0j)).real
         return out, out**2
-    thr = np.concatenate(([-np.inf], spec.thresholds_per_dim(), [np.inf]))
-    z = (thr[None, :] - values[:, None]) / sigma_n
-    cdf = np.empty_like(z)
-    cdf[:, 0] = 0.0
-    cdf[:, -1] = 1.0
-    cdf[:, 1:-1] = ndtr(z[:, 1:-1])
-    cellp = np.diff(cdf, axis=1)
+    lv = spec.levels_per_dim()
+    cellp = _cell_probs(spec, values, sigma_n)
     return cellp @ lv, cellp @ lv**2
 
 
@@ -168,22 +167,19 @@ def add_awgn(x: np.ndarray, noise_power: float, rng) -> np.ndarray:
     nothing from ``rng``."""
     if noise_power == 0.0:
         return x
-    scale = np.sqrt(noise_power / 2.0)
-    xi = scale * (rng.standard_normal(x.shape) + 1j * rng.standard_normal(x.shape))
-    return x + xi
+    return x + complex_normal(rng, noise_power, x.shape)
 
 
-def _check_noise_power(noise_power: float) -> None:
-    if not noise_power >= 0:  # also rejects NaN
+def _check_noise_power(noise_power) -> None:
+    if not np.all(noise_power >= 0):  # also rejects NaN
         raise ValueError("noise_power must be >= 0")
 
 
-def _mc_moments(sample_chain, pbar, method: MonteCarlo, tag) -> AgnMoments:
-    rng = substream(method.seed, "moments", tag)
+def _mc_moments(qtx, noise_power, qrx, pbar, method: MonteCarlo, stream) -> AgnMoments:
+    rng = substream(method.seed, "moments", stream)
     n = method.samples
-    sigma = np.sqrt(pbar / 2.0)
-    u = sigma * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    s = sample_chain(u, rng)
+    u = complex_normal(rng, pbar, n)
+    s = quantize(qrx, add_awgn(quantize(qtx, u), noise_power, rng))
     cross = np.conj(s) * u
     # the chain is I/Q-symmetric, so the imaginary part is sampling noise
     gain = float((np.mean(cross) / pbar).real)
@@ -202,15 +198,23 @@ def _mc_moments(sample_chain, pbar, method: MonteCarlo, tag) -> AgnMoments:
 # public operations
 # ---------------------------------------------------------------------------
 
-def tx_moments(q: QuantizerSpec, pbar: float, method=Quadrature()) -> AgnMoments:
-    """Decomposition moments of the transmit quantizer alone at input power pbar."""
+def _moments(qtx, noise_power, qrx, pbar, method, stream) -> AgnMoments:
+    """Moments of the DAC -> AWGN -> ADC chain; ``stream`` names the
+    Monte-Carlo substream."""
     if pbar <= 0:
         raise ValueError("pbar must be positive")
+    _check_noise_power(noise_power)
     if isinstance(method, Quadrature):
-        return _tx_exact(q, pbar)
+        return _chain_exact(qtx, noise_power, qrx, pbar)
     if isinstance(method, MonteCarlo):
-        return _mc_moments(lambda u, rng: quantize(q, u), pbar, method, "tx")
+        return _mc_moments(qtx, noise_power, qrx, pbar, method, stream)
     raise TypeError("method must be Quadrature or MonteCarlo")
+
+
+def tx_moments(q: QuantizerSpec, pbar: float, method=Quadrature()) -> AgnMoments:
+    """Decomposition moments of the transmit quantizer alone at input power
+    pbar: the chain with a noiseless channel and an ideal ADC."""
+    return _moments(q, 0.0, QuantizerSpec.identity(), pbar, method, "tx")
 
 
 def chain_moments(
@@ -218,15 +222,4 @@ def chain_moments(
 ) -> AgnMoments:
     """Decomposition moments of the full DAC -> AWGN -> ADC chain, with
     ``noise_power`` the channel's complex noise variance."""
-    if pbar <= 0:
-        raise ValueError("pbar must be positive")
-    _check_noise_power(noise_power)
-    if isinstance(method, Quadrature):
-        return _chain_exact(qtx, noise_power, qrx, pbar)
-    if isinstance(method, MonteCarlo):
-
-        def sample_chain(u, rng):
-            return quantize(qrx, add_awgn(np.asarray(quantize(qtx, u)), noise_power, rng))
-
-        return _mc_moments(sample_chain, pbar, method, "chain")
-    raise TypeError("method must be Quadrature or MonteCarlo")
+    return _moments(qtx, noise_power, qrx, pbar, method, "chain")

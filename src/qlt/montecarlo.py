@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
-from ._rng import substream
+from ._rng import complex_normal, substream
 from .analysis import SubbandPlan, _floats, predict_spectrum
 from .moments import _check_noise_power, add_awgn, chain_moments, tx_moments
 from .quantizer import QuantizerSpec, quantize
@@ -172,12 +172,6 @@ class SimReport:
     predicted_band_correlation: Optional[tuple] = None
 
 
-def _draw_symbols(rng, powers, assign):
-    p = np.asarray(powers)[assign]
-    scale = np.sqrt(p / 2.0)
-    return scale * (rng.standard_normal(assign.size) + 1j * rng.standard_normal(assign.size))
-
-
 def _band_energy(values, assign, nbands, n):
     return np.bincount(assign, weights=np.abs(values) ** 2, minlength=nbands) / n
 
@@ -225,6 +219,7 @@ def _run(cfg: SimConfig, with_correlation: bool) -> SimReport:
     bands = [assign == m for m in range(nb)]
     pbar = plan.mean_power
     powers = np.asarray(plan.powers)
+    symbol_power = powers[assign]
 
     pred = predict_spectrum(plan, tx_moments(cfg.dac, pbar))
     m = chain_moments(cfg.dac, cfg.noise_power, cfg.adc, pbar)
@@ -241,13 +236,13 @@ def _run(cfg: SimConfig, with_correlation: bool) -> SimReport:
         # trial's reflectors before drawing the next
         modulate = demodulate = None
         modulate, demodulate = TRANSFORMS[cfg.transform](n, rng)
-        z = _draw_symbols(rng, powers, assign)
-        x = np.asarray(quantize(cfg.dac, modulate(z)))
+        z = complex_normal(rng, symbol_power, n)
+        x = quantize(cfg.dac, modulate(z))
         r = demodulate(x)
         trial_s[t] = _band_energy(r, assign, nb, n)
 
         y = add_awgn(x, cfg.noise_power, rng)  # draws nothing at noise power 0
-        z_hat = r if ideal_rx else demodulate(np.asarray(quantize(cfg.adc, y)))
+        z_hat = r if ideal_rx else demodulate(quantize(cfg.adc, y))
         for b, sel in enumerate(bands):
             rho_trials[t, b] = _corr_mag(z[sel], z_hat[sel]) ** 2
         w_parts.append(z_hat - m.gain * z)
@@ -265,11 +260,13 @@ def _run(cfg: SimConfig, with_correlation: bool) -> SimReport:
 
     corr = {}
     if with_correlation:
-        g2 = m.gain**2
+        g2p = m.gain**2 * powers
+        # a zero-power band predicts 0, the noise -> 0 limit of its 0/0 in a noiseless chain
+        rho = np.divide(g2p, g2p + m.noise * pbar, out=np.zeros(nb), where=powers > 0)
         corr = dict(
             band_correlation=_floats(rho_trials.mean(axis=0)),
             band_correlation_se=_floats(trial_se(rho_trials)),
-            predicted_band_correlation=_floats(g2 * powers / (g2 * powers + m.noise * pbar)),
+            predicted_band_correlation=_floats(rho),
         )
     return SimReport(
         band_energy=_floats(mean_s),

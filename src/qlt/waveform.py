@@ -34,14 +34,6 @@ from ._rng import substream
 from .moments import tx_moments
 from .quantizer import DEFAULT_KAPPA, QuantizerSpec, quantize
 
-#: Per-symbol raised-cosine taper fraction (Tukey window alpha).
-DEFAULT_SYMBOL_TAPER = 0.1
-
-#: Interpolation filter defaults: windowed-sinc length and Kaiser design
-#: attenuation.
-DEFAULT_FILTER_TAPS = 255
-DEFAULT_FILTER_ATTEN_DB = 100.0
-
 
 @dataclass(frozen=True)
 class WaveformConfig:
@@ -62,9 +54,11 @@ class WaveformConfig:
     dac_bits: int | None = None
     dac_kappa: float = DEFAULT_KAPPA
     dac_clip: float | None = None
-    symbol_taper: float = DEFAULT_SYMBOL_TAPER
-    filter_taps: int = DEFAULT_FILTER_TAPS
-    filter_attenuation_db: float = DEFAULT_FILTER_ATTEN_DB
+    # per-symbol raised-cosine taper fraction (Tukey window alpha)
+    symbol_taper: float = 0.1
+    # interpolation filter: windowed-sinc length and Kaiser design attenuation
+    filter_taps: int = 255
+    filter_attenuation_db: float = 100.0
     zoh: bool = True
     psd_segment_length: int = 4096
     psd_overlap: float = 0.5
@@ -169,6 +163,7 @@ def synthesize_baseband(cfg: WaveformConfig) -> np.ndarray:
         bins = bins[np.asarray(cfg.enabled_subcarriers, dtype=int)]
     grid = np.zeros((nsym, nfft), dtype=complex)
     if bins.size:
+        # not _rng.complex_normal: its sqrt(1/2) scale rounds differently from / sqrt(2)
         grid[:, bins] = (
             rng.standard_normal((nsym, bins.size)) + 1j * rng.standard_normal((nsym, bins.size))
         ) / np.sqrt(2.0)

@@ -150,6 +150,30 @@ def test_zero_output_quantizer_exits_3_without_output(tmp_path, capsys, experime
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("experiment, params, message", [
+    ("sweep-aclr", {"bits": [1], "fractions": [1.0, 0.0],
+                    "aclr_db": {"start": 0.0, "stop": 1.0, "step": 1.0}}, "must be positive"),
+    ("sweep-aclr", {"bits": [1], "fractions": [0.5, 0.5000000005],
+                    "aclr_db": {"start": 0.0, "stop": 1.0, "step": 1.0}}, "must sum to 1"),
+    ("upper-bound", {"quantizer": {"kind": "uniform_midrise", "bits": 1, "clip": 1.0},
+                     "fractions": [1.0, 0.0], "band_energy": [1.0, 1.0]}, "must be positive"),
+], ids=["sweep-aclr-zero", "sweep-aclr-sum", "upper-bound-zero"])
+def test_every_experiment_rejects_the_fractions_a_plan_rejects(
+    tmp_path, capsys, experiment, params, message
+):
+    cfg = {
+        "schema_version": 1,
+        "experiment": experiment,
+        "output": {"format": "json", "path": str(tmp_path / "out")},
+        "params": params,
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([experiment, "--config", write_cfg(tmp_path, cfg)]) == 2
+    assert f"bandwidth fractions {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_spectrum_and_rate_csv(tmp_path):
     cfg = {
         "schema_version": 1,

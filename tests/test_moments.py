@@ -182,6 +182,50 @@ def test_monte_carlo_chain_gain_is_real():
     assert abs(mc.gain - exact.gain) < 4 * mc.gain_stderr
 
 
+_GRID_QUANTIZERS = [
+    QuantizerSpec.identity(),
+    QuantizerSpec.custom_levels([0.7]),
+    QuantizerSpec.custom_levels([-1.3, -0.2, 0.4, 1.1]),
+    *(QuantizerSpec.uniform_midrise(b, c) for b in range(1, 9) for c in (0.5, 1.0, 2.0, 4.0)),
+]
+
+
+@pytest.mark.parametrize("pbar", [0.1, 1.0, 1.581, 7.0])
+def test_tx_moments_are_the_noiseless_ideal_adc_chain_moments(pbar):
+    for q in _GRID_QUANTIZERS:
+        tx = tx_moments(q, pbar)
+        chain = chain_moments(q, 0.0, QuantizerSpec.identity(), pbar)
+        assert (tx.gain.hex(), tx.noise.hex()) == (chain.gain.hex(), chain.noise.hex())
+
+
+_MC_CUSTOM = QuantizerSpec.custom_levels([-1.3, -0.2, 0.4, 1.1])
+
+
+@pytest.mark.parametrize("moments, expected", [
+    (lambda: tx_moments(QuantizerSpec.uniform_midrise(2, 1.0), 1.0,
+                        MonteCarlo(samples=4000, seed=7)),
+     ("0x1.b4f70931f2094p-1", "0x1.92882d81c6e4cp-4",
+      "0x1.5f514fffc4508p-7", "0x1.a6652171b87d7p-10")),
+    (lambda: tx_moments(_MC_CUSTOM, 2.5, MonteCarlo(samples=1000, seed=11)),
+     ("0x1.77456c8fdf602p-1", "0x1.824ac51feaaf7p-4",
+      "0x1.0f3c067b62906p-6", "0x1.d05a100bebc85p-9")),
+    (lambda: chain_moments(QuantizerSpec.uniform_midrise(2, 1.0), 0.3,
+                           QuantizerSpec.uniform_midrise(3, 1.5), 1.0,
+                           MonteCarlo(samples=4000, seed=7)),
+     ("0x1.a9542620a6854p-1", "0x1.a987e98fe68d7p-2",
+      "0x1.8b4399c879e95p-7", "0x1.a1fdf00784e48p-8")),
+    (lambda: chain_moments(QuantizerSpec.identity(), 0.05, QuantizerSpec.uniform_midrise(1, 1.0),
+                           2.5, MonteCarlo(samples=1000, seed=11)),
+     ("0x1.77a48cbab9b63p-1", "0x1.2cbc67ddf7b9ep-2",
+      "0x1.9d84457dac87dp-7", "0x1.b86d3136681abp-8")),
+], ids=["tx-midrise", "tx-custom", "chain-midrise", "chain-identity-dac"])
+def test_monte_carlo_moments_pin_their_streams(moments, expected):
+    # tx and chain sample from their own named substreams ("tx", "chain"), the
+    # inputs before the channel noise; these bits pin both
+    m = moments()
+    assert (m.gain.hex(), m.noise.hex(), m.gain_stderr.hex(), m.noise_stderr.hex()) == expected
+
+
 @pytest.mark.parametrize("noise_power", [-0.1, -1e-300, math.nan])
 def test_chain_rejects_a_negative_or_nan_noise_power(noise_power):
     q = QuantizerSpec.uniform_midrise(2, 1.8)

@@ -1,6 +1,8 @@
 import hashlib
 import math
 import tracemalloc
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -375,16 +377,35 @@ def test_determinism_bit_identical_reports():
 
 def test_chain_trials_digest_pins_the_awgn_draws():
     # the channel noise is drawn from each trial's stream after the transform
-    # and the symbols; the report's bytes pin that order
+    # and the symbols; the report's bytes pin that order, and the tx and fft
+    # runs pin the symbol draws alone and without a transform draw
     cfg = SimConfig(
         size=64, plan=SubbandPlan((0.5, 0.5), (1.5, 0.5)),
         dac=QuantizerSpec.uniform_midrise(2, 1.8), noise_power=0.3,
         adc=QuantizerSpec.uniform_midrise(3, 2.6), trials=3, seed=21,
     )
-    text = json_text(run_chain_trials(cfg))
-    assert hashlib.sha256(text.encode()).hexdigest() == (
-        "dad689f5519231637391527e8d02b34429a8ae4e5752101b00a62982344d1012"
-    )
+    fft = replace(cfg, transform="fft", assignment="interleaved", dac=QuantizerSpec.identity())
+    digests = [
+        hashlib.sha256(json_text(rep).encode()).hexdigest()
+        for rep in (run_chain_trials(cfg), run_tx_trials(cfg), run_chain_trials(fft))
+    ]
+    assert digests == [
+        "dad689f5519231637391527e8d02b34429a8ae4e5752101b00a62982344d1012",
+        "806eb7287c537ca2e10a18ad1d0eba0e75564e9931ef0ba05e8506fd7b6adfb0",
+        "90b7a8fff2139d03cf031d404a375d6d66021aa92886821cce50dfc59552c419",
+    ]
+
+
+def test_a_zero_power_band_of_a_noiseless_chain_predicts_zero_correlation():
+    # the predicted correlation is 0/0 there; its limit as the noise -> 0 is 0,
+    # which is also what the measured correlation reports
+    cfg = SimConfig(size=64, plan=SubbandPlan((0.5, 0.5), (2.0, 0.0)),
+                    dac=QuantizerSpec.identity(), trials=2, seed=4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = run_chain_trials(cfg)
+    assert rep.predicted_band_correlation == (1.0, 0.0)
+    assert rep.band_correlation[1] == 0.0
 
 
 @pytest.mark.parametrize("noise_power", [-0.1, math.nan])
