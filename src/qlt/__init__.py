@@ -12,6 +12,7 @@ from .analysis import (
     kl_divergence,
     linear_rate,
     noise_free_rate,
+    noise_free_rates,
     powers_from_fractions,
     predict_spectrum,
     share_floor,

@@ -22,11 +22,12 @@ _SIMPLEX_TOL = 1e-9
 
 
 def _check_fractions(fractions) -> None:
-    """ValueError unless the bandwidth fractions are positive and sum to 1."""
+    """ValueError unless the bandwidth fractions are positive and sum to 1
+    (so a NaN fraction fails)."""
     fr = np.asarray(fractions, dtype=float)
-    if np.any(fr <= 0):
+    if not np.all(fr > 0):
         raise ValueError("all bandwidth fractions must be positive")
-    if abs(fr.sum() - 1.0) > 1e-12:
+    if not abs(fr.sum() - 1.0) <= 1e-12:
         raise ValueError("bandwidth fractions must sum to 1")
 
 
@@ -102,8 +103,14 @@ def share_floor(fractions, m: AgnMoments) -> np.ndarray:
     share can be pushed below this floor by any power allocation.
     """
     fr = np.asarray(fractions, dtype=float)
-    g2 = m.gain**2
-    return fr * m.noise / (g2 + m.noise)
+    return np.reshape(_floors(fr.ravel().tolist(), m), fr.shape)
+
+
+def _floors(fractions: list, m: AgnMoments) -> list:
+    """The share floor of each of a list of fractions, as floats; NaN (0/0)
+    for a zero-output chain."""
+    total = m.gain**2 + m.noise
+    return [f * m.noise / total if total else math.nan for f in fractions]
 
 
 def predict_spectrum(plan: SubbandPlan, m_tx: AgnMoments) -> SpectrumReport:
@@ -129,16 +136,21 @@ def _check_simplex(nu) -> np.ndarray:
     arr = np.asarray(nu, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("share vector must be a non-empty 1-D sequence")
-    # checked as Python floats, far faster than numpy reductions over a few
-    # shares; a NaN or infinite share makes the total non-finite (inf + -inf
-    # without a RuntimeWarning), which fails the first test
-    shares = arr.tolist()
+    _check_shares(arr.tolist())
+    return arr
+
+
+def _check_shares(shares: list) -> None:
+    """ValueError unless a list of float shares is a probability vector.
+
+    Checked as Python floats, far faster than numpy reductions over a few
+    shares; a NaN or infinite share makes the total non-finite (inf + -inf
+    without a RuntimeWarning), which fails the first test."""
     total = sum(shares)
     if not abs(total - 1.0) <= _SIMPLEX_TOL:
         raise ValueError(f"shares must be finite and sum to 1 (got sum {total})")
     if min(shares) < -FEASIBILITY_SLACK:
         raise ValueError("shares must be non-negative")
-    return arr
 
 
 def feasible_fractions(fractions, m_tx: AgnMoments, nu) -> bool:
@@ -154,12 +166,23 @@ def _above_floor(fractions, m_tx: AgnMoments, nu) -> tuple[np.ndarray, np.ndarra
     """Fractions and shares as arrays; FeasibilityError at the first share short of a (NaN) floor."""
     arr = _check_simplex(nu)
     fr = np.asarray(fractions, dtype=float)
-    floor = share_floor(fr, m_tx)
-    bad = np.where(~(arr >= floor - FEASIBILITY_SLACK))[0]
-    if bad.size:
-        b = int(bad[0])
-        raise FeasibilityError(band=b, floor=float(floor[b]), value=float(arr[b]))
+    if fr.shape != arr.shape:
+        raise ValueError("distributions must have equal length")
+    floor, shares = _floors(fr.tolist(), m_tx), arr.tolist()
+    b = _first_short(floor, shares)
+    if b is not None:
+        # raised where it is made: an error held in a local would form a
+        # frame-traceback cycle that only the garbage collector frees
+        raise FeasibilityError(band=b, floor=floor[b], value=shares[b])
     return fr, arr
+
+
+def _first_short(floor: list, shares: list) -> int | None:
+    """The first band whose share is short of its (NaN) floor, or None."""
+    for b, (fl, s) in enumerate(zip(floor, shares)):
+        if not s >= fl - FEASIBILITY_SLACK:
+            return b
+    return None
 
 
 def powers_from_fractions(fractions, m_tx: AgnMoments, pbar: float, nu) -> np.ndarray:
@@ -180,14 +203,19 @@ def kl_divergence(delta, nu) -> float:
     n = _check_simplex(nu)
     if d.shape != n.shape:
         raise ValueError("distributions must have equal length")
+    return _kl_bits(d.tolist(), n.tolist())
+
+
+def _kl_bits(delta: list, nu: list) -> float:
+    """D(delta || nu) in bits of two checked, equal-length lists of floats."""
     total = 0.0
-    for dm, nm in zip(d, n):
+    for dm, nm in zip(delta, nu):
         if dm == 0.0:
             continue
         if nm <= 0.0:
             return math.inf
         total += dm * math.log2(dm / nm)
-    return float(total)
+    return total
 
 
 def _rate_terms(plan: SubbandPlan, gain: float, noise) -> np.ndarray:
@@ -262,23 +290,48 @@ def awgn_rates_at_transmit_snr(plan: SubbandPlan, m_tx: AgnMoments, snr) -> np.n
     return _rate_terms(plan, m_tx.gain, _noise_at_snr(plan, m_tx, snr)).sum(axis=-1)
 
 
-def noise_free_rate(fractions, m_tx: AgnMoments, nu) -> RateReport:
-    """Noise-free rate at a target share vector: the flat-allocation rate
-    log2(1 + |gain|^2/noise) minus the shaping penalty D(fractions || nu)."""
+def _flat_rate(m_tx: AgnMoments) -> float:
+    """log2(1 + |gain|^2/noise), the noise-free rate of a flat allocation."""
     if m_tx.noise == 0.0 and m_tx.gain == 0.0:
         raise NumericalFailureError("zero-output chain: the rate is undefined")
     if m_tx.noise == 0.0:
         raise InfiniteRateError("identity DAC with no noise: rate is unbounded")
+    return math.log2(1.0 + m_tx.gain**2 / m_tx.noise)
+
+
+def noise_free_rate(fractions, m_tx: AgnMoments, nu) -> RateReport:
+    """Noise-free rate at a target share vector: the flat-allocation rate
+    log2(1 + |gain|^2/noise) minus the shaping penalty D(fractions || nu)."""
+    flat = _flat_rate(m_tx)
     fr, arr = _above_floor(fractions, m_tx, nu)
-    g2 = m_tx.gain**2
-    kl = kl_divergence(fr, arr)
-    total = math.log2(1.0 + g2 / m_tx.noise) - kl
-    # per-band split via the identity with the equivalent power allocation
-    ratio = np.maximum(arr * (g2 + m_tx.noise) / (fr * m_tx.noise), 1.0)
-    terms = fr * np.log2(ratio)
+    frs, shares = _check_simplex(fr).tolist(), arr.tolist()
+    kl = _kl_bits(frs, shares)
+    g2, noise = m_tx.gain**2, m_tx.noise
+    # per-band split via the identity with the equivalent power allocation,
+    # on floats (a few bands) with numpy's log2
+    ratios = [max(s * (g2 + noise) / (f * noise), 1.0) for f, s in zip(frs, shares)]
     return RateReport(
-        bits_per_symbol=float(total),
-        band_bits=_floats(terms),
-        shaping_loss_bits=float(kl),
+        bits_per_symbol=flat - kl,
+        band_bits=tuple(f * b for f, b in zip(frs, np.log2(ratios).tolist())),
+        shaping_loss_bits=kl,
         regime="noise_free",
     )
+
+
+def noise_free_rates(fractions, m_tx: AgnMoments, rows) -> list[float | None]:
+    """``noise_free_rate(fractions, m_tx, row).bits_per_symbol`` for each row
+    of a 2-D array of target shares, with the chain, the fractions and the
+    share floor checked once; None where that call raises FeasibilityError.
+    A row that is not a share vector raises what it would alone."""
+    flat = _flat_rate(m_tx)
+    fr = _check_simplex(fractions)
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim != 2 or rows.shape[1:] != fr.shape:
+        raise ValueError("share rows must be a 2-D array as wide as the fractions")
+    fr = fr.tolist()
+    floor = _floors(fr, m_tx)
+    rates = []
+    for shares in rows.tolist():
+        _check_shares(shares)
+        rates.append(None if _first_short(floor, shares) is not None else flat - _kl_bits(fr, shares))
+    return rates

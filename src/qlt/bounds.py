@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import kl_divergence
+from .analysis import _check_shares, _check_simplex, _kl_bits
 from .errors import (
     BoundaryEnergyError,
     InfeasibleEnergyError,
@@ -154,9 +154,10 @@ def max_entropy(cset: Constellation, s: float) -> float:
 def _bound_rows(cset: Constellation, band_energy: np.ndarray, fractions) -> list[tuple]:
     """(max entropy, tilt, shaping loss) per row of target band energies; the
     loss is None where a band of positive fraction has a zero share.  Rows are
-    checked in order and each distinct total is solved once, so a failing row
+    checked in order (an unmasked row's shares before its solve, so a NaN row
+    is a ValueError) and each distinct total is solved once, so a failing row
     raises what it would alone."""
-    fr = np.asarray(fractions, dtype=float)
+    fr = _check_simplex(fractions)
     if band_energy.shape[1:] != fr.shape:
         raise ValueError("band_energy and fractions must have equal length")
     s_tot = band_energy.sum(axis=-1)
@@ -165,13 +166,16 @@ def _bound_rows(cset: Constellation, band_energy: np.ndarray, fractions) -> list
     negative = np.any(band_energy < 0, axis=-1).tolist()
     masked = np.any((shares == 0) & (fr > 0), axis=-1).tolist()
     out, solve = [], functools.cache(functools.partial(_entropy_and_tilt, cset))
+    fr = fr.tolist()
     for row, total, neg, mask in zip(shares.tolist(), s_tot.tolist(), negative, masked):
         if neg:
             raise ValueError("band energies must be non-negative")
         if total <= 0:
             raise ValueError("total target energy must be positive")
+        if not mask:
+            _check_shares(row)
         h, tilt = solve(total)
-        out.append((h, tilt, None if mask else kl_divergence(fr, row)))
+        out.append((h, tilt, None if mask else _kl_bits(fr, row)))
     return out
 
 

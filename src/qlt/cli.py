@@ -16,6 +16,7 @@ import math
 import sys
 from dataclasses import fields, is_dataclass
 from itertools import repeat
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import NamedTuple
 
@@ -334,15 +335,6 @@ def _power_ratios(grid, name: str) -> list:
 
 # --- result serialization (deterministic bytes)
 
-def _scalar(v):
-    """A numpy scalar as a Python one; +/-inf as the strings "inf" and "-inf"."""
-    if isinstance(v, np.generic):
-        v = v.item()
-    if isinstance(v, float) and math.isinf(v):
-        return "inf" if v > 0 else "-inf"
-    return v
-
-
 def _csv_bytes(header, rows) -> str:
     """CSV text; a cell is ``str`` of its value (floats give inf, -inf and
     nan), and None is an empty cell."""
@@ -356,21 +348,64 @@ def _csv_bytes(header, rows) -> str:
 def json_text(obj) -> str:
     """The JSON text every result and resolved config is written as.
 
-    Keys are sorted; dataclasses become objects, tuples arrays and numpy
-    scalars Python numbers; +/-inf become the strings "inf" and "-inf", and
-    NaN becomes null, so the text is strict JSON.
+    Objects have sorted (str) keys and arrays a two-space indent; dataclasses
+    become objects, tuples arrays and numpy scalars Python values; floats are
+    written by ``float.__repr__``, +/-inf as the strings "inf" and "-inf" and
+    NaN as null, so the text is strict JSON.  The bytes are those of
+    ``json.dumps(..., indent=2, sort_keys=True)`` on the converted values, in
+    one walk.
     """
-    def conv(v):
-        if is_dataclass(v):
-            v = vars(v)
-        if isinstance(v, dict):
-            return {k: conv(x) for k, x in v.items()}
-        if isinstance(v, (list, tuple)):
-            return [conv(x) for x in v]
-        v = _scalar(v)
-        return None if isinstance(v, float) and math.isnan(v) else v
+    out = []
+    _emit(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
 
-    return json.dumps(conv(obj), indent=2, sort_keys=True) + "\n"
+
+def _emit(v, newline: str, out: list) -> None:
+    """Append the JSON text of ``v``, nested at the indent after ``newline``."""
+    if isinstance(v, str):
+        out.append(_quote(v))
+    elif v is None:
+        out.append("null")
+    elif isinstance(v, bool):
+        out.append("true" if v else "false")
+    elif isinstance(v, float):
+        if v != v:
+            out.append("null")
+        elif math.isinf(v):
+            out.append('"inf"' if v > 0 else '"-inf"')
+        else:
+            out.append(float.__repr__(v))
+    elif isinstance(v, int):
+        out.append(int.__repr__(v))
+    elif isinstance(v, (list, tuple)):
+        if not v:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for x in v:
+            out.append(sep)
+            _emit(x, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(v, dict):
+        if not v:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for k in sorted(v):
+            out.append(sep + _quote(k) + ": ")  # TypeError for a key that is not a str
+            _emit(v[k], inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(v, np.generic):
+        _emit(v.item(), newline, out)
+    elif is_dataclass(v):
+        _emit(vars(v), newline, out)
+    else:
+        raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
 
 
 def _stamped(resolved: dict, record: dict) -> dict:

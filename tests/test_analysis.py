@@ -1,7 +1,10 @@
+import gc
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qlt import (
     AgnMoments,
@@ -17,6 +20,7 @@ from qlt import (
     kl_divergence,
     linear_rate,
     noise_free_rate,
+    noise_free_rates,
     powers_from_fractions,
     predict_spectrum,
     share_floor,
@@ -48,6 +52,13 @@ def test_plan_validation():
         SubbandPlan((0.5, 0.5), (0.0, 0.0))
     with pytest.raises(ValueError):
         SubbandPlan((1.0,), (-1.0,))
+
+
+@pytest.mark.parametrize("fractions", [(math.nan, 0.5), (0.5, math.nan), (math.nan, math.nan)])
+def test_plan_rejects_a_nan_fraction(fractions):
+    # NaN fails every comparison, so the checks must be written to fail on it
+    with pytest.raises(ValueError):
+        SubbandPlan(fractions, (1.0, 1.0))
 
 
 def test_spectrum_identity():
@@ -309,3 +320,94 @@ def test_floor_sharpness():
         assert feasible_fractions(fr, m, nu) is expect
     pw = powers_from_fractions(fr, m, 1.0, (1.0 - floor2, floor2))
     assert pw[1] == pytest.approx(0.0, abs=1e-12)
+
+
+def _scalar_rate_hex(fr, m, nu):
+    try:
+        return noise_free_rate(fr, m, nu).bits_per_symbol.hex()
+    except FeasibilityError:
+        return None
+
+
+@st.composite
+def _share_rows(draw):
+    """Fractions and rows of shares, both integer splits (zero shares included)."""
+    parts = draw(st.lists(st.integers(1, 9), min_size=2, max_size=4))
+    fr = [p / sum(parts) for p in parts]
+    n = len(fr)
+    split = st.lists(st.integers(0, 9), min_size=n, max_size=n).filter(any)
+    rows = [[v / sum(r) for v in r] for r in draw(st.lists(split, min_size=1, max_size=12))]
+    return fr, rows
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(case=_share_rows(), bits=st.integers(1, 6), kappa=st.floats(1.0, 5.0),
+       near_floor=st.lists(st.floats(-1e-11, 0.3), max_size=4))
+@example(case=((0.5, 0.5), [[0.5, 0.5], [0.9, 0.1], [1.0, 0.0]]), bits=1, kappa=1.0,
+         near_floor=[-1e-11, 0.0, 1e-13])
+def test_noise_free_rates_match_per_row_rates(case, bits, kappa, near_floor):
+    fr, rows = case
+    m = tx_moments(QuantizerSpec.uniform_midrise(bits, kappa), 1.0)
+    floor = share_floor(fr, m)
+    for extra in near_floor:
+        # band 0 at its floor plus ``extra``, the rest spread in proportion to their floors
+        rest = (1.0 - floor[0] - extra) / floor[1:].sum()
+        rows.append([floor[0] + extra, *(floor[1:] * rest)])
+    got = [None if r is None else r.hex() for r in noise_free_rates(fr, m, rows)]
+    assert got == [_scalar_rate_hex(fr, m, nu) for nu in rows]
+
+
+def _first_error(rows, call):
+    """(type, message) of the first row ``call`` raises for, skipping FeasibilityError."""
+    for nu in rows:
+        try:
+            call(nu)
+        except FeasibilityError:
+            continue
+        except Exception as e:  # the error the batch must repeat
+            return type(e), str(e)
+    raise AssertionError("no row raises")
+
+
+@pytest.mark.parametrize(
+    "quantizer, rows",
+    [
+        (ONE_BIT, [(0.5, 0.5), (0.9, 0.1), (math.nan, 0.5), (0.6, 0.4)]),
+        (ONE_BIT, [(0.5, 0.5), (0.7, 0.7)]),
+        (ONE_BIT, [(0.9, 0.1), (1.2, -0.2)]),
+        (QuantizerSpec.custom_levels([0.0]), [(0.5, 0.5)]),
+        (QuantizerSpec.identity(), [(0.5, 0.5)]),
+    ],
+    ids=["nan-row", "sum-above-one", "negative-share", "zero-output-chain", "identity-dac"],
+)
+def test_noise_free_rates_raise_what_the_row_raises(quantizer, rows):
+    m = tx_moments(quantizer, 1.0)
+    expected = _first_error(rows, lambda nu: noise_free_rate((0.5, 0.5), m, nu))
+    assert _first_error([rows], lambda r: noise_free_rates((0.5, 0.5), m, r)) == expected
+
+
+@pytest.mark.parametrize("nu", [(), 0.5, [(0.5, 0.5)]], ids=["empty", "scalar", "2-d"])
+def test_noise_free_rate_names_a_malformed_share_vector(nu):
+    with pytest.raises(ValueError, match="share vector must be a non-empty 1-D sequence"):
+        noise_free_rate((0.5, 0.5), one_bit_moments(), nu)
+
+
+def test_an_infeasible_share_leaves_no_reference_cycle():
+    # sweep-aclr meets FeasibilityError at many grid points; each error must
+    # be freed by reference counting, not left for the garbage collector
+    m = one_bit_moments()
+    gc.collect()
+    gc.disable()
+    try:
+        for call in (
+            lambda: noise_free_rate((0.5, 0.5), m, (0.9, 0.1)),
+            lambda: powers_from_fractions((0.5, 0.5), m, 1.0, (0.9, 0.1)),
+        ):
+            try:
+                call()
+            except FeasibilityError:
+                pass
+        assert not feasible_fractions((0.5, 0.5), m, (0.9, 0.1))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -21,6 +21,7 @@ from qlt import (
     tilted_distribution,
     tilted_mean_energy,
     tx_moments,
+    upper_bound_rates,
 )
 from qlt.cli import main
 
@@ -283,3 +284,14 @@ def test_solves_do_not_carry_across_ops(tmp_path, monkeypatch):
     assert (tmp_path / "a" / "sweep-aclr.csv").read_bytes() == (
         tmp_path / "b" / "sweep-aclr.csv"
     ).read_bytes()
+
+
+@pytest.mark.parametrize("bad", [(math.nan, 1.0), (math.nan, math.nan), (math.inf, math.inf)])
+def test_upper_bound_rates_reject_a_non_finite_row_at_that_row(bad):
+    # the rows before it solve; the bad row is an invalid input, not a failed solve
+    rows = [(1.0, 1.0), (4.0, 0.5), bad, (0.5, 0.5)]
+    with pytest.raises(ValueError, match="finite"):
+        upper_bound_rates(GRID16, rows, (0.5, 0.5))
+    assert upper_bound_rates(GRID16, rows[:2], (0.5, 0.5)) == [
+        rate_upper_bound(GRID16, row, (0.5, 0.5)).bits_per_symbol for row in rows[:2]
+    ]

@@ -9,6 +9,7 @@ import pathlib
 import subprocess
 import sys
 import warnings
+from dataclasses import dataclass, is_dataclass
 
 import numpy as np
 import pytest
@@ -971,6 +972,78 @@ def test_csv_cell_text(value, cell):
 def test_csv_bytes_quote_and_format_cells():
     rows = [(0.1, np.float64(-math.inf), None), (np.int64(3), "a,b", math.nan)]
     assert cli._csv_bytes(["x", "y", "z"], rows) == 'x,y,z\n0.1,-inf,\n3,"a,b",nan\n'
+
+
+def _conv(v):
+    """The result values json.dumps was given before json_text wrote its own text."""
+    if is_dataclass(v):
+        v = vars(v)
+    if isinstance(v, dict):
+        return {k: _conv(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_conv(x) for x in v]
+    if isinstance(v, np.generic):
+        v = v.item()
+    if isinstance(v, float) and math.isinf(v):
+        return "inf" if v > 0 else "-inf"
+    return None if isinstance(v, float) and math.isnan(v) else v
+
+
+def _json_oracle(obj) -> str:
+    return json.dumps(_conv(obj), indent=2, sort_keys=True) + "\n"
+
+
+@dataclass(frozen=True)
+class _Pair:
+    left: object
+    right: object
+
+
+_KEYS = st.text(max_size=6) | st.sampled_from(
+    ['"', "\\", "\x00", "\n\t", "\x7f", "é", "雪", "😀", "a\"b"]
+)
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**200), 2**200)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from([-0.0, math.inf, -math.inf, math.nan, 1e308, 5e-324])
+    | _KEYS
+    | st.floats(allow_nan=True, allow_infinity=True).map(np.float64)
+    | st.floats(width=32).map(np.float32)
+    | st.integers(-(2**63), 2**63 - 1).map(np.int64)
+    | st.booleans().map(np.bool_)
+)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_KEYS, inner, max_size=4)
+    | st.builds(_Pair, inner, inner),
+    max_leaves=25,
+)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(obj=_VALUES)
+@example(obj={"rows": [], "b": {}, "a": [[], {}, ()]})
+@example(obj=_Pair(np.float64(-math.inf), {"k": (np.int64(2**62), np.bool_(False), -0.0)}))
+def test_json_text_writes_the_bytes_of_json_dumps(obj):
+    assert cli.json_text(obj) == _json_oracle(obj)
+
+
+@pytest.mark.parametrize("obj", [np.zeros(2), {"a": [np.array([1.0])]}, _Pair, 1j])
+def test_json_text_rejects_what_json_dumps_cannot_write(obj):
+    with pytest.raises(TypeError):
+        _json_oracle(obj)
+    with pytest.raises(TypeError):
+        cli.json_text(obj)
+
+
+def test_json_text_keys_are_strings():
+    # json.dumps would write the key 1 as "1"; no result or config has one
+    with pytest.raises(TypeError):
+        cli.json_text({1: "int key"})
 
 
 def test_parser_reuse_matches_fresh_processes(tmp_path, capsys):
