@@ -2,7 +2,8 @@
 
 Each kernel has one numpy implementation: ``midrise_map`` and ``nearest_map``
 serve :func:`qlt.quantizer.quantize`, ``chain_build`` and ``chain_apply`` serve
-:class:`qlt.montecarlo.HouseholderChain`.
+:class:`qlt.montecarlo.HouseholderChain`.  The chain kernels keep each
+reflector unnormalized, with one real scale: H_i = I - tau_i v_i v_i^H.
 """
 
 import numpy as np
@@ -25,42 +26,45 @@ def nearest_map(x, levels, thresholds):
     return levels[idx]
 
 
-# chain_build turns each Gaussian segment gauss[offsets[i]:offsets[i+1]] into
-# a unit Householder vector in the same slice of w, and its phase into
-# betas[i].  It may be called on any run of whole segments, with offsets
-# rebased to 0; each segment's result does not depend on which other segments
-# share the call.  gauss and w may be the same array: a segment is read in
-# full before it is written.  The kernel works on the whole run at once, so
-# its temporaries scale with the run, not with one segment.
-def chain_build(gauss, offsets, w, betas):
-    end = offsets[-1]
+# chain_build turns each Gaussian segment w[offsets[i]:offsets[i+1]], a, into
+# the unnormalized Householder vector v = a + phase * |a| * e_1 in place, with
+# phase = a_0 / |a_0| (1 where a_0 is 0).  It writes -phase into betas[i] and
+# the reflector's scale 1 / (|a| (|a| + |a_0|)) = 2 / |v|^2 into taus[i], so
+# the reflector is I - taus[i] v v^H.  It may be called on any run of whole
+# segments, with offsets rebased to 0; each segment's result does not depend
+# on which other segments share the call.  The kernel works on the whole run
+# at once, so its temporaries scale with the run, not with one segment.
+def chain_build(w, offsets, betas, taus):
     starts = offsets[:-1]
-    a0 = gauss[starts]
-    nrm = np.sqrt(np.add.reduceat(gauss.real[:end]**2 + gauss.imag[:end]**2, starts))
-    r0 = np.hypot(a0.real, a0.imag)
+    v = w[:offsets[-1]]
+    f = v.view(np.float64)
+    nrm = np.sqrt(np.add.reduceat(f * f, 2 * starts))
+    a0 = v[starts]
+    r0 = np.abs(a0)
     phase = np.divide(a0, r0, out=np.ones_like(a0), where=r0 > 0.0)
     betas[:] = -phase
-    if w is not gauss:
-        w[:end] = gauss[:end]
-    v = w[:end]
+    taus[:] = 1.0 / (nrm * (nrm + r0))
     v[starts] = a0 + phase * nrm
-    v /= np.repeat(np.sqrt(np.add.reduceat(v.real**2 + v.imag**2, starts)), np.diff(offsets))
 
 
-def chain_apply(w, offsets, betas, gamma, z, forward):
-    n = z.shape[0]
-    nfac = offsets.shape[0] - 1
+# chain_apply computes z <- V z (forward) or z <- V^H z in place, for the Haar
+# product V = H_0 D_0 H_1 D_1 ... H_{n-2} D_{n-2} G, where H_i is reflector i
+# acting on z[i:], D_i multiplies coordinate i by phases[i] = betas[i] and G
+# the last coordinate by phases[n-1] = gamma.  H_j leaves coordinate i < j
+# alone, so D_i commutes with it and V = H_0 ... H_{n-2} diag(phases): the
+# phases apply as one vector, before the reflectors or after their adjoints.
+def chain_apply(w, offsets, taus, phases, z, forward):
+    offs = offsets.tolist()
+    tau = taus.tolist()
     if forward:
-        z[n - 1] *= gamma
-        for i in range(nfac - 1, -1, -1):
-            wk = w[offsets[i]:offsets[i + 1]]
-            seg = z[n - wk.shape[0]:]
-            seg[0] *= betas[i]
-            seg -= wk * (2.0 * np.vdot(wk, seg))
+        z *= phases
+        for i in range(len(tau) - 1, -1, -1):
+            wk = w[offs[i]:offs[i + 1]]
+            seg = z[i:]
+            seg -= wk * (tau[i] * np.vdot(wk, seg))
     else:
-        for i in range(nfac):
-            wk = w[offsets[i]:offsets[i + 1]]
-            seg = z[n - wk.shape[0]:]
-            seg -= wk * (2.0 * np.vdot(wk, seg))
-            seg[0] *= np.conj(betas[i])
-        z[n - 1] *= np.conj(gamma)
+        for i in range(len(tau)):
+            wk = w[offs[i]:offs[i + 1]]
+            seg = z[i:]
+            seg -= wk * (tau[i] * np.vdot(wk, seg))
+        z *= phases.conj()

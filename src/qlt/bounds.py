@@ -85,8 +85,10 @@ def rate_function(cset: Constellation, s: float) -> tuple[float, float]:
 
     Returns (value in nats, maximizing tilt).  The tilt solves
     tilted_mean_energy(theta) = s by bisection on an expanding bracket
-    (monotone by convexity of the cumulant).
+    (monotone by convexity of the cumulant).  A non-finite s is a ValueError.
     """
+    if not math.isfinite(s):
+        raise ValueError(f"target energy must be finite, got {s}")
     energies, _, _ = cset.energy_classes
     e_lo, e_hi = float(energies[0]), float(energies[-1])
     e_mean = cset.mean_energy

@@ -8,8 +8,8 @@ diagnostics and per-band input/output correlations against their limits.
 Haar transforms are drawn as a product of random Householder reflections
 (exact Haar law) that applies in O(n^2) time without forming the matrix,
 which keeps large-N runs fast.  A trial holds one 16*(n(n+1)/2 - 1)-byte
-reflector buffer (33.6 MB at n=2048), and only one trial's chain is alive at
-a time.
+reflector buffer (33.6 MB at n=2048) and 8*(n - 1) bytes of reflector scales,
+and only one trial's chain is alive at a time.
 """
 
 from dataclasses import dataclass, field, replace
@@ -20,13 +20,13 @@ import numpy as np
 
 from . import _kernels
 from ._rng import complex_normal, substream
-from .analysis import SubbandPlan, _floats, predict_spectrum
+from .analysis import SubbandPlan, _check_fractions, _floats, predict_spectrum
 from .moments import _check_noise_power, add_awgn, chain_moments, tx_moments
 from .quantizer import QuantizerSpec, quantize
 
-# Gaussians drawn per generator call while filling a chain's reflector buffer.
-# The generator writes only into contiguous arrays and w.real / w.imag are
-# strided views, so draws go through a float scratch of at most this size.
+# Gaussians (float64 values) drawn per generator call while filling a chain's
+# reflector buffer; the reflectors a chunk completes are built before the next
+# chunk is drawn, while that chunk is still in cache.
 _DRAW_CHUNK = 1 << 16
 
 
@@ -38,11 +38,14 @@ class HouseholderChain:
     an exactly Haar-distributed product; applying it to a vector costs O(n^2).
 
     The reflectors live in one complex buffer ``w`` of n(n+1)/2 - 1 entries
-    (16 bytes each).  It is drawn and built in place, so construction needs
-    no second buffer of that size; the random stream is consumed exactly as
-    by a full draw of all real parts, then all imaginary parts.  Segments are
-    built as their imaginary parts land: after each imaginary chunk, the run
-    of segments it completed is built in one kernel call.
+    (16 bytes each), unnormalized, with one real scale each in ``taus``
+    (reflector i is I - taus[i] w_i w_i^H).  ``phases`` holds the n - 1
+    reflector phases, then the last coordinate's uniform phase.  The buffer
+    is drawn and built in place: the random stream is consumed exactly as by
+    one ``standard_normal(2 * len(w)).view(complex128)`` draw (real and
+    imaginary parts interleaved), then one uniform for the last phase.  After
+    each chunk of the draw, the run of segments it completed is built in one
+    kernel call.
     """
 
     def __init__(self, n: int, rng: np.random.Generator):
@@ -53,35 +56,32 @@ class HouseholderChain:
         offs = self.offsets = np.concatenate(([0], np.cumsum(sizes)))
         total = int(offs[-1])
         self.w = np.empty(total, np.complex128)
-        self.betas = np.empty(max(n - 1, 0), np.complex128)
-        chunk = np.empty(min(total, _DRAW_CHUNK))
-        built = 0  # segments whose imaginary parts have all landed, and are built
-        for part, imag in ((self.w.real, False), (self.w.imag, True)):
-            for a in range(0, total, _DRAW_CHUNK):
-                drawn = rng.standard_normal(out=chunk[:total - a])
-                b = a + drawn.size
-                np.multiply(drawn, 1.0 / np.sqrt(2.0), out=part[a:b])
-                if not imag:
-                    continue
-                done = int(np.searchsorted(offs, b, side="right")) - 1
-                if done > built:
-                    run = self.w[offs[built]:offs[done]]
-                    _kernels.chain_build(
-                        run, offs[built:done + 1] - offs[built], run, self.betas[built:done]
-                    )
-                    built = done
-        self.gamma = np.exp(2j * np.pi * rng.random())
+        self.taus = np.empty(n - 1)
+        self.phases = np.empty(n, np.complex128)
+        floats = self.w.view(np.float64)
+        built = 0  # segments drawn in full, and built
+        for a in range(0, 2 * total, _DRAW_CHUNK):
+            b = a + rng.standard_normal(out=floats[a:a + _DRAW_CHUNK]).size
+            done = int(np.searchsorted(offs, b // 2, side="right")) - 1
+            if done > built:
+                run = self.w[offs[built]:offs[done]]
+                _kernels.chain_build(
+                    run, offs[built:done + 1] - offs[built],
+                    self.phases[built:done], self.taus[built:done],
+                )
+                built = done
+        self.phases[n - 1] = np.exp(2j * np.pi * rng.random())
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """V @ v."""
         out = np.array(v, dtype=np.complex128, copy=True)
-        _kernels.chain_apply(self.w, self.offsets, self.betas, self.gamma, out, True)
+        _kernels.chain_apply(self.w, self.offsets, self.taus, self.phases, out, True)
         return out
 
     def apply_adjoint(self, v: np.ndarray) -> np.ndarray:
         """V^H @ v."""
         out = np.array(v, dtype=np.complex128, copy=True)
-        _kernels.chain_apply(self.w, self.offsets, self.betas, self.gamma, out, False)
+        _kernels.chain_apply(self.w, self.offsets, self.taus, self.phases, out, False)
         return out
 
 
@@ -91,13 +91,20 @@ def _contiguous(fr: np.ndarray, n: int) -> np.ndarray:
 
 
 def _interleaved(fr: np.ndarray, n: int) -> np.ndarray:
-    counts = np.zeros(fr.size)
-    out = np.empty(n, dtype=int)
-    for k in range(n):
-        m = int(np.argmax(fr * (k + 1) - counts))
-        out[k] = m
+    # the k-th bin (k from 1) goes to the first band of largest deficit
+    # f_j * k - count_j
+    f = fr.tolist()
+    counts = [0.0] * len(f)
+    out = []
+    for k in range(1, n + 1):
+        m, best = 0, f[0] * k - counts[0]
+        for j in range(1, len(f)):
+            d = f[j] * k - counts[j]
+            if d > best:
+                m, best = j, d
+        out.append(m)
         counts[m] += 1.0
-    return out
+    return np.array(out, dtype=int)
 
 
 #: Bin-to-band layouts: "contiguous" fills bands in blocks (mimicking spectral
@@ -107,9 +114,11 @@ LAYOUTS = {"contiguous": _contiguous, "interleaved": _interleaved}
 
 def subband_assignment(fractions, n: int, layout: str = "contiguous") -> np.ndarray:
     """Assign each of n transform bins to a sub-band by a :data:`LAYOUTS`
-    entry; each band's bin count is within one bin of ``fraction * n``."""
+    entry; each band's bin count is within one bin of ``fraction * n``.
+    The fractions must be positive and sum to 1, as a plan's do."""
     if layout not in LAYOUTS:
         raise ValueError(f"unknown assignment layout {layout!r}")
+    _check_fractions(fractions)
     return LAYOUTS[layout](np.asarray(fractions, dtype=float), n)
 
 

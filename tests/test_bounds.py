@@ -86,6 +86,17 @@ def test_rate_function_bounds_errors():
         rate_function(GRID16, 18.0)
 
 
+@pytest.mark.parametrize("cset", [GRID16, QPSK], ids=["grid16", "qpsk"])
+@pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_target_energy_is_a_value_error(cset, s):
+    # a NaN target compares false against both ends of the achievable range,
+    # so it must be caught before the range check
+    with pytest.raises(ValueError, match="target energy must be finite"):
+        rate_function(cset, s)
+    with pytest.raises(ValueError, match="target energy must be finite"):
+        max_entropy(cset, s)
+
+
 def test_convexity_of_cumulant_and_rate_function():
     grid = np.linspace(-2.0, 2.0, 81)
     vals = np.array([cumulant(GRID16, t) for t in grid])

@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qlt import (
     HouseholderChain,
@@ -19,7 +21,7 @@ from qlt import (
 from qlt import _kernels
 from qlt._rng import substream
 from qlt.cli import json_text
-from qlt.montecarlo import _DRAW_CHUNK
+from qlt.montecarlo import _DRAW_CHUNK, _interleaved
 
 ONE_BIT = QuantizerSpec.uniform_midrise(1, 1.0)
 SHAPED_PLAN = SubbandPlan((0.5, 0.5), (2.0, 0.0))
@@ -121,35 +123,33 @@ def _reflector_bytes(n):
 
 
 def _reference_chain(n, rng):
-    # full real draw, full imaginary draw, then a build into a second buffer
-    sizes = np.arange(n, 1, -1, dtype=np.int64)
-    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    # one interleaved draw of every Gaussian, one build, then the last phase
+    offsets = np.concatenate(([0], np.cumsum(np.arange(n, 1, -1, dtype=np.int64))))
     total = int(offsets[-1])
-    gauss = (rng.standard_normal(total) + 1j * rng.standard_normal(total)) / np.sqrt(2.0)
-    w = np.empty(total, np.complex128)
-    betas = np.empty(max(n - 1, 0), np.complex128)
+    w = rng.standard_normal(2 * total).view(np.complex128)
+    taus = np.empty(n - 1)
+    phases = np.empty(n, np.complex128)
     if total:
-        _kernels.chain_build(gauss, offsets, w, betas)
-    return w, betas, np.exp(2j * np.pi * rng.random())
+        _kernels.chain_build(w, offsets, phases[:-1], taus)
+    phases[-1] = np.exp(2j * np.pi * rng.random())
+    return w, taus, phases
 
 
-# an n whose reflector count spans several draw chunks and is not a multiple
+# an n whose Gaussian count spans several draw chunks and is not a multiple
 # of the chunk size
-_MULTI_CHUNK_N = math.isqrt(7 * _DRAW_CHUNK)
+_MULTI_CHUNK_N = math.isqrt(7 * _DRAW_CHUNK // 2)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 17, 1024, _MULTI_CHUNK_N])
 def test_householder_chain_stream_identity(n):
     if n == _MULTI_CHUNK_N:
-        count = _reflector_bytes(n) // 16
+        count = _reflector_bytes(n) // 8
         assert count > 3 * _DRAW_CHUNK and count % _DRAW_CHUNK
     chain = HouseholderChain(n, substream(21, "trial", 4))
-    w, betas, gamma = _reference_chain(n, substream(21, "trial", 4))
+    w, taus, phases = _reference_chain(n, substream(21, "trial", 4))
     np.testing.assert_array_equal(chain.w.view(float), w.view(float))
-    np.testing.assert_array_equal(chain.betas.view(float), betas.view(float))
-    np.testing.assert_array_equal(
-        np.array([chain.gamma]).view(float), np.array([gamma]).view(float)
-    )
+    np.testing.assert_array_equal(chain.taus, taus)
+    np.testing.assert_array_equal(chain.phases.view(float), phases.view(float))
 
 
 def _traced_peak(fn):
@@ -179,6 +179,34 @@ def test_trials_hold_one_chain_at_a_time(runner):
     assert peak <= 1.5 * _reflector_bytes(n)
 
 
+def _interleaved_argmax(fr, n):
+    # the layout as one np.argmax per bin, the oracle for _interleaved
+    counts = np.zeros(fr.size)
+    out = np.empty(n, dtype=int)
+    for k in range(n):
+        m = int(np.argmax(fr * (k + 1) - counts))
+        out[k] = m
+        counts[m] += 1.0
+    return out
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(
+    weights=st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=4),
+    n=st.integers(0, 3000),
+    normalize=st.booleans(),
+)
+@example(weights=[0.5, 0.5], n=64, normalize=False)
+@example(weights=[1.0, 1.0, 1.0], n=1000, normalize=True)
+@example(weights=[0.25] * 4, n=4096, normalize=False)
+@example(weights=[0.1, 0.7, 0.2], n=2048, normalize=False)
+def test_interleaved_layout_matches_the_argmax_loop(weights, n, normalize):
+    fr = np.asarray(weights)
+    if normalize:
+        fr = fr / fr.sum()
+    np.testing.assert_array_equal(_interleaved(fr, n), _interleaved_argmax(fr, n))
+
+
 def test_subband_assignment_fractions():
     fr = (0.37, 0.41, 0.22)
     for layout in ("contiguous", "interleaved"):
@@ -188,6 +216,13 @@ def test_subband_assignment_fractions():
     # interleaved spreads bands instead of blocking them
     a = subband_assignment((0.5, 0.5), 16, "interleaved")
     assert a[:4].tolist() != [0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "interleaved"])
+@pytest.mark.parametrize("fractions", [(), (math.nan, 0.5), (0.5, math.nan), (0.5, 0.4), (1.5, -0.5)])
+def test_subband_assignment_rejects_fractions_a_plan_rejects(layout, fractions):
+    with pytest.raises(ValueError, match="bandwidth fractions"):
+        subband_assignment(fractions, 16, layout)
 
 
 def test_sim_config_validation():
@@ -390,8 +425,8 @@ def test_chain_trials_digest_pins_the_awgn_draws():
         for rep in (run_chain_trials(cfg), run_tx_trials(cfg), run_chain_trials(fft))
     ]
     assert digests == [
-        "dad689f5519231637391527e8d02b34429a8ae4e5752101b00a62982344d1012",
-        "806eb7287c537ca2e10a18ad1d0eba0e75564e9931ef0ba05e8506fd7b6adfb0",
+        "05668d728878661abb1abb901c11b7b3b40675a69793e83f699e9f2e7a9c4017",
+        "b0ab3a3c5341a142aa47ad9e40ff2f85c12abd4d703677fce99f97801c62de51",
         "90b7a8fff2139d03cf031d404a375d6d66021aa92886821cce50dfc59552c419",
     ]
 

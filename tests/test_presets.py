@@ -32,8 +32,8 @@ DIGESTS = {
         "resolved_config.json": "105d26e21005df3db30dd3acc928e5b02f46213841c39990813c60b38b81201f",
     },
     "montecarlo_tx_1bit": {
-        "montecarlo.json": "8cae99d96d6fdce990420d1a7177c48a6f6a69b4759e6d315745aac55cc6efb7",
-        "montecarlo_trials.csv": "54f96bb8258a16739a3ce264da914ee020d703174050e736bc23a51406c7b5b6",
+        "montecarlo.json": "6ddf5484e4df8ac28cc548c62ad3482ed0c99ce5a95f5e28d365912d75a92c9a",
+        "montecarlo_trials.csv": "079423d79ecb7ab0c3d4e783d9a4a46dda80f50ebefecf6d5c8a2c36fc09574a",
         "resolved_config.json": "a1a20db1d624c80b718917a006a1a03b49bf9d36c8b01db5c9f21ac8c66001fd",
     },
     "waveform_nr200_b4": {
