@@ -135,9 +135,9 @@ def _reference_chain(n, rng):
     return w, taus, phases
 
 
-# an n whose Gaussian count spans several draw chunks and is not a multiple
-# of the chunk size
-_MULTI_CHUNK_N = math.isqrt(7 * _DRAW_CHUNK // 2)
+# an n whose Gaussian count (two floats per reflector entry) spans several
+# draw chunks and is not a multiple of the chunk size
+_MULTI_CHUNK_N = math.isqrt(7 * _DRAW_CHUNK)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 17, 1024, _MULTI_CHUNK_N])
