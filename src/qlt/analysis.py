@@ -3,6 +3,11 @@
 All rates are reported in bits per symbol (log base 2); the out-of-band
 feasibility floor, power-allocation inversion, and the Kullback-Leibler
 shaping penalty follow the conventions documented on each operation.
+
+Every function taking bandwidth fractions requires a non-empty 1-D
+sequence of positive values (so a NaN fails) summing to 1 within 1e-12.
+Every share vector must be a non-empty 1-D sequence, no share below
+-FEASIBILITY_SLACK, summing to 1 within 1e-9 (so NaN or inf fails).
 """
 
 import math
@@ -21,39 +26,47 @@ FEASIBILITY_SLACK = 1e-12
 _SIMPLEX_TOL = 1e-9
 
 
-def _check_fractions(fractions) -> None:
-    """ValueError unless the bandwidth fractions are positive and sum to 1
-    (so a NaN fraction fails)."""
-    fr = np.asarray(fractions, dtype=float)
-    if not np.all(fr > 0):
+def _float_list(values, what: str) -> list:
+    """A non-empty 1-D sequence as a list of floats, else a ValueError naming it."""
+    arr = np.asarray(values, dtype=float)
+    if arr.ndim != 1 or arr.size == 0:
+        raise ValueError(f"{what} must be a non-empty 1-D sequence")
+    return arr.tolist()
+
+
+def _check_fractions(fractions) -> list:
+    """The bandwidth fractions as floats; ValueError unless they follow the fraction rule."""
+    fr = _float_list(fractions, "bandwidth fractions")
+    total = sum(fr)  # NaN if any fraction is
+    if not (min(fr) > 0 and not math.isnan(total)):
         raise ValueError("all bandwidth fractions must be positive")
-    if not abs(fr.sum() - 1.0) <= 1e-12:
+    if not abs(total - 1.0) <= 1e-12:
         raise ValueError("bandwidth fractions must sum to 1")
+    return fr
 
 
 @dataclass(frozen=True)
 class SubbandPlan:
     """Bandwidth fractions and per-sub-band symbol energies.
 
-    fractions must be positive and sum to one; powers are non-negative with a
-    positive weighted mean ``mean_power = sum(fractions * powers)``.
+    fractions follow the module's fraction rule; powers are finite and non-negative
+    with a positive weighted mean ``mean_power = sum(fractions * powers)``.
     """
 
     fractions: tuple[float, ...]
     powers: tuple[float, ...]
 
     def __post_init__(self):
-        fr = np.asarray(self.fractions, dtype=float)
+        fr = _check_fractions(self.fractions)
         pw = np.asarray(self.powers, dtype=float)
-        if fr.ndim != 1 or fr.size == 0 or fr.shape != pw.shape:
+        if pw.shape != (len(fr),):
             raise ValueError("fractions and powers must be equal-length 1-D sequences")
-        _check_fractions(fr)
-        if np.any(pw < 0):
-            raise ValueError("powers must be non-negative")
-        if float(fr @ pw) <= 0:
+        if not np.all((pw >= 0) & (pw < math.inf)):
+            raise ValueError("powers must be finite and non-negative")
+        if float(np.dot(fr, pw)) <= 0:
             raise ValueError("all-zero power allocation is rejected")
-        object.__setattr__(self, "fractions", tuple(float(v) for v in fr))
-        object.__setattr__(self, "powers", tuple(float(v) for v in pw))
+        object.__setattr__(self, "fractions", tuple(fr))
+        object.__setattr__(self, "powers", tuple(pw.tolist()))
 
     @cached_property
     def mean_power(self) -> float:
@@ -102,8 +115,7 @@ def share_floor(fractions, m: AgnMoments) -> np.ndarray:
     The quantization noise is white across the band, so no sub-band's output
     share can be pushed below this floor by any power allocation.
     """
-    fr = np.asarray(fractions, dtype=float)
-    return np.reshape(_floors(fr.ravel().tolist(), m), fr.shape)
+    return np.array(_floors(_check_fractions(fractions), m))
 
 
 def _floors(fractions: list, m: AgnMoments) -> list:
@@ -128,16 +140,15 @@ def predict_spectrum(plan: SubbandPlan, m_tx: AgnMoments) -> SpectrumReport:
         band_energy=_floats(s),
         total_energy=float(s_tot),
         band_share=_floats(s / s_tot),
-        min_share=_floats(share_floor(fr, m_tx)),
+        min_share=tuple(_floors(list(plan.fractions), m_tx)),
     )
 
 
-def _check_simplex(nu) -> np.ndarray:
-    arr = np.asarray(nu, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("share vector must be a non-empty 1-D sequence")
-    _check_shares(arr.tolist())
-    return arr
+def _share_list(nu) -> list:
+    """A share vector as a list of floats, checked by :func:`_check_shares`."""
+    shares = _float_list(nu, "share vector")
+    _check_shares(shares)
+    return shares
 
 
 def _check_shares(shares: list) -> None:
@@ -162,19 +173,18 @@ def feasible_fractions(fractions, m_tx: AgnMoments, nu) -> bool:
     return True
 
 
-def _above_floor(fractions, m_tx: AgnMoments, nu) -> tuple[np.ndarray, np.ndarray]:
-    """Fractions and shares as arrays; FeasibilityError at the first share short of a (NaN) floor."""
-    arr = _check_simplex(nu)
-    fr = np.asarray(fractions, dtype=float)
-    if fr.shape != arr.shape:
+def _above_floor(fractions, m_tx: AgnMoments, nu) -> tuple[list, list]:
+    """The checked fraction and share lists; FeasibilityError at a share short of its (NaN) floor."""
+    fr, shares = _check_fractions(fractions), _share_list(nu)
+    if len(fr) != len(shares):
         raise ValueError("distributions must have equal length")
-    floor, shares = _floors(fr.tolist(), m_tx), arr.tolist()
+    floor = _floors(fr, m_tx)
     b = _first_short(floor, shares)
     if b is not None:
         # raised where it is made: an error held in a local would form a
         # frame-traceback cycle that only the garbage collector frees
         raise FeasibilityError(band=b, floor=floor[b], value=shares[b])
-    return fr, arr
+    return fr, shares
 
 
 def _first_short(floor: list, shares: list) -> int | None:
@@ -187,23 +197,22 @@ def _first_short(floor: list, shares: list) -> int | None:
 
 def powers_from_fractions(fractions, m_tx: AgnMoments, pbar: float, nu) -> np.ndarray:
     """Invert a feasible share vector into per-band symbol energies."""
-    fr, arr = _above_floor(fractions, m_tx, nu)
+    fr, shares = _above_floor(fractions, m_tx, nu)
     g2 = m_tx.gain**2
     if g2 == 0:
         raise NumericalFailureError("zero-gain chain cannot be inverted")
-    powers = (arr / fr * (g2 + m_tx.noise) - m_tx.noise) * pbar / g2
+    powers = (np.array(shares) / np.array(fr) * (g2 + m_tx.noise) - m_tx.noise) * pbar / g2
     powers[(powers < 0) & (powers > -1e-9 * pbar)] = 0.0
     return powers
 
 
 def kl_divergence(delta, nu) -> float:
-    """D(delta || nu) in bits, with 0 log 0 = 0 and a zero share under a
-    positive fraction yielding +inf."""
-    d = _check_simplex(delta)
-    n = _check_simplex(nu)
-    if d.shape != n.shape:
+    """D(delta || nu) in bits of two share vectors, with 0 log 0 = 0 and a
+    zero share under a positive one yielding +inf."""
+    d, n = _share_list(delta), _share_list(nu)
+    if len(d) != len(n):
         raise ValueError("distributions must have equal length")
-    return _kl_bits(d.tolist(), n.tolist())
+    return _kl_bits(d, n)
 
 
 def _kl_bits(delta: list, nu: list) -> float:
@@ -303,8 +312,7 @@ def noise_free_rate(fractions, m_tx: AgnMoments, nu) -> RateReport:
     """Noise-free rate at a target share vector: the flat-allocation rate
     log2(1 + |gain|^2/noise) minus the shaping penalty D(fractions || nu)."""
     flat = _flat_rate(m_tx)
-    fr, arr = _above_floor(fractions, m_tx, nu)
-    frs, shares = _check_simplex(fr).tolist(), arr.tolist()
+    frs, shares = _above_floor(fractions, m_tx, nu)
     kl = _kl_bits(frs, shares)
     g2, noise = m_tx.gain**2, m_tx.noise
     # per-band split via the identity with the equivalent power allocation,
@@ -324,11 +332,10 @@ def noise_free_rates(fractions, m_tx: AgnMoments, rows) -> list[float | None]:
     share floor checked once; None where that call raises FeasibilityError.
     A row that is not a share vector raises what it would alone."""
     flat = _flat_rate(m_tx)
-    fr = _check_simplex(fractions)
+    fr = _check_fractions(fractions)
     rows = np.asarray(rows, dtype=float)
-    if rows.ndim != 2 or rows.shape[1:] != fr.shape:
+    if rows.ndim != 2 or rows.shape[1] != len(fr):
         raise ValueError("share rows must be a 2-D array as wide as the fractions")
-    fr = fr.tolist()
     floor = _floors(fr, m_tx)
     rates = []
     for shares in rows.tolist():

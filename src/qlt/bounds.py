@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import _check_shares, _check_simplex, _kl_bits
+from .analysis import _check_fractions, _check_shares, _kl_bits
 from .errors import (
     BoundaryEnergyError,
     InfeasibleEnergyError,
@@ -155,20 +155,19 @@ def max_entropy(cset: Constellation, s: float) -> float:
 
 def _bound_rows(cset: Constellation, band_energy: np.ndarray, fractions) -> list[tuple]:
     """(max entropy, tilt, shaping loss) per row of target band energies; the
-    loss is None where a band of positive fraction has a zero share.  Rows are
+    loss is None where a band has a zero share.  Rows are
     checked in order (an unmasked row's shares before its solve, so a NaN row
     is a ValueError) and each distinct total is solved once, so a failing row
     raises what it would alone."""
-    fr = _check_simplex(fractions)
-    if band_energy.shape[1:] != fr.shape:
+    fr = _check_fractions(fractions)
+    if band_energy.shape[1:] != (len(fr),):
         raise ValueError("band_energy and fractions must have equal length")
     s_tot = band_energy.sum(axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
         shares = band_energy / s_tot[:, None]
     negative = np.any(band_energy < 0, axis=-1).tolist()
-    masked = np.any((shares == 0) & (fr > 0), axis=-1).tolist()
+    masked = np.any(shares == 0, axis=-1).tolist()
     out, solve = [], functools.cache(functools.partial(_entropy_and_tilt, cset))
-    fr = fr.tolist()
     for row, total, neg, mask in zip(shares.tolist(), s_tot.tolist(), negative, masked):
         if neg:
             raise ValueError("band energies must be non-negative")
@@ -192,10 +191,7 @@ def rate_upper_bound(
     transmit moments supplied, also reports the gap to the flat-allocation
     linear rate.
     """
-    s = np.asarray(band_energy, dtype=float)
-    if s.ndim != 1:
-        raise ValueError("band_energy and fractions must have equal length")
-    [(h, tilt, kl)] = _bound_rows(cset, s[None], fractions)
+    [(h, tilt, kl)] = _bound_rows(cset, np.asarray(band_energy, dtype=float)[None], fractions)
     if kl is None:
         return UpperBoundReport(
             max_entropy_bits=h,

@@ -27,7 +27,6 @@ from . import __version__
 from .analysis import (
     FEASIBILITY_SLACK,
     SubbandPlan,
-    _check_fractions,
     awgn_linear_rate,
     awgn_rates_at_transmit_snr,
     linear_rate,
@@ -489,7 +488,6 @@ def _run_rate(resolved: dict) -> dict:
 
 def _run_upper_bound(resolved: dict) -> dict:
     p = resolved["params"]
-    _check_fractions(p["fractions"])
     q = _quantizer(p["quantizer"])
     cset = constellation_of(q)
     m = tx_moments(q, p["pbar"]) if p["include_gap"] else None
@@ -515,7 +513,6 @@ def _run_sweep_snr(resolved: dict) -> dict:
 def _run_sweep_aclr(resolved: dict) -> dict:
     p = resolved["params"]
     fr = tuple(p["fractions"])
-    _check_fractions(fr)
     pbar = p["pbar"]
     grid = _grid(p["aclr_db"])
     ratios = np.array(_power_ratios(grid, "aclr_db"))

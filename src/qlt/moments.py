@@ -201,7 +201,7 @@ def _mc_moments(qtx, noise_power, qrx, pbar, method: MonteCarlo, stream) -> AgnM
 def _moments(qtx, noise_power, qrx, pbar, method, stream) -> AgnMoments:
     """Moments of the DAC -> AWGN -> ADC chain; ``stream`` names the
     Monte-Carlo substream."""
-    if pbar <= 0:
+    if not pbar > 0:
         raise ValueError("pbar must be positive")
     _check_noise_power(noise_power)
     if isinstance(method, Quadrature):

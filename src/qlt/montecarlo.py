@@ -118,8 +118,7 @@ def subband_assignment(fractions, n: int, layout: str = "contiguous") -> np.ndar
     The fractions must be positive and sum to 1, as a plan's do."""
     if layout not in LAYOUTS:
         raise ValueError(f"unknown assignment layout {layout!r}")
-    _check_fractions(fractions)
-    return LAYOUTS[layout](np.asarray(fractions, dtype=float), n)
+    return LAYOUTS[layout](np.array(_check_fractions(fractions)), n)
 
 
 def _haar(n: int, rng):

@@ -28,7 +28,7 @@ DEFAULT_KAPPA = 3.0
 
 def clip_for_power(power: float, kappa: float = DEFAULT_KAPPA) -> float:
     """Clip level for a given mean complex input power: kappa per-dimension sigmas."""
-    if power <= 0:
+    if not power > 0:
         raise ValueError("power must be positive")
     return kappa * np.sqrt(power / 2.0)
 

@@ -16,6 +16,7 @@ from qlt import (
     SubbandPlan,
     awgn_linear_rate,
     awgn_rate_at_transmit_snr,
+    constellation_of,
     feasible_fractions,
     kl_divergence,
     linear_rate,
@@ -23,8 +24,11 @@ from qlt import (
     noise_free_rates,
     powers_from_fractions,
     predict_spectrum,
+    rate_upper_bound,
     share_floor,
+    subband_assignment,
     tx_moments,
+    upper_bound_rates,
 )
 
 ONE_BIT = QuantizerSpec.uniform_midrise(1, 1.0)
@@ -59,6 +63,42 @@ def test_plan_rejects_a_nan_fraction(fractions):
     # NaN fails every comparison, so the checks must be written to fail on it
     with pytest.raises(ValueError):
         SubbandPlan(fractions, (1.0, 1.0))
+
+
+@pytest.mark.parametrize("power", [math.nan, math.inf])
+def test_plan_rejects_a_non_finite_power(power):
+    # NaN passes a "< 0" test and an infinite power makes an infinite mean
+    with pytest.raises(ValueError, match="powers must be finite and non-negative"):
+        SubbandPlan((0.5, 0.5), (power, 1.0))
+
+
+# every public function that takes bandwidth fractions, called with valid
+# other arguments as wide as the fractions (band energies: the shares times
+# the one-bit set's energy, 2)
+_M1, _CSET1 = one_bit_moments(), constellation_of(ONE_BIT)
+_FRACTION_TAKERS = {
+    "SubbandPlan": lambda fr, ok: SubbandPlan(fr, ok),
+    "subband_assignment": lambda fr, ok: subband_assignment(fr, 16),
+    "share_floor": lambda fr, ok: share_floor(fr, _M1),
+    "feasible_fractions": lambda fr, ok: feasible_fractions(fr, _M1, ok),
+    "powers_from_fractions": lambda fr, ok: powers_from_fractions(fr, _M1, 1.0, ok),
+    "noise_free_rate": lambda fr, ok: noise_free_rate(fr, _M1, ok),
+    "noise_free_rates": lambda fr, ok: noise_free_rates(fr, _M1, [ok]),
+    "rate_upper_bound": lambda fr, ok: rate_upper_bound(_CSET1, np.multiply(ok, 2.0), fr),
+    "upper_bound_rates": lambda fr, ok: upper_bound_rates(_CSET1, [np.multiply(ok, 2.0)], fr),
+}
+
+
+@pytest.mark.parametrize("name", _FRACTION_TAKERS)
+@pytest.mark.parametrize(
+    "fractions",
+    [(), (math.nan, 0.5), (0.5, math.nan), (0.5, 0.4), (1.5, -0.5), (1.0, 0.0), (0.5, 0.5 + 1e-10)],
+)
+def test_every_fraction_taker_holds_the_plan_rule(name, fractions):
+    call = _FRACTION_TAKERS[name]
+    call((0.5, 0.5), (0.5, 0.5))  # the same call with valid fractions goes through
+    with pytest.raises(ValueError, match="bandwidth fractions"):
+        call(fractions, (0.5,) * len(fractions))
 
 
 def test_spectrum_identity():
@@ -188,6 +228,39 @@ def test_share_round_trip():
         assert plan.mean_power == pytest.approx(1.0, rel=1e-9)
         rep = predict_spectrum(plan, tx_moments(QuantizerSpec.uniform_midrise(2, 1.9), plan.mean_power))
         np.testing.assert_allclose(rep.band_share, nu, atol=1e-10)
+
+
+@st.composite
+def _feasible_target(draw):
+    """A midrise DAC at a drawn power, its moments, fractions and a share
+    vector on or above the share floor (integer weights, zeros included)."""
+    pbar = draw(st.floats(0.01, 100.0))
+    q = QuantizerSpec.midrise_for_power(draw(st.integers(1, 6)), pbar, draw(st.floats(0.5, 5.0)))
+    m = tx_moments(q, pbar)
+    parts = draw(st.lists(st.integers(1, 9), min_size=1, max_size=5))
+    fr = tuple(p / sum(parts) for p in parts)
+    split = st.lists(st.integers(0, 9), min_size=len(fr), max_size=len(fr)).filter(any)
+    weights = np.array(draw(split))
+    floor = share_floor(fr, m)
+    return q, m, fr, tuple(floor + (1.0 - floor.sum()) * weights / weights.sum())
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(target=_feasible_target())
+def test_share_round_trip_over_midrise_quantizers(target):
+    _, m, fr, nu = target
+    plan = SubbandPlan(fr, tuple(powers_from_fractions(fr, m, m.input_power, nu)))
+    assert plan.mean_power == pytest.approx(m.input_power, rel=1e-9)
+    np.testing.assert_allclose(predict_spectrum(plan, m).band_share, nu, atol=1e-10)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(target=_feasible_target())
+def test_upper_bound_dominates_the_noise_free_rate(target):
+    q, m, fr, nu = target
+    s_tot = (m.gain**2 + m.noise) * m.input_power
+    upper = rate_upper_bound(constellation_of(q), [s * s_tot for s in nu], fr)
+    assert upper.bits_per_symbol >= noise_free_rate(fr, m, nu).bits_per_symbol
 
 
 def test_kl_divergence_values():

@@ -14,6 +14,7 @@ from qlt import (
     Quadrature,
     QuantizerSpec,
     chain_moments,
+    clip_for_power,
     quantize,
     tx_moments,
 )
@@ -269,3 +270,11 @@ def test_invalid_power_rejected():
         tx_moments(QuantizerSpec.identity(), 0.0)
     with pytest.raises(NumericalFailureError):
         AgnMoments(gain=1.0, noise=-1.0, input_power=1.0)
+
+
+def test_a_nan_power_is_rejected_like_a_zero_one():
+    # NaN fails "<= 0" too, so the checks are written "not > 0"
+    with pytest.raises(ValueError, match="pbar must be positive"):
+        tx_moments(QuantizerSpec.uniform_midrise(2, 1.8), math.nan)
+    with pytest.raises(ValueError, match="power must be positive"):
+        clip_for_power(math.nan)
