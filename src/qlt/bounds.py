@@ -4,10 +4,14 @@ The bound is built from the cumulant generating function of the energy of a
 uniformly drawn constellation point, its Legendre transform, and the maximum
 entropy achievable at a target mean energy (an exponentially tilted law).
 Cumulant and rate-function values are in nats; entropies and rates in bits.
-A batch of bound rows solves the maximum entropy once per distinct total.
+
+The tilt that attains a target energy is found by ITP (Oliveira & Takahashi,
+"An enhancement of the bisection method average performance preserving minmax
+optimality", ACM TOMS 47(1), 2020): at most one evaluation more than bisection
+to TILT_TOL, superlinear on the smooth tilted mean.  A batch of bound rows
+shares one total energy and so one solve.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -22,7 +26,7 @@ from .errors import (
 from .moments import AgnMoments
 from .quantizer import Constellation
 
-#: Bisection tolerance on the tilt parameter.
+#: Width of the final bracket on the tilt parameter.
 TILT_TOL = 1e-12
 
 _LN2 = math.log(2.0)
@@ -84,8 +88,12 @@ def rate_function(cset: Constellation, s: float) -> tuple[float, float]:
     """Legendre transform of the cumulant at target energy s.
 
     Returns (value in nats, maximizing tilt).  The tilt solves
-    tilted_mean_energy(theta) = s by bisection on an expanding bracket
-    (monotone by convexity of the cumulant).  A non-finite s is a ValueError.
+    tilted_mean_energy(theta) = s (increasing by convexity of the cumulant) by
+    ITP on an expanding bracket [lo, hi], and is the midpoint of a final
+    bracket no wider than TILT_TOL.  Past ceil(log2((hi - lo) / TILT_TOL)) + 1
+    evaluations, one more than bisection, the solve is a NumericalFailureError
+    (a NaN tilted mean, or a tilt whose float spacing exceeds TILT_TOL).  A
+    non-finite s is a ValueError.
     """
     if not math.isfinite(s):
         raise ValueError(f"target energy must be finite, got {s}")
@@ -105,23 +113,48 @@ def rate_function(cset: Constellation, s: float) -> tuple[float, float]:
         )
     lo, hi = -1.0, 1.0
     for _ in range(200):
-        if tilted_mean_energy(cset, lo) <= s:
+        f_lo = tilted_mean_energy(cset, lo) - s
+        if f_lo <= 0:
             break
         lo *= 2.0
     else:  # pragma: no cover - s is interior, bracket always closes
         raise NumericalFailureError("tilt bracket expansion failed (low side)")
     for _ in range(200):
-        if tilted_mean_energy(cset, hi) >= s:
+        f_hi = tilted_mean_energy(cset, hi) - s
+        if f_hi >= 0:
             break
         hi *= 2.0
     else:  # pragma: no cover
         raise NumericalFailureError("tilt bracket expansion failed (high side)")
-    while hi - lo > TILT_TOL:
+    # ITP (kappa1 = 0.2 / width, kappa2 = 2, n0 = 1): the regula falsi point,
+    # moved kappa1 * width^2 toward the midpoint, then projected into the radius
+    # around it that leaves a bracket of at most reach * 2^(steps left).  reach
+    # is TILT_TOL less the ulps that rounding may add, so n_max steps suffice;
+    # for tilts in the thousands it is <= 0 and the steps are bisection's.
+    width = hi - lo
+    kappa1 = 0.2 / width
+    n_max = math.ceil(math.log2(width / TILT_TOL)) + 1
+    reach = TILT_TOL - 4.0 * math.ulp(max(-lo, hi))
+    for j in range(n_max + 1):
+        if hi - lo <= TILT_TOL:
+            break
+        if j == n_max:
+            raise NumericalFailureError(f"tilt solve at s={s} did not converge")
         mid = 0.5 * (lo + hi)
-        if tilted_mean_energy(cset, mid) < s:
-            lo = mid
-        else:
-            hi = mid
+        denom = f_hi - f_lo
+        x_f = (lo * f_hi - hi * f_lo) / denom if denom > 0 else mid
+        delta = kappa1 * (hi - lo) ** 2
+        x_t = mid if delta > abs(mid - x_f) else x_f + math.copysign(delta, mid - x_f)
+        radius = max(reach * 2.0 ** (n_max - j - 1) - 0.5 * (hi - lo), 0.0)
+        x = x_t if abs(x_t - mid) <= radius else mid + math.copysign(radius, x_t - mid)
+        f_x = tilted_mean_energy(cset, x) - s
+        if f_x < 0:
+            lo, f_lo = x, f_x
+        elif f_x > 0:
+            hi, f_hi = x, f_x
+        elif f_x == 0:
+            lo = hi = x
+        # a NaN moves neither end and runs into the cap
     tilt = 0.5 * (lo + hi)
     value = tilt * s - cumulant(cset, tilt)
     return float(max(value, 0.0)), float(tilt)
@@ -153,31 +186,23 @@ def max_entropy(cset: Constellation, s: float) -> float:
     return _entropy_and_tilt(cset, s)[0]
 
 
-def _bound_rows(cset: Constellation, band_energy: np.ndarray, fractions) -> list[tuple]:
-    """(max entropy, tilt, shaping loss) per row of target band energies; the
-    loss is None where a band has a zero share.  Rows are
-    checked in order (an unmasked row's shares before its solve, so a NaN row
-    is a ValueError) and each distinct total is solved once, so a failing row
-    raises what it would alone."""
+def _bound_rows(cset: Constellation, total, shares, fractions) -> tuple[float, float, list]:
+    """Max entropy and tilt at the total energy, and the shaping loss
+    D(fractions || row) of each row of band shares (inf where a band has a
+    zero share).  Every row is checked before the one solve, so an invalid
+    row is a ValueError whatever the solve would do."""
     fr = _check_fractions(fractions)
-    if band_energy.shape[1:] != (len(fr),):
-        raise ValueError("band_energy and fractions must have equal length")
-    s_tot = band_energy.sum(axis=-1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        shares = band_energy / s_tot[:, None]
-    negative = np.any(band_energy < 0, axis=-1).tolist()
-    masked = np.any(shares == 0, axis=-1).tolist()
-    out, solve = [], functools.cache(functools.partial(_entropy_and_tilt, cset))
-    for row, total, neg, mask in zip(shares.tolist(), s_tot.tolist(), negative, masked):
-        if neg:
-            raise ValueError("band energies must be non-negative")
-        if total <= 0:
-            raise ValueError("total target energy must be positive")
-        if not mask:
-            _check_shares(row)
-        h, tilt = solve(total)
-        out.append((h, tilt, None if mask else _kl_bits(fr, row)))
-    return out
+    rows = np.asarray(shares, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != len(fr):
+        raise ValueError("share rows and fractions must have equal length")
+    if total <= 0:
+        raise ValueError("total target energy must be positive")
+    losses = []
+    for row in rows.tolist():
+        _check_shares(row)
+        losses.append(_kl_bits(fr, row))
+    h, tilt = _entropy_and_tilt(cset, total)
+    return h, tilt, losses
 
 
 def rate_upper_bound(
@@ -191,17 +216,16 @@ def rate_upper_bound(
     transmit moments supplied, also reports the gap to the flat-allocation
     linear rate.
     """
-    [(h, tilt, kl)] = _bound_rows(cset, np.asarray(band_energy, dtype=float)[None], fractions)
-    if kl is None:
-        return UpperBoundReport(
-            max_entropy_bits=h,
-            shaping_loss_bits=math.inf,
-            bits_per_symbol=-math.inf,
-            tilt=tilt,
-            mask_infeasible=True,
-        )
+    energy = np.asarray(band_energy, dtype=float)
+    if np.any(energy < 0):
+        raise ValueError("band energies must be non-negative")
+    total = float(energy.sum())
+    with np.errstate(divide="ignore", invalid="ignore"):
+        shares = energy / total
+    h, tilt, [kl] = _bound_rows(cset, total, shares[None], fractions)
+    masked = kl == math.inf
     gap = None
-    if m_tx is not None:
+    if m_tx is not None and not masked:
         if m_tx.noise == 0.0:
             gap = -math.inf
         else:
@@ -212,11 +236,14 @@ def rate_upper_bound(
         bits_per_symbol=h - kl,
         tilt=tilt,
         gap_bits=gap,
+        mask_infeasible=masked,
     )
 
 
-def upper_bound_rates(cset: Constellation, band_energy, fractions) -> list[float]:
-    """``rate_upper_bound(cset, row, fractions).bits_per_symbol`` for each row
-    of a 2-D array of band energies, in one pass."""
-    rows = _bound_rows(cset, np.asarray(band_energy, dtype=float), fractions)
-    return [-math.inf if kl is None else h - kl for h, _, kl in rows]
+def upper_bound_rates(cset: Constellation, total: float, shares, fractions) -> list[float]:
+    """The capacity upper bound at one total energy for each row of a 2-D
+    array of band shares: ``rate_upper_bound(cset, total * row,
+    fractions).bits_per_symbol`` up to the rounding of the row's total, with
+    one maximum-entropy solve for all rows."""
+    h, _, losses = _bound_rows(cset, float(total), shares, fractions)
+    return [h - kl for kl in losses]

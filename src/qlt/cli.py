@@ -489,6 +489,8 @@ def _run_rate(resolved: dict) -> dict:
 def _run_upper_bound(resolved: dict) -> dict:
     p = resolved["params"]
     q = _quantizer(p["quantizer"])
+    if q.is_identity:
+        raise ConfigError("upper-bound: an identity quantizer has no finite constellation to bound")
     cset = constellation_of(q)
     m = tx_moments(q, p["pbar"]) if p["include_gap"] else None
     rep = rate_upper_bound(cset, p["band_energy"], p["fractions"], m_tx=m)
@@ -521,7 +523,7 @@ def _run_sweep_aclr(resolved: dict) -> dict:
     for bits in p["bits"]:
         q = QuantizerSpec.midrise_for_power(bits, pbar, p["kappa"])
         m = tx_moments(q, pbar)
-        r_upper = upper_bound_rates(constellation_of(q), nu * ((m.gain**2 + m.noise) * pbar), fr)
+        r_upper = upper_bound_rates(constellation_of(q), (m.gain**2 + m.noise) * pbar, nu, fr)
         for aclr_db, shares, ub in zip(map(float, grid), nu.tolist(), r_upper):
             try:
                 r_lin = noise_free_rate(fr, m, shares).bits_per_symbol

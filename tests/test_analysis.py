@@ -85,7 +85,7 @@ _FRACTION_TAKERS = {
     "noise_free_rate": lambda fr, ok: noise_free_rate(fr, _M1, ok),
     "noise_free_rates": lambda fr, ok: noise_free_rates(fr, _M1, [ok]),
     "rate_upper_bound": lambda fr, ok: rate_upper_bound(_CSET1, np.multiply(ok, 2.0), fr),
-    "upper_bound_rates": lambda fr, ok: upper_bound_rates(_CSET1, [np.multiply(ok, 2.0)], fr),
+    "upper_bound_rates": lambda fr, ok: upper_bound_rates(_CSET1, 2.0, [ok], fr),
 }
 
 

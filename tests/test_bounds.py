@@ -3,12 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qlt.bounds
 from qlt import (
     BoundaryEnergyError,
     Constellation,
     InfeasibleEnergyError,
+    NumericalFailureError,
     QuantizerSpec,
     constellation_of,
     cumulant,
@@ -259,24 +262,19 @@ def _aclr_cfg(tmp_path, out):
 
 
 def test_sweep_aclr_solves_each_total_energy_once(tmp_path, monkeypatch):
-    totals, solves = set(), []
-    entropy_and_tilt, rate_fn = qlt.bounds._entropy_and_tilt, qlt.bounds.rate_function
-
-    def recording(cset, s):
-        totals.add((id(cset), s))
-        return entropy_and_tilt(cset, s)
+    solves = []
+    rate_fn = qlt.bounds.rate_function
 
     def counting(cset, s):
         solves.append(s)
         return rate_fn(cset, s)
 
-    monkeypatch.setattr(qlt.bounds, "_entropy_and_tilt", recording)
     monkeypatch.setattr(qlt.bounds, "rate_function", counting)
     assert main(["sweep-aclr", "--config", _aclr_cfg(tmp_path, "o")]) == 0
     rows = (tmp_path / "o" / "sweep-aclr.csv").read_text().splitlines()[1:]
     assert len(rows) == 243  # 81 points x 3 resolutions, one bound each
-    # the totals differ only by rounding: a few per resolution
-    assert 0 < len(solves) <= len(totals) < 30
+    # one solve per resolution: every row shares its resolution's total energy
+    assert len(solves) == 3
 
 
 def test_solves_do_not_carry_across_ops(tmp_path, monkeypatch):
@@ -299,10 +297,77 @@ def test_solves_do_not_carry_across_ops(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("bad", [(math.nan, 1.0), (math.nan, math.nan), (math.inf, math.inf)])
 def test_upper_bound_rates_reject_a_non_finite_row_at_that_row(bad):
-    # the rows before it solve; the bad row is an invalid input, not a failed solve
-    rows = [(1.0, 1.0), (4.0, 0.5), bad, (0.5, 0.5)]
+    # the rows share one solve; a bad row is an invalid input, not a failed solve
+    rows = [(0.5, 0.5), (0.75, 0.25), bad, (0.25, 0.75)]
     with pytest.raises(ValueError, match="finite"):
-        upper_bound_rates(GRID16, rows, (0.5, 0.5))
-    assert upper_bound_rates(GRID16, rows[:2], (0.5, 0.5)) == [
-        rate_upper_bound(GRID16, row, (0.5, 0.5)).bits_per_symbol for row in rows[:2]
+        upper_bound_rates(GRID16, 8.0, rows, (0.5, 0.5))
+    assert upper_bound_rates(GRID16, 8.0, rows[:2], (0.5, 0.5)) == [
+        rate_upper_bound(GRID16, np.multiply(row, 8.0), (0.5, 0.5)).bits_per_symbol
+        for row in rows[:2]
     ]
+
+
+def test_upper_bound_rates_check_the_total_and_the_row_width():
+    with pytest.raises(ValueError, match="total target energy must be positive"):
+        upper_bound_rates(GRID16, 0.0, [(0.5, 0.5)], (0.5, 0.5))
+    with pytest.raises(ValueError, match="target energy must be finite"):
+        upper_bound_rates(GRID16, math.inf, [(0.5, 0.5)], (0.5, 0.5))
+    with pytest.raises(ValueError, match="equal length"):
+        upper_bound_rates(GRID16, 8.0, [(0.5, 0.25, 0.25)], (0.5, 0.5))
+    with pytest.raises(ValueError, match="equal length"):
+        upper_bound_rates(GRID16, 8.0, (0.5, 0.5), (0.5, 0.5))
+    assert upper_bound_rates(GRID16, 8.0, [(1.0, 0.0)], (0.5, 0.5)) == [-math.inf]
+
+
+def _bracket(cset, s):
+    """Evaluations and width of the solver's expanding bracket: the low end
+    doubles from -1 until its tilted mean is at most s, then the high end
+    from 1 until it is at least s."""
+    lo, hi, evals = -1.0, 1.0, 2
+    while tilted_mean_energy(cset, lo) > s:
+        lo, evals = 2.0 * lo, evals + 1
+    while tilted_mean_energy(cset, hi) < s:
+        hi, evals = 2.0 * hi, evals + 1
+    return evals, hi - lo
+
+
+def _counted_solve(cset, s, thetas, fail_after=None):
+    """rate_function(cset, s), appending each tilt it evaluates to thetas;
+    past fail_after evaluations every tilted mean is NaN."""
+    original = qlt.bounds.tilted_mean_energy
+
+    def counting(c, theta):
+        thetas.append(theta)
+        if fail_after is not None and len(thetas) > fail_after:
+            return math.nan
+        return original(c, theta)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qlt.bounds, "tilted_mean_energy", counting)
+        return rate_function(cset, s)
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(
+    bits=st.integers(1, 6),
+    clip=st.floats(0.5, 6.0),
+    frac=st.floats(0.02, 0.98),
+)
+def test_tilt_solve_brackets_the_root_within_one_step_of_bisection(bits, clip, frac):
+    cset = constellation_of(QuantizerSpec.uniform_midrise(bits, clip))
+    s = cset.min_energy + frac * (cset.max_energy - cset.min_energy)
+    thetas = []
+    _, tilt = _counted_solve(cset, s, thetas)
+    tol = qlt.bounds.TILT_TOL
+    assert tilted_mean_energy(cset, tilt - tol) <= s <= tilted_mean_energy(cset, tilt + tol)
+    bracket_evals, width = _bracket(cset, s)
+    assert len(thetas) <= bracket_evals + math.ceil(math.log2(width / tol)) + 1
+
+
+def test_a_nan_tilted_mean_after_the_bracket_fails_the_solve():
+    s, thetas = 6.0, []
+    bracket_evals, width = _bracket(GRID16, s)
+    with pytest.raises(NumericalFailureError, match="did not converge"):
+        _counted_solve(GRID16, s, thetas, fail_after=bracket_evals)
+    # it stops at the evaluation cap instead of looping
+    assert len(thetas) == bracket_evals + math.ceil(math.log2(width / qlt.bounds.TILT_TOL)) + 1

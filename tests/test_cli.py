@@ -26,8 +26,9 @@ from qlt import (
     cli,
     clip_for_power,
     constellation_of,
+    kl_divergence,
+    max_entropy,
     noise_free_rate,
-    rate_upper_bound,
     tx_moments,
 )
 from qlt.cli import main, package_defaults
@@ -125,6 +126,22 @@ def test_numerical_failure_exits_3(tmp_path, capsys):
         },
     }
     assert main(["upper-bound", "--config", write_cfg(tmp_path, cfg)]) == 3
+    assert not (tmp_path / "out").exists()
+
+
+def test_upper_bound_of_an_ideal_dac_is_a_config_error(tmp_path, capsys):
+    cfg = {
+        "schema_version": 1,
+        "experiment": "upper-bound",
+        "output": {"format": "json", "path": str(tmp_path / "out")},
+        "params": {
+            "quantizer": {"kind": "identity"},
+            "fractions": [0.5, 0.5],
+            "band_energy": [1.0, 1.0],
+        },
+    }
+    assert main(["upper-bound", "--config", write_cfg(tmp_path, cfg)]) == 2
+    assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -517,8 +534,8 @@ def test_sweep_aclr_rows_match_per_point_bounds(tmp_path_factory, split, bits, k
                 r_lin = noise_free_rate(fr, m, nu).bits_per_symbol.hex()
             except FeasibilityError:
                 r_lin = None
-            ub = rate_upper_bound(constellation_of(q), (nu[0] * s_tot, nu[1] * s_tot), fr)
-            expected.append([str(float(db)), str(b), r_lin, ub.bits_per_symbol.hex()])
+            ub = max_entropy(constellation_of(q), s_tot) - kl_divergence(fr, nu)
+            expected.append([str(float(db)), str(b), r_lin, ub.hex()])
     assert [[r[0], r[1], _hex(r[2]), _hex(r[3])] for r in rows] == expected
     if grid["start"] == -4000.0:
         assert [r[2:4] for r in rows[::2]] == [["", "-inf"]] * len(bits)

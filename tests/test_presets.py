@@ -25,7 +25,7 @@ DIGESTS = {
     },
     "fig3_sweep_aclr": {
         "resolved_config.json": "885e674228ac91faa48d415633ee649fff1d2d22ce7521a2a0459c0fc40273dc",
-        "sweep-aclr.csv": "d98cc5e1de8d8a86709e26b9c628a6eff7621f4726f4769424f7619a21502fb7",
+        "sweep-aclr.csv": "2a12cf9682a8626f35be58caeed5a9040cb01134b0487929a6e18b11a38ed0d6",
     },
     "moments_3bit": {
         "moments.json": "02e40c97b9fed4fa5d2fbc4daa7aaa6cf7cd49ddfc2cc47900116a087194ee6c",
