@@ -8,8 +8,9 @@ Cumulant and rate-function values are in nats; entropies and rates in bits.
 The tilt that attains a target energy is found by ITP (Oliveira & Takahashi,
 "An enhancement of the bisection method average performance preserving minmax
 optimality", ACM TOMS 47(1), 2020): at most one evaluation more than bisection
-to TILT_TOL, superlinear on the smooth tilted mean.  A batch of bound rows
-shares one total energy and so one solve.
+to TILT_TOL, or to two adjacent floats where their spacing exceeds TILT_TOL,
+superlinear on the smooth tilted mean.  A batch of bound rows shares one total
+energy and so one solve.
 """
 
 import math
@@ -90,9 +91,10 @@ def rate_function(cset: Constellation, s: float) -> tuple[float, float]:
     Returns (value in nats, maximizing tilt).  The tilt solves
     tilted_mean_energy(theta) = s (increasing by convexity of the cumulant) by
     ITP on an expanding bracket [lo, hi], and is the midpoint of a final
-    bracket no wider than TILT_TOL.  Past ceil(log2((hi - lo) / TILT_TOL)) + 1
-    evaluations, one more than bisection, the solve is a NumericalFailureError
-    (a NaN tilted mean, or a tilt whose float spacing exceeds TILT_TOL).  A
+    bracket no wider than TILT_TOL, or of two adjacent floats where a large
+    tilt spaces its floats wider than that.  Past
+    ceil(log2((hi - lo) / TILT_TOL)) + 1 evaluations, one more than
+    bisection, the solve is a NumericalFailureError (a NaN tilted mean).  A
     non-finite s is a ValueError.
     """
     if not math.isfinite(s):
@@ -136,7 +138,9 @@ def rate_function(cset: Constellation, s: float) -> tuple[float, float]:
     n_max = math.ceil(math.log2(width / TILT_TOL)) + 1
     reach = TILT_TOL - 4.0 * math.ulp(max(-lo, hi))
     for j in range(n_max + 1):
-        if hi - lo <= TILT_TOL:
+        # adjacent floats are the narrowest bracket there is, even where
+        # their spacing exceeds TILT_TOL (tilts past about 8192)
+        if hi - lo <= TILT_TOL or math.nextafter(lo, hi) == hi:
             break
         if j == n_max:
             raise NumericalFailureError(f"tilt solve at s={s} did not converge")
@@ -171,9 +175,12 @@ def _entropy_and_tilt(cset: Constellation, s: float) -> tuple[float, float]:
     value, tilt = rate_function(cset, s)
     h_bits = math.log2(cset.size) - value / _LN2
     # cross-check against the entropy of the tilted law achieving energy s
+    # (0 log 0 = 0: a probability that underflows to 0 adds nothing, and a
+    # NaN entropy fails the check)
     p = tilted_distribution(cset, tilt)
+    p = p[p > 0.0]
     h_direct = float(-np.sum(p * np.log2(p)))
-    if abs(h_direct - h_bits) > 1e-6 * max(1.0, abs(h_bits)):
+    if not abs(h_direct - h_bits) <= 1e-6 * max(1.0, abs(h_bits)):
         raise NumericalFailureError(
             f"max-entropy cross-check failed: {h_bits} vs tilted-law {h_direct}"
         )

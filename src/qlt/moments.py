@@ -180,11 +180,14 @@ def _mc_moments(qtx, noise_power, qrx, pbar, method: MonteCarlo, stream) -> AgnM
     n = method.samples
     u = complex_normal(rng, pbar, n)
     s = quantize(qrx, add_awgn(quantize(qtx, u), noise_power, rng))
-    cross = np.conj(s) * u
-    # the chain is I/Q-symmetric, so the imaginary part is sampling noise
-    gain = float((np.mean(cross) / pbar).real)
-    resid = np.abs(s - gain * u) ** 2
-    noise = float(np.mean(resid)) / pbar
+    # an overflow is reported below as a NumericalFailureError, as the exact
+    # path reports its own
+    with np.errstate(over="ignore", invalid="ignore"):
+        cross = np.conj(s) * u
+        # the chain is I/Q-symmetric, so the imaginary part is sampling noise
+        gain = float((np.mean(cross) / pbar).real)
+        resid = np.abs(s - gain * u) ** 2
+        noise = float(np.mean(resid)) / pbar
     if not np.isfinite(noise) or not np.isfinite(gain):
         raise NumericalFailureError("Monte-Carlo expectation did not converge to a finite value")
     gain_se = float(np.std(cross.real) / np.sqrt(n)) / pbar

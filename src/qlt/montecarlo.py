@@ -9,7 +9,8 @@ Haar transforms are drawn as a product of random Householder reflections
 (exact Haar law) that applies in O(n^2) time without forming the matrix,
 which keeps large-N runs fast.  A trial holds one 16*(n(n+1)/2 - 1)-byte
 reflector buffer (33.6 MB at n=2048) and 8*(n - 1) bytes of reflector scales,
-and only one trial's chain is alive at a time.
+and only one trial's chain is alive at a time.  The buffer's layout is built
+and applied only here, in :class:`HouseholderChain`.
 """
 
 from dataclasses import dataclass, field, replace
@@ -18,7 +19,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import _kernels
 from ._rng import complex_normal, substream
 from .analysis import SubbandPlan, _check_fractions, _floats, predict_spectrum
 from .moments import _check_noise_power, add_awgn, chain_moments, tx_moments
@@ -28,6 +28,27 @@ from .quantizer import QuantizerSpec, quantize
 # reflector buffer; the reflectors a chunk completes are built before the next
 # chunk is drawn, while that chunk is still in cache.
 _DRAW_CHUNK = 1 << 16
+
+
+# Turns each Gaussian segment w[offsets[i]:offsets[i+1]], a, into the
+# unnormalized Householder vector v = a + phase * |a| * e_1 in place, with
+# phase = a_0 / |a_0| (1 where a_0 is 0).  It writes -phase into betas[i] and
+# the reflector's scale 1 / (|a| (|a| + |a_0|)) = 2 / |v|^2 into taus[i], so
+# the reflector is I - taus[i] v v^H.  It may be called on any run of whole
+# segments, with offsets rebased to 0; each segment's result does not depend
+# on which other segments share the call.  It works on the whole run at once,
+# so its temporaries scale with the run, not with one segment.
+def _build_reflectors(w, offsets, betas, taus):
+    starts = offsets[:-1]
+    v = w[:offsets[-1]]
+    f = v.view(np.float64)
+    nrm = np.sqrt(np.add.reduceat(f * f, 2 * starts))
+    a0 = v[starts]
+    r0 = np.abs(a0)
+    phase = np.divide(a0, r0, out=np.ones_like(a0), where=r0 > 0.0)
+    betas[:] = -phase
+    taus[:] = 1.0 / (nrm * (nrm + r0))
+    v[starts] = a0 + phase * nrm
 
 
 class HouseholderChain:
@@ -45,7 +66,7 @@ class HouseholderChain:
     one ``standard_normal(2 * len(w)).view(complex128)`` draw (real and
     imaginary parts interleaved), then one uniform for the last phase.  After
     each chunk of the draw, the run of segments it completed is built in one
-    kernel call.
+    :func:`_build_reflectors` call.
     """
 
     def __init__(self, n: int, rng: np.random.Generator):
@@ -64,9 +85,8 @@ class HouseholderChain:
             b = a + rng.standard_normal(out=floats[a:a + _DRAW_CHUNK]).size
             done = int(np.searchsorted(offs, b // 2, side="right")) - 1
             if done > built:
-                run = self.w[offs[built]:offs[done]]
-                _kernels.chain_build(
-                    run, offs[built:done + 1] - offs[built],
+                _build_reflectors(
+                    self.w[offs[built]:offs[done]], offs[built:done + 1] - offs[built],
                     self.phases[built:done], self.taus[built:done],
                 )
                 built = done
@@ -74,15 +94,31 @@ class HouseholderChain:
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """V @ v."""
-        out = np.array(v, dtype=np.complex128, copy=True)
-        _kernels.chain_apply(self.w, self.offsets, self.taus, self.phases, out, True)
-        return out
+        return self._reflect(v, adjoint=False)
 
     def apply_adjoint(self, v: np.ndarray) -> np.ndarray:
         """V^H @ v."""
-        out = np.array(v, dtype=np.complex128, copy=True)
-        _kernels.chain_apply(self.w, self.offsets, self.taus, self.phases, out, False)
-        return out
+        return self._reflect(v, adjoint=True)
+
+    # V = H_0 D_0 H_1 D_1 ... H_{n-2} D_{n-2} G, where H_i is reflector i
+    # acting on z[i:], D_i multiplies coordinate i by phases[i] and G the last
+    # coordinate by phases[n-1].  H_j leaves coordinate i < j alone, so D_i
+    # commutes with it and V = H_0 ... H_{n-2} diag(phases): the phases apply
+    # as one vector, before the reflectors (run last to first) for V, or after
+    # them (run first to last) for V^H.
+    def _reflect(self, v: np.ndarray, adjoint: bool) -> np.ndarray:
+        z = np.array(v, dtype=np.complex128, copy=True)
+        offs = self.offsets.tolist()
+        tau = self.taus.tolist()
+        if not adjoint:
+            z *= self.phases
+        for i in range(len(tau)) if adjoint else reversed(range(len(tau))):
+            wk = self.w[offs[i]:offs[i + 1]]
+            seg = z[i:]
+            seg -= wk * (tau[i] * np.vdot(wk, seg))
+        if adjoint:
+            z *= self.phases.conj()
+        return z
 
 
 def _contiguous(fr: np.ndarray, n: int) -> np.ndarray:

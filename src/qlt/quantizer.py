@@ -12,6 +12,13 @@ Midrise level placement: levels sit at ``clip * (2k + 1 - 2**b) / (2**b - 1)``
 for ``k = 0 .. 2**b - 1`` (for ``b = 1`` this is ``+/-clip``).  Decision
 boundaries are the midpoints between adjacent levels; a sample exactly on a
 boundary rounds toward +inf.
+
+The per-dimension level grid and its maps live here only: ``levels_per_dim``
+and ``thresholds_per_dim`` describe it, and ``_map_dim`` applies it.  The
+midrise map computes a sample's level as ``-clip + k * step`` rather than
+reading ``levels_per_dim()``, so its output may differ from the table by
+ulps, and a sample exactly on a boundary may round down; taking the level
+from the table would move preset outputs by ulps.
 """
 
 from dataclasses import dataclass
@@ -19,7 +26,6 @@ from functools import cached_property
 
 import numpy as np
 
-from . import _kernels
 from .errors import NumericalFailureError, UnboundedConstellationError
 
 #: Default loading factor: clip = DEFAULT_KAPPA * sqrt(input_power / 2).
@@ -163,8 +169,15 @@ class Constellation:
 
 def _map_dim(spec: QuantizerSpec, x: np.ndarray) -> np.ndarray:
     if spec.kind == "uniform_midrise":
-        return _kernels.midrise_map(x, float(spec.clip), 2 ** spec.bits)
-    return _kernels.nearest_map(x, spec.levels_per_dim(), spec.thresholds_per_dim())
+        clip, nlevels = float(spec.clip), 2 ** spec.bits
+        step = 2.0 * clip / (nlevels - 1)
+        idx = np.floor((x + clip) / step + 0.5)
+        np.clip(idx, 0.0, nlevels - 1, out=idx)
+        return -clip + idx * step
+    # thresholds are the midpoints between consecutive levels; a sample
+    # exactly on a threshold maps to the upper level
+    idx = np.searchsorted(spec.thresholds_per_dim(), x, side="right")
+    return spec.levels_per_dim()[idx]
 
 
 def quantize(spec: QuantizerSpec, u):

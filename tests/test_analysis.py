@@ -484,3 +484,14 @@ def test_an_infeasible_share_leaves_no_reference_cycle():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: SubbandPlan((0.5, 0.5), (1.0, 1.0, 1.0)), "fractions and powers must be equal-length"),
+    (lambda: feasible_fractions((0.5, 0.5), one_bit_moments(), (0.2, 0.3, 0.5)), "distributions must have equal length"),
+    (lambda: kl_divergence((0.5, 0.5), (0.2, 0.3, 0.5)), "distributions must have equal length"),
+    (lambda: noise_free_rates((0.5, 0.5), one_bit_moments(), [(0.2, 0.3, 0.5)]), "as wide as the fractions"),
+], ids=["plan_powers", "feasible_fractions", "kl_divergence", "noise_free_rates"])
+def test_a_vector_of_another_length_is_a_value_error(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -371,3 +371,44 @@ def test_a_nan_tilted_mean_after_the_bracket_fails_the_solve():
         _counted_solve(GRID16, s, thetas, fail_after=bracket_evals)
     # it stops at the evaluation cap instead of looping
     assert len(thetas) == bracket_evals + math.ceil(math.log2(width / qlt.bounds.TILT_TOL)) + 1
+
+
+def test_a_tilt_whose_float_spacing_exceeds_tilt_tol_is_solved():
+    # past |tilt| ~ 8192 adjacent floats are further apart than TILT_TOL, so
+    # the solve stops at the adjacent-float bracket
+    cset = constellation_of(QuantizerSpec.uniform_midrise(7, 1.0))
+    s = cset.min_energy + 8e-6 * (cset.max_energy - cset.min_energy)
+    assert max_entropy(cset, s) == pytest.approx(2.238232298541959, rel=1e-12)
+    _, tilt = rate_function(cset, s)
+    assert math.ulp(tilt) > qlt.bounds.TILT_TOL
+    below, above = math.nextafter(tilt, -math.inf), math.nextafter(tilt, math.inf)
+    assert tilted_mean_energy(cset, below) <= s <= tilted_mean_energy(cset, above)
+
+
+_UNDERFLOW_CSET = constellation_of(QuantizerSpec.uniform_midrise(8, 1.0))
+_UNDERFLOW_S = _UNDERFLOW_CSET.min_energy + 1e-3 * (_UNDERFLOW_CSET.max_energy - _UNDERFLOW_CSET.min_energy)
+
+
+def test_max_entropy_cross_check_skips_underflowed_probabilities():
+    # some tilted probabilities underflow to 0 here; 0 log 0 = 0, with no
+    # RuntimeWarning (an error under the suite's filter)
+    _, tilt = rate_function(_UNDERFLOW_CSET, _UNDERFLOW_S)
+    assert tilted_distribution(_UNDERFLOW_CSET, tilt).min() == 0.0
+    assert max_entropy(_UNDERFLOW_CSET, _UNDERFLOW_S) == pytest.approx(8.139109810736562, rel=1e-12)
+
+
+def test_max_entropy_cross_check_catches_a_wrong_rate_where_probabilities_underflow(monkeypatch):
+    solve = qlt.bounds.rate_function
+
+    def off_by_a_tenth_nat(cset, s):
+        value, tilt = solve(cset, s)
+        return value + 0.1, tilt
+
+    monkeypatch.setattr(qlt.bounds, "rate_function", off_by_a_tenth_nat)
+    with pytest.raises(NumericalFailureError, match="cross-check"):
+        max_entropy(_UNDERFLOW_CSET, _UNDERFLOW_S)
+
+
+def test_gap_to_a_noiseless_linear_rate_is_minus_infinity():
+    m = tx_moments(QuantizerSpec.identity(), 1.0)
+    assert rate_upper_bound(GRID16, (5.0, 5.0), (0.5, 0.5), m_tx=m).gap_bits == -math.inf

@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qlt import _kernels
 from qlt._rng import substream
-from qlt.montecarlo import HouseholderChain
+from qlt.montecarlo import HouseholderChain, _build_reflectors
 
 
 def _dense_chain(w, offsets, taus, phases, n):
@@ -55,7 +54,7 @@ def test_chain_build_reflects_each_draw_onto_its_first_axis():
     w = gauss.copy()
     betas = np.empty(n - 1, np.complex128)
     taus = np.empty(n - 1)
-    _kernels.chain_build(w, offsets, betas, taus)
+    _build_reflectors(w, offsets, betas, taus)
     for i in range(n - 1):
         x = gauss[offsets[i]:offsets[i + 1]]
         wi = w[offsets[i]:offsets[i + 1]]
@@ -77,7 +76,7 @@ def test_chain_build_segments_independent_of_grouping():
     w_all = gauss.copy()
     betas_all = np.empty(n - 1, np.complex128)
     taus_all = np.empty(n - 1)
-    _kernels.chain_build(w_all, offsets, betas_all, taus_all)
+    _build_reflectors(w_all, offsets, betas_all, taus_all)
     # single-segment runs at both ends, random runs in between
     cuts = np.unique(np.concatenate(([0, 1, n - 2, n - 1], rng.integers(1, n - 1, 12))))
     w = gauss.copy()
@@ -85,7 +84,7 @@ def test_chain_build_segments_independent_of_grouping():
     taus = np.empty(n - 1)
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         a, b = offsets[lo], offsets[hi]
-        _kernels.chain_build(w[a:b], offsets[lo:hi + 1] - a, betas[lo:hi], taus[lo:hi])
+        _build_reflectors(w[a:b], offsets[lo:hi + 1] - a, betas[lo:hi], taus[lo:hi])
     np.testing.assert_array_equal(w.view(float), w_all.view(float))
     np.testing.assert_array_equal(betas.view(float), betas_all.view(float))
     np.testing.assert_array_equal(taus, taus_all)
@@ -116,9 +115,8 @@ def test_chain_apply_np_bit_identical_to_reference_loop(n):
     rng = substream(7, "kern-apply", n)
     chain = HouseholderChain(n, rng)
     z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    for forward in (True, False):
-        got, ref = z.copy(), z.copy()
-        _kernels.chain_apply(chain.w, chain.offsets, chain.taus, chain.phases, got, forward)
+    for apply, forward in ((chain.apply, True), (chain.apply_adjoint, False)):
+        got, ref = apply(z), z.copy()
         _chain_apply_loop(chain.w, chain.offsets, chain.taus, chain.phases, ref, forward)
         np.testing.assert_array_equal(got.view(float), ref.view(float))
 

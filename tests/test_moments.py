@@ -278,3 +278,20 @@ def test_a_nan_power_is_rejected_like_a_zero_one():
         tx_moments(QuantizerSpec.uniform_midrise(2, 1.8), math.nan)
     with pytest.raises(ValueError, match="power must be positive"):
         clip_for_power(math.nan)
+
+
+def test_monte_carlo_moments_overflow_is_a_numerical_failure():
+    # the squared residual overflows; that is reported as the failure it is,
+    # with no RuntimeWarning (an error under the suite's filter)
+    q = QuantizerSpec.custom_levels([-1e200, 1e200])
+    with pytest.raises(NumericalFailureError):
+        tx_moments(q, 1.0, MonteCarlo(samples=1000))
+
+
+def test_a_method_that_is_neither_quadrature_nor_monte_carlo_is_a_type_error():
+    with pytest.raises(TypeError, match="method must be Quadrature or MonteCarlo"):
+        tx_moments(QuantizerSpec.uniform_midrise(2, 1.8), 1.0, "exact")
+
+
+def test_a_round_off_negative_noise_reads_zero():
+    assert AgnMoments(1.0, -1e-15, 1.0).noise == 0.0

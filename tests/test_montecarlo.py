@@ -18,10 +18,9 @@ from qlt import (
     run_tx_trials,
     subband_assignment,
 )
-from qlt import _kernels
 from qlt._rng import substream
 from qlt.cli import json_text
-from qlt.montecarlo import _DRAW_CHUNK, _interleaved
+from qlt.montecarlo import _DRAW_CHUNK, _build_reflectors, _interleaved, _kurtosis
 
 ONE_BIT = QuantizerSpec.uniform_midrise(1, 1.0)
 SHAPED_PLAN = SubbandPlan((0.5, 0.5), (2.0, 0.0))
@@ -130,7 +129,7 @@ def _reference_chain(n, rng):
     taus = np.empty(n - 1)
     phases = np.empty(n, np.complex128)
     if total:
-        _kernels.chain_build(w, offsets, phases[:-1], taus)
+        _build_reflectors(w, offsets, phases[:-1], taus)
     phases[-1] = np.exp(2j * np.pi * rng.random())
     return w, taus, phases
 
@@ -447,3 +446,17 @@ def test_a_zero_power_band_of_a_noiseless_chain_predicts_zero_correlation():
 def test_sim_config_rejects_a_negative_or_nan_noise_power(noise_power):
     with pytest.raises(ValueError, match="noise_power"):
         SimConfig(size=64, plan=SHAPED_PLAN, dac=ONE_BIT, noise_power=noise_power)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: HouseholderChain(0, substream(0, "trial", 0)), "n must be >= 1"),
+    (lambda: subband_assignment((0.5, 0.5), 16, "random"), "unknown assignment layout"),
+    (lambda: SimConfig(size=64, plan=SHAPED_PLAN, dac=ONE_BIT, trials=0), "trials must be >= 1"),
+], ids=["empty_chain", "unknown_layout", "no_trials"])
+def test_an_invalid_size_layout_or_trial_count_is_a_value_error(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_kurtosis_of_a_constant_vector_is_zero():
+    assert _kurtosis(np.full(16, 2.5)) == 0.0

@@ -209,3 +209,16 @@ def test_interleaved_quantize_matches_two_rails_bytewise(spec):
         got = quantize(spec, u)
         assert got.shape == u.shape
         assert got.tobytes() == _two_rail_quantize(spec, u).tobytes()
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: QuantizerSpec("identity", bits=3), ValueError, "takes no parameters"),
+    (lambda: QuantizerSpec.custom_levels([0.0, np.inf]), ValueError, "levels must be finite"),
+    (lambda: QuantizerSpec("lloyd_max"), ValueError, "unknown quantizer kind"),
+    (lambda: QuantizerSpec.identity().levels_per_dim(), UnboundedConstellationError, "no finite level set"),
+    (lambda: Constellation(points=np.array([], dtype=complex)), ValueError, "must be non-empty"),
+    (lambda: Constellation(points=np.array([1 + 1j, -1j, 1 + 1j])), ValueError, "duplicate"),
+], ids=["identity_with_bits", "non_finite_level", "unknown_kind", "identity_levels", "no_points", "repeated_point"])
+def test_an_invalid_quantizer_or_constellation_is_rejected(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

@@ -14,7 +14,7 @@ from qlt import (
     synthesize_baseband,
 )
 from qlt.cli import json_text
-from qlt.waveform import _welch
+from qlt.waveform import _oob_flatness, _welch
 
 BASE = WaveformConfig(num_symbols=128, seed=7)
 
@@ -238,3 +238,16 @@ def test_measurement_memory_stays_near_the_stream(num_subcarriers, num_symbols, 
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * stream.nbytes
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("num_subcarriers", 4, "num_subcarriers must be >= 8"),
+    ("symbol_taper", 1.5, "symbol_taper must be in"),
+])
+def test_config_rejects_too_few_subcarriers_or_a_taper_above_one(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        WaveformConfig(**{field: value})
+
+
+def test_oob_flatness_of_a_zero_density_is_infinite():
+    assert _oob_flatness(np.zeros(256), slice(0, 128), slice(128, 256)) == math.inf
