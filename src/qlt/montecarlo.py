@@ -5,12 +5,16 @@ modulate -> DAC -> AWGN -> ADC -> demodulate (a transmit-only trial has no
 noise and an ideal ADC), and accumulates per-band energies, noise Gaussianity
 diagnostics and per-band input/output correlations against their limits.
 
-Haar transforms are drawn as a product of random Householder reflections
-(exact Haar law) that applies in O(n^2) time without forming the matrix,
-which keeps large-N runs fast.  A trial holds one 16*(n(n+1)/2 - 1)-byte
-reflector buffer (33.6 MB at n=2048) and 8*(n - 1) bytes of reflector scales,
-and only one trial's chain is alive at a time.  The buffer's layout is built
-and applied only here, in :class:`HouseholderChain`.
+Haar transforms are drawn lazily (:class:`HouseholderChain`): a trial draws
+only the Householder reflectors its own queries reach, exact in Haar law, at
+O(n) time and memory per query.  A Haar trial's stream gives, in order: the
+symbols (``complex_normal``, 2n floats); one ``standard_normal(2n)`` when
+modulate adds its direction; one ``standard_normal(2(n-1))`` when demodulate
+meets the DAC output, unless that output is already in the span (an identity
+DAC); then, in a chain trial, the AWGN and one ``standard_normal(2(n-2))``
+for the ADC output.  A trial's chain holds at most 3 directions, 2 reflectors
+each: at most 96*n bytes (384 KiB at n=4096).  The ``fft`` transform draws
+nothing.
 """
 
 from dataclasses import dataclass, field, replace
@@ -24,101 +28,92 @@ from .analysis import SubbandPlan, _check_fractions, _floats, predict_spectrum
 from .moments import _check_noise_power, add_awgn, chain_moments, tx_moments
 from .quantizer import QuantizerSpec, quantize
 
-# Gaussians (float64 values) drawn per generator call while filling a chain's
-# reflector buffer; the reflectors a chunk completes are built before the next
-# chunk is drawn, while that chunk is still in cache.
-_DRAW_CHUNK = 1 << 16
+# A query's remainder outside the span of the earlier queries counts as zero,
+# and draws nothing, when its norm is at most SPAN_RTOL * n * |v|.  Reflector
+# round-off leaves a remainder of a few eps * |v| on a vector already queried
+# (an identity DAC hands the demodulator x = V^H z exactly); a new direction
+# with a remainder that small changes the output by no more than round-off.
+SPAN_RTOL = 8.0 * np.finfo(np.float64).eps
 
 
-# Turns each Gaussian segment w[offsets[i]:offsets[i+1]], a, into the
-# unnormalized Householder vector v = a + phase * |a| * e_1 in place, with
-# phase = a_0 / |a_0| (1 where a_0 is 0).  It writes -phase into betas[i] and
-# the reflector's scale 1 / (|a| (|a| + |a_0|)) = 2 / |v|^2 into taus[i], so
-# the reflector is I - taus[i] v v^H.  It may be called on any run of whole
-# segments, with offsets rebased to 0; each segment's result does not depend
-# on which other segments share the call.  It works on the whole run at once,
-# so its temporaries scale with the run, not with one segment.
-def _build_reflectors(w, offsets, betas, taus):
-    starts = offsets[:-1]
-    v = w[:offsets[-1]]
-    f = v.view(np.float64)
-    nrm = np.sqrt(np.add.reduceat(f * f, 2 * starts))
-    a0 = v[starts]
-    r0 = np.abs(a0)
-    phase = np.divide(a0, r0, out=np.ones_like(a0), where=r0 > 0.0)
-    betas[:] = -phase
-    taus[:] = 1.0 / (nrm * (nrm + r0))
-    v[starts] = a0 + phase * nrm
+def _reflector(a):
+    """(u, beta) with (I - u u^H) a = beta * |a| * e_0, |u|^2 = 2 and |beta| = 1."""
+    r = np.linalg.norm(a)
+    r0 = abs(a[0])
+    phase = a[0] / r0 if r0 > 0.0 else 1.0
+    s = np.sqrt(r * (r + r0))
+    u = a / s
+    u[0] += phase * (r / s)
+    return u, -phase
+
+
+def _reflect(u, seg):
+    seg -= u * np.vdot(u, seg)
 
 
 class HouseholderChain:
-    """Haar unitary represented as a chain of Householder reflections.
+    """Haar unitary V on C^n, drawn lazily as two chains of Householder reflectors.
 
-    The first column of each successive trailing block is a uniformly drawn
-    unit vector, which by the subgroup structure of the unitary group yields
-    an exactly Haar-distributed product; applying it to a vector costs O(n^2).
+    After k queries, V = A_0 ... A_{k-1} diag(phi_0, ..., phi_{k-1}, W)
+    B_{k-1} ... B_0, where the input reflectors B_j and the output reflectors
+    A_j act on coordinates j..n-1 and W is a Haar unitary on the last n - k
+    coordinates that has not been drawn.  A query of V (``apply``) runs v
+    through the B's; when the remainder y[k:] is not zero (see
+    :data:`SPAN_RTOL`), B_k maps it onto e_k, one Gaussian vector g of length
+    n - k is drawn, and A_k with the phase phi_k maps e_k onto g/|g| -- a
+    uniform unit vector, phase included, which is W's image of e_k.  The
+    phases and the A's then give V v.  ``apply_adjoint`` is the same with the
+    chains swapped and the phases conjugated.  By the invariance of Haar
+    measure (Mezzadri 2007), V given its images of the queried vectors is
+    Haar on their orthogonal complements, so the chain is exact in law.
 
-    The reflectors live in one complex buffer ``w`` of n(n+1)/2 - 1 entries
-    (16 bytes each), unnormalized, with one real scale each in ``taus``
-    (reflector i is I - taus[i] w_i w_i^H).  ``phases`` holds the n - 1
-    reflector phases, then the last coordinate's uniform phase.  The buffer
-    is drawn and built in place: the random stream is consumed exactly as by
-    one ``standard_normal(2 * len(w)).view(complex128)`` draw (real and
-    imaginary parts interleaved), then one uniform for the last phase.  After
-    each chunk of the draw, the run of segments it completed is built in one
-    :func:`_build_reflectors` call.
+    A query that adds a direction draws ``standard_normal(2 * (n - k))``
+    from ``rng`` (real and imaginary parts interleaved); any other query
+    draws nothing.  After k new directions the chain holds 2k reflectors of
+    at most n complex entries: about 32*n*k bytes, and O(n*k) work per query.
     """
 
     def __init__(self, n: int, rng: np.random.Generator):
         if n < 1:
             raise ValueError("n must be >= 1")
         self.n = n
-        sizes = np.arange(n, 1, -1, dtype=np.int64)
-        offs = self.offsets = np.concatenate(([0], np.cumsum(sizes)))
-        total = int(offs[-1])
-        self.w = np.empty(total, np.complex128)
-        self.taus = np.empty(n - 1)
-        self.phases = np.empty(n, np.complex128)
-        floats = self.w.view(np.float64)
-        built = 0  # segments drawn in full, and built
-        for a in range(0, 2 * total, _DRAW_CHUNK):
-            b = a + rng.standard_normal(out=floats[a:a + _DRAW_CHUNK]).size
-            done = int(np.searchsorted(offs, b // 2, side="right")) - 1
-            if done > built:
-                _build_reflectors(
-                    self.w[offs[built]:offs[done]], offs[built:done + 1] - offs[built],
-                    self.phases[built:done], self.taus[built:done],
-                )
-                built = done
-        self.phases[n - 1] = np.exp(2j * np.pi * rng.random())
+        self.rng = rng
+        self.ins = []  # u of B_j: B_j = I - u u^H on coordinates j..n-1
+        self.outs = []  # u of A_j
+        self.phases = []  # phi_j
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """V @ v."""
-        return self._reflect(v, adjoint=False)
+        return self._query(v, self.ins, self.outs, adjoint=False)
 
     def apply_adjoint(self, v: np.ndarray) -> np.ndarray:
         """V^H @ v."""
-        return self._reflect(v, adjoint=True)
+        return self._query(v, self.outs, self.ins, adjoint=True)
 
-    # V = H_0 D_0 H_1 D_1 ... H_{n-2} D_{n-2} G, where H_i is reflector i
-    # acting on z[i:], D_i multiplies coordinate i by phases[i] and G the last
-    # coordinate by phases[n-1].  H_j leaves coordinate i < j alone, so D_i
-    # commutes with it and V = H_0 ... H_{n-2} diag(phases): the phases apply
-    # as one vector, before the reflectors (run last to first) for V, or after
-    # them (run first to last) for V^H.
-    def _reflect(self, v: np.ndarray, adjoint: bool) -> np.ndarray:
-        z = np.array(v, dtype=np.complex128, copy=True)
-        offs = self.offsets.tolist()
-        tau = self.taus.tolist()
-        if not adjoint:
-            z *= self.phases
-        for i in range(len(tau)) if adjoint else reversed(range(len(tau))):
-            wk = self.w[offs[i]:offs[i + 1]]
-            seg = z[i:]
-            seg -= wk * (tau[i] * np.vdot(wk, seg))
-        if adjoint:
-            z *= self.phases.conj()
-        return z
+    def _query(self, v, into, out_of, adjoint):
+        y = np.array(v, dtype=np.complex128, copy=True)
+        bound = SPAN_RTOL * self.n * np.linalg.norm(y)
+        for j, u in enumerate(into):
+            _reflect(u, y[j:])
+        k = len(into)
+        tail = y[k:]
+        r = np.linalg.norm(tail)
+        if r > bound:
+            g = self.rng.standard_normal(2 * (self.n - k)).view(np.complex128)
+            u_in, beta = _reflector(tail)
+            u_out, phi = _reflector(g)  # (I - u_out u_out^H) phi e_0 = g / |g|
+            into.append(u_in)
+            out_of.append(u_out)
+            # phases holds V's; an adjoint query has found a phase of V^H
+            self.phases.append(phi.conjugate() if adjoint else phi)
+            y[k] = beta * r
+            k += 1
+        y[k:] = 0.0
+        phases = np.array(self.phases)
+        y[:k] *= phases.conj() if adjoint else phases
+        for j in reversed(range(k)):
+            _reflect(out_of[j], y[j:])
+        return y
 
 
 def _contiguous(fr: np.ndarray, n: int) -> np.ndarray:
@@ -276,9 +271,6 @@ def _run(cfg: SimConfig, with_correlation: bool) -> SimReport:
 
     for t in range(cfg.trials):
         rng = substream(cfg.seed, "trial", t)
-        # the pair's bound methods hold the trial's chain: free the last
-        # trial's reflectors before drawing the next
-        modulate = demodulate = None
         modulate, demodulate = TRANSFORMS[cfg.transform](n, rng)
         z = complex_normal(rng, symbol_power, n)
         x = quantize(cfg.dac, modulate(z))

@@ -81,11 +81,11 @@ C3_PLAN = SubbandPlan((0.5, 0.5), (2.0, 0.0))
 C3_SIZE = 2048
 
 
-def _spectrum_criterion(transform):
+def _spectrum_criterion(transform, trials):
     pred = predict_spectrum(C3_PLAN, tx_moments(ONE_BIT, 1.0))
     t0 = time.perf_counter()
     cfg = SimConfig(size=C3_SIZE, plan=C3_PLAN, dac=ONE_BIT, transform=transform,
-                    trials=20, seed=12345)
+                    trials=trials, seed=12345)
     rep = run_tx_trials(cfg)
     elapsed = time.perf_counter() - t0
     band_err = max(rep.band_energy_rel_err)
@@ -94,7 +94,7 @@ def _spectrum_criterion(transform):
 
 
 def test_c3_spectrum_theorem_haar():
-    rep, band_err, tot_err, elapsed = _spectrum_criterion("haar")
+    rep, band_err, tot_err, elapsed = _spectrum_criterion("haar", trials=30)
     ok = band_err < 0.03 and tot_err < 0.01 and elapsed < 60.0
     assert report(
         "C3 spectrum theorem (haar)",
@@ -110,7 +110,7 @@ def test_c3_spectrum_theorem_fft(arcsine_band_energies):
     # sits ~12% below the flat-noise limit at every size.  So the bands are
     # checked against the arcsine-law oracle, with the same 3% as the random
     # ensemble, and the flat-noise gap is printed for information.
-    rep, flat_gap, tot_err, elapsed = _spectrum_criterion("fft")
+    rep, flat_gap, tot_err, elapsed = _spectrum_criterion("fft", trials=20)
     oracle = arcsine_band_energies(C3_SIZE, C3_PLAN.powers, ONE_BIT.clip)
     band_err = max(abs(e / o - 1.0) for e, o in zip(rep.band_energy, oracle))
     ok = band_err < 0.03 and tot_err < 0.01 and elapsed < 60.0
@@ -132,7 +132,7 @@ def test_c4_quantization_noise_gaussianity():
     for bits, clip in ((1, 1.0), (3, clip_for_power(1.0))):
         cfg = SimConfig(size=4096, plan=plan,
                         dac=QuantizerSpec.uniform_midrise(bits, clip),
-                        trials=4, seed=1234)
+                        trials=12, seed=1234)
         d = run_tx_trials(cfg).noise_diagnostics
         kmax = max(abs(d["excess_kurtosis_re"]), abs(d["excess_kurtosis_im"]))
         ok = ok and kmax < 0.15 and d["z_w_correlation"] < bound
@@ -167,7 +167,7 @@ def test_c5_rate_formula_cross_consistency():
 
 def test_c6_correlation_limit():
     plan = SubbandPlan((0.5, 0.5), (1.0, 1.0))
-    cfg = SimConfig(size=2048, plan=plan, dac=ONE_BIT, trials=12, seed=99,
+    cfg = SimConfig(size=2048, plan=plan, dac=ONE_BIT, trials=24, seed=99,
                     noise_power=0.0)
     rep = run_chain_trials(cfg)
     target = 2.0 / math.pi

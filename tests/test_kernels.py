@@ -4,22 +4,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qlt._rng import substream
-from qlt.montecarlo import HouseholderChain, _build_reflectors
+from qlt.montecarlo import SPAN_RTOL, HouseholderChain, _reflector
 
 
-def _dense_chain(w, offsets, taus, phases, n):
-    # V = H_0 D_0 H_1 D_1 ... H_{n-2} D_{n-2} G, with H_i the reflector
-    # I - taus[i] w_i w_i^H acting on coordinates i..n-1, D_i = diag(..,
-    # phases[i] at i, ..) and G = diag(1, .., 1, phases[n-1])
-    v = np.eye(n, dtype=complex)
-    for i in range(n - 1):
-        wi = w[offsets[i]:offsets[i + 1]]
-        h = np.eye(n, dtype=complex)
-        h[i:, i:] -= taus[i] * np.outer(wi, wi.conj())
-        d = np.eye(n, dtype=complex)
-        d[i, i] = phases[i]
-        v = v @ h @ d
-    v[:, n - 1] *= phases[n - 1]
+def _embedded(u, j, n):
+    # I - u u^H acting on coordinates j..n-1 of C^n
+    h = np.eye(n, dtype=complex)
+    h[j:, j:] -= np.outer(u, u.conj())
+    return h
+
+
+def _matmul(a, b):
+    # einsum keeps these small products off the BLAS thread pool, which can
+    # stall for milliseconds per call when the cores are busy
+    return np.einsum("ij,jk->ik", a, b)
+
+
+def _dense_chain(chain):
+    # V = A_0 ... A_{k-1} diag(phases) B_{k-1} ... B_0 once k = n
+    n = chain.n
+    v = np.diag(np.array(chain.phases, dtype=complex))
+    for j in reversed(range(n)):
+        v = _matmul(_matmul(_embedded(chain.outs[j], j, n), v), _embedded(chain.ins[j], j, n))
     return v
 
 
@@ -29,96 +35,162 @@ def test_chain_matches_dense_reflector_product(n):
     chain = HouseholderChain(n, rng)
     eye = np.eye(n, dtype=complex)
     applied = np.column_stack([chain.apply(eye[:, k]) for k in range(n)])
-    dense = _dense_chain(chain.w, chain.offsets, chain.taus, chain.phases, n)
+    assert len(chain.ins) == len(chain.outs) == len(chain.phases) == n
+    dense = _dense_chain(chain)
     np.testing.assert_allclose(applied, dense, atol=1e-13)
-    np.testing.assert_allclose(dense.conj().T @ dense, eye, atol=1e-13)
+    np.testing.assert_allclose(_matmul(dense.conj().T, dense), eye, atol=1e-13)
     z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     np.testing.assert_allclose(chain.apply_adjoint(chain.apply(z)), z, atol=1e-13)
-    np.testing.assert_allclose(chain.apply_adjoint(z), dense.conj().T @ z, atol=1e-13)
-
-
-def _segments(n):
-    return np.concatenate(([0], np.cumsum(np.arange(n, 1, -1, dtype=np.int64))))
+    np.testing.assert_allclose(chain.apply_adjoint(z), _matmul(dense.conj().T, z[:, None])[:, 0],
+                               atol=1e-13)
 
 
 def test_chain_build_reflects_each_draw_onto_its_first_axis():
-    # H_i x_i = betas[i] * |x_i| * e_1 for every Gaussian segment x_i, and a
-    # segment whose first entry is exactly 0 takes the phase 1 (betas = -1)
-    # with a finite scale
+    # (I - u u^H) a = beta * |a| * e_0 with |u|^2 = 2 and |beta| = 1 for every
+    # Gaussian draw a, and a draw whose first entry is exactly 0 takes the
+    # phase 1 (beta = -1)
     rng = substream(6, "kern-reflect")
-    n = 24
-    offsets = _segments(n)
-    gauss = rng.standard_normal(offsets[-1]) + 1j * rng.standard_normal(offsets[-1])
-    zero_first = (0, 5, n - 2)
-    gauss[offsets[list(zero_first)]] = 0.0
-    w = gauss.copy()
-    betas = np.empty(n - 1, np.complex128)
-    taus = np.empty(n - 1)
-    _build_reflectors(w, offsets, betas, taus)
-    for i in range(n - 1):
-        x = gauss[offsets[i]:offsets[i + 1]]
-        wi = w[offsets[i]:offsets[i + 1]]
-        assert abs(abs(betas[i]) - 1.0) < 1e-14
-        e1 = np.zeros(x.size, complex)
-        e1[0] = betas[i] * np.linalg.norm(x)
-        np.testing.assert_allclose(x - taus[i] * wi * np.vdot(wi, x), e1, atol=1e-13)
-    assert all(betas[i] == -1.0 for i in zero_first)
-    assert all(np.isfinite(taus[i]) and taus[i] > 0.0 for i in zero_first)
+    for size in range(1, 25):
+        for zero_first in (False, True):
+            a = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+            if zero_first:
+                if size == 1:
+                    continue
+                a[0] = 0.0
+            u, beta = _reflector(a)
+            assert abs(abs(beta) - 1.0) < 1e-14
+            assert abs(np.vdot(u, u) - 2.0) < 1e-14
+            e0 = np.zeros(size, complex)
+            e0[0] = beta * np.linalg.norm(a)
+            np.testing.assert_allclose(a - u * np.vdot(u, a), e0, atol=1e-13)
+            if zero_first:
+                assert beta == -1.0
 
 
-def test_chain_build_segments_independent_of_grouping():
-    # a run of segments built in one call matches the same segments built in
-    # any split into smaller runs, with offsets rebased to each run, bit for bit
-    rng = substream(8, "kern-groups")
-    n = 300
-    offsets = _segments(n)
-    gauss = rng.standard_normal(offsets[-1]) + 1j * rng.standard_normal(offsets[-1])
-    w_all = gauss.copy()
-    betas_all = np.empty(n - 1, np.complex128)
-    taus_all = np.empty(n - 1)
-    _build_reflectors(w_all, offsets, betas_all, taus_all)
-    # single-segment runs at both ends, random runs in between
-    cuts = np.unique(np.concatenate(([0, 1, n - 2, n - 1], rng.integers(1, n - 1, 12))))
-    w = gauss.copy()
-    betas = np.empty(n - 1, np.complex128)
-    taus = np.empty(n - 1)
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        a, b = offsets[lo], offsets[hi]
-        _build_reflectors(w[a:b], offsets[lo:hi + 1] - a, betas[lo:hi], taus[lo:hi])
-    np.testing.assert_array_equal(w.view(float), w_all.view(float))
-    np.testing.assert_array_equal(betas.view(float), betas_all.view(float))
-    np.testing.assert_array_equal(taus, taus_all)
+def _matrix(chain, first):
+    """V from basis-vector queries, and the first query's result.
+
+    ``first="adjoint"`` starts with V^H e_0, as a trial's modulate does, then
+    reads V's columns; ``first="apply"`` starts with V e_0, then reads V^H's.
+    """
+    eye = np.eye(chain.n, dtype=complex)
+    if first == "adjoint":
+        head = chain.apply_adjoint(eye[0])
+        v = np.column_stack([chain.apply(e) for e in eye])
+        return v, head, v[0].conj()
+    head = chain.apply(eye[0])
+    v = np.column_stack([chain.apply_adjoint(e) for e in eye]).conj().T
+    return v, head, v[:, 0]
 
 
-def _chain_apply_loop(w, offsets, taus, phases, z, forward):
-    # one reflector at a time, bounds read from the offsets array, and the
-    # phases as one vector multiply: numpy's vector complex multiply rounds
-    # differently from its scalar one, so the kernel's vector form is kept
-    n = z.shape[0]
-    nfac = offsets.shape[0] - 1
-    if forward:
-        z *= phases
-        for i in range(nfac - 1, -1, -1):
-            wk = w[offsets[i]:offsets[i + 1]]
-            seg = z[n - wk.shape[0]:]
-            seg -= wk * (taus[i] * np.vdot(wk, seg))
-    else:
-        for i in range(nfac):
-            wk = w[offsets[i]:offsets[i + 1]]
-            seg = z[n - wk.shape[0]:]
-            seg -= wk * (taus[i] * np.vdot(wk, seg))
-        z *= np.conj(phases)
+def _law_failures(cls, n, first, draws):
+    """Haar moments of V that miss their values by more than 4 standard errors."""
+    rng = substream(31, "chain-law", n, first)
+    tr = np.empty(draws, complex)
+    v00 = np.empty(draws)
+    for d in range(draws):
+        v = _matrix(cls(n, rng), first)[0]
+        tr[d] = np.trace(v)
+        v00[d] = abs(v[0, 0]) ** 4
+    moments = {
+        "E[tr V]": (tr, 0.0),
+        "E[(tr V)^2]": (tr**2, 0.0),
+        "E|tr V|^2": (np.abs(tr) ** 2, 1.0),
+        "E|V00|^4": (v00, 2.0 / (n * (n + 1))),
+    }
+    failures = []
+    for name, (x, want) in moments.items():
+        se = np.sqrt(np.mean(np.abs(x - x.mean()) ** 2) / draws)
+        if abs(x.mean() - want) > 4.0 * se + 1e-12:
+            failures.append(f"{name} = {x.mean():.4f}, want {want:.4f} (se {se:.4f})")
+    return failures
 
 
-@pytest.mark.parametrize("n", [1, 2, 257, 1024])
-def test_chain_apply_np_bit_identical_to_reference_loop(n):
-    rng = substream(7, "kern-apply", n)
+def _consistency_failures(cls, n, first):
+    """Ways in which a chain's answers disagree with one fixed unitary."""
+    rng = substream(32, "chain-consistency", n, first)
+    failures = []
+    v, head, col = _matrix(cls(n, rng), first)
+    if np.abs(v @ v.conj().T - np.eye(n)).max() > 1e-13:
+        failures.append("basis columns are not unitary")
+    if np.abs(head - col).max() > 1e-13:
+        failures.append("the first query disagrees with the later columns")
+    chain = cls(n, rng)
+    z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    y = chain.apply(z)
+    state = rng.bit_generator.state
+    if np.abs(chain.apply_adjoint(y) - z).max() > 1e-13 * np.linalg.norm(z):
+        failures.append("apply_adjoint(apply(v)) is not v")
+    if np.abs(chain.apply(z) - y).max() > 1e-13 * np.linalg.norm(z):
+        failures.append("re-applying v gives another image")
+    if rng.bit_generator.state != state:
+        failures.append("re-applying queried vectors drew from the generator")
+    return failures
+
+
+@pytest.mark.parametrize("first", ["adjoint", "apply"])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_chain_has_the_haar_moments(n, first):
+    assert _law_failures(HouseholderChain, n, first, draws=2000) == []
+
+
+@pytest.mark.parametrize("first", ["adjoint", "apply"])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_chain_answers_as_one_unitary(n, first):
+    assert _consistency_failures(HouseholderChain, n, first) == []
+
+
+class _Forgetful(HouseholderChain):
+    """Draws every query afresh, as if no earlier query had been made."""
+
+    def _query(self, v, into, out_of, adjoint):
+        for state in (self.ins, self.outs, self.phases):
+            state.clear()
+        return super()._query(v, into, out_of, adjoint)
+
+
+class _NoPhases(list):
+    def append(self, phase):
+        super().append(1.0)
+
+
+class _PhaseFree(HouseholderChain):
+    """Keeps phi_j = 1, so each new output direction loses its uniform phase."""
+
+    def __init__(self, n, rng):
+        super().__init__(n, rng)
+        self.phases = _NoPhases()
+
+
+@pytest.mark.parametrize("first", ["adjoint", "apply"])
+def test_the_law_and_consistency_checks_catch_a_broken_chain(first):
+    assert _consistency_failures(_Forgetful, 3, first)
+    # at n = 1, V is a uniform phase and nothing else
+    assert _law_failures(_PhaseFree, 1, first, draws=200)
+
+
+@pytest.mark.parametrize("n", [2, 64, 4096])
+def test_a_remainder_within_the_span_rule_draws_nothing(n):
+    # an identity DAC hands demodulate the modulated vector itself: its
+    # remainder is round-off, inside SPAN_RTOL * n * |x|, and adds nothing
+    rng = substream(33, "span-rule", n)
     chain = HouseholderChain(n, rng)
     z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    for apply, forward in ((chain.apply, True), (chain.apply_adjoint, False)):
-        got, ref = apply(z), z.copy()
-        _chain_apply_loop(chain.w, chain.offsets, chain.taus, chain.phases, ref, forward)
-        np.testing.assert_array_equal(got.view(float), ref.view(float))
+    x = chain.apply_adjoint(z)
+    state = rng.bit_generator.state
+    np.testing.assert_allclose(chain.apply(x), z, rtol=0.0, atol=1e-13 * np.linalg.norm(z))
+    assert rng.bit_generator.state == state and len(chain.ins) == 1
+    # a unit direction w orthogonal to x, added at half and at twice the
+    # bound, draws only at twice the bound
+    other = substream(34, "span-rule", n)
+    w = other.standard_normal(n) + 1j * other.standard_normal(n)
+    w -= x * (np.vdot(x, w) / np.vdot(x, x))
+    w /= np.linalg.norm(w)
+    bound = SPAN_RTOL * n * np.linalg.norm(x)
+    chain.apply(x + 0.5 * bound * w)
+    assert rng.bit_generator.state == state and len(chain.ins) == 1
+    chain.apply(x + 2.0 * bound * w)
+    assert rng.bit_generator.state != state and len(chain.ins) == 2
 
 
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)
