@@ -5,6 +5,16 @@ modulate -> DAC -> AWGN -> ADC -> demodulate (a transmit-only trial has no
 noise and an ideal ADC), and accumulates per-band energies, noise Gaussianity
 diagnostics and per-band input/output correlations against their limits.
 
+The diagnostics pool every trial's noise w = z_hat - gain * z and center each
+rail (Re w, Im w) once.  A rail's excess kurtosis is m4 / m2^2 - 3 of its
+central sample moments; the I/Q correlation is Pearson's r of the two
+centered rails; the z-w correlation is |<z, w>| / (|z| |w|).  A band's
+correlation is |sum conj(z) z_hat|^2 / (sum |z|^2 * sum |z_hat|^2) over its
+bins, averaged over trials.  Each is 0 where what it divides by is 0 (a rail
+of zero variance, as in a one-sample run, or a zero-power band), and the
+noise diagnostics are all 0 when max |w| <= 1e-9 max |z|, the round-off an
+identity chain leaves.
+
 Haar transforms are drawn lazily (:class:`HouseholderChain`): a trial draws
 only the Householder reflectors its own queries reach, exact in Haar law, at
 O(n) time and memory per query.  A Haar trial's stream gives, in order: the
@@ -215,23 +225,22 @@ def _band_energy(values, assign, nbands, n):
     return np.bincount(assign, weights=np.abs(values) ** 2, minlength=nbands) / n
 
 
-def _kurtosis(v: np.ndarray) -> float:
-    c = v - v.mean()
-    m2 = np.mean(c**2)
+def _kurtosis(c: np.ndarray) -> float:
+    """Excess kurtosis m4/m2^2 - 3 of a centered rail c; 0 at zero variance."""
+    c2 = c * c
+    m2 = c2.mean()
     if m2 < 1e-300:
         return 0.0
-    return float(np.mean(c**4) / m2**2 - 3.0)
+    return float(np.mean(c2 * c2) / m2**2 - 3.0)
 
 
-def _corr_mag(a: np.ndarray, b: np.ndarray) -> float:
+def _corr(a: np.ndarray, b: np.ndarray):
+    """<a, b> / (|a| |b|); 0 when either vector is 0."""
     den = np.linalg.norm(a) * np.linalg.norm(b)
-    if den == 0.0:
-        return 0.0
-    return float(abs(np.vdot(a, b)) / den)
+    return np.vdot(a, b) / den if den > 0.0 else 0.0
 
 
 def _noise_diagnostics(w: np.ndarray, z: np.ndarray) -> dict:
-    re, im = w.real, w.imag
     scale = np.max(np.abs(z)) if z.size else 0.0
     if np.max(np.abs(w)) <= 1e-9 * scale:
         # identity chains leave only transform round-off in the noise vector
@@ -241,13 +250,25 @@ def _noise_diagnostics(w: np.ndarray, z: np.ndarray) -> dict:
             "z_w_correlation": 0.0,
             "iq_correlation": 0.0,
         }
-    iq = np.corrcoef(re, im)[0, 1]
+    c = w - w.mean()  # both rails centered at once
     return {
-        "excess_kurtosis_re": _kurtosis(re),
-        "excess_kurtosis_im": _kurtosis(im),
-        "z_w_correlation": _corr_mag(z, w),
-        "iq_correlation": float(iq),
+        "excess_kurtosis_re": _kurtosis(c.real),
+        "excess_kurtosis_im": _kurtosis(c.imag),
+        "z_w_correlation": float(abs(_corr(z, w))),
+        "iq_correlation": float(_corr(c.real, c.imag)),
     }
+
+
+def _band_correlation(z, z_hat, assign, nb):
+    """Per band, |sum conj(z) z_hat|^2 / (sum |z|^2 * sum |z_hat|^2); 0 where
+    either sum is 0."""
+    def band_sum(x):
+        return np.bincount(assign, weights=x, minlength=nb)
+
+    cross = z.conj() * z_hat
+    num = band_sum(cross.real) ** 2 + band_sum(cross.imag) ** 2
+    den = band_sum(z.real**2 + z.imag**2) * band_sum(z_hat.real**2 + z_hat.imag**2)
+    return np.divide(num, den, out=np.zeros(nb), where=den > 0.0)
 
 
 def _run(cfg: SimConfig, with_correlation: bool) -> SimReport:
@@ -255,7 +276,6 @@ def _run(cfg: SimConfig, with_correlation: bool) -> SimReport:
     n = cfg.size
     nb = plan.num_bands
     assign = subband_assignment(plan.fractions, n, cfg.assignment)
-    bands = [assign == m for m in range(nb)]
     pbar = plan.mean_power
     powers = np.asarray(plan.powers)
     symbol_power = powers[assign]
@@ -267,22 +287,22 @@ def _run(cfg: SimConfig, with_correlation: bool) -> SimReport:
 
     trial_s = np.empty((cfg.trials, nb))
     rho_trials = np.empty((cfg.trials, nb))
-    w_parts, z_parts = [], []
+    w_all = np.empty((cfg.trials, n), dtype=np.complex128)
+    z_all = np.empty((cfg.trials, n), dtype=np.complex128)
 
     for t in range(cfg.trials):
         rng = substream(cfg.seed, "trial", t)
         modulate, demodulate = TRANSFORMS[cfg.transform](n, rng)
-        z = complex_normal(rng, symbol_power, n)
+        z = z_all[t] = complex_normal(rng, symbol_power, n)
         x = quantize(cfg.dac, modulate(z))
         r = demodulate(x)
         trial_s[t] = _band_energy(r, assign, nb, n)
 
         y = add_awgn(x, cfg.noise_power, rng)  # draws nothing at noise power 0
         z_hat = r if ideal_rx else demodulate(quantize(cfg.adc, y))
-        for b, sel in enumerate(bands):
-            rho_trials[t, b] = _corr_mag(z[sel], z_hat[sel]) ** 2
-        w_parts.append(z_hat - m.gain * z)
-        z_parts.append(z)
+        if with_correlation:
+            rho_trials[t] = _band_correlation(z, z_hat, assign, nb)
+        w_all[t] = z_hat - m.gain * z
 
     def trial_se(x):
         return x.std(axis=0, ddof=1) / np.sqrt(cfg.trials) if cfg.trials > 1 else np.zeros(nb)
@@ -292,7 +312,7 @@ def _run(cfg: SimConfig, with_correlation: bool) -> SimReport:
     pred_s = np.asarray(pred.band_energy)
     rel_err = np.abs(mean_s - pred_s) / np.where(pred_s > 0, pred_s, 1.0)
 
-    diag = _noise_diagnostics(np.concatenate(w_parts), np.concatenate(z_parts))
+    diag = _noise_diagnostics(w_all.ravel(), z_all.ravel())
 
     corr = {}
     if with_correlation:

@@ -598,6 +598,33 @@ def test_montecarlo_subcommand_and_per_trial_csv(tmp_path):
     assert len(lines) == 1 + 3 * 2
 
 
+@pytest.mark.parametrize("mode", ["tx", "chain"])
+def test_a_one_sample_montecarlo_run_writes_no_null(tmp_path, capsys, mode):
+    cfg = {
+        "schema_version": 1,
+        "experiment": "montecarlo",
+        "output": {"format": "json", "path": str(tmp_path / "mc")},
+        "params": {
+            "size": 1,
+            "trials": 1,
+            "fractions": [1.0],
+            "powers": [1.0],
+            "quantizer": {"kind": "uniform_midrise", "bits": 1, "clip": 1.0},
+            "mode": mode,
+        },
+    }
+    if mode == "chain":
+        cfg["params"]["channel"] = {"kind": "awgn", "noise_power": 0.1}
+    assert main(["montecarlo", "--config", write_cfg(tmp_path, cfg)]) == 0
+    assert "Warning" not in capsys.readouterr().err
+    rep = json.loads((tmp_path / "mc" / "montecarlo.json").read_text())
+    assert rep["noise_diagnostics"]["iq_correlation"] == 0.0
+    if mode == "tx":  # a transmit-only run reports no correlations
+        for key in ("band_correlation", "band_correlation_se", "predicted_band_correlation"):
+            assert rep.pop(key) is None
+    assert "null" not in json.dumps(rep)
+
+
 def test_waveform_subcommand(tmp_path):
     cfg = {
         "schema_version": 1,

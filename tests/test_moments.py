@@ -101,6 +101,42 @@ def test_energy_identity():
         assert (abs(m.gain) ** 2 + m.noise) * pbar == pytest.approx(eq2, rel=1e-8)
 
 
+def _cell_energy(levels, pbar):
+    """E|S|^2 of a quantizer with the given per-dimension levels at CN(0, pbar)
+    input: decision thresholds at the level midpoints, Gaussian cell sums."""
+    levels = np.asarray(levels, dtype=float)
+    thr = np.concatenate(([-np.inf], (levels[:-1] + levels[1:]) / 2.0, [np.inf]))
+    prob = np.diff(norm.cdf(thr / math.sqrt(pbar / 2.0)))
+    return 2.0 * float(levels**2 @ prob)
+
+
+def _midrise_levels(bits, clip):
+    m = 2**bits
+    return [clip * (2 * k + 1 - m) / (m - 1) for k in range(m)]
+
+
+_quantizers = st.one_of(
+    st.builds(
+        lambda bits, clip: (QuantizerSpec.uniform_midrise(bits, clip), _midrise_levels(bits, clip)),
+        st.integers(1, 8),
+        st.floats(0.05, 20.0),
+    ),
+    st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=12, unique=True).map(
+        lambda lv: (QuantizerSpec.custom_levels(sorted(lv)), sorted(lv))
+    ),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(quantizer=_quantizers, pbar=st.floats(1e-3, 1e3))
+def test_energy_identity_holds_for_generated_quantizers_and_powers(quantizer, pbar):
+    # the fixed cases of test_energy_identity, over midrise (1-8 bits) and
+    # custom-level quantizers at any power
+    q, levels = quantizer
+    m = tx_moments(q, pbar)
+    assert (m.gain**2 + m.noise) * pbar == pytest.approx(_cell_energy(levels, pbar), rel=1e-8)
+
+
 def test_orthogonality_residual():
     # E[(Q - gain U)* U] = E[Q* U] - gain * pbar must vanish; evaluate the
     # cross term with the exact cell sums and, independently, by sampling

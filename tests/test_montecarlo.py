@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -18,9 +19,11 @@ from qlt import (
     run_tx_trials,
     subband_assignment,
 )
-from qlt._rng import substream
+from qlt._rng import complex_normal, substream
 from qlt.cli import json_text
-from qlt.montecarlo import _interleaved, _kurtosis, _reflector
+from qlt.moments import add_awgn, chain_moments
+from qlt.montecarlo import TRANSFORMS, _interleaved, _kurtosis, _reflector
+from qlt.quantizer import quantize
 
 ONE_BIT = QuantizerSpec.uniform_midrise(1, 1.0)
 SHAPED_PLAN = SubbandPlan((0.5, 0.5), (2.0, 0.0))
@@ -337,14 +340,17 @@ def test_chain_full_noisy_quantized_chain():
 
 
 def test_spread_decreases_with_size():
-    stds, errs = [], []
+    stds, ses = [], []
     for n in (256, 1024, 4096):
         cfg = SimConfig(size=n, plan=SHAPED_PLAN, dac=ONE_BIT, trials=64, seed=21)
         rep = run_tx_trials(cfg)
         stds.append(float(np.std(np.asarray(rep.trial_band_energy)[:, 0], ddof=1)))
-        errs.append(max(rep.band_energy_rel_err))
+        for got, want, se in zip(rep.band_energy, rep.predicted_band_energy, rep.band_energy_se):
+            assert abs(got - want) <= 4.0 * se, n
+        ses.append(rep.band_energy_se)
     assert stds[0] > stds[1] > stds[2]
-    assert errs[2] < errs[0]
+    for band in zip(*ses):
+        assert band[0] > band[1] > band[2]
 
 
 def test_haar_tx_trials_reach_the_flat_noise_limit_at_n_2_18():
@@ -439,9 +445,9 @@ def test_chain_trials_digest_pins_the_awgn_draws():
         for rep in (run_chain_trials(cfg), run_tx_trials(cfg), run_chain_trials(fft))
     ]
     assert digests == [
-        "802dc89d188983a130faf30c3941b167dec7d614d76d185b0fe8ad4a8545fd3f",
-        "97e533aee8bba1c07f23defbad0950091ac95cf3adfe36eeaaf0850f4c137103",
-        "90b7a8fff2139d03cf031d404a375d6d66021aa92886821cce50dfc59552c419",
+        "33f7e2a557f68577aa7841cf6a7e71ec194fe3eb845cc08d94a98fe26fc2837f",
+        "3494d9e72e6fece09964a596a7bca6a49cf1eec5cc9d84adff876a49f2071bd7",
+        "1e3fc8b99a9795b58682b1398fdbb2e6221be27eb20e9f9b241f4b892d5eb154",
     ]
 
 
@@ -474,4 +480,90 @@ def test_an_invalid_size_layout_or_trial_count_is_a_value_error(call, message):
 
 
 def test_kurtosis_of_a_constant_vector_is_zero():
-    assert _kurtosis(np.full(16, 2.5)) == 0.0
+    v = np.full(16, 2.5)
+    assert _kurtosis(v - v.mean()) == 0.0
+
+
+def test_a_one_sample_run_reports_zero_rail_statistics():
+    # one noise sample: both rails have zero variance, so the kurtosis and
+    # the I/Q correlation are 0 by the zero-variance rule, with no warning
+    cfg = SimConfig(size=1, plan=SubbandPlan((1.0,), (1.0,)), dac=ONE_BIT, trials=1, seed=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        d = run_tx_trials(cfg).noise_diagnostics
+    assert (d["excess_kurtosis_re"], d["excess_kurtosis_im"], d["iq_correlation"]) == (0.0, 0.0, 0.0)
+
+
+def _replayed_trials(cfg):
+    """Each trial's symbols z, receiver output z_hat and demodulated DAC output,
+    drawn again from its stream in a run's order."""
+    n = cfg.size
+    assign = subband_assignment(cfg.plan.fractions, n, cfg.assignment)
+    ideal_rx = cfg.noise_power == 0.0 and cfg.adc.is_identity
+    out = []
+    for t in range(cfg.trials):
+        rng = substream(cfg.seed, "trial", t)
+        modulate, demodulate = TRANSFORMS[cfg.transform](n, rng)
+        z = complex_normal(rng, np.asarray(cfg.plan.powers)[assign], n)
+        x = quantize(cfg.dac, modulate(z))
+        r = demodulate(x)
+        y = add_awgn(x, cfg.noise_power, rng)
+        out.append((z, r if ideal_rx else demodulate(quantize(cfg.adc, y)), r))
+    return assign, out
+
+
+ORACLE_CASES = {
+    # a zero-power band, a 2-bit DAC, AWGN and a 3-bit ADC
+    "quantized": dict(plan=SubbandPlan((0.3, 0.45, 0.25), (0.5, 1.8, 0.0)),
+                      dac=QuantizerSpec.uniform_midrise(2, 1.8), noise_power=0.3,
+                      adc=QuantizerSpec.uniform_midrise(3, 2.6)),
+    # a noiseless identity chain, also with a zero-power band
+    "identity": dict(plan=SubbandPlan((0.5, 0.25, 0.25), (1.5, 1.0, 0.0)),
+                     dac=QuantizerSpec.identity()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+@pytest.mark.parametrize("layout", ["contiguous", "interleaved"])
+@pytest.mark.parametrize("runner", [run_tx_trials, run_chain_trials], ids=lambda f: f.__name__)
+def test_diagnostics_and_band_correlations_match_their_textbook_estimators(runner, layout, case):
+    cfg = SimConfig(size=96, trials=3, seed=8, assignment=layout, **ORACLE_CASES[case])
+    if runner is run_tx_trials:
+        cfg = replace(cfg, noise_power=0.0, adc=QuantizerSpec.identity())
+    rep = runner(cfg)
+    assign, trials = _replayed_trials(cfg)
+    # the replay draws what the run drew: its band energies are the run's bits
+    for row, (_, _, r) in zip(rep.trial_band_energy, trials):
+        assert _hex(row) == _hex(np.bincount(assign, weights=np.abs(r) ** 2, minlength=3) / cfg.size)
+
+    gain = chain_moments(cfg.dac, cfg.noise_power, cfg.adc, cfg.plan.mean_power).gain
+    z = np.concatenate([zt for zt, _, _ in trials])
+    w = np.concatenate([zh - gain * zt for zt, zh, _ in trials])
+    d = rep.noise_diagnostics
+    if case == "identity":
+        assert np.max(np.abs(w)) <= 1e-9 * np.max(np.abs(z))
+        assert set(d.values()) == {0.0}
+    else:
+        want = {
+            "excess_kurtosis_re": scipy.stats.kurtosis(w.real, fisher=True, bias=True),
+            "excess_kurtosis_im": scipy.stats.kurtosis(w.imag, fisher=True, bias=True),
+            "iq_correlation": np.corrcoef(w.real, w.imag)[0, 1],
+            "z_w_correlation": abs(np.vdot(z, w)) / (np.linalg.norm(z) * np.linalg.norm(w)),
+        }
+        for name, value in want.items():
+            assert d[name] == pytest.approx(value, abs=1e-12), name
+
+    if runner is run_tx_trials:
+        assert rep.band_correlation is None
+        return
+    rho = np.zeros((cfg.trials, 3))
+    for t, (zt, zh, _) in enumerate(trials):
+        for b in range(3):
+            sel = assign == b
+            den = np.vdot(zt[sel], zt[sel]).real * np.vdot(zh[sel], zh[sel]).real
+            if den > 0.0:
+                rho[t, b] = abs(np.vdot(zt[sel], zh[sel])) ** 2 / den
+    np.testing.assert_allclose(rep.band_correlation, rho.mean(axis=0), rtol=0, atol=1e-12)
+    assert rep.band_correlation[2] == 0.0  # the zero-power band
+    if case == "identity":
+        np.testing.assert_allclose(rep.band_correlation[:2], 1.0, rtol=0, atol=1e-12)

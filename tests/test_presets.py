@@ -32,7 +32,7 @@ DIGESTS = {
         "resolved_config.json": "105d26e21005df3db30dd3acc928e5b02f46213841c39990813c60b38b81201f",
     },
     "montecarlo_tx_1bit": {
-        "montecarlo.json": "b4024cb5e205048fd75f4a194a0c275c0b7ed7f385278a3afaee82486e4e0566",
+        "montecarlo.json": "b0967eac6361663a14e7d462e57f89cef28497013341a559f24e8638ae41e4d1",
         "montecarlo_trials.csv": "0cfeccb981fc3c003d63dacf1cf311c72fe6d1dbf12b28e2d61aa7c4be7254e1",
         "resolved_config.json": "a1a20db1d624c80b718917a006a1a03b49bf9d36c8b01db5c9f21ac8c66001fd",
     },
