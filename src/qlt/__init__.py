@@ -46,7 +46,7 @@ from .moments import (
     tx_moments,
 )
 from .montecarlo import (
-    HouseholderChain,
+    HaarFrames,
     SimConfig,
     SimReport,
     run_chain_trials,

@@ -4,14 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qlt._rng import substream
-from qlt.montecarlo import SPAN_RTOL, HouseholderChain, _reflector
-
-
-def _embedded(u, j, n):
-    # I - u u^H acting on coordinates j..n-1 of C^n
-    h = np.eye(n, dtype=complex)
-    h[j:, j:] -= np.outer(u, u.conj())
-    return h
+from qlt.montecarlo import SPAN_RTOL, HaarFrames
 
 
 def _matmul(a, b):
@@ -20,51 +13,37 @@ def _matmul(a, b):
     return np.einsum("ij,jk->ik", a, b)
 
 
-def _dense_chain(chain):
-    # V = A_0 ... A_{k-1} diag(phases) B_{k-1} ... B_0 once k = n
-    n = chain.n
-    v = np.diag(np.array(chain.phases, dtype=complex))
-    for j in reversed(range(n)):
-        v = _matmul(_matmul(_embedded(chain.outs[j], j, n), v), _embedded(chain.ins[j], j, n))
-    return v
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 17, 64])
-def test_chain_matches_dense_reflector_product(n):
+def test_frames_give_v_as_the_sum_of_their_outer_products(n):
+    # V = sum_j q_j p_j^H once the basis queries have filled both frames
     rng = substream(5, "kern-dense", n)
-    chain = HouseholderChain(n, rng)
+    chain = HaarFrames(n, rng)
     eye = np.eye(n, dtype=complex)
     applied = np.column_stack([chain.apply(eye[:, k]) for k in range(n)])
-    assert len(chain.ins) == len(chain.outs) == len(chain.phases) == n
-    dense = _dense_chain(chain)
-    np.testing.assert_allclose(applied, dense, atol=1e-13)
-    np.testing.assert_allclose(_matmul(dense.conj().T, dense), eye, atol=1e-13)
+    assert len(chain.ins) == len(chain.outs) == n
+    p, q = np.array(chain.ins).T, np.array(chain.outs).T
+    for frame in (p, q):
+        np.testing.assert_allclose(_matmul(frame.conj().T, frame), eye, rtol=0.0, atol=1e-13)
+    dense = _matmul(q, p.conj().T)
+    np.testing.assert_allclose(applied, dense, rtol=0.0, atol=1e-13)
     z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     np.testing.assert_allclose(chain.apply_adjoint(chain.apply(z)), z, atol=1e-13)
     np.testing.assert_allclose(chain.apply_adjoint(z), _matmul(dense.conj().T, z[:, None])[:, 0],
                                atol=1e-13)
+    # queries inside the full span add nothing
+    assert len(chain.ins) == len(chain.outs) == n
 
 
-def test_chain_build_reflects_each_draw_onto_its_first_axis():
-    # (I - u u^H) a = beta * |a| * e_0 with |u|^2 = 2 and |beta| = 1 for every
-    # Gaussian draw a, and a draw whose first entry is exactly 0 takes the
-    # phase 1 (beta = -1)
-    rng = substream(6, "kern-reflect")
-    for size in range(1, 25):
-        for zero_first in (False, True):
-            a = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-            if zero_first:
-                if size == 1:
-                    continue
-                a[0] = 0.0
-            u, beta = _reflector(a)
-            assert abs(abs(beta) - 1.0) < 1e-14
-            assert abs(np.vdot(u, u) - 2.0) < 1e-14
-            e0 = np.zeros(size, complex)
-            e0[0] = beta * np.linalg.norm(a)
-            np.testing.assert_allclose(a - u * np.vdot(u, a), e0, atol=1e-13)
-            if zero_first:
-                assert beta == -1.0
+@pytest.mark.parametrize("shape", [(3,), (5,), (4, 1), (1, 4), ()])
+def test_a_query_of_the_wrong_shape_is_a_value_error_that_draws_nothing(shape):
+    rng = substream(35, "query-shape")
+    chain = HaarFrames(4, rng)
+    state = rng.bit_generator.state
+    for query in (chain.apply, chain.apply_adjoint):
+        with pytest.raises(ValueError, match=r"is not \(n,\) with n = 4"):
+            query(np.ones(shape, dtype=complex))
+    assert rng.bit_generator.state == state
+    assert chain.ins == [] and chain.outs == []
 
 
 def _matrix(chain, first):
@@ -131,42 +110,46 @@ def _consistency_failures(cls, n, first):
 @pytest.mark.parametrize("first", ["adjoint", "apply"])
 @pytest.mark.parametrize("n", range(1, 7))
 def test_chain_has_the_haar_moments(n, first):
-    assert _law_failures(HouseholderChain, n, first, draws=2000) == []
+    assert _law_failures(HaarFrames, n, first, draws=2000) == []
 
 
 @pytest.mark.parametrize("first", ["adjoint", "apply"])
 @pytest.mark.parametrize("n", range(1, 7))
 def test_chain_answers_as_one_unitary(n, first):
-    assert _consistency_failures(HouseholderChain, n, first) == []
+    assert _consistency_failures(HaarFrames, n, first) == []
 
 
-class _Forgetful(HouseholderChain):
+class _Forgetful(HaarFrames):
     """Draws every query afresh, as if no earlier query had been made."""
 
-    def _query(self, v, into, out_of, adjoint):
-        for state in (self.ins, self.outs, self.phases):
-            state.clear()
-        return super()._query(v, into, out_of, adjoint)
+    def _query(self, v, src, dst):
+        src.clear()
+        dst.clear()
+        return super()._query(v, src, dst)
 
 
-class _NoPhases(list):
-    def append(self, phase):
-        super().append(1.0)
+class _RealNormals:
+    def __init__(self, rng):
+        self.rng = rng
+
+    def standard_normal(self, size):
+        g = self.rng.standard_normal(size)
+        g[1::2] = 0.0
+        return g
 
 
-class _PhaseFree(HouseholderChain):
-    """Keeps phi_j = 1, so each new output direction loses its uniform phase."""
+class _RealDraws(HaarFrames):
+    """Draws real Gaussians, so each new output direction loses its uniform phase."""
 
     def __init__(self, n, rng):
-        super().__init__(n, rng)
-        self.phases = _NoPhases()
+        super().__init__(n, _RealNormals(rng))
 
 
 @pytest.mark.parametrize("first", ["adjoint", "apply"])
 def test_the_law_and_consistency_checks_catch_a_broken_chain(first):
     assert _consistency_failures(_Forgetful, 3, first)
     # at n = 1, V is a uniform phase and nothing else
-    assert _law_failures(_PhaseFree, 1, first, draws=200)
+    assert _law_failures(_RealDraws, 1, first, draws=200)
 
 
 @pytest.mark.parametrize("n", [2, 64, 4096])
@@ -174,7 +157,7 @@ def test_a_remainder_within_the_span_rule_draws_nothing(n):
     # an identity DAC hands demodulate the modulated vector itself: its
     # remainder is round-off, inside SPAN_RTOL * n * |x|, and adds nothing
     rng = substream(33, "span-rule", n)
-    chain = HouseholderChain(n, rng)
+    chain = HaarFrames(n, rng)
     z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     x = chain.apply_adjoint(z)
     state = rng.bit_generator.state
@@ -197,7 +180,7 @@ def test_a_remainder_within_the_span_rule_draws_nothing(n):
 @given(n=st.integers(1, 200), seed=st.integers(0, 2**32 - 1))
 def test_chain_is_unitary_at_every_size(n, seed):
     rng = substream(seed, "kern-unitary", n)
-    chain = HouseholderChain(n, rng)
+    chain = HaarFrames(n, rng)
     z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     y = chain.apply(z)
     np.testing.assert_allclose(chain.apply_adjoint(y), z, rtol=0.0, atol=1e-10 * np.linalg.norm(z))

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qlt import (
-    HouseholderChain,
+    HaarFrames,
     QuantizerSpec,
     SimConfig,
     SubbandPlan,
@@ -22,7 +22,7 @@ from qlt import (
 from qlt._rng import complex_normal, substream
 from qlt.cli import json_text
 from qlt.moments import add_awgn, chain_moments
-from qlt.montecarlo import TRANSFORMS, _interleaved, _kurtosis, _reflector
+from qlt.montecarlo import TRANSFORMS, _interleaved, _kurtosis
 from qlt.quantizer import quantize
 
 ONE_BIT = QuantizerSpec.uniform_midrise(1, 1.0)
@@ -92,7 +92,7 @@ def test_householder_chain_matches_haar_law():
     # first-column law as the QR construction
     n = 48
     rng = substream(3, "chain-check")
-    chain = HouseholderChain(n, rng)
+    chain = HaarFrames(n, rng)
     eye = np.eye(n, dtype=complex)
     v = np.column_stack([chain.apply(eye[:, k]) for k in range(n)])
     assert np.abs(v @ v.conj().T - np.eye(n)).max() < 1e-12
@@ -104,7 +104,7 @@ def test_householder_chain_matches_haar_law():
     col = np.zeros(8)
     tr2 = 0.0
     for _ in range(draws):
-        c = HouseholderChain(8, rng2)
+        c = HaarFrames(8, rng2)
         m = np.column_stack([c.apply(np.eye(8, dtype=complex)[:, k]) for k in range(8)])
         col += np.abs(m[:, 0]) ** 2
         tr2 += abs(np.trace(m)) ** 2
@@ -114,43 +114,39 @@ def test_householder_chain_matches_haar_law():
 
 def test_norm_preservation_through_pipeline():
     rng = substream(9, "norm")
-    chain = HouseholderChain(512, rng)
+    chain = HaarFrames(512, rng)
     z = rng.standard_normal(512) + 1j * rng.standard_normal(512)
     for y in (chain.apply(z), chain.apply_adjoint(z)):
         assert abs(np.linalg.norm(y) - np.linalg.norm(z)) < 1e-10 * np.linalg.norm(z)
 
 
-def _reflector_bytes(n):
-    return 16 * (n * (n + 1) // 2 - 1)
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 17, 677, 1024])
 def test_householder_chain_stream_identity(n):
-    # a query that adds a direction draws standard_normal(2 * (n - k)), real
-    # and imaginary parts interleaved, and builds its new reflector from that
-    # draw; a query inside the span draws nothing
+    # a query that adds a direction draws standard_normal(2n), real and
+    # imaginary parts interleaved, and the new image is that draw projected
+    # off the earlier images and normalized; a query inside the span draws
+    # nothing
     rng = substream(21, "trial", 4)
     ref = substream(21, "trial", 4)
-    chain = HouseholderChain(n, rng)
+    chain = HaarFrames(n, rng)
     assert rng.bit_generator.state == ref.bit_generator.state
     vectors = substream(22, "queries", n)
-    z = vectors.standard_normal(n) + 1j * vectors.standard_normal(n)
-    x = chain.apply_adjoint(z)
-    g = ref.standard_normal(2 * n).view(np.complex128)
-    u, beta = _reflector(g)
-    np.testing.assert_array_equal(chain.ins[0].view(float), u.view(float))
-    assert chain.phases[0] == beta.conjugate()
-    y = vectors.standard_normal(n) + 1j * vectors.standard_normal(n)
-    chain.apply(y)
-    if n > 1:
-        u, beta = _reflector(ref.standard_normal(2 * (n - 1)).view(np.complex128))
-        np.testing.assert_array_equal(chain.outs[1].view(float), u.view(float))
-        assert chain.phases[1] == beta
-    assert len(chain.phases) == min(n, 2)
-    chain.apply(x)
-    chain.apply_adjoint(z)
+    queries = [(chain.apply_adjoint, chain.ins), (chain.apply, chain.outs),
+               (chain.apply_adjoint, chain.ins)]
+    asked = []
+    for k, (query, images) in enumerate(queries[:n]):
+        earlier = np.array(images).reshape(k, n).T
+        v = vectors.standard_normal(n) + 1j * vectors.standard_normal(n)
+        asked.append((query, v, query(v)))
+        g = ref.standard_normal(2 * n).view(np.complex128)
+        want = g - earlier @ (earlier.conj().T @ g)
+        np.testing.assert_allclose(images[k], want / np.linalg.norm(want), rtol=0.0, atol=1e-14)
+        assert len(chain.ins) == len(chain.outs) == k + 1
+    for query, v, image in asked:
+        np.testing.assert_allclose(query(v), image, rtol=0.0, atol=1e-13 * np.linalg.norm(v))
+    chain.apply(asked[0][2])
     assert rng.bit_generator.state == ref.bit_generator.state
-    assert len(chain.phases) == min(n, 2)
+    assert len(chain.ins) == len(chain.outs) == min(n, 3)
 
 
 def _traced_peak(fn):
@@ -178,13 +174,18 @@ def test_tx_trials_hold_memory_linear_in_n():
 
 @pytest.mark.parametrize("runner", [run_tx_trials, run_chain_trials], ids=lambda f: f.__name__)
 def test_trials_hold_one_chain_at_a_time(runner):
-    def cfg(n, trials):
-        return SimConfig(size=n, plan=SHAPED_PLAN, dac=ONE_BIT, trials=trials, seed=5)
+    # a 3-trial run at n=4096, whose chain trials reach three directions,
+    # peaked at 20.1 (tx) and 24.1 (chain) complex n-vectors; each further
+    # chain held at once would add 4 (tx) or 6 (chain), and a chain that drew
+    # all n(n+1)/2 entries at once would hold 134 MB
+    def cfg(n):
+        return SimConfig(size=n, plan=SHAPED_PLAN, dac=ONE_BIT, trials=3, seed=5,
+                         noise_power=0.1, adc=QuantizerSpec.uniform_midrise(3, 2.6))
 
-    runner(cfg(8, 2))  # first-call caches stay out of the measured peak
-    n = 1024
-    peak = _traced_peak(lambda: runner(cfg(n, 3)))
-    assert peak <= 1.5 * _reflector_bytes(n)
+    runner(cfg(8))  # first-call caches stay out of the measured peak
+    n = 4096
+    peak = _traced_peak(lambda: runner(cfg(n)))
+    assert peak <= 26 * 16 * n
 
 
 def _interleaved_argmax(fr, n):
@@ -445,8 +446,8 @@ def test_chain_trials_digest_pins_the_awgn_draws():
         for rep in (run_chain_trials(cfg), run_tx_trials(cfg), run_chain_trials(fft))
     ]
     assert digests == [
-        "33f7e2a557f68577aa7841cf6a7e71ec194fe3eb845cc08d94a98fe26fc2837f",
-        "3494d9e72e6fece09964a596a7bca6a49cf1eec5cc9d84adff876a49f2071bd7",
+        "c76d0dfc8ffbc9b2a2ea8ac5c3e50ef539c734bcbd464588d73c3ade60926e9b",
+        "c3623d54a3acc0a1297405b73058065efd86f9442f2a84711e5c910f4fd5206f",
         "1e3fc8b99a9795b58682b1398fdbb2e6221be27eb20e9f9b241f4b892d5eb154",
     ]
 
@@ -470,7 +471,7 @@ def test_sim_config_rejects_a_negative_or_nan_noise_power(noise_power):
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: HouseholderChain(0, substream(0, "trial", 0)), "n must be >= 1"),
+    (lambda: HaarFrames(0, substream(0, "trial", 0)), "n must be >= 1"),
     (lambda: subband_assignment((0.5, 0.5), 16, "random"), "unknown assignment layout"),
     (lambda: SimConfig(size=64, plan=SHAPED_PLAN, dac=ONE_BIT, trials=0), "trials must be >= 1"),
 ], ids=["empty_chain", "unknown_layout", "no_trials"])

@@ -32,8 +32,8 @@ DIGESTS = {
         "resolved_config.json": "105d26e21005df3db30dd3acc928e5b02f46213841c39990813c60b38b81201f",
     },
     "montecarlo_tx_1bit": {
-        "montecarlo.json": "b0967eac6361663a14e7d462e57f89cef28497013341a559f24e8638ae41e4d1",
-        "montecarlo_trials.csv": "0cfeccb981fc3c003d63dacf1cf311c72fe6d1dbf12b28e2d61aa7c4be7254e1",
+        "montecarlo.json": "c9eb97999fa64e3c743ac7171e32744b81e21d496e1458ff2a09f0e12040286e",
+        "montecarlo_trials.csv": "9bf057c0e3209ad8753c1007c5549125cd24a0deaf2a128ccbf7298f7b512194",
         "resolved_config.json": "a1a20db1d624c80b718917a006a1a03b49bf9d36c8b01db5c9f21ac8c66001fd",
     },
     "waveform_nr200_b4": {
