@@ -68,10 +68,6 @@ class AgnMoments:
 # exact per-dimension Gaussian cell machinery
 # ---------------------------------------------------------------------------
 
-def _norm_pdf(z):
-    return np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi)
-
-
 def _cell_probs(spec: QuantizerSpec, means: np.ndarray, sigma: float) -> np.ndarray:
     """``P(m + N in cell)`` for each level cell (columns) and each mean m
     (rows), N ~ N(0, sigma^2)."""
@@ -89,24 +85,23 @@ def _dim_cells(spec: QuantizerSpec, sigma: float):
     ``prob = P(X in cell)`` and ``m1 = E[X; cell]``.
     """
     z = spec.thresholds_per_dim() / sigma
-    pdf = np.concatenate(([0.0], _norm_pdf(z), [0.0]))
+    pdf = np.concatenate(([0.0], np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi), [0.0]))
     m1 = sigma * (pdf[:-1] - pdf[1:])
     return spec.levels_per_dim(), _cell_probs(spec, np.zeros(1), sigma)[0], m1
 
 
 def _dim_qx_q2(spec: QuantizerSpec, sigma: float):
-    """(E[q(X) X], E[q(X)^2]) for X ~ N(0, sigma^2).
-
-    Kept as numpy scalars so pathological level sets overflow to inf (caught
-    by the moment validator) instead of raising mid-computation.
-    """
+    """(E[q(X) X], E[q(X)^2]) for X ~ N(0, sigma^2), as numpy scalars, so
+    that under the caller's ``np.errstate`` a pathological level set
+    overflows to inf (caught by the moment validator) instead of raising."""
     lv, prob, m1 = _dim_cells(spec, sigma)
-    with np.errstate(over="ignore"):
-        return lv @ m1, lv**2 @ prob
+    return lv @ m1, lv**2 @ prob
 
 
 def _dim_noisy_response(spec: QuantizerSpec, values: np.ndarray, sigma_n: float):
     """(E[q(v + N)], E[q(v + N)^2]) for each v in values, N ~ N(0, sigma_n^2)."""
+    if spec.is_identity:
+        return values, values**2 + sigma_n**2
     if sigma_n == 0.0:
         # a value exactly on a threshold would make the cell sum 0/0
         out = np.asarray(quantize(spec, values + 0j)).real
@@ -120,25 +115,11 @@ def _dim_noisy_response(spec: QuantizerSpec, values: np.ndarray, sigma_n: float)
 # deterministic path
 # ---------------------------------------------------------------------------
 
-def _tx_exact(q: QuantizerSpec, pbar: float) -> AgnMoments:
-    if q.is_identity:
-        return AgnMoments(gain=1.0, noise=0.0, input_power=pbar)
-    sigma = np.sqrt(pbar / 2.0)
-    exu, eq2 = _dim_qx_q2(q, sigma)
-    with np.errstate(over="ignore", invalid="ignore"):
-        gain = 2.0 * exu / pbar
-        noise = 2.0 * eq2 / pbar - gain**2
-    return AgnMoments(gain=float(gain), noise=float(noise), input_power=pbar)
-
-
 def _chain_exact(qtx, noise_power, qrx, pbar) -> AgnMoments:
+    if qtx.is_identity and qrx.is_identity:
+        return AgnMoments(gain=1.0, noise=noise_power / pbar, input_power=pbar)
     sigma = np.sqrt(pbar / 2.0)
     sigma_n = np.sqrt(noise_power / 2.0)
-    if qrx.is_identity:
-        base = _tx_exact(qtx, pbar)
-        return AgnMoments(
-            gain=base.gain, noise=base.noise + noise_power / pbar, input_power=pbar
-        )
     with np.errstate(over="ignore", invalid="ignore"):
         if qtx.is_identity:
             # S = q(X + N) per dimension; X + N is Gaussian, and the projection
@@ -146,15 +127,14 @@ def _chain_exact(qtx, noise_power, qrx, pbar) -> AgnMoments:
             sig_z = np.sqrt(sigma**2 + sigma_n**2)
             eqz, eq2 = _dim_qx_q2(qrx, sig_z)
             esx = (sigma**2 / sig_z**2) * eqz
-            gain = 2.0 * esx / pbar
-            noise = 2.0 * eq2 / pbar - gain**2
         else:
-            # both sides quantized: condition on the transmit cell, the receive
+            # quantized DAC: condition on the transmit cell, where the receive
             # response to (level + noise) is again a Gaussian cell sum
             lt, prob, m1 = _dim_cells(qtx, sigma)
             g1, g2 = _dim_noisy_response(qrx, lt, sigma_n)
-            gain = 2.0 * (g1 @ m1) / pbar
-            noise = 2.0 * (g2 @ prob) / pbar - gain**2
+            esx, eq2 = g1 @ m1, g2 @ prob
+        gain = 2.0 * esx / pbar
+        noise = 2.0 * eq2 / pbar - gain**2
     return AgnMoments(gain=float(gain), noise=float(noise), input_power=pbar)
 
 

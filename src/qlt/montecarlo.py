@@ -34,6 +34,7 @@ import numpy as np
 
 from ._rng import complex_normal, substream
 from .analysis import SubbandPlan, _check_fractions, _floats, predict_spectrum
+from .errors import NumericalFailureError
 from .moments import _check_noise_power, add_awgn, chain_moments, tx_moments
 from .quantizer import QuantizerSpec, quantize
 
@@ -211,6 +212,12 @@ class SimReport:
     band_correlation_se: Optional[tuple] = None
     predicted_band_correlation: Optional[tuple] = None
 
+    def __post_init__(self):
+        for name, v in vars(self).items():
+            v = list(v.values()) if isinstance(v, dict) else v
+            if v is not None and not np.isfinite(np.asarray(v, dtype=float)).all():
+                raise NumericalFailureError(f"non-finite Monte-Carlo statistic {name}")
+
 
 def _band_energy(values, assign, nbands, n):
     return np.bincount(assign, weights=np.abs(values) ** 2, minlength=nbands) / n
@@ -261,6 +268,8 @@ def _band_correlation(z, z_hat, assign, nb):
     return np.divide(num, den, out=np.zeros(nb), where=den > 0.0)
 
 
+# an overflow (a noise power near the float range) fails SimReport's check
+@np.errstate(over="ignore", invalid="ignore")
 def _run(cfg: SimConfig, with_correlation: bool) -> SimReport:
     plan = cfg.plan
     n = cfg.size

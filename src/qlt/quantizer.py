@@ -5,13 +5,14 @@ sample with the same per-dimension level set.  Three kinds are supported:
 
 * ``identity`` - pass-through (infinite resolution),
 * ``uniform_midrise`` - ``2**bits`` uniformly spaced levels per dimension with
-  the outermost levels at ``+/-clip``,
+  the outermost levels at ``+/-clip`` (1 to :data:`MAX_BITS` bits),
 * ``custom_levels`` - an arbitrary strictly increasing level list.
 
 Midrise level placement: levels sit at ``clip * (2k + 1 - 2**b) / (2**b - 1)``
 for ``k = 0 .. 2**b - 1`` (for ``b = 1`` this is ``+/-clip``).  Decision
-boundaries are the midpoints between adjacent levels; a sample exactly on a
-boundary rounds toward +inf.
+boundaries are the midpoints between adjacent levels.  A custom-levels
+sample exactly on a boundary rounds toward +inf; a midrise one may round
+either way (next paragraph).
 
 The per-dimension level grid and its maps live here only: ``levels_per_dim``
 and ``thresholds_per_dim`` describe it, and ``_map_dim`` applies it.  The
@@ -30,6 +31,9 @@ from .errors import NumericalFailureError, UnboundedConstellationError
 
 #: Default loading factor: clip = DEFAULT_KAPPA * sqrt(input_power / 2).
 DEFAULT_KAPPA = 3.0
+
+#: Most bits a midrise quantizer takes: its 2**bits levels are tabulated.
+MAX_BITS = 16
 
 
 def clip_for_power(power: float, kappa: float = DEFAULT_KAPPA) -> float:
@@ -56,8 +60,8 @@ class QuantizerSpec:
             if self.bits is not None or self.clip is not None or self.levels is not None:
                 raise ValueError("identity quantizer takes no parameters")
         elif self.kind == "uniform_midrise":
-            if not isinstance(self.bits, int) or self.bits < 1:
-                raise ValueError("uniform_midrise requires integer bits >= 1")
+            if not isinstance(self.bits, int) or not 1 <= self.bits <= MAX_BITS:
+                raise ValueError(f"uniform_midrise requires integer bits in 1..{MAX_BITS}")
             if self.clip is None or not self.clip > 0:
                 raise ValueError("uniform_midrise requires clip > 0")
         elif self.kind == "custom_levels":
@@ -184,8 +188,10 @@ def quantize(spec: QuantizerSpec, u):
     """Apply the quantizer to a complex scalar or array (real and imaginary
     parts independently).
 
-    Every non-NaN input maps into the constellation; +/-inf parts map to the
-    extreme levels.  A NaN real or imaginary part raises
+    Every non-NaN part maps to a nearest level, +/-inf to an extreme one.  A
+    custom-levels output is a ``levels_per_dim()`` entry; a midrise output
+    is ``-clip + k * step``, which may differ from that entry by ulps (see
+    the module docstring).  A NaN real or imaginary part raises
     :class:`NumericalFailureError`, since it has no nearest level.  The
     identity quantizer passes any input through unchecked."""
     if spec.is_identity:

@@ -31,8 +31,9 @@ import numpy as np
 from scipy import signal as sig
 
 from ._rng import substream
+from .errors import NumericalFailureError
 from .moments import tx_moments
-from .quantizer import DEFAULT_KAPPA, QuantizerSpec, quantize
+from .quantizer import DEFAULT_KAPPA, MAX_BITS, QuantizerSpec, quantize
 
 
 @dataclass(frozen=True)
@@ -79,8 +80,8 @@ class WaveformConfig:
             raise ValueError("num_subcarriers must be >= 8")
         if not 0.0 <= self.symbol_taper <= 1.0:
             raise ValueError("symbol_taper must be in [0, 1]")
-        if self.dac_bits is not None and self.dac_bits < 1:
-            raise ValueError("dac_bits must be >= 1 or None")
+        if self.dac_bits is not None and not 1 <= self.dac_bits <= MAX_BITS:
+            raise ValueError(f"dac_bits must be in 1..{MAX_BITS} or None")
 
     @property
     def interp_factor(self) -> int:
@@ -249,7 +250,6 @@ def apply_dac_and_measure(cfg: WaveformConfig, stream: np.ndarray) -> AclrReport
 
     freq, density = _welch(cfg, quantized)
     df = float(freq[1] - freq[0])
-    parseval = float(np.sum(density) * df / np.mean(np.abs(quantized) ** 2))
 
     pxx = density * np.sinc(freq / cfg.sample_rate) ** 2 if cfg.zoh else density
 
@@ -263,6 +263,10 @@ def apply_dac_and_measure(cfg: WaveformConfig, stream: np.ndarray) -> AclrReport
             raise ValueError(f"the {side} adjacent band holds no PSD bin")
     p_in = float(np.sum(pxx[inband]) * df)
     p_adj = float(0.5 * (np.sum(pxx[upper]) + np.sum(pxx[lower])) * df)
+    p_dac = float(np.mean(np.abs(quantized) ** 2))
+    if not (p_dac > 0.0 and p_in > 0.0 and p_adj > 0.0):
+        raise NumericalFailureError(f"no ACLR: DAC power {p_dac}, in-band {p_in}, adjacent {p_adj}")
+    parseval = float(np.sum(density) * df / p_dac)
 
     flatness = _oob_flatness(density, upper, lower)
 

@@ -168,6 +168,40 @@ def test_zero_output_quantizer_exits_3_without_output(tmp_path, capsys, experime
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("experiment, params", [
+    ("waveform", {"dac": {"bits": 3, "clip": 1e-300}, "num_symbols": 2}),
+    ("montecarlo", {"mode": "chain", "quantizer": {"kind": "identity"},
+                    "channel": {"kind": "awgn", "noise_power": 1e300},
+                    "fractions": [0.5, 0.5], "powers": [1.5, 0.5], "size": 8, "trials": 2}),
+    ("montecarlo", {"mode": "chain", "quantizer": {"kind": "identity"},
+                    "channel": {"kind": "awgn", "noise_power": 1e308},
+                    "fractions": [0.5, 0.5], "powers": [1.5, 0.5], "size": 8, "trials": 2}),
+], ids=["waveform-zero-dac-power", "montecarlo-noise-1e300", "montecarlo-noise-1e308"])
+def test_a_non_finite_result_exits_3_without_output(tmp_path, capsys, experiment, params):
+    # a DAC output that underflows to zero power has no ACLR, and a noise
+    # power near the float range overflows the Monte-Carlo statistics
+    cfg = {
+        "schema_version": 1,
+        "experiment": experiment,
+        "output": {"format": "json", "path": str(tmp_path / "out")},
+        "params": params,
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([experiment, "--config", write_cfg(tmp_path, cfg)]) == 3
+    assert "numerical failure" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("bits", [17, 40])
+def test_a_midrise_quantizer_past_16_bits_is_a_config_error(tmp_path, capsys, bits):
+    cfg = moments_cfg(str(tmp_path / "out"),
+                      quantizer={"kind": "uniform_midrise", "bits": bits, "clip": 1.0})
+    assert main(["moments", "--config", write_cfg(tmp_path, cfg)]) == 2
+    assert "bits in 1..16" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("experiment, params, message", [
     ("sweep-aclr", {"bits": [1], "fractions": [1.0, 0.0],
                     "aclr_db": {"start": 0.0, "stop": 1.0, "step": 1.0}}, "must be positive"),

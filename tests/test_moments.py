@@ -128,13 +128,17 @@ _quantizers = st.one_of(
 
 
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
-@given(quantizer=_quantizers, pbar=st.floats(1e-3, 1e3))
-def test_energy_identity_holds_for_generated_quantizers_and_powers(quantizer, pbar):
+@given(quantizer=_quantizers, pbar=st.floats(1e-3, 1e3), noise_power=st.floats(0.0, 1e3))
+def test_energy_identity_holds_for_generated_quantizers_and_powers(quantizer, pbar, noise_power):
     # the fixed cases of test_energy_identity, over midrise (1-8 bits) and
-    # custom-level quantizers at any power
+    # custom-level quantizers at any power; behind an ideal ADC the channel
+    # noise adds its power to E|S|^2
     q, levels = quantizer
+    energy = _cell_energy(levels, pbar)
     m = tx_moments(q, pbar)
-    assert (m.gain**2 + m.noise) * pbar == pytest.approx(_cell_energy(levels, pbar), rel=1e-8)
+    assert (m.gain**2 + m.noise) * pbar == pytest.approx(energy, rel=1e-8)
+    c = chain_moments(q, noise_power, QuantizerSpec.identity(), pbar)
+    assert (c.gain**2 + c.noise) * pbar == pytest.approx(energy + noise_power, rel=1e-8)
 
 
 def test_orthogonality_residual():
