@@ -173,6 +173,9 @@ EXPERIMENTS = {
     ),
 }
 
+#: The experiments whose result files have a fixed format; every other one writes a table.
+_FIXED_FORMAT = ("montecarlo", "waveform")
+
 _OUTPUT = _Table(format=({"enum": ["csv", "json"]}, "json"), path=({"type": "string"}, "."))
 _CONFIG = _Table(
     schema_version=({"const": SCHEMA_VERSION}, REQUIRED),
@@ -297,7 +300,7 @@ def _resolve_config(cfg: dict, args) -> dict:
         resolved["output"]["format"] = args.format
     if args.out:
         resolved["output"]["path"] = args.out
-    if resolved["output"]["format"] == "csv" and cfg["experiment"] in ("montecarlo", "waveform"):
+    if resolved["output"]["format"] == "csv" and cfg["experiment"] in _FIXED_FORMAT:
         raise ConfigError(f"{cfg['experiment']}: output.format 'csv' is ignored")
     return resolved
 
@@ -319,6 +322,15 @@ def _quantizer(obj: dict) -> QuantizerSpec:
     if obj["kind"] == "custom_levels":
         return QuantizerSpec.custom_levels(obj["levels"])
     return QuantizerSpec.identity()
+
+
+def _adc(p: dict) -> QuantizerSpec:
+    """The params' ADC; the identity where they give none."""
+    return _quantizer(p.get("adc", {"kind": "identity"}))
+
+
+def _plan(p: dict) -> SubbandPlan:
+    return SubbandPlan(p["fractions"], p["powers"])
 
 
 def _power_ratios(grid, name: str) -> list:
@@ -407,55 +419,54 @@ def _emit(v, newline: str, out: list) -> None:
         raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
 
 
-def _stamped(resolved: dict, record: dict) -> dict:
-    """``record``, then the run's seed and the package version."""
-    return {**record, "seed": resolved["seed"], "version": __version__}
-
-
-def _rows_or_json(resolved, header, rows, obj=None):
-    """The result file: ``rows`` as CSV, or ``obj`` (by default the rows) as JSON."""
-    if resolved["output"]["format"] == "csv":
-        return {f"{resolved['experiment']}.csv": _csv_bytes(header, rows)}
+def _result_files(experiment: str, fmt: str, result) -> dict:
+    """A runner's result as ``{file name: text}``: a fixed-format one is
+    ``{file name: value}``, a ``.csv`` value being ``(header, rows)``; a table
+    is ``(header, rows, obj)``, written as CSV rows or as ``obj`` (by default
+    the rows, as objects) in JSON."""
+    if experiment in _FIXED_FORMAT:
+        return {name: json_text(value) if name.endswith(".json") else _csv_bytes(*value)
+                for name, value in result.items()}
+    header, rows, obj = result
+    if fmt == "csv":
+        return {f"{experiment}.csv": _csv_bytes(header, rows)}
     if obj is None:
         obj = {"rows": [dict(zip(header, r)) for r in rows]}
-    return {f"{resolved['experiment']}.json": json_text(obj)}
+    return {f"{experiment}.json": json_text(obj)}
 
 
-def _record(resolved, rec: dict) -> dict:
-    """A one-row result: ``rec``, stamped, as one CSV row or one JSON object."""
-    rec = _stamped(resolved, rec)
-    return _rows_or_json(resolved, list(rec), [list(rec.values())], rec)
+def _stamped(seed: int, record: dict) -> dict:
+    """``record``, then the run's seed and the package version."""
+    return {**record, "seed": seed, "version": __version__}
 
 
-def _per_band(resolved, plan: SubbandPlan, rep, header, *columns) -> dict:
+def _record(seed: int, rec: dict) -> tuple:
+    """A one-row table: ``rec``, stamped; its JSON is that one object."""
+    rec = _stamped(seed, rec)
+    return list(rec), [list(rec.values())], rec
+
+
+def _per_band(seed: int, plan: SubbandPlan, rep, header, *columns) -> tuple:
     """A per-band table: band, fraction and power, then ``columns``, one value
-    per band each; JSON gets ``rep``, stamped."""
+    per band each; its JSON is ``rep``, stamped."""
     rows = [list(row) for row in zip(range(plan.num_bands), plan.fractions, plan.powers, *columns)]
-    return _rows_or_json(resolved, ["band", "fraction", "power", *header], rows,
-                         _stamped(resolved, vars(rep)))
+    return ["band", "fraction", "power", *header], rows, _stamped(seed, vars(rep))
 
 
-# --- experiment implementations: each returns {filename: text}
+# --- experiment implementations: (params, seed) -> what _result_files writes
 
-def _run_moments(resolved: dict) -> dict:
-    p = resolved["params"]
+def _run_moments(p: dict, seed: int) -> tuple:
     q = _quantizer(p["quantizer"])
     how = p["method"]
-    if how["kind"] == "quadrature":
-        method = Quadrature()
-    else:
-        method = MonteCarlo(samples=how["samples"], seed=resolved["seed"])
+    method = Quadrature() if how["kind"] == "quadrature" else MonteCarlo(how["samples"], seed)
     if "channel" in p:
-        adc = _quantizer(p.get("adc", {"kind": "identity"}))
-        m = chain_moments(q, p["channel"]["noise_power"], adc, p["pbar"], method)
-        scope = "chain"
+        m = chain_moments(q, p["channel"]["noise_power"], _adc(p), p["pbar"], method)
     elif "adc" in p:
         raise ConfigError("moments: an adc needs a channel; without one the run is tx-only")
     else:
         m = tx_moments(q, p["pbar"], method)
-        scope = "tx"
-    return _record(resolved, {
-        "scope": scope,
+    return _record(seed, {
+        "scope": "chain" if "channel" in p else "tx",
         "gain_re": m.gain,
         "gain_im": 0.0,
         "noise": m.noise,
@@ -465,41 +476,35 @@ def _run_moments(resolved: dict) -> dict:
     })
 
 
-def _run_spectrum(resolved: dict) -> dict:
-    p = resolved["params"]
-    plan = SubbandPlan(p["fractions"], p["powers"])
+def _run_spectrum(p: dict, seed: int) -> tuple:
+    plan = _plan(p)
     rep = predict_spectrum(plan, tx_moments(_quantizer(p["quantizer"]), plan.mean_power))
-    return _per_band(resolved, plan, rep, ["energy", "share", "min_share", "total_energy"],
+    return _per_band(seed, plan, rep, ["energy", "share", "min_share", "total_energy"],
                      rep.band_energy, rep.band_share, rep.min_share, repeat(rep.total_energy))
 
 
-def _run_rate(resolved: dict) -> dict:
-    p = resolved["params"]
-    plan = SubbandPlan(p["fractions"], p["powers"])
+def _run_rate(p: dict, seed: int) -> tuple:
+    plan = _plan(p)
     q = _quantizer(p["quantizer"])
     if "adc" in p:
-        m = chain_moments(q, p["noise_power"], _quantizer(p["adc"]), plan.mean_power)
-        rep = linear_rate(plan, m)
+        rep = linear_rate(plan, chain_moments(q, p["noise_power"], _adc(p), plan.mean_power))
     else:
         rep = awgn_linear_rate(plan, tx_moments(q, plan.mean_power), p["noise_power"])
-    return _per_band(resolved, plan, rep, ["bits", "total_bits", "regime"],
+    return _per_band(seed, plan, rep, ["bits", "total_bits", "regime"],
                      rep.band_bits, repeat(rep.bits_per_symbol), repeat(rep.regime))
 
 
-def _run_upper_bound(resolved: dict) -> dict:
-    p = resolved["params"]
+def _run_upper_bound(p: dict, seed: int) -> tuple:
     q = _quantizer(p["quantizer"])
     if q.is_identity:
         raise ConfigError("upper-bound: an identity quantizer has no finite constellation to bound")
-    cset = constellation_of(q)
     m = tx_moments(q, p["pbar"]) if p["include_gap"] else None
-    rep = rate_upper_bound(cset, p["band_energy"], p["fractions"], m_tx=m)
-    return _record(resolved, {**vars(rep), "tilt": None if math.isnan(rep.tilt) else rep.tilt})
+    rep = rate_upper_bound(constellation_of(q), p["band_energy"], p["fractions"], m_tx=m)
+    return _record(seed, {**vars(rep), "tilt": None if math.isnan(rep.tilt) else rep.tilt})
 
 
-def _run_sweep_snr(resolved: dict) -> dict:
-    p = resolved["params"]
-    plan = SubbandPlan(p["fractions"], p["powers"])
+def _run_sweep_snr(p: dict, seed: int) -> tuple:
+    plan = _plan(p)
     grid = _grid(p["snr_db"])
     snr = _power_ratios(grid, "snr_db")
     rows = []
@@ -507,13 +512,12 @@ def _run_sweep_snr(resolved: dict) -> dict:
         q = QuantizerSpec.midrise_for_power(bits, plan.mean_power, p["kappa"])
         rates = awgn_rates_at_transmit_snr(plan, tx_moments(q, plan.mean_power), snr)
         label = "inf" if bits is None else bits
-        rows.extend([snr_db, label, r, resolved["seed"], __version__]
+        rows.extend([snr_db, label, r, seed, __version__]
                     for snr_db, r in zip(map(float, grid), rates.tolist()))
-    return _rows_or_json(resolved, ["snr_db", "bits", "rate_bps", "seed", "version"], rows)
+    return ["snr_db", "bits", "rate_bps", "seed", "version"], rows, None
 
 
-def _run_sweep_aclr(resolved: dict) -> dict:
-    p = resolved["params"]
+def _run_sweep_aclr(p: dict, seed: int) -> tuple:
     fr = tuple(p["fractions"])
     pbar = p["pbar"]
     grid = _grid(p["aclr_db"])
@@ -529,53 +533,45 @@ def _run_sweep_aclr(resolved: dict) -> dict:
                 r_lin = noise_free_rate(fr, m, shares).bits_per_symbol
             except FeasibilityError:
                 r_lin = None
-            rows.append([aclr_db, bits, r_lin, ub, resolved["seed"], __version__])
-    return _rows_or_json(resolved, ["aclr_db", "bits", "r_lin", "r_upper", "seed", "version"], rows)
+            rows.append([aclr_db, bits, r_lin, ub, seed, __version__])
+    return ["aclr_db", "bits", "r_lin", "r_upper", "seed", "version"], rows, None
 
 
-def _run_montecarlo(resolved: dict) -> dict:
-    p = resolved["params"]
+def _run_montecarlo(p: dict, seed: int) -> dict:
     chain = p["mode"] == "chain"
     if not chain and ("channel" in p or "adc" in p):
         raise ConfigError("montecarlo: channel and adc apply only in mode 'chain'")
     cfg = SimConfig(
         size=p["size"],
-        plan=SubbandPlan(p["fractions"], p["powers"]),
+        plan=_plan(p),
         dac=_quantizer(p["quantizer"]),
         transform=p["transform"],
         trials=p["trials"],
-        seed=resolved["seed"],
+        seed=seed,
         noise_power=p["channel"]["noise_power"] if "channel" in p else 0.0,
-        adc=_quantizer(p.get("adc", {"kind": "identity"})),
+        adc=_adc(p),
         assignment=p["assignment"],
     )
     rep = run_chain_trials(cfg) if chain else run_tx_trials(cfg)
-    files = {"montecarlo.json": json_text(rep)}
+    files = {"montecarlo.json": rep}
     if p["per_trial_csv"]:
-        rows = [
-            [t, b, val, rep.predicted_band_energy[b]]
-            for t, band_vals in enumerate(rep.trial_band_energy)
-            for b, val in enumerate(band_vals)
-        ]
-        files["montecarlo_trials.csv"] = _csv_bytes(
-            ["trial", "band", "empirical_s", "predicted_s"], rows
-        )
+        rows = [[t, b, val, rep.predicted_band_energy[b]]
+                for t, band_vals in enumerate(rep.trial_band_energy)
+                for b, val in enumerate(band_vals)]
+        files["montecarlo_trials.csv"] = (["trial", "band", "empirical_s", "predicted_s"], rows)
     return files
 
 
-def _run_waveform(resolved: dict) -> dict:
-    p = dict(resolved["params"])
-    dac = p.pop("dac")
-    cfg = WaveformConfig(
-        dac_bits=dac["bits"], dac_kappa=dac["kappa"], dac_clip=dac.get("clip"),
-        seed=resolved["seed"], **p,
-    )
-    rec = _stamped(resolved, vars(measure_aclr(cfg)))
+def _run_waveform(p: dict, seed: int) -> dict:
+    dac = p["dac"]
+    cfg = WaveformConfig(**{k: v for k, v in p.items() if k != "dac"}, seed=seed,
+                         dac_bits=dac["bits"], dac_kappa=dac["kappa"], dac_clip=dac.get("clip"))
+    rec = _stamped(seed, vars(measure_aclr(cfg)))
     freq = rec.pop("psd_freq")
     psd_db = [10.0 * math.log10(v) if v > 0 else -math.inf for v in rec.pop("psd")]
     return {
-        "waveform.json": json_text(rec),
-        "waveform_psd.csv": _csv_bytes(["freq_hz", "psd_db"], list(zip(freq, psd_db))),
+        "waveform.json": rec,
+        "waveform_psd.csv": (["freq_hz", "psd_db"], list(zip(freq, psd_db))),
     }
 
 
@@ -629,7 +625,8 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args.config, args.command)
         resolved = _resolve_config(cfg, args)
-        files = _RUNNERS[args.command](resolved)
+        result = _RUNNERS[args.command](resolved["params"], resolved["seed"])
+        files = _result_files(args.command, resolved["output"]["format"], result)
     except (ConfigError, ValueError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

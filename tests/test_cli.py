@@ -870,6 +870,43 @@ def test_csv_format_of_fixed_format_runs_is_a_config_error(tmp_path, capsys, exp
     assert not out.exists()
 
 
+# the report field each per-band CSV column past band, fraction and power
+# reads: a list holds one value per band, a scalar repeats down the column
+PER_BAND_FIELDS = {
+    "spectrum": {"energy": "band_energy", "share": "band_share", "min_share": "min_share",
+                 "total_energy": "total_energy"},
+    "rate": {"bits": "band_bits", "total_bits": "bits_per_symbol", "regime": "regime"},
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(set(MINIMAL) - {"montecarlo", "waveform"}))
+def test_csv_and_json_carry_the_same_table(tmp_path, experiment):
+    cfg = write_cfg(tmp_path, {"schema_version": 1, "experiment": experiment,
+                               "params": MINIMAL[experiment]})
+    text = {}
+    for fmt in ("csv", "json"):
+        out = tmp_path / fmt
+        assert main([experiment, "--config", cfg, "--out", str(out), "--format", fmt]) == 0
+        assert {p.name for p in out.iterdir()} == {f"{experiment}.{fmt}", "resolved_config.json"}
+        text[fmt] = (out / f"{experiment}.{fmt}").read_text()
+    header, *rows = csv.reader(io.StringIO(text["csv"]))
+    doc = json.loads(text["json"])
+    if experiment in PER_BAND_FIELDS:
+        names = PER_BAND_FIELDS[experiment]
+        assert header == ["band", "fraction", "power", *names]
+        p = MINIMAL[experiment]
+        table = [
+            [b, p["fractions"][b], p["powers"][b],
+             *(doc[f][b] if isinstance(doc[f], list) else doc[f] for f in names.values())]
+            for b in range(len(p["fractions"]))
+        ]
+    else:
+        records = doc["rows"] if experiment.startswith("sweep") else [doc]
+        assert records and all(sorted(r) == sorted(header) for r in records)
+        table = [[r[h] for h in header] for r in records]
+    assert rows == [["" if v is None else str(v) for v in row] for row in table]
+
+
 DELETE = object()
 LEVELS = {"kind": "custom_levels", "levels": [-1.0, 1.0]}
 AWGN = {"kind": "awgn", "noise_power": 0.1}
