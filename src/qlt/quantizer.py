@@ -16,10 +16,9 @@ either way (next paragraph).
 
 The per-dimension level grid and its maps live here only: ``levels_per_dim``
 and ``thresholds_per_dim`` describe it, and ``_map_dim`` applies it.  The
-midrise map computes a sample's level as ``-clip + k * step`` rather than
-reading ``levels_per_dim()``, so its output may differ from the table by
-ulps, and a sample exactly on a boundary may round down; taking the level
-from the table would move preset outputs by ulps.
+midrise map finds a sample's level index by rounding ``(x + clip) / step``
+rather than by comparing it with the thresholds, so a sample exactly on a
+boundary may round down.
 """
 
 from dataclasses import dataclass
@@ -177,7 +176,12 @@ def _map_dim(spec: QuantizerSpec, x: np.ndarray) -> np.ndarray:
         step = 2.0 * clip / (nlevels - 1)
         idx = np.floor((x + clip) / step + 0.5)
         np.clip(idx, 0.0, nlevels - 1, out=idx)
-        return -clip + idx * step
+        # levels_per_dim()'s formula, in place on the level index
+        idx *= 2.0
+        idx += 1.0 - nlevels
+        idx *= clip
+        idx /= nlevels - 1
+        return idx
     # thresholds are the midpoints between consecutive levels; a sample
     # exactly on a threshold maps to the upper level
     idx = np.searchsorted(spec.thresholds_per_dim(), x, side="right")
@@ -188,10 +192,8 @@ def quantize(spec: QuantizerSpec, u):
     """Apply the quantizer to a complex scalar or array (real and imaginary
     parts independently).
 
-    Every non-NaN part maps to a nearest level, +/-inf to an extreme one.  A
-    custom-levels output is a ``levels_per_dim()`` entry; a midrise output
-    is ``-clip + k * step``, which may differ from that entry by ulps (see
-    the module docstring).  A NaN real or imaginary part raises
+    Every non-NaN part maps to a nearest ``levels_per_dim()`` entry, +/-inf
+    to an extreme one.  A NaN real or imaginary part raises
     :class:`NumericalFailureError`, since it has no nearest level.  The
     identity quantizer passes any input through unchecked."""
     if spec.is_identity:

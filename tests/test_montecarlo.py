@@ -446,8 +446,8 @@ def test_chain_trials_digest_pins_the_awgn_draws():
         for rep in (run_chain_trials(cfg), run_tx_trials(cfg), run_chain_trials(fft))
     ]
     assert digests == [
-        "c76d0dfc8ffbc9b2a2ea8ac5c3e50ef539c734bcbd464588d73c3ade60926e9b",
-        "c3623d54a3acc0a1297405b73058065efd86f9442f2a84711e5c910f4fd5206f",
+        "cc026c634030d193b13f193ee62fc5474d1a73439d3da153067e4134175946e0",
+        "90963d2e744a55015d660be4fc6d5a79b6701df7c5b7830215ea7337a6c8420f",
         "1e3fc8b99a9795b58682b1398fdbb2e6221be27eb20e9f9b241f4b892d5eb154",
     ]
 

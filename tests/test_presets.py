@@ -38,8 +38,8 @@ DIGESTS = {
     },
     "waveform_nr200_b4": {
         "resolved_config.json": "6943bfd60167897e1ce6a9eb4801cb5d91ce80c7aeb8548c7ececfe1f9f9adc4",
-        "waveform.json": "827cfc443d362900b2ee90fa6420391e7c3bc1abdcc9e5b687760ba6ade2f612",
-        "waveform_psd.csv": "12bc47d06c01e4c36c4c4e6555fa87014e8c9f1fbe8306ae373e77ff6820f7dc",
+        "waveform.json": "caa9f978ac4e67c76981459d91f7bd21e369282a76e06f1a5c09a6eb9caa5f0f",
+        "waveform_psd.csv": "1e00c1de43ab878a5b9c433c487ddfc51a3d7e567338a11060d2fb360ebd2249",
     },
 }
 

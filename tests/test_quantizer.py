@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qlt import (
     Constellation,
@@ -51,13 +53,11 @@ def _assert_nearest_level(q, clip, rng, atol):
 
 
 def test_midrise_levels_nearest_rule():
-    # the midrise output -clip + idx*step differs from levels_per_dim() by
-    # rounding, a few 1e-16 * clip
     rng = np.random.default_rng(0)
     for bits in range(1, 9):
         for clip in (0.3, 1.0, 2.6, 7.5):
             q = QuantizerSpec.uniform_midrise(bits, clip)
-            _assert_nearest_level(q, clip, rng, atol=1e-15 * clip)
+            _assert_nearest_level(q, clip, rng, atol=0.0)
 
 
 @pytest.mark.parametrize(
@@ -98,22 +98,34 @@ def test_identity_has_no_constellation():
         constellation_of(QuantizerSpec.identity())
 
 
-@pytest.mark.parametrize(
-    "q",
-    [
-        QuantizerSpec.uniform_midrise(1, 1.0),
-        QuantizerSpec.uniform_midrise(3, 2.6),
-        QuantizerSpec.custom_levels([-2.0, -0.3, 0.1, 1.7]),
-    ],
+_QUANTIZERS = st.one_of(
+    st.builds(QuantizerSpec.uniform_midrise, st.integers(1, 8), st.floats(0.05, 8.0)),
+    st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=8, unique=True)
+    .map(sorted)
+    .map(QuantizerSpec.custom_levels),
 )
-def test_idempotence_and_symmetry(q):
-    rng = np.random.default_rng(7)
-    u = rng.standard_normal(2000) * 2 + 1j * rng.standard_normal(2000) * 2
-    once = np.asarray(quantize(q, u))
-    np.testing.assert_array_equal(np.asarray(quantize(q, once)), once)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(q=_QUANTIZERS, scale=st.floats(0.05, 8.0), seed=st.integers(0, 2**32 - 1))
+@example(q=QuantizerSpec.uniform_midrise(1, 1.0), scale=2.0, seed=7)
+@example(q=QuantizerSpec.uniform_midrise(3, 2.6), scale=2.0, seed=7)
+@example(q=QuantizerSpec.custom_levels([-2.0, -0.3, 0.1, 1.7]), scale=2.0, seed=7)
+def test_idempotence_and_symmetry(q, scale, seed):
+    rng = np.random.default_rng(seed)
+    u = scale * (rng.standard_normal(2000) + 1j * rng.standard_normal(2000))
+    once = quantize(q, u)
+    np.testing.assert_array_equal(quantize(q, once), once)
+    assert set(once.tolist()) <= set(constellation_of(q).points.tolist())
     if q.kind == "uniform_midrise":
-        np.testing.assert_array_equal(np.asarray(quantize(q, -u)), -once)
-        np.testing.assert_array_equal(np.asarray(quantize(q, u.conj())), once.conj())
+        # a sample on a threshold may round either way (the tie rule in the
+        # module docstring), so symmetry holds only away from them
+        thr = q.thresholds_per_dim()
+        far = np.ones(u.size, bool)
+        for part in (u.real, u.imag):
+            far &= np.abs(part[:, None] - thr).min(axis=1) > 1e-9 * q.clip
+        np.testing.assert_array_equal(quantize(q, -u[far]), -once[far])
+        np.testing.assert_array_equal(quantize(q, u[far].conj()), once[far].conj())
 
 
 def test_boundedness():
@@ -125,14 +137,12 @@ def test_boundedness():
     assert np.abs(out.imag).max() <= 1.3 + 1e-15
 
 
-@pytest.mark.parametrize("bits,clip", [(1, 1.0), (2, 3.0), (3, 2.6)])
+@pytest.mark.parametrize("bits,clip", [(1, 1.0), (2, 3.0), (3, 2.6), (4, 3.0), (5, 0.7)])
 def test_constellation_is_image_of_quantize(bits, clip):
     q = QuantizerSpec.uniform_midrise(bits, clip)
     grid = np.linspace(-2 * clip, 2 * clip, 257)
     pts = (grid[:, None] + 1j * grid[None, :]).ravel()
-    image = set(np.round(np.asarray(quantize(q, pts)), 12).tolist())
-    expected = set(np.round(constellation_of(q).points, 12).tolist())
-    assert image == expected
+    assert set(quantize(q, pts).tolist()) == set(constellation_of(q).points.tolist())
 
 
 def test_duplicate_levels_rejected():
