@@ -259,8 +259,10 @@ def apply_dac_and_measure(cfg: WaveformConfig, stream: np.ndarray) -> AclrReport
     upper = (freq > w / 2.0 + g) & (freq <= 3.0 * w / 2.0 + g)
     lower = (freq < -(w / 2.0 + g)) & (freq >= -(3.0 * w / 2.0 + g))
     for side, sel in (("upper", upper), ("lower", lower)):
-        if not sel.any():
-            raise ValueError(f"the {side} adjacent band holds no PSD bin")
+        bins = np.count_nonzero(sel)
+        if bins < 2 * _FLATNESS_SMOOTH_BINS:
+            raise ValueError(f"the {side} adjacent band holds {bins} PSD bins, fewer than the "
+                             f"{2 * _FLATNESS_SMOOTH_BINS} its flatness is measured over")
     p_in = float(np.sum(pxx[inband]) * df)
     p_adj = float(0.5 * (np.sum(pxx[upper]) + np.sum(pxx[lower])) * df)
     p_dac = float(np.mean(np.abs(quantized) ** 2))
@@ -293,18 +295,16 @@ _FLATNESS_SMOOTH_BINS = 32
 
 def _oob_flatness(density, upper, lower) -> float:
     """Max-minus-min (dB) of the smoothed adjacent-band density, taken before
-    the ZOH shaping."""
+    the ZOH shaping; each band holds at least ``2 * _FLATNESS_SMOOTH_BINS``
+    bins."""
     worst = -math.inf
     for sel in (upper, lower):
-        v = density[sel]
-        if v.size < 2 * _FLATNESS_SMOOTH_BINS:
-            continue
         k = np.ones(_FLATNESS_SMOOTH_BINS) / _FLATNESS_SMOOTH_BINS
-        sm = np.convolve(v, k, mode="valid")
+        sm = np.convolve(density[sel], k, mode="valid")
         if sm.min() <= 0:
             return math.inf
         worst = max(worst, 10.0 * math.log10(sm.max() / sm.min()))
-    return worst if worst > -math.inf else math.nan
+    return worst
 
 
 def measure_aclr(cfg: WaveformConfig) -> AclrReport:

@@ -678,27 +678,19 @@ def test_waveform_subcommand(tmp_path):
     assert len(psd) > 1000
 
 
-def _reject_constant(name):
-    raise ValueError(f"{name} is not JSON")
-
-
-def test_waveform_nan_flatness_is_written_as_null(tmp_path):
-    # at 221 MS/s each adjacent band holds too few PSD bins to measure flatness
-    params = {"dac": {"bits": 4}, "num_symbols": 8, "sample_rate": 221e6}
-    cfg = {"schema_version": 1, "experiment": "waveform", "params": params}
-    out = tmp_path / "out"
-    assert main(["waveform", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
-    rep = json.loads((out / "waveform.json").read_text(), parse_constant=_reject_constant)
-    assert rep["oob_flatness_db"] is None
-
-
-def test_waveform_empty_adjacent_band_exits_2_without_output(tmp_path, capsys):
+@pytest.mark.parametrize("params, bins", [
     # the adjacent bands start at the Nyquist edge, so no PSD bin falls in them
-    params = {"dac": {"bits": 4}, "num_symbols": 8, "sample_rate": 220e6}
+    ({"dac": {"bits": 4}, "num_symbols": 8, "sample_rate": 220e6}, 0),
+    ({"dac": {"bits": 4}, "num_symbols": 8, "sample_rate": 221e6}, 9),
+    ({"dac": {"bits": 3}, "num_symbols": 2, "psd_segment_length": 256}, 52),
+], ids=["220MSps", "221MSps", "segment-256"])
+def test_waveform_empty_adjacent_band_exits_2_without_output(tmp_path, capsys, params, bins):
+    # the out-of-band flatness smooths each adjacent band over 32 bins and
+    # needs twice that many; fewer would leave it unmeasured
     cfg = {"schema_version": 1, "experiment": "waveform", "params": params}
     out = tmp_path / "out"
     assert main(["waveform", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 2
-    assert "adjacent band holds no PSD bin" in capsys.readouterr().err
+    assert f"adjacent band holds {bins} PSD bins, fewer than the 64" in capsys.readouterr().err
     assert not out.exists()
 
 
