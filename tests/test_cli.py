@@ -871,7 +871,7 @@ PER_BAND_FIELDS = {
 }
 
 
-@pytest.mark.parametrize("experiment", sorted(set(MINIMAL) - {"montecarlo", "waveform"}))
+@pytest.mark.parametrize("experiment", sorted(set(MINIMAL) - set(cli._FIXED_FORMAT)))
 def test_csv_and_json_carry_the_same_table(tmp_path, experiment):
     cfg = write_cfg(tmp_path, {"schema_version": 1, "experiment": experiment,
                                "params": MINIMAL[experiment]})
