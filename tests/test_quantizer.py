@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qlt import (
@@ -106,12 +106,25 @@ _QUANTIZERS = st.one_of(
 )
 
 
+@pytest.mark.parametrize(
+    "q",
+    [
+        QuantizerSpec.uniform_midrise(1, 1.0),
+        QuantizerSpec.uniform_midrise(3, 2.6),
+        QuantizerSpec.custom_levels([-2.0, -0.3, 0.1, 1.7]),
+    ],
+)
+def test_idempotence_and_symmetry(q):
+    _check_idempotence_and_symmetry(q, scale=2.0, seed=7)
+
+
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
 @given(q=_QUANTIZERS, scale=st.floats(0.05, 8.0), seed=st.integers(0, 2**32 - 1))
-@example(q=QuantizerSpec.uniform_midrise(1, 1.0), scale=2.0, seed=7)
-@example(q=QuantizerSpec.uniform_midrise(3, 2.6), scale=2.0, seed=7)
-@example(q=QuantizerSpec.custom_levels([-2.0, -0.3, 0.1, 1.7]), scale=2.0, seed=7)
-def test_idempotence_and_symmetry(q, scale, seed):
+def test_idempotence_and_symmetry_over_generated_quantizers(q, scale, seed):
+    _check_idempotence_and_symmetry(q, scale, seed)
+
+
+def _check_idempotence_and_symmetry(q, scale, seed):
     rng = np.random.default_rng(seed)
     u = scale * (rng.standard_normal(2000) + 1j * rng.standard_normal(2000))
     once = quantize(q, u)
