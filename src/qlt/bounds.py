@@ -5,6 +5,14 @@ uniformly drawn constellation point, its Legendre transform, and the maximum
 entropy achievable at a target mean energy (an exponentially tilted law).
 Cumulant and rate-function values are in nats; entropies and rates in bits.
 
+A constellation is the product L x L of one rail's level set, so a uniform
+point is two independent uniform levels and its energy is the sum of their
+squares.  The tilted law exp(theta |x|^2) is then the product of one law
+exp(theta l^2) per rail (Cover & Thomas 2006, Thm 12.1.1): the cumulant and
+the tilted mean are twice one rail's, and the maximum entropy at total energy
+s is twice one rail's at s/2.  Every quantity below is computed over L's
+energy classes, 2**bits values at most, and doubled.
+
 The tilt that attains a target energy is found by ITP (Oliveira & Takahashi,
 "An enhancement of the bisection method average performance preserving minmax
 optimality", ACM TOMS 47(1), 2020): at most one evaluation more than bisection
@@ -56,30 +64,33 @@ def _clamp_to_range(s: float, e_lo: float, e_hi: float) -> float:
     return s
 
 
-def _log_mgf_terms(energies, counts, theta, size):
-    """log of (1/|A|) sum_i counts_i exp(theta e_i), max-shift stabilized."""
+def _log_mgf_terms(cset: Constellation, theta: float):
+    """One rail's cumulant log((1/|L|) sum_i counts_i exp(theta e_i)) over
+    its energy classes, max-shift stabilized, with the shifted exponentials
+    exp(theta e_i - shift) and their count-weighted sum."""
+    energies, counts, _ = cset.energy_classes
     shift = theta * (energies[-1] if theta > 0 else energies[0])
     expo = np.exp(theta * energies - shift)
     total = float(np.dot(counts, expo))
-    return shift + math.log(total / size), expo, total
+    return shift + math.log(total / cset.levels.size), expo, total
 
 
 def cumulant(cset: Constellation, theta: float) -> float:
-    """Cumulant generating function of the point energy at tilt theta (nats)."""
-    energies, counts, _ = cset.energy_classes
-    val, _, _ = _log_mgf_terms(energies, counts, float(theta), cset.size)
-    return val
+    """Cumulant generating function of the point energy at tilt theta (nats):
+    twice one rail's."""
+    return 2.0 * _log_mgf_terms(cset, float(theta))[0]
 
 
 def tilted_mean_energy(cset: Constellation, theta: float) -> float:
-    """Mean energy under the exponentially tilted law (the cumulant derivative)."""
-    energies, counts, weighted = cset.energy_classes
-    _, expo, total = _log_mgf_terms(energies, counts, float(theta), cset.size)
-    return float(np.dot(weighted, expo) / total)
+    """Mean energy under the exponentially tilted law (the cumulant
+    derivative): twice one rail's."""
+    _, expo, total = _log_mgf_terms(cset, float(theta))
+    return 2.0 * float(np.dot(cset.energy_classes[2], expo) / total)
 
 
 def tilted_distribution(cset: Constellation, theta: float) -> np.ndarray:
-    """Per-point probabilities proportional to exp(theta |x|^2)."""
+    """Per-point probabilities proportional to exp(theta |x|^2), in
+    ``cset.points`` order: all ``cset.size`` of them."""
     shift = theta * (cset.max_energy if theta > 0 else cset.min_energy)
     w = np.exp(theta * cset.energies - shift)
     return w / w.sum()
@@ -100,7 +111,7 @@ def rate_function(cset: Constellation, s: float) -> tuple[float, float]:
     if not math.isfinite(s):
         raise ValueError(f"target energy must be finite, got {s}")
     energies, _, _ = cset.energy_classes
-    e_lo, e_hi = float(energies[0]), float(energies[-1])
+    e_lo, e_hi = cset.min_energy, cset.max_energy
     e_mean = cset.mean_energy
     s = _clamp_to_range(s, e_lo, e_hi)
     if s < e_lo or s > e_hi:
@@ -167,19 +178,22 @@ def rate_function(cset: Constellation, s: float) -> tuple[float, float]:
 def _entropy_and_tilt(cset: Constellation, s: float) -> tuple[float, float]:
     """Max entropy (bits) and tilt at target energy s."""
     energies, counts, _ = cset.energy_classes
-    s = _clamp_to_range(float(s), float(energies[0]), float(energies[-1]))
-    if energies.size > 1 and s == float(energies[0]):
-        return math.log2(counts[0]), math.nan
-    if energies.size > 1 and s == float(energies[-1]):
-        return math.log2(counts[-1]), math.nan
+    s = _clamp_to_range(float(s), cset.min_energy, cset.max_energy)
+    # a boundary energy class is one rail's extreme class on both rails
+    if energies.size > 1 and s == cset.min_energy:
+        return 2.0 * math.log2(counts[0]), math.nan
+    if energies.size > 1 and s == cset.max_energy:
+        return 2.0 * math.log2(counts[-1]), math.nan
     value, tilt = rate_function(cset, s)
     h_bits = math.log2(cset.size) - value / _LN2
-    # cross-check against the entropy of the tilted law achieving energy s
-    # (0 log 0 = 0: a probability that underflows to 0 adds nothing, and a
-    # NaN entropy fails the check)
-    p = tilted_distribution(cset, tilt)
-    p = p[p > 0.0]
-    h_direct = float(-np.sum(p * np.log2(p)))
+    # cross-check against the entropy of the tilted law achieving energy s,
+    # twice that of one rail's law, whose levels in class i each have
+    # probability expo_i / total (0 log 0 = 0: a probability that underflows
+    # to 0 adds nothing, and a NaN entropy fails the check)
+    _, expo, total = _log_mgf_terms(cset, tilt)
+    kept = expo > 0.0
+    p = expo[kept] / total
+    h_direct = float(-2.0 * np.dot(counts[kept], p * np.log2(p)))
     if not abs(h_direct - h_bits) <= 1e-6 * max(1.0, abs(h_bits)):
         raise NumericalFailureError(
             f"max-entropy cross-check failed: {h_bits} vs tilted-law {h_direct}"

@@ -26,6 +26,7 @@ transform holds at most 3 directions, 2 frame vectors each: at most 96*n
 bytes (384 KiB at n=4096).  The ``fft`` transform draws nothing.
 """
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Optional
@@ -125,11 +126,17 @@ def _contiguous(fr: np.ndarray, n: int) -> np.ndarray:
 
 def _interleaved(fr: np.ndarray, n: int) -> np.ndarray:
     # the k-th bin (k from 1) goes to the first band of largest deficit
-    # f_j * k - count_j
+    # f_j * k - count_j.  Each float f_j is a dyadic rational; with D the lcm
+    # of their denominators, every f_j * k is exact, and if each band holds
+    # exactly f_j * D bins after D bins, every deficit is back at 0 and the
+    # layout repeats with period D.
     f = fr.tolist()
+    period = math.lcm(*(x.as_integer_ratio()[1] for x in f))
     counts = [0.0] * len(f)
     out = []
     for k in range(1, n + 1):
+        if k == period + 1 and counts == [x * period for x in f]:
+            return np.resize(np.array(out, dtype=int), n)
         m, best = 0, f[0] * k - counts[0]
         for j in range(1, len(f)):
             d = f[j] * k - counts[j]

@@ -42,6 +42,13 @@ def clip_for_power(power: float, kappa: float = DEFAULT_KAPPA) -> float:
     return kappa * np.sqrt(power / 2.0)
 
 
+def _check_levels(lv: np.ndarray) -> None:
+    if not np.all(np.isfinite(lv)):
+        raise ValueError("levels must be finite")
+    if not np.all(np.diff(lv) > 0):
+        raise ValueError("levels must be strictly increasing")
+
+
 @dataclass(frozen=True)
 class QuantizerSpec:
     """Description of a componentwise scalar quantizer.
@@ -66,11 +73,7 @@ class QuantizerSpec:
         elif self.kind == "custom_levels":
             if not self.levels:
                 raise ValueError("custom_levels requires a non-empty level list")
-            lv = np.asarray(self.levels, dtype=float)
-            if not np.all(np.isfinite(lv)):
-                raise ValueError("levels must be finite")
-            if lv.size > 1 and not np.all(np.diff(lv) > 0):
-                raise ValueError("levels must be strictly increasing")
+            _check_levels(np.asarray(self.levels, dtype=float))
         else:
             raise ValueError(f"unknown quantizer kind {self.kind!r}")
 
@@ -116,40 +119,38 @@ class QuantizerSpec:
 
 @dataclass(frozen=True)
 class Constellation:
-    """Finite set of complex output points of a quantizer.
+    """The product L x L of a per-dimension level set L: a point
+    ``a + 1j * b`` for each pair of levels, as every componentwise quantizer
+    outputs.
 
-    ``points`` is a read-only copy of the array passed in, so the energy data
-    derived from it below stay valid for the object's life.
+    ``levels`` is a read-only copy of the array passed in, non-empty and
+    strictly increasing, so no two points coincide.  A point's energy is the
+    sum ``a**2 + b**2`` of its two rails' energies, so the size and energy
+    data below come from L's own values; ``points`` and ``energies`` enumerate
+    all ``size`` points and are built only when read.
     """
 
-    points: np.ndarray
+    levels: np.ndarray
 
     def __post_init__(self):
-        pts = np.array(self.points, dtype=complex)
-        if pts.size == 0:
-            raise ValueError("constellation must be non-empty")
-        if np.unique(pts).size != pts.size:
-            raise ValueError("duplicate constellation points are forbidden")
-        pts.flags.writeable = False
-        object.__setattr__(self, "points", pts)
+        lv = np.array(self.levels, dtype=float)
+        if lv.ndim != 1 or lv.size == 0:
+            raise ValueError("constellation level set must be non-empty and 1-D")
+        _check_levels(lv)
+        lv.flags.writeable = False
+        object.__setattr__(self, "levels", lv)
 
     @property
     def size(self) -> int:
-        return self.points.size
-
-    @cached_property
-    def energies(self) -> np.ndarray:
-        # re^2 + im^2 rather than abs()**2: exact for grid constellations, so
-        # equal-energy points deduplicate into exact classes downstream
-        e = self.points.real**2 + self.points.imag**2
-        e.flags.writeable = False
-        return e
+        return self.levels.size ** 2
 
     @cached_property
     def energy_classes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Sorted distinct point energies, their multiplicities (as floats)
-        and multiplicity times energy, as every tilt-solver step reads them."""
-        energies, counts = np.unique(self.energies, return_counts=True)
+        """Sorted distinct energies ``l**2`` of one rail's levels, their
+        multiplicities in L (as floats) and multiplicity times energy, as every
+        tilt-solver step reads them.  A point's energy class is a pair of
+        these, one per rail."""
+        energies, counts = np.unique(self.levels**2, return_counts=True)
         counts = counts.astype(float)
         weighted = counts * energies
         for a in (energies, counts, weighted):
@@ -158,16 +159,33 @@ class Constellation:
 
     @property
     def min_energy(self) -> float:
-        return float(self.energies.min())
+        return 2.0 * float(self.energy_classes[0][0])
 
     @property
     def max_energy(self) -> float:
-        return float(self.energies.max())
+        return 2.0 * float(self.energy_classes[0][-1])
 
     @property
     def mean_energy(self) -> float:
         """Mean point energy under uniform weighting."""
-        return float(self.energies.mean())
+        return 2.0 * float(np.mean(self.levels**2))
+
+    @cached_property
+    def points(self) -> np.ndarray:
+        """Every point, real rail major: ``size`` of them, 4**bits for a
+        midrise quantizer."""
+        re, im = np.meshgrid(self.levels, self.levels, indexing="ij")
+        pts = (re + 1j * im).ravel()
+        pts.flags.writeable = False
+        return pts
+
+    @cached_property
+    def energies(self) -> np.ndarray:
+        """``a**2 + b**2`` of each point, in ``points`` order."""
+        sq = self.levels**2
+        e = (sq[:, None] + sq[None, :]).ravel()
+        e.flags.writeable = False
+        return e
 
 
 def _map_dim(spec: QuantizerSpec, x: np.ndarray) -> np.ndarray:
@@ -211,10 +229,8 @@ def quantize(spec: QuantizerSpec, u):
 
 
 def constellation_of(spec: QuantizerSpec) -> Constellation:
-    """Cartesian product of the per-dimension level set with itself, as
-    complex points.  Raises for the identity quantizer."""
+    """The product of the per-dimension level set with itself, built from
+    that set's ``2**bits`` values.  Raises for the identity quantizer."""
     if spec.is_identity:
         raise UnboundedConstellationError("identity quantizer has an unbounded constellation")
-    lv = spec.levels_per_dim()
-    re, im = np.meshgrid(lv, lv, indexing="ij")
-    return Constellation(points=(re + 1j * im).ravel())
+    return Constellation(levels=spec.levels_per_dim())

@@ -1,5 +1,7 @@
 import json
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qlt.bounds
+import qlt.quantizer
 from qlt import (
     BoundaryEnergyError,
     Constellation,
@@ -28,7 +31,7 @@ from qlt import (
 )
 from qlt.cli import main
 
-QPSK = Constellation(points=np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]))
+QPSK = Constellation(levels=np.array([-1.0, 1.0]))
 GRID16 = constellation_of(QuantizerSpec.uniform_midrise(2, 3.0))
 
 
@@ -210,7 +213,7 @@ def test_solve_memo_is_bit_identical_to_a_fresh_constellation(bits):
     # for bit, whatever was solved on it before
     def fresh():
         if bits == "grid16":
-            return Constellation(points=GRID16.points)
+            return Constellation(levels=GRID16.levels)
         return constellation_of(QuantizerSpec.uniform_midrise(bits, 1.7))
 
     warm = fresh()
@@ -319,6 +322,51 @@ def test_upper_bound_rates_check_the_total_and_the_row_width():
     assert upper_bound_rates(GRID16, 8.0, [(1.0, 0.0)], (0.5, 0.5)) == [-math.inf]
 
 
+_MAX_BITS_RUNS = {
+    "upper-bound": ("json", {"fractions": [0.5, 0.5], "band_energy": [1.0, 0.5], "include_gap": True}),
+    "sweep-aclr": ("csv", {"fractions": [0.5, 0.5], "aclr_db": {"start": 0.0, "stop": 20.0, "step": 0.25}}),
+}
+
+
+@pytest.mark.parametrize("experiment", list(_MAX_BITS_RUNS))
+def test_a_max_bits_bound_runs_in_a_second_and_a_few_megabytes(tmp_path, experiment):
+    # 16 bits is 4**16 points, 64 GiB as complex128: the bound reads only
+    # one rail's 2**16 levels (about 10-25 ms and a 4.0 MiB tracemalloc peak
+    # measured, mostly the 16-bit transmit moments)
+    fmt, params = _MAX_BITS_RUNS[experiment]
+
+    def run(bits, out):
+        quantizer = {"quantizer": {"kind": "uniform_midrise", "bits": bits, "clip": 2.1}}
+        cfg = {
+            "schema_version": 1,
+            "experiment": experiment,
+            "output": {"format": fmt, "path": str(tmp_path / out)},
+            "params": {**params, **({"bits": [bits]} if experiment == "sweep-aclr" else quantizer)},
+        }
+        path = tmp_path / f"{out}.json"
+        path.write_text(json.dumps(cfg))
+        return main([experiment, "--config", str(path)])
+
+    assert run(2, "warm") == 0  # first-call caches stay out of the measure
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        assert run(qlt.quantizer.MAX_BITS, "max") == 0
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1.0
+    assert peak < 8 * 2**20
+    if experiment == "upper-bound":
+        rec = json.loads((tmp_path / "max" / "upper-bound.json").read_text())
+        assert 31.0 < rec["max_entropy_bits"] < 32.0
+    else:
+        rows = (tmp_path / "max" / "sweep-aclr.csv").read_text().splitlines()[1:]
+        r_upper = [float(row.split(",")[3]) for row in rows]
+        assert len(r_upper) == 81 and all(math.isfinite(r) for r in r_upper)
+
+
 def _bracket(cset, s):
     """Evaluations and width of the solver's expanding bracket: the low end
     doubles from -1 until its tilted mean is at most s, then the high end
@@ -386,15 +434,18 @@ def test_a_tilt_whose_float_spacing_exceeds_tilt_tol_is_solved():
 
 
 _UNDERFLOW_CSET = constellation_of(QuantizerSpec.uniform_midrise(8, 1.0))
-_UNDERFLOW_S = _UNDERFLOW_CSET.min_energy + 1e-3 * (_UNDERFLOW_CSET.max_energy - _UNDERFLOW_CSET.min_energy)
+_UNDERFLOW_S = _UNDERFLOW_CSET.min_energy + 5e-4 * (_UNDERFLOW_CSET.max_energy - _UNDERFLOW_CSET.min_energy)
 
 
 def test_max_entropy_cross_check_skips_underflowed_probabilities():
-    # some tilted probabilities underflow to 0 here; 0 log 0 = 0, with no
-    # RuntimeWarning (an error under the suite's filter)
+    # some of one rail's tilted probabilities, which the cross-check sums,
+    # underflow to 0 here; 0 log 0 = 0, with no RuntimeWarning (an error
+    # under the suite's filter)
     _, tilt = rate_function(_UNDERFLOW_CSET, _UNDERFLOW_S)
+    _, rail_weights, _ = qlt.bounds._log_mgf_terms(_UNDERFLOW_CSET, tilt)
+    assert rail_weights.min() == 0.0
     assert tilted_distribution(_UNDERFLOW_CSET, tilt).min() == 0.0
-    assert max_entropy(_UNDERFLOW_CSET, _UNDERFLOW_S) == pytest.approx(8.139109810736562, rel=1e-12)
+    assert max_entropy(_UNDERFLOW_CSET, _UNDERFLOW_S) == pytest.approx(7.160797054565718, rel=1e-12)
 
 
 def test_max_entropy_cross_check_catches_a_wrong_rate_where_probabilities_underflow(monkeypatch):
@@ -412,3 +463,65 @@ def test_max_entropy_cross_check_catches_a_wrong_rate_where_probabilities_underf
 def test_gap_to_a_noiseless_linear_rate_is_minus_infinity():
     m = tx_moments(QuantizerSpec.identity(), 1.0)
     assert rate_upper_bound(GRID16, (5.0, 5.0), (0.5, 0.5), m_tx=m).gap_bits == -math.inf
+
+
+def _direct_cumulant_and_mean(cset, theta):
+    """The cumulant and tilted mean of the point energy as direct sums over
+    all cset.size points (4**bits for a midrise quantizer)."""
+    e = cset.energies
+    shift = theta * (e.max() if theta > 0 else e.min())
+    w = np.exp(theta * e - shift)
+    return shift + math.log(w.sum() / e.size), float(np.dot(w, e) / w.sum())
+
+
+_BOUND_QUANTIZERS = st.one_of(
+    st.builds(QuantizerSpec.uniform_midrise, st.integers(1, 8), st.floats(0.5, 6.0)),
+    st.lists(st.integers(-40, 40), min_size=1, max_size=12, unique=True)
+    .filter(any)  # a positive energy to target
+    .map(lambda ks: QuantizerSpec.custom_levels(sorted(k / 10 for k in ks))),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(
+    q=_BOUND_QUANTIZERS,
+    frac=st.floats(0.02, 0.98),
+    weights=st.lists(st.floats(0.05, 1.0), min_size=2, max_size=4),
+    row=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
+    theta=st.floats(-3.0, 3.0),
+)
+def test_factored_bound_equals_the_direct_sum_over_every_point(q, frac, weights, row, theta):
+    # the solver works on one rail's levels and doubles; the oracle sums over
+    # every point of the product constellation
+    cset = constellation_of(q)
+    fr = [w / sum(weights) for w in weights]
+    row = row[: len(fr)]
+    shares = [1.0 / len(fr)] * len(fr) if sum(row) == 0 else [r / sum(row) for r in row]
+    lo, hi = float(cset.energies.min()), float(cset.energies.max())
+    assert (cset.min_energy, cset.max_energy) == (lo, hi)
+    assert cumulant(cset, theta) == pytest.approx(_direct_cumulant_and_mean(cset, theta)[0], rel=1e-12, abs=1e-15)
+    for s, cls in ((lo, cset.energies == lo), (hi, cset.energies == hi)):
+        if hi > lo:
+            assert max_entropy(cset, s) == math.log2(np.count_nonzero(cls))
+    band = np.multiply(shares, lo + frac * (hi - lo))
+    s = float(band.sum())  # the total rate_upper_bound solves at
+    h = max_entropy(cset, s)
+    ub = rate_upper_bound(cset, band, fr)
+    _, tilt = rate_function(cset, s)
+    assert ub.tilt == tilt
+    if hi == lo:
+        assert h == ub.max_entropy_bits == math.log2(cset.size)
+        return
+    # the tilt brackets the oracle's root within TILT_TOL (or within the
+    # adjacent floats, where those are further apart)
+    tol = max(qlt.bounds.TILT_TOL, math.ulp(tilt))
+    assert _direct_cumulant_and_mean(cset, tilt - tol)[1] <= s <= _direct_cumulant_and_mean(cset, tilt + tol)[1]
+    # the oracle's Legendre transform at that tilt: a tilt error moves it only
+    # at second order
+    kappa = _direct_cumulant_and_mean(cset, tilt)[0]
+    h_direct = math.log2(cset.size) - (tilt * s - kappa) / math.log(2.0)
+    assert h == pytest.approx(h_direct, rel=1e-12)
+    assert cumulant(cset, tilt) == pytest.approx(kappa, rel=1e-12, abs=1e-15)
+    assert ub.max_entropy_bits == pytest.approx(h_direct, rel=1e-12)
+    expected = h_direct - kl_divergence(fr, shares)
+    assert ub.bits_per_symbol == pytest.approx(expected, rel=1e-12, abs=1e-12 * h_direct)

@@ -209,6 +209,10 @@ def _interleaved_argmax(fr, n):
 @example(weights=[1.0, 1.0, 1.0], n=1000, normalize=True)
 @example(weights=[0.25] * 4, n=4096, normalize=False)
 @example(weights=[0.1, 0.7, 0.2], n=2048, normalize=False)
+# sixteenths repeat every 16 bins, so the layout is tiled from the first 16
+@example(weights=[1 / 16, 3 / 16, 5 / 16, 7 / 16], n=4096, normalize=False)
+# dyadic fractions that sum to 3/4 never repeat: the loop runs to n
+@example(weights=[0.5, 0.25], n=100, normalize=False)
 def test_interleaved_layout_matches_the_argmax_loop(weights, n, normalize):
     fr = np.asarray(weights)
     if normalize:

@@ -25,7 +25,7 @@ DIGESTS = {
     },
     "fig3_sweep_aclr": {
         "resolved_config.json": "885e674228ac91faa48d415633ee649fff1d2d22ce7521a2a0459c0fc40273dc",
-        "sweep-aclr.csv": "2a12cf9682a8626f35be58caeed5a9040cb01134b0487929a6e18b11a38ed0d6",
+        "sweep-aclr.csv": "4bc72544ebdac9cc13b77fa2bf5a111dc462b9b1eb497e856ac17c3459002f0d",
     },
     "moments_3bit": {
         "moments.json": "02e40c97b9fed4fa5d2fbc4daa7aaa6cf7cd49ddfc2cc47900116a087194ee6c",

@@ -193,17 +193,20 @@ def test_nan_input_is_a_numerical_failure(spec):
 
 
 def test_constellation_arrays_are_read_only():
-    given = np.array([1 + 1j, 1 - 1j, -1 + 1j, -3 - 1j])
-    cset = Constellation(points=given)
-    for arr in (cset.points, cset.energies, *cset.energy_classes):
+    given = np.array([-3.0, -1.0, 1.0])
+    cset = Constellation(levels=given)
+    for arr in (cset.levels, cset.points, cset.energies, *cset.energy_classes):
         with pytest.raises(ValueError):
             arr[0] = 0
     # the constellation holds a copy, so the caller's array stays writeable
     given[0] = 5.0
-    assert cset.points[0] == 1 + 1j
-    assert cset.energies.tolist() == [2.0, 2.0, 2.0, 10.0]
+    assert cset.levels[0] == -3.0
+    assert cset.points.tolist() == [complex(a, b) for a in (-3, -1, 1) for b in (-3, -1, 1)]
+    assert cset.energies.tolist() == [18.0, 10.0, 10.0, 10.0, 2.0, 2.0, 10.0, 2.0, 2.0]
+    # one rail's energy classes: l^2 = 1 twice and 9 once
     energies, counts, weighted = cset.energy_classes
-    assert (energies.tolist(), counts.tolist(), weighted.tolist()) == ([2.0, 10.0], [3.0, 1.0], [6.0, 10.0])
+    assert (energies.tolist(), counts.tolist(), weighted.tolist()) == ([1.0, 9.0], [2.0, 1.0], [2.0, 9.0])
+    assert (cset.size, cset.min_energy, cset.max_energy) == (9, 2.0, 18.0)
 
 
 def _two_rail_quantize(spec, u):
@@ -239,8 +242,8 @@ def test_interleaved_quantize_matches_two_rails_bytewise(spec):
     (lambda: QuantizerSpec.custom_levels([0.0, np.inf]), ValueError, "levels must be finite"),
     (lambda: QuantizerSpec("lloyd_max"), ValueError, "unknown quantizer kind"),
     (lambda: QuantizerSpec.identity().levels_per_dim(), UnboundedConstellationError, "no finite level set"),
-    (lambda: Constellation(points=np.array([], dtype=complex)), ValueError, "must be non-empty"),
-    (lambda: Constellation(points=np.array([1 + 1j, -1j, 1 + 1j])), ValueError, "duplicate"),
+    (lambda: Constellation(levels=np.array([])), ValueError, "must be non-empty"),
+    (lambda: Constellation(levels=np.array([-1.0, 0.5, 0.5])), ValueError, "strictly increasing"),
 ], ids=["identity_with_bits", "non_finite_level", "unknown_kind", "identity_levels", "no_points", "repeated_point"])
 def test_an_invalid_quantizer_or_constellation_is_rejected(call, error, message):
     with pytest.raises(error, match=message):
