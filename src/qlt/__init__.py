@@ -23,7 +23,6 @@ from .bounds import (
     max_entropy,
     rate_function,
     rate_upper_bound,
-    tilted_distribution,
     tilted_mean_energy,
     upper_bound_rates,
 )

@@ -235,7 +235,19 @@ def _rate_terms(plan: SubbandPlan, gain: float, noise) -> np.ndarray:
         raise InfiniteRateError("noiseless identity chain: rate is unbounded")
     fr = np.asarray(plan.fractions)
     pw = np.asarray(plan.powers)
-    return fr * np.log2(1.0 + gain**2 * pw / (noise[..., None] * plan.mean_power))
+    noise = noise[..., None]
+    with np.errstate(over="ignore"):
+        ratio = gain**2 * pw / (noise * plan.mean_power)
+    bits = np.log2(1.0 + ratio)
+    over = np.isinf(ratio)
+    if over.any():
+        # the ratio, or a product on the way to it, is past the float range;
+        # log2 of the ratio as a sum of logs is not, and logaddexp2 adds the 1
+        pw, noise = np.broadcast_arrays(pw, noise)
+        log_ratio = (2.0 * np.log2(abs(gain)) + np.log2(pw[over])
+                     - np.log2(noise[over]) - np.log2(plan.mean_power))
+        bits[over] = np.logaddexp2(0.0, log_ratio)
+    return fr * bits
 
 
 def _rate(plan: SubbandPlan, gain: float, noise: float, regime: str) -> RateReport:

@@ -88,14 +88,6 @@ def tilted_mean_energy(cset: Constellation, theta: float) -> float:
     return 2.0 * float(np.dot(cset.energy_classes[2], expo) / total)
 
 
-def tilted_distribution(cset: Constellation, theta: float) -> np.ndarray:
-    """Per-point probabilities proportional to exp(theta |x|^2), in
-    ``cset.points`` order: all ``cset.size`` of them."""
-    shift = theta * (cset.max_energy if theta > 0 else cset.min_energy)
-    w = np.exp(theta * cset.energies - shift)
-    return w / w.sum()
-
-
 def rate_function(cset: Constellation, s: float) -> tuple[float, float]:
     """Legendre transform of the cumulant at target energy s.
 

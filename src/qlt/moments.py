@@ -170,8 +170,9 @@ def _mc_moments(qtx, noise_power, qrx, pbar, method: MonteCarlo, stream) -> AgnM
         noise = float(np.mean(resid)) / pbar
     if not np.isfinite(noise) or not np.isfinite(gain):
         raise NumericalFailureError("Monte-Carlo expectation did not converge to a finite value")
-    gain_se = float(np.std(cross.real) / np.sqrt(n)) / pbar
-    noise_se = float(np.std(resid) / np.sqrt(n)) / pbar
+    # scaled before the squares, which overflow at a large pbar
+    gain_se = float(np.std(cross.real / pbar) / np.sqrt(n))
+    noise_se = float(np.std(resid / pbar) / np.sqrt(n))
     return AgnMoments(
         gain=gain, noise=noise, input_power=pbar, gain_stderr=gain_se, noise_stderr=noise_se
     )

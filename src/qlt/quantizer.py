@@ -15,10 +15,11 @@ sample exactly on a boundary rounds toward +inf; a midrise one may round
 either way (next paragraph).
 
 The per-dimension level grid and its maps live here only: ``levels_per_dim``
-and ``thresholds_per_dim`` describe it, and ``_map_dim`` applies it.  The
-midrise map finds a sample's level index by rounding ``(x + clip) / step``
-rather than by comparing it with the thresholds, so a sample exactly on a
-boundary may round down.
+and ``thresholds_per_dim`` describe it, and ``_map_dim`` finds each sample's
+level index and reads that level from ``levels_per_dim``.  The midrise map
+finds the index by rounding ``(x + clip) / step`` rather than by comparing
+the sample with the thresholds, so a sample exactly on a boundary may round
+down.
 """
 
 from dataclasses import dataclass
@@ -117,7 +118,7 @@ class QuantizerSpec:
         return (lv[:-1] + lv[1:]) / 2.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Constellation:
     """The product L x L of a per-dimension level set L: a point
     ``a + 1j * b`` for each pair of levels, as every componentwise quantizer
@@ -126,8 +127,9 @@ class Constellation:
     ``levels`` is a read-only copy of the array passed in, non-empty and
     strictly increasing, so no two points coincide.  A point's energy is the
     sum ``a**2 + b**2`` of its two rails' energies, so the size and energy
-    data below come from L's own values; ``points`` and ``energies`` enumerate
-    all ``size`` points and are built only when read.
+    data below come from L's own values; no array of all ``size`` points is
+    built.  Two constellations are equal, and hash equal, when their level
+    sets are.
     """
 
     levels: np.ndarray
@@ -139,6 +141,12 @@ class Constellation:
         _check_levels(lv)
         lv.flags.writeable = False
         object.__setattr__(self, "levels", lv)
+
+    def __eq__(self, other):
+        return isinstance(other, Constellation) and np.array_equal(self.levels, other.levels)
+
+    def __hash__(self):
+        return hash(tuple(self.levels.tolist()))
 
     @property
     def size(self) -> int:
@@ -170,40 +178,27 @@ class Constellation:
         """Mean point energy under uniform weighting."""
         return 2.0 * float(np.mean(self.levels**2))
 
-    @cached_property
-    def points(self) -> np.ndarray:
-        """Every point, real rail major: ``size`` of them, 4**bits for a
-        midrise quantizer."""
-        re, im = np.meshgrid(self.levels, self.levels, indexing="ij")
-        pts = (re + 1j * im).ravel()
-        pts.flags.writeable = False
-        return pts
-
-    @cached_property
-    def energies(self) -> np.ndarray:
-        """``a**2 + b**2`` of each point, in ``points`` order."""
-        sq = self.levels**2
-        e = (sq[:, None] + sq[None, :]).ravel()
-        e.flags.writeable = False
-        return e
-
 
 def _map_dim(spec: QuantizerSpec, x: np.ndarray) -> np.ndarray:
     if spec.kind == "uniform_midrise":
-        clip, nlevels = float(spec.clip), 2 ** spec.bits
-        step = 2.0 * clip / (nlevels - 1)
-        idx = np.floor((x + clip) / step + 0.5)
-        np.clip(idx, 0.0, nlevels - 1, out=idx)
-        # levels_per_dim()'s formula, in place on the level index
-        idx *= 2.0
-        idx += 1.0 - nlevels
-        idx *= clip
-        idx /= nlevels - 1
-        return idx
-    # thresholds are the midpoints between consecutive levels; a sample
-    # exactly on a threshold maps to the upper level
-    idx = np.searchsorted(spec.thresholds_per_dim(), x, side="right")
-    return spec.levels_per_dim()[idx]
+        clip, top = float(spec.clip), 2 ** spec.bits - 1
+        step = 2.0 * clip / top
+        if step == np.inf:
+            # an infinite step would send every finite sample to level 0
+            raise NumericalFailureError(f"midrise step 2 * clip / {top} overflows at clip {clip}")
+        # a sample far beyond a tiny step overflows to an infinite index,
+        # which the clip sends to an extreme level, as it does a +-inf sample
+        with np.errstate(over="ignore"):
+            idx = x + clip
+            idx /= step
+        idx += 0.5
+        # the cast truncates, which on [0, top] is the floor
+        idx = np.clip(idx, 0.0, top, out=idx).astype(np.intp)
+    else:
+        # thresholds are the midpoints between consecutive levels; a sample
+        # exactly on a threshold maps to the upper level
+        idx = np.searchsorted(spec.thresholds_per_dim(), x, side="right")
+    return spec.levels_per_dim().take(idx)
 
 
 def quantize(spec: QuantizerSpec, u):
@@ -212,8 +207,9 @@ def quantize(spec: QuantizerSpec, u):
 
     Every non-NaN part maps to a nearest ``levels_per_dim()`` entry, +/-inf
     to an extreme one.  A NaN real or imaginary part raises
-    :class:`NumericalFailureError`, since it has no nearest level.  The
-    identity quantizer passes any input through unchecked."""
+    :class:`NumericalFailureError`, since it has no nearest level, and so
+    does a midrise clip whose step ``2 * clip / (2**bits - 1)`` overflows.
+    The identity quantizer passes any input through unchecked."""
     if spec.is_identity:
         return u
     arr = np.asarray(u, dtype=complex)
@@ -230,7 +226,6 @@ def quantize(spec: QuantizerSpec, u):
 
 def constellation_of(spec: QuantizerSpec) -> Constellation:
     """The product of the per-dimension level set with itself, built from
-    that set's ``2**bits`` values.  Raises for the identity quantizer."""
-    if spec.is_identity:
-        raise UnboundedConstellationError("identity quantizer has an unbounded constellation")
+    that set's ``2**bits`` values.  The identity quantizer has no level set
+    and raises :class:`UnboundedConstellationError`."""
     return Constellation(levels=spec.levels_per_dim())

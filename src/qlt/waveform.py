@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import signal as sig
 
-from ._rng import substream
+from ._rng import complex_normal, substream
 from .errors import NumericalFailureError
 from .moments import tx_moments
 from .quantizer import DEFAULT_KAPPA, MAX_BITS, QuantizerSpec, quantize
@@ -164,10 +164,7 @@ def synthesize_baseband(cfg: WaveformConfig) -> np.ndarray:
         bins = bins[np.asarray(cfg.enabled_subcarriers, dtype=int)]
     grid = np.zeros((nsym, nfft), dtype=complex)
     if bins.size:
-        # not _rng.complex_normal: its sqrt(1/2) scale rounds differently from / sqrt(2)
-        grid[:, bins] = (
-            rng.standard_normal((nsym, bins.size)) + 1j * rng.standard_normal((nsym, bins.size))
-        ) / np.sqrt(2.0)
+        grid[:, bins] = complex_normal(rng, 1.0, (nsym, bins.size))
         scale = np.sqrt(nfft / bins.size)
     else:
         scale = 1.0

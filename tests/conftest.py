@@ -27,3 +27,17 @@ def arcsine_band_energies():
         return s_out[: n // 2].sum() / n, s_out[n // 2 :].sum() / n
 
     return energies
+
+
+@pytest.fixture(scope="session")
+def product_constellation():
+    """The 4**bits enumeration of a constellation L x L, which the library
+    never builds: ``enumerate_points(levels) -> (points, energies)``, each
+    point ``a + 1j * b`` (real rail major) and its energy ``a**2 + b**2``."""
+
+    def enumerate_points(levels):
+        lv = np.asarray(levels, dtype=float)
+        sq = lv**2
+        return (lv[:, None] + 1j * lv[None, :]).ravel(), (sq[:, None] + sq[None, :]).ravel()
+
+    return enumerate_points

@@ -24,7 +24,6 @@ from qlt import (
     rate_function,
     rate_upper_bound,
     share_floor,
-    tilted_distribution,
     tilted_mean_energy,
     tx_moments,
     upper_bound_rates,
@@ -53,9 +52,9 @@ def test_cumulant_equal_energy_is_linear():
     assert cumulant(QPSK, -3.7) == pytest.approx(-7.4, abs=1e-12)
 
 
-def test_cumulant_direct_sum_oracle():
+def test_cumulant_direct_sum_oracle(product_constellation):
     theta = 0.1
-    direct = math.log(np.mean(np.exp(theta * GRID16.energies)))
+    direct = math.log(np.mean(np.exp(theta * product_constellation(GRID16.levels)[1])))
     assert cumulant(GRID16, theta) == pytest.approx(direct, abs=1e-12)
     # stability at large tilt where the naive sum overflows
     assert np.isfinite(cumulant(GRID16, 500.0))
@@ -114,11 +113,12 @@ def test_convexity_of_cumulant_and_rate_function():
     assert ivals.min() == pytest.approx(0.0, abs=1e-10)
 
 
-def test_tilted_law_matches_target_energy():
+def test_tilted_law_matches_target_energy(product_constellation):
+    e = product_constellation(GRID16.levels)[1]
     for s in (4.0, 6.0, 13.5):
         _, tilt = rate_function(GRID16, s)
-        p = tilted_distribution(GRID16, tilt)
-        assert float(p @ GRID16.energies) == pytest.approx(s, rel=1e-8)
+        p = _tilted_law(e, tilt)
+        assert float(p @ e) == pytest.approx(s, rel=1e-8)
         assert tilted_mean_energy(GRID16, tilt) == pytest.approx(s, rel=1e-10)
 
 
@@ -437,14 +437,14 @@ _UNDERFLOW_CSET = constellation_of(QuantizerSpec.uniform_midrise(8, 1.0))
 _UNDERFLOW_S = _UNDERFLOW_CSET.min_energy + 5e-4 * (_UNDERFLOW_CSET.max_energy - _UNDERFLOW_CSET.min_energy)
 
 
-def test_max_entropy_cross_check_skips_underflowed_probabilities():
+def test_max_entropy_cross_check_skips_underflowed_probabilities(product_constellation):
     # some of one rail's tilted probabilities, which the cross-check sums,
     # underflow to 0 here; 0 log 0 = 0, with no RuntimeWarning (an error
     # under the suite's filter)
     _, tilt = rate_function(_UNDERFLOW_CSET, _UNDERFLOW_S)
     _, rail_weights, _ = qlt.bounds._log_mgf_terms(_UNDERFLOW_CSET, tilt)
     assert rail_weights.min() == 0.0
-    assert tilted_distribution(_UNDERFLOW_CSET, tilt).min() == 0.0
+    assert _tilted_law(product_constellation(_UNDERFLOW_CSET.levels)[1], tilt).min() == 0.0
     assert max_entropy(_UNDERFLOW_CSET, _UNDERFLOW_S) == pytest.approx(7.160797054565718, rel=1e-12)
 
 
@@ -465,12 +465,23 @@ def test_gap_to_a_noiseless_linear_rate_is_minus_infinity():
     assert rate_upper_bound(GRID16, (5.0, 5.0), (0.5, 0.5), m_tx=m).gap_bits == -math.inf
 
 
-def _direct_cumulant_and_mean(cset, theta):
-    """The cumulant and tilted mean of the point energy as direct sums over
-    all cset.size points (4**bits for a midrise quantizer)."""
-    e = cset.energies
+def _tilted_weights(e, theta):
+    """exp(theta * e - shift) for each point energy e, max-shift stabilized,
+    and the shift."""
     shift = theta * (e.max() if theta > 0 else e.min())
-    w = np.exp(theta * e - shift)
+    return np.exp(theta * e - shift), shift
+
+
+def _tilted_law(e, theta):
+    """The probability of each point, proportional to exp(theta * e)."""
+    w, _ = _tilted_weights(e, theta)
+    return w / w.sum()
+
+
+def _direct_cumulant_and_mean(e, theta):
+    """The cumulant and tilted mean of the point energy as direct sums over
+    every point's energy e (4**bits of them for a midrise quantizer)."""
+    w, shift = _tilted_weights(e, theta)
     return shift + math.log(w.sum() / e.size), float(np.dot(w, e) / w.sum())
 
 
@@ -490,17 +501,20 @@ _BOUND_QUANTIZERS = st.one_of(
     row=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
     theta=st.floats(-3.0, 3.0),
 )
-def test_factored_bound_equals_the_direct_sum_over_every_point(q, frac, weights, row, theta):
+def test_factored_bound_equals_the_direct_sum_over_every_point(
+    q, frac, weights, row, theta, product_constellation
+):
     # the solver works on one rail's levels and doubles; the oracle sums over
     # every point of the product constellation
     cset = constellation_of(q)
+    e = product_constellation(cset.levels)[1]
     fr = [w / sum(weights) for w in weights]
     row = row[: len(fr)]
     shares = [1.0 / len(fr)] * len(fr) if sum(row) == 0 else [r / sum(row) for r in row]
-    lo, hi = float(cset.energies.min()), float(cset.energies.max())
+    lo, hi = float(e.min()), float(e.max())
     assert (cset.min_energy, cset.max_energy) == (lo, hi)
-    assert cumulant(cset, theta) == pytest.approx(_direct_cumulant_and_mean(cset, theta)[0], rel=1e-12, abs=1e-15)
-    for s, cls in ((lo, cset.energies == lo), (hi, cset.energies == hi)):
+    assert cumulant(cset, theta) == pytest.approx(_direct_cumulant_and_mean(e, theta)[0], rel=1e-12, abs=1e-15)
+    for s, cls in ((lo, e == lo), (hi, e == hi)):
         if hi > lo:
             assert max_entropy(cset, s) == math.log2(np.count_nonzero(cls))
     band = np.multiply(shares, lo + frac * (hi - lo))
@@ -515,10 +529,10 @@ def test_factored_bound_equals_the_direct_sum_over_every_point(q, frac, weights,
     # the tilt brackets the oracle's root within TILT_TOL (or within the
     # adjacent floats, where those are further apart)
     tol = max(qlt.bounds.TILT_TOL, math.ulp(tilt))
-    assert _direct_cumulant_and_mean(cset, tilt - tol)[1] <= s <= _direct_cumulant_and_mean(cset, tilt + tol)[1]
+    assert _direct_cumulant_and_mean(e, tilt - tol)[1] <= s <= _direct_cumulant_and_mean(e, tilt + tol)[1]
     # the oracle's Legendre transform at that tilt: a tilt error moves it only
     # at second order
-    kappa = _direct_cumulant_and_mean(cset, tilt)[0]
+    kappa = _direct_cumulant_and_mean(e, tilt)[0]
     h_direct = math.log2(cset.size) - (tilt * s - kappa) / math.log(2.0)
     assert h == pytest.approx(h_direct, rel=1e-12)
     assert cumulant(cset, tilt) == pytest.approx(kappa, rel=1e-12, abs=1e-15)

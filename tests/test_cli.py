@@ -193,6 +193,50 @@ def test_a_non_finite_result_exits_3_without_output(tmp_path, capsys, experiment
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("experiment, params, field, expected", [
+    # the band's SINR 1.7e309 is past the float range; its log2 is not
+    ("rate", {"quantizer": {"kind": "identity"}, "noise_power": 0.1,
+              "fractions": [1 / 3, 2 / 3], "powers": [1.7e308, 0]},
+     "bits_per_symbol", 342.413772022186),
+    ("moments", {"quantizer": {"kind": "identity"}, "pbar": 1e300,
+                 "method": {"kind": "montecarlo", "samples": 1000}},
+     "gain_stderr", 0.029902309929611706),
+    ("moments", {"quantizer": {"kind": "uniform_midrise", "bits": 1, "clip": 1e-300},
+                 "pbar": 1e20, "method": {"kind": "montecarlo", "samples": 1000}},
+     "gain_stderr", 0.0),
+], ids=["rate-sinr-overflow", "moments-stderr-overflow", "moments-map-index-overflow"])
+def test_an_extreme_finite_config_exits_0_with_finite_results(tmp_path, capsys, experiment, params,
+                                                                 field, expected):
+    # an intermediate past the float range would once warn and write "inf"
+    cfg = {
+        "schema_version": 1,
+        "experiment": experiment,
+        "output": {"format": "json", "path": str(tmp_path / "out")},
+        "params": params,
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([experiment, "--config", write_cfg(tmp_path, cfg)]) == 0
+    rec = json.loads((tmp_path / "out" / f"{experiment}.json").read_text())
+    assert "inf" not in json.dumps(rec)
+    assert rec[field] == pytest.approx(expected, rel=1e-12)
+
+
+def test_sweep_snr_rates_past_the_float_range_match_the_scaled_down_plan(tmp_path_factory):
+    # the 1-bit DAC's moments and the SNR grid do not depend on the plan's
+    # scale; at a band power of 1.7e308, gain**2 * powers overflows on the
+    # way to a ratio of about 47, and must not leave that band inf bits
+    rows = {}
+    for power in (1.7e308, 1.7):
+        params = {"bits": [1], "fractions": [0.01, 0.99], "powers": [power, 0.0],
+                  "snr_db": {"start": 0.0, "stop": 20.0, "step": 10.0}}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows[power] = [float(row[2]) for row in _sweep_rows(tmp_path_factory, "sweep-snr", params)]
+    assert len(rows[1.7]) == 3 and all(0.05 < r < 0.08 for r in rows[1.7])
+    assert rows[1.7e308] == pytest.approx(rows[1.7], rel=1e-12)
+
+
 @pytest.mark.parametrize("bits", [17, 40])
 def test_a_midrise_quantizer_past_16_bits_is_a_config_error(tmp_path, capsys, bits):
     cfg = moments_cfg(str(tmp_path / "out"),

@@ -38,8 +38,8 @@ DIGESTS = {
     },
     "waveform_nr200_b4": {
         "resolved_config.json": "6943bfd60167897e1ce6a9eb4801cb5d91ce80c7aeb8548c7ececfe1f9f9adc4",
-        "waveform.json": "caa9f978ac4e67c76981459d91f7bd21e369282a76e06f1a5c09a6eb9caa5f0f",
-        "waveform_psd.csv": "1e00c1de43ab878a5b9c433c487ddfc51a3d7e567338a11060d2fb360ebd2249",
+        "waveform.json": "1d20ad366c12680eb7df50928b3f160850c6168d65c56b75a9bef39673312d6d",
+        "waveform_psd.csv": "14bb9738c17b552ed4c541786d66f8fb201101af6a1fde2562c0325e359d8404",
     },
 }
 

@@ -71,18 +71,18 @@ def test_custom_levels_nearest_rule(levels):
     np.testing.assert_array_equal(quantize(q, thr + 1j * thr), np.array(levels[1:]) * (1 + 1j))
 
 
-def test_constellation_one_bit():
+def test_constellation_one_bit(product_constellation):
     c = constellation_of(QuantizerSpec.uniform_midrise(1, 1.0))
     assert c.size == 4
-    np.testing.assert_allclose(sorted(c.energies), [2.0] * 4)
+    np.testing.assert_allclose(sorted(product_constellation(c.levels)[1]), [2.0] * 4)
 
 
-def test_constellation_two_bit_energies():
+def test_constellation_two_bit_energies(product_constellation):
     c = constellation_of(QuantizerSpec.uniform_midrise(2, 3.0))
     assert c.size == 16
     # direct enumeration oracle over {+-1, +-3}^2
     oracle = sorted(a * a + b * b for a in (-3, -1, 1, 3) for b in (-3, -1, 1, 3))
-    assert sorted(c.energies) == oracle
+    assert sorted(product_constellation(c.levels)[1]) == oracle
     assert c.mean_energy == pytest.approx(10.0)
     assert c.min_energy <= c.mean_energy <= c.max_energy
 
@@ -114,22 +114,22 @@ _QUANTIZERS = st.one_of(
         QuantizerSpec.custom_levels([-2.0, -0.3, 0.1, 1.7]),
     ],
 )
-def test_idempotence_and_symmetry(q):
-    _check_idempotence_and_symmetry(q, scale=2.0, seed=7)
+def test_idempotence_and_symmetry(q, product_constellation):
+    _check_idempotence_and_symmetry(q, 2.0, 7, product_constellation)
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
 @given(q=_QUANTIZERS, scale=st.floats(0.05, 8.0), seed=st.integers(0, 2**32 - 1))
-def test_idempotence_and_symmetry_over_generated_quantizers(q, scale, seed):
-    _check_idempotence_and_symmetry(q, scale, seed)
+def test_idempotence_and_symmetry_over_generated_quantizers(q, scale, seed, product_constellation):
+    _check_idempotence_and_symmetry(q, scale, seed, product_constellation)
 
 
-def _check_idempotence_and_symmetry(q, scale, seed):
+def _check_idempotence_and_symmetry(q, scale, seed, product_constellation):
     rng = np.random.default_rng(seed)
     u = scale * (rng.standard_normal(2000) + 1j * rng.standard_normal(2000))
     once = quantize(q, u)
     np.testing.assert_array_equal(quantize(q, once), once)
-    assert set(once.tolist()) <= set(constellation_of(q).points.tolist())
+    assert set(once.tolist()) <= set(product_constellation(q.levels_per_dim())[0].tolist())
     if q.kind == "uniform_midrise":
         # a sample on a threshold may round either way (the tie rule in the
         # module docstring), so symmetry holds only away from them
@@ -151,11 +151,12 @@ def test_boundedness():
 
 
 @pytest.mark.parametrize("bits,clip", [(1, 1.0), (2, 3.0), (3, 2.6), (4, 3.0), (5, 0.7)])
-def test_constellation_is_image_of_quantize(bits, clip):
+def test_constellation_is_image_of_quantize(bits, clip, product_constellation):
     q = QuantizerSpec.uniform_midrise(bits, clip)
     grid = np.linspace(-2 * clip, 2 * clip, 257)
     pts = (grid[:, None] + 1j * grid[None, :]).ravel()
-    assert set(quantize(q, pts).tolist()) == set(constellation_of(q).points.tolist())
+    image = set(product_constellation(constellation_of(q).levels)[0].tolist())
+    assert set(quantize(q, pts).tolist()) == image
 
 
 def test_duplicate_levels_rejected():
@@ -195,18 +196,42 @@ def test_nan_input_is_a_numerical_failure(spec):
 def test_constellation_arrays_are_read_only():
     given = np.array([-3.0, -1.0, 1.0])
     cset = Constellation(levels=given)
-    for arr in (cset.levels, cset.points, cset.energies, *cset.energy_classes):
+    for arr in (cset.levels, *cset.energy_classes):
         with pytest.raises(ValueError):
             arr[0] = 0
     # the constellation holds a copy, so the caller's array stays writeable
     given[0] = 5.0
     assert cset.levels[0] == -3.0
-    assert cset.points.tolist() == [complex(a, b) for a in (-3, -1, 1) for b in (-3, -1, 1)]
-    assert cset.energies.tolist() == [18.0, 10.0, 10.0, 10.0, 2.0, 2.0, 10.0, 2.0, 2.0]
     # one rail's energy classes: l^2 = 1 twice and 9 once
     energies, counts, weighted = cset.energy_classes
     assert (energies.tolist(), counts.tolist(), weighted.tolist()) == ([1.0, 9.0], [2.0, 1.0], [2.0, 9.0])
     assert (cset.size, cset.min_energy, cset.max_energy) == (9, 2.0, 18.0)
+
+
+def test_constellations_of_equal_level_sets_are_equal_dict_keys():
+    q = QuantizerSpec.uniform_midrise(3, 2.6)
+    a, b = constellation_of(q), constellation_of(q)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert {a: "bound"}[b] == "bound"
+    assert a == Constellation(levels=q.levels_per_dim().tolist())
+    assert a != constellation_of(QuantizerSpec.uniform_midrise(3, 2.5))
+    assert a != constellation_of(QuantizerSpec.uniform_midrise(2, 2.6))
+    assert a != q.levels_per_dim() and a != "a constellation"
+    assert len({a, b, constellation_of(QuantizerSpec.custom_levels([-1.0, 1.0]))}) == 2
+
+
+def test_a_midrise_step_past_the_float_range_is_a_numerical_failure():
+    # 2 * clip overflows, so the map has no step to round by
+    with pytest.raises(NumericalFailureError, match="midrise step"):
+        quantize(QuantizerSpec.uniform_midrise(1, 1e308), complex(0.5, 1.7e308))
+
+
+def test_a_sample_far_beyond_a_tiny_step_maps_to_an_extreme_level():
+    # (x + clip) / step overflows to +-inf; the index clip takes it, with no
+    # overflow warning (an error under the suite's filter)
+    q = QuantizerSpec.uniform_midrise(1, 1e-300)
+    u = np.array([complex(1e20, -1e20), complex(1.7e308, -1.7e308), complex(5e-324, -0.0)])
+    assert quantize(q, u).tolist() == [complex(1e-300, -1e-300)] * 2 + [complex(1e-300, 1e-300)]
 
 
 def _two_rail_quantize(spec, u):
