@@ -71,6 +71,12 @@ class QuantizerSpec:
                 raise ValueError(f"uniform_midrise requires integer bits in 1..{MAX_BITS}")
             if self.clip is None or not self.clip > 0:
                 raise ValueError("uniform_midrise requires clip > 0")
+            # the step 2 * clip / (2**bits - 1) and the outer levels'
+            # numerator clip * (2**bits - 1) must both be finite (Python
+            # floats overflow to inf without a warning)
+            clip = float(self.clip)
+            if not np.isfinite(2.0 * clip) or not np.isfinite(clip * (2**self.bits - 1)):
+                raise ValueError(f"uniform_midrise clip {self.clip} puts its step or levels past the float range")
         elif self.kind == "custom_levels":
             if not self.levels:
                 raise ValueError("custom_levels requires a non-empty level list")
@@ -103,19 +109,28 @@ class QuantizerSpec:
         return self.kind == "identity"
 
     def levels_per_dim(self) -> np.ndarray:
-        """The sorted per-dimension output level set."""
+        """The sorted per-dimension output level set (read-only, built once
+        per spec)."""
+        return self._tables[0]
+
+    def thresholds_per_dim(self) -> np.ndarray:
+        """Decision boundaries (midpoints between adjacent levels; read-only,
+        built once per spec)."""
+        return self._tables[1]
+
+    @cached_property
+    def _tables(self) -> tuple[np.ndarray, np.ndarray]:
         if self.kind == "identity":
             raise UnboundedConstellationError("identity quantizer has no finite level set")
         if self.kind == "uniform_midrise":
             n = 2 ** self.bits
             k = np.arange(n, dtype=float)
-            return self.clip * (2.0 * k + 1.0 - n) / (n - 1)
-        return np.asarray(self.levels, dtype=float)
-
-    def thresholds_per_dim(self) -> np.ndarray:
-        """Decision boundaries (midpoints between adjacent levels)."""
-        lv = self.levels_per_dim()
-        return (lv[:-1] + lv[1:]) / 2.0
+            lv = self.clip * (2.0 * k + 1.0 - n) / (n - 1)
+        else:
+            lv = np.array(self.levels, dtype=float)
+        thr = (lv[:-1] + lv[1:]) / 2.0
+        lv.flags.writeable = thr.flags.writeable = False
+        return lv, thr
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,8 +143,7 @@ class Constellation:
     strictly increasing, so no two points coincide.  A point's energy is the
     sum ``a**2 + b**2`` of its two rails' energies, so the size and energy
     data below come from L's own values; no array of all ``size`` points is
-    built.  Two constellations are equal, and hash equal, when their level
-    sets are.
+    built.  Equality and hashing are by identity.
     """
 
     levels: np.ndarray
@@ -141,12 +155,6 @@ class Constellation:
         _check_levels(lv)
         lv.flags.writeable = False
         object.__setattr__(self, "levels", lv)
-
-    def __eq__(self, other):
-        return isinstance(other, Constellation) and np.array_equal(self.levels, other.levels)
-
-    def __hash__(self):
-        return hash(tuple(self.levels.tolist()))
 
     @property
     def size(self) -> int:
@@ -183,9 +191,6 @@ def _map_dim(spec: QuantizerSpec, x: np.ndarray) -> np.ndarray:
     if spec.kind == "uniform_midrise":
         clip, top = float(spec.clip), 2 ** spec.bits - 1
         step = 2.0 * clip / top
-        if step == np.inf:
-            # an infinite step would send every finite sample to level 0
-            raise NumericalFailureError(f"midrise step 2 * clip / {top} overflows at clip {clip}")
         # a sample far beyond a tiny step overflows to an infinite index,
         # which the clip sends to an extreme level, as it does a +-inf sample
         with np.errstate(over="ignore"):
@@ -207,9 +212,8 @@ def quantize(spec: QuantizerSpec, u):
 
     Every non-NaN part maps to a nearest ``levels_per_dim()`` entry, +/-inf
     to an extreme one.  A NaN real or imaginary part raises
-    :class:`NumericalFailureError`, since it has no nearest level, and so
-    does a midrise clip whose step ``2 * clip / (2**bits - 1)`` overflows.
-    The identity quantizer passes any input through unchecked."""
+    :class:`NumericalFailureError`, since it has no nearest level.  The
+    identity quantizer passes any input through unchecked."""
     if spec.is_identity:
         return u
     arr = np.asarray(u, dtype=complex)

@@ -246,6 +246,17 @@ def test_a_midrise_quantizer_past_16_bits_is_a_config_error(tmp_path, capsys, bi
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("bits", [1, 2])
+def test_a_midrise_clip_past_the_float_range_is_a_config_error(tmp_path, capsys, bits):
+    # 1-bit: the step 2 * clip overflows; 2-bit: the levels' clip * 3 does
+    cfg = moments_cfg(str(tmp_path / "out"),
+                      quantizer={"kind": "uniform_midrise", "bits": bits, "clip": 1e308},
+                      method={"kind": "montecarlo", "samples": 1000})
+    assert main(["moments", "--config", write_cfg(tmp_path, cfg)]) == 2
+    assert "past the float range" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("experiment, params, message", [
     ("sweep-aclr", {"bits": [1], "fractions": [1.0, 0.0],
                     "aclr_db": {"start": 0.0, "stop": 1.0, "step": 1.0}}, "must be positive"),

@@ -208,22 +208,43 @@ def test_constellation_arrays_are_read_only():
     assert (cset.size, cset.min_energy, cset.max_energy) == (9, 2.0, 18.0)
 
 
-def test_constellations_of_equal_level_sets_are_equal_dict_keys():
+def test_constellation_equality_and_hash_do_not_raise():
+    # an ndarray field once made == raise ValueError and hash() TypeError;
+    # constellations compare and hash by identity
     q = QuantizerSpec.uniform_midrise(3, 2.6)
     a, b = constellation_of(q), constellation_of(q)
-    assert a is not b and a == b and hash(a) == hash(b)
-    assert {a: "bound"}[b] == "bound"
-    assert a == Constellation(levels=q.levels_per_dim().tolist())
-    assert a != constellation_of(QuantizerSpec.uniform_midrise(3, 2.5))
-    assert a != constellation_of(QuantizerSpec.uniform_midrise(2, 2.6))
-    assert a != q.levels_per_dim() and a != "a constellation"
-    assert len({a, b, constellation_of(QuantizerSpec.custom_levels([-1.0, 1.0]))}) == 2
+    assert a == a and a != b and a != "a constellation"
+    assert {a: "bound"}[a] == "bound" and len({a, b}) == 2
 
 
-def test_a_midrise_step_past_the_float_range_is_a_numerical_failure():
-    # 2 * clip overflows, so the map has no step to round by
-    with pytest.raises(NumericalFailureError, match="midrise step"):
-        quantize(QuantizerSpec.uniform_midrise(1, 1e308), complex(0.5, 1.7e308))
+def test_a_spec_builds_its_level_table_once():
+    for q in (QuantizerSpec.uniform_midrise(16, 2.6), QuantizerSpec.custom_levels([-2.0, 0.1, 1.7])):
+        lv, thr = q.levels_per_dim(), q.thresholds_per_dim()
+        assert q.levels_per_dim() is lv and q.thresholds_per_dim() is thr
+        for arr in (lv, thr):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+    # the cached tables are not fields: equal specs stay equal and hash equal
+    a, b = QuantizerSpec.uniform_midrise(4, 1.0), QuantizerSpec.uniform_midrise(4, 1.0)
+    a.levels_per_dim()
+    assert a == b and hash(a) == hash(b)
+
+
+@pytest.mark.parametrize("bits, clip", [(1, 1e308), (2, 1e308), (16, 1e304), (4, float("inf"))],
+                         ids=["step", "levels", "levels-16-bit", "inf"])
+def test_a_midrise_clip_past_the_float_range_is_rejected(bits, clip):
+    # 2 * clip or clip * (2**bits - 1) overflows: the map would have no step
+    # to round by, or the level table would hold +-inf
+    with pytest.raises(ValueError, match="past the float range"):
+        QuantizerSpec.uniform_midrise(bits, clip)
+
+
+def test_the_largest_midrise_clip_has_finite_levels():
+    for bits in (1, 2, 16):
+        clip = np.nextafter(np.finfo(float).max / max(2, 2**bits - 1), 0.0)
+        q = QuantizerSpec.uniform_midrise(bits, clip)
+        assert np.isfinite(q.levels_per_dim()).all() and np.isfinite(q.thresholds_per_dim()).all()
+        assert quantize(q, complex(np.inf, -1.7e308)) == complex(q.levels_per_dim()[-1], q.levels_per_dim()[0])
 
 
 def test_a_sample_far_beyond_a_tiny_step_maps_to_an_extreme_level():
