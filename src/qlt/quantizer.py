@@ -46,7 +46,7 @@ def clip_for_power(power: float, kappa: float = DEFAULT_KAPPA) -> float:
 def _check_levels(lv: np.ndarray) -> None:
     if not np.all(np.isfinite(lv)):
         raise ValueError("levels must be finite")
-    if not np.all(np.diff(lv) > 0):
+    if not np.all(lv[1:] > lv[:-1]):
         raise ValueError("levels must be strictly increasing")
 
 

@@ -38,7 +38,7 @@ DIGESTS = {
     },
     "waveform_nr200_b4": {
         "resolved_config.json": "6943bfd60167897e1ce6a9eb4801cb5d91ce80c7aeb8548c7ececfe1f9f9adc4",
-        "waveform.json": "1d20ad366c12680eb7df50928b3f160850c6168d65c56b75a9bef39673312d6d",
+        "waveform.json": "0ac9d5dc6e8980de2e98dbeed065ba0b5a2922262104d338df4a588e7f39e123",
         "waveform_psd.csv": "14bb9738c17b552ed4c541786d66f8fb201101af6a1fde2562c0325e359d8404",
     },
 }

@@ -166,6 +166,14 @@ def test_duplicate_levels_rejected():
         QuantizerSpec.custom_levels([1.0, -1.0])
 
 
+def test_levels_spanning_more_than_the_float_range_are_accepted():
+    # their difference overflows; the order check compares without one
+    q = QuantizerSpec.custom_levels([-1.7e308, 1.7e308])
+    assert q.levels_per_dim().tolist() == [-1.7e308, 1.7e308]
+    with pytest.raises(ValueError, match="strictly increasing"):
+        QuantizerSpec.custom_levels([1.7e308, -1.7e308])
+
+
 def test_invalid_specs_rejected():
     with pytest.raises(ValueError):
         QuantizerSpec.uniform_midrise(0, 1.0)
