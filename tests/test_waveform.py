@@ -39,8 +39,8 @@ def test_default_geometry():
     assert cfg.filter_cutoff == pytest.approx(105e6)
 
 
-def _complex_interpolation(cfg):
-    """The interpolated stream by scipy's direct-form complex filter."""
+def _interpolate(cfg, upfirdn):
+    """The interpolated stream by ``upfirdn(h * up, stream, up)``, trimmed."""
     # the same symbols at the baseband rate: the stream before interpolation
     flat = replace(cfg, sample_rate=cfg.baseband_rate)
     assert flat.interp_factor == 1 and flat.active_subcarriers == cfg.active_subcarriers
@@ -48,7 +48,12 @@ def _complex_interpolation(cfg):
     up = cfg.interp_factor
     delay = (cfg.filter_taps - 1) // 2
     h = design_interp_filter(cfg)
-    return sig.upfirdn(h * up, stream, up=up)[delay : delay + stream.size * up]
+    return upfirdn(h * up, stream, up)[delay : delay + stream.size * up]
+
+
+def _complex_interpolation(cfg):
+    """The interpolated stream by scipy's direct-form complex filter."""
+    return _interpolate(cfg, lambda h, x, up: sig.upfirdn(h, x, up=up))
 
 
 def _peak_error(got, want):
@@ -60,6 +65,20 @@ def test_all_subcarriers_off_gives_silence():
     stream = synthesize_baseband(cfg)
     assert np.all(stream == 0)
     assert stream.tobytes() == _complex_interpolation(cfg).tobytes()
+
+
+@pytest.mark.parametrize("num_subcarriers", [512, 1024, 2048])
+@pytest.mark.parametrize("taps", [127, 255, 511])
+@pytest.mark.parametrize("up, sample_rate", [(2, 491.52e6), (3, 737.28e6), (4, 983.04e6)])
+def test_rail_interpolation_is_bit_identical(up, sample_rate, taps, num_subcarriers):
+    # both rails of the stream are exactly qlt's filter applied to the
+    # baseband-rate symbols with the public taps, scaled by up and trimmed
+    # by the filter delay: nothing else touches the samples
+    cfg = replace(
+        BASE, sample_rate=sample_rate, filter_taps=taps, num_subcarriers=num_subcarriers, num_symbols=4
+    )
+    assert cfg.interp_factor == up
+    assert synthesize_baseband(cfg).tobytes() == _interpolate(cfg, _signal.upfirdn).tobytes()
 
 
 @pytest.mark.parametrize("num_subcarriers", [512, 1024, 2048])
