@@ -21,5 +21,19 @@ def substream(seed: int, *tags) -> np.random.Generator:
 
 
 def complex_normal(rng: np.random.Generator, power, shape) -> np.ndarray:
-    """CN(0, power) draws of ``shape``, all real parts first; ``power`` may be an array."""
-    return np.sqrt(power / 2.0) * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    """CN(0, power) draws of ``shape``, all real parts first; ``power`` may be an array.
+
+    One ``standard_normal((2, *shape))`` draw, the same stream as two draws
+    of ``shape``, fills the real and imaginary parts of one complex array,
+    which is then scaled in place by the complex multiply that
+    ``sqrt(power / 2) * (re + 1j * im)`` makes, so the bits (signed zeros
+    of a zero power included) are those of that expression.
+    """
+    shape = (shape,) if np.ndim(shape) == 0 else tuple(shape)
+    draws = rng.standard_normal((2, *shape))
+    out = np.empty(shape, dtype=complex)
+    out.real = draws[0]
+    out.imag = draws[1]
+    del draws
+    out *= np.sqrt(power / 2.0)
+    return out

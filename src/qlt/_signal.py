@@ -31,9 +31,13 @@ def upfirdn(h: np.ndarray, x: np.ndarray, up: int) -> np.ndarray:
     frame takes one FFT, a product with every branch spectrum and ``up``
     inverse FFTs, whose first ``M - 1`` (circularly wrapped) samples are
     dropped and whose branches are interleaved.
+
+    Only the output is stream-sized.  Each batch's frames are a strided view
+    of ``x``; the zero padding is copied only for the batches at its two
+    ends.  The branch products of every batch go to one reused buffer.
     """
     h = np.asarray(h, dtype=float)
-    x = np.asarray(x)
+    x = np.asarray(x, dtype=complex)
     m = -(-h.size // up)
     block = max(_BLOCK, 1 << (2 * m - 1).bit_length())
     step = block - m + 1
@@ -44,13 +48,26 @@ def upfirdn(h: np.ndarray, x: np.ndarray, up: int) -> np.ndarray:
     branches[: h.size] = h
     spectra = np.fft.fft(branches.reshape(m, up).T, n=block, axis=-1)
 
-    padded = np.zeros((frames - 1) * step + block, dtype=complex)
-    padded[m - 1 : m - 1 + x.size] = x
-    strided = np.lib.stride_tricks.sliding_window_view(padded, block)[::step]
     out = np.empty((frames, step, up), dtype=complex)
     batch = max(1, _BATCH_SAMPLES // (up * block))
+    product = np.empty((batch, up, block), dtype=complex)
     for i in range(0, frames, batch):
-        spec = np.fft.fft(strided[i : i + batch], axis=-1)
-        branch_out = np.fft.ifft(spec[:, None, :] * spectra, axis=-1)
-        out[i : i + batch] = branch_out[:, :, m - 1 :].transpose(0, 2, 1)
+        nb = min(batch, frames - i)
+        span = _padded_span(x, m - 1, i * step, (i + nb - 1) * step + block)
+        spec = np.fft.fft(np.lib.stride_tricks.sliding_window_view(span, block)[::step], axis=-1)
+        np.multiply(spec[:, None, :], spectra, out=product[:nb])
+        branch_out = np.fft.ifft(product[:nb], axis=-1)
+        out[i : i + nb] = branch_out[:, :, m - 1 :].transpose(0, 2, 1)
     return out.reshape(-1)[: (x.size - 1) * up + h.size]
+
+
+def _padded_span(x: np.ndarray, lead: int, lo: int, hi: int) -> np.ndarray:
+    """Samples ``lo:hi`` of ``x`` behind ``lead`` zeros and followed by
+    zeros: a view of ``x`` where the span lies inside it, else a copy."""
+    if lo >= lead and hi <= lead + x.size:
+        return x[lo - lead : hi - lead]
+    span = np.zeros(hi - lo, dtype=x.dtype)
+    first, last = max(lo, lead), min(hi, lead + x.size)
+    if last > first:
+        span[first - lo : last - lo] = x[first - lead : last - lead]
+    return span

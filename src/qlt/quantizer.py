@@ -20,6 +20,11 @@ level index and reads that level from ``levels_per_dim``.  The midrise map
 finds the index by rounding ``(x + clip) / step`` rather than by comparing
 the sample with the thresholds, so a sample exactly on a boundary may round
 down.
+
+``quantize`` runs the map over the input's interleaved float view in blocks
+of ``_MAP_BLOCK`` floats and writes each block's levels into one output
+array, so only the output is input-sized.  Every float maps on its own, so
+the bits do not depend on the blocking.
 """
 
 from dataclasses import dataclass
@@ -128,7 +133,9 @@ class QuantizerSpec:
             lv = self.clip * (2.0 * k + 1.0 - n) / (n - 1)
         else:
             lv = np.array(self.levels, dtype=float)
-        thr = (lv[:-1] + lv[1:]) / 2.0
+        # halving each level first keeps the midpoint of two levels near
+        # the float range finite; above the subnormals halving is exact
+        thr = lv[:-1] / 2.0 + lv[1:] / 2.0
         lv.flags.writeable = thr.flags.writeable = False
         return lv, thr
 
@@ -187,7 +194,13 @@ class Constellation:
         return 2.0 * float(np.mean(self.levels**2))
 
 
-def _map_dim(spec: QuantizerSpec, x: np.ndarray) -> np.ndarray:
+#: Floats one block of ``quantize`` maps: each temporary of a block stays
+#: L2-sized (256 KB), whatever the input size.
+_MAP_BLOCK = 2**15
+
+
+def _map_dim(spec: QuantizerSpec, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The level of each float of the 1-D ``x``, written to ``out`` if given."""
     if spec.kind == "uniform_midrise":
         clip, top = float(spec.clip), 2 ** spec.bits - 1
         step = 2.0 * clip / top
@@ -203,7 +216,8 @@ def _map_dim(spec: QuantizerSpec, x: np.ndarray) -> np.ndarray:
         # thresholds are the midpoints between consecutive levels; a sample
         # exactly on a threshold maps to the upper level
         idx = np.searchsorted(spec.thresholds_per_dim(), x, side="right")
-    return spec.levels_per_dim().take(idx)
+    # every index is in range, so "clip" only spares take a buffered copy
+    return spec.levels_per_dim().take(idx, out=out, mode="clip")
 
 
 def quantize(spec: QuantizerSpec, u):
@@ -217,13 +231,16 @@ def quantize(spec: QuantizerSpec, u):
     if spec.is_identity:
         return u
     arr = np.asarray(u, dtype=complex)
-    if np.isnan(arr).any():
-        raise NumericalFailureError("NaN input to the quantizer")
-    scalar = arr.ndim == 0
-    # both rails in one pass over the contiguous array's interleaved
-    # (re, im) float view
-    out = _map_dim(spec, arr.ravel().view(float)).view(complex)
-    if scalar:
+    # both rails in one pass over the interleaved (re, im) float view
+    flat = arr.ravel().view(float)
+    out = np.empty_like(flat)
+    for i in range(0, flat.size, _MAP_BLOCK):
+        block = flat[i : i + _MAP_BLOCK]
+        if np.isnan(block).any():
+            raise NumericalFailureError("NaN input to the quantizer")
+        _map_dim(spec, block, out[i : i + _MAP_BLOCK])
+    out = out.view(complex)
+    if arr.ndim == 0:
         return complex(out[0])
     return out.reshape(arr.shape)
 

@@ -7,18 +7,32 @@ quantized, and measured with a Welch spectral estimate.  The adjacent-channel
 leakage ratio is compared against the white-quantization-noise prediction
 from the decomposition moments.
 
+Synthesis draws the active subcarriers in one ``complex_normal`` call and
+copies them into the symbol grid as two slices (the active set is two runs of
+bins; an ``enabled_subcarriers`` subset is scattered by index).  The inverse
+FFT's symbols are scaled and windowed in place and overlap-added by two
+reshaped slice adds; the grid and the symbols are freed before the filter.
+
 The interpolation filter is ``_signal.upfirdn``, a polyphase overlap-save
 FFT filter: the taps split into one branch per output phase, each frame of
 the complex stream takes one FFT and one inverse FFT per branch, and frames
-go in batches of a fixed sample budget.  It matches scipy's direct-form
-``upfirdn`` to about 1e-15 of the peak sample.
+go in batches of a fixed sample budget through one reused product buffer.
+It matches scipy's direct-form ``upfirdn`` to about 1e-15 of the peak sample.
 
 The Welch estimate (Welch 1967) is two-sided, undetrended and density-scaled,
 with the segment count, window and frequency grid of ``scipy.signal.welch``.
-Its frames are strided views of the quantized stream, windowed and
-transformed in batches of at most ``_WELCH_BATCH_SAMPLES`` samples; only the
-running sum of their power spectra is kept, so the estimate needs a few MB
-beyond the stream and agrees with scipy's to about 1e-13 relative.
+Its frames are strided views of the quantized stream.  They are windowed
+into a reused buffer and transformed in sub-batches of at most
+``_WELCH_FFT_SAMPLES`` samples, whose power rows land in a reused buffer.
+The rows of each group of ``_WELCH_BATCH_SAMPLES // seg`` frames are summed
+one by one in frame order and each group sum is added to the running total;
+that order fixes the bits, whatever the sub-batch size.  The estimate needs
+well under a MB beyond the stream and agrees with scipy's to about 1e-13
+relative.
+
+The measurement squares one ``abs`` array in place for each mean power and
+counts saturated samples on the stream's interleaved float view, so it holds
+the quantized copy and one float array beside the stream.
 
 Band geometry: the signal occupies ``occupied_bandwidth`` around DC; the
 adjacent measurement band has the same width and starts one ``guard_band``
@@ -149,6 +163,22 @@ def _edge_window(nfft: int, taper: float) -> tuple[np.ndarray, int]:
     return np.sqrt(power), ov
 
 
+def _overlap_add(symbols: np.ndarray, hop: int) -> np.ndarray:
+    """Symbol ``k`` (a row of ``symbols``) added at sample ``k * hop``.
+
+    Each sample holds at most two symbols (``hop`` is at least half a row),
+    so two reshaped slice adds onto zeros do it: the heads, then the tails
+    that overlap the next symbol's head.  Every sum has two terms, so the
+    bits are those of adding the symbols one by one in order.
+    """
+    nsym, nfft = symbols.shape
+    ov = nfft - hop
+    rows = np.zeros((nsym + 1, hop), dtype=symbols.dtype)
+    rows[:-1] += symbols[:, :hop]
+    rows[1:, :ov] += symbols[:, hop:]
+    return rows.reshape(-1)[: nsym * hop + ov]
+
+
 def synthesize_baseband(cfg: WaveformConfig) -> np.ndarray:
     """Generate the interpolated pre-DAC sample stream at the DAC rate.
 
@@ -161,23 +191,28 @@ def synthesize_baseband(cfg: WaveformConfig) -> np.ndarray:
     nsym = cfg.num_symbols
     rng = substream(cfg.seed, "waveform-baseband")
     nfft = cfg.num_subcarriers
-    active = cfg.active_subcarriers
-    bins = np.r_[0 : active // 2, nfft - active // 2 : nfft]
-    if cfg.enabled_subcarriers is not None:
-        bins = bins[np.asarray(cfg.enabled_subcarriers, dtype=int)]
+    half = cfg.active_subcarriers // 2
     grid = np.zeros((nsym, nfft), dtype=complex)
-    if bins.size:
-        grid[:, bins] = complex_normal(rng, 1.0, (nsym, bins.size))
-        scale = np.sqrt(nfft / bins.size)
+    if cfg.enabled_subcarriers is None:
+        # the active set is two runs of bins, [0, half) and [nfft - half, nfft)
+        nbins = 2 * half
+        draws = complex_normal(rng, 1.0, (nsym, nbins))
+        grid[:, :half] = draws[:, :half]
+        grid[:, nfft - half :] = draws[:, half:]
+        del draws
     else:
-        scale = 1.0
-    symbols = np.fft.ifft(grid, axis=1, norm="ortho") * scale
+        bins = np.r_[0:half, nfft - half : nfft][np.asarray(cfg.enabled_subcarriers, dtype=int)]
+        nbins = bins.size
+        if nbins:
+            grid[:, bins] = complex_normal(rng, 1.0, (nsym, nbins))
+    symbols = np.fft.ifft(grid, axis=1, norm="ortho")
+    del grid
+    if nbins:
+        symbols *= np.sqrt(nfft / nbins)
     win, ov = _edge_window(nfft, cfg.symbol_taper)
-    hop = nfft - ov
-    stream = np.zeros(nsym * hop + ov, dtype=complex)
-    symbols = symbols * win
-    for k in range(nsym):
-        stream[k * hop : k * hop + nfft] += symbols[k]
+    symbols *= win
+    stream = _overlap_add(symbols, nfft - ov)
+    del symbols
 
     up = cfg.interp_factor
     if up == 1:
@@ -193,9 +228,14 @@ def _resolve_dac(cfg: WaveformConfig, stream_power: float) -> QuantizerSpec:
     return QuantizerSpec.midrise_for_power(cfg.dac_bits, stream_power, cfg.dac_kappa)
 
 
-#: Most samples one FFT call of the Welch estimate transforms; the frames of a
-#: batch and their spectra stay a few MB, whatever the stream length.
+#: Frames of ``_WELCH_BATCH_SAMPLES // seg`` are summed as one group: row by
+#: row in frame order into a group sum, which is then added to the running
+#: total.  That order fixes the bits of the estimate.
 _WELCH_BATCH_SAMPLES = 2**18
+
+#: Most samples one FFT call of the Welch estimate transforms: its windowed
+#: frames, spectra and power rows stay L2-sized, whatever the stream length.
+_WELCH_FFT_SAMPLES = 2**15
 
 
 def _welch(cfg: WaveformConfig, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -205,16 +245,48 @@ def _welch(cfg: WaveformConfig, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     hop = seg - int(seg * cfg.psd_overlap)
     win = sig.get_window(cfg.psd_window, seg)
     frames = np.lib.stride_tricks.sliding_window_view(x, seg)[::hop]
+    group = max(1, _WELCH_BATCH_SAMPLES // seg)
+    # numpy sums a single column pairwise, not row by row, so one-sample
+    # segments keep their whole group in one sub-batch
+    sub = group if seg == 1 else min(group, max(1, _WELCH_FFT_SAMPLES // seg))
     acc = np.zeros(seg)
-    batch = max(1, _WELCH_BATCH_SAMPLES // seg)
-    for i in range(0, len(frames), batch):
-        spec = np.fft.fft(frames[i : i + batch] * win, axis=-1)
-        power = spec.real**2
-        power += spec.imag**2
-        acc += power.sum(axis=0)
+    # row 0 holds the group's running sum, rows 1.. a sub-batch's power rows
+    rows = np.empty((sub + 1, seg))
+    windowed = np.empty((sub, seg), dtype=complex)
+    imag_sq = np.empty((sub, seg))
+    for g in range(0, len(frames), group):
+        for i in range(g, min(g + group, len(frames)), sub):
+            n = min(sub, g + group - i, len(frames) - i)
+            spec = np.fft.fft(np.multiply(frames[i : i + n], win, out=windowed[:n]), axis=-1)
+            power = np.square(spec.real, out=rows[1 : n + 1])
+            power += np.square(spec.imag, out=imag_sq[:n])
+            # a reduction over the outer axis adds the rows one by one; the
+            # group's first sub-batch starts the sum, the later ones add on
+            start = 1 if i == g else 0
+            rows[0] = np.add.reduce(rows[start : n + 1], axis=0)
+        acc += rows[0]
     pxx = acc / (len(frames) * cfg.sample_rate * np.sum(win**2))
     freq = np.fft.fftfreq(seg, 1.0 / cfg.sample_rate)
     return np.fft.fftshift(freq), np.fft.fftshift(pxx)
+
+
+def _mean_power(x: np.ndarray) -> float:
+    """``mean(|x|**2)``, squaring the one ``abs`` array in place."""
+    mag = np.abs(x)
+    return float(np.mean(np.square(mag, out=mag)))
+
+
+def _saturated_count(x: np.ndarray, clip: float) -> int:
+    """Samples of the contiguous complex ``x`` with a rail beyond ``+/-clip``.
+
+    The rails are compared on the interleaved (re, im) float view; each
+    sample's two flags are adjacent bytes, read as one uint16 that is
+    nonzero when either rail is beyond the clip.
+    """
+    iq = x.view(float)
+    beyond = iq > clip
+    beyond |= iq < -clip
+    return np.count_nonzero(beyond.view(np.uint16))
 
 
 def apply_dac_and_measure(cfg: WaveformConfig, stream: np.ndarray) -> AclrReport:
@@ -226,16 +298,14 @@ def apply_dac_and_measure(cfg: WaveformConfig, stream: np.ndarray) -> AclrReport
     bandwidth: ``1 + gain^2 / (delta * noise)`` with
     ``delta = occupied_bandwidth / sample_rate``.
     """
-    stream = np.asarray(stream)
+    stream = np.ascontiguousarray(stream, dtype=complex)
     if stream.size == 0:
         raise ValueError("stream must be non-empty")
-    power = float(np.mean(np.abs(stream) ** 2))
+    power = _mean_power(stream)
     dac = _resolve_dac(cfg, power)
     quantized = np.asarray(quantize(dac, stream))
     clip_used = dac.clip  # None for the ideal DAC, which never saturates
-    saturated = 0.0 if clip_used is None else float(
-        np.mean((np.abs(stream.real) > clip_used) | (np.abs(stream.imag) > clip_used))
-    )
+    saturated = 0.0 if clip_used is None else _saturated_count(stream, clip_used) / stream.size
     # the ideal DAC adds no noise, so it has no predicted ACLR
     m = tx_moments(dac, power)
     delta = cfg.occupied_bandwidth / cfg.sample_rate
@@ -260,7 +330,7 @@ def apply_dac_and_measure(cfg: WaveformConfig, stream: np.ndarray) -> AclrReport
                              f"{2 * _FLATNESS_SMOOTH_BINS} its flatness is measured over")
     p_in = float(np.sum(pxx[inband]) * df)
     p_adj = float(0.5 * (np.sum(pxx[upper]) + np.sum(pxx[lower])) * df)
-    p_dac = float(np.mean(np.abs(quantized) ** 2))
+    p_dac = _mean_power(quantized)
     if not (p_dac > 0.0 and p_in > 0.0 and p_adj > 0.0):
         raise NumericalFailureError(f"no ACLR: DAC power {p_dac}, in-band {p_in}, adjacent {p_adj}")
     parseval = float(np.sum(density) * df / p_dac)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qlt._rng import substream
+from qlt._rng import complex_normal, substream
 from qlt.montecarlo import SPAN_RTOL, HaarFrames
 
 
@@ -185,3 +185,21 @@ def test_chain_is_unitary_at_every_size(n, seed):
     y = chain.apply(z)
     np.testing.assert_allclose(chain.apply_adjoint(y), z, rtol=0.0, atol=1e-10 * np.linalg.norm(z))
     assert abs(np.linalg.norm(y) - np.linalg.norm(z)) < 1e-10 * np.linalg.norm(z)
+
+
+@pytest.mark.parametrize("power, shape", [
+    (1.0, (160, 832)),
+    (0.25, 17),
+    (3.0, ()),
+    (np.array([0.0, 1.0, 2.5, 1e-300, 7.0] * 40), 200),  # zero powers keep their signed zeros
+    (np.linspace(0.0, 4.0, 24).reshape(4, 6), (4, 6)),
+])
+def test_complex_normal_is_the_scaled_sum_bytewise(power, shape):
+    # one (2, *shape) draw scaled in place: the bits of the two-draw expression
+    got = complex_normal(substream(3, "cn"), power, shape)
+    rng = substream(3, "cn")
+    a = rng.standard_normal(shape)
+    b = rng.standard_normal(shape)
+    want = np.sqrt(power / 2) * (a + 1j * b)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,7 @@ from qlt import (
     constellation_of,
     quantize,
 )
-from qlt.quantizer import _map_dim
+from qlt.quantizer import _MAP_BLOCK, _map_dim
 
 
 def test_identity_passthrough():
@@ -289,6 +291,34 @@ def test_interleaved_quantize_matches_two_rails_bytewise(spec):
         got = quantize(spec, u)
         assert got.shape == u.shape
         assert got.tobytes() == _two_rail_quantize(spec, u).tobytes()
+
+
+def test_midpoints_of_levels_near_the_float_range_stay_finite():
+    # (a + b) / 2 overflows for two levels whose sum passes the float range;
+    # a / 2 + b / 2 does not (a warning is an error here)
+    q = QuantizerSpec.custom_levels([1e308, 1.7e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert q.thresholds_per_dim().tolist() == [1e308 / 2 + 1.7e308 / 2]
+        assert quantize(q, complex(1.6e308, 1.2e308)) == complex(1.7e308, 1e308)
+
+
+@pytest.mark.parametrize("spec", [
+    QuantizerSpec.uniform_midrise(4, 1.3),
+    QuantizerSpec.custom_levels([-1.5, -0.2, 0.0, 0.7, 2.0]),
+], ids=["uniform_midrise", "custom_levels"])
+def test_blocked_quantize_matches_one_whole_map(spec):
+    # streams that end inside a block, on a block edge and past several
+    # blocks map to the bytes of one whole-array map
+    rng = np.random.default_rng(11)
+    for n in (1, _MAP_BLOCK // 2 - 1, _MAP_BLOCK // 2, 3 * _MAP_BLOCK + 5):
+        u = 1.5 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        want = _map_dim(spec, u.view(float)).view(complex)
+        assert quantize(spec, u).tobytes() == want.tobytes()
+    # a NaN in the last block is found too
+    u[-1] = complex(0.0, np.nan)
+    with pytest.raises(NumericalFailureError, match="NaN"):
+        quantize(spec, u)
 
 
 @pytest.mark.parametrize("call, error, message", [

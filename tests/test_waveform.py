@@ -14,8 +14,17 @@ from qlt import (
     synthesize_baseband,
 )
 from qlt import _signal
+from qlt._rng import substream
 from qlt.cli import json_text
-from qlt.waveform import _oob_flatness, _welch
+from qlt.waveform import (
+    _WELCH_BATCH_SAMPLES,
+    _edge_window,
+    _mean_power,
+    _oob_flatness,
+    _overlap_add,
+    _saturated_count,
+    _welch,
+)
 
 BASE = WaveformConfig(num_symbols=128, seed=7)
 
@@ -120,11 +129,17 @@ def test_upfirdn_matches_scipy_at_edge_shapes(up, taps, n, tol):
     assert _peak_error(got, want) <= tol
 
 
-@pytest.mark.parametrize("overrides", [{}, {"num_subcarriers": 2048, "num_symbols": 96, "filter_taps": 511}])
+@pytest.mark.parametrize("overrides", [
+    {},
+    {"num_subcarriers": 2048, "num_symbols": 96, "filter_taps": 511},
+    # the benchmark's median-rank op: x3, where the stream is a third of the output
+    {"num_subcarriers": 1024, "num_symbols": 160, "sample_rate": 737.28e6},
+])
 def test_synthesis_memory_stays_near_the_output(overrides):
-    # the symbol grid, the output, the padded stream and per-batch FFT
-    # buffers: 2.3-2.4x the output measured; an overlap-save that transforms
-    # every frame at once holds all their branch spectra, 4.3-4.4x
+    # the output, the baseband stream and one batch of filter buffers; the
+    # symbol grid and symbols are freed before the filter: 1.49x, 1.60x and
+    # 1.81x the output measured (2.26x, 2.36x and 2.84x when the grid and
+    # symbols lived through the filter beside a padded copy of the stream)
     cfg = WaveformConfig(seed=7, **overrides)
     tracemalloc.start()
     try:
@@ -132,7 +147,62 @@ def test_synthesis_memory_stays_near_the_output(overrides):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3.0 * out.nbytes
+    assert peak <= 2.0 * out.nbytes
+
+
+def _loop_baseband(cfg):
+    """The baseband-rate stream built by an index scatter into the symbol
+    grid and a per-symbol overlap-add loop."""
+    rng = substream(cfg.seed, "waveform-baseband")
+    nfft = cfg.num_subcarriers
+    half = cfg.active_subcarriers // 2
+    bins = np.r_[0:half, nfft - half : nfft]
+    if cfg.enabled_subcarriers is not None:
+        bins = bins[np.asarray(cfg.enabled_subcarriers, dtype=int)]
+    grid = np.zeros((cfg.num_symbols, nfft), dtype=complex)
+    scale = 1.0
+    if bins.size:
+        grid[:, bins] = np.sqrt(0.5) * (
+            rng.standard_normal((cfg.num_symbols, bins.size))
+            + 1j * rng.standard_normal((cfg.num_symbols, bins.size))
+        )
+        scale = np.sqrt(nfft / bins.size)
+    win, ov = _edge_window(nfft, cfg.symbol_taper)
+    symbols = np.fft.ifft(grid, axis=1, norm="ortho") * scale * win
+    hop = nfft - ov
+    stream = np.zeros(cfg.num_symbols * hop + ov, dtype=complex)
+    for k in range(cfg.num_symbols):
+        stream[k * hop : k * hop + nfft] += symbols[k]
+    return stream
+
+
+@pytest.mark.parametrize("taper", [0.0, 0.1, 1.0])
+@pytest.mark.parametrize("enabled", [None, (), (0, 5, 7, 400, 831), tuple(range(0, 832, 3))])
+@pytest.mark.parametrize("num_subcarriers", [8, 1024])
+def test_baseband_matches_the_scatter_and_loop_bytewise(num_subcarriers, enabled, taper):
+    # slice copies into the grid, in-place scaling and windowing and the two
+    # reshaped overlap adds give the bytes of the scatter and the loop
+    cfg = replace(BASE, sample_rate=BASE.baseband_rate, num_subcarriers=num_subcarriers,
+                  num_symbols=9, symbol_taper=taper)
+    assert cfg.interp_factor == 1
+    if enabled is not None:
+        enabled = tuple(i for i in enabled if i < cfg.active_subcarriers)
+    cfg = replace(cfg, enabled_subcarriers=enabled)
+    got = synthesize_baseband(cfg)
+    assert got.tobytes() == _loop_baseband(cfg).tobytes()
+
+
+@pytest.mark.parametrize("nsym, nfft, ov", [(1, 8, 0), (1, 8, 4), (5, 16, 3), (7, 64, 32), (3, 9, 4)])
+def test_overlap_add_matches_the_per_symbol_loop(nsym, nfft, ov):
+    rng = np.random.default_rng(nsym * nfft + ov)
+    symbols = rng.standard_normal((nsym, nfft)) + 1j * rng.standard_normal((nsym, nfft))
+    hop = nfft - ov
+    want = np.zeros(nsym * hop + ov, dtype=complex)
+    for k in range(nsym):
+        want[k * hop : k * hop + nfft] += symbols[k]
+    got = _overlap_add(symbols, hop)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def test_single_subcarrier_is_a_tone():
@@ -287,13 +357,21 @@ def test_welch_matches_scipy(seg, overlap, window):
         np.testing.assert_allclose(pxx, np.fft.fftshift(want_p), rtol=1e-12, atol=0)
 
 
-@pytest.mark.parametrize("num_subcarriers, num_symbols, seg", [(1024, 256, 4096), (2048, 96, 8192)])
-def test_measurement_memory_stays_near_the_stream(num_subcarriers, num_symbols, seg):
-    # the quantized copy plus per-batch Welch buffers; no segment matrix
+@pytest.mark.parametrize("num_subcarriers, num_symbols, seg, sample_rate", [
+    (1024, 256, 4096, 983.04e6),
+    (2048, 96, 8192, 983.04e6),
+    (1024, 160, 4096, 737.28e6),  # the benchmark's median-rank op
+])
+def test_measurement_memory_stays_near_the_stream(num_subcarriers, num_symbols, seg, sample_rate):
+    # the quantized copy and one float |x|^2 array, plus L2-sized quantizer
+    # blocks and Welch sub-batches; no segment matrix: 1.51x the stream
+    # measured on each geometry (2.00x, 2.24x and 2.97x with whole-stream
+    # abs temporaries and 2**18-sample Welch batches)
     cfg = WaveformConfig(
         num_subcarriers=num_subcarriers,
         num_symbols=num_symbols,
         psd_segment_length=seg,
+        sample_rate=sample_rate,
         dac_bits=4,
         seed=7,
     )
@@ -304,7 +382,40 @@ def test_measurement_memory_stays_near_the_stream(num_subcarriers, num_symbols, 
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * stream.nbytes
+    assert peak <= 1.77 * stream.nbytes
+
+
+def _grouped_welch_sum(cfg, x):
+    """The Welch power sum with frames added row by row, in frame order, in
+    groups of ``_WELCH_BATCH_SAMPLES // seg``; each group sum then added to
+    the total."""
+    seg = min(cfg.psd_segment_length, x.size)
+    hop = seg - int(seg * cfg.psd_overlap)
+    win = sig.get_window(cfg.psd_window, seg)
+    frames = np.lib.stride_tricks.sliding_window_view(x, seg)[::hop]
+    group = max(1, _WELCH_BATCH_SAMPLES // seg)
+    acc = np.zeros(seg)
+    for g in range(0, len(frames), group):
+        total = None
+        for frame in frames[g : g + group]:
+            spec = np.fft.fft(frame * win)
+            power = spec.real**2
+            power += spec.imag**2
+            total = power if total is None else total + power
+        acc += total
+    return np.fft.fftshift(acc / (len(frames) * cfg.sample_rate * np.sum(win**2)))
+
+
+@pytest.mark.parametrize("overlap", [0.0, 0.5, 0.75])
+@pytest.mark.parametrize("seg", [64, 256, 1024, 4096, 8192])
+def test_welch_sub_batches_keep_the_group_summation_order(seg, overlap):
+    # lengths that are not a multiple of the hop, some spanning several
+    # groups (300,001 samples are 4,687 frames of 64 at overlap 0)
+    cfg = WaveformConfig(psd_segment_length=seg, psd_overlap=overlap)
+    rng = np.random.default_rng(seg + int(100 * overlap))
+    for n in (seg + 1, 5 * seg + 7, 300_001):
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        assert _welch(cfg, x)[1].tobytes() == _grouped_welch_sum(cfg, x).tobytes()
 
 
 @pytest.mark.parametrize("field, value, message", [
@@ -318,3 +429,15 @@ def test_config_rejects_too_few_subcarriers_or_a_taper_above_one(field, value, m
 
 def test_oob_flatness_of_a_zero_density_is_infinite():
     assert _oob_flatness(np.zeros(256), slice(0, 128), slice(128, 256)) == math.inf
+
+
+def test_measurement_kernels_match_the_whole_array_expressions():
+    # rails exactly on, just past and far past the clip, on either side
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal(4099) + 1j * rng.standard_normal(4099)
+    clip = 1.25
+    x[:6] = [clip, -clip, np.nextafter(clip, 2) * 1j, -np.nextafter(clip, 2), complex(np.inf, 0), complex(0, -np.inf)]
+    want = np.mean((np.abs(x.real) > clip) | (np.abs(x.imag) > clip))
+    assert _saturated_count(x, clip) / x.size == want
+    finite = x[6:]
+    assert _mean_power(finite) == float(np.mean(np.abs(finite) ** 2))
