@@ -34,6 +34,5 @@ def complex_normal(rng: np.random.Generator, power, shape) -> np.ndarray:
     out = np.empty(shape, dtype=complex)
     out.real = draws[0]
     out.imag = draws[1]
-    del draws
     out *= np.sqrt(power / 2.0)
     return out

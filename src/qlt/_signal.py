@@ -68,6 +68,5 @@ def _padded_span(x: np.ndarray, lead: int, lo: int, hi: int) -> np.ndarray:
         return x[lo - lead : hi - lead]
     span = np.zeros(hi - lo, dtype=x.dtype)
     first, last = max(lo, lead), min(hi, lead + x.size)
-    if last > first:
-        span[first - lo : last - lo] = x[first - lead : last - lead]
+    span[first - lo : last - lo] = x[first - lead : last - lead]
     return span

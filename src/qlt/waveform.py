@@ -228,9 +228,9 @@ def _resolve_dac(cfg: WaveformConfig, stream_power: float) -> QuantizerSpec:
     return QuantizerSpec.midrise_for_power(cfg.dac_bits, stream_power, cfg.dac_kappa)
 
 
-#: Frames of ``_WELCH_BATCH_SAMPLES // seg`` are summed as one group: row by
-#: row in frame order into a group sum, which is then added to the running
-#: total.  That order fixes the bits of the estimate.
+#: Each group of ``_WELCH_BATCH_SAMPLES // seg`` frames is summed row by row
+#: in frame order, then added to the running total: the order that fixes the
+#: bits of the estimate.
 _WELCH_BATCH_SAMPLES = 2**18
 
 #: Most samples one FFT call of the Welch estimate transforms: its windowed
