@@ -358,9 +358,10 @@ def test_welch_matches_scipy(seg, overlap, window):
 
 
 @pytest.mark.parametrize("num_subcarriers, num_symbols, seg, sample_rate", [
-    (1024, 256, 4096, 983.04e6),
-    (2048, 96, 8192, 983.04e6),
-    (1024, 160, 4096, 737.28e6),  # the benchmark's median-rank op
+    pytest.param(1024, 256, 4096, 983.04e6, id="1024-256-4096"),
+    pytest.param(2048, 96, 8192, 983.04e6, id="2048-96-8192"),
+    # the benchmark's median-rank op
+    pytest.param(1024, 160, 4096, 737.28e6, id="1024-160-4096-x3"),
 ])
 def test_measurement_memory_stays_near_the_stream(num_subcarriers, num_symbols, seg, sample_rate):
     # the quantized copy and one float |x|^2 array, plus L2-sized quantizer
