@@ -229,12 +229,114 @@ def _fill(table: _Table, doc: dict) -> dict:
     return out
 
 
+#: The tables a config is checked against: the config itself, then its params.
+_TABLES = {"config": _CONFIG, **EXPERIMENTS}
+
 # built once: constructing a validator skips the metaschema check that
-# jsonschema.validate repeats on every call
+# jsonschema.validate repeats on every call.  They only word a rejection the
+# walk below has made.
 _VALIDATORS = {
-    name: jsonschema.Draft202012Validator(schema_of(table))
-    for name, table in {"config": _CONFIG, **EXPERIMENTS}.items()
+    name: jsonschema.Draft202012Validator(schema_of(table)) for name, table in _TABLES.items()
 }
+
+# --- the config walk: accepts exactly what jsonschema accepts of schema_of(table)
+
+
+class _Rejected(Exception):
+    """The walk rejected the value at ``args[0]``, a tuple of keys and indexes."""
+
+
+#: What each schema ``type`` admits, as jsonschema's Draft 2020-12 reads it:
+#: an ``integer`` may be an integer-valued float, and a bool is no number.
+_IS_TYPE = {
+    "integer": lambda v: _IS_TYPE["number"](v) and (isinstance(v, int) or v.is_integer()),
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "boolean": lambda v: isinstance(v, bool),
+    "null": lambda v: v is None,
+    "string": lambda v: isinstance(v, str),
+    "array": lambda v: isinstance(v, list),
+    "object": lambda v: isinstance(v, dict),
+}
+
+#: The schema keywords the walk interprets; a fragment with any other raises.
+_KEYWORDS = frozenset(
+    {"type", "minimum", "exclusiveMinimum", "maximum", "enum", "const", "oneOf", "items",
+     "minItems", "maxItems"}
+)
+
+
+def _same(a, b) -> bool:
+    """JSON equality of a value and a scalar ``enum``/``const`` member: 1 ==
+    1.0, but True != 1."""
+    if isinstance(a, bool) or isinstance(b, bool):
+        return a is b
+    return a == b
+
+
+def _walk(spec, v, path: tuple):
+    """``v`` as checked against ``spec`` (a table or a schema fragment), with
+    every value of an ``integer`` an int; raises ``_Rejected`` where
+    jsonschema rejects ``v``."""
+    if isinstance(spec, _Table):
+        return _walk_table(spec, v, path)
+    if not _KEYWORDS.issuperset(spec):
+        unknown = sorted(spec.keys() - _KEYWORDS)
+        raise TypeError(f"the config walk does not interpret schema keywords {unknown}")
+    if "oneOf" in spec:
+        passed = []
+        for sub in spec["oneOf"]:
+            try:
+                passed.append(_walk(sub, v, path))
+            except _Rejected:
+                pass
+        if len(passed) != 1:
+            raise _Rejected(path)
+        v = passed[0]
+    if "const" in spec and not _same(v, spec["const"]):
+        raise _Rejected(path)
+    if "enum" in spec and not any(_same(v, member) for member in spec["enum"]):
+        raise _Rejected(path)
+    if "type" in spec:
+        if not _IS_TYPE[spec["type"]](v):
+            raise _Rejected(path)
+        if spec["type"] == "integer":
+            v = int(v)
+    if _IS_TYPE["number"](v):
+        if ("minimum" in spec and v < spec["minimum"]
+                or "exclusiveMinimum" in spec and v <= spec["exclusiveMinimum"]
+                or "maximum" in spec and v > spec["maximum"]):
+            raise _Rejected(path)
+    elif isinstance(v, list):
+        if len(v) < spec.get("minItems", 0) or len(v) > spec.get("maxItems", len(v)):
+            raise _Rejected(path)
+        if "items" in spec:
+            v = [_walk(spec["items"], x, (*path, i)) for i, x in enumerate(v)]
+    return v
+
+
+def _walk_table(table: _Table, doc, path: tuple) -> dict:
+    """An object: its keys are the table's, every ``REQUIRED`` one present,
+    and a key that a ``kind`` requires is required under that kind and
+    rejected under another."""
+    if not isinstance(doc, dict):
+        raise _Rejected(path)
+    out = {}
+    for name, v in doc.items():
+        if name not in table or _kind_owns(table[name][1], doc) is False:
+            raise _Rejected((*path, name))
+        out[name] = _walk(table[name][0], v, (*path, name))
+    for name, (_, default) in table.items():
+        if name not in doc and (default is REQUIRED or _kind_owns(default, doc)):
+            raise _Rejected((*path, name))
+    return out
+
+
+def _kind_owns(default, doc: dict) -> bool | None:
+    """Whether ``doc``'s kind requires a key with ``default``; None where the
+    key is no kind's or ``doc`` gives no kind."""
+    if isinstance(default, _ForKind) and default.value is REQUIRED and "kind" in doc:
+        return _same(doc["kind"], default.kind)
+    return None
 
 
 def package_defaults() -> dict:
@@ -269,9 +371,18 @@ def _non_finite(text: str):
 
 
 def _validate(doc, name: str):
-    error = jsonschema.exceptions.best_match(_VALIDATORS[name].iter_errors(doc))
-    if error is not None:
-        raise ConfigError(f"config schema violation: {error.message}")
+    """``doc`` (the config, or the params of experiment ``name``) as the walk
+    over ``_TABLES[name]`` accepts it.  A rejection is worded by jsonschema's
+    best match, or names the rejected path where jsonschema finds no error."""
+    try:
+        return _walk(_TABLES[name], doc, () if name == "config" else ("params",))
+    except _Rejected as e:
+        error = jsonschema.exceptions.best_match(_VALIDATORS[name].iter_errors(doc))
+        where = "/".join(map(str, e.args[0])) or "the top level"
+        raise ConfigError(
+            f"config schema violation: {error.message}" if error is not None
+            else f"config schema violation at {where}"
+        ) from None
 
 
 def _load_config(path: str, experiment: str) -> dict:
@@ -284,8 +395,8 @@ def _load_config(path: str, experiment: str) -> dict:
                          parse_constant=_non_finite)
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}") from e
-    _validate(cfg, "config")
-    _validate(cfg["params"], cfg["experiment"])
+    cfg = _validate(cfg, "config")
+    cfg["params"] = _validate(cfg["params"], cfg["experiment"])
     if cfg["experiment"] != experiment:
         raise ConfigError(f"config is for experiment {cfg['experiment']!r}, not {experiment!r}")
     return cfg
@@ -315,10 +426,9 @@ def _grid(spec: dict) -> np.ndarray:
 
 
 def _quantizer(obj: dict) -> QuantizerSpec:
-    """The spec of a quantizer object that has passed the schema."""
+    """The spec of a quantizer object that has passed the walk."""
     if obj["kind"] == "uniform_midrise":
-        # the schema's integer admits 3.0
-        return QuantizerSpec.uniform_midrise(int(obj["bits"]), obj["clip"])
+        return QuantizerSpec.uniform_midrise(obj["bits"], obj["clip"])
     if obj["kind"] == "custom_levels":
         return QuantizerSpec.custom_levels(obj["levels"])
     return QuantizerSpec.identity()
