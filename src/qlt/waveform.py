@@ -97,6 +97,12 @@ class WaveformConfig:
             raise ValueError("num_subcarriers must be >= 8")
         if not 0.0 <= self.symbol_taper <= 1.0:
             raise ValueError("symbol_taper must be in [0, 1]")
+        ov = _overlap(self.num_subcarriers, self.symbol_taper)
+        if 2 * ov > self.num_subcarriers:
+            raise ValueError(
+                f"symbol_taper {self.symbol_taper} overlaps adjacent symbols by {ov} samples, "
+                f"more than half of num_subcarriers {self.num_subcarriers}"
+            )
         if self.dac_bits is not None and not 1 <= self.dac_bits <= MAX_BITS:
             raise ValueError(f"dac_bits must be in 1..{MAX_BITS} or None")
 
@@ -151,13 +157,18 @@ def design_interp_filter(cfg: WaveformConfig) -> np.ndarray:
     )
 
 
+def _overlap(nfft: int, taper: float) -> int:
+    """The samples adjacent symbols share: ``taper`` of half a symbol, rounded."""
+    return int(round(taper * nfft / 2.0))
+
+
 def _edge_window(nfft: int, taper: float) -> tuple[np.ndarray, int]:
     """Root-raised-cosine symbol window and its overlap span.
 
     The half-sample-offset cosine ramp makes overlapped edge powers sum to
     exactly one, so overlap-added symbols have a flat power envelope.
     """
-    ov = int(round(taper * nfft / 2.0))
+    ov = _overlap(nfft, taper)
     ramp = 0.5 * (1.0 - np.cos(np.pi * (np.arange(ov) + 0.5) / ov))
     power = np.concatenate((ramp, np.ones(nfft - 2 * ov), ramp[::-1]))
     return np.sqrt(power), ov
