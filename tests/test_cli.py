@@ -1,9 +1,11 @@
 import argparse
 import copy
 import csv
+import functools
 import io
 import json
 import math
+import operator
 import os
 import pathlib
 import subprocess
@@ -16,6 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
+from jsonschema.exceptions import best_match
 
 from qlt import (
     FeasibilityError,
@@ -1077,7 +1080,12 @@ def test_invalid_params_exit_2_without_output(tmp_path, capsys, case):
         target[last] = value
     out = tmp_path / "out"
     assert main([experiment, "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 2
-    assert "config error: config schema violation" in capsys.readouterr().err
+    # the walk alone rejects the config or, past it, the params; the message
+    # is jsonschema's best match on that part, as it was before the walk
+    name, part = ("config", doc) if not _walk_accepts("config", doc) else (experiment, params)
+    assert not _walk_accepts(name, part)
+    error = best_match(ORACLES[name].iter_errors(part))
+    assert capsys.readouterr().err == f"config error: config schema violation: {error.message}\n"
     assert not out.exists()
 
 
@@ -1085,6 +1093,204 @@ def test_config_schemas_pass_the_metaschema():
     assert set(cli._VALIDATORS) == {"config", *cli.EXPERIMENTS}
     for validator in cli._VALIDATORS.values():
         Draft202012Validator.check_schema(validator.schema)
+
+
+# --- the config walk against jsonschema, its oracle
+
+#: jsonschema's validator of each table's schema, built here apart from cli's
+ORACLES = {name: Draft202012Validator(cli.schema_of(t)) for name, t in cli._TABLES.items()}
+
+
+def _walk_accepts(name, doc) -> bool:
+    try:
+        cli._walk(cli._TABLES[name], doc, ())
+    except cli._Rejected:
+        return False
+    return True
+
+
+def _fragments(spec):
+    """Every schema fragment of a table, nested ones included."""
+    if isinstance(spec, cli._Table):
+        for sub, _ in spec.values():
+            yield from _fragments(sub)
+    else:
+        yield spec
+        for sub in spec.get("oneOf", []):
+            yield from _fragments(sub)
+        if "items" in spec:
+            yield from _fragments(spec["items"])
+
+
+# keyword -> (a fragment, a value that only the keyword rejects)
+VIOLATIONS = {
+    "type": ({"type": "integer"}, 1.5),
+    "minimum": ({"type": "number", "minimum": 0}, -0.1),
+    "exclusiveMinimum": ({"type": "number", "exclusiveMinimum": 0}, 0),
+    "maximum": ({"type": "number", "maximum": 0.9}, 0.95),
+    "enum": ({"enum": ["tx", "chain"]}, "rx"),
+    "const": ({"const": 1}, True),
+    "oneOf": ({"oneOf": [{"type": "number"}, {"type": "integer"}]}, 2),
+    "items": ({"type": "array", "items": {"type": "number"}}, [1.0, None]),
+    "minItems": ({"type": "array", "minItems": 1}, []),
+    "maxItems": ({"type": "array", "maxItems": 2}, [0.25, 0.25, 0.5]),
+}
+
+
+def test_the_walk_interprets_every_keyword_of_the_tables():
+    fragments = [f for t in cli._TABLES.values() for f in _fragments(t)]
+    assert {k for f in fragments for k in f} == cli._KEYWORDS == set(VIOLATIONS)
+    # enum and const compare JSON scalars, the only members the walk's equality takes
+    members = [m for f in fragments for m in f.get("enum", [])]
+    members += [f["const"] for f in fragments if "const" in f]
+    assert all(isinstance(m, (str, int)) and not isinstance(m, bool) for m in members)
+    for keyword, (fragment, value) in VIOLATIONS.items():
+        assert not Draft202012Validator(fragment).is_valid(value), keyword
+        with pytest.raises(cli._Rejected):
+            cli._walk(fragment, value, ())
+        cli._walk({k: v for k, v in fragment.items() if k != keyword}, value, ())
+    with pytest.raises(TypeError, match="pattern"):
+        cli._walk({"type": "string", "pattern": "^h"}, "hann", ())
+
+
+Q3 = {"kind": "uniform_midrise", "bits": 3, "clip": 1.5}
+
+# runnable params that give every optional key a value; together they hold
+# every integer-typed key of the tables
+FULL = [
+    ("moments", {"quantizer": Q3, "pbar": 1.0, "method": {"kind": "quadrature", "nodes": 129},
+                 "channel": AWGN, "adc": Q3}),
+    ("moments", {"quantizer": LEVELS, "pbar": 2.0, "method": {"kind": "montecarlo", "samples": 1000}}),
+    ("spectrum", dict(MINIMAL["spectrum"], quantizer=Q3)),
+    ("rate", dict(MINIMAL["rate"], quantizer=Q3, adc=Q3)),
+    ("upper-bound", dict(MINIMAL["upper-bound"], quantizer=Q3, include_gap=True, pbar=2.0)),
+    ("sweep-snr", dict(MINIMAL["sweep-snr"], bits=[2, None], kappa=2.5)),
+    ("sweep-aclr", dict(MINIMAL["sweep-aclr"], bits=[2], kappa=2.5, pbar=2.0)),
+    ("montecarlo", dict(MINIMAL["montecarlo"], size=64, trials=2, quantizer=Q3, channel=AWGN,
+                        adc=Q3, transform="fft", assignment="interleaved", mode="chain",
+                        per_trial_csv=True)),
+    ("waveform", {"dac": {"bits": 3, "kappa": 2.5, "clip": 1.0}, "num_subcarriers": 1024,
+                  "num_symbols": 2, "filter_taps": 31, "psd_segment_length": 4096,
+                  "symbol_taper": 0.2, "psd_overlap": 0.25, "psd_window": "hann", "zoh": False,
+                  "guard_band": 5e6, "occupied_bandwidth": 190e6, "sample_rate": 983.04e6,
+                  "filter_attenuation_db": 80.0}),
+]
+
+
+def _config(experiment, params):
+    return {"schema_version": 1, "experiment": experiment, "seed": 3,
+            "output": {"format": "json", "path": "."}, "params": params}
+
+
+def _containers(v, path=()):
+    """(path, node) of every object and array in ``v``, ``v`` first."""
+    if isinstance(v, (dict, list)):
+        yield path, v
+        for k, x in (v.items() if isinstance(v, dict) else enumerate(v)):
+            yield from _containers(x, (*path, k))
+
+
+# values a mutation puts in: every JSON type, the tables' enum members and
+# values at and past their bounds, and objects of each kind
+_MUTANTS = [
+    None, True, False, 0, 1, -1, 2, 3.0, 2.5, 0.0, -0.1, 1e20, 7, 8, 11, 64, 64.0, 99, 100, 0.9,
+    0.95, 1.5, "", "x", "identity", "uniform_midrise", "custom_levels", "awgn", "quadrature",
+    "montecarlo", "tx", "chain", "fft", "json", "csv", [], [1], [2.0], [1.0, None], [0.5, 0.5],
+    [0.25, 0.25, 0.5], ["a"], [True], [None], {}, {"kind": "identity"}, Q1, LEVELS, AWGN, GRID,
+    {"bits": 4}, {"kind": "montecarlo"}, {"kind": "quadrature", "samples": 100},
+]
+_KEY_NAMES = sorted(
+    {k for t in cli._TABLES.values() for k in t}
+    | {k for t in (cli._QUANTIZER, cli._METHOD, cli._GRID, cli._DAC, cli._OUTPUT) for k in t}
+    | {"bogus"}
+)
+
+
+@st.composite
+def _mutated_configs(draw):
+    """A valid config, with up to three keys or items deleted, added or replaced."""
+    experiment, params = draw(st.sampled_from([*FULL, *MINIMAL.items()]))
+    doc = copy.deepcopy(_config(experiment, params))
+    for _ in range(draw(st.integers(0, 3))):
+        _, node = draw(st.sampled_from(list(_containers(doc))))
+        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+        op = draw(st.sampled_from(["delete", "add", "replace"] if keys else ["add"]))
+        value = copy.deepcopy(draw(st.sampled_from(_MUTANTS)))
+        if op == "delete":
+            del node[draw(st.sampled_from(keys))]
+        elif op == "replace":
+            node[draw(st.sampled_from(keys))] = value
+        elif isinstance(node, dict):
+            node[draw(st.sampled_from(_KEY_NAMES))] = value
+        else:
+            node.append(value)
+    return experiment, doc
+
+
+@settings(derandomize=True, database=None, max_examples=600, deadline=None)
+@given(case=_mutated_configs())
+def test_the_walk_accepts_exactly_what_jsonschema_accepts(case):
+    experiment, doc = case
+    for name, part in (("config", doc), (experiment, doc.get("params"))):
+        accepted = _walk_accepts(name, part)
+        assert accepted == ORACLES[name].is_valid(part), (name, part)
+        if accepted:
+            assert cli._walk(cli._TABLES[name], part, ()) == part
+
+
+def _integer_paths(spec, path=()):
+    """The path of every integer-typed value of a table; an array's first
+    item stands for all of its items."""
+    if isinstance(spec, cli._Table):
+        for name, (sub, _) in spec.items():
+            yield from _integer_paths(sub, (*path, name))
+    elif spec.get("type") == "integer" or any(s.get("type") == "integer" for s in spec.get("oneOf", [])):
+        yield path
+    elif "items" in spec:
+        yield from _integer_paths(spec["items"], (*path, 0))
+
+
+def _holds(doc, path) -> bool:
+    try:
+        functools.reduce(operator.getitem, path, doc)
+    except (KeyError, IndexError):
+        return False
+    return True
+
+
+INTEGER_CASES = {
+    f"{experiment}{i}-{'.'.join(map(str, path))}": (experiment, params, path)
+    for i, (experiment, params) in enumerate(FULL)
+    for path in [*_integer_paths(cli._CONFIG), *_integer_paths(cli.EXPERIMENTS[experiment], ("params",))]
+    if _holds(_config(experiment, params), path)
+}
+
+
+def test_integer_cases_hold_every_integer_key_of_the_tables():
+    listed = {(e, path) for e, _, path in INTEGER_CASES.values()}
+    for experiment, table in cli.EXPERIMENTS.items():
+        for path in [("seed",), *_integer_paths(table, ("params",))]:
+            assert (experiment, path) in listed
+
+
+@pytest.mark.parametrize("case", sorted(INTEGER_CASES))
+def test_an_integer_valued_float_runs_as_its_integer(tmp_path, monkeypatch, capsys, case):
+    experiment, params, path = INTEGER_CASES[case]
+    runs = []
+    for as_float in (False, True):
+        doc = copy.deepcopy(_config(experiment, params))
+        if as_float:
+            *parents, last = path
+            target = functools.reduce(operator.getitem, parents, doc)
+            target[last] = float(target[last])
+        here = tmp_path / str(as_float)
+        here.mkdir()
+        monkeypatch.chdir(here)
+        code = main([experiment, "--config", write_cfg(here, doc), "--out", "out"])
+        files = {p.name: p.read_bytes() for p in (here / "out").iterdir()} if code == 0 else {}
+        runs.append((code, capsys.readouterr().err, files))
+    assert runs[0][0] == 0
+    assert runs[1] == runs[0]
 
 
 @pytest.mark.parametrize(

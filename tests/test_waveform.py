@@ -38,6 +38,9 @@ def test_config_validation():
         WaveformConfig(dac_bits=0)
     with pytest.raises(ValueError, match="num_symbols"):
         WaveformConfig(num_symbols=0)
+    # 11 subcarriers at a full taper round to a 6-sample overlap, past half a symbol
+    with pytest.raises(ValueError, match="symbol_taper 1.0 .* num_subcarriers 11"):
+        WaveformConfig(num_subcarriers=11, symbol_taper=1.0)
 
 
 def test_default_geometry():
