@@ -1160,7 +1160,8 @@ Q3 = {"kind": "uniform_midrise", "bits": 3, "clip": 1.5}
 FULL = [
     ("moments", {"quantizer": Q3, "pbar": 1.0, "method": {"kind": "quadrature", "nodes": 129},
                  "channel": AWGN, "adc": Q3}),
-    ("moments", {"quantizer": LEVELS, "pbar": 2.0, "method": {"kind": "montecarlo", "samples": 1000}}),
+    ("moments", {"quantizer": LEVELS, "pbar": 2.0,
+                 "method": {"kind": "montecarlo", "samples": 1000}}),
     ("spectrum", dict(MINIMAL["spectrum"], quantizer=Q3)),
     ("rate", dict(MINIMAL["rate"], quantizer=Q3, adc=Q3)),
     ("upper-bound", dict(MINIMAL["upper-bound"], quantizer=Q3, include_gap=True, pbar=2.0)),
@@ -1182,12 +1183,12 @@ def _config(experiment, params):
             "output": {"format": "json", "path": "."}, "params": params}
 
 
-def _containers(v, path=()):
-    """(path, node) of every object and array in ``v``, ``v`` first."""
+def _containers(v):
+    """Every object and array in ``v``, ``v`` first."""
     if isinstance(v, (dict, list)):
-        yield path, v
-        for k, x in (v.items() if isinstance(v, dict) else enumerate(v)):
-            yield from _containers(x, (*path, k))
+        yield v
+        for x in v.values() if isinstance(v, dict) else v:
+            yield from _containers(x)
 
 
 # values a mutation puts in: every JSON type, the tables' enum members and
@@ -1212,7 +1213,7 @@ def _mutated_configs(draw):
     experiment, params = draw(st.sampled_from([*FULL, *MINIMAL.items()]))
     doc = copy.deepcopy(_config(experiment, params))
     for _ in range(draw(st.integers(0, 3))):
-        _, node = draw(st.sampled_from(list(_containers(doc))))
+        node = draw(st.sampled_from(list(_containers(doc))))
         keys = list(node) if isinstance(node, dict) else list(range(len(node)))
         op = draw(st.sampled_from(["delete", "add", "replace"] if keys else ["add"]))
         value = copy.deepcopy(draw(st.sampled_from(_MUTANTS)))
@@ -1244,10 +1245,15 @@ def _integer_paths(spec, path=()):
     if isinstance(spec, cli._Table):
         for name, (sub, _) in spec.items():
             yield from _integer_paths(sub, (*path, name))
-    elif spec.get("type") == "integer" or any(s.get("type") == "integer" for s in spec.get("oneOf", [])):
+    elif any(s.get("type") == "integer" for s in [spec, *spec.get("oneOf", [])]):
         yield path
     elif "items" in spec:
         yield from _integer_paths(spec["items"], (*path, 0))
+
+
+def _config_integer_paths(experiment):
+    """The integer-typed paths of a config of ``experiment``: its own, then its params'."""
+    return [*_integer_paths(cli._CONFIG), *_integer_paths(cli.EXPERIMENTS[experiment], ("params",))]
 
 
 def _holds(doc, path) -> bool:
@@ -1261,15 +1267,15 @@ def _holds(doc, path) -> bool:
 INTEGER_CASES = {
     f"{experiment}{i}-{'.'.join(map(str, path))}": (experiment, params, path)
     for i, (experiment, params) in enumerate(FULL)
-    for path in [*_integer_paths(cli._CONFIG), *_integer_paths(cli.EXPERIMENTS[experiment], ("params",))]
+    for path in _config_integer_paths(experiment)
     if _holds(_config(experiment, params), path)
 }
 
 
 def test_integer_cases_hold_every_integer_key_of_the_tables():
     listed = {(e, path) for e, _, path in INTEGER_CASES.values()}
-    for experiment, table in cli.EXPERIMENTS.items():
-        for path in [("seed",), *_integer_paths(table, ("params",))]:
+    for experiment in cli.EXPERIMENTS:
+        for path in _config_integer_paths(experiment):
             assert (experiment, path) in listed
 
 
