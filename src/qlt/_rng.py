@@ -11,12 +11,22 @@ def _tag_value(tag) -> int:
     return zlib.crc32(str(tag).encode())
 
 
+def check_seed(seed, error=ValueError) -> None:
+    """Raise ``error`` naming ``seed`` unless it is an ``int`` or numpy
+    integer other than a ``bool``.  A float is refused, as ``3.0`` would
+    draw another stream than ``3``."""
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
+        raise error(f"seed must be an integer, not {seed!r} of type {type(seed).__name__}")
+
+
 def substream(seed: int, *tags) -> np.random.Generator:
     """Generator keyed by (master seed, purpose tags).
 
     Identical (seed, tags) always yields an identical stream, independent of
-    any other stream drawn elsewhere.
+    any other stream drawn elsewhere.  A ``seed`` that is not an integer
+    raises ``TypeError``.
     """
+    check_seed(seed, TypeError)
     return np.random.default_rng([_tag_value(seed)] + [_tag_value(t) for t in tags])
 
 

@@ -34,7 +34,8 @@ def upfirdn(h: np.ndarray, x: np.ndarray, up: int) -> np.ndarray:
 
     Only the output is stream-sized.  Each batch's frames are a strided view
     of ``x``; the zero padding is copied only for the batches at its two
-    ends.  The branch products of every batch go to one reused buffer.
+    ends.  The branch products of every batch go to one reused buffer, and
+    their inverse FFTs are written back into it.
     """
     h = np.asarray(h, dtype=float)
     x = np.asarray(x, dtype=complex)
@@ -55,8 +56,8 @@ def upfirdn(h: np.ndarray, x: np.ndarray, up: int) -> np.ndarray:
         nb = min(batch, frames - i)
         span = _padded_span(x, m - 1, i * step, (i + nb - 1) * step + block)
         spec = np.fft.fft(np.lib.stride_tricks.sliding_window_view(span, block)[::step], axis=-1)
-        np.multiply(spec[:, None, :], spectra, out=product[:nb])
-        branch_out = np.fft.ifft(product[:nb], axis=-1)
+        branch_out = np.multiply(spec[:, None, :], spectra, out=product[:nb])
+        np.fft.ifft(branch_out, axis=-1, out=branch_out)
         out[i : i + nb] = branch_out[:, :, m - 1 :].transpose(0, 2, 1)
     return out.reshape(-1)[: (x.size - 1) * up + h.size]
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr  # Gaussian CDF, vectorized and exact in the tails
 
-from ._rng import complex_normal, substream
+from ._rng import check_seed, complex_normal, substream
 from .errors import NumericalFailureError
 from .quantizer import QuantizerSpec, quantize
 
@@ -38,6 +38,9 @@ class MonteCarlo:
 
     samples: int = DEFAULT_MC_SAMPLES
     seed: int = 0
+
+    def __post_init__(self):
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)

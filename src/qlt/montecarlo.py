@@ -33,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._rng import complex_normal, substream
+from ._rng import check_seed, complex_normal, substream
 from .analysis import SubbandPlan, _check_fractions, _floats, predict_spectrum
 from .errors import NumericalFailureError
 from .moments import _check_noise_power, add_awgn, chain_moments, tx_moments
@@ -199,6 +199,7 @@ class SimConfig:
         if self.assignment not in LAYOUTS:
             raise ValueError(f"unknown assignment layout {self.assignment!r}")
         _check_noise_power(self.noise_power)
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)

@@ -23,8 +23,9 @@ down.
 
 ``quantize`` runs the map over the input's interleaved float view in blocks
 of ``_MAP_BLOCK`` floats and writes each block's levels into one output
-array, so only the output is input-sized.  Every float maps on its own, so
-the bits do not depend on the blocking.
+array, so only the output is input-sized; it is none when the output is the
+input itself (``out=u``).  Every float maps on its own, so the bits do not
+depend on the blocking.
 """
 
 from dataclasses import dataclass
@@ -220,29 +221,42 @@ def _map_dim(spec: QuantizerSpec, x: np.ndarray, out: np.ndarray | None = None) 
     return spec.levels_per_dim().take(idx, out=out, mode="clip")
 
 
-def quantize(spec: QuantizerSpec, u):
+def quantize(spec: QuantizerSpec, u, out=None):
     """Apply the quantizer to a complex scalar or array (real and imaginary
     parts independently).
 
     Every non-NaN part maps to a nearest ``levels_per_dim()`` entry, +/-inf
     to an extreme one.  A NaN real or imaginary part raises
-    :class:`NumericalFailureError`, since it has no nearest level.  The
-    identity quantizer passes any input through unchecked."""
+    :class:`NumericalFailureError`, since it has no nearest level; an array
+    ``out`` may then hold the levels of the blocks before it.  The identity
+    quantizer passes any input through unchecked.
+
+    ``out``, a C-contiguous complex array of an array input's shape,
+    receives the levels and is returned.  It may be ``u`` itself, which
+    quantizes ``u`` in place: each block's indices are computed before its
+    levels are written.  It must not overlap ``u`` otherwise."""
     if spec.is_identity:
-        return u
+        if out is None:
+            return u
+        if out is not u:
+            np.copyto(out, u)
+        return out
     arr = np.asarray(u, dtype=complex)
+    if out is None:
+        out = np.empty(arr.shape, dtype=complex)
+    elif out.shape != arr.shape or out.dtype != complex or not out.flags.c_contiguous:
+        raise ValueError("out must be a C-contiguous complex array of the input's shape")
     # both rails in one pass over the interleaved (re, im) float view
     flat = arr.ravel().view(float)
-    out = np.empty_like(flat)
+    levels = out.reshape(-1).view(float)
     for i in range(0, flat.size, _MAP_BLOCK):
         block = flat[i : i + _MAP_BLOCK]
         if np.isnan(block).any():
             raise NumericalFailureError("NaN input to the quantizer")
-        _map_dim(spec, block, out[i : i + _MAP_BLOCK])
-    out = out.view(complex)
+        _map_dim(spec, block, levels[i : i + _MAP_BLOCK])
     if arr.ndim == 0:
-        return complex(out[0])
-    return out.reshape(arr.shape)
+        return complex(out[()])
+    return out
 
 
 def constellation_of(spec: QuantizerSpec) -> Constellation:

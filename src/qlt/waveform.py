@@ -22,7 +22,7 @@ It matches scipy's direct-form ``upfirdn`` to about 1e-15 of the peak sample.
 The Welch estimate (Welch 1967) is two-sided, undetrended and density-scaled,
 with the segment count, window and frequency grid of ``scipy.signal.welch``.
 Its frames are strided views of the quantized stream.  They are windowed
-into a reused buffer and transformed in sub-batches of at most
+into a reused buffer and transformed there in sub-batches of at most
 ``_WELCH_FFT_SAMPLES`` samples, whose power rows land in a reused buffer.
 The rows of each group of ``_WELCH_BATCH_SAMPLES // seg`` frames are summed
 one by one in frame order and each group sum is added to the running total;
@@ -31,8 +31,9 @@ well under a MB beyond the stream and agrees with scipy's to about 1e-13
 relative.
 
 The measurement squares one ``abs`` array in place for each mean power and
-counts saturated samples on the stream's interleaved float view, so it holds
-the quantized copy and one float array beside the stream.
+counts saturated samples on the stream's interleaved float view, then
+quantizes the stream in place: it overwrites the stream it is given, and
+holds one float array (half the stream's bytes) beside it.
 
 Band geometry: the signal occupies ``occupied_bandwidth`` around DC; the
 adjacent measurement band has the same width and starts one ``guard_band``
@@ -47,7 +48,7 @@ import numpy as np
 # the module alias is the name perfbench's tracer patches to time the filter
 # (``qlt.waveform.sig.upfirdn``); it goes with that tracer (ROADMAP items 1, 14)
 from . import _signal as sig
-from ._rng import complex_normal, substream
+from ._rng import check_seed, complex_normal, substream
 from .errors import NumericalFailureError
 from .moments import tx_moments
 from .quantizer import DEFAULT_KAPPA, MAX_BITS, QuantizerSpec, quantize
@@ -105,6 +106,7 @@ class WaveformConfig:
             )
         if self.dac_bits is not None and not 1 <= self.dac_bits <= MAX_BITS:
             raise ValueError(f"dac_bits must be in 1..{MAX_BITS} or None")
+        check_seed(self.seed)
 
     @property
     def interp_factor(self) -> int:
@@ -268,7 +270,8 @@ def _welch(cfg: WaveformConfig, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     for g in range(0, len(frames), group):
         for i in range(g, min(g + group, len(frames)), sub):
             n = min(sub, g + group - i, len(frames) - i)
-            spec = np.fft.fft(np.multiply(frames[i : i + n], win, out=windowed[:n]), axis=-1)
+            spec = np.multiply(frames[i : i + n], win, out=windowed[:n])
+            np.fft.fft(spec, axis=-1, out=spec)
             power = np.square(spec.real, out=rows[1 : n + 1])
             power += np.square(spec.imag, out=imag_sq[:n])
             # a reduction over the outer axis adds the rows one by one; the
@@ -303,20 +306,26 @@ def _saturated_count(x: np.ndarray, clip: float) -> int:
 def apply_dac_and_measure(cfg: WaveformConfig, stream: np.ndarray) -> AclrReport:
     """Quantize the stream, estimate the Welch PSD and integrate the ACLR.
 
+    A writeable C-contiguous complex ``stream`` is overwritten with the DAC
+    output (the ideal DAC leaves it as it is); any other array is copied
+    first.  The stream's power and saturation are measured before it is
+    quantized.
+
     The in-band window is ``[-W/2, W/2]``; each adjacent band is W wide and
     offset by the guard band; the two sides are averaged.  The model-predicted
     ACLR allocates the quantization noise uniformly over the sampled
     bandwidth: ``1 + gain^2 / (delta * noise)`` with
     ``delta = occupied_bandwidth / sample_rate``.
     """
-    stream = np.ascontiguousarray(stream, dtype=complex)
+    stream = np.require(np.atleast_1d(stream), complex, ("C", "W"))
     if stream.size == 0:
         raise ValueError("stream must be non-empty")
     power = _mean_power(stream)
     dac = _resolve_dac(cfg, power)
-    quantized = np.asarray(quantize(dac, stream))
     clip_used = dac.clip  # None for the ideal DAC, which never saturates
     saturated = 0.0 if clip_used is None else _saturated_count(stream, clip_used) / stream.size
+    # from here on the stream holds the DAC output
+    quantize(dac, stream, out=stream)
     # the ideal DAC adds no noise, so it has no predicted ACLR
     m = tx_moments(dac, power)
     delta = cfg.occupied_bandwidth / cfg.sample_rate
@@ -324,7 +333,7 @@ def apply_dac_and_measure(cfg: WaveformConfig, stream: np.ndarray) -> AclrReport
         10.0 * math.log10(1.0 + m.gain**2 / (delta * m.noise)) if m.noise > 0 else None
     )
 
-    freq, density = _welch(cfg, quantized)
+    freq, density = _welch(cfg, stream)
     df = float(freq[1] - freq[0])
 
     pxx = density * np.sinc(freq / cfg.sample_rate) ** 2 if cfg.zoh else density
@@ -341,7 +350,7 @@ def apply_dac_and_measure(cfg: WaveformConfig, stream: np.ndarray) -> AclrReport
                              f"{2 * _FLATNESS_SMOOTH_BINS} its flatness is measured over")
     p_in = float(np.sum(pxx[inband]) * df)
     p_adj = float(0.5 * (np.sum(pxx[upper]) + np.sum(pxx[lower])) * df)
-    p_dac = _mean_power(quantized)
+    p_dac = _mean_power(stream)
     if not (p_dac > 0.0 and p_in > 0.0 and p_adj > 0.0):
         raise NumericalFailureError(f"no ACLR: DAC power {p_dac}, in-band {p_in}, adjacent {p_adj}")
     parseval = float(np.sum(density) * df / p_dac)

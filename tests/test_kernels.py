@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qlt import MonteCarlo, QuantizerSpec, SimConfig, SubbandPlan, WaveformConfig
 from qlt._rng import complex_normal, substream
 from qlt.montecarlo import SPAN_RTOL, HaarFrames
 
@@ -203,3 +204,25 @@ def test_complex_normal_is_the_scaled_sum_bytewise(power, shape):
     want = np.sqrt(power / 2) * (a + 1j * b)
     assert got.shape == want.shape and got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
+
+
+
+def test_a_seed_that_is_not_an_integer_is_refused():
+    # a float seed was keyed by its str, so 3.0 drew another stream than 3
+    plan = SubbandPlan((1.0,), (1.0,))
+    dac = QuantizerSpec.uniform_midrise(1, 1.0)
+    for seed in (3.0, np.float64(3.0), True, np.bool_(True), "3", None):
+        with pytest.raises(TypeError, match="seed must be an integer"):
+            substream(seed, "trial", 0)
+        for make in (
+            lambda: MonteCarlo(seed=seed),
+            lambda: SimConfig(size=4, plan=plan, dac=dac, seed=seed),
+            lambda: WaveformConfig(seed=seed),
+        ):
+            with pytest.raises(ValueError, match="seed"):
+                make()
+    # numpy integers key the stream of the same int
+    want = substream(3, "trial", 0).standard_normal(4)
+    for seed in (np.int64(3), np.uint8(3)):
+        assert substream(seed, "trial", 0).standard_normal(4).tobytes() == want.tobytes()
+        assert MonteCarlo(seed=seed).seed == 3

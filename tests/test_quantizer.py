@@ -321,6 +321,42 @@ def test_blocked_quantize_matches_one_whole_map(spec):
         quantize(spec, u)
 
 
+@pytest.mark.parametrize("spec", [
+    QuantizerSpec.uniform_midrise(3, 1.7),
+    QuantizerSpec.custom_levels([-1.5, -0.2, 0.0, 0.7, 2.0]),
+], ids=["uniform_midrise", "custom_levels"])
+def test_quantize_in_place_matches_a_fresh_output(spec):
+    # out=u overwrites each block with its levels after its indices are
+    # taken: random samples over several blocks, and every pair of
+    # threshold, level and +-inf values
+    rng = np.random.default_rng(12)
+    random = 1.5 * (rng.standard_normal(3 * _MAP_BLOCK + 5) + 1j * rng.standard_normal(3 * _MAP_BLOCK + 5))
+    edges = np.concatenate((spec.thresholds_per_dim(), spec.levels_per_dim(), [np.inf, -np.inf]))
+    grid = np.empty((edges.size, edges.size), dtype=complex)
+    grid.real = edges[:, None]
+    grid.imag = edges[None, :]
+    for u in (random.copy(), grid):
+        want = quantize(spec, u)
+        got = quantize(spec, u, out=u)
+        assert got is u and u.tobytes() == want.tobytes()
+    buf = np.empty_like(random)
+    assert quantize(spec, random, out=buf) is buf
+    u = random.copy()
+    u[-1] = complex(np.nan, 0.0)
+    with pytest.raises(NumericalFailureError, match="NaN"):
+        quantize(spec, u, out=u)
+    with pytest.raises(ValueError, match="C-contiguous complex"):
+        quantize(spec, grid, out=np.empty_like(grid).T)
+
+
+def test_the_identity_quantizer_writes_out_unchanged():
+    q = QuantizerSpec.identity()
+    u = np.array([0.3 - 0.7j, complex(np.nan, np.inf)])
+    assert quantize(q, u, out=u) is u
+    out = np.zeros_like(u)
+    assert quantize(q, u, out=out) is out and out.tobytes() == u.tobytes()
+
+
 @pytest.mark.parametrize("call, error, message", [
     (lambda: QuantizerSpec("identity", bits=3), ValueError, "takes no parameters"),
     (lambda: QuantizerSpec.custom_levels([0.0, np.inf]), ValueError, "levels must be finite"),
