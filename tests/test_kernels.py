@@ -206,7 +206,6 @@ def test_complex_normal_is_the_scaled_sum_bytewise(power, shape):
     assert got.tobytes() == want.tobytes()
 
 
-
 def test_a_seed_that_is_not_an_integer_is_refused():
     # a float seed was keyed by its str, so 3.0 drew another stream than 3
     plan = SubbandPlan((1.0,), (1.0,))
