@@ -86,7 +86,7 @@ def _int(minimum: int) -> dict:
     return {"type": "integer", "minimum": minimum}
 
 
-_BITS = {"oneOf": [_int(1), {"type": "null"}]}
+_BITS = {"type": ["integer", "null"], "minimum": 1}
 _BITS_LIST = {"type": "array", "items": _BITS, "minItems": 1}
 
 _QUANTIZER = _Table(
@@ -178,7 +178,7 @@ _FIXED_FORMAT = ("montecarlo", "waveform")
 
 _OUTPUT = _Table(format=({"enum": ["csv", "json"]}, "json"), path=({"type": "string"}, "."))
 _CONFIG = _Table(
-    schema_version=({"const": SCHEMA_VERSION}, REQUIRED),
+    schema_version=({"enum": [SCHEMA_VERSION]}, REQUIRED),
     experiment=({"enum": sorted(EXPERIMENTS)}, REQUIRED),
     seed=(_int(0), 0),
     output=(_OUTPUT, {}),
@@ -260,14 +260,13 @@ _IS_TYPE = {
 
 #: The schema keywords the walk interprets; a fragment with any other raises.
 _KEYWORDS = frozenset(
-    {"type", "minimum", "exclusiveMinimum", "maximum", "enum", "const", "oneOf", "items",
-     "minItems", "maxItems"}
+    {"type", "minimum", "exclusiveMinimum", "maximum", "enum", "items", "minItems", "maxItems"}
 )
 
 
 def _same(a, b) -> bool:
-    """JSON equality of a value and a scalar ``enum``/``const`` member: 1 ==
-    1.0, but True != 1."""
+    """JSON equality of a value and a scalar ``enum`` member: 1 == 1.0, but
+    True != 1."""
     if isinstance(a, bool) or isinstance(b, bool):
         return a is b
     return a == b
@@ -282,24 +281,13 @@ def _walk(spec, v, path: tuple):
     if not _KEYWORDS.issuperset(spec):
         unknown = sorted(spec.keys() - _KEYWORDS)
         raise TypeError(f"the config walk does not interpret schema keywords {unknown}")
-    if "oneOf" in spec:
-        passed = []
-        for sub in spec["oneOf"]:
-            try:
-                passed.append(_walk(sub, v, path))
-            except _Rejected:
-                pass
-        if len(passed) != 1:
-            raise _Rejected(path)
-        v = passed[0]
-    if "const" in spec and not _same(v, spec["const"]):
-        raise _Rejected(path)
     if "enum" in spec and not any(_same(v, member) for member in spec["enum"]):
         raise _Rejected(path)
     if "type" in spec:
-        if not _IS_TYPE[spec["type"]](v):
+        types = spec["type"] if isinstance(spec["type"], list) else [spec["type"]]
+        if not any(_IS_TYPE[t](v) for t in types):
             raise _Rejected(path)
-        if spec["type"] == "integer":
+        if "integer" in types and _IS_TYPE["integer"](v):
             v = int(v)
     if _IS_TYPE["number"](v):
         if ("minimum" in spec and v < spec["minimum"]
@@ -558,9 +546,12 @@ def _record(seed: int, rec: dict) -> tuple:
 
 def _per_band(seed: int, plan: SubbandPlan, rep, header, *columns) -> tuple:
     """A per-band table: band, fraction and power, then ``columns``, one value
-    per band each; its JSON is ``rep``, stamped."""
-    rows = [list(row) for row in zip(range(plan.num_bands), plan.fractions, plan.powers, *columns)]
-    return ["band", "fraction", "power", *header], rows, _stamped(seed, vars(rep))
+    per band each, then the seed and version; its JSON is ``rep`` with the
+    plan's fractions and powers, stamped."""
+    rows = [[*row, seed, __version__]
+            for row in zip(range(plan.num_bands), plan.fractions, plan.powers, *columns)]
+    rec = _stamped(seed, {**vars(rep), "fractions": plan.fractions, "powers": plan.powers})
+    return ["band", "fraction", "power", *header, "seed", "version"], rows, rec
 
 
 # --- experiment implementations: (params, seed) -> what _result_files writes
@@ -600,8 +591,9 @@ def _run_rate(p: dict, seed: int) -> tuple:
         rep = linear_rate(plan, chain_moments(q, p["noise_power"], _adc(p), plan.mean_power))
     else:
         rep = awgn_linear_rate(plan, tx_moments(q, plan.mean_power), p["noise_power"])
-    return _per_band(seed, plan, rep, ["bits", "total_bits", "regime"],
-                     rep.band_bits, repeat(rep.bits_per_symbol), repeat(rep.regime))
+    return _per_band(seed, plan, rep, ["bits", "total_bits", "regime", "shaping_loss_bits"],
+                     rep.band_bits, repeat(rep.bits_per_symbol), repeat(rep.regime),
+                     repeat(rep.shaping_loss_bits))
 
 
 def _run_upper_bound(p: dict, seed: int) -> tuple:

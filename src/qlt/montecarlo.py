@@ -240,10 +240,21 @@ def _kurtosis(c: np.ndarray) -> float:
     return float(np.mean(c2 * c2) / m2**2 - 3.0)
 
 
+def _dot(a: np.ndarray, b: np.ndarray):
+    """<a, b>, the real and imaginary parts summed apart by numpy's pairwise
+    sum: BLAS (``np.vdot``, ``np.linalg.norm``) splits a long vector across
+    threads, so its bits would depend on the host's thread count."""
+    p = np.conj(a)
+    p *= b
+    if np.iscomplexobj(p):
+        return complex(np.add.reduce(p.real), np.add.reduce(p.imag))
+    return float(np.add.reduce(p))
+
+
 def _corr(a: np.ndarray, b: np.ndarray):
     """<a, b> / (|a| |b|); 0 when either vector is 0."""
-    den = np.linalg.norm(a) * np.linalg.norm(b)
-    return np.vdot(a, b) / den if den > 0.0 else 0.0
+    den = math.sqrt(_dot(a, a).real) * math.sqrt(_dot(b, b).real)
+    return _dot(a, b) / den if den > 0.0 else 0.0
 
 
 def _noise_diagnostics(w: np.ndarray, z: np.ndarray) -> dict:

@@ -23,17 +23,18 @@ The Welch estimate (Welch 1967) is two-sided, undetrended and density-scaled,
 with the segment count, window and frequency grid of ``scipy.signal.welch``.
 Its frames are strided views of the quantized stream.  They are windowed
 into a reused buffer and transformed there in sub-batches of at most
-``_WELCH_FFT_SAMPLES`` samples, whose power rows land in a reused buffer.
-The rows of each group of ``_WELCH_BATCH_SAMPLES // seg`` frames are summed
-one by one in frame order and each group sum is added to the running total;
-that order fixes the bits, whatever the sub-batch size.  The estimate needs
-well under a MB beyond the stream and agrees with scipy's to about 1e-13
-relative.
+``_WELCH_FFT_SAMPLES`` samples, whose power rows land in a reused buffer
+below one running-sum row.  Each sub-batch's rows are added to the running
+sum one by one, so every frame is added in frame order, whatever the
+sub-batch size; that order fixes the bits.  The estimate needs well under a
+MB beyond the stream and agrees with scipy's to about 1e-13 relative.
 
-The measurement squares one ``abs`` array in place for each mean power and
-counts saturated samples on the stream's interleaved float view, then
-quantizes the stream in place: it overwrites the stream it is given, and
-holds one float array (half the stream's bytes) beside it.
+The measurement first checks the band geometry on the estimate's frequency
+grid, so a rejected geometry leaves the stream as it was.  It then squares
+one ``abs`` array in place for each mean power and counts saturated samples
+on the stream's interleaved float view, then quantizes the stream in place:
+it overwrites the stream it is given, and holds one float array (half the
+stream's bytes) beside it.
 
 Band geometry: the signal occupies ``occupied_bandwidth`` around DC; the
 adjacent measurement band has the same width and starts one ``guard_band``
@@ -241,47 +242,40 @@ def _resolve_dac(cfg: WaveformConfig, stream_power: float) -> QuantizerSpec:
     return QuantizerSpec.midrise_for_power(cfg.dac_bits, stream_power, cfg.dac_kappa)
 
 
-#: Each group of ``_WELCH_BATCH_SAMPLES // seg`` frames is summed row by row
-#: in frame order, then added to the running total: the order that fixes the
-#: bits of the estimate.
-_WELCH_BATCH_SAMPLES = 2**18
-
 #: Most samples one FFT call of the Welch estimate transforms: its windowed
 #: frames, spectra and power rows stay L2-sized, whatever the stream length.
 _WELCH_FFT_SAMPLES = 2**15
 
 
-def _welch(cfg: WaveformConfig, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Frequencies and two-sided Welch density of ``x``, both fftshifted; the
+def _welch_freq(cfg: WaveformConfig, n: int) -> np.ndarray:
+    """The fftshifted frequency grid of the Welch estimate of ``n`` samples."""
+    return np.fft.fftshift(np.fft.fftfreq(min(cfg.psd_segment_length, n), 1.0 / cfg.sample_rate))
+
+
+def _welch(cfg: WaveformConfig, x: np.ndarray) -> np.ndarray:
+    """Two-sided Welch density of ``x`` on the grid of ``_welch_freq``; the
     batching is described in the module docstring."""
     seg = min(cfg.psd_segment_length, x.size)
     hop = seg - int(seg * cfg.psd_overlap)
     win = sig.get_window(cfg.psd_window, seg)
     frames = np.lib.stride_tricks.sliding_window_view(x, seg)[::hop]
-    group = max(1, _WELCH_BATCH_SAMPLES // seg)
-    # numpy sums a single column pairwise, not row by row, so one-sample
-    # segments keep their whole group in one sub-batch
-    sub = group if seg == 1 else min(group, max(1, _WELCH_FFT_SAMPLES // seg))
-    acc = np.zeros(seg)
-    # row 0 holds the group's running sum, rows 1.. a sub-batch's power rows
+    sub = max(1, _WELCH_FFT_SAMPLES // seg)
+    # row 0 holds the running sum of the frames so far, rows 1.. a
+    # sub-batch's power rows
     rows = np.empty((sub + 1, seg))
     windowed = np.empty((sub, seg), dtype=complex)
     imag_sq = np.empty((sub, seg))
-    for g in range(0, len(frames), group):
-        for i in range(g, min(g + group, len(frames)), sub):
-            n = min(sub, g + group - i, len(frames) - i)
-            spec = np.multiply(frames[i : i + n], win, out=windowed[:n])
-            np.fft.fft(spec, axis=-1, out=spec)
-            power = np.square(spec.real, out=rows[1 : n + 1])
-            power += np.square(spec.imag, out=imag_sq[:n])
-            # a reduction over the outer axis adds the rows one by one; the
-            # group's first sub-batch starts the sum, the later ones add on
-            start = 1 if i == g else 0
-            rows[0] = np.add.reduce(rows[start : n + 1], axis=0)
-        acc += rows[0]
-    pxx = acc / (len(frames) * cfg.sample_rate * np.sum(win**2))
-    freq = np.fft.fftfreq(seg, 1.0 / cfg.sample_rate)
-    return np.fft.fftshift(freq), np.fft.fftshift(pxx)
+    for i in range(0, len(frames), sub):
+        n = min(sub, len(frames) - i)
+        spec = np.multiply(frames[i : i + n], win, out=windowed[:n])
+        np.fft.fft(spec, axis=-1, out=spec)
+        power = np.square(spec.real, out=rows[1 : n + 1])
+        power += np.square(spec.imag, out=imag_sq[:n])
+        # a reduction over the outer axis adds rows of more than one sample
+        # one by one (the band check keeps seg far above one); the first
+        # sub-batch starts the sum
+        rows[0] = np.add.reduce(rows[1 if i == 0 else 0 : n + 1], axis=0)
+    return np.fft.fftshift(rows[0] / (len(frames) * cfg.sample_rate * np.sum(win**2)))
 
 
 def _mean_power(x: np.ndarray) -> float:
@@ -309,7 +303,9 @@ def apply_dac_and_measure(cfg: WaveformConfig, stream: np.ndarray) -> AclrReport
     A writeable C-contiguous complex ``stream`` is overwritten with the DAC
     output (the ideal DAC leaves it as it is); any other array is copied
     first.  The stream's power and saturation are measured before it is
-    quantized.
+    quantized.  An empty stream, or one whose Welch grid puts fewer than
+    ``2 * _FLATNESS_SMOOTH_BINS`` bins in an adjacent band, raises
+    ``ValueError`` before the stream is touched.
 
     The in-band window is ``[-W/2, W/2]``; each adjacent band is W wide and
     offset by the guard band; the two sides are averaged.  The model-predicted
@@ -320,6 +316,19 @@ def apply_dac_and_measure(cfg: WaveformConfig, stream: np.ndarray) -> AclrReport
     stream = np.require(np.atleast_1d(stream), complex, ("C", "W"))
     if stream.size == 0:
         raise ValueError("stream must be non-empty")
+    # the band geometry is checked before the stream is measured or overwritten
+    freq = _welch_freq(cfg, stream.size)
+    w = cfg.occupied_bandwidth
+    g = cfg.guard_band
+    inband = np.abs(freq) <= w / 2.0
+    upper = (freq > w / 2.0 + g) & (freq <= 3.0 * w / 2.0 + g)
+    lower = (freq < -(w / 2.0 + g)) & (freq >= -(3.0 * w / 2.0 + g))
+    for side, sel in (("upper", upper), ("lower", lower)):
+        bins = np.count_nonzero(sel)
+        if bins < 2 * _FLATNESS_SMOOTH_BINS:
+            raise ValueError(f"the {side} adjacent band holds {bins} PSD bins, fewer than the "
+                             f"{2 * _FLATNESS_SMOOTH_BINS} its flatness is measured over")
+
     power = _mean_power(stream)
     dac = _resolve_dac(cfg, power)
     clip_used = dac.clip  # None for the ideal DAC, which never saturates
@@ -333,21 +342,9 @@ def apply_dac_and_measure(cfg: WaveformConfig, stream: np.ndarray) -> AclrReport
         10.0 * math.log10(1.0 + m.gain**2 / (delta * m.noise)) if m.noise > 0 else None
     )
 
-    freq, density = _welch(cfg, stream)
+    density = _welch(cfg, stream)
     df = float(freq[1] - freq[0])
-
     pxx = density * np.sinc(freq / cfg.sample_rate) ** 2 if cfg.zoh else density
-
-    w = cfg.occupied_bandwidth
-    g = cfg.guard_band
-    inband = np.abs(freq) <= w / 2.0
-    upper = (freq > w / 2.0 + g) & (freq <= 3.0 * w / 2.0 + g)
-    lower = (freq < -(w / 2.0 + g)) & (freq >= -(3.0 * w / 2.0 + g))
-    for side, sel in (("upper", upper), ("lower", lower)):
-        bins = np.count_nonzero(sel)
-        if bins < 2 * _FLATNESS_SMOOTH_BINS:
-            raise ValueError(f"the {side} adjacent band holds {bins} PSD bins, fewer than the "
-                             f"{2 * _FLATNESS_SMOOTH_BINS} its flatness is measured over")
     p_in = float(np.sum(pxx[inband]) * df)
     p_adj = float(0.5 * (np.sum(pxx[upper]) + np.sum(pxx[lower])) * df)
     p_dac = _mean_power(stream)

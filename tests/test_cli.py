@@ -920,12 +920,15 @@ def test_csv_format_of_fixed_format_runs_is_a_config_error(tmp_path, capsys, exp
     assert not out.exists()
 
 
-# the report field each per-band CSV column past band, fraction and power
-# reads: a list holds one value per band, a scalar repeats down the column
+# the JSON field of each per-band CSV column past the band index: a list
+# holds one value per band, a scalar repeats down the column
 PER_BAND_FIELDS = {
-    "spectrum": {"energy": "band_energy", "share": "band_share", "min_share": "min_share",
-                 "total_energy": "total_energy"},
-    "rate": {"bits": "band_bits", "total_bits": "bits_per_symbol", "regime": "regime"},
+    "spectrum": {"fraction": "fractions", "power": "powers", "energy": "band_energy",
+                 "share": "band_share", "min_share": "min_share", "total_energy": "total_energy",
+                 "seed": "seed", "version": "version"},
+    "rate": {"fraction": "fractions", "power": "powers", "bits": "band_bits",
+             "total_bits": "bits_per_symbol", "regime": "regime",
+             "shaping_loss_bits": "shaping_loss_bits", "seed": "seed", "version": "version"},
 }
 
 
@@ -943,12 +946,12 @@ def test_csv_and_json_carry_the_same_table(tmp_path, experiment):
     doc = json.loads(text["json"])
     if experiment in PER_BAND_FIELDS:
         names = PER_BAND_FIELDS[experiment]
-        assert header == ["band", "fraction", "power", *names]
-        p = MINIMAL[experiment]
+        assert header == ["band", *names]
+        # every JSON field is a column
+        assert sorted(doc) == sorted(names.values())
         table = [
-            [b, p["fractions"][b], p["powers"][b],
-             *(doc[f][b] if isinstance(doc[f], list) else doc[f] for f in names.values())]
-            for b in range(len(p["fractions"]))
+            [b, *(doc[f][b] if isinstance(doc[f], list) else doc[f] for f in names.values())]
+            for b in range(len(MINIMAL[experiment]["fractions"]))
         ]
     else:
         records = doc["rows"] if experiment.startswith("sweep") else [doc]
@@ -1116,41 +1119,63 @@ def _fragments(spec):
             yield from _fragments(sub)
     else:
         yield spec
-        for sub in spec.get("oneOf", []):
-            yield from _fragments(sub)
         if "items" in spec:
             yield from _fragments(spec["items"])
 
 
-# keyword -> (a fragment, a value that only the keyword rejects)
-VIOLATIONS = {
-    "type": ({"type": "integer"}, 1.5),
-    "minimum": ({"type": "number", "minimum": 0}, -0.1),
-    "exclusiveMinimum": ({"type": "number", "exclusiveMinimum": 0}, 0),
-    "maximum": ({"type": "number", "maximum": 0.9}, 0.95),
-    "enum": ({"enum": ["tx", "chain"]}, "rx"),
-    "const": ({"const": 1}, True),
-    "oneOf": ({"oneOf": [{"type": "number"}, {"type": "integer"}]}, 2),
-    "items": ({"type": "array", "items": {"type": "number"}}, [1.0, None]),
-    "minItems": ({"type": "array", "minItems": 1}, []),
-    "maxItems": ({"type": "array", "maxItems": 2}, [0.25, 0.25, 0.5]),
-}
+def _types(fragment) -> list:
+    """The types a fragment names: its ``type``, a name or a list of names."""
+    t = fragment.get("type", [])
+    return t if isinstance(t, list) else [t]
+
+
+# (keyword, a fragment, a value that only the keyword rejects)
+VIOLATIONS = [
+    ("type", {"type": "integer"}, 1.5),
+    ("type", {"type": ["integer", "null"]}, "a"),
+    ("minimum", {"type": "number", "minimum": 0}, -0.1),
+    ("minimum", {"type": ["integer", "null"], "minimum": 1}, 0),
+    ("exclusiveMinimum", {"type": "number", "exclusiveMinimum": 0}, 0),
+    ("maximum", {"type": "number", "maximum": 0.9}, 0.95),
+    ("enum", {"enum": ["tx", "chain"]}, "rx"),
+    ("enum", {"enum": [1]}, True),
+    ("items", {"type": "array", "items": {"type": "number"}}, [1.0, None]),
+    ("minItems", {"type": "array", "minItems": 1}, []),
+    ("maxItems", {"type": "array", "maxItems": 2}, [0.25, 0.25, 0.5]),
+]
 
 
 def test_the_walk_interprets_every_keyword_of_the_tables():
     fragments = [f for t in cli._TABLES.values() for f in _fragments(t)]
-    assert {k for f in fragments for k in f} == cli._KEYWORDS == set(VIOLATIONS)
-    # enum and const compare JSON scalars, the only members the walk's equality takes
+    assert {k for f in fragments for k in f} == cli._KEYWORDS == {k for k, _, _ in VIOLATIONS}
+    assert {t for f in fragments for t in _types(f)} <= set(cli._IS_TYPE)
+    # enum compares JSON scalars, the only members the walk's equality takes
     members = [m for f in fragments for m in f.get("enum", [])]
-    members += [f["const"] for f in fragments if "const" in f]
     assert all(isinstance(m, (str, int)) and not isinstance(m, bool) for m in members)
-    for keyword, (fragment, value) in VIOLATIONS.items():
+    for keyword, fragment, value in VIOLATIONS:
         assert not Draft202012Validator(fragment).is_valid(value), keyword
         with pytest.raises(cli._Rejected):
             cli._walk(fragment, value, ())
         cli._walk({k: v for k, v in fragment.items() if k != keyword}, value, ())
     with pytest.raises(TypeError, match="pattern"):
         cli._walk({"type": "string", "pattern": "^h"}, "hann", ())
+    # a type list takes each of its types; an integer-valued float becomes an int
+    assert cli._walk(cli._BITS, None, ()) is None
+    assert type(cli._walk(cli._BITS, 3.0, ())) is int
+
+
+@pytest.mark.parametrize("experiment, params, message", [
+    ("waveform", {"dac": {"bits": "a"}}, "'a' is not of type 'integer', 'null'"),
+    ("sweep-snr", {"bits": [1.5]}, "1.5 is not of type 'integer', 'null'"),
+], ids=["dac-bits", "sweep-snr-bits"])
+def test_a_nullable_integer_is_rejected_by_its_type_list(tmp_path, capsys, experiment, params,
+                                                         message):
+    doc = {"schema_version": 1, "experiment": experiment,
+           "params": {**MINIMAL[experiment], **params}}
+    out = tmp_path / "out"
+    assert main([experiment, "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: config schema violation: {message}\n"
+    assert not out.exists()
 
 
 Q3 = {"kind": "uniform_midrise", "bits": 3, "clip": 1.5}
@@ -1245,7 +1270,7 @@ def _integer_paths(spec, path=()):
     if isinstance(spec, cli._Table):
         for name, (sub, _) in spec.items():
             yield from _integer_paths(sub, (*path, name))
-    elif any(s.get("type") == "integer" for s in [spec, *spec.get("oneOf", [])]):
+    elif "integer" in _types(spec):
         yield path
     elif "items" in spec:
         yield from _integer_paths(spec["items"], (*path, 0))

@@ -450,9 +450,9 @@ def test_chain_trials_digest_pins_the_awgn_draws():
         for rep in (run_chain_trials(cfg), run_tx_trials(cfg), run_chain_trials(fft))
     ]
     assert digests == [
-        "cc026c634030d193b13f193ee62fc5474d1a73439d3da153067e4134175946e0",
-        "90963d2e744a55015d660be4fc6d5a79b6701df7c5b7830215ea7337a6c8420f",
-        "1e3fc8b99a9795b58682b1398fdbb2e6221be27eb20e9f9b241f4b892d5eb154",
+        "6d96f74eaea0eae6dd6aa8db77acc5b33b424c1bb2c222c206c2aef518ae2fdc",
+        "f0933644d491d71c3f9c1e822a88faa9b54702c0723da40e1b5c51abefd13473",
+        "36ff6d78395fcb7560595b1afd2162dcd7747a4d1bfc0dbe26cd1e6110229422",
     ]
 
 

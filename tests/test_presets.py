@@ -10,10 +10,14 @@ says why.
 
 import hashlib
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import qlt
 from qlt.cli import json_text, main
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
@@ -32,14 +36,14 @@ DIGESTS = {
         "resolved_config.json": "105d26e21005df3db30dd3acc928e5b02f46213841c39990813c60b38b81201f",
     },
     "montecarlo_tx_1bit": {
-        "montecarlo.json": "c9eb97999fa64e3c743ac7171e32744b81e21d496e1458ff2a09f0e12040286e",
+        "montecarlo.json": "7c076620669600059b3345fb5622943f61775e861309f439ef68884351e1b482",
         "montecarlo_trials.csv": "9bf057c0e3209ad8753c1007c5549125cd24a0deaf2a128ccbf7298f7b512194",
         "resolved_config.json": "a1a20db1d624c80b718917a006a1a03b49bf9d36c8b01db5c9f21ac8c66001fd",
     },
     "waveform_nr200_b4": {
         "resolved_config.json": "6943bfd60167897e1ce6a9eb4801cb5d91ce80c7aeb8548c7ececfe1f9f9adc4",
-        "waveform.json": "0ac9d5dc6e8980de2e98dbeed065ba0b5a2922262104d338df4a588e7f39e123",
-        "waveform_psd.csv": "14bb9738c17b552ed4c541786d66f8fb201101af6a1fde2562c0325e359d8404",
+        "waveform.json": "fc9ef07959fe62dbbc42a5c0b570646fadc69a89bf3b9a6908439390c2395d79",
+        "waveform_psd.csv": "368bbe864d7afe34ac281279d2a04f00e4aa2e0172b75c5121d0f90085015233",
     },
 }
 
@@ -79,3 +83,24 @@ def test_defaults_dump_is_byte_identical(capsys, fmt):
     assert main(["defaults", "--format", fmt]) == 0
     data = capsys.readouterr().out.encode()
     assert hashlib.sha256(data).hexdigest() == DEFAULTS_DIGESTS[fmt]
+
+
+def test_montecarlo_preset_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # OpenBLAS splits a long dot product across threads, so a BLAS reduction
+    # in the noise diagnostics gave other last bits at one thread than at two
+    src = str(pathlib.Path(qlt.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS="1")
+        subprocess.run(
+            [sys.executable, "-m", "qlt.cli", "montecarlo", "--config",
+             str(CONFIGS / "montecarlo_tx_1bit.json"), "--out", str(out)],
+            check=True, capture_output=True, env=env,
+        )
+        # resolved_config.json holds the output directory
+        written.append({p.name: p.read_bytes() for p in out.iterdir()
+                        if p.name != "resolved_config.json"})
+    assert sorted(written[0]) == ["montecarlo.json", "montecarlo_trials.csv"]
+    assert written[0] == written[1]

@@ -15,17 +15,17 @@ from qlt import (
     quantize,
     synthesize_baseband,
 )
-from qlt import _signal
+from qlt import _signal, waveform
 from qlt._rng import substream
 from qlt.cli import json_text
 from qlt.waveform import (
-    _WELCH_BATCH_SAMPLES,
     _edge_window,
     _mean_power,
     _oob_flatness,
     _overlap_add,
     _saturated_count,
     _welch,
+    _welch_freq,
 )
 
 BASE = WaveformConfig(num_symbols=128, seed=7)
@@ -321,6 +321,9 @@ def test_zoh_shaping_reduces_adjacent_power():
     # the measurement overwrites the stream it is given
     with_zoh = apply_dac_and_measure(replace(BASE, dac_bits=4, zoh=True), stream.copy())
     without = apply_dac_and_measure(replace(BASE, dac_bits=4, zoh=False), stream)
+    # both calls measured the synthesized stream, not a quantized one
+    assert with_zoh.stream_power == without.stream_power
+    assert with_zoh.dac_clip_used == without.dac_clip_used
     assert with_zoh.aclr_db > without.aclr_db
     assert with_zoh.aclr_db - without.aclr_db < 1.5
 
@@ -356,6 +359,23 @@ def test_empty_stream_rejected():
         apply_dac_and_measure(BASE, np.array([]))
 
 
+@pytest.mark.parametrize("stream", [np.complex128(1 + 1j), np.ones(1, dtype=complex)],
+                         ids=["scalar", "size-1"])
+def test_a_one_sample_stream_is_rejected(stream):
+    with pytest.raises(ValueError, match="adjacent band holds 0 PSD bins"):
+        apply_dac_and_measure(replace(BASE, dac_bits=4), stream)
+
+
+def test_a_rejected_geometry_leaves_the_stream_as_it_was():
+    # 256-bin segments put 52 bins in each adjacent band, fewer than the 64 needed
+    cfg = replace(BASE, dac_bits=4, num_symbols=8, psd_segment_length=256)
+    stream = synthesize_baseband(cfg)
+    original = stream.tobytes()
+    with pytest.raises(ValueError, match="upper adjacent band holds 52 PSD bins"):
+        apply_dac_and_measure(cfg, stream)
+    assert stream.tobytes() == original
+
+
 @pytest.mark.parametrize("window", ["hann", "hamming", "boxcar"])
 @pytest.mark.parametrize("overlap", [0.0, 0.5, 0.9])
 @pytest.mark.parametrize("seg", [64, 4096, 8192])
@@ -375,7 +395,7 @@ def test_welch_matches_scipy(seg, overlap, window):
             detrend=False,
             scaling="density",
         )
-        freq, pxx = _welch(cfg, x)
+        freq, pxx = _welch_freq(cfg, n), _welch(cfg, x)
         np.testing.assert_array_equal(freq, np.fft.fftshift(want_f))
         np.testing.assert_allclose(pxx, np.fft.fftshift(want_p), rtol=1e-12, atol=0)
 
@@ -432,37 +452,36 @@ def _memory_config(num_subcarriers, num_symbols, seg, sample_rate):
     )
 
 
-def _grouped_welch_sum(cfg, x):
-    """The Welch power sum with frames added row by row, in frame order, in
-    groups of ``_WELCH_BATCH_SAMPLES // seg``; each group sum then added to
-    the total."""
+def _frame_order_welch(cfg, x):
+    """The Welch density with each frame's power row added to the sum, one
+    frame after another."""
     seg = min(cfg.psd_segment_length, x.size)
     hop = seg - int(seg * cfg.psd_overlap)
     win = sig.get_window(cfg.psd_window, seg)
     frames = np.lib.stride_tricks.sliding_window_view(x, seg)[::hop]
-    group = max(1, _WELCH_BATCH_SAMPLES // seg)
     acc = np.zeros(seg)
-    for g in range(0, len(frames), group):
-        total = None
-        for frame in frames[g : g + group]:
-            spec = np.fft.fft(frame * win)
-            power = spec.real**2
-            power += spec.imag**2
-            total = power if total is None else total + power
-        acc += total
+    for frame in frames:
+        spec = np.fft.fft(frame * win)
+        power = spec.real**2
+        power += spec.imag**2
+        acc += power
     return np.fft.fftshift(acc / (len(frames) * cfg.sample_rate * np.sum(win**2)))
 
 
 @pytest.mark.parametrize("overlap", [0.0, 0.5, 0.75])
 @pytest.mark.parametrize("seg", [64, 256, 1024, 4096, 8192])
-def test_welch_sub_batches_keep_the_group_summation_order(seg, overlap):
-    # lengths that are not a multiple of the hop, some spanning several
-    # groups (300,001 samples are 4,687 frames of 64 at overlap 0)
+def test_welch_sub_batches_keep_the_group_summation_order(monkeypatch, seg, overlap):
+    # the frames are summed as one group, in frame order, at any sub-batch
+    # size: one frame, the default 2**15 samples and more; lengths that are
+    # not a multiple of the hop, up to 4,687 frames of 64 at overlap 0
     cfg = WaveformConfig(psd_segment_length=seg, psd_overlap=overlap)
     rng = np.random.default_rng(seg + int(100 * overlap))
     for n in (seg + 1, 5 * seg + 7, 300_001):
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        assert _welch(cfg, x)[1].tobytes() == _grouped_welch_sum(cfg, x).tobytes()
+        want = _frame_order_welch(cfg, x).tobytes()
+        for fft_samples in (1, 2**13, 2**15, 2**18):
+            monkeypatch.setattr(waveform, "_WELCH_FFT_SAMPLES", fft_samples)
+            assert _welch(cfg, x).tobytes() == want, fft_samples
 
 
 @pytest.mark.parametrize("field, value, message", [
