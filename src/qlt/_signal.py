@@ -34,8 +34,9 @@ def upfirdn(h: np.ndarray, x: np.ndarray, up: int) -> np.ndarray:
 
     Only the output is stream-sized.  Each batch's frames are a strided view
     of ``x``; the zero padding is copied only for the batches at its two
-    ends.  The branch products of every batch go to one reused buffer, and
-    their inverse FFTs are written back into it.
+    ends.  The forward FFTs of every batch go to one reused buffer, the
+    branch products to another, and their inverse FFTs are written back
+    into it.
     """
     h = np.asarray(h, dtype=float)
     x = np.asarray(x, dtype=complex)
@@ -51,11 +52,13 @@ def upfirdn(h: np.ndarray, x: np.ndarray, up: int) -> np.ndarray:
 
     out = np.empty((frames, step, up), dtype=complex)
     batch = max(1, _BATCH_SAMPLES // (up * block))
+    forward = np.empty((batch, block), dtype=complex)
     product = np.empty((batch, up, block), dtype=complex)
     for i in range(0, frames, batch):
         nb = min(batch, frames - i)
         span = _padded_span(x, m - 1, i * step, (i + nb - 1) * step + block)
-        spec = np.fft.fft(np.lib.stride_tricks.sliding_window_view(span, block)[::step], axis=-1)
+        spec = np.fft.fft(np.lib.stride_tricks.sliding_window_view(span, block)[::step], axis=-1,
+                          out=forward[:nb])
         branch_out = np.multiply(spec[:, None, :], spectra, out=product[:nb])
         np.fft.ifft(branch_out, axis=-1, out=branch_out)
         out[i : i + nb] = branch_out[:, :, m - 1 :].transpose(0, 2, 1)

@@ -22,12 +22,14 @@ the sample with the thresholds, so a sample exactly on a boundary may round
 down.
 
 ``quantize`` runs the map over the input's interleaved float view in blocks
-of ``_MAP_BLOCK`` floats and writes each block's levels into one output
+of ``_MAP_BLOCK`` floats, through one float and one index buffer
+allocated once per call, and writes each block's levels into one output
 array, so only the output is input-sized; it is none when the output is the
 input itself (``out=u``).  Every float maps on its own, so the bits do not
 depend on the blocking.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -200,19 +202,24 @@ class Constellation:
 _MAP_BLOCK = 2**15
 
 
-def _map_dim(spec: QuantizerSpec, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The level of each float of the 1-D ``x``, written to ``out`` if given."""
+def _map_dim(spec: QuantizerSpec, x: np.ndarray, out: np.ndarray | None = None,
+             buffers: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+    """The level of each float of the 1-D ``x``, written to ``out`` if given.
+
+    ``buffers``, a float and an intp array of ``x``'s size, hold the
+    midrise map's intermediates; without it they are allocated."""
     if spec.kind == "uniform_midrise":
+        work, idx = buffers or (np.empty(x.size), np.empty(x.size, dtype=np.intp))
         clip, top = float(spec.clip), 2 ** spec.bits - 1
         step = 2.0 * clip / top
         # a sample far beyond a tiny step overflows to an infinite index,
         # which the clip sends to an extreme level, as it does a +-inf sample
         with np.errstate(over="ignore"):
-            idx = x + clip
-            idx /= step
-        idx += 0.5
+            np.add(x, clip, out=work)
+            work /= step
+        work += 0.5
         # the cast truncates, which on [0, top] is the floor
-        idx = np.clip(idx, 0.0, top, out=idx).astype(np.intp)
+        idx[...] = np.clip(work, 0.0, top, out=work)
     else:
         # thresholds are the midpoints between consecutive levels; a sample
         # exactly on a threshold maps to the upper level
@@ -249,11 +256,15 @@ def quantize(spec: QuantizerSpec, u, out=None):
     # both rails in one pass over the interleaved (re, im) float view
     flat = arr.ravel().view(float)
     levels = out.reshape(-1).view(float)
+    work = np.empty(min(flat.size, _MAP_BLOCK))
+    idx = np.empty(work.size, dtype=np.intp)
     for i in range(0, flat.size, _MAP_BLOCK):
         block = flat[i : i + _MAP_BLOCK]
-        if np.isnan(block).any():
+        # a block's minimum is NaN exactly when the block holds a NaN
+        if math.isnan(np.minimum.reduce(block)):
             raise NumericalFailureError("NaN input to the quantizer")
-        _map_dim(spec, block, levels[i : i + _MAP_BLOCK])
+        n = block.size
+        _map_dim(spec, block, levels[i : i + n], (work[:n], idx[:n]))
     if arr.ndim == 0:
         return complex(out[()])
     return out

@@ -7,16 +7,18 @@ quantized, and measured with a Welch spectral estimate.  The adjacent-channel
 leakage ratio is compared against the white-quantization-noise prediction
 from the decomposition moments.
 
-Synthesis draws the active subcarriers in one ``complex_normal`` call and
-copies them into the symbol grid as two slices (the active set is two runs of
-bins; an ``enabled_subcarriers`` subset is scattered by index).  The inverse
-FFT's symbols are scaled and windowed in place and overlap-added by two
-reshaped slice adds; the grid and the symbols are freed before the filter.
+Synthesis draws the active subcarriers in one ``complex_normal`` call,
+which writes them through one float buffer into a strided view of the
+symbol grid (the active set is two runs of bins; an ``enabled_subcarriers``
+subset is drawn apart and scattered by index).  The grid is transformed,
+scaled and windowed in place, and overlap-added by a copy of the symbol
+heads and one reshaped slice add of the tails; the grid is freed before the
+filter.
 
 The interpolation filter is ``_signal.upfirdn``, a polyphase overlap-save
 FFT filter: the taps split into one branch per output phase, each frame of
 the complex stream takes one FFT and one inverse FFT per branch, and frames
-go in batches of a fixed sample budget through one reused product buffer.
+go in batches of a fixed sample budget through two reused buffers.
 It matches scipy's direct-form ``upfirdn`` to about 1e-15 of the peak sample.
 
 The Welch estimate (Welch 1967) is two-sided, undetrended and density-scaled,
@@ -30,11 +32,13 @@ sub-batch size; that order fixes the bits.  The estimate needs well under a
 MB beyond the stream and agrees with scipy's to about 1e-13 relative.
 
 The measurement first checks the band geometry on the estimate's frequency
-grid, so a rejected geometry leaves the stream as it was.  It then squares
-one ``abs`` array in place for each mean power and counts saturated samples
-on the stream's interleaved float view, then quantizes the stream in place:
-it overwrites the stream it is given, and holds one float array (half the
-stream's bytes) beside it.
+grid, so a rejected geometry leaves the stream as it was.  It then takes
+the mean power in blocks of ``_MEASURE_BLOCK`` samples through one reused
+buffer, whose sums are combined in numpy's pairwise order (the bits of
+``np.mean``), counts saturated samples block by block on the stream's
+interleaved float view, and quantizes the stream in place: it overwrites
+the stream it is given, and nothing it holds beside it grows with the
+stream.
 
 Band geometry: the signal occupies ``occupied_bandwidth`` around DC; the
 adjacent measurement band has the same width and starts one ``guard_band``
@@ -181,14 +185,18 @@ def _overlap_add(symbols: np.ndarray, hop: int) -> np.ndarray:
     """Symbol ``k`` (a row of ``symbols``) added at sample ``k * hop``.
 
     Each sample holds at most two symbols (``hop`` is at least half a row),
-    so two reshaped slice adds onto zeros do it: the heads, then the tails
-    that overlap the next symbol's head.  Every sum has two terms, so the
-    bits are those of adding the symbols one by one in order.
+    so the heads are copied into rows of ``hop`` samples and the tails that
+    overlap the next symbol's head are added onto them in one reshaped slice
+    add.  Every sum has at most two terms, so the bits are those of adding
+    the symbols one by one, in order, onto zeros; only a head sample of
+    -0.0 would differ (a copy keeps its sign), and the transform of a silent
+    grid gives +0.0.
     """
     nsym, nfft = symbols.shape
     ov = nfft - hop
-    rows = np.zeros((nsym + 1, hop), dtype=symbols.dtype)
-    rows[:-1] += symbols[:, :hop]
+    rows = np.empty((nsym + 1, hop), dtype=symbols.dtype)
+    rows[:-1] = symbols[:, :hop]
+    rows[-1] = 0.0
     rows[1:, :ov] += symbols[:, hop:]
     return rows.reshape(-1)[: nsym * hop + ov]
 
@@ -206,21 +214,23 @@ def synthesize_baseband(cfg: WaveformConfig) -> np.ndarray:
     rng = substream(cfg.seed, "waveform-baseband")
     nfft = cfg.num_subcarriers
     half = cfg.active_subcarriers // 2
-    grid = np.zeros((nsym, nfft), dtype=complex)
+    symbols = np.zeros((nsym, nfft), dtype=complex)
     if cfg.enabled_subcarriers is None:
-        # the active set is two runs of bins, [0, half) and [nfft - half, nfft)
+        # the active set is two runs of bins, [0, half) and [nfft - half,
+        # nfft): a (nsym, 2, half) view of the grid holds them in draw order
         nbins = 2 * half
-        draws = complex_normal(rng, 1.0, (nsym, nbins))
-        grid[:, :half] = draws[:, :half]
-        grid[:, nfft - half :] = draws[:, half:]
-        del draws
+        runs = np.lib.stride_tricks.sliding_window_view(symbols, half, axis=1, writeable=True)
+        runs = runs[:, :: nfft - half]
+        complex_normal(rng, 1.0, runs.shape, out=runs)
+        # a view left bound would keep the grid alive through the filter
+        del runs
     else:
         bins = np.r_[0:half, nfft - half : nfft][np.asarray(cfg.enabled_subcarriers, dtype=int)]
         nbins = bins.size
         if nbins:
-            grid[:, bins] = complex_normal(rng, 1.0, (nsym, nbins))
-    symbols = np.fft.ifft(grid, axis=1, norm="ortho")
-    del grid
+            symbols[:, bins] = complex_normal(rng, 1.0, (nsym, nbins))
+    # the grid becomes the symbols in place
+    np.fft.ifft(symbols, axis=1, norm="ortho", out=symbols)
     if nbins:
         symbols *= np.sqrt(nfft / nbins)
     win, ov = _edge_window(nfft, cfg.symbol_taper)
@@ -278,23 +288,55 @@ def _welch(cfg: WaveformConfig, x: np.ndarray) -> np.ndarray:
     return np.fft.fftshift(rows[0] / (len(frames) * cfg.sample_rate * np.sum(win**2)))
 
 
+#: Samples one block of the stream's power and saturation measurement
+#: holds: its buffers stay L2-sized, whatever the stream length.
+_MEASURE_BLOCK = 2**14
+
+
 def _mean_power(x: np.ndarray) -> float:
-    """``mean(|x|**2)``, squaring the one ``abs`` array in place."""
-    mag = np.abs(x)
-    return float(np.mean(np.square(mag, out=mag)))
+    """``float(np.mean(np.square(np.abs(x))))`` bit for bit, for a
+    contiguous ``x``, with no stream-sized temporary.
+
+    numpy sums a contiguous float array pairwise: a run of more than 128
+    floats is split at half its length, rounded down to a multiple of 8,
+    and the sums of the two parts are added.  The recursion here makes the
+    same splits down to runs of at most ``_MEASURE_BLOCK`` samples, whose
+    ``|x|**2`` goes to one reused buffer, where ``np.add.reduce`` makes the
+    rest of them.
+    """
+    x = x.reshape(-1)
+    buf = np.empty(min(x.size, _MEASURE_BLOCK))
+
+    def total(lo: int, n: int):
+        if n <= _MEASURE_BLOCK:
+            mag = np.abs(x[lo : lo + n], out=buf[:n])
+            return np.add.reduce(np.square(mag, out=mag))
+        half = n // 2
+        half -= half % 8
+        return total(lo, half) + total(lo + half, n - half)
+
+    return float(total(0, x.size) / x.size)
 
 
 def _saturated_count(x: np.ndarray, clip: float) -> int:
     """Samples of the contiguous complex ``x`` with a rail beyond ``+/-clip``.
 
-    The rails are compared on the interleaved (re, im) float view; each
-    sample's two flags are adjacent bytes, read as one uint16 that is
+    The rails are compared on the interleaved (re, im) float view, a block
+    of ``_MEASURE_BLOCK`` samples at a time, into two reused flag buffers;
+    each sample's two flags are adjacent bytes, read as one uint16 that is
     nonzero when either rail is beyond the clip.
     """
-    iq = x.view(float)
-    beyond = iq > clip
-    beyond |= iq < -clip
-    return np.count_nonzero(beyond.view(np.uint16))
+    iq = x.reshape(-1).view(float)
+    size = 2 * _MEASURE_BLOCK
+    above = np.empty(min(iq.size, size), dtype=bool)
+    below = np.empty_like(above)
+    count = 0
+    for i in range(0, iq.size, size):
+        part = iq[i : i + size]
+        beyond = np.greater(part, clip, out=above[: part.size])
+        beyond |= np.less(part, -clip, out=below[: part.size])
+        count += np.count_nonzero(beyond.view(np.uint16))
+    return count
 
 
 def apply_dac_and_measure(cfg: WaveformConfig, stream: np.ndarray) -> AclrReport:

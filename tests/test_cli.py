@@ -1373,6 +1373,46 @@ def test_csv_bytes_quote_and_format_cells():
     assert cli._csv_bytes(["x", "y", "z"], rows) == 'x,y,z\n0.1,-inf,\n3,"a,b",nan\n'
 
 
+def _csv_writer_text(header, rows):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+_CSV_CELLS = st.one_of(
+    st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 5e-324, np.float64(-0.0), np.float64(math.nan)]),
+    st.floats(),
+    st.floats().map(np.float64),
+    st.integers(),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans(),
+    st.booleans().map(np.bool_),
+    st.none(),
+    st.lists(st.one_of(st.integers(), st.floats(), st.text(max_size=2)), max_size=3),
+    # every character csv may quote, empty strings and the text of None
+    st.text(st.sampled_from([",", '"', "\r", "\n", " ", "a"]), max_size=5),
+    st.just("None"),
+    st.text(max_size=5),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(table=st.integers(1, 4).flatmap(lambda width: st.tuples(
+    st.lists(st.text(max_size=4), min_size=width, max_size=width),
+    st.lists(st.lists(_CSV_CELLS, min_size=width, max_size=width), max_size=6),
+)))
+@example(table=(["x"], [[""], [None], ["a"], [None]]))  # a lone empty cell is written ""
+@example(table=(["", "y"], [["", None], [",", '"'], ["\r", "\n"]]))
+# tables of several of the writer's chunks
+@example(table=(["x"], [[""] if i % 7 else [f"a,{i}"] for i in range(5000)]))
+@example(table=(["f", "s", "t"], [[i / 7, None if i % 5 else '"q"', ""] for i in range(1500)]))
+def test_csv_bytes_are_the_csv_writers(table):
+    header, rows = table
+    assert cli._csv_bytes(header, rows) == _csv_writer_text(header, rows)
+
+
 def _conv(v):
     """The result values json.dumps was given before json_text wrote its own text."""
     if is_dataclass(v):

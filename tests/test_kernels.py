@@ -196,13 +196,49 @@ def test_chain_is_unitary_at_every_size(n, seed):
     (np.linspace(0.0, 4.0, 24).reshape(4, 6), (4, 6)),
 ])
 def test_complex_normal_is_the_scaled_sum_bytewise(power, shape):
-    # one (2, *shape) draw scaled in place: the bits of the two-draw expression
+    # one (2, *shape) draw scaled in place: the bits of the two-draw
+    # expression, in a new array and in a strided view of a larger one
     got = complex_normal(substream(3, "cn"), power, shape)
     rng = substream(3, "cn")
     a = rng.standard_normal(shape)
     b = rng.standard_normal(shape)
     want = np.sqrt(power / 2) * (a + 1j * b)
     assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+    grid = np.zeros((*want.shape, 2), dtype=complex)
+    view = grid[..., 0]
+    assert complex_normal(substream(3, "cn"), power, shape, out=view) is view
+    assert view.tobytes() == want.tobytes()
+    assert not grid[..., 1].any()
+
+
+class _GivenDraws:
+    """A generator stand-in whose standard normal draws are ``values``, in order."""
+
+    def __init__(self, values):
+        self.values = np.array(values, dtype=float)
+
+    def standard_normal(self, size=None, out=None):
+        n = out.size if out is not None else int(np.prod(size))
+        draws, self.values = self.values[:n], self.values[n:]
+        if out is None:
+            return draws.reshape(size)
+        out[...] = draws.reshape(out.shape)
+        return out
+
+
+@pytest.mark.parametrize("power", [1.0, 2.5, 0.0, -0.0])
+def test_complex_normal_keeps_the_signed_zeros_of_zero_draws(power):
+    # a draw of exactly +-0 (about one in 2**52) scaled in the real domain
+    # takes the signed zero that the complex multiply of the assembled
+    # draws adds (re + 1j * im would already turn -0 + 0j into 0 + 0j)
+    re = [0.0, -0.0, 0.0, -0.0, 1.5, -2.0, 0.0, -0.0, 1.0]
+    im = [0.0, 0.0, -0.0, -0.0, 0.0, -0.0, 3.0, -3.0, 1.0]
+    got = complex_normal(_GivenDraws(re + im), power, (3, 3))
+    want = np.empty((3, 3), dtype=complex)
+    want.real = np.reshape(re, (3, 3))
+    want.imag = np.reshape(im, (3, 3))
+    want *= np.sqrt(power / 2)
     assert got.tobytes() == want.tobytes()
 
 

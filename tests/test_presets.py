@@ -4,8 +4,8 @@ Each preset in configs/ runs in-process with its own seed, and the sha256 of
 every file it writes is compared with the digest recorded here.
 ``resolved_config.json`` is hashed with ``output.path`` removed, since that
 holds the output directory.  The ``qlt defaults`` dumps are pinned the same
-way.  A change that moves these bytes on purpose records the new digests and
-says why.
+way, and so are three waveform geometries besides the preset's.  A change
+that moves these bytes on purpose records the new digests and says why.
 """
 
 import hashlib
@@ -18,6 +18,7 @@ import sys
 import pytest
 
 import qlt
+from qlt import cli
 from qlt.cli import json_text, main
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
@@ -54,6 +55,33 @@ DEFAULTS_DIGESTS = {
 }
 
 
+#: Waveform geometries beyond the preset's: (params, seed, sha256 per
+#: result file).  An ``enabled_subcarriers`` subset has no config key, so
+#: each runs through the waveform runner and result writer in process.
+WAVEFORM_DIGESTS = {
+    "ideal-x2-255-4096": (
+        {"sample_rate": 491.52e6, "num_symbols": 48, "filter_taps": 255, "psd_segment_length": 4096,
+         "dac": {"bits": None, "kappa": 3.0}},
+        11,
+        {"waveform.json": "c9f3dabdf9c02830a7634a3b17b533a3595f4ad3a24fc833444a53911b2c1542",
+         "waveform_psd.csv": "91ac8e42e47974d252b262f0427d8d6cc30dd7e4201d212b01f56e678ad2602b"},
+    ),
+    "b5-x4-511-8192": (
+        {"sample_rate": 983.04e6, "num_subcarriers": 2048, "num_symbols": 24, "filter_taps": 511,
+         "psd_segment_length": 8192, "dac": {"bits": 5, "kappa": 3.5}},
+        11,
+        {"waveform.json": "123f09eefa04e0276732b0a9c4a0cee1290eefbf1785da3d01c99504d9f2305f",
+         "waveform_psd.csv": "5eaeec92be9910f338133658068b8d94caa946688f3cb4ae31c195ce33bc088a"},
+    ),
+    "b3-every-third-subcarrier": (
+        {"num_symbols": 40, "enabled_subcarriers": tuple(range(0, 832, 3)), "dac": {"bits": 3, "kappa": 3.0}},
+        11,
+        {"waveform.json": "d522a2cbc456e3006a2d7aba77cafd0a44b70d352d0c6dd465b306ec2b9b7d77",
+         "waveform_psd.csv": "bdd08f8b3472341a7eab79466edcf6968a843fefc28e4bb902a5b7f890256a0d"},
+    ),
+}
+
+
 def preset_digests(preset: pathlib.Path, out: pathlib.Path) -> dict:
     """Run ``preset`` into ``out``; sha256 per written file name."""
     experiment = json.loads(preset.read_text())["experiment"]
@@ -76,6 +104,13 @@ def test_every_preset_is_pinned():
 @pytest.mark.parametrize("name", sorted(DIGESTS))
 def test_preset_outputs_are_byte_identical(tmp_path, capsys, name):
     assert preset_digests(CONFIGS / f"{name}.json", tmp_path / name) == DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(WAVEFORM_DIGESTS))
+def test_waveform_geometry_outputs_are_byte_identical(name):
+    params, seed, want = WAVEFORM_DIGESTS[name]
+    files = cli._result_files("waveform", "json", cli._run_waveform(params, seed))
+    assert {k: hashlib.sha256(v.encode()).hexdigest() for k, v in files.items()} == want
 
 
 @pytest.mark.parametrize("fmt", sorted(DEFAULTS_DIGESTS))
