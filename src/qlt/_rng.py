@@ -35,42 +35,19 @@ def complex_normal(rng: np.random.Generator, power, shape, out=None) -> np.ndarr
 
     The draws are the stream of one ``standard_normal((2, *shape))`` call,
     the same as two draws of ``shape``: the real parts ``re``, then the
-    imaginary parts ``im``.  The result has the bits of the complex array
-    assembled from them and scaled in place by ``sqrt(power / 2)``, a
-    complex multiply (signed zeros of a zero power included); unless a draw
-    is exactly zero, those are the bits of ``sqrt(power / 2) * (re + 1j * im)``.
-    ``out``, a complex array of ``shape`` (a strided view too), receives
-    them and is returned; by default a new array does.
-
-    A scalar power with a finite positive scale ``s`` draws each part into
-    one float buffer, scales it there and copies it into ``out``: the
-    complex multiply's parts ``re * s - im * 0`` and ``re * 0 + im * s``
-    equal ``re * s`` and ``im * s`` unless a scaled part is zero, when the
-    other part's signed zero is added as that multiply adds it.  Any other
-    power is applied by the complex multiply itself.
+    imaginary parts ``im``.  They fill one complex array, which is then
+    scaled in place by ``sqrt(power / 2)``, a complex multiply (signed
+    zeros of a zero power included); unless a draw is exactly zero, those
+    are the bits of ``sqrt(power / 2) * (re + 1j * im)``.  ``out``, a
+    complex array of ``shape`` (a strided view too), receives them and is
+    returned; by default a new array does.
     """
     shape = (shape,) if np.ndim(shape) == 0 else tuple(shape)
     if out is None:
         out = np.empty(shape, dtype=complex)
     elif out.shape != shape or out.dtype != complex:
         raise ValueError(f"out must be a complex array of shape {shape}")
-    scale = np.sqrt(power / 2.0)
-    if np.ndim(scale) or not 0.0 < scale < np.inf:
-        out.real = rng.standard_normal(shape)
-        out.imag = rng.standard_normal(shape)
-        out *= scale
-        return out
-    rail = np.empty(shape)
-    zero_drawn = False
-    for part in (out.real, out.imag):
-        rng.standard_normal(out=rail)
-        rail *= scale
-        zero_drawn |= np.count_nonzero(rail) < rail.size
-        np.copyto(part, rail)
-    if zero_drawn:
-        # a positive scale keeps each part's sign, so ``copysign(0, part)``
-        # is the signed zero ``part * 0`` of the unscaled draw
-        re_zero, im_zero = np.copysign(0.0, out.real), np.copysign(0.0, out.imag)
-        out.real -= im_zero
-        out.imag += re_zero
+    out.real = rng.standard_normal(shape)
+    out.imag = rng.standard_normal(shape)
+    out *= np.sqrt(power / 2.0)
     return out

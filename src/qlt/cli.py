@@ -449,32 +449,14 @@ def _csv_bytes(header, rows) -> str:
     for the rows of equal length ``header, *rows``: a cell is ``str`` of its
     value (floats give inf, -inf and nan), and None is an empty cell.
 
-    The table is formatted in chunks of whole rows, about
-    ``_CSV_CHUNK_CELLS`` cells each, and each chunk a column at a time:
-    ``str`` of every cell, then, in a column that holds a comma, a quote or
-    a line break, each such cell as csv quotes it; one ``str.join`` per row
-    joins the cells.  A row's only cell, when empty, is written ``""``, as
-    csv writes it.
+    The table is formatted a column at a time: ``str`` of every cell, then,
+    in a column that holds a comma, a quote or a line break, each such cell
+    as csv quotes it; one ``str.join`` per row joins the cells.  A row's
+    only cell, when empty, is written ``""``, as csv writes it.
     """
     table = [header, *rows]
-    step = max(1, _CSV_CHUNK_CELLS // max(1, len(header)))
-    return "".join(_csv_chunk(table[lo : lo + step]) for lo in range(0, len(table), step))
-
-
-#: Cells the CSV writer formats at a time.  Only one chunk's cell strings
-#: are alive at once: a whole 1,120 x 5 table's raised the closed-form
-#: benchmark's peak memory, and chunks of 256 rows of the 4,097 x 2 PSD
-#: table raised the waveform benchmark's.
-_CSV_CHUNK_CELLS = 2048
-
-#: The characters that may make csv quote a cell.
-_CSV_SPECIAL = ',"\r\n'
-
-
-def _csv_chunk(rows) -> str:
-    """The CSV lines of ``rows``, formatted a column at a time."""
     columns = []
-    for values in zip(*rows, strict=True):
+    for values in zip(*table, strict=True):
         cells = list(map(str, values))
         if "None" in cells:
             cells = ["" if v is None else c for v, c in zip(values, cells)]
@@ -483,10 +465,14 @@ def _csv_chunk(rows) -> str:
             cells = [_csv_cell(c) if any(ch in c for ch in _CSV_SPECIAL) else c for c in cells]
         columns.append(cells)
     if not columns:
-        return "\n" * len(rows)
+        return "\n" * len(table)
     if len(columns) == 1:
         columns = [[c or '""' for c in columns[0]]]
     return "\n".join(map(",".join, zip(*columns))) + "\n"
+
+
+#: The characters that may make csv quote a cell.
+_CSV_SPECIAL = ',"\r\n'
 
 
 def _csv_cell(text: str) -> str:

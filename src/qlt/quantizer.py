@@ -22,8 +22,8 @@ the sample with the thresholds, so a sample exactly on a boundary may round
 down.
 
 ``quantize`` runs the map over the input's interleaved float view in blocks
-of ``_MAP_BLOCK`` floats, through one float and one index buffer
-allocated once per call, and writes each block's levels into one output
+of ``_MAP_BLOCK`` floats (the midrise map through one float and one index
+buffer allocated once per call) and writes each block's levels into one output
 array, so only the output is input-sized; it is none when the output is the
 input itself (``out=u``).  Every float maps on its own, so the bits do not
 depend on the blocking.
@@ -256,15 +256,18 @@ def quantize(spec: QuantizerSpec, u, out=None):
     # both rails in one pass over the interleaved (re, im) float view
     flat = arr.ravel().view(float)
     levels = out.reshape(-1).view(float)
-    work = np.empty(min(flat.size, _MAP_BLOCK))
-    idx = np.empty(work.size, dtype=np.intp)
+    # only the midrise map uses the buffers
+    buffers = None
+    if spec.kind == "uniform_midrise":
+        size = min(flat.size, _MAP_BLOCK)
+        buffers = np.empty(size), np.empty(size, dtype=np.intp)
     for i in range(0, flat.size, _MAP_BLOCK):
         block = flat[i : i + _MAP_BLOCK]
         # a block's minimum is NaN exactly when the block holds a NaN
         if math.isnan(np.minimum.reduce(block)):
             raise NumericalFailureError("NaN input to the quantizer")
         n = block.size
-        _map_dim(spec, block, levels[i : i + n], (work[:n], idx[:n]))
+        _map_dim(spec, block, levels[i : i + n], buffers and (buffers[0][:n], buffers[1][:n]))
     if arr.ndim == 0:
         return complex(out[()])
     return out

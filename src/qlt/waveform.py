@@ -8,12 +8,11 @@ leakage ratio is compared against the white-quantization-noise prediction
 from the decomposition moments.
 
 Synthesis draws the active subcarriers in one ``complex_normal`` call,
-which writes them through one float buffer into a strided view of the
-symbol grid (the active set is two runs of bins; an ``enabled_subcarriers``
-subset is drawn apart and scattered by index).  The grid is transformed,
-scaled and windowed in place, and overlap-added by a copy of the symbol
-heads and one reshaped slice add of the tails; the grid is freed before the
-filter.
+which writes them into a strided view of the symbol grid (the active set
+is two runs of bins; an ``enabled_subcarriers`` subset is drawn apart and
+scattered by index).  The grid is transformed, scaled and windowed in
+place, and overlap-added by a copy of the symbol heads and one reshaped
+slice add of the tails; the grid is freed before the filter.
 
 The interpolation filter is ``_signal.upfirdn``, a polyphase overlap-save
 FFT filter: the taps split into one branch per output phase, each frame of

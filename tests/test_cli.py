@@ -1405,9 +1405,6 @@ _CSV_CELLS = st.one_of(
 )))
 @example(table=(["x"], [[""], [None], ["a"], [None]]))  # a lone empty cell is written ""
 @example(table=(["", "y"], [["", None], [",", '"'], ["\r", "\n"]]))
-# tables of several of the writer's chunks
-@example(table=(["x"], [[""] if i % 7 else [f"a,{i}"] for i in range(5000)]))
-@example(table=(["f", "s", "t"], [[i / 7, None if i % 5 else '"q"', ""] for i in range(1500)]))
 def test_csv_bytes_are_the_csv_writers(table):
     header, rows = table
     assert cli._csv_bytes(header, rows) == _csv_writer_text(header, rows)

@@ -212,36 +212,6 @@ def test_complex_normal_is_the_scaled_sum_bytewise(power, shape):
     assert not grid[..., 1].any()
 
 
-class _GivenDraws:
-    """A generator stand-in whose standard normal draws are ``values``, in order."""
-
-    def __init__(self, values):
-        self.values = np.array(values, dtype=float)
-
-    def standard_normal(self, size=None, out=None):
-        n = out.size if out is not None else int(np.prod(size))
-        draws, self.values = self.values[:n], self.values[n:]
-        if out is None:
-            return draws.reshape(size)
-        out[...] = draws.reshape(out.shape)
-        return out
-
-
-@pytest.mark.parametrize("power", [1.0, 2.5, 0.0, -0.0])
-def test_complex_normal_keeps_the_signed_zeros_of_zero_draws(power):
-    # a draw of exactly +-0 (about one in 2**52) scaled in the real domain
-    # takes the signed zero that the complex multiply of the assembled
-    # draws adds (re + 1j * im would already turn -0 + 0j into 0 + 0j)
-    re = [0.0, -0.0, 0.0, -0.0, 1.5, -2.0, 0.0, -0.0, 1.0]
-    im = [0.0, 0.0, -0.0, -0.0, 0.0, -0.0, 3.0, -3.0, 1.0]
-    got = complex_normal(_GivenDraws(re + im), power, (3, 3))
-    want = np.empty((3, 3), dtype=complex)
-    want.real = np.reshape(re, (3, 3))
-    want.imag = np.reshape(im, (3, 3))
-    want *= np.sqrt(power / 2)
-    assert got.tobytes() == want.tobytes()
-
-
 def test_a_seed_that_is_not_an_integer_is_refused():
     # a float seed was keyed by its str, so 3.0 drew another stream than 3
     plan = SubbandPlan((1.0,), (1.0,))
