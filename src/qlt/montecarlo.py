@@ -13,7 +13,9 @@ correlation is |sum conj(z) z_hat|^2 / (sum |z|^2 * sum |z_hat|^2) over its
 bins, averaged over trials.  Each is 0 where what it divides by is 0 (a rail
 of zero variance, as in a one-sample run, or a zero-power band), and the
 noise diagnostics are all 0 when max |w|^2 <= 1e-18 max |z|^2, the round-off
-an identity chain leaves.
+an identity chain leaves.  The two correlations take their inner product
+and norms as ``np.einsum`` sums, which do not call BLAS (whose dot splits a
+long vector across threads), so no thread count changes their bits.
 
 Haar transforms are drawn lazily (:class:`HaarFrames`): a trial draws only
 the directions its own queries reach, exact in Haar law, at O(n) time and
@@ -240,21 +242,11 @@ def _kurtosis(c: np.ndarray) -> float:
     return float(np.mean(c2 * c2) / m2**2 - 3.0)
 
 
-def _dot(a: np.ndarray, b: np.ndarray):
-    """<a, b>, the real and imaginary parts summed apart by numpy's pairwise
-    sum: BLAS (``np.vdot``, ``np.linalg.norm``) splits a long vector across
-    threads, so its bits would depend on the host's thread count."""
-    p = np.conj(a)
-    p *= b
-    if np.iscomplexobj(p):
-        return complex(np.add.reduce(p.real), np.add.reduce(p.imag))
-    return float(np.add.reduce(p))
-
-
 def _corr(a: np.ndarray, b: np.ndarray):
     """<a, b> / (|a| |b|); 0 when either vector is 0."""
-    den = math.sqrt(_dot(a, a).real) * math.sqrt(_dot(b, b).real)
-    return _dot(a, b) / den if den > 0.0 else 0.0
+    ab, aa, bb = (np.einsum("i,i->", np.conj(u), v) for u, v in ((a, b), (a, a), (b, b)))
+    den = math.sqrt(aa.real) * math.sqrt(bb.real)
+    return ab / den if den > 0.0 else 0.0
 
 
 def _noise_diagnostics(w: np.ndarray, z: np.ndarray) -> dict:

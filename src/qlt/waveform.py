@@ -32,12 +32,11 @@ MB beyond the stream and agrees with scipy's to about 1e-13 relative.
 
 The measurement first checks the band geometry on the estimate's frequency
 grid, so a rejected geometry leaves the stream as it was.  It then takes
-the mean power in blocks of ``_MEASURE_BLOCK`` samples through one reused
-buffer, whose sums are combined in numpy's pairwise order (the bits of
-``np.mean``), counts saturated samples block by block on the stream's
-interleaved float view, and quantizes the stream in place: it overwrites
-the stream it is given, and nothing it holds beside it grows with the
-stream.
+the mean power as one ``np.einsum`` sum of squares over the stream's
+interleaved float view, counts saturated samples in blocks of
+``_MEASURE_BLOCK`` samples on that view, and quantizes the stream in
+place: it overwrites the stream it is given, and nothing it holds beside it
+grows with the stream.
 
 Band geometry: the signal occupies ``occupied_bandwidth`` around DC; the
 adjacent measurement band has the same width and starts one ``guard_band``
@@ -287,34 +286,20 @@ def _welch(cfg: WaveformConfig, x: np.ndarray) -> np.ndarray:
     return np.fft.fftshift(rows[0] / (len(frames) * cfg.sample_rate * np.sum(win**2)))
 
 
-#: Samples one block of the stream's power and saturation measurement
-#: holds: its buffers stay L2-sized, whatever the stream length.
+#: Samples one block of the stream's saturation count holds: its flag
+#: buffers stay L2-sized, whatever the stream length.
 _MEASURE_BLOCK = 2**14
 
 
 def _mean_power(x: np.ndarray) -> float:
-    """``float(np.mean(np.square(np.abs(x))))`` bit for bit, for a
-    contiguous ``x``, with no stream-sized temporary.
+    """Mean ``|x|**2`` of the contiguous complex ``x``: one ``np.einsum``
+    sum of squares over its interleaved (re, im) float view.
 
-    numpy sums a contiguous float array pairwise: a run of more than 128
-    floats is split at half its length, rounded down to a multiple of 8,
-    and the sums of the two parts are added.  The recursion here makes the
-    same splits down to runs of at most ``_MEASURE_BLOCK`` samples, whose
-    ``|x|**2`` goes to one reused buffer, where ``np.add.reduce`` makes the
-    rest of them.
+    einsum makes no temporary, does not thread and does not call BLAS, so
+    no thread count changes its bits.
     """
-    x = x.reshape(-1)
-    buf = np.empty(min(x.size, _MEASURE_BLOCK))
-
-    def total(lo: int, n: int):
-        if n <= _MEASURE_BLOCK:
-            mag = np.abs(x[lo : lo + n], out=buf[:n])
-            return np.add.reduce(np.square(mag, out=mag))
-        half = n // 2
-        half -= half % 8
-        return total(lo, half) + total(lo + half, n - half)
-
-    return float(total(0, x.size) / x.size)
+    iq = x.reshape(-1).view(float)
+    return float(np.einsum("i,i->", iq, iq)) / x.size
 
 
 def _saturated_count(x: np.ndarray, clip: float) -> int:

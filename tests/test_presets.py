@@ -15,11 +15,15 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import qlt
 from qlt import cli
+from qlt._rng import complex_normal, substream
 from qlt.cli import json_text, main
+from qlt.montecarlo import _corr
+from qlt.waveform import _mean_power
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
@@ -37,13 +41,13 @@ DIGESTS = {
         "resolved_config.json": "105d26e21005df3db30dd3acc928e5b02f46213841c39990813c60b38b81201f",
     },
     "montecarlo_tx_1bit": {
-        "montecarlo.json": "7c076620669600059b3345fb5622943f61775e861309f439ef68884351e1b482",
+        "montecarlo.json": "08f69c030c4375423f8cc648e064ba5e1d0b2ac9e2420fce366ef79798b00bf4",
         "montecarlo_trials.csv": "9bf057c0e3209ad8753c1007c5549125cd24a0deaf2a128ccbf7298f7b512194",
         "resolved_config.json": "a1a20db1d624c80b718917a006a1a03b49bf9d36c8b01db5c9f21ac8c66001fd",
     },
     "waveform_nr200_b4": {
         "resolved_config.json": "6943bfd60167897e1ce6a9eb4801cb5d91ce80c7aeb8548c7ececfe1f9f9adc4",
-        "waveform.json": "fc9ef07959fe62dbbc42a5c0b570646fadc69a89bf3b9a6908439390c2395d79",
+        "waveform.json": "06e10c4d4bf1ec810e50ac1125a7bcceb0e387fd28b7970d38f04c74bf74e707",
         "waveform_psd.csv": "368bbe864d7afe34ac281279d2a04f00e4aa2e0172b75c5121d0f90085015233",
     },
 }
@@ -63,20 +67,20 @@ WAVEFORM_DIGESTS = {
         {"sample_rate": 491.52e6, "num_symbols": 48, "filter_taps": 255, "psd_segment_length": 4096,
          "dac": {"bits": None, "kappa": 3.0}},
         11,
-        {"waveform.json": "c9f3dabdf9c02830a7634a3b17b533a3595f4ad3a24fc833444a53911b2c1542",
+        {"waveform.json": "afe1312df4e39e6fb1d0cc0043eac70f308368ed2ad5efd286d4d18ca41e2c64",
          "waveform_psd.csv": "91ac8e42e47974d252b262f0427d8d6cc30dd7e4201d212b01f56e678ad2602b"},
     ),
     "b5-x4-511-8192": (
         {"sample_rate": 983.04e6, "num_subcarriers": 2048, "num_symbols": 24, "filter_taps": 511,
          "psd_segment_length": 8192, "dac": {"bits": 5, "kappa": 3.5}},
         11,
-        {"waveform.json": "123f09eefa04e0276732b0a9c4a0cee1290eefbf1785da3d01c99504d9f2305f",
-         "waveform_psd.csv": "5eaeec92be9910f338133658068b8d94caa946688f3cb4ae31c195ce33bc088a"},
+        {"waveform.json": "2a2f5d2aba175edf57343cfc5c7c3327090af20fb9d1d48da037217fdc310edc",
+         "waveform_psd.csv": "673b65abe2e5e609018a1cc3e39e5100625d7142582920a4439a1086ac675c1e"},
     ),
     "b3-every-third-subcarrier": (
         {"num_symbols": 40, "enabled_subcarriers": tuple(range(0, 832, 3)), "dac": {"bits": 3, "kappa": 3.0}},
         11,
-        {"waveform.json": "d522a2cbc456e3006a2d7aba77cafd0a44b70d352d0c6dd465b306ec2b9b7d77",
+        {"waveform.json": "c0e7994a6be6e95d90f07b727f8f5cd33cac09cadd6da387f15fb949e4b33638",
          "waveform_psd.csv": "bdd08f8b3472341a7eab79466edcf6968a843fefc28e4bb902a5b7f890256a0d"},
     ),
 }
@@ -120,22 +124,54 @@ def test_defaults_dump_is_byte_identical(capsys, fmt):
     assert hashlib.sha256(data).hexdigest() == DEFAULTS_DIGESTS[fmt]
 
 
-def test_montecarlo_preset_bytes_do_not_depend_on_blas_threads(tmp_path):
-    # OpenBLAS splits a long dot product across threads, so a BLAS reduction
-    # in the noise diagnostics gave other last bits at one thread than at two
+def _child_env(**extra) -> dict:
+    """The environment of a child interpreter that imports this qlt."""
     src = str(pathlib.Path(qlt.__file__).resolve().parents[1])
     path = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
+    return dict(os.environ, PYTHONPATH=path, **extra)
+
+
+@pytest.mark.parametrize("name", ["montecarlo_tx_1bit", "waveform_nr200_b4"])
+def test_preset_bytes_do_not_depend_on_blas_threads(tmp_path, name):
+    # OpenBLAS splits a long dot product across threads, so a BLAS reduction
+    # in a result's sums gives other last bits at one thread than at two
     written = []
     for threads in ("1", "2"):
         out = tmp_path / threads
-        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS="1")
+        preset = CONFIGS / f"{name}.json"
         subprocess.run(
-            [sys.executable, "-m", "qlt.cli", "montecarlo", "--config",
-             str(CONFIGS / "montecarlo_tx_1bit.json"), "--out", str(out)],
-            check=True, capture_output=True, env=env,
+            [sys.executable, "-m", "qlt.cli", json.loads(preset.read_text())["experiment"],
+             "--config", str(preset), "--out", str(out)],
+            check=True, capture_output=True,
+            env=_child_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS="1"),
         )
         # resolved_config.json holds the output directory
         written.append({p.name: p.read_bytes() for p in out.iterdir()
                         if p.name != "resolved_config.json"})
-    assert sorted(written[0]) == ["montecarlo.json", "montecarlo_trials.csv"]
+    assert sorted(written[0]) == sorted(set(DIGESTS[name]) - {"resolved_config.json"})
     assert written[0] == written[1]
+
+
+def _sums() -> str:
+    """The bits of the mean power and of both correlation forms on fixed
+    inputs."""
+    rng = substream(4, "sums")
+    z = complex_normal(rng, 1.0, 40_001)
+    w = 0.3 * z + complex_normal(rng, 1.0, 40_001)
+    c = w - w.mean()
+    zw = complex(_corr(z, w))
+    return " ".join(float(v).hex() for v in (_mean_power(z), zw.real, zw.imag, _corr(c.real, c.imag)))
+
+
+def test_sums_do_not_depend_on_simd_dispatch():
+    # numpy picks a loop per CPU feature at run time; the mean power and the
+    # correlations must keep their bits on numpy's baseline loops
+    found = np.show_config(mode="dicts")["SIMD Extensions"].get("found", [])
+    if not found:
+        pytest.skip("numpy dispatches no SIMD features beyond its baseline on this CPU")
+    child = subprocess.run(
+        [sys.executable, "-c", "from test_presets import _sums; print(_sums())"],
+        check=True, capture_output=True, text=True, cwd=pathlib.Path(__file__).parent,
+        env=_child_env(NPY_DISABLE_CPU_FEATURES=" ".join(found)),
+    )
+    assert child.stdout.strip() == _sums()

