@@ -444,31 +444,38 @@ def _power_ratios(grid, name: str) -> list:
 
 # --- result serialization (deterministic bytes)
 
-def _csv_bytes(header, rows) -> str:
+def _csv_bytes(header, columns) -> str:
     """CSV text, the bytes ``csv.writer(buf, lineterminator="\\n")`` writes
-    for the rows of equal length ``header, *rows``: a cell is ``str`` of its
-    value (floats give inf, -inf and nan), and None is an empty cell.
+    for the row ``header``, then one row per index of ``columns``, a sequence
+    of values per header cell: a cell is ``str`` of its value (floats give inf,
+    -inf and nan), and None is an empty cell.  Columns of unequal length, or
+    not one per header cell, raise ``ValueError``.
 
-    The table is formatted a column at a time: ``str`` of every cell, then,
-    in a column that holds a comma, a quote or a line break, each such cell
-    as csv quotes it; one ``str.join`` per row joins the cells.  A row's
-    only cell, when empty, is written ``""``, as csv writes it.
+    The cells are formatted a column at a time: ``str`` of every value, then,
+    in a column that holds a comma, a quote or a line break, each such cell as
+    csv quotes it.  Each column's cells go into one list, in row order with a
+    comma or a line break after each, and one ``str.join`` builds the text.  A
+    row's only cell, when empty, is written ``""``, as csv writes it.
     """
-    table = [header, *rows]
-    columns = []
-    for values in zip(*table, strict=True):
+    if len(columns) != len(header):
+        raise ValueError(f"{len(header)} header cells, but {len(columns)} columns")
+    if not columns:
+        return "\n"
+    width, rows = 2 * len(columns), len(columns[0]) + 1
+    parts = [","] * (width * rows)
+    parts[width - 1::width] = repeat("\n", rows)
+    for k, (name, values) in enumerate(zip(header, columns)):
+        values = [name, *values]
+        if len(values) != rows:
+            raise ValueError("the columns are of unequal length")
         cells = list(map(str, values))
         if "None" in cells:
             cells = ["" if v is None else c for v, c in zip(values, cells)]
         text = "".join(cells)
         if any(ch in text for ch in _CSV_SPECIAL):
             cells = [_csv_cell(c) if any(ch in c for ch in _CSV_SPECIAL) else c for c in cells]
-        columns.append(cells)
-    if not columns:
-        return "\n" * len(table)
-    if len(columns) == 1:
-        columns = [[c or '""' for c in columns[0]]]
-    return "\n".join(map(",".join, zip(*columns))) + "\n"
+        parts[2 * k::width] = [c or '""' for c in cells] if width == 2 else cells
+    return "".join(parts)
 
 
 #: The characters that may make csv quote a cell.
@@ -546,18 +553,21 @@ def _emit(v, newline: str, out: list) -> None:
 
 
 def _result_files(experiment: str, fmt: str, result) -> dict:
-    """A runner's result as ``{file name: text}``: a fixed-format one is
-    ``{file name: value}``, a ``.csv`` value being ``(header, rows)``; a table
-    is ``(header, rows, obj)``, written as CSV rows or as ``obj`` (by default
-    the rows, as objects) in JSON."""
+    """A runner's result as ``{file name: text}``.
+
+    A table is ``(header, columns)``, one sequence of values per header cell,
+    and every table travels in that form.  A fixed-format result is ``{file
+    name: value}``, a ``.csv`` value being a table.  Any other result is
+    ``(header, columns, obj)``, written as CSV or as ``obj`` in JSON; an
+    ``obj`` of None stands for the rows, as objects."""
     if experiment in _FIXED_FORMAT:
         return {name: json_text(value) if name.endswith(".json") else _csv_bytes(*value)
                 for name, value in result.items()}
-    header, rows, obj = result
+    header, columns, obj = result
     if fmt == "csv":
-        return {f"{experiment}.csv": _csv_bytes(header, rows)}
+        return {f"{experiment}.csv": _csv_bytes(header, columns)}
     if obj is None:
-        obj = {"rows": [dict(zip(header, r)) for r in rows]}
+        obj = {"rows": [dict(zip(header, r)) for r in zip(*columns)]}
     return {f"{experiment}.json": json_text(obj)}
 
 
@@ -566,20 +576,28 @@ def _stamped(seed: int, record: dict) -> dict:
     return {**record, "seed": seed, "version": __version__}
 
 
+def _stamped_table(seed: int, header: list, columns: list, obj=None) -> tuple:
+    """The table ``header, columns``, then the run's seed and the package
+    version as two more columns, and ``obj``: what ``_result_files`` writes."""
+    n = len(columns[0])
+    return [*header, "seed", "version"], [*columns, [seed] * n, [__version__] * n], obj
+
+
 def _record(seed: int, rec: dict) -> tuple:
     """A one-row table: ``rec``, stamped; its JSON is that one object."""
-    rec = _stamped(seed, rec)
-    return list(rec), [list(rec.values())], rec
+    return _stamped_table(seed, list(rec), [[v] for v in rec.values()], _stamped(seed, rec))
 
 
 def _per_band(seed: int, plan: SubbandPlan, rep, header, *columns) -> tuple:
-    """A per-band table: band, fraction and power, then ``columns``, one value
-    per band each, then the seed and version; its JSON is ``rep`` with the
-    plan's fractions and powers, stamped."""
-    rows = [[*row, seed, __version__]
-            for row in zip(range(plan.num_bands), plan.fractions, plan.powers, *columns)]
+    """A per-band table: band, fraction and power, then ``columns``, stamped.
+    A column is a tuple of a value per band; any other value stands for
+    itself in every band.  The table's JSON is ``rep`` with the plan's
+    fractions and powers, stamped."""
+    n = plan.num_bands
+    columns = [range(n), plan.fractions, plan.powers,
+               *(c if isinstance(c, tuple) else [c] * n for c in columns)]
     rec = _stamped(seed, {**vars(rep), "fractions": plan.fractions, "powers": plan.powers})
-    return ["band", "fraction", "power", *header, "seed", "version"], rows, rec
+    return _stamped_table(seed, ["band", "fraction", "power", *header], columns, rec)
 
 
 # --- experiment implementations: (params, seed) -> what _result_files writes
@@ -609,7 +627,7 @@ def _run_spectrum(p: dict, seed: int) -> tuple:
     plan = _plan(p)
     rep = predict_spectrum(plan, tx_moments(_quantizer(p["quantizer"]), plan.mean_power))
     return _per_band(seed, plan, rep, ["energy", "share", "min_share", "total_energy"],
-                     rep.band_energy, rep.band_share, rep.min_share, repeat(rep.total_energy))
+                     rep.band_energy, rep.band_share, rep.min_share, rep.total_energy)
 
 
 def _run_rate(p: dict, seed: int) -> tuple:
@@ -620,8 +638,7 @@ def _run_rate(p: dict, seed: int) -> tuple:
     else:
         rep = awgn_linear_rate(plan, tx_moments(q, plan.mean_power), p["noise_power"])
     return _per_band(seed, plan, rep, ["bits", "total_bits", "regime", "shaping_loss_bits"],
-                     rep.band_bits, repeat(rep.bits_per_symbol), repeat(rep.regime),
-                     repeat(rep.shaping_loss_bits))
+                     rep.band_bits, rep.bits_per_symbol, rep.regime, rep.shaping_loss_bits)
 
 
 def _run_upper_bound(p: dict, seed: int) -> tuple:
@@ -637,14 +654,13 @@ def _run_sweep_snr(p: dict, seed: int) -> tuple:
     plan = _plan(p)
     grid = _grid(p["snr_db"])
     snr = _power_ratios(grid, "snr_db")
-    rows = []
+    snr_db, labels, rate = [], [], []
     for bits in p["bits"]:
         q = QuantizerSpec.midrise_for_power(bits, plan.mean_power, p["kappa"])
-        rates = awgn_rates_at_transmit_snr(plan, tx_moments(q, plan.mean_power), snr)
-        label = "inf" if bits is None else bits
-        rows.extend([snr_db, label, r, seed, __version__]
-                    for snr_db, r in zip(map(float, grid), rates.tolist()))
-    return ["snr_db", "bits", "rate_bps", "seed", "version"], rows, None
+        rate += awgn_rates_at_transmit_snr(plan, tx_moments(q, plan.mean_power), snr).tolist()
+        snr_db += map(float, grid)
+        labels += ["inf" if bits is None else bits] * grid.size
+    return _stamped_table(seed, ["snr_db", "bits", "rate_bps"], [snr_db, labels, rate])
 
 
 def _run_sweep_aclr(p: dict, seed: int) -> tuple:
@@ -653,18 +669,20 @@ def _run_sweep_aclr(p: dict, seed: int) -> tuple:
     grid = _grid(p["aclr_db"])
     ratios = np.array(_power_ratios(grid, "aclr_db"))
     nu = np.stack([ratios / (1.0 + ratios), 1.0 / (1.0 + ratios)], axis=-1)
-    rows = []
+    aclr_db, labels, r_lin, r_upper = [], [], [], []
     for bits in p["bits"]:
         q = QuantizerSpec.midrise_for_power(bits, pbar, p["kappa"])
         m = tx_moments(q, pbar)
-        r_upper = upper_bound_rates(constellation_of(q), (m.gain**2 + m.noise) * pbar, nu, fr)
-        for aclr_db, shares, ub in zip(map(float, grid), nu.tolist(), r_upper):
+        r_upper += upper_bound_rates(constellation_of(q), (m.gain**2 + m.noise) * pbar, nu, fr)
+        for shares in nu.tolist():
             try:
-                r_lin = noise_free_rate(fr, m, shares).bits_per_symbol
+                r_lin.append(noise_free_rate(fr, m, shares).bits_per_symbol)
             except FeasibilityError:
-                r_lin = None
-            rows.append([aclr_db, bits, r_lin, ub, seed, __version__])
-    return ["aclr_db", "bits", "r_lin", "r_upper", "seed", "version"], rows, None
+                r_lin.append(None)
+        aclr_db += map(float, grid)
+        labels += [bits] * grid.size
+    return _stamped_table(seed, ["aclr_db", "bits", "r_lin", "r_upper"],
+                          [aclr_db, labels, r_lin, r_upper])
 
 
 def _run_montecarlo(p: dict, seed: int) -> dict:
@@ -672,23 +690,17 @@ def _run_montecarlo(p: dict, seed: int) -> dict:
     if not chain and ("channel" in p or "adc" in p):
         raise ConfigError("montecarlo: channel and adc apply only in mode 'chain'")
     cfg = SimConfig(
-        size=p["size"],
-        plan=_plan(p),
-        dac=_quantizer(p["quantizer"]),
-        transform=p["transform"],
-        trials=p["trials"],
-        seed=seed,
+        size=p["size"], plan=_plan(p), dac=_quantizer(p["quantizer"]), transform=p["transform"],
+        trials=p["trials"], seed=seed, adc=_adc(p), assignment=p["assignment"],
         noise_power=p["channel"]["noise_power"] if "channel" in p else 0.0,
-        adc=_adc(p),
-        assignment=p["assignment"],
     )
     rep = run_chain_trials(cfg) if chain else run_tx_trials(cfg)
     files = {"montecarlo.json": rep}
     if p["per_trial_csv"]:
-        rows = [[t, b, val, rep.predicted_band_energy[b]]
-                for t, band_vals in enumerate(rep.trial_band_energy)
-                for b, val in enumerate(band_vals)]
-        files["montecarlo_trials.csv"] = (["trial", "band", "empirical_s", "predicted_s"], rows)
+        t, b = len(rep.trial_band_energy), len(rep.predicted_band_energy)
+        files["montecarlo_trials.csv"] = (["trial", "band", "empirical_s", "predicted_s"], [
+            [i // b for i in range(t * b)], [*range(b)] * t,
+            [s for trial in rep.trial_band_energy for s in trial], [*rep.predicted_band_energy] * t])
     return files
 
 
@@ -699,10 +711,7 @@ def _run_waveform(p: dict, seed: int) -> dict:
     rec = _stamped(seed, vars(measure_aclr(cfg)))
     freq = rec.pop("psd_freq")
     psd_db = [10.0 * math.log10(v) if v > 0 else -math.inf for v in rec.pop("psd")]
-    return {
-        "waveform.json": rec,
-        "waveform_psd.csv": (["freq_hz", "psd_db"], list(zip(freq, psd_db))),
-    }
+    return {"waveform.json": rec, "waveform_psd.csv": (["freq_hz", "psd_db"], [freq, psd_db])}
 
 
 _RUNNERS = {
@@ -717,12 +726,12 @@ _RUNNERS = {
 }
 
 
-def _flat(d: dict, prefix: str = ""):
+def _flat(d: dict, prefix: str = "") -> dict:
+    """``d`` with its nested objects' keys joined by dots."""
+    out = {}
     for k, v in d.items():
-        if isinstance(v, dict):
-            yield from _flat(v, f"{prefix}{k}.")
-        else:
-            yield [prefix + k, v]
+        out.update(_flat(v, f"{prefix}{k}.") if isinstance(v, dict) else {prefix + k: v})
+    return out
 
 
 @functools.cache
@@ -748,7 +757,8 @@ def main(argv=None) -> int:
 
     if args.command == "defaults":
         d = package_defaults()
-        text = json_text(d) if args.format == "json" else _csv_bytes(["key", "value"], _flat(d))
+        text = json_text(d) if args.format == "json" else _csv_bytes(
+            ["key", "value"], [list(flat := _flat(d)), list(flat.values())])
         sys.stdout.write(text)
         return 0
 

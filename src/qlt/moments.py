@@ -110,7 +110,15 @@ def _dim_noisy_response(spec: QuantizerSpec, values: np.ndarray, sigma_n: float)
         out = np.asarray(quantize(spec, values + 0j)).real
         return out, out**2
     lv = spec.levels_per_dim()
-    cellp = _cell_probs(spec, values, sigma_n)
+    try:
+        cellp = _cell_probs(spec, values, sigma_n)
+    except MemoryError:
+        rows, cols = values.size, lv.size + 1
+        raise NumericalFailureError(
+            f"the exact moments of a {rows}-level DAC and a {lv.size}-level ADC (levels per "
+            f"rail) need a {rows} x {cols} table of cell probabilities "
+            f"({8 * rows * cols / 2**30:.1f} GiB), more than the process may allocate"
+        ) from None
     return cellp @ lv, cellp @ lv**2
 
 

@@ -2,6 +2,7 @@ import argparse
 import copy
 import csv
 import functools
+import gc
 import io
 import json
 import math
@@ -10,6 +11,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import dataclass, is_dataclass
 
@@ -194,6 +196,40 @@ def test_a_non_finite_result_exits_3_without_output(tmp_path, capsys, experiment
         assert main([experiment, "--config", write_cfg(tmp_path, cfg)]) == 3
     assert "numerical failure" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+_MIDRISE_16 = {"kind": "uniform_midrise", "bits": 16, "clip": 2.1}
+_CHANNEL = {"kind": "awgn", "noise_power": 0.1}
+
+
+@pytest.mark.parametrize("experiment, params", [
+    ("moments", {"quantizer": _MIDRISE_16, "pbar": 1.0, "channel": _CHANNEL, "adc": _MIDRISE_16}),
+    ("montecarlo", {"mode": "chain", "size": 16, "trials": 2, "fractions": [0.5, 0.5],
+                    "powers": [1.5, 0.5], "quantizer": _MIDRISE_16, "channel": _CHANNEL,
+                    "adc": _MIDRISE_16}),
+], ids=["moments", "montecarlo-chain"])
+def test_a_cell_table_past_the_address_space_exits_3(tmp_path, experiment, params):
+    # a 16-bit DAC and a 16-bit ADC ask the exact chain moments for a
+    # 65,536 x 65,537 table of cell probabilities, 32 GiB; the child may map
+    # 3 GiB, so numpy's allocation fails at once instead of paging
+    resource = pytest.importorskip("resource")
+    limit = 3 << 30
+
+    def cap_address_space():
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+
+    cfg = write_cfg(tmp_path, {"schema_version": 1, "experiment": experiment, "params": params})
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "qlt.cli", experiment, "--config", cfg, "--out", str(out)],
+        capture_output=True, text=True, env=_cli_env(), preexec_fn=cap_address_space,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("numerical failure: ")
+    assert "65536-level DAC and a 65536-level ADC" in proc.stderr
+    assert "65536 x 65537 table" in proc.stderr
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("experiment, params, field, expected", [
@@ -1364,13 +1400,79 @@ def test_quantizer_missing_key_exits_2_without_output(tmp_path, capsys, quantize
     ],
 )
 def test_csv_cell_text(value, cell):
+    # one column, x, of one value
     header, row = csv.reader(io.StringIO(cli._csv_bytes(["x"], [[value]])))
     assert row == [cell]
 
 
 def test_csv_bytes_quote_and_format_cells():
-    rows = [(0.1, np.float64(-math.inf), None), (np.int64(3), "a,b", math.nan)]
-    assert cli._csv_bytes(["x", "y", "z"], rows) == 'x,y,z\n0.1,-inf,\n3,"a,b",nan\n'
+    columns = [(0.1, np.int64(3)), [np.float64(-math.inf), "a,b"], (None, math.nan)]
+    assert cli._csv_bytes(["x", "y", "z"], columns) == 'x,y,z\n0.1,-inf,\n3,"a,b",nan\n'
+
+
+@pytest.mark.parametrize("header", [["x"], ["x", "y,z"], [""], ["", ""], [None, 1.5]])
+def test_a_header_only_table_takes_its_width_from_the_header(header):
+    text = cli._csv_bytes(header, [[] for _ in header])
+    assert text == _csv_writer_text(header, [])
+
+
+@pytest.mark.parametrize("header, columns", [
+    (["x", "y"], [[1.0, 2.0], [3.0]]),
+    (["x", "y"], [[1.0], [2.0, 3.0]]),
+    (["x", "y", "z"], [[], [], [1.0]]),
+    (["x", "y"], [[1.0]]),
+    (["x"], [[1.0], [2.0]]),
+    (["x"], []),
+], ids=["short-last", "long-last", "header-only-but-one", "fewer-columns", "more-columns",
+        "no-columns"])
+def test_csv_bytes_reject_columns_that_do_not_make_a_table(header, columns):
+    with pytest.raises(ValueError):
+        cli._csv_bytes(header, columns)
+
+
+def _psd_table(rows=8_193):
+    """A waveform PSD table, as its runner passes it: frequencies and dB
+    levels, one column each."""
+    freq = np.linspace(-491.52e6, 491.52e6, rows).tolist()
+    psd_db = (-80.0 + 10.0 * np.log10(np.random.default_rng(7).random(rows))).tolist()
+    return {"waveform_psd.csv": (["freq_hz", "psd_db"], [freq, psd_db])}
+
+
+def test_a_psd_write_runs_no_garbage_collection():
+    # the writer allocates a handful of container objects per table, not one
+    # per row, so the cyclic collector has nothing to count toward a pass
+    table = _psd_table()
+    runs = []
+
+    def count(phase, info):
+        if phase == "start":
+            runs.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        files = cli._result_files("waveform", "json", table)
+    finally:
+        gc.callbacks.remove(count)
+    assert runs == []
+    assert files["waveform_psd.csv"].count("\n") == 8_194
+
+
+def test_a_psd_write_peaks_near_its_cells():
+    # the 8,193-row table is 0.26 MB of text.  The writer peaked at 1.84 MB:
+    # every cell's string, the list that orders them and the text.  One that
+    # took a tuple per row, made a tuple iterator per row to transpose them
+    # and built its text twice peaked at 2.43 MB
+    table = _psd_table()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        files = cli._result_files("waveform", "json", table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(files["waveform_psd.csv"]) == 255_018
+    assert peak < 2.1e6
 
 
 def _csv_writer_text(header, rows):
@@ -1407,7 +1509,8 @@ _CSV_CELLS = st.one_of(
 @example(table=(["", "y"], [["", None], [",", '"'], ["\r", "\n"]]))
 def test_csv_bytes_are_the_csv_writers(table):
     header, rows = table
-    assert cli._csv_bytes(header, rows) == _csv_writer_text(header, rows)
+    columns = [list(column) for column in zip(*rows)] or [[] for _ in header]
+    assert cli._csv_bytes(header, columns) == _csv_writer_text(header, rows)
 
 
 def _conv(v):
@@ -1482,6 +1585,13 @@ def test_json_text_keys_are_strings():
         cli.json_text({1: "int key"})
 
 
+def _cli_env():
+    """The environment of a child ``python -m qlt.cli`` that imports this qlt."""
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+
+
 def test_parser_reuse_matches_fresh_processes(tmp_path, capsys):
     rate_cfg = write_cfg(tmp_path, {
         "schema_version": 1,
@@ -1499,13 +1609,10 @@ def test_parser_reuse_matches_fresh_processes(tmp_path, capsys):
         ["defaults", "--format", "csv"],
         ["no-such-command"],
     ]
-    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
-    path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     fresh = []
     for argv in commands:
         proc = subprocess.run(
-            [sys.executable, "-m", "qlt.cli", *argv], capture_output=True, text=True, env=env
+            [sys.executable, "-m", "qlt.cli", *argv], capture_output=True, text=True, env=_cli_env()
         )
         result = (tmp_path / "out" / "rate.json").read_bytes() if argv[0] == "rate" else None
         fresh.append((proc.returncode, proc.stdout, proc.stderr, result))
