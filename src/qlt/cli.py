@@ -43,8 +43,9 @@ from .waveform import WaveformConfig, measure_aclr
 SCHEMA_VERSION = 1
 
 #: Schema-only default of the moments method's ``nodes``: the key is accepted
-#: and recorded but has no effect, since the quadrature is exact cell sums.  It
-#: goes when the benchmark stops sending it (ROADMAP items 1-2).
+#: and recorded but has no effect, since the quadrature is exact sums over the
+#: quantizers' thresholds.  It goes when the benchmark stops sending it
+#: (ROADMAP items 1-2).
 DEFAULT_QUADRATURE_NODES = 129
 
 # --- the experiment table: every schema, default and defaults dump derives from it

@@ -9,15 +9,21 @@ AWGN and a quantizer acting alike on I and Q make the chain I/Q-symmetric, so
 the gain is real.
 
 Two evaluation paths are provided.  The deterministic path resolves the
-piecewise-constant maps over Gaussian inputs exactly, via per-level-cell
-Gaussian CDF/PDF sums.  The sampling path is a seeded Monte-Carlo estimate
-carrying standard errors.
+piecewise-constant maps over Gaussian inputs exactly, as sums over their
+thresholds: by summation by parts each expectation is the value on one cell
+plus each step times the Gaussian tail beyond its threshold, and the
+correlation with the input is Stein's sum of the steps times the Gaussian
+density at the thresholds.  The sums are numpy's own (pairwise
+``np.add.reduce`` and ``np.einsum``), never a BLAS dot, so their bits do not
+depend on the BLAS thread count.  A quantized DAC, a noisy channel and a
+quantized ADC need one (DAC levels) x (ADC thresholds) table of tails.  The
+sampling path is a seeded Monte-Carlo estimate carrying standard errors.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr  # Gaussian CDF, vectorized and exact in the tails
+from scipy.special import erfc  # accurate in the tails, where 1 - erf is not
 
 from ._rng import check_seed, complex_normal, substream
 from .errors import NumericalFailureError
@@ -29,7 +35,7 @@ DEFAULT_MC_SAMPLES = 1_000_000
 
 @dataclass(frozen=True)
 class Quadrature:
-    """Deterministic evaluation: exact Gaussian cell sums."""
+    """Deterministic evaluation: exact sums over the quantizers' thresholds."""
 
 
 @dataclass(frozen=True)
@@ -68,82 +74,84 @@ class AgnMoments:
 
 
 # ---------------------------------------------------------------------------
-# exact per-dimension Gaussian cell machinery
+# deterministic path: sums over the thresholds of a step function
 # ---------------------------------------------------------------------------
 
-def _cell_probs(spec: QuantizerSpec, means: np.ndarray, sigma: float) -> np.ndarray:
-    """``P(m + N in cell)`` for each level cell (columns) and each mean m
-    (rows), N ~ N(0, sigma^2)."""
-    thr = spec.thresholds_per_dim()
-    cdf = np.zeros((means.size, thr.size + 2))
-    cdf[:, -1] = 1.0
-    cdf[:, 1:-1] = ndtr((thr[None, :] - means[:, None]) / sigma)
-    return np.diff(cdf, axis=1)
+def _threshold_sums(values: np.ndarray, thr: np.ndarray, means: np.ndarray, sigma: float):
+    """``(E[f(m + N)], E[f(m + N)^2])`` for each mean m, N ~ N(0, sigma^2),
+    and the step function f that takes ``values`` on the cells between the
+    sorted thresholds ``thr``.
+
+    By summation by parts ``E[f(m + N)] = f(cell of m) + sum_{t_j >= m} d_j
+    P(N > t_j - m) - sum_{t_j < m} d_j P(N < t_j - m)`` over f's steps d_j,
+    and f^2 steps by d_j (f_j + f_{j+1}).  Each probability is the tail
+    ``erfc(|t_j - m| / sqrt(2 sigma^2)) / 2`` beyond t_j as seen from m,
+    never the complement of a number near 1.  Each row of the one
+    (means x (1 + thresholds)) table holds f(cell of m) and the signed
+    tails.  ``np.einsum`` reads E[f] from it; then the tails are weighted in
+    place, and ``np.add.reduce`` sums each row with f(cell of m)^2 first,
+    pairwise, into E[f^2].  So there is no second table and no BLAS dot,
+    whose rounding follows its thread count.  The caller keeps ``sigma``
+    positive; at 0 a mean on a threshold is 0/0."""
+    table = np.empty((means.size, thr.size + 1))
+    tails = np.subtract(thr, means[:, None], out=table[:, 1:])
+    below = tails < 0
+    erfc(np.divide(np.abs(tails, out=tails), np.sqrt(2.0 * sigma**2), out=tails), out=tails)
+    np.negative(tails, out=tails, where=below)
+    half_steps = 0.5 * (values[1:] - values[:-1])  # carries the tails' 1/2
+    table[:, 0] = anchor = values[np.searchsorted(thr, means)]
+    mean = np.einsum("ij,j->i", table, np.concatenate(([1.0], half_steps)))
+    tails *= half_steps * (values[1:] + values[:-1])
+    table[:, 0] = anchor**2
+    return mean, np.add.reduce(table, axis=1)
 
 
-def _dim_cells(spec: QuantizerSpec, sigma: float):
-    """Per-dimension cell statistics of a quantizer driven by N(0, sigma^2).
-
-    Returns (levels, prob, m1) where for each output level cell
-    ``prob = P(X in cell)`` and ``m1 = E[X; cell]``.
-    """
-    z = spec.thresholds_per_dim() / sigma
-    pdf = np.concatenate(([0.0], np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi), [0.0]))
-    m1 = sigma * (pdf[:-1] - pdf[1:])
-    return spec.levels_per_dim(), _cell_probs(spec, np.zeros(1), sigma)[0], m1
+def _stein_sum(values: np.ndarray, thr: np.ndarray, sigma: float):
+    """``E[X f(X)]`` for X ~ N(0, sigma^2) and f as in :func:`_threshold_sums`:
+    by Stein's lemma ``sigma^2 E[f'(X)] = sum_j d_j sigma phi(t_j / sigma)``."""
+    phi = np.exp(-0.5 * (thr / sigma) ** 2) / np.sqrt(2.0 * np.pi)
+    return np.einsum("j,j->", values[1:] - values[:-1], sigma * phi)
 
 
-def _dim_qx_q2(spec: QuantizerSpec, sigma: float):
-    """(E[q(X) X], E[q(X)^2]) for X ~ N(0, sigma^2), as numpy scalars, so
-    that under the caller's ``np.errstate`` a pathological level set
-    overflows to inf (caught by the moment validator) instead of raising."""
-    lv, prob, m1 = _dim_cells(spec, sigma)
-    return lv @ m1, lv**2 @ prob
-
-
-def _dim_noisy_response(spec: QuantizerSpec, values: np.ndarray, sigma_n: float):
-    """(E[q(v + N)], E[q(v + N)^2]) for each v in values, N ~ N(0, sigma_n^2)."""
+def _dim_noisy_response(spec: QuantizerSpec, values: np.ndarray, var_n: float):
+    """(E[q(v + N)], Var[q(v + N)]) for each v in values, N ~ N(0, var_n);
+    the variance is a scalar where it is the same for every v."""
     if spec.is_identity:
-        return values, values**2 + sigma_n**2
-    if sigma_n == 0.0:
-        # a value exactly on a threshold would make the cell sum 0/0
-        out = np.asarray(quantize(spec, values + 0j)).real
-        return out, out**2
+        return values, var_n
+    if var_n == 0.0:
+        # the tails would be 0/0 at a value on a threshold; quantize maps it up
+        return np.asarray(quantize(spec, values + 0j)).real, 0.0
     lv = spec.levels_per_dim()
     try:
-        cellp = _cell_probs(spec, values, sigma_n)
+        mean, second = _threshold_sums(lv, spec.thresholds_per_dim(), values, np.sqrt(var_n))
     except MemoryError:
-        rows, cols = values.size, lv.size + 1
         raise NumericalFailureError(
-            f"the exact moments of a {rows}-level DAC and a {lv.size}-level ADC (levels per "
-            f"rail) need a {rows} x {cols} table of cell probabilities "
-            f"({8 * rows * cols / 2**30:.1f} GiB), more than the process may allocate"
+            f"the exact moments of a {values.size}-level DAC and a {lv.size}-level ADC (levels per rail) "
+            f"need a {values.size} x {lv.size - 1} table of threshold tails "
+            f"({8 * values.size * (lv.size - 1) / 2**30:.1f} GiB), more than the process may allocate"
         ) from None
-    return cellp @ lv, cellp @ lv**2
+    return mean, second - mean**2
 
-
-# ---------------------------------------------------------------------------
-# deterministic path
-# ---------------------------------------------------------------------------
 
 def _chain_exact(qtx, noise_power, qrx, pbar) -> AgnMoments:
     if qtx.is_identity and qrx.is_identity:
         return AgnMoments(gain=1.0, noise=noise_power / pbar, input_power=pbar)
-    sigma = np.sqrt(pbar / 2.0)
-    sigma_n = np.sqrt(noise_power / 2.0)
+    var, var_n = pbar / 2.0, noise_power / 2.0
     with np.errstate(over="ignore", invalid="ignore"):
-        if qtx.is_identity:
-            # S = q(X + N) per dimension; X + N is Gaussian, and the projection
-            # of X onto it carries a sigma^2/(sigma^2 + sigma_n^2) factor
-            sig_z = np.sqrt(sigma**2 + sigma_n**2)
-            eqz, eq2 = _dim_qx_q2(qrx, sig_z)
-            esx = (sigma**2 / sig_z**2) * eqz
+        # per dimension S = f(Y) + W: a step function f of a Gaussian Y, and
+        # W of conditional mean 0 and variance w(Y)
+        if qtx.is_identity:  # Y = X + N
+            var_y, thr, f, w = var + var_n, qrx.thresholds_per_dim(), qrx.levels_per_dim(), 0.0
         else:
-            # quantized DAC: condition on the transmit cell, where the receive
-            # response to (level + noise) is again a Gaussian cell sum
-            lt, prob, m1 = _dim_cells(qtx, sigma)
-            g1, g2 = _dim_noisy_response(qrx, lt, sigma_n)
-            esx, eq2 = g1 @ m1, g2 @ prob
+            # Y = X, and f and w are the ADC's response to (DAC level + noise)
+            var_y, thr = var, qtx.thresholds_per_dim()
+            f, w = _dim_noisy_response(qrx, qtx.levels_per_dim(), var_n)
+        sig_y = np.sqrt(var_y)
+        if not np.isscalar(w):  # its mean over Y
+            w = _threshold_sums(w, thr, np.zeros(1), sig_y)[0][0]
+        # X's projection onto Y carries var / var_y
+        esx = (var / var_y) * _stein_sum(f, thr, sig_y)
+        eq2 = _threshold_sums(f, thr, np.zeros(1), sig_y)[1][0] + w
         gain = 2.0 * esx / pbar
         noise = 2.0 * eq2 / pbar - gain**2
     return AgnMoments(gain=float(gain), noise=float(noise), input_power=pbar)

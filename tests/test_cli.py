@@ -210,7 +210,7 @@ _CHANNEL = {"kind": "awgn", "noise_power": 0.1}
 ], ids=["moments", "montecarlo-chain"])
 def test_a_cell_table_past_the_address_space_exits_3(tmp_path, experiment, params):
     # a 16-bit DAC and a 16-bit ADC ask the exact chain moments for a
-    # 65,536 x 65,537 table of cell probabilities, 32 GiB; the child may map
+    # 65,536 x 65,535 table of threshold tails, 32 GiB; the child may map
     # 3 GiB, so numpy's allocation fails at once instead of paging
     resource = pytest.importorskip("resource")
     limit = 3 << 30
@@ -228,7 +228,7 @@ def test_a_cell_table_past_the_address_space_exits_3(tmp_path, experiment, param
     assert proc.returncode == 3, proc.stderr
     assert proc.stderr.startswith("numerical failure: ")
     assert "65536-level DAC and a 65536-level ADC" in proc.stderr
-    assert "65536 x 65537 table" in proc.stderr
+    assert "65536 x 65535 table" in proc.stderr
     assert not out.exists()
 
 

@@ -1,8 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import norm
@@ -18,6 +19,7 @@ from qlt import (
     quantize,
     tx_moments,
 )
+from qlt.moments import _stein_sum, _threshold_sums
 
 ONE_BIT_GAIN = 2.0 / math.sqrt(math.pi)
 ONE_BIT_NOISE = 2.0 - 4.0 / math.pi
@@ -88,26 +90,35 @@ def test_quadrature_vs_montecarlo_within_3_sigma(bits, clip):
     assert abs(mc.noise - exact.noise) < 3 * mc.noise_stderr
 
 
+def _cell_oracle(levels, thresholds, mean, sigma):
+    """(E[q(Y)], E[q(Y)^2], E[(Y - mean) q(Y)]) for Y ~ N(mean, sigma^2) and
+    the quantizer with ``levels`` on the cells between ``thresholds``, summed
+    over the cells with math.fsum.  A cell's probability is a difference of
+    norm.cdf values below the mean and of norm.sf values above it, so it is
+    never the difference of two numbers near 1."""
+    levels = np.asarray(levels, dtype=float)
+    z = (np.concatenate(([-np.inf], thresholds, [np.inf])) - mean) / sigma
+    lo, hi = z[:-1], z[1:]
+    prob = np.where(lo >= 0, norm.sf(lo) - norm.sf(hi), norm.cdf(hi) - norm.cdf(lo))
+    first = sigma * (norm.pdf(lo) - norm.pdf(hi))
+    return math.fsum(levels * prob), math.fsum(levels**2 * prob), math.fsum(levels * first)
+
+
 def test_energy_identity():
     # E|Q(U)|^2 = (gain^2 + noise) * pbar, checked against direct cell sums
     for bits, clip, pbar in [(1, 1.0, 1.0), (3, 2.6, 1.0), (4, 3.0, 2.5)]:
         q = QuantizerSpec.uniform_midrise(bits, clip)
         m = tx_moments(q, pbar)
-        sigma = math.sqrt(pbar / 2.0)
-        levels = q.levels_per_dim()
-        thr = np.concatenate(([-np.inf], q.thresholds_per_dim(), [np.inf]))
-        prob = np.diff(norm.cdf(thr / sigma))
-        eq2 = 2.0 * float(levels**2 @ prob)
-        assert (abs(m.gain) ** 2 + m.noise) * pbar == pytest.approx(eq2, rel=1e-8)
+        _, eq2, _ = _cell_oracle(q.levels_per_dim(), q.thresholds_per_dim(), 0.0, math.sqrt(pbar / 2.0))
+        assert (abs(m.gain) ** 2 + m.noise) * pbar == pytest.approx(2.0 * eq2, rel=1e-8)
 
 
 def _cell_energy(levels, pbar):
     """E|S|^2 of a quantizer with the given per-dimension levels at CN(0, pbar)
     input: decision thresholds at the level midpoints, Gaussian cell sums."""
     levels = np.asarray(levels, dtype=float)
-    thr = np.concatenate(([-np.inf], (levels[:-1] + levels[1:]) / 2.0, [np.inf]))
-    prob = np.diff(norm.cdf(thr / math.sqrt(pbar / 2.0)))
-    return 2.0 * float(levels**2 @ prob)
+    thr = (levels[:-1] + levels[1:]) / 2.0
+    return 2.0 * _cell_oracle(levels, thr, 0.0, math.sqrt(pbar / 2.0))[1]
 
 
 def _midrise_levels(bits, clip):
@@ -143,13 +154,11 @@ def test_energy_identity_holds_for_generated_quantizers_and_powers(quantizer, pb
 
 def test_orthogonality_residual():
     # E[(Q - gain U)* U] = E[Q* U] - gain * pbar must vanish; evaluate the
-    # cross term with the exact cell sums and, independently, by sampling
-    from qlt.moments import _dim_qx_q2
-
+    # cross term with the cell-sum oracle and, independently, by sampling
     q = QuantizerSpec.uniform_midrise(2, 1.8)
     for pbar in (1.0, 3.7):
         m = tx_moments(q, pbar)
-        exu, _ = _dim_qx_q2(q, math.sqrt(pbar / 2.0))
+        _, _, exu = _cell_oracle(q.levels_per_dim(), q.thresholds_per_dim(), 0.0, math.sqrt(pbar / 2.0))
         assert abs(2.0 * exu - m.gain * pbar) < 1e-8 * pbar
 
     exact = tx_moments(q, 1.0)
@@ -160,6 +169,65 @@ def test_orthogonality_residual():
     x = np.asarray(quantize(q, u))
     resid = np.mean(np.conj(x - exact.gain * u) * u)
     assert abs(resid) < 5e-3  # ~3 sigma of the sampling noise
+
+
+def _kernel_quantizer(bits, kappa, warp):
+    """A ``bits``-bit midrise quantizer loaded at ``kappa`` for unit power, or,
+    with ``warp = (w, shift)``, the custom level set ``l + w l^3 / clip^2 +
+    shift * clip`` over its levels l: spacings that widen outwards, off
+    centre."""
+    q = QuantizerSpec.midrise_for_power(bits, 1.0, kappa)
+    if warp is None:
+        return q
+    (w, shift), lv, clip = warp, q.levels_per_dim(), q.clip
+    return QuantizerSpec.custom_levels(lv + w * lv**3 / clip**2 + shift * clip)
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(
+    q=st.builds(
+        _kernel_quantizer,
+        st.integers(1, 12),
+        st.floats(0.5, 6.0),
+        st.one_of(st.none(), st.tuples(st.floats(0.0, 2.0), st.floats(-0.5, 0.5))),
+    ),
+    sigma_n=st.floats(1e-4, 2.0),
+    at=st.integers(0, 2**12),
+)
+@example(q=_kernel_quantizer(12, 6.0, None), sigma_n=1e-4, at=2047)
+@example(q=_kernel_quantizer(12, 0.5, None), sigma_n=2.0, at=4000)
+@example(q=_kernel_quantizer(11, 3.0, (2.0, 0.5)), sigma_n=1e-3, at=5)
+def test_threshold_sums_match_the_cell_oracle(q, sigma_n, at):
+    # the tx moments' E[X q(X)] and E[q(X)^2] at X ~ N(0, 1/2), and the noisy
+    # response E[q(m + N)], E[q(m + N)^2] at means on a threshold, one ulp
+    # either side of it and off it
+    lv, thr = q.levels_per_dim(), q.thresholds_per_dim()
+    sigma = math.sqrt(0.5)
+    _, eq2, exq = _cell_oracle(lv, thr, 0.0, sigma)
+    assert _stein_sum(lv, thr, sigma) == pytest.approx(exq, rel=1e-13)
+    assert _threshold_sums(lv, thr, np.zeros(1), sigma)[1][0] == pytest.approx(eq2, rel=1e-13)
+    t = thr[at % thr.size]
+    means = np.array([t, np.nextafter(t, -np.inf), np.nextafter(t, np.inf), t + 0.3 * sigma_n, t - 2.1 * sigma_n])
+    first, second = _threshold_sums(lv, thr, means, sigma_n)
+    for m, e1, e2 in zip(means, first, second):
+        o1, o2, _ = _cell_oracle(lv, thr, m, sigma_n)
+        assert e2 == pytest.approx(o2, rel=1e-13)
+        # E[q] may be near 0 by symmetry; it is held to the rms level
+        assert e1 == pytest.approx(o1, rel=1e-13, abs=1e-13 * math.sqrt(o2))
+
+
+def test_an_11_bit_chain_holds_one_threshold_table():
+    # the ADC's response to each DAC level plus noise is one float table of
+    # (DAC levels) x (ADC thresholds) tails, weighted and summed in place
+    q = QuantizerSpec.uniform_midrise(11, 2.1)
+    table_bytes = 8 * 2**11 * (2**11 - 1)
+    tracemalloc.start()
+    try:
+        chain_moments(q, 0.01, q, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * table_bytes
 
 
 def test_scale_covariance():

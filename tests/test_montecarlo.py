@@ -450,9 +450,9 @@ def test_chain_trials_digest_pins_the_awgn_draws():
         for rep in (run_chain_trials(cfg), run_tx_trials(cfg), run_chain_trials(fft))
     ]
     assert digests == [
-        "9c75dcd8971920f4f3ba299b89fff05e975c0fa5de8c902ada82522703ec94e0",
-        "4a898b61aeca2c811563332cc403e581f34f861515801facad9a43ee3c5baa0a",
-        "050f35b887f2ed740e0f227676c9215a8416ec6c13d5e4a49081370f76d6a964",
+        "f9e3f2019cde0960e75e191e4d7d9ea2184559045d7a6aae9512fbba4523bdf8",
+        "85cb37582d3a547348a8fe3539d7266ebadcead0d9452b96d5c87dddfd95d5f1",
+        "ddb5c5273f3e0c40c16f29c5adf2f680854718bb2895122b944685ed7ddfa06a",
     ]
 
 

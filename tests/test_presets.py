@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import qlt
-from qlt import cli
+from qlt import QuantizerSpec, chain_moments, cli, tx_moments
 from qlt._rng import complex_normal, substream
 from qlt.cli import json_text, main
 from qlt.montecarlo import _corr
@@ -30,14 +30,14 @@ CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 DIGESTS = {
     "fig2_sweep_snr": {
         "resolved_config.json": "6594d50bdcbe06e3d6c451793f074be5aa73eb8735cecd355a693bb2f1a2bd87",
-        "sweep-snr.csv": "07905f3f7c4b6b02158ffe2831bf089ca1b7be515dd3f52f37fc22c777e34aae",
+        "sweep-snr.csv": "f37038e1b531bc86e6b61d59748c93a57eee9b67670f14a652c8256148b57745",
     },
     "fig3_sweep_aclr": {
         "resolved_config.json": "885e674228ac91faa48d415633ee649fff1d2d22ce7521a2a0459c0fc40273dc",
-        "sweep-aclr.csv": "4bc72544ebdac9cc13b77fa2bf5a111dc462b9b1eb497e856ac17c3459002f0d",
+        "sweep-aclr.csv": "283c2ca75e1c4723ebe2bc3866e9a18b3a8c73510c9af097f38b63914533fec6",
     },
     "moments_3bit": {
-        "moments.json": "02e40c97b9fed4fa5d2fbc4daa7aaa6cf7cd49ddfc2cc47900116a087194ee6c",
+        "moments.json": "825973b269f08db6dc493439522d5864f816fbc23bc3270927759a59b0ca57d8",
         "resolved_config.json": "105d26e21005df3db30dd3acc928e5b02f46213841c39990813c60b38b81201f",
     },
     "montecarlo_tx_1bit": {
@@ -74,13 +74,13 @@ WAVEFORM_DIGESTS = {
         {"sample_rate": 983.04e6, "num_subcarriers": 2048, "num_symbols": 24, "filter_taps": 511,
          "psd_segment_length": 8192, "dac": {"bits": 5, "kappa": 3.5}},
         11,
-        {"waveform.json": "2a2f5d2aba175edf57343cfc5c7c3327090af20fb9d1d48da037217fdc310edc",
+        {"waveform.json": "babd2a026f915fc06902048960cbacb9a0d5335e2004bd5628f9b0490296b766",
          "waveform_psd.csv": "673b65abe2e5e609018a1cc3e39e5100625d7142582920a4439a1086ac675c1e"},
     ),
     "b3-every-third-subcarrier": (
         {"num_symbols": 40, "enabled_subcarriers": tuple(range(0, 832, 3)), "dac": {"bits": 3, "kappa": 3.0}},
         11,
-        {"waveform.json": "c0e7994a6be6e95d90f07b727f8f5cd33cac09cadd6da387f15fb949e4b33638",
+        {"waveform.json": "8816540e2c190462dd82c2278f4ead9040fffffbf42c18092dac351f360e99e3",
          "waveform_psd.csv": "bdd08f8b3472341a7eab79466edcf6968a843fefc28e4bb902a5b7f890256a0d"},
     ),
 }
@@ -131,41 +131,70 @@ def _child_env(**extra) -> dict:
     return dict(os.environ, PYTHONPATH=path, **extra)
 
 
-@pytest.mark.parametrize("name", ["montecarlo_tx_1bit", "waveform_nr200_b4"])
-def test_preset_bytes_do_not_depend_on_blas_threads(tmp_path, name):
-    # OpenBLAS splits a long dot product across threads, so a BLAS reduction
-    # in a result's sums gives other last bits at one thread than at two
+def _outputs_at_blas_threads(preset: pathlib.Path, out: pathlib.Path) -> list[dict]:
+    """The result files (name -> bytes) of ``preset`` run by a child
+    interpreter at 1 and at 2 OpenBLAS threads."""
     written = []
     for threads in ("1", "2"):
-        out = tmp_path / threads
-        preset = CONFIGS / f"{name}.json"
         subprocess.run(
             [sys.executable, "-m", "qlt.cli", json.loads(preset.read_text())["experiment"],
-             "--config", str(preset), "--out", str(out)],
+             "--config", str(preset), "--out", str(out / threads)],
             check=True, capture_output=True,
             env=_child_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS="1"),
         )
         # resolved_config.json holds the output directory
-        written.append({p.name: p.read_bytes() for p in out.iterdir()
+        written.append({p.name: p.read_bytes() for p in (out / threads).iterdir()
                         if p.name != "resolved_config.json"})
-    assert sorted(written[0]) == sorted(set(DIGESTS[name]) - {"resolved_config.json"})
-    assert written[0] == written[1]
+    return written
+
+
+@pytest.mark.parametrize("name", ["montecarlo_tx_1bit", "waveform_nr200_b4"])
+def test_preset_bytes_do_not_depend_on_blas_threads(tmp_path, name):
+    # OpenBLAS splits a long dot product across threads, so a BLAS reduction
+    # in a result's sums gives other last bits at one thread than at two
+    one, two = _outputs_at_blas_threads(CONFIGS / f"{name}.json", tmp_path)
+    assert sorted(one) == sorted(set(DIGESTS[name]) - {"resolved_config.json"})
+    assert one == two
+
+
+_MIDRISE_16 = {"kind": "uniform_midrise", "bits": 16, "clip": 2.1}
+
+
+@pytest.mark.parametrize("params", [
+    {"quantizer": _MIDRISE_16, "pbar": 1.0},
+    {"quantizer": {"kind": "identity"}, "pbar": 1.0, "channel": {"kind": "awgn", "noise_power": 0.01},
+     "adc": _MIDRISE_16},
+], ids=["dac", "adc"])
+def test_16_bit_moments_bytes_do_not_depend_on_blas_threads(tmp_path, params):
+    # the exact moments of a 16-bit quantizer sum over its 65,535 thresholds,
+    # a length that OpenBLAS splits across threads
+    preset = tmp_path / "moments_16bit.json"
+    preset.write_text(json.dumps({"schema_version": 1, "experiment": "moments", "params": params}))
+    one, two = _outputs_at_blas_threads(preset, tmp_path)
+    assert sorted(one) == ["moments.json"]
+    assert one == two
 
 
 def _sums() -> str:
-    """The bits of the mean power and of both correlation forms on fixed
-    inputs."""
+    """The bits of the mean power, of both correlation forms and of the exact
+    moments on fixed inputs."""
     rng = substream(4, "sums")
     z = complex_normal(rng, 1.0, 40_001)
     w = 0.3 * z + complex_normal(rng, 1.0, 40_001)
     c = w - w.mean()
     zw = complex(_corr(z, w))
-    return " ".join(float(v).hex() for v in (_mean_power(z), zw.real, zw.imag, _corr(c.real, c.imag)))
+    moments = (
+        tx_moments(QuantizerSpec.uniform_midrise(12, 2.1), 1.0),
+        chain_moments(QuantizerSpec.uniform_midrise(6, 2.1), 0.01, QuantizerSpec.uniform_midrise(7, 2.2), 1.0),
+    )
+    return " ".join(float(v).hex() for v in (_mean_power(z), zw.real, zw.imag, _corr(c.real, c.imag),
+                                              *(x for m in moments for x in (m.gain, m.noise))))
 
 
 def test_sums_do_not_depend_on_simd_dispatch():
-    # numpy picks a loop per CPU feature at run time; the mean power and the
-    # correlations must keep their bits on numpy's baseline loops
+    # numpy picks a loop per CPU feature at run time; the mean power, the
+    # correlations and the exact moments must keep their bits on numpy's
+    # baseline loops
     found = np.show_config(mode="dicts")["SIMD Extensions"].get("found", [])
     if not found:
         pytest.skip("numpy dispatches no SIMD features beyond its baseline on this CPU")
