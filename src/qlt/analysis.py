@@ -178,21 +178,12 @@ def _above_floor(fractions, m_tx: AgnMoments, nu) -> tuple[list, list]:
     fr, shares = _check_fractions(fractions), _share_list(nu)
     if len(fr) != len(shares):
         raise ValueError("distributions must have equal length")
-    floor = _floors(fr, m_tx)
-    b = _first_short(floor, shares)
-    if b is not None:
-        # raised where it is made: an error held in a local would form a
-        # frame-traceback cycle that only the garbage collector frees
-        raise FeasibilityError(band=b, floor=floor[b], value=shares[b])
-    return fr, shares
-
-
-def _first_short(floor: list, shares: list) -> int | None:
-    """The first band whose share is short of its (NaN) floor, or None."""
-    for b, (fl, s) in enumerate(zip(floor, shares)):
+    for b, (fl, s) in enumerate(zip(_floors(fr, m_tx), shares)):
         if not s >= fl - FEASIBILITY_SLACK:
-            return b
-    return None
+            # raised where it is made: an error held in a local would form a
+            # frame-traceback cycle that only the garbage collector frees
+            raise FeasibilityError(band=b, floor=fl, value=s)
+    return fr, shares
 
 
 def powers_from_fractions(fractions, m_tx: AgnMoments, pbar: float, nu) -> np.ndarray:
@@ -340,17 +331,15 @@ def noise_free_rate(fractions, m_tx: AgnMoments, nu) -> RateReport:
 
 def noise_free_rates(fractions, m_tx: AgnMoments, rows) -> list[float | None]:
     """``noise_free_rate(fractions, m_tx, row).bits_per_symbol`` for each row
-    of a 2-D array of target shares, with the chain, the fractions and the
-    share floor checked once; None where that call raises FeasibilityError.
-    A row that is not a share vector raises what it would alone."""
-    flat = _flat_rate(m_tx)
-    fr = _check_fractions(fractions)
+    of a 2-D array of target shares, None where that call raises
+    FeasibilityError; any other error of a row is raised as it is."""
     rows = np.asarray(rows, dtype=float)
-    if rows.ndim != 2 or rows.shape[1] != len(fr):
+    if rows.ndim != 2 or rows.shape[1] != len(_check_fractions(fractions)):
         raise ValueError("share rows must be a 2-D array as wide as the fractions")
-    floor = _floors(fr, m_tx)
     rates = []
-    for shares in rows.tolist():
-        _check_shares(shares)
-        rates.append(None if _first_short(floor, shares) is not None else flat - _kl_bits(fr, shares))
+    for row in rows.tolist():
+        try:
+            rates.append(noise_free_rate(fractions, m_tx, row).bits_per_symbol)
+        except FeasibilityError:
+            rates.append(None)
     return rates

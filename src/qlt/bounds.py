@@ -88,6 +88,18 @@ def tilted_mean_energy(cset: Constellation, theta: float) -> float:
     return 2.0 * float(np.dot(cset.energy_classes[2], expo) / total)
 
 
+def _bracket_end(cset: Constellation, s: float, tilt: float) -> tuple[float, float]:
+    """The first of tilt, 2 tilt, 4 tilt, ... at which the tilted mean energy
+    less s is zero or has tilt's sign, and that difference."""
+    for _ in range(200):
+        f = tilted_mean_energy(cset, tilt) - s
+        if f * tilt >= 0:
+            return tilt, f
+        tilt *= 2.0
+    # s is interior, so the bracket always closes
+    raise NumericalFailureError("tilt bracket expansion failed")  # pragma: no cover
+
+
 def rate_function(cset: Constellation, s: float) -> tuple[float, float]:
     """Legendre transform of the cumulant at target energy s.
 
@@ -116,21 +128,8 @@ def rate_function(cset: Constellation, s: float) -> tuple[float, float]:
         raise BoundaryEnergyError(
             f"target energy {s} on the achievable boundary: rate function diverges"
         )
-    lo, hi = -1.0, 1.0
-    for _ in range(200):
-        f_lo = tilted_mean_energy(cset, lo) - s
-        if f_lo <= 0:
-            break
-        lo *= 2.0
-    else:  # pragma: no cover - s is interior, bracket always closes
-        raise NumericalFailureError("tilt bracket expansion failed (low side)")
-    for _ in range(200):
-        f_hi = tilted_mean_energy(cset, hi) - s
-        if f_hi >= 0:
-            break
-        hi *= 2.0
-    else:  # pragma: no cover
-        raise NumericalFailureError("tilt bracket expansion failed (high side)")
+    lo, f_lo = _bracket_end(cset, s, -1.0)
+    hi, f_hi = _bracket_end(cset, s, 1.0)
     # ITP (kappa1 = 0.2 / width, kappa2 = 2, n0 = 1): the regula falsi point,
     # moved kappa1 * width^2 toward the midpoint, then projected into the radius
     # around it that leaves a bracket of at most reach * 2^(steps left).  reach

@@ -3,8 +3,9 @@
 Subcommands: moments, spectrum, rate, upper-bound, sweep-snr, sweep-aclr,
 montecarlo, waveform, defaults.  Every experiment is driven by a versioned
 JSON config (see configs/ for presets); results and the fully resolved config
-are written to the output directory.  Exit codes: 0 success, 2 config error,
-3 numerical failure.
+are written to the output directory.  Exit codes: 0 success, 2 config error
+(an unwritable output directory included), 3 numerical failure (an allocation
+that fails included).
 """
 
 import argparse
@@ -30,11 +31,11 @@ from .analysis import (
     awgn_linear_rate,
     awgn_rates_at_transmit_snr,
     linear_rate,
-    noise_free_rate,
+    noise_free_rates,
     predict_spectrum,
 )
 from .bounds import TILT_TOL, rate_upper_bound, upper_bound_rates
-from .errors import ConfigError, FeasibilityError, QltError
+from .errors import ConfigError, QltError
 from .moments import DEFAULT_MC_SAMPLES, MonteCarlo, Quadrature, chain_moments, tx_moments
 from .montecarlo import LAYOUTS, TRANSFORMS, SimConfig, run_chain_trials, run_tx_trials
 from .quantizer import DEFAULT_KAPPA, QuantizerSpec, constellation_of
@@ -410,8 +411,11 @@ def _grid(spec: dict) -> np.ndarray:
         raise ConfigError(f"grid start {spec['start']} is above its stop {spec['stop']}")
     # every point lies at or below stop; the slack absorbs the rounding of
     # (stop - start) / step when stop is a whole number of steps past start
-    n = math.floor((spec["stop"] - spec["start"]) / spec["step"] + 1e-9) + 1
-    return spec["start"] + spec["step"] * np.arange(n)
+    steps = (spec["stop"] - spec["start"]) / spec["step"] + 1e-9
+    if not math.isfinite(steps):
+        raise ConfigError(f"grid from {spec['start']} to {spec['stop']} in steps of "
+                          f"{spec['step']} has a point count past the float range")
+    return spec["start"] + spec["step"] * np.arange(math.floor(steps) + 1)
 
 
 def _quantizer(obj: dict) -> QuantizerSpec:
@@ -675,11 +679,7 @@ def _run_sweep_aclr(p: dict, seed: int) -> tuple:
         q = QuantizerSpec.midrise_for_power(bits, pbar, p["kappa"])
         m = tx_moments(q, pbar)
         r_upper += upper_bound_rates(constellation_of(q), (m.gain**2 + m.noise) * pbar, nu, fr)
-        for shares in nu.tolist():
-            try:
-                r_lin.append(noise_free_rate(fr, m, shares).bits_per_symbol)
-            except FeasibilityError:
-                r_lin.append(None)
+        r_lin += noise_free_rates(fr, m, nu)
         aclr_db += map(float, grid)
         labels += [bits] * grid.size
     return _stamped_table(seed, ["aclr_db", "bits", "r_lin", "r_upper"],
@@ -735,6 +735,19 @@ def _flat(d: dict, prefix: str = "") -> dict:
     return out
 
 
+def _write(out_dir: Path, resolved: dict, files: dict) -> None:
+    """Write the resolved config and the result files into ``out_dir``; a
+    ConfigError where the file system refuses."""
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / "resolved_config.json").write_text(json_text(resolved))
+        for name, text in files.items():
+            (out_dir / name).write_text(text)
+            print(f"wrote {out_dir / name}")
+    except OSError as e:
+        raise ConfigError(f"cannot write results: {e}") from e
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The command-line parser, built on first use and reused for the process."""
@@ -768,19 +781,15 @@ def main(argv=None) -> int:
         resolved = _resolve_config(cfg, args)
         result = _RUNNERS[args.command](resolved["params"], resolved["seed"])
         files = _result_files(args.command, resolved["output"]["format"], result)
+        _write(Path(resolved["output"]["path"]), resolved, files)
     except (ConfigError, ValueError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except QltError as e:
-        print(f"numerical failure: {e}", file=sys.stderr)
+    except (QltError, MemoryError) as e:
+        # a MemoryError is an allocation the address space refused; a bare
+        # one has no message
+        print(f"numerical failure: {str(e) or 'out of memory'}", file=sys.stderr)
         return 3
-
-    out_dir = Path(resolved["output"]["path"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "resolved_config.json").write_text(json_text(resolved))
-    for name, text in files.items():
-        (out_dir / name).write_text(text)
-        print(f"wrote {out_dir / name}")
     return 0
 
 

@@ -475,6 +475,7 @@ def test_an_infeasible_share_leaves_no_reference_cycle():
         for call in (
             lambda: noise_free_rate((0.5, 0.5), m, (0.9, 0.1)),
             lambda: powers_from_fractions((0.5, 0.5), m, 1.0, (0.9, 0.1)),
+            lambda: noise_free_rates((0.5, 0.5), m, [(0.9, 0.1)]),
         ):
             try:
                 call()

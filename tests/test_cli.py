@@ -98,6 +98,19 @@ def test_malformed_config_exits_2_without_output(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_an_unwritable_output_directory_exits_2_and_leaves_nothing(tmp_path, capsys):
+    # --out names a path below a regular file: no directory can be made there
+    blocker = tmp_path / "results"
+    blocker.write_text("a file")
+    cfg = write_cfg(tmp_path, moments_cfg(str(tmp_path / "unused")))
+    assert main(["moments", "--config", cfg, "--out", str(blocker / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: cannot write results: ")
+    assert captured.out == ""
+    assert blocker.read_text() == "a file"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "results"]
+
+
 @pytest.mark.parametrize(
     "literal", ["1e400", "-1e400", "1" + "0" * 400, "NaN", "Infinity", "-Infinity"]
 )
@@ -212,6 +225,17 @@ def test_a_cell_table_past_the_address_space_exits_3(tmp_path, experiment, param
     # a 16-bit DAC and a 16-bit ADC ask the exact chain moments for a
     # 65,536 x 65,535 table of threshold tails, 32 GiB; the child may map
     # 3 GiB, so numpy's allocation fails at once instead of paging
+    proc, out = _run_in_3_gib(tmp_path, experiment, params)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("numerical failure: ")
+    assert "65536-level DAC and a 65536-level ADC" in proc.stderr
+    assert "65536 x 65535 table" in proc.stderr
+    assert not out.exists()
+
+
+def _run_in_3_gib(tmp_path, experiment, params):
+    """The finished ``python -m qlt.cli`` child that ran ``params`` with an
+    address space of 3 GiB, and its output directory."""
     resource = pytest.importorskip("resource")
     limit = 3 << 30
 
@@ -225,10 +249,31 @@ def test_a_cell_table_past_the_address_space_exits_3(tmp_path, experiment, param
         [sys.executable, "-m", "qlt.cli", experiment, "--config", cfg, "--out", str(out)],
         capture_output=True, text=True, env=_cli_env(), preexec_fn=cap_address_space,
     )
+    return proc, out
+
+
+_MIDRISE_3 = {"kind": "uniform_midrise", "bits": 3, "clip": 2.1}
+
+
+@pytest.mark.parametrize("experiment, params", [
+    ("montecarlo", {"size": 2**40, "trials": 1, "fractions": [0.5, 0.5], "powers": [1.5, 0.5],
+                    "quantizer": _MIDRISE_3}),
+    ("waveform", {"dac": {"bits": 3}, "num_symbols": 10**11}),
+    ("waveform", {"dac": {"bits": 3}, "num_subcarriers": 2**40}),
+    ("waveform", {"dac": {"bits": 3}, "num_symbols": 2, "filter_taps": 10**12}),
+    ("moments", {"quantizer": _MIDRISE_3, "pbar": 1.0,
+                 "method": {"kind": "montecarlo", "samples": 10**13}}),
+    ("sweep-snr", {"bits": [2], "fractions": [0.5, 0.5], "powers": [1.5, 0.5],
+                   "snr_db": {"start": 0, "stop": 1e12, "step": 1}}),
+], ids=["montecarlo-size", "waveform-symbols", "waveform-subcarriers", "waveform-taps",
+        "moments-samples", "sweep-snr-points"])
+def test_an_allocation_past_the_address_space_exits_3(tmp_path, experiment, params):
+    # each config asks numpy for terabytes at one allocation; with 3 GiB to
+    # map, it fails at once and the run is a numerical failure, not a traceback
+    proc, out = _run_in_3_gib(tmp_path, experiment, params)
     assert proc.returncode == 3, proc.stderr
-    assert proc.stderr.startswith("numerical failure: ")
-    assert "65536-level DAC and a 65536-level ADC" in proc.stderr
-    assert "65536 x 65535 table" in proc.stderr
+    assert proc.stderr.startswith("numerical failure: Unable to allocate ")
+    assert proc.stderr.count("\n") == 1
     assert not out.exists()
 
 
@@ -691,6 +736,11 @@ def test_sweep_grid_direction(tmp_path, capsys, experiment, grid_key, params):
     assert main([experiment, "--config", bad]) == 2
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "reversed").exists()
+    # so is a grid whose point count is past the float range
+    huge = write_cfg(tmp_path, cfg("huge", -1e308, 1e308, 1e-300), "huge.json")
+    assert main([experiment, "--config", huge]) == 2
+    assert "point count past the float range" in capsys.readouterr().err
+    assert not (tmp_path / "huge").exists()
     # start == stop is a one-point grid
     one = write_cfg(tmp_path, cfg("one", 3.0, 3.0), "one.json")
     assert main([experiment, "--config", one]) == 0
