@@ -9,9 +9,7 @@ that fails included).
 """
 
 import argparse
-import csv
 import functools
-import io
 import json
 import math
 import sys
@@ -62,13 +60,13 @@ class _Table(dict):
     A spec is a JSON schema fragment or a nested ``_Table``; a default is a
     value, ``REQUIRED``, ``OPTIONAL`` or a ``_ForKind``.  The object's schema
     requires the ``REQUIRED`` keys, and those of its ``kind``, and rejects
-    unknown ones; a key one kind requires is rejected under another kind.
+    unknown ones; a key of one kind is rejected under another kind.
     """
 
 
 class _ForKind(NamedTuple):
-    """A default, or ``REQUIRED``, that applies only where the object's
-    ``kind`` is ``kind``."""
+    """A default, or ``REQUIRED``, of a key that belongs to one ``kind`` of
+    the object: the key is rejected where the object is of another kind."""
 
     kind: str
     value: object
@@ -200,15 +198,17 @@ def schema_of(spec) -> dict:
     }
     by_kind, owner = {}, {}
     for name, (_, d) in spec.items():
-        if isinstance(d, _ForKind) and d.value is REQUIRED:
-            by_kind.setdefault(d.kind, []).append(name)
+        if isinstance(d, _ForKind):
             owner[name] = {"properties": {"kind": {"const": d.kind}}}
+            if d.value is REQUIRED:
+                by_kind.setdefault(d.kind, []).append(name)
     if by_kind:
         schema["allOf"] = [
             {"if": {"properties": {"kind": {"const": kind}}, "required": ["kind"]},
              "then": {"required": names}}
             for kind, names in by_kind.items()
         ]
+    if owner:
         schema["dependentSchemas"] = owner
     return schema
 
@@ -306,8 +306,8 @@ def _walk(spec, v, path: tuple):
 
 def _walk_table(table: _Table, doc, path: tuple) -> dict:
     """An object: its keys are the table's, every ``REQUIRED`` one present,
-    and a key that a ``kind`` requires is required under that kind and
-    rejected under another."""
+    and a key of a ``kind`` rejected under another kind (and required under
+    its own where its value is ``REQUIRED``)."""
     if not isinstance(doc, dict):
         raise _Rejected(path)
     out = {}
@@ -316,15 +316,16 @@ def _walk_table(table: _Table, doc, path: tuple) -> dict:
             raise _Rejected((*path, name))
         out[name] = _walk(table[name][0], v, (*path, name))
     for name, (_, default) in table.items():
-        if name not in doc and (default is REQUIRED or _kind_owns(default, doc)):
+        if name not in doc and (default is REQUIRED
+                                or _kind_owns(default, doc) and default.value is REQUIRED):
             raise _Rejected((*path, name))
     return out
 
 
 def _kind_owns(default, doc: dict) -> bool | None:
-    """Whether ``doc``'s kind requires a key with ``default``; None where the
-    key is no kind's or ``doc`` gives no kind."""
-    if isinstance(default, _ForKind) and default.value is REQUIRED and "kind" in doc:
+    """Whether a key with ``default`` belongs to ``doc``'s kind; None where
+    the key is no kind's or ``doc`` gives no kind."""
+    if isinstance(default, _ForKind) and "kind" in doc:
         return _same(doc["kind"], default.kind)
     return None
 
@@ -406,15 +407,18 @@ def _resolve_config(cfg: dict, args) -> dict:
     return resolved
 
 
-def _grid(spec: dict) -> np.ndarray:
+def _grid(spec: dict, name: str) -> np.ndarray:
+    """The points of the grid object ``spec``, the value of key ``name``."""
     if spec["start"] > spec["stop"]:
-        raise ConfigError(f"grid start {spec['start']} is above its stop {spec['stop']}")
+        raise ConfigError(f"{name} grid start {spec['start']} is above its stop {spec['stop']}")
     # every point lies at or below stop; the slack absorbs the rounding of
-    # (stop - start) / step when stop is a whole number of steps past start
+    # (stop - start) / step when stop is a whole number of steps past start.
+    # The grid's bytes (8 a point) must be indexable, or numpy refuses it
+    # with a message that names no key; an infinite count fails too.
     steps = (spec["stop"] - spec["start"]) / spec["step"] + 1e-9
-    if not math.isfinite(steps):
-        raise ConfigError(f"grid from {spec['start']} to {spec['stop']} in steps of "
-                          f"{spec['step']} has a point count past the float range")
+    if not steps < np.iinfo(np.intp).max // 8:
+        raise ConfigError(f"{name} grid from {spec['start']} to {spec['stop']} in steps of "
+                          f"{spec['step']} has more points than an array can index")
     return spec["start"] + spec["step"] * np.arange(math.floor(steps) + 1)
 
 
@@ -454,13 +458,14 @@ def _csv_bytes(header, columns) -> str:
     for the row ``header``, then one row per index of ``columns``, a sequence
     of values per header cell: a cell is ``str`` of its value (floats give inf,
     -inf and nan), and None is an empty cell.  Columns of unequal length, or
-    not one per header cell, raise ``ValueError``.
+    not one per header cell, raise ``ValueError``, and so does a cell that
+    csv would quote (one holding a comma, a quote or a line break): no result
+    cell comes from user text, so none holds one.
 
-    The cells are formatted a column at a time: ``str`` of every value, then,
-    in a column that holds a comma, a quote or a line break, each such cell as
-    csv quotes it.  Each column's cells go into one list, in row order with a
-    comma or a line break after each, and one ``str.join`` builds the text.  A
-    row's only cell, when empty, is written ``""``, as csv writes it.
+    The cells are formatted a column at a time, ``str`` of every value.  Each
+    column's cells go into one list, in row order with a comma or a line break
+    after each, and one ``str.join`` builds the text.  A row's only cell, when
+    empty, is written ``""``, as csv writes it.
     """
     if len(columns) != len(header):
         raise ValueError(f"{len(header)} header cells, but {len(columns)} columns")
@@ -477,21 +482,10 @@ def _csv_bytes(header, columns) -> str:
         if "None" in cells:
             cells = ["" if v is None else c for v, c in zip(values, cells)]
         text = "".join(cells)
-        if any(ch in text for ch in _CSV_SPECIAL):
-            cells = [_csv_cell(c) if any(ch in c for ch in _CSV_SPECIAL) else c for c in cells]
+        if any(ch in text for ch in ',"\r\n'):
+            raise ValueError(f"column {name!r} holds a cell that csv would quote")
         parts[2 * k::width] = [c or '""' for c in cells] if width == 2 else cells
     return "".join(parts)
-
-
-#: The characters that may make csv quote a cell.
-_CSV_SPECIAL = ',"\r\n'
-
-
-def _csv_cell(text: str) -> str:
-    """The non-empty cell ``text`` as csv writes it in a row."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow([text])
-    return buf.getvalue()[:-1]
 
 
 def json_text(obj) -> str:
@@ -657,7 +651,7 @@ def _run_upper_bound(p: dict, seed: int) -> tuple:
 
 def _run_sweep_snr(p: dict, seed: int) -> tuple:
     plan = _plan(p)
-    grid = _grid(p["snr_db"])
+    grid = _grid(p["snr_db"], "snr_db")
     snr = _power_ratios(grid, "snr_db")
     snr_db, labels, rate = [], [], []
     for bits in p["bits"]:
@@ -671,7 +665,7 @@ def _run_sweep_snr(p: dict, seed: int) -> tuple:
 def _run_sweep_aclr(p: dict, seed: int) -> tuple:
     fr = tuple(p["fractions"])
     pbar = p["pbar"]
-    grid = _grid(p["aclr_db"])
+    grid = _grid(p["aclr_db"], "aclr_db")
     ratios = np.array(_power_ratios(grid, "aclr_db"))
     nu = np.stack([ratios / (1.0 + ratios), 1.0 / (1.0 + ratios)], axis=-1)
     aclr_db, labels, r_lin, r_upper = [], [], [], []

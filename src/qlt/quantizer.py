@@ -202,14 +202,15 @@ class Constellation:
 _MAP_BLOCK = 2**15
 
 
-def _map_dim(spec: QuantizerSpec, x: np.ndarray, out: np.ndarray | None = None,
-             buffers: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
-    """The level of each float of the 1-D ``x``, written to ``out`` if given.
+def _map_dim(spec: QuantizerSpec, x: np.ndarray, out: np.ndarray,
+             buffers: tuple[np.ndarray, np.ndarray] | None) -> np.ndarray:
+    """The level of each float of the 1-D ``x``, written to ``out`` and
+    returned.
 
     ``buffers``, a float and an intp array of ``x``'s size, hold the
-    midrise map's intermediates; without it they are allocated."""
+    midrise map's intermediates; the other maps take None."""
     if spec.kind == "uniform_midrise":
-        work, idx = buffers or (np.empty(x.size), np.empty(x.size, dtype=np.intp))
+        work, idx = buffers
         clip, top = float(spec.clip), 2 ** spec.bits - 1
         step = 2.0 * clip / top
         # a sample far beyond a tiny step overflows to an infinite index,

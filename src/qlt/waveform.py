@@ -9,8 +9,7 @@ from the decomposition moments.
 
 Synthesis draws the active subcarriers in one ``complex_normal`` call,
 which writes them into a strided view of the symbol grid (the active set
-is two runs of bins; an ``enabled_subcarriers`` subset is drawn apart and
-scattered by index).  The grid is transformed, scaled and windowed in
+is two runs of bins).  The grid is transformed, scaled and windowed in
 place, and overlap-added by a copy of the symbol heads and one reshaped
 slice add of the tails; the grid is freed before the filter.
 
@@ -63,9 +62,9 @@ class WaveformConfig:
 
     ``num_subcarriers`` is the per-symbol FFT grid size; the number of active
     subcarriers is derived from ``occupied_bandwidth`` and the baseband rate.
-    ``dac_bits=None`` models an ideal (identity) DAC; otherwise the clip level
-    is ``dac_clip`` if given, else loaded as ``dac_kappa`` per-dimension sigmas
-    of the interpolated stream.
+    ``dac_bits=None`` models an ideal (identity) DAC, which takes no
+    ``dac_clip``; otherwise the clip level is ``dac_clip`` if given, else
+    loaded as ``dac_kappa`` per-dimension sigmas of the interpolated stream.
     """
 
     occupied_bandwidth: float = 200e6
@@ -86,9 +85,6 @@ class WaveformConfig:
     psd_overlap: float = 0.5
     psd_window: str = "hann"
     seed: int = 0
-    # indices into the active subcarrier set that actually carry symbols;
-    # None means all of them (an empty tuple silences the transmitter)
-    enabled_subcarriers: tuple | None = None
 
     def __post_init__(self):
         if self.occupied_bandwidth + 2 * self.guard_band > self.sample_rate:
@@ -109,6 +105,8 @@ class WaveformConfig:
             )
         if self.dac_bits is not None and not 1 <= self.dac_bits <= MAX_BITS:
             raise ValueError(f"dac_bits must be in 1..{MAX_BITS} or None")
+        if self.dac_bits is None and self.dac_clip is not None:
+            raise ValueError(f"dac_clip {self.dac_clip} needs dac_bits: the ideal DAC has no clip")
         check_seed(self.seed)
 
     @property
@@ -213,24 +211,16 @@ def synthesize_baseband(cfg: WaveformConfig) -> np.ndarray:
     nfft = cfg.num_subcarriers
     half = cfg.active_subcarriers // 2
     symbols = np.zeros((nsym, nfft), dtype=complex)
-    if cfg.enabled_subcarriers is None:
-        # the active set is two runs of bins, [0, half) and [nfft - half,
-        # nfft): a (nsym, 2, half) view of the grid holds them in draw order
-        nbins = 2 * half
-        runs = np.lib.stride_tricks.sliding_window_view(symbols, half, axis=1, writeable=True)
-        runs = runs[:, :: nfft - half]
-        complex_normal(rng, 1.0, runs.shape, out=runs)
-        # a view left bound would keep the grid alive through the filter
-        del runs
-    else:
-        bins = np.r_[0:half, nfft - half : nfft][np.asarray(cfg.enabled_subcarriers, dtype=int)]
-        nbins = bins.size
-        if nbins:
-            symbols[:, bins] = complex_normal(rng, 1.0, (nsym, nbins))
+    # the active set is two runs of bins, [0, half) and [nfft - half, nfft):
+    # a (nsym, 2, half) view of the grid holds them in draw order
+    runs = np.lib.stride_tricks.sliding_window_view(symbols, half, axis=1, writeable=True)
+    runs = runs[:, :: nfft - half]
+    complex_normal(rng, 1.0, runs.shape, out=runs)
+    # a view left bound would keep the grid alive through the filter
+    del runs
     # the grid becomes the symbols in place
     np.fft.ifft(symbols, axis=1, norm="ortho", out=symbols)
-    if nbins:
-        symbols *= np.sqrt(nfft / nbins)
+    symbols *= np.sqrt(nfft / (2 * half))
     win, ov = _edge_window(nfft, cfg.symbol_taper)
     symbols *= win
     stream = _overlap_add(symbols, nfft - ov)
@@ -245,7 +235,8 @@ def synthesize_baseband(cfg: WaveformConfig) -> np.ndarray:
 
 
 def _resolve_dac(cfg: WaveformConfig, stream_power: float) -> QuantizerSpec:
-    if cfg.dac_bits is not None and cfg.dac_clip is not None:
+    # a clip comes with bits (the config refuses one without)
+    if cfg.dac_clip is not None:
         return QuantizerSpec.uniform_midrise(cfg.dac_bits, cfg.dac_clip)
     return QuantizerSpec.midrise_for_power(cfg.dac_bits, stream_power, cfg.dac_kappa)
 

@@ -671,7 +671,7 @@ def test_sweep_snr_rows_match_per_point_rates(tmp_path_factory, plan, bits, kapp
         q = QuantizerSpec.identity() if b is None else QuantizerSpec.uniform_midrise(
             b, clip_for_power(p.mean_power, kappa))
         m = tx_moments(q, p.mean_power)
-        for db in cli._grid(grid):
+        for db in cli._grid(grid, "snr_db"):
             rate = awgn_rate_at_transmit_snr(p, m, 10.0 ** (db / 10.0)).bits_per_symbol
             expected.append([str(float(db)), "inf" if b is None else str(b), rate.hex()])
     assert [[r[0], r[1], _hex(r[2])] for r in rows] == expected
@@ -700,7 +700,7 @@ def test_sweep_aclr_rows_match_per_point_bounds(tmp_path_factory, split, bits, k
         q = QuantizerSpec.uniform_midrise(b, clip_for_power(pbar, kappa))
         m = tx_moments(q, pbar)
         s_tot = (m.gain**2 + m.noise) * pbar
-        for db in cli._grid(grid):
+        for db in cli._grid(grid, "aclr_db"):
             ratio = 10.0 ** (db / 10.0)
             nu = (ratio / (1.0 + ratio), 1.0 / (1.0 + ratio))
             try:
@@ -736,11 +736,14 @@ def test_sweep_grid_direction(tmp_path, capsys, experiment, grid_key, params):
     assert main([experiment, "--config", bad]) == 2
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "reversed").exists()
-    # so is a grid whose point count is past the float range
-    huge = write_cfg(tmp_path, cfg("huge", -1e308, 1e308, 1e-300), "huge.json")
-    assert main([experiment, "--config", huge]) == 2
-    assert "point count past the float range" in capsys.readouterr().err
-    assert not (tmp_path / "huge").exists()
+    # so is a grid whose point count is past the float range, or past what
+    # an array can index; the message names the key
+    for name, start, stop, step in [("huge", -1e308, 1e308, 1e-300), ("fine", 0, 1, 1e-300)]:
+        path = write_cfg(tmp_path, cfg(name, start, stop, step), f"{name}.json")
+        assert main([experiment, "--config", path]) == 2
+        assert (f"config error: {grid_key} grid from {start} to {stop} in steps of {step} "
+                "has more points than an array can index") in capsys.readouterr().err
+        assert not (tmp_path / name).exists()
     # start == stop is a one-point grid
     one = write_cfg(tmp_path, cfg("one", 3.0, 3.0), "one.json")
     assert main([experiment, "--config", one]) == 0
@@ -835,6 +838,17 @@ def test_waveform_empty_adjacent_band_exits_2_without_output(tmp_path, capsys, p
     out = tmp_path / "out"
     assert main(["waveform", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 2
     assert f"adjacent band holds {bins} PSD bins, fewer than the 64" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_waveform_ideal_dac_with_a_clip_exits_2_without_output(tmp_path, capsys):
+    # the ideal DAC has no clip: one given is refused, not recorded unused
+    cfg = {"schema_version": 1, "experiment": "waveform",
+           "params": {"num_symbols": 2, "dac": {"bits": None, "clip": 1e-300}}}
+    out = tmp_path / "out"
+    assert main(["waveform", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: dac_clip 1e-300 needs dac_bits: the ideal DAC has no clip\n")
     assert not out.exists()
 
 
@@ -1106,6 +1120,11 @@ INVALID = {
     "method-nodes": ("moments", ("params", "method"), {"kind": "quadrature", "nodes": 2}),
     "method-samples": ("moments", ("params", "method"), {"kind": "montecarlo", "samples": 99}),
     "method-unknown-key": ("moments", ("params", "method"), {"kind": "quadrature", "seed": 1}),
+    # a key of the other kind, though neither kind requires it
+    "method-montecarlo-with-nodes": ("moments", ("params", "method"),
+                                     {"kind": "montecarlo", "samples": 1000, "nodes": 7}),
+    "method-quadrature-with-samples": ("moments", ("params", "method"),
+                                       {"kind": "quadrature", "samples": 1000}),
     # scalar params
     "pbar-zero": ("moments", ("params", "pbar"), 0.0),
     "fractions-empty": ("spectrum", ("params", "fractions"), []),
@@ -1446,7 +1465,6 @@ def test_quantizer_missing_key_exits_2_without_output(tmp_path, capsys, quantize
         (1e16, "1e+16"),
         (1e-5, "1e-05"),
         (True, "True"),
-        ("a,b", "a,b"),
     ],
 )
 def test_csv_cell_text(value, cell):
@@ -1456,11 +1474,23 @@ def test_csv_cell_text(value, cell):
 
 
 def test_csv_bytes_quote_and_format_cells():
-    columns = [(0.1, np.int64(3)), [np.float64(-math.inf), "a,b"], (None, math.nan)]
-    assert cli._csv_bytes(["x", "y", "z"], columns) == 'x,y,z\n0.1,-inf,\n3,"a,b",nan\n'
+    columns = [(0.1, np.int64(3)), [np.float64(-math.inf), "a b"], (None, math.nan)]
+    assert cli._csv_bytes(["x", "y", "z"], columns) == 'x,y,z\n0.1,-inf,\n3,a b,nan\n'
+    # a row's only cell, when empty, is the one cell quoted
+    assert cli._csv_bytes(["x"], [[None, 1]]) == 'x\n""\n1\n'
 
 
-@pytest.mark.parametrize("header", [["x"], ["x", "y,z"], [""], ["", ""], [None, 1.5]])
+@pytest.mark.parametrize("ch", [",", '"', "\r", "\n"])
+def test_csv_bytes_refuse_a_cell_csv_would_quote(ch):
+    # no result cell comes from user text, so one that csv would quote is
+    # a fault of the caller, named by its column
+    with pytest.raises(ValueError, match="column 'y' holds a cell that csv would quote"):
+        cli._csv_bytes(["x", "y"], [[1.0, 2.0], [None, f"a{ch}b"]])
+    with pytest.raises(ValueError, match="csv would quote"):
+        cli._csv_bytes(["x", f"y{ch}"], [[1.0], [2.0]])
+
+
+@pytest.mark.parametrize("header", [["x"], ["x", "y z"], [""], ["", ""], [None, 1.5]])
 def test_a_header_only_table_takes_its_width_from_the_header(header):
     text = cli._csv_bytes(header, [[] for _ in header])
     assert text == _csv_writer_text(header, [])
@@ -1533,6 +1563,12 @@ def _csv_writer_text(header, rows):
     return buf.getvalue()
 
 
+def _unquoted(v) -> bool:
+    """Whether csv writes ``str(v)`` unquoted: it holds none of the four
+    characters that make csv quote a cell."""
+    return not any(ch in str(v) for ch in ',"\r\n')
+
+
 _CSV_CELLS = st.one_of(
     st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 5e-324, np.float64(-0.0), np.float64(math.nan)]),
     st.floats(),
@@ -1542,21 +1578,21 @@ _CSV_CELLS = st.one_of(
     st.booleans(),
     st.booleans().map(np.bool_),
     st.none(),
-    st.lists(st.one_of(st.integers(), st.floats(), st.text(max_size=2)), max_size=3),
-    # every character csv may quote, empty strings and the text of None
-    st.text(st.sampled_from([",", '"', "\r", "\n", " ", "a"]), max_size=5),
+    st.lists(st.one_of(st.integers(), st.floats(), st.text(max_size=2)), max_size=1),
+    # empty strings, spaces and the text of None
+    st.text(st.sampled_from([" ", "a"]), max_size=5),
     st.just("None"),
     st.text(max_size=5),
-)
+).filter(_unquoted)
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(table=st.integers(1, 4).flatmap(lambda width: st.tuples(
-    st.lists(st.text(max_size=4), min_size=width, max_size=width),
+    st.lists(st.text(max_size=4).filter(_unquoted), min_size=width, max_size=width),
     st.lists(st.lists(_CSV_CELLS, min_size=width, max_size=width), max_size=6),
 )))
 @example(table=(["x"], [[""], [None], ["a"], [None]]))  # a lone empty cell is written ""
-@example(table=(["", "y"], [["", None], [",", '"'], ["\r", "\n"]]))
+@example(table=(["", "y"], [["", None], [" ", "None"]]))
 def test_csv_bytes_are_the_csv_writers(table):
     header, rows = table
     columns = [list(column) for column in zip(*rows)] or [[] for _ in header]

@@ -212,6 +212,18 @@ def test_complex_normal_is_the_scaled_sum_bytewise(power, shape):
     assert not grid[..., 1].any()
 
 
+@pytest.mark.parametrize("out", [
+    np.empty(17, dtype=complex), np.empty((4, 5), dtype=complex), np.empty((4, 6)),
+    np.empty((4, 6), dtype=np.complex64),
+], ids=["1-D", "short", "float", "complex64"])
+def test_complex_normal_refuses_an_out_of_another_shape_or_dtype(out):
+    # refused before the generator draws: the stream is where it was
+    rng = substream(3, "cn")
+    with pytest.raises(ValueError, match=r"out must be a complex array of shape \(4, 6\)"):
+        complex_normal(rng, 1.0, (4, 6), out=out)
+    assert rng.standard_normal() == substream(3, "cn").standard_normal()
+
+
 def test_a_seed_that_is_not_an_integer_is_refused():
     # a float seed was keyed by its str, so 3.0 drew another stream than 3
     plan = SubbandPlan((1.0,), (1.0,))

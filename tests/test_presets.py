@@ -60,8 +60,8 @@ DEFAULTS_DIGESTS = {
 
 
 #: Waveform geometries beyond the preset's: (params, seed, sha256 per
-#: result file).  An ``enabled_subcarriers`` subset has no config key, so
-#: each runs through the waveform runner and result writer in process.
+#: result file).  Each runs through the waveform runner and result writer
+#: in process; the preset tests cover the config file and the CLI.
 WAVEFORM_DIGESTS = {
     "ideal-x2-255-4096": (
         {"sample_rate": 491.52e6, "num_symbols": 48, "filter_taps": 255, "psd_segment_length": 4096,
@@ -76,12 +76,6 @@ WAVEFORM_DIGESTS = {
         11,
         {"waveform.json": "babd2a026f915fc06902048960cbacb9a0d5335e2004bd5628f9b0490296b766",
          "waveform_psd.csv": "673b65abe2e5e609018a1cc3e39e5100625d7142582920a4439a1086ac675c1e"},
-    ),
-    "b3-every-third-subcarrier": (
-        {"num_symbols": 40, "enabled_subcarriers": tuple(range(0, 832, 3)), "dac": {"bits": 3, "kappa": 3.0}},
-        11,
-        {"waveform.json": "8816540e2c190462dd82c2278f4ead9040fffffbf42c18092dac351f360e99e3",
-         "waveform_psd.csv": "bdd08f8b3472341a7eab79466edcf6968a843fefc28e4bb902a5b7f890256a0d"},
     ),
 }
 

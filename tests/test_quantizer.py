@@ -268,9 +268,14 @@ def test_a_sample_far_beyond_a_tiny_step_maps_to_an_extreme_level():
 def _two_rail_quantize(spec, u):
     """Each rail quantized on its own copy, then reassembled as re + 1j*im."""
     flat = np.asarray(u, dtype=complex).ravel()
-    re = _map_dim(spec, np.ascontiguousarray(flat.real))
-    im = _map_dim(spec, np.ascontiguousarray(flat.imag))
+    re, im = (_whole_map(spec, np.ascontiguousarray(rail)) for rail in (flat.real, flat.imag))
     return re + 1j * im
+
+
+def _whole_map(spec, x):
+    """``_map_dim`` over all of the 1-D ``x`` in one block, into new arrays."""
+    buffers = (np.empty(x.size), np.empty(x.size, dtype=np.intp))
+    return _map_dim(spec, x, np.empty(x.size), buffers if spec.kind == "uniform_midrise" else None)
 
 
 @pytest.mark.parametrize(
@@ -313,7 +318,7 @@ def test_blocked_quantize_matches_one_whole_map(spec):
     rng = np.random.default_rng(11)
     for n in (1, _MAP_BLOCK // 2 - 1, _MAP_BLOCK // 2, 3 * _MAP_BLOCK + 5):
         u = 1.5 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        want = _map_dim(spec, u.view(float)).view(complex)
+        want = _whole_map(spec, u.view(float)).view(complex)
         assert quantize(spec, u).tobytes() == want.tobytes()
     # a NaN in the last block is found too
     u[-1] = complex(0.0, np.nan)
