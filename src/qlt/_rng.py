@@ -1,4 +1,10 @@
-"""Deterministic substream derivation for reproducible sampling."""
+"""Deterministic substream derivation for reproducible sampling.
+
+A seed is a non-negative integer, of any size: ``check_seed`` is its one
+rule, and the library's configs, the CLI's ``--seed`` and ``substream``
+apply it.  ``substream`` keys numpy's ``SeedSequence`` with the seed itself,
+not reduced modulo 2**64, so distinct seeds draw distinct streams.
+"""
 
 import zlib
 
@@ -6,17 +12,17 @@ import numpy as np
 
 
 def _tag_value(tag) -> int:
-    if isinstance(tag, (int, np.integer)):
-        return int(tag) & 0xFFFFFFFFFFFFFFFF
-    return zlib.crc32(str(tag).encode())
+    return int(tag) if isinstance(tag, (int, np.integer)) else zlib.crc32(str(tag).encode())
 
 
 def check_seed(seed, error=ValueError) -> None:
     """Raise ``error`` naming ``seed`` unless it is an ``int`` or numpy
-    integer other than a ``bool``.  A float is refused, as ``3.0`` would
-    draw another stream than ``3``."""
+    integer other than a ``bool``, and ``ValueError`` where it is negative.
+    A float is refused, as ``3.0`` would draw another stream than ``3``."""
     if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
         raise error(f"seed must be an integer, not {seed!r} of type {type(seed).__name__}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, not {seed}")
 
 
 def substream(seed: int, *tags) -> np.random.Generator:
@@ -24,7 +30,9 @@ def substream(seed: int, *tags) -> np.random.Generator:
 
     Identical (seed, tags) always yields an identical stream, independent of
     any other stream drawn elsewhere.  A ``seed`` that is not an integer
-    raises ``TypeError``.
+    raises ``TypeError``, a negative one ``ValueError``; an integer tag must
+    be non-negative too, and any other tag is keyed by the CRC-32 of its
+    ``str``.
     """
     check_seed(seed, TypeError)
     return np.random.default_rng([_tag_value(seed)] + [_tag_value(t) for t in tags])

@@ -2,10 +2,15 @@
 
 Subcommands: moments, spectrum, rate, upper-bound, sweep-snr, sweep-aclr,
 montecarlo, waveform, defaults.  Every experiment is driven by a versioned
-JSON config (see configs/ for presets); results and the fully resolved config
-are written to the output directory.  Exit codes: 0 success, 2 config error
-(an unwritable output directory included), 3 numerical failure (an allocation
-that fails included).
+JSON config (see configs/ for presets).  One step, ``_resolve_config``,
+walks the file against the experiment table and fills in every default,
+then applies the command line's ``--seed``, ``--format`` and ``--out``, the
+seed under the library's one seed rule (``_rng.check_seed``: a non-negative
+integer).  Results and the fully resolved config are written to the
+output directory, and a rerun of that config writes the same bytes.  Exit
+codes: 0 success, 2 config error (an unwritable output directory, or a size
+whose array numpy cannot index, included), 3 numerical failure (an
+allocation that fails included).
 """
 
 import argparse
@@ -23,6 +28,7 @@ import jsonschema
 import numpy as np
 
 from . import __version__
+from ._rng import check_seed
 from .analysis import (
     FEASIBILITY_SLACK,
     SubbandPlan,
@@ -260,12 +266,6 @@ _IS_TYPE = {
     "object": lambda v: isinstance(v, dict),
 }
 
-#: The schema keywords the walk interprets; a fragment with any other raises.
-_KEYWORDS = frozenset(
-    {"type", "minimum", "exclusiveMinimum", "maximum", "enum", "items", "minItems", "maxItems"}
-)
-
-
 def _same(a, b) -> bool:
     """JSON equality of a value and a scalar ``enum`` member: 1 == 1.0, but
     True != 1."""
@@ -280,9 +280,6 @@ def _walk(spec, v, path: tuple):
     jsonschema rejects ``v``."""
     if isinstance(spec, _Table):
         return _walk_table(spec, v, path)
-    if not _KEYWORDS.issuperset(spec):
-        unknown = sorted(spec.keys() - _KEYWORDS)
-        raise TypeError(f"the config walk does not interpret schema keywords {unknown}")
     if "enum" in spec and not any(_same(v, member) for member in spec["enum"]):
         raise _Rejected(path)
     if "type" in spec:
@@ -376,9 +373,15 @@ def _validate(doc, name: str):
         ) from None
 
 
-def _load_config(path: str, experiment: str) -> dict:
+def _resolve_config(args) -> dict:
+    """The config of the run ``args`` asks for, resolved: the file at
+    ``args.config`` walked and filled in (the experiment checked against
+    ``args.command`` before its params are walked), then the overrides
+    ``args.seed``, ``args.format`` and ``args.out`` applied.  An invalid file
+    value is an error whatever the overrides say; an empty ``--out`` is no
+    override."""
     try:
-        text = Path(path).read_text()
+        text = Path(args.config).read_text()
     except OSError as e:
         raise ConfigError(f"cannot read config: {e}") from e
     try:
@@ -386,25 +389,28 @@ def _load_config(path: str, experiment: str) -> dict:
                          parse_constant=_non_finite)
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}") from e
-    cfg = _validate(cfg, "config")
-    cfg["params"] = _validate(cfg["params"], cfg["experiment"])
-    if cfg["experiment"] != experiment:
-        raise ConfigError(f"config is for experiment {cfg['experiment']!r}, not {experiment!r}")
+    cfg = _fill(_CONFIG, _validate(cfg, "config"))
+    if cfg["experiment"] != args.command:
+        raise ConfigError(f"config is for experiment {cfg['experiment']!r}, not {args.command!r}")
+    cfg["params"] = _fill(EXPERIMENTS[args.command], _validate(cfg["params"], args.command))
+    if args.seed is not None:
+        check_seed(args.seed)
+        cfg["seed"] = args.seed
+    output = cfg["output"]
+    output["format"] = args.format or output["format"]
+    output["path"] = args.out or output["path"]
+    if output["format"] == "csv" and args.command in _FIXED_FORMAT:
+        raise ConfigError(f"{args.command}: output.format 'csv' is ignored")
     return cfg
 
 
-def _resolve_config(cfg: dict, args) -> dict:
-    resolved = _fill(_CONFIG, cfg)
-    resolved["params"] = _fill(EXPERIMENTS[cfg["experiment"]], cfg["params"])
-    if args.seed is not None:
-        resolved["seed"] = args.seed
-    if args.format:
-        resolved["output"]["format"] = args.format
-    if args.out:
-        resolved["output"]["path"] = args.out
-    if resolved["output"]["format"] == "csv" and cfg["experiment"] in _FIXED_FORMAT:
-        raise ConfigError(f"{cfg['experiment']}: output.format 'csv' is ignored")
-    return resolved
+def _indexable(count, itemsize: int, what: str) -> None:
+    """Refuse ``what``, the keys that size a run's largest array, where its
+    ``count`` points of ``itemsize`` bytes pass what numpy can index (an
+    infinite or NaN count too): numpy would refuse the array with a message
+    that names no key, or wrap its size negative."""
+    if not count * itemsize < np.iinfo(np.intp).max:
+        raise ConfigError(f"{what} has more points than an array can index")
 
 
 def _grid(spec: dict, name: str) -> np.ndarray:
@@ -412,13 +418,10 @@ def _grid(spec: dict, name: str) -> np.ndarray:
     if spec["start"] > spec["stop"]:
         raise ConfigError(f"{name} grid start {spec['start']} is above its stop {spec['stop']}")
     # every point lies at or below stop; the slack absorbs the rounding of
-    # (stop - start) / step when stop is a whole number of steps past start.
-    # The grid's bytes (8 a point) must be indexable, or numpy refuses it
-    # with a message that names no key; an infinite count fails too.
+    # (stop - start) / step when stop is a whole number of steps past start
     steps = (spec["stop"] - spec["start"]) / spec["step"] + 1e-9
-    if not steps < np.iinfo(np.intp).max // 8:
-        raise ConfigError(f"{name} grid from {spec['start']} to {spec['stop']} in steps of "
-                          f"{spec['step']} has more points than an array can index")
+    _indexable(steps, 8, f"{name} grid from {spec['start']} to {spec['stop']} "
+                         f"in steps of {spec['step']}")
     return spec["start"] + spec["step"] * np.arange(math.floor(steps) + 1)
 
 
@@ -604,6 +607,8 @@ def _per_band(seed: int, plan: SubbandPlan, rep, header, *columns) -> tuple:
 def _run_moments(p: dict, seed: int) -> tuple:
     q = _quantizer(p["quantizer"])
     how = p["method"]
+    if how["kind"] == "montecarlo":
+        _indexable(how["samples"], 16, f"method.samples {how['samples']}")
     method = Quadrature() if how["kind"] == "quadrature" else MonteCarlo(how["samples"], seed)
     if "channel" in p:
         m = chain_moments(q, p["channel"]["noise_power"], _adc(p), p["pbar"], method)
@@ -684,6 +689,8 @@ def _run_montecarlo(p: dict, seed: int) -> dict:
     chain = p["mode"] == "chain"
     if not chain and ("channel" in p or "adc" in p):
         raise ConfigError("montecarlo: channel and adc apply only in mode 'chain'")
+    # every trial's symbols and noise stay for the diagnostics: (trials, size) complex
+    _indexable(p["trials"] * p["size"], 16, f"size {p['size']} x trials {p['trials']}")
     cfg = SimConfig(
         size=p["size"], plan=_plan(p), dac=_quantizer(p["quantizer"]), transform=p["transform"],
         trials=p["trials"], seed=seed, adc=_adc(p), assignment=p["assignment"],
@@ -703,6 +710,9 @@ def _run_waveform(p: dict, seed: int) -> dict:
     dac = p["dac"]
     cfg = WaveformConfig(**{k: v for k, v in p.items() if k != "dac"}, seed=seed,
                          dac_bits=dac["bits"], dac_kappa=dac["kappa"], dac_clip=dac.get("clip"))
+    # the symbol grid, and the stream at the DAC rate, hold at most this many complex samples
+    _indexable(cfg.num_symbols * cfg.num_subcarriers * cfg.interp_factor, 16,
+               f"num_symbols {cfg.num_symbols} x num_subcarriers {cfg.num_subcarriers}")
     rec = _stamped(seed, vars(measure_aclr(cfg)))
     freq = rec.pop("psd_freq")
     psd_db = [10.0 * math.log10(v) if v > 0 else -math.inf for v in rec.pop("psd")]
@@ -771,8 +781,7 @@ def main(argv=None) -> int:
         return 0
 
     try:
-        cfg = _load_config(args.config, args.command)
-        resolved = _resolve_config(cfg, args)
+        resolved = _resolve_config(args)
         result = _RUNNERS[args.command](resolved["params"], resolved["seed"])
         files = _result_files(args.command, resolved["output"]["format"], result)
         _write(Path(resolved["output"]["path"]), resolved, files)

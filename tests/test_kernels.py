@@ -243,3 +243,36 @@ def test_a_seed_that_is_not_an_integer_is_refused():
     for seed in (np.int64(3), np.uint8(3)):
         assert substream(seed, "trial", 0).standard_normal(4).tobytes() == want.tobytes()
         assert MonteCarlo(seed=seed).seed == 3
+
+
+def test_a_negative_seed_is_refused():
+    plan = SubbandPlan((1.0,), (1.0,))
+    dac = QuantizerSpec.uniform_midrise(1, 1.0)
+    for seed in (-1, np.int64(-1)):
+        for make in (
+            lambda: substream(seed, "trial", 0),
+            lambda: MonteCarlo(seed=seed),
+            lambda: SimConfig(size=4, plan=plan, dac=dac, seed=seed),
+            lambda: WaveformConfig(seed=seed),
+        ):
+            with pytest.raises(ValueError, match="seed must be non-negative, not -1"):
+                make()
+
+
+# the first draws of substream(seed, "trial", 0): seeds below 2**64 key
+# these streams whatever the release
+SEED_STREAMS = {
+    0: [1.1147768010111916, -0.927265946623657, 1.3283748378642644, 0.8153158438888926],
+    1: [-1.4907588055349381, 1.5652774872048125, 0.7924205529278413, -0.22832245625349917],
+    2**63: [-0.12384296273397649, -0.3443087365087416, 1.660706227838045, 0.3165898600370114],
+    2**64 - 1: [-0.5660436950644497, 0.6172926499777038, 0.6378084809405761, 0.5556400689155321],
+}
+
+
+def test_every_seed_keys_its_own_stream():
+    for seed, want in SEED_STREAMS.items():
+        assert substream(seed, "trial", 0).standard_normal(4).tolist() == want
+    # a seed from 2**64 up is not reduced modulo 2**64 onto a smaller one
+    for seed in (2**64, 2**64 + 1, 2**65 - 1, 2**100):
+        got = substream(seed, "trial", 0).standard_normal(4).tolist()
+        assert got != SEED_STREAMS[0] and got != SEED_STREAMS[1] and got != SEED_STREAMS[2**64 - 1]
