@@ -711,8 +711,11 @@ def _run_waveform(p: dict, seed: int) -> dict:
     cfg = WaveformConfig(**{k: v for k, v in p.items() if k != "dac"}, seed=seed,
                          dac_bits=dac["bits"], dac_kappa=dac["kappa"], dac_clip=dac.get("clip"))
     # the symbol grid, and the stream at the DAC rate, hold at most this many complex samples
-    _indexable(cfg.num_symbols * cfg.num_subcarriers * cfg.interp_factor, 16,
-               f"num_symbols {cfg.num_symbols} x num_subcarriers {cfg.num_subcarriers}")
+    stream = cfg.num_symbols * cfg.num_subcarriers * cfg.interp_factor
+    _indexable(stream, 16, f"num_symbols {cfg.num_symbols} x num_subcarriers {cfg.num_subcarriers}")
+    # the interpolation filter (none at a factor of 1) adds its taps' transients to the stream
+    taps = cfg.filter_taps if cfg.interp_factor > 1 else 0
+    _indexable(stream + taps, 16, f"filter_taps {cfg.filter_taps}")
     rec = _stamped(seed, vars(measure_aclr(cfg)))
     freq = rec.pop("psd_freq")
     psd_db = [10.0 * math.log10(v) if v > 0 else -math.inf for v in rec.pop("psd")]

@@ -22,11 +22,11 @@ the sample with the thresholds, so a sample exactly on a boundary may round
 down.
 
 ``quantize`` runs the map over the input's interleaved float view in blocks
-of ``_MAP_BLOCK`` floats (the midrise map through one float and one index
-buffer allocated once per call) and writes each block's levels into one output
-array, so only the output is input-sized; it is none when the output is the
-input itself (``out=u``).  Every float maps on its own, so the bits do not
-depend on the blocking.
+of ``_MAP_BLOCK`` floats and writes each block's levels into one output
+array.  A block's intermediates are numpy's own block-sized temporaries, so
+only the output is input-sized; it is none when the output is the input
+itself (``out=u``).  Every float maps on its own, so the bits do not depend
+on the blocking.
 """
 
 import math
@@ -202,25 +202,20 @@ class Constellation:
 _MAP_BLOCK = 2**15
 
 
-def _map_dim(spec: QuantizerSpec, x: np.ndarray, out: np.ndarray,
-             buffers: tuple[np.ndarray, np.ndarray] | None) -> np.ndarray:
+def _map_dim(spec: QuantizerSpec, x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """The level of each float of the 1-D ``x``, written to ``out`` and
-    returned.
-
-    ``buffers``, a float and an intp array of ``x``'s size, hold the
-    midrise map's intermediates; the other maps take None."""
+    returned."""
     if spec.kind == "uniform_midrise":
-        work, idx = buffers
         clip, top = float(spec.clip), 2 ** spec.bits - 1
         step = 2.0 * clip / top
         # a sample far beyond a tiny step overflows to an infinite index,
         # which the clip sends to an extreme level, as it does a +-inf sample
         with np.errstate(over="ignore"):
-            np.add(x, clip, out=work)
+            work = x + clip
             work /= step
         work += 0.5
         # the cast truncates, which on [0, top] is the floor
-        idx[...] = np.clip(work, 0.0, top, out=work)
+        idx = np.clip(work, 0.0, top, out=work).astype(np.intp)
     else:
         # thresholds are the midpoints between consecutive levels; a sample
         # exactly on a threshold maps to the upper level
@@ -257,18 +252,12 @@ def quantize(spec: QuantizerSpec, u, out=None):
     # both rails in one pass over the interleaved (re, im) float view
     flat = arr.ravel().view(float)
     levels = out.reshape(-1).view(float)
-    # only the midrise map uses the buffers
-    buffers = None
-    if spec.kind == "uniform_midrise":
-        size = min(flat.size, _MAP_BLOCK)
-        buffers = np.empty(size), np.empty(size, dtype=np.intp)
     for i in range(0, flat.size, _MAP_BLOCK):
         block = flat[i : i + _MAP_BLOCK]
         # a block's minimum is NaN exactly when the block holds a NaN
         if math.isnan(np.minimum.reduce(block)):
             raise NumericalFailureError("NaN input to the quantizer")
-        n = block.size
-        _map_dim(spec, block, levels[i : i + n], buffers and (buffers[0][:n], buffers[1][:n]))
+        _map_dim(spec, block, levels[i : i + block.size])
     if arr.ndim == 0:
         return complex(out[()])
     return out

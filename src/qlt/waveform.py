@@ -22,12 +22,13 @@ It matches scipy's direct-form ``upfirdn`` to about 1e-15 of the peak sample.
 The Welch estimate (Welch 1967) is two-sided, undetrended and density-scaled,
 with the segment count, window and frequency grid of ``scipy.signal.welch``.
 Its frames are strided views of the quantized stream.  They are windowed
-into a reused buffer and transformed there in sub-batches of at most
-``_WELCH_FFT_SAMPLES`` samples, whose power rows land in a reused buffer
-below one running-sum row.  Each sub-batch's rows are added to the running
-sum one by one, so every frame is added in frame order, whatever the
-sub-batch size; that order fixes the bits.  The estimate needs well under a
-MB beyond the stream and agrees with scipy's to about 1e-13 relative.
+and transformed in sub-batches of at most ``_WELCH_FFT_SAMPLES`` samples:
+a sub-batch's windowed frames are a numpy temporary of its own, which its
+FFT overwrites with their spectra, and their power rows land in one buffer
+below a running-sum row.  Each sub-batch's rows are added to the running sum
+one by one, so every frame is added in frame order, whatever the sub-batch
+size; that order fixes the bits.  The estimate needs well under a MB beyond
+the stream and agrees with scipy's to about 1e-13 relative.
 
 The measurement first checks the band geometry on the estimate's frequency
 grid, so a rejected geometry leaves the stream as it was.  It then takes
@@ -262,23 +263,23 @@ def _welch(cfg: WaveformConfig, x: np.ndarray) -> np.ndarray:
     # row 0 holds the running sum of the frames so far, rows 1.. a
     # sub-batch's power rows
     rows = np.empty((sub + 1, seg))
-    windowed = np.empty((sub, seg), dtype=complex)
-    imag_sq = np.empty((sub, seg))
     for i in range(0, len(frames), sub):
         n = min(sub, len(frames) - i)
-        spec = np.multiply(frames[i : i + n], win, out=windowed[:n])
+        spec = frames[i : i + n] * win
         np.fft.fft(spec, axis=-1, out=spec)
         power = np.square(spec.real, out=rows[1 : n + 1])
-        power += np.square(spec.imag, out=imag_sq[:n])
+        power += np.square(spec.imag)
         # a reduction over the outer axis adds rows of more than one sample
         # one by one (the band check keeps seg far above one); the first
         # sub-batch starts the sum
         rows[0] = np.add.reduce(rows[1 if i == 0 else 0 : n + 1], axis=0)
+        # so the next sub-batch's frames are not windowed while these are held
+        del spec
     return np.fft.fftshift(rows[0] / (len(frames) * cfg.sample_rate * np.sum(win**2)))
 
 
-#: Samples one block of the stream's saturation count holds: its flag
-#: buffers stay L2-sized, whatever the stream length.
+#: Samples one block of the stream's saturation count holds: the block's
+#: temporaries stay L2-sized, whatever the stream length.
 _MEASURE_BLOCK = 2**14
 
 
@@ -296,22 +297,15 @@ def _mean_power(x: np.ndarray) -> float:
 def _saturated_count(x: np.ndarray, clip: float) -> int:
     """Samples of the contiguous complex ``x`` with a rail beyond ``+/-clip``.
 
-    The rails are compared on the interleaved (re, im) float view, a block
-    of ``_MEASURE_BLOCK`` samples at a time, into two reused flag buffers;
+    The rails' magnitudes are compared with the clip on the interleaved
+    (re, im) float view, a block of ``_MEASURE_BLOCK`` samples at a time;
     each sample's two flags are adjacent bytes, read as one uint16 that is
     nonzero when either rail is beyond the clip.
     """
     iq = x.reshape(-1).view(float)
     size = 2 * _MEASURE_BLOCK
-    above = np.empty(min(iq.size, size), dtype=bool)
-    below = np.empty_like(above)
-    count = 0
-    for i in range(0, iq.size, size):
-        part = iq[i : i + size]
-        beyond = np.greater(part, clip, out=above[: part.size])
-        beyond |= np.less(part, -clip, out=below[: part.size])
-        count += np.count_nonzero(beyond.view(np.uint16))
-    return count
+    return sum(np.count_nonzero((np.abs(iq[i : i + size]) > clip).view(np.uint16))
+               for i in range(0, iq.size, size))
 
 
 def apply_dac_and_measure(cfg: WaveformConfig, stream: np.ndarray) -> AclrReport:

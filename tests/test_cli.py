@@ -286,10 +286,12 @@ _UNINDEXABLE = 2**63 - 2
      f"size {_UNINDEXABLE} x trials 1"),
     ("waveform", {"dac": {"bits": 3}, "num_symbols": _UNINDEXABLE},
      f"num_symbols {_UNINDEXABLE} x num_subcarriers 1024"),
+    ("waveform", {"dac": {"bits": 3}, "num_symbols": 2, "filter_taps": 4611686018427387905},
+     "filter_taps 4611686018427387905"),
     ("moments", {"quantizer": _MIDRISE_3, "pbar": 1.0,
                  "method": {"kind": "montecarlo", "samples": _UNINDEXABLE}},
      f"method.samples {_UNINDEXABLE}"),
-], ids=["montecarlo-size", "waveform-symbols", "moments-samples"])
+], ids=["montecarlo-size", "waveform-symbols", "waveform-taps", "moments-samples"])
 def test_a_size_whose_array_numpy_cannot_index_names_its_key(tmp_path, capsys, experiment,
                                                              params, message):
     # numpy refuses such an array before it allocates, with a message that

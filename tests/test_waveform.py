@@ -409,8 +409,9 @@ _MEMORY_GEOMETRIES = [
 @pytest.mark.parametrize("num_subcarriers, num_symbols, seg, sample_rate", _MEMORY_GEOMETRIES)
 def test_measurement_memory_stays_near_the_stream(num_subcarriers, num_symbols, seg, sample_rate):
     # the stream is quantized in place, and its power, its saturation, the
-    # quantizer and the Welch sub-batches use L2-sized buffers: 0.09x, 0.13x
-    # and 0.18x the stream measured (0.51x to 0.52x with one float |x|^2
+    # quantizer and the Welch sub-batches use L2-sized block temporaries:
+    # 0.07x, 0.11x and 0.16x the stream measured (0.08x, 0.12x and 0.17x
+    # with reused scratch buffers; 0.51x to 0.52x with one float |x|^2
     # array, 1.51x with a quantized copy; 2.00x, 2.24x and 2.97x with
     # whole-stream abs temporaries and 2**18-sample batches)
     cfg = _memory_config(num_subcarriers, num_symbols, seg, sample_rate)
@@ -427,7 +428,7 @@ def test_measurement_memory_stays_near_the_stream(num_subcarriers, num_symbols, 
 @pytest.mark.parametrize("num_subcarriers, num_symbols, seg, sample_rate", _MEMORY_GEOMETRIES)
 def test_synthesis_and_measurement_stay_near_the_stream(num_subcarriers, num_symbols, seg, sample_rate):
     # synthesis holds the stream, the baseband stream and filter batches,
-    # and sets the peak; the measurement adds L2-sized buffers once the
+    # and sets the peak; the measurement adds L2-sized blocks once the
     # baseband stream is freed: 1.37x, 1.42x and 1.59x the stream measured
     # (1.51x, 1.53x and 1.61x with a float |x|^2 array; 2.51x to 2.54x with
     # a quantized copy)
@@ -511,6 +512,20 @@ def test_measurement_kernels_match_the_whole_array_expressions():
         assert _saturated_count(x, clip) / x.size == want
         finite = x[np.isfinite(x)]
         assert _mean_power(finite) == pytest.approx(float(np.mean(np.abs(finite) ** 2)), rel=1e-14)
+
+
+def test_the_saturation_count_holds_no_stream_sized_temporary():
+    # a block's |x| floats (256 KB) and flags (32 KB) are numpy's own
+    # temporaries: 289 KB measured on a 2**20-sample (16 MB) stream
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal(2**20) + 1j * rng.standard_normal(2**20)
+    tracemalloc.start()
+    try:
+        _saturated_count(x, 1.25)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**18
 
 
 _BLOCK = waveform._MEASURE_BLOCK
