@@ -1,9 +1,12 @@
-"""Deterministic substream derivation for reproducible sampling.
+"""Deterministic substream derivation for reproducible sampling, and the
+rules of the seeds and sizes that the library's configs take.
 
 A seed is a non-negative integer, of any size: ``check_seed`` is its one
 rule, and the library's configs, the CLI's ``--seed`` and ``substream``
 apply it.  ``substream`` keys numpy's ``SeedSequence`` with the seed itself,
-not reduced modulo 2**64, so distinct seeds draw distinct streams.
+not reduced modulo 2**64, so distinct seeds draw distinct streams.  A size
+that sets an array's length passes ``check_size``, the one rule that the
+configs apply to the arrays they allocate (the draws fill them).
 """
 
 import zlib
@@ -23,6 +26,15 @@ def check_seed(seed, error=ValueError) -> None:
         raise error(f"seed must be an integer, not {seed!r} of type {type(seed).__name__}")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, not {seed}")
+
+
+def check_size(count, itemsize: int, what: str) -> None:
+    """Raise ``ValueError`` naming ``what``, the fields that size an array,
+    where its ``count`` points of ``itemsize`` bytes pass what numpy can
+    index (an infinite or NaN count too): numpy would refuse the array with
+    a message that names no field, or wrap its size negative."""
+    if not count * itemsize < np.iinfo(np.intp).max:
+        raise ValueError(f"{what} has more points than an array can index")
 
 
 def substream(seed: int, *tags) -> np.random.Generator:

@@ -10,7 +10,10 @@ integer).  Results and the fully resolved config are written to the
 output directory, and a rerun of that config writes the same bytes.  Exit
 codes: 0 success, 2 config error (an unwritable output directory, or a size
 whose array numpy cannot index, included), 3 numerical failure (an
-allocation that fails included).
+allocation that fails included).  Each rule of a config has one owner: the
+walk checks what the tables say, and the library's configs (``SimConfig``,
+``WaveformConfig``, ``MonteCarlo``) refuse, by name, the sizes they
+allocate.
 """
 
 import argparse
@@ -22,13 +25,12 @@ from dataclasses import fields, is_dataclass
 from itertools import repeat
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
-from typing import NamedTuple
 
 import jsonschema
 import numpy as np
 
 from . import __version__
-from ._rng import check_seed
+from ._rng import check_seed, check_size
 from .analysis import (
     FEASIBILITY_SLACK,
     SubbandPlan,
@@ -63,19 +65,16 @@ OPTIONAL = object()
 class _Table(dict):
     """The keys of a JSON object: name -> (spec, default).
 
-    A spec is a JSON schema fragment or a nested ``_Table``; a default is a
-    value, ``REQUIRED``, ``OPTIONAL`` or a ``_ForKind``.  The object's schema
-    requires the ``REQUIRED`` keys, and those of its ``kind``, and rejects
-    unknown ones; a key of one kind is rejected under another kind.
+    A spec is a JSON schema fragment, a nested ``_Table`` or a ``_Kinds``; a
+    default is a value, ``REQUIRED`` or ``OPTIONAL``.  The object's schema
+    requires the ``REQUIRED`` keys and rejects unknown ones.
     """
 
 
-class _ForKind(NamedTuple):
-    """A default, or ``REQUIRED``, of a key that belongs to one ``kind`` of
-    the object: the key is rejected where the object is of another kind."""
-
-    kind: str
-    value: object
+class _Kinds(dict):
+    """A JSON object whose required ``kind`` selects its other keys: kind ->
+    the ``_Table`` of that kind's own keys.  A key of another kind is an
+    unknown key of the object's own table."""
 
 
 _WAVEFORM = {f.name: f.default for f in fields(WaveformConfig)}
@@ -95,17 +94,15 @@ def _int(minimum: int) -> dict:
 _BITS = {"type": ["integer", "null"], "minimum": 1}
 _BITS_LIST = {"type": "array", "items": _BITS, "minItems": 1}
 
-_QUANTIZER = _Table(
-    kind=({"enum": ["identity", "uniform_midrise", "custom_levels"]}, REQUIRED),
-    bits=(_int(1), _ForKind("uniform_midrise", REQUIRED)),
-    clip=(_POSITIVE, _ForKind("uniform_midrise", REQUIRED)),
-    levels=(_NUMLIST, _ForKind("custom_levels", REQUIRED)),
+_QUANTIZER = _Kinds(
+    identity=_Table(),
+    uniform_midrise=_Table(bits=(_int(1), REQUIRED), clip=(_POSITIVE, REQUIRED)),
+    custom_levels=_Table(levels=(_NUMLIST, REQUIRED)),
 )
 _CHANNEL = _Table(kind=({"enum": ["awgn"]}, REQUIRED), noise_power=(_NON_NEGATIVE, REQUIRED))
-_METHOD = _Table(
-    kind=({"enum": ["quadrature", "montecarlo"]}, REQUIRED),
-    nodes=(_int(3), _ForKind("quadrature", DEFAULT_QUADRATURE_NODES)),
-    samples=(_int(100), _ForKind("montecarlo", DEFAULT_MC_SAMPLES)),
+_METHOD = _Kinds(
+    quadrature=_Table(nodes=(_int(3), DEFAULT_QUADRATURE_NODES)),
+    montecarlo=_Table(samples=(_int(100), DEFAULT_MC_SAMPLES)),
 )
 _GRID = _Table(start=(_NUMBER, REQUIRED), stop=(_NUMBER, REQUIRED), step=(_POSITIVE, REQUIRED))
 _DAC = _Table(
@@ -193,44 +190,45 @@ _CONFIG = _Table(
 
 
 def schema_of(spec) -> dict:
-    """The JSON schema of a table (or of a plain schema fragment)."""
+    """The JSON schema of a table or a ``_Kinds`` (or of a plain schema
+    fragment).  A ``_Kinds`` is one object of every kind's keys: each key is
+    allowed only under its own kind (``dependentSchemas``) and required there
+    as its kind's table says (``allOf``)."""
+    if isinstance(spec, _Kinds):
+        keys = {name: (s, OPTIONAL) for t in spec.values() for name, (s, _) in t.items()}
+        schema = schema_of(_Table(kind=({"enum": list(spec)}, REQUIRED), **keys))
+        is_kind = {kind: {"properties": {"kind": {"const": kind}}} for kind in spec}
+        required = {kind: [name for name, (_, d) in t.items() if d is REQUIRED]
+                    for kind, t in spec.items()}
+        if any(required.values()):
+            schema["allOf"] = [{"if": {**is_kind[kind], "required": ["kind"]},
+                                "then": {"required": names}}
+                               for kind, names in required.items() if names]
+        schema["dependentSchemas"] = {name: is_kind[kind] for kind, t in spec.items() for name in t}
+        return schema
     if not isinstance(spec, _Table):
         return spec
-    schema = {
+    return {
         "type": "object",
         "properties": {name: schema_of(s) for name, (s, _) in spec.items()},
         "required": [name for name, (_, d) in spec.items() if d is REQUIRED],
         "additionalProperties": False,
     }
-    by_kind, owner = {}, {}
-    for name, (_, d) in spec.items():
-        if isinstance(d, _ForKind):
-            owner[name] = {"properties": {"kind": {"const": d.kind}}}
-            if d.value is REQUIRED:
-                by_kind.setdefault(d.kind, []).append(name)
-    if by_kind:
-        schema["allOf"] = [
-            {"if": {"properties": {"kind": {"const": kind}}, "required": ["kind"]},
-             "then": {"required": names}}
-            for kind, names in by_kind.items()
-        ]
-    if owner:
-        schema["dependentSchemas"] = owner
-    return schema
 
 
-def _fill(table: _Table, doc: dict) -> dict:
-    """``doc`` with every default of ``table`` filled in, nested objects too.
+def _fill(table, doc: dict) -> dict:
+    """``doc`` with every default of ``table`` (a ``_Table``, or a ``_Kinds``
+    that fills in ``doc``'s kind) filled in, nested objects too.
 
     A missing required object gets its defaults, if any, so ``_fill(table, {})``
     is what ``_fill`` adds to an object that holds only its required keys."""
+    if isinstance(table, _Kinds):
+        table = table.get(doc.get("kind"), {})
     out = dict(doc)
     for name, (spec, default) in table.items():
-        if isinstance(default, _ForKind):
-            default = default.value if doc.get("kind") == default.kind else OPTIONAL
         if name not in out and default not in (REQUIRED, OPTIONAL):
             out[name] = default
-        if isinstance(spec, _Table) and (name in out or default is REQUIRED):
+        if isinstance(spec, (_Table, _Kinds)) and (name in out or default is REQUIRED):
             filled = _fill(spec, out.get(name, {}))
             if filled or name in out:
                 out[name] = filled
@@ -251,7 +249,7 @@ _VALIDATORS = {
 
 
 class _Rejected(Exception):
-    """The walk rejected the value at ``args[0]``, a tuple of keys and indexes."""
+    """The walk rejected a value of the config."""
 
 
 #: What each schema ``type`` admits, as jsonschema's Draft 2020-12 reads it:
@@ -274,57 +272,51 @@ def _same(a, b) -> bool:
     return a == b
 
 
-def _walk(spec, v, path: tuple):
-    """``v`` as checked against ``spec`` (a table or a schema fragment), with
-    every value of an ``integer`` an int; raises ``_Rejected`` where
-    jsonschema rejects ``v``."""
+def _walk(spec, v):
+    """``v`` as checked against ``spec`` (a table, a ``_Kinds`` or a schema
+    fragment), with every value of an ``integer`` an int; raises
+    ``_Rejected`` where jsonschema rejects ``v``."""
+    if isinstance(spec, _Kinds):
+        # the kind picks the table of the object's other keys
+        kind = v.get("kind") if isinstance(v, dict) else None
+        if not (isinstance(kind, str) and kind in spec):
+            raise _Rejected
+        return {"kind": kind, **_walk_table(spec[kind], {k: x for k, x in v.items() if k != "kind"})}
     if isinstance(spec, _Table):
-        return _walk_table(spec, v, path)
+        return _walk_table(spec, v)
     if "enum" in spec and not any(_same(v, member) for member in spec["enum"]):
-        raise _Rejected(path)
+        raise _Rejected
     if "type" in spec:
         types = spec["type"] if isinstance(spec["type"], list) else [spec["type"]]
         if not any(_IS_TYPE[t](v) for t in types):
-            raise _Rejected(path)
+            raise _Rejected
         if "integer" in types and _IS_TYPE["integer"](v):
             v = int(v)
     if _IS_TYPE["number"](v):
         if ("minimum" in spec and v < spec["minimum"]
                 or "exclusiveMinimum" in spec and v <= spec["exclusiveMinimum"]
                 or "maximum" in spec and v > spec["maximum"]):
-            raise _Rejected(path)
+            raise _Rejected
     elif isinstance(v, list):
         if len(v) < spec.get("minItems", 0) or len(v) > spec.get("maxItems", len(v)):
-            raise _Rejected(path)
+            raise _Rejected
         if "items" in spec:
-            v = [_walk(spec["items"], x, (*path, i)) for i, x in enumerate(v)]
+            v = [_walk(spec["items"], x) for x in v]
     return v
 
 
-def _walk_table(table: _Table, doc, path: tuple) -> dict:
-    """An object: its keys are the table's, every ``REQUIRED`` one present,
-    and a key of a ``kind`` rejected under another kind (and required under
-    its own where its value is ``REQUIRED``)."""
+def _walk_table(table: _Table, doc) -> dict:
+    """An object: its keys are the table's, every ``REQUIRED`` one present."""
     if not isinstance(doc, dict):
-        raise _Rejected(path)
+        raise _Rejected
     out = {}
     for name, v in doc.items():
-        if name not in table or _kind_owns(table[name][1], doc) is False:
-            raise _Rejected((*path, name))
-        out[name] = _walk(table[name][0], v, (*path, name))
-    for name, (_, default) in table.items():
-        if name not in doc and (default is REQUIRED
-                                or _kind_owns(default, doc) and default.value is REQUIRED):
-            raise _Rejected((*path, name))
+        if name not in table:
+            raise _Rejected
+        out[name] = _walk(table[name][0], v)
+    if any(default is REQUIRED and name not in doc for name, (_, default) in table.items()):
+        raise _Rejected
     return out
-
-
-def _kind_owns(default, doc: dict) -> bool | None:
-    """Whether a key with ``default`` belongs to ``doc``'s kind; None where
-    the key is no kind's or ``doc`` gives no kind."""
-    if isinstance(default, _ForKind) and "kind" in doc:
-        return _same(doc["kind"], default.kind)
-    return None
 
 
 def package_defaults() -> dict:
@@ -361,16 +353,14 @@ def _non_finite(text: str):
 def _validate(doc, name: str):
     """``doc`` (the config, or the params of experiment ``name``) as the walk
     over ``_TABLES[name]`` accepts it.  A rejection is worded by jsonschema's
-    best match, or names the rejected path where jsonschema finds no error."""
+    best match; the walk rejects only what jsonschema does, so the fixed text
+    for a rejection that jsonschema finds no error in is not reached."""
     try:
-        return _walk(_TABLES[name], doc, () if name == "config" else ("params",))
-    except _Rejected as e:
+        return _walk(_TABLES[name], doc)
+    except _Rejected:
         error = jsonschema.exceptions.best_match(_VALIDATORS[name].iter_errors(doc))
-        where = "/".join(map(str, e.args[0])) or "the top level"
-        raise ConfigError(
-            f"config schema violation: {error.message}" if error is not None
-            else f"config schema violation at {where}"
-        ) from None
+        message = "" if error is None else f": {error.message}"
+        raise ConfigError(f"config schema violation{message}") from None
 
 
 def _resolve_config(args) -> dict:
@@ -404,15 +394,6 @@ def _resolve_config(args) -> dict:
     return cfg
 
 
-def _indexable(count, itemsize: int, what: str) -> None:
-    """Refuse ``what``, the keys that size a run's largest array, where its
-    ``count`` points of ``itemsize`` bytes pass what numpy can index (an
-    infinite or NaN count too): numpy would refuse the array with a message
-    that names no key, or wrap its size negative."""
-    if not count * itemsize < np.iinfo(np.intp).max:
-        raise ConfigError(f"{what} has more points than an array can index")
-
-
 def _grid(spec: dict, name: str) -> np.ndarray:
     """The points of the grid object ``spec``, the value of key ``name``."""
     if spec["start"] > spec["stop"]:
@@ -420,7 +401,7 @@ def _grid(spec: dict, name: str) -> np.ndarray:
     # every point lies at or below stop; the slack absorbs the rounding of
     # (stop - start) / step when stop is a whole number of steps past start
     steps = (spec["stop"] - spec["start"]) / spec["step"] + 1e-9
-    _indexable(steps, 8, f"{name} grid from {spec['start']} to {spec['stop']} "
+    check_size(steps, 8, f"{name} grid from {spec['start']} to {spec['stop']} "
                          f"in steps of {spec['step']}")
     return spec["start"] + spec["step"] * np.arange(math.floor(steps) + 1)
 
@@ -607,8 +588,6 @@ def _per_band(seed: int, plan: SubbandPlan, rep, header, *columns) -> tuple:
 def _run_moments(p: dict, seed: int) -> tuple:
     q = _quantizer(p["quantizer"])
     how = p["method"]
-    if how["kind"] == "montecarlo":
-        _indexable(how["samples"], 16, f"method.samples {how['samples']}")
     method = Quadrature() if how["kind"] == "quadrature" else MonteCarlo(how["samples"], seed)
     if "channel" in p:
         m = chain_moments(q, p["channel"]["noise_power"], _adc(p), p["pbar"], method)
@@ -689,8 +668,6 @@ def _run_montecarlo(p: dict, seed: int) -> dict:
     chain = p["mode"] == "chain"
     if not chain and ("channel" in p or "adc" in p):
         raise ConfigError("montecarlo: channel and adc apply only in mode 'chain'")
-    # every trial's symbols and noise stay for the diagnostics: (trials, size) complex
-    _indexable(p["trials"] * p["size"], 16, f"size {p['size']} x trials {p['trials']}")
     cfg = SimConfig(
         size=p["size"], plan=_plan(p), dac=_quantizer(p["quantizer"]), transform=p["transform"],
         trials=p["trials"], seed=seed, adc=_adc(p), assignment=p["assignment"],
@@ -710,12 +687,6 @@ def _run_waveform(p: dict, seed: int) -> dict:
     dac = p["dac"]
     cfg = WaveformConfig(**{k: v for k, v in p.items() if k != "dac"}, seed=seed,
                          dac_bits=dac["bits"], dac_kappa=dac["kappa"], dac_clip=dac.get("clip"))
-    # the symbol grid, and the stream at the DAC rate, hold at most this many complex samples
-    stream = cfg.num_symbols * cfg.num_subcarriers * cfg.interp_factor
-    _indexable(stream, 16, f"num_symbols {cfg.num_symbols} x num_subcarriers {cfg.num_subcarriers}")
-    # the interpolation filter (none at a factor of 1) adds its taps' transients to the stream
-    taps = cfg.filter_taps if cfg.interp_factor > 1 else 0
-    _indexable(stream + taps, 16, f"filter_taps {cfg.filter_taps}")
     rec = _stamped(seed, vars(measure_aclr(cfg)))
     freq = rec.pop("psd_freq")
     psd_db = [10.0 * math.log10(v) if v > 0 else -math.inf for v in rec.pop("psd")]

@@ -17,7 +17,9 @@ density at the thresholds.  The sums are numpy's own (pairwise
 ``np.add.reduce`` and ``np.einsum``), never a BLAS dot, so their bits do not
 depend on the BLAS thread count.  A quantized DAC, a noisy channel and a
 quantized ADC need one (DAC levels) x (ADC thresholds) table of tails.  The
-sampling path is a seeded Monte-Carlo estimate carrying standard errors.
+sampling path is a seeded Monte-Carlo estimate carrying standard errors; its
+:class:`MonteCarlo` method refuses a sample count whose draws no array can
+index.
 """
 
 from dataclasses import dataclass
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfc  # accurate in the tails, where 1 - erf is not
 
-from ._rng import check_seed, complex_normal, substream
+from ._rng import check_seed, check_size, complex_normal, substream
 from .errors import NumericalFailureError
 from .quantizer import QuantizerSpec, quantize
 
@@ -46,6 +48,8 @@ class MonteCarlo:
     seed: int = 0
 
     def __post_init__(self):
+        # the draws, and each stage's output, are samples complex values
+        check_size(self.samples, 16, f"samples {self.samples}")
         check_seed(self.seed)
 
 

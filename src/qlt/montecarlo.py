@@ -35,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._rng import check_seed, complex_normal, substream
+from ._rng import check_seed, check_size, complex_normal, substream
 from .analysis import SubbandPlan, _check_fractions, _floats, predict_spectrum
 from .errors import NumericalFailureError
 from .moments import _check_noise_power, add_awgn, chain_moments, tx_moments
@@ -179,7 +179,11 @@ TRANSFORMS = {
 
 @dataclass(frozen=True)
 class SimConfig:
-    """One validation experiment: transform ensemble, signal plan and chain."""
+    """One validation experiment: transform ensemble, signal plan and chain.
+
+    A run keeps every trial's symbols and noise, ``trials x size`` complex
+    values each, so a ``size`` and ``trials`` whose product no array can
+    index are refused here, by name."""
 
     size: int
     plan: SubbandPlan
@@ -196,6 +200,7 @@ class SimConfig:
             raise ValueError("size must be >= 1")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        check_size(self.trials * self.size, 16, f"size {self.size} x trials {self.trials}")
         if self.transform not in TRANSFORMS:
             raise ValueError(f"transform must be one of {list(TRANSFORMS)}")
         if self.assignment not in LAYOUTS:

@@ -51,7 +51,7 @@ import numpy as np
 # the module alias is the name perfbench's tracer patches to time the filter
 # (``qlt.waveform.sig.upfirdn``); it goes with that tracer (ROADMAP items 1, 14)
 from . import _signal as sig
-from ._rng import check_seed, complex_normal, substream
+from ._rng import check_seed, check_size, complex_normal, substream
 from .errors import NumericalFailureError
 from .moments import tx_moments
 from .quantizer import DEFAULT_KAPPA, MAX_BITS, QuantizerSpec, quantize
@@ -66,6 +66,12 @@ class WaveformConfig:
     ``dac_bits=None`` models an ideal (identity) DAC, which takes no
     ``dac_clip``; otherwise the clip level is ``dac_clip`` if given, else
     loaded as ``dac_kappa`` per-dimension sigmas of the interpolated stream.
+
+    The config refuses, naming the fields, a size whose array numpy cannot
+    index: the symbol grid and the stream at the DAC rate hold at most
+    ``num_symbols x num_subcarriers x interp_factor`` complex samples, and
+    the interpolation filter (none at a factor of 1) adds its
+    ``filter_taps`` transients to the stream.
     """
 
     occupied_bandwidth: float = 200e6
@@ -108,6 +114,10 @@ class WaveformConfig:
             raise ValueError(f"dac_bits must be in 1..{MAX_BITS} or None")
         if self.dac_bits is None and self.dac_clip is not None:
             raise ValueError(f"dac_clip {self.dac_clip} needs dac_bits: the ideal DAC has no clip")
+        stream = self.num_symbols * self.num_subcarriers * self.interp_factor
+        check_size(stream, 16, f"num_symbols {self.num_symbols} x num_subcarriers {self.num_subcarriers}")
+        taps = self.filter_taps if self.interp_factor > 1 else 0
+        check_size(stream + taps, 16, f"filter_taps {self.filter_taps}")
         check_seed(self.seed)
 
     @property

@@ -290,7 +290,7 @@ _UNINDEXABLE = 2**63 - 2
      "filter_taps 4611686018427387905"),
     ("moments", {"quantizer": _MIDRISE_3, "pbar": 1.0,
                  "method": {"kind": "montecarlo", "samples": _UNINDEXABLE}},
-     f"method.samples {_UNINDEXABLE}"),
+     f"samples {_UNINDEXABLE}"),
 ], ids=["montecarlo-size", "waveform-symbols", "waveform-taps", "moments-samples"])
 def test_a_size_whose_array_numpy_cannot_index_names_its_key(tmp_path, capsys, experiment,
                                                              params, message):
@@ -1285,7 +1285,7 @@ ORACLES = {name: Draft202012Validator(cli.schema_of(t)) for name, t in cli._TABL
 
 def _walk_accepts(name, doc) -> bool:
     try:
-        cli._walk(cli._TABLES[name], doc, ())
+        cli._walk(cli._TABLES[name], doc)
     except cli._Rejected:
         return False
     return True
@@ -1293,7 +1293,10 @@ def _walk_accepts(name, doc) -> bool:
 
 def _fragments(spec):
     """Every schema fragment of a table, nested ones included."""
-    if isinstance(spec, cli._Table):
+    if isinstance(spec, cli._Kinds):
+        for table in spec.values():
+            yield from _fragments(table)
+    elif isinstance(spec, cli._Table):
         for sub, _ in spec.values():
             yield from _fragments(sub)
     else:
@@ -1334,11 +1337,11 @@ def test_the_walk_interprets_every_keyword_of_the_tables():
     for keyword, fragment, value in VIOLATIONS:
         assert not Draft202012Validator(fragment).is_valid(value), keyword
         with pytest.raises(cli._Rejected):
-            cli._walk(fragment, value, ())
-        cli._walk({k: v for k, v in fragment.items() if k != keyword}, value, ())
+            cli._walk(fragment, value)
+        cli._walk({k: v for k, v in fragment.items() if k != keyword}, value)
     # a type list takes each of its types; an integer-valued float becomes an int
-    assert cli._walk(cli._BITS, None, ()) is None
-    assert type(cli._walk(cli._BITS, 3.0, ())) is int
+    assert cli._walk(cli._BITS, None) is None
+    assert type(cli._walk(cli._BITS, 3.0)) is int
 
 
 @pytest.mark.parametrize("experiment, params, message", [
@@ -1404,7 +1407,8 @@ _MUTANTS = [
 ]
 _KEY_NAMES = sorted(
     {k for t in cli._TABLES.values() for k in t}
-    | {k for t in (cli._QUANTIZER, cli._METHOD, cli._GRID, cli._DAC, cli._OUTPUT) for k in t}
+    | {k for t in (cli._GRID, cli._DAC, cli._OUTPUT) for k in t}
+    | {k for kinds in (cli._QUANTIZER, cli._METHOD) for t in kinds.values() for k in ("kind", *t)}
     | {"bogus"}
 )
 
@@ -1438,13 +1442,16 @@ def test_the_walk_accepts_exactly_what_jsonschema_accepts(case):
         accepted = _walk_accepts(name, part)
         assert accepted == ORACLES[name].is_valid(part), (name, part)
         if accepted:
-            assert cli._walk(cli._TABLES[name], part, ()) == part
+            assert cli._walk(cli._TABLES[name], part) == part
 
 
 def _integer_paths(spec, path=()):
     """The path of every integer-typed value of a table; an array's first
     item stands for all of its items."""
-    if isinstance(spec, cli._Table):
+    if isinstance(spec, cli._Kinds):
+        for table in spec.values():
+            yield from _integer_paths(table, path)
+    elif isinstance(spec, cli._Table):
         for name, (sub, _) in spec.items():
             yield from _integer_paths(sub, (*path, name))
     elif "integer" in _types(spec):

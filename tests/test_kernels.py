@@ -259,6 +259,24 @@ def test_a_negative_seed_is_refused():
                 make()
 
 
+def test_a_size_no_array_can_index_is_refused_by_the_config_that_allocates_it():
+    # numpy would refuse the array with a message that names no field
+    plan = SubbandPlan((1.0,), (1.0,))
+    dac = QuantizerSpec.uniform_midrise(1, 1.0)
+    for make, message in (
+        (lambda: MonteCarlo(samples=2**62), "samples 4611686018427387904"),
+        (lambda: SimConfig(size=2**62, plan=plan, dac=dac, trials=2),
+         "size 4611686018427387904 x trials 2"),
+        (lambda: WaveformConfig(num_symbols=2**62),
+         "num_symbols 4611686018427387904 x num_subcarriers 1024"),
+        # the filter's transients lengthen the interpolated stream
+        (lambda: WaveformConfig(num_symbols=2, filter_taps=2**62 + 1),
+         "filter_taps 4611686018427387905"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message} has more points than an array can index$"):
+            make()
+
+
 # the first draws of substream(seed, "trial", 0): seeds below 2**64 key
 # these streams whatever the release
 SEED_STREAMS = {
