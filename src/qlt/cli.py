@@ -12,8 +12,8 @@ codes: 0 success, 2 config error (an unwritable output directory, or a size
 whose array numpy cannot index, included), 3 numerical failure (an
 allocation that fails included).  Each rule of a config has one owner: the
 walk checks what the tables say, and the library's configs (``SimConfig``,
-``WaveformConfig``, ``MonteCarlo``) refuse, by name, the sizes they
-allocate.
+``WaveformConfig``, ``MonteCarlo``, ``QuantizerSpec``) refuse, by name, the
+values they cannot run, the sizes they allocate included.
 """
 
 import argparse

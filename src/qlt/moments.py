@@ -19,7 +19,11 @@ depend on the BLAS thread count.  A quantized DAC, a noisy channel and a
 quantized ADC need one (DAC levels) x (ADC thresholds) table of tails.  The
 sampling path is a seeded Monte-Carlo estimate carrying standard errors; its
 :class:`MonteCarlo` method refuses a sample count whose draws no array can
-index.
+index.  Each standard error scales its terms by a power of two near their
+largest magnitude before it squares them, so no square overflows and the
+bits are those of the unscaled ``np.std`` wherever its squares stay finite.
+The power ``pbar`` must be positive and so must its per-dimension variance
+``pbar / 2``, which the exact path divides by.
 """
 
 from dataclasses import dataclass
@@ -193,12 +197,21 @@ def _mc_moments(qtx, noise_power, qrx, pbar, method: MonteCarlo, stream) -> AgnM
         noise = float(np.mean(resid)) / pbar
     if not np.isfinite(noise) or not np.isfinite(gain):
         raise NumericalFailureError("Monte-Carlo expectation did not converge to a finite value")
-    # scaled before the squares, which overflow at a large pbar
-    gain_se = float(np.std(cross.real / pbar) / np.sqrt(n))
-    noise_se = float(np.std(resid / pbar) / np.sqrt(n))
+    gain_se = _stderr(cross.real / pbar)
+    noise_se = _stderr(resid / pbar)
     return AgnMoments(
         gain=gain, noise=noise, input_power=pbar, gain_stderr=gain_se, noise_stderr=noise_se
     )
+
+
+def _stderr(x: np.ndarray) -> float:
+    """The standard error of the mean of the finite samples ``x``:
+    ``np.std(x) / sqrt(x.size)``, taken of ``x`` over a power of two at most
+    its largest magnitude and scaled back.  No square of the scaled terms
+    passes the float range, and a power of two scales every step exactly, so
+    wherever the unscaled squares stay in range the bits are the same."""
+    scale = np.ldexp(1.0, np.frexp(np.max(np.abs(x)))[1] - 1)
+    return float(scale * np.std(x / scale) / np.sqrt(x.size))
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +223,8 @@ def _moments(qtx, noise_power, qrx, pbar, method, stream) -> AgnMoments:
     Monte-Carlo substream."""
     if not pbar > 0:
         raise ValueError("pbar must be positive")
+    if not pbar / 2.0 > 0:
+        raise ValueError(f"pbar {pbar} underflows its per-dimension variance pbar / 2 to 0")
     _check_noise_power(noise_power)
     if isinstance(method, Quadrature):
         return _chain_exact(qtx, noise_power, qrx, pbar)

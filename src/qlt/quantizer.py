@@ -85,6 +85,10 @@ class QuantizerSpec:
             clip = float(self.clip)
             if not np.isfinite(2.0 * clip) or not np.isfinite(clip * (2**self.bits - 1)):
                 raise ValueError(f"uniform_midrise clip {self.clip} puts its step or levels past the float range")
+            # a step below float resolution (a subnormal clip) rounds levels together
+            if not np.all(np.diff(self.levels_per_dim()) > 0):
+                raise ValueError(f"uniform_midrise clip {self.clip} puts its step below float "
+                                 "resolution: its levels are not strictly increasing")
         elif self.kind == "custom_levels":
             if not self.levels:
                 raise ValueError("custom_levels requires a non-empty level list")

@@ -47,6 +47,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import i0
 
 # the module alias is the name perfbench's tracer patches to time the filter
 # (``qlt.waveform.sig.upfirdn``); it goes with that tracer (ROADMAP items 1, 14)
@@ -71,7 +72,9 @@ class WaveformConfig:
     index: the symbol grid and the stream at the DAC rate hold at most
     ``num_symbols x num_subcarriers x interp_factor`` complex samples, and
     the interpolation filter (none at a factor of 1) adds its
-    ``filter_taps`` transients to the stream.
+    ``filter_taps`` transients to the stream.  It refuses a
+    ``filter_attenuation_db`` whose Kaiser window divides by an ``I0(beta)``
+    past the float range (from about 6,450 dB), which would make NaN taps.
     """
 
     occupied_bandwidth: float = 200e6
@@ -114,6 +117,9 @@ class WaveformConfig:
             raise ValueError(f"dac_bits must be in 1..{MAX_BITS} or None")
         if self.dac_bits is None and self.dac_clip is not None:
             raise ValueError(f"dac_clip {self.dac_clip} needs dac_bits: the ideal DAC has no clip")
+        if not math.isfinite(i0(sig.kaiser_beta(self.filter_attenuation_db))):
+            raise ValueError(f"filter_attenuation_db {self.filter_attenuation_db} puts the "
+                             "Kaiser window's I0(beta) past the float range")
         stream = self.num_symbols * self.num_subcarriers * self.interp_factor
         check_size(stream, 16, f"num_symbols {self.num_symbols} x num_subcarriers {self.num_subcarriers}")
         taps = self.filter_taps if self.interp_factor > 1 else 0

@@ -194,7 +194,10 @@ def test_zero_output_quantizer_exits_3_without_output(tmp_path, capsys, experime
     ("montecarlo", {"mode": "chain", "quantizer": {"kind": "identity"},
                     "channel": {"kind": "awgn", "noise_power": 1e308},
                     "fractions": [0.5, 0.5], "powers": [1.5, 0.5], "size": 8, "trials": 2}),
-], ids=["waveform-zero-dac-power", "montecarlo-noise-1e300", "montecarlo-noise-1e308"])
+    # a subnormal clip whose levels stay distinct is a DAC, of zero output power
+    ("waveform", {"dac": {"bits": 3, "clip": 1e-320}, "num_symbols": 2}),
+], ids=["waveform-zero-dac-power", "montecarlo-noise-1e300", "montecarlo-noise-1e308",
+        "waveform-subnormal-dac-clip"])
 def test_a_non_finite_result_exits_3_without_output(tmp_path, capsys, experiment, params):
     # a DAC output that underflows to zero power has no ACLR, and a noise
     # power near the float range overflows the Monte-Carlo statistics
@@ -304,6 +307,42 @@ def test_a_size_whose_array_numpy_cannot_index_names_its_key(tmp_path, capsys, e
     assert not out.exists()
 
 
+_PLAN_5E_324 = {"fractions": [0.5, 0.5], "powers": [1e-323, 0.0]}  # mean power 5e-324
+_PBAR_UNDERFLOWS = "pbar 5e-324 underflows its per-dimension variance pbar / 2 to 0"
+_STEP_UNDERFLOWS = ("uniform_midrise clip 5e-324 puts its step below float resolution: "
+                    "its levels are not strictly increasing")
+
+
+@pytest.mark.parametrize("experiment, params, message", [
+    ("moments", {"quantizer": _MIDRISE_3, "pbar": 5e-324}, _PBAR_UNDERFLOWS),
+    ("spectrum", {"quantizer": _MIDRISE_3, **_PLAN_5E_324}, _PBAR_UNDERFLOWS),
+    ("rate", {"quantizer": _MIDRISE_3, **_PLAN_5E_324, "noise_power": 0.1}, _PBAR_UNDERFLOWS),
+    ("montecarlo", {"quantizer": _MIDRISE_3, **_PLAN_5E_324, "size": 16, "trials": 2},
+     _PBAR_UNDERFLOWS),
+    ("upper-bound", {"quantizer": _MIDRISE_3, "fractions": [0.5, 0.5], "band_energy": [1.0, 0.5],
+                     "include_gap": True, "pbar": 5e-324}, _PBAR_UNDERFLOWS),
+    ("moments", {"quantizer": {**_MIDRISE_3, "clip": 5e-324}, "pbar": 1.0}, _STEP_UNDERFLOWS),
+    ("moments", {"quantizer": {**_MIDRISE_3, "clip": 5e-324}, "pbar": 1.0,
+                 "method": {"kind": "montecarlo", "samples": 1000}}, _STEP_UNDERFLOWS),
+    ("waveform", {"dac": {"bits": 3, "kappa": 5e-324}, "num_symbols": 2}, _STEP_UNDERFLOWS),
+    ("waveform", {"dac": {"bits": 3}, "num_symbols": 2, "filter_attenuation_db": 6500.0},
+     "filter_attenuation_db 6500.0 puts the Kaiser window's I0(beta) past the float range"),
+], ids=["moments-pbar", "spectrum-mean-power", "rate-mean-power", "montecarlo-mean-power",
+        "upper-bound-gap-pbar", "moments-subnormal-clip", "moments-subnormal-clip-sampled",
+        "waveform-subnormal-kappa", "waveform-attenuation-6500-db"])
+def test_a_value_past_float_resolution_is_a_config_error(tmp_path, capsys, experiment, params,
+                                                          message):
+    # each once ran on to a division by an underflowed 0 or by an
+    # overflowed inf: a traceback, a RuntimeWarning, or gain and noise 0
+    cfg = write_cfg(tmp_path, {"schema_version": 1, "experiment": experiment, "params": params})
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([experiment, "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("experiment, params, field, expected", [
     # the band's SINR 1.7e309 is past the float range; its log2 is not
     ("rate", {"quantizer": {"kind": "identity"}, "noise_power": 0.1,
@@ -315,7 +354,20 @@ def test_a_size_whose_array_numpy_cannot_index_names_its_key(tmp_path, capsys, e
     ("moments", {"quantizer": {"kind": "uniform_midrise", "bits": 1, "clip": 1e-300},
                  "pbar": 1e20, "method": {"kind": "montecarlo", "samples": 1000}},
      "gain_stderr", 0.0),
-], ids=["rate-sinr-overflow", "moments-stderr-overflow", "moments-map-index-overflow"])
+    # a finite noise past about 1e154 squares past the float range in its
+    # standard error, from a huge clip or from a tiny pbar
+    ("moments", {"quantizer": {"kind": "uniform_midrise", "bits": 3, "clip": 1e150},
+                 "pbar": 1.0, "method": {"kind": "montecarlo", "samples": 1000}},
+     "noise_stderr", 4.415600626242537e+295),
+    ("moments", {"quantizer": {"kind": "uniform_midrise", "bits": 3, "clip": 1.5},
+                 "pbar": 1e-300, "method": {"kind": "montecarlo", "samples": 1000}},
+     "noise_stderr", 9.935101409045713e+295),
+    # the Kaiser window's I0(beta) is still finite at 6,000 dB
+    ("waveform", {"dac": {"bits": 3}, "num_symbols": 2, "filter_attenuation_db": 6000.0},
+     "aclr_db", 19.364367095199338),
+], ids=["rate-sinr-overflow", "moments-stderr-overflow", "moments-map-index-overflow",
+        "moments-noise-stderr-huge-clip", "moments-noise-stderr-tiny-pbar",
+        "waveform-attenuation-6000-db"])
 def test_an_extreme_finite_config_exits_0_with_finite_results(tmp_path, capsys, experiment, params,
                                                                  field, expected):
     # an intermediate past the float range would once warn and write "inf"
@@ -458,6 +510,19 @@ def test_moments_chain_and_upper_bound(tmp_path):
     rec = json.loads((tmp_path / "ub" / "upper-bound.json").read_text())
     assert rec["bits_per_symbol"] == pytest.approx(2.0)
     assert rec["gap_bits"] == pytest.approx(2.0 - math.log2(1 + 2 / (math.pi - 2)))
+
+
+def test_a_16_bit_upper_bound_runs_on_one_rail_of_levels(tmp_path):
+    # the 16-bit constellation has 4**16 points; the bound reads one rail's
+    # 2**16 levels and gives the library's finite maximum entropy
+    params = {"quantizer": _MIDRISE_16, "fractions": [0.5, 0.5], "band_energy": [1.0, 0.5]}
+    cfg = {"schema_version": 1, "experiment": "upper-bound", "params": params}
+    out = tmp_path / "out"
+    assert main(["upper-bound", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+    rec = json.loads((out / "upper-bound.json").read_text())
+    want = max_entropy(constellation_of(QuantizerSpec.uniform_midrise(16, 2.1)), 1.5)
+    assert rec["max_entropy_bits"] == want
+    assert math.isfinite(want) and 0.0 < want < 32.0
 
 
 @pytest.mark.parametrize("params, oracle", [

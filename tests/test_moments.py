@@ -19,7 +19,7 @@ from qlt import (
     quantize,
     tx_moments,
 )
-from qlt.moments import _stein_sum, _threshold_sums
+from qlt.moments import _stderr, _stein_sum, _threshold_sums
 
 ONE_BIT_GAIN = 2.0 / math.sqrt(math.pi)
 ONE_BIT_NOISE = 2.0 - 4.0 / math.pi
@@ -376,6 +376,9 @@ def test_pathological_levels_fail_loudly():
 def test_invalid_power_rejected():
     with pytest.raises(ValueError):
         tx_moments(QuantizerSpec.identity(), 0.0)
+    # the exact path divides by the per-dimension variance pbar / 2
+    with pytest.raises(ValueError, match="pbar 5e-324 underflows its per-dimension variance"):
+        tx_moments(QuantizerSpec.uniform_midrise(3, 1.5), 5e-324)
     with pytest.raises(NumericalFailureError):
         AgnMoments(gain=1.0, noise=-1.0, input_power=1.0)
 
@@ -386,6 +389,15 @@ def test_a_nan_power_is_rejected_like_a_zero_one():
         tx_moments(QuantizerSpec.uniform_midrise(2, 1.8), math.nan)
     with pytest.raises(ValueError, match="power must be positive"):
         clip_for_power(math.nan)
+
+
+def test_the_standard_error_is_np_std_where_its_squares_stay_finite():
+    rng = np.random.default_rng(2)
+    for x in (rng.standard_normal(1000), 7.5 * rng.random(999), np.zeros(10), np.full(3, -2.0)):
+        assert _stderr(x) == float(np.std(x) / np.sqrt(x.size))
+    # past about 1e154 the unscaled squares overflow; the scaled ones do not
+    big = 1e300 * rng.random(1000)
+    assert _stderr(big) == pytest.approx(1e300 * _stderr(big / 1e300), rel=1e-14)
 
 
 def test_monte_carlo_moments_overflow_is_a_numerical_failure():

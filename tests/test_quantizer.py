@@ -250,6 +250,13 @@ def test_a_midrise_clip_past_the_float_range_is_rejected(bits, clip):
         QuantizerSpec.uniform_midrise(bits, clip)
 
 
+def test_a_subnormal_midrise_clip_with_distinct_levels_is_a_quantizer():
+    for bits, clip in ((1, 5e-324), (3, 3e-323), (16, 2e-319)):
+        q = QuantizerSpec.uniform_midrise(bits, clip)
+        assert np.all(np.diff(q.levels_per_dim()) > 0)
+        assert quantize(q, complex(1.0, -1.0)) == complex(clip, -clip)
+
+
 def test_the_largest_midrise_clip_has_finite_levels():
     for bits in (1, 2, 16):
         clip = np.nextafter(np.finfo(float).max / max(2, 2**bits - 1), 0.0)
@@ -388,7 +395,11 @@ def test_the_identity_quantizer_writes_out_unchanged():
     (lambda: QuantizerSpec.identity().levels_per_dim(), UnboundedConstellationError, "no finite level set"),
     (lambda: Constellation(levels=np.array([])), ValueError, "must be non-empty"),
     (lambda: Constellation(levels=np.array([-1.0, 0.5, 0.5])), ValueError, "strictly increasing"),
-], ids=["identity_with_bits", "non_finite_level", "unknown_kind", "identity_levels", "no_points", "repeated_point"])
+    # subnormal levels that round together; a step of 0 would divide the map
+    (lambda: QuantizerSpec.uniform_midrise(3, 5e-324), ValueError, "step below float resolution"),
+    (lambda: QuantizerSpec.uniform_midrise(16, 1.5e-319), ValueError, "step below float resolution"),
+], ids=["identity_with_bits", "non_finite_level", "unknown_kind", "identity_levels", "no_points",
+        "repeated_point", "subnormal_step_3_bit", "subnormal_step_16_bit"])
 def test_an_invalid_quantizer_or_constellation_is_rejected(call, error, message):
     with pytest.raises(error, match=message):
         call()

@@ -42,6 +42,10 @@ def test_config_validation():
         WaveformConfig(dac_clip=0.5)
     with pytest.raises(ValueError, match="num_symbols"):
         WaveformConfig(num_symbols=0)
+    # the Kaiser window's I0(beta) overflows from about 6,450 dB: NaN taps
+    with pytest.raises(ValueError, match="filter_attenuation_db 6500.0 puts the Kaiser window"):
+        WaveformConfig(filter_attenuation_db=6500.0)
+    assert np.isfinite(design_interp_filter(WaveformConfig(filter_attenuation_db=6000.0))).all()
     # 11 subcarriers at a full taper round to a 6-sample overlap, past half a symbol
     with pytest.raises(ValueError, match="symbol_taper 1.0 .* num_subcarriers 11"):
         WaveformConfig(num_subcarriers=11, symbol_taper=1.0)
