@@ -74,7 +74,7 @@ class _Table(dict):
 class _Kinds(dict):
     """A JSON object whose required ``kind`` selects its other keys: kind ->
     the ``_Table`` of that kind's own keys.  A key of another kind is an
-    unknown key of the object's own table."""
+    unknown key of the kind's table."""
 
 
 _WAVEFORM = {f.name: f.default for f in fields(WaveformConfig)}
@@ -99,7 +99,7 @@ _QUANTIZER = _Kinds(
     uniform_midrise=_Table(bits=(_int(1), REQUIRED), clip=(_POSITIVE, REQUIRED)),
     custom_levels=_Table(levels=(_NUMLIST, REQUIRED)),
 )
-_CHANNEL = _Table(kind=({"enum": ["awgn"]}, REQUIRED), noise_power=(_NON_NEGATIVE, REQUIRED))
+_CHANNEL = _Kinds(awgn=_Table(noise_power=(_NON_NEGATIVE, REQUIRED)))
 _METHOD = _Kinds(
     quadrature=_Table(nodes=(_int(3), DEFAULT_QUADRATURE_NODES)),
     montecarlo=_Table(samples=(_int(100), DEFAULT_MC_SAMPLES)),
@@ -191,21 +191,14 @@ _CONFIG = _Table(
 
 def schema_of(spec) -> dict:
     """The JSON schema of a table or a ``_Kinds`` (or of a plain schema
-    fragment).  A ``_Kinds`` is one object of every kind's keys: each key is
-    allowed only under its own kind (``dependentSchemas``) and required there
-    as its kind's table says (``allOf``)."""
+    fragment).  A ``_Kinds`` is an object with a required ``kind`` and one
+    ``allOf`` branch per kind: if ``kind`` is that kind, then the object is
+    its table plus ``kind``."""
     if isinstance(spec, _Kinds):
-        keys = {name: (s, OPTIONAL) for t in spec.values() for name, (s, _) in t.items()}
-        schema = schema_of(_Table(kind=({"enum": list(spec)}, REQUIRED), **keys))
-        is_kind = {kind: {"properties": {"kind": {"const": kind}}} for kind in spec}
-        required = {kind: [name for name, (_, d) in t.items() if d is REQUIRED]
-                    for kind, t in spec.items()}
-        if any(required.values()):
-            schema["allOf"] = [{"if": {**is_kind[kind], "required": ["kind"]},
-                                "then": {"required": names}}
-                               for kind, names in required.items() if names]
-        schema["dependentSchemas"] = {name: is_kind[kind] for kind, t in spec.items() for name in t}
-        return schema
+        return {"type": "object", "properties": {"kind": {"enum": list(spec)}}, "required": ["kind"],
+                "allOf": [{"if": {"properties": {"kind": {"const": k}}, "required": ["kind"]},
+                           "then": schema_of(_Table(kind=({"const": k}, REQUIRED), **table))}
+                          for k, table in spec.items()]}
     if not isinstance(spec, _Table):
         return spec
     return {
@@ -264,14 +257,6 @@ _IS_TYPE = {
     "object": lambda v: isinstance(v, dict),
 }
 
-def _same(a, b) -> bool:
-    """JSON equality of a value and a scalar ``enum`` member: 1 == 1.0, but
-    True != 1."""
-    if isinstance(a, bool) or isinstance(b, bool):
-        return a is b
-    return a == b
-
-
 def _walk(spec, v):
     """``v`` as checked against ``spec`` (a table, a ``_Kinds`` or a schema
     fragment), with every value of an ``integer`` an int; raises
@@ -284,7 +269,9 @@ def _walk(spec, v):
         return {"kind": kind, **_walk_table(spec[kind], {k: x for k, x in v.items() if k != "kind"})}
     if isinstance(spec, _Table):
         return _walk_table(spec, v)
-    if "enum" in spec and not any(_same(v, member) for member in spec["enum"]):
+    # JSON equality of scalars: 1 == 1.0, but True != 1
+    if "enum" in spec and not any(v == m and isinstance(v, bool) is isinstance(m, bool)
+                                  for m in spec["enum"]):
         raise _Rejected
     if "type" in spec:
         types = spec["type"] if isinstance(spec["type"], list) else [spec["type"]]
@@ -334,33 +321,31 @@ def package_defaults() -> dict:
 
 # --- config handling
 
-def _finite(convert):
-    def parse(text: str):
-        if not math.isfinite(float(text)):
-            _non_finite(text)
-        return convert(text)
-
-    return parse
-
-
-def _non_finite(text: str):
-    # JSON number literals past the float range (1e400, or a 400-digit
-    # integer) and the NaN / Infinity extensions would reach the numerics as
-    # inf or nan, or overflow there
-    raise ConfigError(f"config number {text} is not finite")
+def _number(convert, text: str):
+    """The JSON number literal ``text`` as ``convert`` reads it.  Literals
+    past the float range (1e400, or a 400-digit integer) and the NaN /
+    Infinity extensions are refused: they would reach the numerics as inf or
+    nan, or overflow there."""
+    if not math.isfinite(float(text)):
+        raise ConfigError(f"config number {text} is not finite")
+    return convert(text)
 
 
 def _validate(doc, name: str):
     """``doc`` (the config, or the params of experiment ``name``) as the walk
     over ``_TABLES[name]`` accepts it.  A rejection is worded by jsonschema's
-    best match; the walk rejects only what jsonschema does, so the fixed text
-    for a rejection that jsonschema finds no error in is not reached."""
+    best match, with the path of the value it names in the config; the walk
+    rejects only what jsonschema does, so the fixed text for a rejection that
+    jsonschema finds no error in is not reached."""
     try:
         return _walk(_TABLES[name], doc)
     except _Rejected:
         error = jsonschema.exceptions.best_match(_VALIDATORS[name].iter_errors(doc))
-        message = "" if error is None else f": {error.message}"
-        raise ConfigError(f"config schema violation{message}") from None
+        if error is None:
+            raise ConfigError("config schema violation") from None
+        path = ".".join(map(str, [*(["params"] if name in EXPERIMENTS else []), *error.path]))
+        raise ConfigError(f"config schema violation: {error.message}"
+                          + (f" (at {path})" if path else "")) from None
 
 
 def _resolve_config(args) -> dict:
@@ -375,8 +360,9 @@ def _resolve_config(args) -> dict:
     except OSError as e:
         raise ConfigError(f"cannot read config: {e}") from e
     try:
-        cfg = json.loads(text, parse_float=_finite(float), parse_int=_finite(int),
-                         parse_constant=_non_finite)
+        number = functools.partial(_number, float)
+        cfg = json.loads(text, parse_float=number, parse_int=functools.partial(_number, int),
+                         parse_constant=number)
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}") from e
     cfg = _fill(_CONFIG, _validate(cfg, "config"))
@@ -407,12 +393,10 @@ def _grid(spec: dict, name: str) -> np.ndarray:
 
 
 def _quantizer(obj: dict) -> QuantizerSpec:
-    """The spec of a quantizer object that has passed the walk."""
-    if obj["kind"] == "uniform_midrise":
-        return QuantizerSpec.uniform_midrise(obj["bits"], obj["clip"])
-    if obj["kind"] == "custom_levels":
-        return QuantizerSpec.custom_levels(obj["levels"])
-    return QuantizerSpec.identity()
+    """The spec of a quantizer object that has passed the walk: its kind
+    names the ``QuantizerSpec`` factory, and its other keys are the factory's
+    arguments."""
+    return getattr(QuantizerSpec, obj["kind"])(**{k: v for k, v in obj.items() if k != "kind"})
 
 
 def _adc(p: dict) -> QuantizerSpec:

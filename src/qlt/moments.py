@@ -52,6 +52,8 @@ class MonteCarlo:
     seed: int = 0
 
     def __post_init__(self):
+        if not self.samples >= 1:
+            raise ValueError(f"samples must be >= 1, not {self.samples}")
         # the draws, and each stage's output, are samples complex values
         check_size(self.samples, 16, f"samples {self.samples}")
         check_seed(self.seed)

@@ -74,7 +74,9 @@ class WaveformConfig:
     the interpolation filter (none at a factor of 1) adds its
     ``filter_taps`` transients to the stream.  It refuses a
     ``filter_attenuation_db`` whose Kaiser window divides by an ``I0(beta)``
-    past the float range (from about 6,450 dB), which would make NaN taps.
+    past the float range (from about 6,450 dB), which would make NaN taps,
+    a ``dac_kappa`` that is not positive and finite, and a ``psd_window``
+    that ``_signal.get_window`` cannot build, before anything is synthesized.
     """
 
     occupied_bandwidth: float = 200e6
@@ -99,7 +101,7 @@ class WaveformConfig:
     def __post_init__(self):
         if self.occupied_bandwidth + 2 * self.guard_band > self.sample_rate:
             raise ValueError("occupied_bandwidth + 2*guard_band must fit in sample_rate")
-        if self.psd_segment_length & (self.psd_segment_length - 1):
+        if self.psd_segment_length < 1 or self.psd_segment_length & (self.psd_segment_length - 1):
             raise ValueError("psd_segment_length must be a power of two")
         if self.num_symbols < 1:
             raise ValueError("num_symbols must be >= 1")
@@ -115,6 +117,8 @@ class WaveformConfig:
             )
         if self.dac_bits is not None and not 1 <= self.dac_bits <= MAX_BITS:
             raise ValueError(f"dac_bits must be in 1..{MAX_BITS} or None")
+        if not 0.0 < self.dac_kappa < math.inf:
+            raise ValueError(f"dac_kappa must be positive and finite, not {self.dac_kappa}")
         if self.dac_bits is None and self.dac_clip is not None:
             raise ValueError(f"dac_clip {self.dac_clip} needs dac_bits: the ideal DAC has no clip")
         if not math.isfinite(i0(sig.kaiser_beta(self.filter_attenuation_db))):
@@ -124,6 +128,10 @@ class WaveformConfig:
         check_size(stream, 16, f"num_symbols {self.num_symbols} x num_subcarriers {self.num_subcarriers}")
         taps = self.filter_taps if self.interp_factor > 1 else 0
         check_size(stream + taps, 16, f"filter_taps {self.filter_taps}")
+        try:  # at most the length the Welch estimate builds it at
+            sig.get_window(self.psd_window, min(self.psd_segment_length, stream))
+        except (ValueError, TypeError) as e:
+            raise ValueError(f"psd_window {self.psd_window!r} is not a window: {e}") from None
         check_seed(self.seed)
 
     @property
@@ -255,7 +263,11 @@ def _resolve_dac(cfg: WaveformConfig, stream_power: float) -> QuantizerSpec:
     # a clip comes with bits (the config refuses one without)
     if cfg.dac_clip is not None:
         return QuantizerSpec.uniform_midrise(cfg.dac_bits, cfg.dac_clip)
-    return QuantizerSpec.midrise_for_power(cfg.dac_bits, stream_power, cfg.dac_kappa)
+    try:
+        return QuantizerSpec.midrise_for_power(cfg.dac_bits, stream_power, cfg.dac_kappa)
+    except ValueError as e:
+        raise ValueError(f"dac_kappa {cfg.dac_kappa} sets the DAC clip from the stream power: "
+                         f"{e}") from e
 
 
 #: Most samples one FFT call of the Welch estimate transforms: its windowed

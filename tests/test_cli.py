@@ -3,6 +3,7 @@ import copy
 import csv
 import functools
 import gc
+import inspect
 import io
 import json
 import math
@@ -324,7 +325,8 @@ _STEP_UNDERFLOWS = ("uniform_midrise clip 5e-324 puts its step below float resol
     ("moments", {"quantizer": {**_MIDRISE_3, "clip": 5e-324}, "pbar": 1.0}, _STEP_UNDERFLOWS),
     ("moments", {"quantizer": {**_MIDRISE_3, "clip": 5e-324}, "pbar": 1.0,
                  "method": {"kind": "montecarlo", "samples": 1000}}, _STEP_UNDERFLOWS),
-    ("waveform", {"dac": {"bits": 3, "kappa": 5e-324}, "num_symbols": 2}, _STEP_UNDERFLOWS),
+    ("waveform", {"dac": {"bits": 3, "kappa": 5e-324}, "num_symbols": 2},
+     f"dac_kappa 5e-324 sets the DAC clip from the stream power: {_STEP_UNDERFLOWS}"),
     ("waveform", {"dac": {"bits": 3}, "num_symbols": 2, "filter_attenuation_db": 6500.0},
      "filter_attenuation_db 6500.0 puts the Kaiser window's I0(beta) past the float range"),
 ], ids=["moments-pbar", "spectrum-mean-power", "rate-mean-power", "montecarlo-mean-power",
@@ -933,6 +935,17 @@ def test_waveform_empty_adjacent_band_exits_2_without_output(tmp_path, capsys, p
     assert not out.exists()
 
 
+def test_waveform_psd_window_that_cannot_be_built_exits_2_naming_the_key(tmp_path, capsys):
+    # the schema takes any string; the config refuses one that is no window,
+    # before synthesis, where scipy's message once came from the Welch estimate
+    cfg = {"schema_version": 1, "experiment": "waveform",
+           "params": {"num_symbols": 2, "dac": {"bits": 3}, "psd_window": "nope"}}
+    out = tmp_path / "out"
+    assert main(["waveform", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: psd_window 'nope' is not a window: ")
+    assert not out.exists()
+
+
 def test_waveform_ideal_dac_with_a_clip_exits_2_without_output(tmp_path, capsys):
     # the ideal DAC has no clip: one given is refused, not recorded unused
     cfg = {"schema_version": 1, "experiment": "waveform",
@@ -1332,7 +1345,10 @@ def test_invalid_params_exit_2_without_output(tmp_path, capsys, case):
     name, part = ("config", doc) if not _walk_accepts("config", doc) else (experiment, params)
     assert not _walk_accepts(name, part)
     error = best_match(ORACLES[name].iter_errors(part))
-    assert capsys.readouterr().err == f"config error: config schema violation: {error.message}\n"
+    path = [*(["params"] if name != "config" else []), *error.path]
+    where = f" (at {'.'.join(map(str, path))})" if path else ""
+    assert capsys.readouterr().err == (
+        f"config error: config schema violation: {error.message}{where}\n")
     assert not out.exists()
 
 
@@ -1410,8 +1426,8 @@ def test_the_walk_interprets_every_keyword_of_the_tables():
 
 
 @pytest.mark.parametrize("experiment, params, message", [
-    ("waveform", {"dac": {"bits": "a"}}, "'a' is not of type 'integer', 'null'"),
-    ("sweep-snr", {"bits": [1.5]}, "1.5 is not of type 'integer', 'null'"),
+    ("waveform", {"dac": {"bits": "a"}}, "'a' is not of type 'integer', 'null' (at params.dac.bits)"),
+    ("sweep-snr", {"bits": [1.5]}, "1.5 is not of type 'integer', 'null' (at params.bits.0)"),
 ], ids=["dac-bits", "sweep-snr-bits"])
 def test_a_nullable_integer_is_rejected_by_its_type_list(tmp_path, capsys, experiment, params,
                                                          message):
@@ -1589,6 +1605,61 @@ def test_quantizer_missing_key_exits_2_without_output(tmp_path, capsys, quantize
     assert f"config error: config schema violation: {missing!r} is a required property" in (
         capsys.readouterr().err
     )
+    assert not out.exists()
+
+
+# one object of each quantizer kind, as a config gives it
+_QUANTIZER_OBJECTS = [{"kind": "identity"}, Q3, LEVELS]
+
+
+def test_each_quantizer_kind_takes_the_keys_its_factory_takes():
+    assert [q["kind"] for q in _QUANTIZER_OBJECTS] == list(cli._QUANTIZER)
+    for kind, table in cli._QUANTIZER.items():
+        assert list(inspect.signature(getattr(QuantizerSpec, kind)).parameters) == list(table)
+
+
+@pytest.mark.parametrize("obj", _QUANTIZER_OBJECTS, ids=lambda q: q["kind"])
+def test_a_quantizer_object_is_the_spec_its_factory_makes(obj):
+    args = {k: v for k, v in obj.items() if k != "kind"}
+    assert cli._quantizer(obj) == getattr(QuantizerSpec, obj["kind"])(**args)
+
+
+# (experiment, params, the rejection): a key of another kind of a kind-tagged
+# object is named, as is a kind that is none of the object's kinds
+_STRAY = "Additional properties are not allowed ({!r} was unexpected) (at params.{})"
+
+
+@pytest.mark.parametrize("experiment, params, message", [
+    ("moments", {"quantizer": {"kind": "identity", "bits": 3}, "pbar": 1.0},
+     _STRAY.format("bits", "quantizer")),
+    ("moments", {"quantizer": {**LEVELS, "clip": 1.5}, "pbar": 1.0},
+     _STRAY.format("clip", "quantizer")),
+    ("rate", {**MINIMAL["rate"], "adc": {**Q3, "levels": [-1.0, 1.0]}},
+     _STRAY.format("levels", "adc")),
+    ("moments", {"quantizer": Q3, "pbar": 1.0, "method": {"kind": "quadrature", "samples": 1000}},
+     _STRAY.format("samples", "method")),
+    ("moments", {"quantizer": Q3, "pbar": 1.0, "method": {"kind": "montecarlo", "nodes": 129}},
+     _STRAY.format("nodes", "method")),
+    ("moments", {"quantizer": Q3, "pbar": 1.0, "channel": {**AWGN, "bits": 3}},
+     _STRAY.format("bits", "channel")),
+    ("moments", {"quantizer": {"kind": "uniform_midrse", "bits": 3, "clip": 1.5, "gain": 1.0},
+                 "pbar": 1.0},
+     "'uniform_midrse' is not one of ['identity', 'uniform_midrise', 'custom_levels'] "
+     "(at params.quantizer.kind)"),
+    ("moments", {"quantizer": Q3, "pbar": 1.0, "channel": {"kind": "quadrature"}},
+     "'quadrature' is not one of ['awgn'] (at params.channel.kind)"),
+], ids=["quantizer-identity-bits", "quantizer-levels-clip", "adc-midrise-levels",
+        "method-quadrature-samples", "method-montecarlo-nodes", "channel-awgn-bits",
+        "quantizer-unknown-kind", "channel-unknown-kind"])
+def test_a_kind_tagged_object_names_its_stray_key_or_its_kind(tmp_path, capsys, experiment,
+                                                               params, message):
+    # a key of another kind once read "'uniform_midrise' was expected" (the
+    # kind its key belongs to); an unknown kind beside another fault could
+    # be reported by that fault
+    doc = {"schema_version": 1, "experiment": experiment, "params": params}
+    out = tmp_path / "out"
+    assert main([experiment, "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: config schema violation: {message}\n"
     assert not out.exists()
 
 

@@ -400,6 +400,14 @@ def test_the_standard_error_is_np_std_where_its_squares_stay_finite():
     assert _stderr(big) == pytest.approx(1e300 * _stderr(big / 1e300), rel=1e-14)
 
 
+@pytest.mark.parametrize("samples", [0, -5])
+def test_a_monte_carlo_method_without_samples_is_refused_by_name(samples):
+    # no sample at all once gave a mean of an empty slice (a RuntimeWarning,
+    # then NaN moments); a negative count, numpy's bare "negative dimensions"
+    with pytest.raises(ValueError, match=f"samples must be >= 1, not {samples}"):
+        MonteCarlo(samples=samples)
+
+
 def test_monte_carlo_moments_overflow_is_a_numerical_failure():
     # the squared residual overflows; that is reported as the failure it is,
     # with no RuntimeWarning (an error under the suite's filter)

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -36,6 +37,9 @@ def test_config_validation():
         WaveformConfig(occupied_bandwidth=500e6, sample_rate=520e6, guard_band=20e6)
     with pytest.raises(ValueError):
         WaveformConfig(psd_segment_length=1000)
+    # 0 & -1 is 0 too: it once ran on to a division by zero in the Welch estimate
+    with pytest.raises(ValueError, match="psd_segment_length must be a power of two"):
+        WaveformConfig(psd_segment_length=0)
     with pytest.raises(ValueError):
         WaveformConfig(dac_bits=0)
     with pytest.raises(ValueError, match="dac_clip 0.5 needs dac_bits"):
@@ -49,6 +53,33 @@ def test_config_validation():
     # 11 subcarriers at a full taper round to a 6-sample overlap, past half a symbol
     with pytest.raises(ValueError, match="symbol_taper 1.0 .* num_subcarriers 11"):
         WaveformConfig(num_subcarriers=11, symbol_taper=1.0)
+
+
+@pytest.mark.parametrize("kappa", [-1.0, 0.0, math.nan, math.inf])
+def test_a_dac_kappa_that_is_not_positive_and_finite_is_refused_before_synthesis(kappa):
+    # it once failed only after synthesis, as "uniform_midrise requires clip > 0"
+    with pytest.raises(ValueError, match=f"dac_kappa must be positive and finite, not {kappa}"):
+        WaveformConfig(dac_bits=4, dac_kappa=kappa)
+
+
+@pytest.mark.parametrize("window", ["nope", ("kaiser",), ("nope", 1.0), ["hann"]])
+def test_a_psd_window_that_cannot_be_built_is_refused_before_synthesis(window):
+    # it once failed in the Welch estimate, after the stream was synthesized
+    # and quantized, with scipy's message that names no field
+    with pytest.raises(ValueError, match=f"psd_window {re.escape(repr(window))} is not a window"):
+        WaveformConfig(psd_window=window)
+
+
+def test_a_tuple_psd_window_is_still_a_window():
+    assert WaveformConfig(psd_window=("tukey", 0.25)).psd_window == ("tukey", 0.25)
+
+
+def test_a_loaded_clip_the_dac_refuses_names_dac_kappa():
+    # a subnormal kappa loads a subnormal clip, whose levels round together
+    cfg = WaveformConfig(num_symbols=2, dac_bits=3, dac_kappa=5e-324)
+    with pytest.raises(ValueError, match="dac_kappa 5e-324 sets the DAC clip from the stream "
+                                         "power: uniform_midrise clip 5e-324 puts its step below"):
+        measure_aclr(cfg)
 
 
 def test_default_geometry():
