@@ -40,7 +40,6 @@ from .errors import (
 from .moments import (
     AgnMoments,
     MonteCarlo,
-    Quadrature,
     chain_moments,
     tx_moments,
 )

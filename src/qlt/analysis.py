@@ -218,12 +218,20 @@ def _kl_bits(delta: list, nu: list) -> float:
     return total
 
 
+def _raise_noiseless(gain: float):
+    """Raise the error of a chain without noise: with no gain it outputs
+    nothing and has no rate; with a gain its rate is unbounded."""
+    if gain == 0.0:
+        raise NumericalFailureError("zero-output chain: the rate is undefined")
+    raise InfiniteRateError("noiseless identity chain: rate is unbounded")
+
+
 def _rate_terms(plan: SubbandPlan, gain: float, noise) -> np.ndarray:
     """The per-band fractions * log2(1 + gain^2 powers / (noise mean_power)),
     one row per noise value."""
     noise = np.asarray(noise, dtype=float)
     if np.any(noise == 0.0):
-        raise InfiniteRateError("noiseless identity chain: rate is unbounded")
+        _raise_noiseless(gain)
     fr = np.asarray(plan.fractions)
     pw = np.asarray(plan.powers)
     noise = noise[..., None]
@@ -304,10 +312,8 @@ def awgn_rates_at_transmit_snr(plan: SubbandPlan, m_tx: AgnMoments, snr) -> np.n
 
 def _flat_rate(m_tx: AgnMoments) -> float:
     """log2(1 + |gain|^2/noise), the noise-free rate of a flat allocation."""
-    if m_tx.noise == 0.0 and m_tx.gain == 0.0:
-        raise NumericalFailureError("zero-output chain: the rate is undefined")
-    if m_tx.noise == 0.0:
-        raise InfiniteRateError("identity DAC with no noise: rate is unbounded")
+    if m_tx.noise == 0.0:  # a plain float test: noise_free_rates calls this per row
+        _raise_noiseless(m_tx.gain)
     return math.log2(1.0 + m_tx.gain**2 / m_tx.noise)
 
 

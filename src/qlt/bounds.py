@@ -26,10 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import _check_fractions, _check_shares, _kl_bits
+from .analysis import _check_fractions, _check_shares, _flat_rate, _kl_bits
 from .errors import (
     BoundaryEnergyError,
     InfeasibleEnergyError,
+    InfiniteRateError,
     NumericalFailureError,
 )
 from .moments import AgnMoments
@@ -238,10 +239,10 @@ def rate_upper_bound(
     masked = kl == math.inf
     gap = None
     if m_tx is not None and not masked:
-        if m_tx.noise == 0.0:
+        try:
+            gap = h - _flat_rate(m_tx)
+        except InfiniteRateError:  # a noiseless identity chain
             gap = -math.inf
-        else:
-            gap = h - math.log2(1.0 + m_tx.gain**2 / m_tx.noise)
     return UpperBoundReport(
         max_entropy_bits=h,
         shaping_loss_bits=kl,

@@ -42,7 +42,7 @@ from .analysis import (
 )
 from .bounds import TILT_TOL, rate_upper_bound, upper_bound_rates
 from .errors import ConfigError, QltError
-from .moments import DEFAULT_MC_SAMPLES, MonteCarlo, Quadrature, chain_moments, tx_moments
+from .moments import DEFAULT_MC_SAMPLES, MonteCarlo, chain_moments, tx_moments
 from .montecarlo import LAYOUTS, TRANSFORMS, SimConfig, run_chain_trials, run_tx_trials
 from .quantizer import DEFAULT_KAPPA, QuantizerSpec, constellation_of
 from .waveform import WaveformConfig, measure_aclr
@@ -572,15 +572,12 @@ def _per_band(seed: int, plan: SubbandPlan, rep, header, *columns) -> tuple:
 def _run_moments(p: dict, seed: int) -> tuple:
     q = _quantizer(p["quantizer"])
     how = p["method"]
-    method = Quadrature() if how["kind"] == "quadrature" else MonteCarlo(how["samples"], seed)
-    if "channel" in p:
-        m = chain_moments(q, p["channel"]["noise_power"], _adc(p), p["pbar"], method)
-    elif "adc" in p:
-        raise ConfigError("moments: an adc needs a channel; without one the run is tx-only")
-    else:
-        m = tx_moments(q, p["pbar"], method)
+    method = None if how["kind"] == "quadrature" else MonteCarlo(how["samples"], seed)
+    # no channel is a noise power of 0; no adc, an ideal one: tx_moments' chain
+    noise_power = p["channel"]["noise_power"] if "channel" in p else 0.0
+    m = chain_moments(q, noise_power, _adc(p), p["pbar"], method)
     return _record(seed, {
-        "scope": "chain" if "channel" in p else "tx",
+        "scope": "chain" if "channel" in p or "adc" in p else "tx",
         "gain_re": m.gain,
         "gain_im": 0.0,
         "noise": m.noise,

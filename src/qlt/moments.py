@@ -8,16 +8,18 @@ and the full DAC -> AWGN -> ADC output for :func:`chain_moments`.  Circular
 AWGN and a quantizer acting alike on I and Q make the chain I/Q-symmetric, so
 the gain is real.
 
-Two evaluation paths are provided.  The deterministic path resolves the
-piecewise-constant maps over Gaussian inputs exactly, as sums over their
-thresholds: by summation by parts each expectation is the value on one cell
-plus each step times the Gaussian tail beyond its threshold, and the
-correlation with the input is Stein's sum of the steps times the Gaussian
-density at the thresholds.  The sums are numpy's own (pairwise
+Two evaluation paths are provided, and on both :func:`tx_moments` is, bit for
+bit, the chain with a noiseless channel and an ideal ADC.  The deterministic
+path (``method=None``) resolves the piecewise-constant maps over Gaussian
+inputs exactly, as sums over their thresholds: by summation by parts each
+expectation is the value on one cell plus each step times the Gaussian tail
+beyond its threshold, and the correlation with the input is Stein's sum of
+the steps times the Gaussian density at the thresholds.  The sums are numpy's own (pairwise
 ``np.add.reduce`` and ``np.einsum``), never a BLAS dot, so their bits do not
 depend on the BLAS thread count.  A quantized DAC, a noisy channel and a
 quantized ADC need one (DAC levels) x (ADC thresholds) table of tails.  The
-sampling path is a seeded Monte-Carlo estimate carrying standard errors; its
+sampling path is a seeded Monte-Carlo estimate carrying standard errors,
+drawn from the substream ``"chain"`` whatever the chain; its
 :class:`MonteCarlo` method refuses a sample count whose draws no array can
 index.  Each standard error scales its terms by a power of two near their
 largest magnitude before it squares them, so no square overflows and the
@@ -37,11 +39,6 @@ from .quantizer import QuantizerSpec, quantize
 
 #: Monte-Carlo defaults for the sampling path.
 DEFAULT_MC_SAMPLES = 1_000_000
-
-
-@dataclass(frozen=True)
-class Quadrature:
-    """Deterministic evaluation: exact sums over the quantizers' thresholds."""
 
 
 @dataclass(frozen=True)
@@ -184,8 +181,8 @@ def _check_noise_power(noise_power) -> None:
         raise ValueError("noise_power must be >= 0")
 
 
-def _mc_moments(qtx, noise_power, qrx, pbar, method: MonteCarlo, stream) -> AgnMoments:
-    rng = substream(method.seed, "moments", stream)
+def _mc_moments(qtx, noise_power, qrx, pbar, method: MonteCarlo) -> AgnMoments:
+    rng = substream(method.seed, "moments", "chain")
     n = method.samples
     u = complex_normal(rng, pbar, n)
     s = quantize(qrx, add_awgn(quantize(qtx, u), noise_power, rng))
@@ -220,30 +217,30 @@ def _stderr(x: np.ndarray) -> float:
 # public operations
 # ---------------------------------------------------------------------------
 
-def _moments(qtx, noise_power, qrx, pbar, method, stream) -> AgnMoments:
-    """Moments of the DAC -> AWGN -> ADC chain; ``stream`` names the
-    Monte-Carlo substream."""
+def _moments(qtx, noise_power, qrx, pbar, method) -> AgnMoments:
+    """Moments of the DAC -> AWGN -> ADC chain: exact for ``method=None``,
+    sampled for a :class:`MonteCarlo` method."""
     if not pbar > 0:
         raise ValueError("pbar must be positive")
     if not pbar / 2.0 > 0:
         raise ValueError(f"pbar {pbar} underflows its per-dimension variance pbar / 2 to 0")
     _check_noise_power(noise_power)
-    if isinstance(method, Quadrature):
+    if method is None:
         return _chain_exact(qtx, noise_power, qrx, pbar)
     if isinstance(method, MonteCarlo):
-        return _mc_moments(qtx, noise_power, qrx, pbar, method, stream)
-    raise TypeError("method must be Quadrature or MonteCarlo")
+        return _mc_moments(qtx, noise_power, qrx, pbar, method)
+    raise TypeError("method must be None (exact) or a MonteCarlo")
 
 
-def tx_moments(q: QuantizerSpec, pbar: float, method=Quadrature()) -> AgnMoments:
+def tx_moments(q: QuantizerSpec, pbar: float, method=None) -> AgnMoments:
     """Decomposition moments of the transmit quantizer alone at input power
     pbar: the chain with a noiseless channel and an ideal ADC."""
-    return _moments(q, 0.0, QuantizerSpec.identity(), pbar, method, "tx")
+    return _moments(q, 0.0, QuantizerSpec.identity(), pbar, method)
 
 
 def chain_moments(
-    qtx: QuantizerSpec, noise_power: float, qrx: QuantizerSpec, pbar: float, method=Quadrature()
+    qtx: QuantizerSpec, noise_power: float, qrx: QuantizerSpec, pbar: float, method=None
 ) -> AgnMoments:
     """Decomposition moments of the full DAC -> AWGN -> ADC chain, with
     ``noise_power`` the channel's complex noise variance."""
-    return _moments(qtx, noise_power, qrx, pbar, method, "chain")
+    return _moments(qtx, noise_power, qrx, pbar, method)

@@ -295,10 +295,11 @@ def _run(cfg: SimConfig, with_correlation: bool) -> SimReport:
     powers = np.asarray(plan.powers)
     symbol_power = powers[assign]
 
-    pred = predict_spectrum(plan, tx_moments(cfg.dac, pbar))
-    m = chain_moments(cfg.dac, cfg.noise_power, cfg.adc, pbar)
+    m_tx = tx_moments(cfg.dac, pbar)
+    pred = predict_spectrum(plan, m_tx)
     # with nothing after the DAC the received stream is the transmitted one
     ideal_rx = cfg.noise_power == 0.0 and cfg.adc.is_identity
+    m = m_tx if ideal_rx else chain_moments(cfg.dac, cfg.noise_power, cfg.adc, pbar)
 
     trial_s = np.empty((cfg.trials, nb))
     rho_trials = np.empty((cfg.trials, nb))

@@ -206,7 +206,13 @@ def test_zero_output_quantizer_is_a_numerical_failure():
         predict_spectrum(SubbandPlan((0.5, 0.5), (1.5, 0.5)), m0)
     with pytest.raises(NumericalFailureError, match="zero-output chain"):
         noise_free_rate((0.5, 0.5), m0, (0.5, 0.5))
-    with pytest.raises(InfiniteRateError, match="identity DAC"):
+    # the rates decide a chain without noise by the same rule
+    plan = SubbandPlan((0.5, 0.5), (1.0, 1.0))
+    with pytest.raises(NumericalFailureError, match="zero-output chain"):
+        linear_rate(plan, m0)
+    with pytest.raises(NumericalFailureError, match="zero-output chain"):
+        awgn_linear_rate(plan, m0, 0.0)
+    with pytest.raises(InfiniteRateError, match="noiseless identity chain"):
         noise_free_rate((0.5, 0.5), tx_moments(QuantizerSpec.identity(), 1.0), (0.5, 0.5))
 
 

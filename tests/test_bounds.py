@@ -465,6 +465,13 @@ def test_gap_to_a_noiseless_linear_rate_is_minus_infinity():
     assert rate_upper_bound(GRID16, (5.0, 5.0), (0.5, 0.5), m_tx=m).gap_bits == -math.inf
 
 
+def test_gap_to_a_zero_output_chain_is_a_numerical_failure():
+    # gain 0 and noise 0: the flat linear rate the gap reads is undefined
+    m0 = tx_moments(QuantizerSpec.custom_levels([0.0]), 1.0)
+    with pytest.raises(NumericalFailureError, match="zero-output chain"):
+        rate_upper_bound(GRID16, (5.0, 5.0), (0.5, 0.5), m_tx=m0)
+
+
 def _tilted_weights(e, theta):
     """exp(theta * e - shift) for each point energy e, max-shift stabilized,
     and the shift."""

@@ -25,6 +25,7 @@ from jsonschema.exceptions import best_match
 
 from qlt import (
     FeasibilityError,
+    MonteCarlo,
     QuantizerSpec,
     SubbandPlan,
     awgn_rate_at_transmit_snr,
@@ -167,6 +168,11 @@ def test_upper_bound_of_an_ideal_dac_is_a_config_error(tmp_path, capsys):
 @pytest.mark.parametrize("experiment, params", [
     ("spectrum", {}),
     ("montecarlo", {"size": 16, "trials": 2}),
+    # a zero-output chain has no rate, whether its [0] quantizer is the adc
+    # behind a noisy channel or the dac of a noiseless one
+    ("rate", {"quantizer": {"kind": "uniform_midrise", "bits": 2, "clip": 1.0},
+              "adc": {"kind": "custom_levels", "levels": [0]}, "noise_power": 0.1}),
+    ("rate", {"noise_power": 0.0}),
 ])
 def test_zero_output_quantizer_exits_3_without_output(tmp_path, capsys, experiment, params):
     cfg = {
@@ -352,7 +358,7 @@ def test_a_value_past_float_resolution_is_a_config_error(tmp_path, capsys, exper
      "bits_per_symbol", 342.413772022186),
     ("moments", {"quantizer": {"kind": "identity"}, "pbar": 1e300,
                  "method": {"kind": "montecarlo", "samples": 1000}},
-     "gain_stderr", 0.029902309929611706),
+     "gain_stderr", 0.03326205163453231),
     ("moments", {"quantizer": {"kind": "uniform_midrise", "bits": 1, "clip": 1e-300},
                  "pbar": 1e20, "method": {"kind": "montecarlo", "samples": 1000}},
      "gain_stderr", 0.0),
@@ -360,10 +366,10 @@ def test_a_value_past_float_resolution_is_a_config_error(tmp_path, capsys, exper
     # standard error, from a huge clip or from a tiny pbar
     ("moments", {"quantizer": {"kind": "uniform_midrise", "bits": 3, "clip": 1e150},
                  "pbar": 1.0, "method": {"kind": "montecarlo", "samples": 1000}},
-     "noise_stderr", 4.415600626242537e+295),
+     "noise_stderr", 7.306130159630067e+295),
     ("moments", {"quantizer": {"kind": "uniform_midrise", "bits": 3, "clip": 1.5},
                  "pbar": 1e-300, "method": {"kind": "montecarlo", "samples": 1000}},
-     "noise_stderr", 9.935101409045713e+295),
+     "noise_stderr", 1.6438792859167653e+296),
     # the Kaiser window's I0(beta) is still finite at 6,000 dB
     ("waveform", {"dac": {"bits": 3}, "num_symbols": 2, "filter_attenuation_db": 6000.0},
      "aclr_db", 19.364367095199338),
@@ -543,6 +549,22 @@ def test_moments_quantizer_objects_are_their_specs(tmp_path, params, oracle):
     m = oracle()
     assert float.hex(rec["gain_re"]) == float.hex(m.gain)
     assert float.hex(rec["noise"]) == float.hex(m.noise)
+
+
+@pytest.mark.parametrize("method", [{"kind": "quadrature"}, {"kind": "montecarlo", "samples": 2000}],
+                         ids=["exact", "sampled"])
+def test_moments_with_an_adc_and_no_channel_is_the_noiseless_chain(tmp_path, method):
+    # no channel is a noise power of 0, and the adc still acts on the DAC's output
+    cfg = moments_cfg(str(tmp_path / "out"), quantizer=_MIDRISE_3, pbar=1.3, method=method,
+                      adc={"kind": "uniform_midrise", "bits": 2, "clip": 1.5})
+    cfg["seed"] = 5
+    assert main(["moments", "--config", write_cfg(tmp_path, cfg)]) == 0
+    rec = json.loads((tmp_path / "out" / "moments.json").read_text())
+    m = chain_moments(QuantizerSpec.uniform_midrise(3, 2.1), 0.0, QuantizerSpec.uniform_midrise(2, 1.5),
+                      1.3, None if method["kind"] == "quadrature" else MonteCarlo(2000, 5))
+    assert rec["scope"] == "chain"
+    assert [float.hex(rec[k]) for k in ("gain_re", "noise")] == [m.gain.hex(), m.noise.hex()]
+    assert (rec["gain_stderr"], rec["noise_stderr"]) == (m.gain_stderr, m.noise_stderr)
 
 
 def test_moments_chain_record_has_a_real_gain(tmp_path):
@@ -1126,12 +1148,11 @@ def test_resolved_config_fills_nested_defaults(tmp_path, experiment, given, reco
 @pytest.mark.parametrize(
     "experiment, extra",
     [
-        ("moments", {"adc": Q1}),
         ("montecarlo", {"channel": {"kind": "awgn", "noise_power": 0.1}}),
         ("montecarlo", {"adc": Q1}),
         ("montecarlo", {"mode": "tx", "channel": {"kind": "awgn", "noise_power": 0.1}, "adc": Q1}),
     ],
-    ids=["moments-adc-without-channel", "tx-channel", "tx-adc", "tx-explicit-channel-and-adc"],
+    ids=["tx-channel", "tx-adc", "tx-explicit-channel-and-adc"],
 )
 def test_ignored_params_are_config_errors(tmp_path, capsys, experiment, extra):
     params = dict(MINIMAL[experiment], **extra)
@@ -1705,7 +1726,7 @@ def test_csv_bytes_refuse_a_cell_csv_would_quote(ch):
         cli._csv_bytes(["x", f"y{ch}"], [[1.0], [2.0]])
 
 
-@pytest.mark.parametrize("header", [["x"], ["x", "y z"], [""], ["", ""], [None, 1.5]])
+@pytest.mark.parametrize("header", [["x"], ["x", "y z"], [""], ["", ""], [None, 1.5], []])
 def test_a_header_only_table_takes_its_width_from_the_header(header):
     text = cli._csv_bytes(header, [[] for _ in header])
     assert text == _csv_writer_text(header, [])

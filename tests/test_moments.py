@@ -12,7 +12,6 @@ from qlt import (
     AgnMoments,
     MonteCarlo,
     NumericalFailureError,
-    Quadrature,
     QuantizerSpec,
     chain_moments,
     clip_for_power,
@@ -301,10 +300,16 @@ _GRID_QUANTIZERS = [
 
 @pytest.mark.parametrize("pbar", [0.1, 1.0, 1.581, 7.0])
 def test_tx_moments_are_the_noiseless_ideal_adc_chain_moments(pbar):
-    for q in _GRID_QUANTIZERS:
-        tx = tx_moments(q, pbar)
-        chain = chain_moments(q, 0.0, QuantizerSpec.identity(), pbar)
-        assert (tx.gain.hex(), tx.noise.hex()) == (chain.gain.hex(), chain.noise.hex())
+    # one chain on both paths: the exact sums, and the sampled draws at two seeds
+    sampled = ("gain", "noise", "gain_stderr", "noise_stderr")
+    for method, fields in [(None, ("gain", "noise")),
+                           (MonteCarlo(samples=1000, seed=11), sampled),
+                           (MonteCarlo(samples=1000, seed=12), sampled)]:
+        for q in _GRID_QUANTIZERS:
+            tx = tx_moments(q, pbar, method)
+            chain = chain_moments(q, 0.0, QuantizerSpec.identity(), pbar, method)
+            assert ([getattr(tx, f).hex() for f in fields]
+                    == [getattr(chain, f).hex() for f in fields]), (method, q)
 
 
 _MC_CUSTOM = QuantizerSpec.custom_levels([-1.3, -0.2, 0.4, 1.1])
@@ -313,11 +318,11 @@ _MC_CUSTOM = QuantizerSpec.custom_levels([-1.3, -0.2, 0.4, 1.1])
 @pytest.mark.parametrize("moments, expected", [
     (lambda: tx_moments(QuantizerSpec.uniform_midrise(2, 1.0), 1.0,
                         MonteCarlo(samples=4000, seed=7)),
-     ("0x1.b4f70931f2094p-1", "0x1.92882d81c6e4cp-4",
-      "0x1.5f514fffc4508p-7", "0x1.a6652171b87d7p-10")),
+     ("0x1.b0b3bc4fd684cp-1", "0x1.94a5fd7ded881p-4",
+      "0x1.602a675d93c94p-7", "0x1.bdc84d4d2b846p-10")),
     (lambda: tx_moments(_MC_CUSTOM, 2.5, MonteCarlo(samples=1000, seed=11)),
-     ("0x1.77456c8fdf602p-1", "0x1.824ac51feaaf7p-4",
-      "0x1.0f3c067b62905p-6", "0x1.d05a100bebc85p-9")),
+     ("0x1.8518fc3468b68p-1", "0x1.917cf10dc30fep-4",
+      "0x1.189111b46d31cp-6", "0x1.13bad0799ba5bp-8")),
     (lambda: chain_moments(QuantizerSpec.uniform_midrise(2, 1.0), 0.3,
                            QuantizerSpec.uniform_midrise(3, 1.5), 1.0,
                            MonteCarlo(samples=4000, seed=7)),
@@ -329,8 +334,9 @@ _MC_CUSTOM = QuantizerSpec.custom_levels([-1.3, -0.2, 0.4, 1.1])
       "0x1.9d84457dac87ep-7", "0x1.b86d3136681abp-8")),
 ], ids=["tx-midrise", "tx-custom", "chain-midrise", "chain-identity-dac"])
 def test_monte_carlo_moments_pin_their_streams(moments, expected):
-    # tx and chain sample from their own named substreams ("tx", "chain"), the
-    # inputs before the channel noise; these bits pin both
+    # every sampled chain, tx_moments' noiseless ideal-ADC one too, draws from
+    # the substream "chain", the inputs before the channel noise; these bits
+    # pin it
     m = moments()
     assert (m.gain.hex(), m.noise.hex(), m.gain_stderr.hex(), m.noise_stderr.hex()) == expected
 
@@ -338,7 +344,7 @@ def test_monte_carlo_moments_pin_their_streams(moments, expected):
 @pytest.mark.parametrize("noise_power", [-0.1, -1e-300, math.nan])
 def test_chain_rejects_a_negative_or_nan_noise_power(noise_power):
     q = QuantizerSpec.uniform_midrise(2, 1.8)
-    for method in (Quadrature(), MonteCarlo(samples=1000)):
+    for method in (None, MonteCarlo(samples=1000)):
         with pytest.raises(ValueError, match="noise_power"):
             chain_moments(q, noise_power, q, 1.0, method)
 
@@ -427,7 +433,7 @@ def test_monte_carlo_standard_errors_stay_finite_at_a_large_pbar():
 
 
 def test_a_method_that_is_neither_quadrature_nor_monte_carlo_is_a_type_error():
-    with pytest.raises(TypeError, match="method must be Quadrature or MonteCarlo"):
+    with pytest.raises(TypeError, match=r"method must be None \(exact\) or a MonteCarlo"):
         tx_moments(QuantizerSpec.uniform_midrise(2, 1.8), 1.0, "exact")
 
 
