@@ -52,7 +52,6 @@ from .montecarlo import (
     subband_assignment,
 )
 from .quantizer import (
-    Constellation,
     QuantizerSpec,
     clip_for_power,
     constellation_of,

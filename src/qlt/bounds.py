@@ -5,12 +5,13 @@ uniformly drawn constellation point, its Legendre transform, and the maximum
 entropy achievable at a target mean energy (an exponentially tilted law).
 Cumulant and rate-function values are in nats; entropies and rates in bits.
 
-A constellation is the product L x L of one rail's level set, so a uniform
-point is two independent uniform levels and its energy is the sum of their
-squares.  The tilted law exp(theta |x|^2) is then the product of one law
-exp(theta l^2) per rail (Cover & Thomas 2006, Thm 12.1.1): the cumulant and
-the tilted mean are twice one rail's, and the maximum entropy at total energy
-s is twice one rail's at s/2.  Every quantity below is computed over L's
+A constellation is a ``QuantizerSpec``: a spec with a finite level set L is
+its own constellation, the product L x L, and compares and hashes by value.
+A uniform point is two independent uniform levels and its energy is the sum
+of their squares.  The tilted law exp(theta |x|^2) is then the product of one
+law exp(theta l^2) per rail (Cover & Thomas 2006, Thm 12.1.1): the cumulant
+and the tilted mean are twice one rail's, and the maximum entropy at total
+energy s is twice one rail's at s/2.  Every quantity below is computed over L's
 energy classes, 2**bits values at most, and doubled.
 
 The tilt that attains a target energy is found by ITP (Oliveira & Takahashi,
@@ -34,7 +35,7 @@ from .errors import (
     NumericalFailureError,
 )
 from .moments import AgnMoments
-from .quantizer import Constellation
+from .quantizer import QuantizerSpec
 
 #: Width of the final bracket on the tilt parameter.
 TILT_TOL = 1e-12
@@ -65,7 +66,7 @@ def _clamp_to_range(s: float, e_lo: float, e_hi: float) -> float:
     return s
 
 
-def _log_mgf_terms(cset: Constellation, theta: float):
+def _log_mgf_terms(cset: QuantizerSpec, theta: float):
     """One rail's cumulant log((1/|L|) sum_i counts_i exp(theta e_i)) over
     its energy classes, max-shift stabilized, with the shifted exponentials
     exp(theta e_i - shift) and their count-weighted sum."""
@@ -73,23 +74,23 @@ def _log_mgf_terms(cset: Constellation, theta: float):
     shift = theta * (energies[-1] if theta > 0 else energies[0])
     expo = np.exp(theta * energies - shift)
     total = float(np.dot(counts, expo))
-    return shift + math.log(total / cset.levels.size), expo, total
+    return shift + math.log(total / cset.levels_per_dim().size), expo, total
 
 
-def cumulant(cset: Constellation, theta: float) -> float:
+def cumulant(cset: QuantizerSpec, theta: float) -> float:
     """Cumulant generating function of the point energy at tilt theta (nats):
     twice one rail's."""
     return 2.0 * _log_mgf_terms(cset, float(theta))[0]
 
 
-def tilted_mean_energy(cset: Constellation, theta: float) -> float:
+def tilted_mean_energy(cset: QuantizerSpec, theta: float) -> float:
     """Mean energy under the exponentially tilted law (the cumulant
     derivative): twice one rail's."""
     _, expo, total = _log_mgf_terms(cset, float(theta))
     return 2.0 * float(np.dot(cset.energy_classes[2], expo) / total)
 
 
-def _bracket_end(cset: Constellation, s: float, tilt: float) -> tuple[float, float]:
+def _bracket_end(cset: QuantizerSpec, s: float, tilt: float) -> tuple[float, float]:
     """The first of tilt, 2 tilt, 4 tilt, ... at which the tilted mean energy
     less s is zero or has tilt's sign, and that difference."""
     for _ in range(200):
@@ -101,7 +102,7 @@ def _bracket_end(cset: Constellation, s: float, tilt: float) -> tuple[float, flo
     raise NumericalFailureError("tilt bracket expansion failed")  # pragma: no cover
 
 
-def rate_function(cset: Constellation, s: float) -> tuple[float, float]:
+def rate_function(cset: QuantizerSpec, s: float) -> tuple[float, float]:
     """Legendre transform of the cumulant at target energy s.
 
     Returns (value in nats, maximizing tilt).  The tilt solves
@@ -167,7 +168,7 @@ def rate_function(cset: Constellation, s: float) -> tuple[float, float]:
     return float(max(value, 0.0)), float(tilt)
 
 
-def _entropy_and_tilt(cset: Constellation, s: float) -> tuple[float, float]:
+def _entropy_and_tilt(cset: QuantizerSpec, s: float) -> tuple[float, float]:
     """Max entropy (bits) and tilt at target energy s."""
     energies, counts, _ = cset.energy_classes
     s = _clamp_to_range(float(s), cset.min_energy, cset.max_energy)
@@ -193,13 +194,13 @@ def _entropy_and_tilt(cset: Constellation, s: float) -> tuple[float, float]:
     return h_bits, tilt
 
 
-def max_entropy(cset: Constellation, s: float) -> float:
+def max_entropy(cset: QuantizerSpec, s: float) -> float:
     """Largest entropy (bits) of a distribution on the constellation with
     mean energy s; boundary energies degenerate to the energy class itself."""
     return _entropy_and_tilt(cset, s)[0]
 
 
-def _bound_rows(cset: Constellation, total, shares, fractions) -> tuple[float, float, list]:
+def _bound_rows(cset: QuantizerSpec, total, shares, fractions) -> tuple[float, float, list]:
     """Max entropy and tilt at the total energy, and the shaping loss
     D(fractions || row) of each row of band shares (inf where a band has a
     zero share).  Every row is checked before the one solve, so an invalid
@@ -219,7 +220,7 @@ def _bound_rows(cset: Constellation, total, shares, fractions) -> tuple[float, f
 
 
 def rate_upper_bound(
-    cset: Constellation, band_energy, fractions, m_tx: AgnMoments | None = None
+    cset: QuantizerSpec, band_energy, fractions, m_tx: AgnMoments | None = None
 ) -> UpperBoundReport:
     """Capacity upper bound for target per-band energies, any modulator.
 
@@ -253,7 +254,7 @@ def rate_upper_bound(
     )
 
 
-def upper_bound_rates(cset: Constellation, total: float, shares, fractions) -> list[float]:
+def upper_bound_rates(cset: QuantizerSpec, total: float, shares, fractions) -> list[float]:
     """The capacity upper bound at one total energy for each row of a 2-D
     array of band shares: ``rate_upper_bound(cset, total * row,
     fractions).bits_per_symbol`` up to the rounding of the row's total, with

@@ -1,4 +1,4 @@
-"""Componentwise scalar quantizers (DAC/ADC models) and their constellations.
+"""Componentwise scalar quantizers (DAC/ADC models), each its own constellation.
 
 A quantizer acts independently on the real and imaginary part of each complex
 sample with the same per-dimension level set.  Three kinds are supported:
@@ -51,18 +51,19 @@ def clip_for_power(power: float, kappa: float = DEFAULT_KAPPA) -> float:
     return kappa * np.sqrt(power / 2.0)
 
 
-def _check_levels(lv: np.ndarray) -> None:
-    if not np.all(np.isfinite(lv)):
-        raise ValueError("levels must be finite")
-    if not np.all(lv[1:] > lv[:-1]):
-        raise ValueError("levels must be strictly increasing")
-
-
 @dataclass(frozen=True)
 class QuantizerSpec:
-    """Description of a componentwise scalar quantizer.
+    """Description of a componentwise scalar quantizer, and its constellation.
 
     Use the factory classmethods rather than the constructor directly.
+
+    A spec with a finite level set L is its own constellation: the product
+    L x L, a point ``a + 1j * b`` for each pair of levels, as the quantizer
+    outputs.  A point's energy is the sum ``a**2 + b**2`` of its two rails'
+    energies, so ``size`` and the energy data come from L's own values; no
+    array of all ``size`` points is built.  For the identity quantizer each
+    raises :class:`UnboundedConstellationError`.  Specs compare and hash by
+    value: by their fields, not by the tables each builds once.
     """
 
     kind: str
@@ -92,7 +93,11 @@ class QuantizerSpec:
         elif self.kind == "custom_levels":
             if not self.levels:
                 raise ValueError("custom_levels requires a non-empty level list")
-            _check_levels(np.asarray(self.levels, dtype=float))
+            lv = np.asarray(self.levels, dtype=float)
+            if not np.all(np.isfinite(lv)):
+                raise ValueError("levels must be finite")
+            if not np.all(lv[1:] > lv[:-1]):
+                raise ValueError("levels must be strictly increasing")
         else:
             raise ValueError(f"unknown quantizer kind {self.kind!r}")
 
@@ -146,41 +151,18 @@ class QuantizerSpec:
         lv.flags.writeable = thr.flags.writeable = False
         return lv, thr
 
-
-@dataclass(frozen=True, eq=False)
-class Constellation:
-    """The product L x L of a per-dimension level set L: a point
-    ``a + 1j * b`` for each pair of levels, as every componentwise quantizer
-    outputs.
-
-    ``levels`` is a read-only copy of the array passed in, non-empty and
-    strictly increasing, so no two points coincide.  A point's energy is the
-    sum ``a**2 + b**2`` of its two rails' energies, so the size and energy
-    data below come from L's own values; no array of all ``size`` points is
-    built.  Equality and hashing are by identity.
-    """
-
-    levels: np.ndarray
-
-    def __post_init__(self):
-        lv = np.array(self.levels, dtype=float)
-        if lv.ndim != 1 or lv.size == 0:
-            raise ValueError("constellation level set must be non-empty and 1-D")
-        _check_levels(lv)
-        lv.flags.writeable = False
-        object.__setattr__(self, "levels", lv)
-
     @property
     def size(self) -> int:
-        return self.levels.size ** 2
+        """Number of constellation points, ``len(L)**2``."""
+        return self.levels_per_dim().size ** 2
 
     @cached_property
     def energy_classes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Sorted distinct energies ``l**2`` of one rail's levels, their
         multiplicities in L (as floats) and multiplicity times energy, as every
-        tilt-solver step reads them.  A point's energy class is a pair of
-        these, one per rail."""
-        energies, counts = np.unique(self.levels**2, return_counts=True)
+        tilt-solver step reads them (read-only, built once per spec).  A
+        point's energy class is a pair of these, one per rail."""
+        energies, counts = np.unique(self.levels_per_dim() ** 2, return_counts=True)
         counts = counts.astype(float)
         weighted = counts * energies
         for a in (energies, counts, weighted):
@@ -198,7 +180,7 @@ class Constellation:
     @property
     def mean_energy(self) -> float:
         """Mean point energy under uniform weighting."""
-        return 2.0 * float(np.mean(self.levels**2))
+        return 2.0 * float(np.mean(self.levels_per_dim() ** 2))
 
 
 #: Floats one block of ``quantize`` maps: each temporary of a block stays
@@ -267,8 +249,9 @@ def quantize(spec: QuantizerSpec, u, out=None):
     return out
 
 
-def constellation_of(spec: QuantizerSpec) -> Constellation:
-    """The product of the per-dimension level set with itself, built from
-    that set's ``2**bits`` values.  The identity quantizer has no level set
-    and raises :class:`UnboundedConstellationError`."""
-    return Constellation(levels=spec.levels_per_dim())
+def constellation_of(spec: QuantizerSpec) -> QuantizerSpec:
+    """``spec`` itself, once it is known to have a finite level set: a spec
+    is its own constellation.  The identity quantizer has no level set and
+    raises :class:`UnboundedConstellationError`."""
+    spec.levels_per_dim()
+    return spec

@@ -206,7 +206,7 @@ def _oracle_rate_function(energies, counts, size, s, npts=10**6):
 def test_c7_upper_bound_solver(product_constellation):
     t0 = time.perf_counter()
     cset = constellation_of(QuantizerSpec.uniform_midrise(2, 3.0))
-    energies, counts = np.unique(product_constellation(cset.levels)[1], return_counts=True)
+    energies, counts = np.unique(product_constellation(cset.levels_per_dim())[1], return_counts=True)
     worst_i = worst_t = 0.0
     for s in (4.0, 6.0, 8.0, 12.0, 16.0):
         val, tilt = rate_function(cset, s)

@@ -12,7 +12,6 @@ import qlt.bounds
 import qlt.quantizer
 from qlt import (
     BoundaryEnergyError,
-    Constellation,
     InfeasibleEnergyError,
     NumericalFailureError,
     QuantizerSpec,
@@ -30,7 +29,7 @@ from qlt import (
 )
 from qlt.cli import main
 
-QPSK = Constellation(levels=np.array([-1.0, 1.0]))
+QPSK = QuantizerSpec.custom_levels([-1.0, 1.0])
 GRID16 = constellation_of(QuantizerSpec.uniform_midrise(2, 3.0))
 
 
@@ -54,7 +53,7 @@ def test_cumulant_equal_energy_is_linear():
 
 def test_cumulant_direct_sum_oracle(product_constellation):
     theta = 0.1
-    direct = math.log(np.mean(np.exp(theta * product_constellation(GRID16.levels)[1])))
+    direct = math.log(np.mean(np.exp(theta * product_constellation(GRID16.levels_per_dim())[1])))
     assert cumulant(GRID16, theta) == pytest.approx(direct, abs=1e-12)
     # stability at large tilt where the naive sum overflows
     assert np.isfinite(cumulant(GRID16, 500.0))
@@ -114,7 +113,7 @@ def test_convexity_of_cumulant_and_rate_function():
 
 
 def test_tilted_law_matches_target_energy(product_constellation):
-    e = product_constellation(GRID16.levels)[1]
+    e = product_constellation(GRID16.levels_per_dim())[1]
     for s in (4.0, 6.0, 13.5):
         _, tilt = rate_function(GRID16, s)
         p = _tilted_law(e, tilt)
@@ -213,7 +212,7 @@ def test_solve_memo_is_bit_identical_to_a_fresh_constellation(bits):
     # for bit, whatever was solved on it before
     def fresh():
         if bits == "grid16":
-            return Constellation(levels=GRID16.levels)
+            return QuantizerSpec.custom_levels(GRID16.levels_per_dim())
         return constellation_of(QuantizerSpec.uniform_midrise(bits, 1.7))
 
     warm = fresh()
@@ -444,7 +443,7 @@ def test_max_entropy_cross_check_skips_underflowed_probabilities(product_constel
     _, tilt = rate_function(_UNDERFLOW_CSET, _UNDERFLOW_S)
     _, rail_weights, _ = qlt.bounds._log_mgf_terms(_UNDERFLOW_CSET, tilt)
     assert rail_weights.min() == 0.0
-    assert _tilted_law(product_constellation(_UNDERFLOW_CSET.levels)[1], tilt).min() == 0.0
+    assert _tilted_law(product_constellation(_UNDERFLOW_CSET.levels_per_dim())[1], tilt).min() == 0.0
     assert max_entropy(_UNDERFLOW_CSET, _UNDERFLOW_S) == pytest.approx(7.160797054565718, rel=1e-12)
 
 
@@ -514,7 +513,7 @@ def test_factored_bound_equals_the_direct_sum_over_every_point(
     # the solver works on one rail's levels and doubles; the oracle sums over
     # every point of the product constellation
     cset = constellation_of(q)
-    e = product_constellation(cset.levels)[1]
+    e = product_constellation(cset.levels_per_dim())[1]
     fr = [w / sum(weights) for w in weights]
     row = row[: len(fr)]
     shares = [1.0 / len(fr)] * len(fr) if sum(row) == 0 else [r / sum(row) for r in row]

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qlt import (
-    Constellation,
     NumericalFailureError,
     QuantizerSpec,
     UnboundedConstellationError,
@@ -77,7 +76,7 @@ def test_custom_levels_nearest_rule(levels):
 def test_constellation_one_bit(product_constellation):
     c = constellation_of(QuantizerSpec.uniform_midrise(1, 1.0))
     assert c.size == 4
-    np.testing.assert_allclose(sorted(product_constellation(c.levels)[1]), [2.0] * 4)
+    np.testing.assert_allclose(sorted(product_constellation(c.levels_per_dim())[1]), [2.0] * 4)
 
 
 def test_constellation_two_bit_energies(product_constellation):
@@ -85,7 +84,7 @@ def test_constellation_two_bit_energies(product_constellation):
     assert c.size == 16
     # direct enumeration oracle over {+-1, +-3}^2
     oracle = sorted(a * a + b * b for a in (-3, -1, 1, 3) for b in (-3, -1, 1, 3))
-    assert sorted(product_constellation(c.levels)[1]) == oracle
+    assert sorted(product_constellation(c.levels_per_dim())[1]) == oracle
     assert c.mean_energy == pytest.approx(10.0)
     assert c.min_energy <= c.mean_energy <= c.max_energy
 
@@ -158,7 +157,7 @@ def test_constellation_is_image_of_quantize(bits, clip, product_constellation):
     q = QuantizerSpec.uniform_midrise(bits, clip)
     grid = np.linspace(-2 * clip, 2 * clip, 257)
     pts = (grid[:, None] + 1j * grid[None, :]).ravel()
-    image = set(product_constellation(constellation_of(q).levels)[0].tolist())
+    image = set(product_constellation(constellation_of(q).levels_per_dim())[0].tolist())
     assert set(quantize(q, pts).tolist()) == image
 
 
@@ -206,13 +205,13 @@ def test_nan_input_is_a_numerical_failure(spec):
 
 def test_constellation_arrays_are_read_only():
     given = np.array([-3.0, -1.0, 1.0])
-    cset = Constellation(levels=given)
-    for arr in (cset.levels, *cset.energy_classes):
+    cset = QuantizerSpec.custom_levels(given)
+    for arr in (cset.levels_per_dim(), *cset.energy_classes):
         with pytest.raises(ValueError):
             arr[0] = 0
     # the constellation holds a copy, so the caller's array stays writeable
     given[0] = 5.0
-    assert cset.levels[0] == -3.0
+    assert cset.levels_per_dim()[0] == -3.0
     # one rail's energy classes: l^2 = 1 twice and 9 once
     energies, counts, weighted = cset.energy_classes
     assert (energies.tolist(), counts.tolist(), weighted.tolist()) == ([1.0, 9.0], [2.0, 1.0], [2.0, 9.0])
@@ -221,11 +220,12 @@ def test_constellation_arrays_are_read_only():
 
 def test_constellation_equality_and_hash_do_not_raise():
     # an ndarray field once made == raise ValueError and hash() TypeError;
-    # constellations compare and hash by identity
-    q = QuantizerSpec.uniform_midrise(3, 2.6)
-    a, b = constellation_of(q), constellation_of(q)
-    assert a == a and a != b and a != "a constellation"
-    assert {a: "bound"}[a] == "bound" and len({a, b}) == 2
+    # a constellation is its spec, and specs compare and hash by value
+    a = constellation_of(QuantizerSpec.uniform_midrise(3, 2.6))
+    b = constellation_of(QuantizerSpec.uniform_midrise(3, 2.6))
+    assert a == b and a is not b and a != "a constellation"
+    assert a != constellation_of(QuantizerSpec.uniform_midrise(3, 2.5))
+    assert {a: "bound"}[b] == "bound" and len({a, b}) == 1
 
 
 def test_a_spec_builds_its_level_table_once():
@@ -393,8 +393,8 @@ def test_the_identity_quantizer_writes_out_unchanged():
     (lambda: QuantizerSpec.custom_levels([0.0, np.inf]), ValueError, "levels must be finite"),
     (lambda: QuantizerSpec("lloyd_max"), ValueError, "unknown quantizer kind"),
     (lambda: QuantizerSpec.identity().levels_per_dim(), UnboundedConstellationError, "no finite level set"),
-    (lambda: Constellation(levels=np.array([])), ValueError, "must be non-empty"),
-    (lambda: Constellation(levels=np.array([-1.0, 0.5, 0.5])), ValueError, "strictly increasing"),
+    (lambda: QuantizerSpec.custom_levels([]), ValueError, "custom_levels requires a non-empty level list"),
+    (lambda: QuantizerSpec.custom_levels([-1.0, 0.5, 0.5]), ValueError, "strictly increasing"),
     # subnormal levels that round together; a step of 0 would divide the map
     (lambda: QuantizerSpec.uniform_midrise(3, 5e-324), ValueError, "step below float resolution"),
     (lambda: QuantizerSpec.uniform_midrise(16, 1.5e-319), ValueError, "step below float resolution"),
