@@ -111,7 +111,10 @@ class QuantizerSpec:
 
     @classmethod
     def custom_levels(cls, levels) -> "QuantizerSpec":
-        return cls(kind="custom_levels", levels=tuple(float(v) for v in levels))
+        lv = np.asarray(levels, dtype=float)
+        if lv.ndim != 1:
+            raise ValueError(f"custom_levels requires a 1-D level list, got a {lv.ndim}-D one")
+        return cls(kind="custom_levels", levels=tuple(lv.tolist()))
 
     @classmethod
     def midrise_for_power(cls, bits: int | None, power: float, kappa: float) -> "QuantizerSpec":

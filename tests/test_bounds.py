@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import time
@@ -221,6 +222,39 @@ def test_solve_memo_is_bit_identical_to_a_fresh_constellation(bits):
         max_entropy(warm, s)
     for s in targets:
         assert _solve_hex(warm, s) == _solve_hex(fresh(), s), s
+
+
+_OWN_CONSTELLATIONS = [QuantizerSpec.uniform_midrise(b, 1.7) for b in range(1, 9)] + [
+    QuantizerSpec.custom_levels([0.4]),
+    QPSK,
+    QuantizerSpec.custom_levels([-2.0, -0.3, 0.1, 1.7]),
+]
+
+
+def _bound_hexes(cset, m_tx):
+    def hexes(report):
+        return [x.hex() if isinstance(x, float) else x for x in dataclasses.astuple(report)]
+
+    out = []
+    for theta in (-0.7, 0.0, 0.3):
+        out += [cumulant(cset, theta).hex(), tilted_mean_energy(cset, theta).hex()]
+    for s in _interior_targets(cset, (0.2, 0.5, 0.8)):
+        band = (0.7 * s, 0.3 * s)
+        out += [max_entropy(cset, s).hex(), hexes(rate_upper_bound(cset, band, (0.5, 0.5))),
+                hexes(rate_upper_bound(cset, band, (0.5, 0.5), m_tx=m_tx)),
+                [r.hex() for r in upper_bound_rates(cset, s, [[0.7, 0.3], [0.4, 0.6]], (0.5, 0.5))]]
+    return out
+
+
+@pytest.mark.parametrize("q", _OWN_CONSTELLATIONS,
+                         ids=[f"midrise-{b}" for b in range(1, 9)] + ["one-level", "qpsk", "asymmetric"])
+def test_a_spec_is_its_own_constellation(q):
+    # constellation_of checks the level set and hands the spec back; the
+    # bounds read the same bits from a second owner of the same level table
+    assert constellation_of(q) is q
+    m_tx = tx_moments(q, 1.0)
+    twin = QuantizerSpec.custom_levels(q.levels_per_dim())
+    assert _bound_hexes(q, m_tx) == _bound_hexes(twin, m_tx)
 
 
 def test_failed_solves_raise_on_every_call(monkeypatch):

@@ -361,7 +361,7 @@ def test_a_value_past_float_resolution_is_a_config_error(tmp_path, capsys, exper
      "gain_stderr", 0.03326205163453231),
     ("moments", {"quantizer": {"kind": "uniform_midrise", "bits": 1, "clip": 1e-300},
                  "pbar": 1e20, "method": {"kind": "montecarlo", "samples": 1000}},
-     "gain_stderr", 0.0),
+     "gain_stderr", float.fromhex("0x0.00059f2e2db4ep-1022")),  # 1.908709199534e-312
     # a finite noise past about 1e154 squares past the float range in its
     # standard error, from a huge clip or from a tiny pbar
     ("moments", {"quantizer": {"kind": "uniform_midrise", "bits": 3, "clip": 1e150},
@@ -390,7 +390,11 @@ def test_an_extreme_finite_config_exits_0_with_finite_results(tmp_path, capsys, 
         assert main([experiment, "--config", write_cfg(tmp_path, cfg)]) == 0
     rec = json.loads((tmp_path / "out" / f"{experiment}.json").read_text())
     assert "inf" not in json.dumps(rec)
-    assert rec[field] == pytest.approx(expected, rel=1e-12)
+    # a subnormal pin takes abs=0: rel=1e-12 is then narrower than its float
+    # spacing (2.6e-12 relative here), so it must match exactly, where the
+    # default abs=1e-12 would pass any value below 1e-12, 0.0 among them
+    tol = {"abs": 0.0} if abs(expected) < sys.float_info.min else {}
+    assert rec[field] == pytest.approx(expected, rel=1e-12, **tol)
 
 
 def test_sweep_snr_rates_past_the_float_range_match_the_scaled_down_plan(tmp_path_factory):
