@@ -91,13 +91,15 @@ class QuantizerSpec:
                 raise ValueError(f"uniform_midrise clip {self.clip} puts its step below float "
                                  "resolution: its levels are not strictly increasing")
         elif self.kind == "custom_levels":
-            if not self.levels:
-                raise ValueError("custom_levels requires a non-empty level list")
             lv = np.asarray(self.levels, dtype=float)
+            if lv.ndim != 1 or lv.size == 0:
+                raise ValueError(f"custom_levels requires a non-empty 1-D level list, got shape {lv.shape}")
             if not np.all(np.isfinite(lv)):
                 raise ValueError("levels must be finite")
             if not np.all(lv[1:] > lv[:-1]):
                 raise ValueError("levels must be strictly increasing")
+            # a tuple of floats, so that equal level sets compare and hash equal
+            object.__setattr__(self, "levels", tuple(lv.tolist()))
         else:
             raise ValueError(f"unknown quantizer kind {self.kind!r}")
 
@@ -111,10 +113,7 @@ class QuantizerSpec:
 
     @classmethod
     def custom_levels(cls, levels) -> "QuantizerSpec":
-        lv = np.asarray(levels, dtype=float)
-        if lv.ndim != 1:
-            raise ValueError(f"custom_levels requires a 1-D level list, got a {lv.ndim}-D one")
-        return cls(kind="custom_levels", levels=tuple(lv.tolist()))
+        return cls(kind="custom_levels", levels=levels)
 
     @classmethod
     def midrise_for_power(cls, bits: int | None, power: float, kappa: float) -> "QuantizerSpec":

@@ -393,18 +393,20 @@ def test_the_identity_quantizer_writes_out_unchanged():
     (lambda: QuantizerSpec.custom_levels([0.0, np.inf]), ValueError, "levels must be finite"),
     (lambda: QuantizerSpec("lloyd_max"), ValueError, "unknown quantizer kind"),
     (lambda: QuantizerSpec.identity().levels_per_dim(), UnboundedConstellationError, "no finite level set"),
-    (lambda: QuantizerSpec.custom_levels([]), ValueError, "custom_levels requires a non-empty level list"),
+    (lambda: QuantizerSpec.custom_levels([]), ValueError, "custom_levels requires a non-empty 1-D level list"),
     (lambda: QuantizerSpec.custom_levels([-1.0, 0.5, 0.5]), ValueError, "strictly increasing"),
-    # a level set that is not 1-D, refused by name rather than by a float() TypeError
-    (lambda: QuantizerSpec.custom_levels([[-1.0, 1.0]]), ValueError, "custom_levels requires a 1-D"),
+    # a level set that is not 1-D, through the factory or the constructor
+    (lambda: QuantizerSpec.custom_levels([[-1.0, 1.0]]), ValueError, "custom_levels requires a non-empty 1-D"),
     (lambda: QuantizerSpec.custom_levels(np.array([[-1.0, 0.0], [0.5, 1.0]])), ValueError,
-     "custom_levels requires a 1-D"),
-    (lambda: QuantizerSpec.custom_levels(np.float64(0.5)), ValueError, "custom_levels requires a 1-D"),
+     "custom_levels requires a non-empty 1-D"),
+    (lambda: QuantizerSpec.custom_levels(np.float64(0.5)), ValueError, "custom_levels requires a non-empty 1-D"),
+    (lambda: QuantizerSpec("custom_levels", levels=((-1.0, 0.0), (0.5, 1.0))), ValueError,
+     "custom_levels requires a non-empty 1-D"),
     # subnormal levels that round together; a step of 0 would divide the map
     (lambda: QuantizerSpec.uniform_midrise(3, 5e-324), ValueError, "step below float resolution"),
     (lambda: QuantizerSpec.uniform_midrise(16, 1.5e-319), ValueError, "step below float resolution"),
 ], ids=["identity_with_bits", "non_finite_level", "unknown_kind", "identity_levels", "no_points",
-        "repeated_point", "nested_list_levels", "2d_array_levels", "0d_levels",
+        "repeated_point", "nested_list_levels", "2d_array_levels", "0d_levels", "constructor_2d_levels",
         "subnormal_step_3_bit", "subnormal_step_16_bit"])
 def test_an_invalid_quantizer_or_constellation_is_rejected(call, error, message):
     with pytest.raises(error, match=message):
