@@ -1,12 +1,14 @@
 """Deterministic substream derivation for reproducible sampling, and the
-rules of the seeds and sizes that the library's configs take.
+rules of the seeds, sizes and fields that the library's configs take.
 
 A seed is a non-negative integer, of any size: ``check_seed`` is its one
 rule, and the library's configs, the CLI's ``--seed`` and ``substream``
 apply it.  ``substream`` keys numpy's ``SeedSequence`` with the seed itself,
 not reduced modulo 2**64, so distinct seeds draw distinct streams.  A size
 that sets an array's length passes ``check_size``, the one rule that the
-configs apply to the arrays they allocate (the draws fill them).
+configs apply to the arrays they allocate (the draws fill them).  Each
+config declares the type and bounds of its fields in JSON-Schema words,
+which ``check_fields`` applies and the CLI's config schema reads.
 """
 
 import zlib
@@ -35,6 +37,45 @@ def check_size(count, itemsize: int, what: str) -> None:
     a message that names no field, or wrap its size negative."""
     if not count * itemsize < np.iinfo(np.intp).max:
         raise ValueError(f"{what} has more points than an array can index")
+
+
+#: The classes each JSON-Schema ``type`` admits of a field: an ``integer`` is
+#: an ``int``, and a bool is only a ``boolean``.
+_TYPES = {"integer": int, "number": (int, float, np.integer, np.floating), "boolean": bool,
+          "null": type(None)}
+
+
+def check_fields(config, bounds: dict) -> None:
+    """Raise ``ValueError`` naming the first field of ``config`` that breaks
+    its rule in ``bounds``: field name -> a fragment of the JSON-Schema words
+    ``type`` (a name or a list), ``enum``, ``minimum``, ``exclusiveMinimum``
+    and ``maximum``, as the CLI's config schema reads them.  NaN is past
+    every bound."""
+    for name, rule in bounds.items():
+        v = getattr(config, name)
+        types = rule.get("type", ())
+        types = (types,) if isinstance(types, str) else types
+        for t in types:
+            if isinstance(v, _TYPES[t]) and isinstance(v, bool) is (t == "boolean"):
+                break
+        else:
+            if types:
+                raise ValueError(f"{name} must be of type {' or '.join(types)}, not {v!r}")
+        if "enum" in rule and v not in rule["enum"]:
+            raise ValueError(f"{name} must be one of {rule['enum']}, not {v!r}")
+        if v is not None and ("minimum" in rule and not v >= rule["minimum"]
+                              or "exclusiveMinimum" in rule and not v > rule["exclusiveMinimum"]
+                              or "maximum" in rule and not v <= rule["maximum"]):
+            raise ValueError(f"{name} must be {_bound_words(rule)}, not {v}")
+
+
+def _bound_words(rule: dict) -> str:
+    """A rule's bounds in words: ``in [0, 1]`` for a minimum and a maximum,
+    else each as ``>= 1``, ``> 0`` or ``<= 16``."""
+    if "minimum" in rule and "maximum" in rule:
+        return f"in [{rule['minimum']}, {rule['maximum']}]"
+    return " and ".join(f"{op} {rule[k]}" for k, op in
+                        (("minimum", ">="), ("exclusiveMinimum", ">"), ("maximum", "<=")) if k in rule)
 
 
 def substream(seed: int, *tags) -> np.random.Generator:

@@ -10,10 +10,12 @@ integer).  Results and the fully resolved config are written to the
 output directory, and a rerun of that config writes the same bytes.  Exit
 codes: 0 success, 2 config error (an unwritable output directory, or a size
 whose array numpy cannot index, included), 3 numerical failure (an
-allocation that fails included).  Each rule of a config has one owner: the
-walk checks what the tables say, and the library's configs (``SimConfig``,
-``WaveformConfig``, ``MonteCarlo``, ``QuantizerSpec``) refuse, by name, the
-values they cannot run, the sizes they allocate included.
+allocation that fails included).  Each rule of a config has one owner.  The
+library's configs (``SimConfig``, ``WaveformConfig``, ``MonteCarlo``,
+``QuantizerSpec``) declare the type and bounds of their fields
+(``BOUNDS``), which their ``__post_init__`` applies and the tables read;
+the walk checks what the tables say, and the configs refuse, by name, the
+other values they cannot run, the sizes they allocate included.
 """
 
 import argparse
@@ -43,7 +45,7 @@ from .analysis import (
 from .bounds import TILT_TOL, rate_upper_bound, upper_bound_rates
 from .errors import ConfigError, QltError
 from .moments import DEFAULT_MC_SAMPLES, MonteCarlo, chain_moments, tx_moments
-from .montecarlo import LAYOUTS, TRANSFORMS, SimConfig, run_chain_trials, run_tx_trials
+from .montecarlo import SimConfig, run_chain_trials, run_tx_trials
 from .quantizer import DEFAULT_KAPPA, QuantizerSpec, constellation_of
 from .waveform import WaveformConfig, measure_aclr
 
@@ -77,38 +79,44 @@ class _Kinds(dict):
     unknown key of the kind's table."""
 
 
-_WAVEFORM = {f.name: f.default for f in fields(WaveformConfig)}
-_SIM = {f.name: f.default for f in fields(SimConfig)}
-
 _NUMBER = {"type": "number"}
 _POSITIVE = {"type": "number", "exclusiveMinimum": 0}
-_NON_NEGATIVE = {"type": "number", "minimum": 0}
 _BOOL = {"type": "boolean"}
 _NUMLIST = {"type": "array", "items": _NUMBER, "minItems": 1}
 
 
-def _int(minimum: int) -> dict:
-    return {"type": "integer", "minimum": minimum}
-
-
-_BITS = {"type": ["integer", "null"], "minimum": 1}
+# every rule on a field of the library's configs is the config's own
+# declaration (``BOUNDS``), the rule its ``__post_init__`` applies
+_BITS = WaveformConfig.BOUNDS["dac_bits"]  # a DAC's bits, None for the ideal one
 _BITS_LIST = {"type": "array", "items": _BITS, "minItems": 1}
 
-_QUANTIZER = _Kinds(
-    identity=_Table(),
-    uniform_midrise=_Table(bits=(_int(1), REQUIRED), clip=(_POSITIVE, REQUIRED)),
-    custom_levels=_Table(levels=(_NUMLIST, REQUIRED)),
-)
-_CHANNEL = _Kinds(awgn=_Table(noise_power=(_NON_NEGATIVE, REQUIRED)))
+_QUANTIZER = _Kinds({kind: _Table({name: (rule, REQUIRED) for name, rule in bounds.items()})
+                     for kind, bounds in QuantizerSpec.BOUNDS.items()})
+_CHANNEL = _Kinds(awgn=_Table(noise_power=(SimConfig.BOUNDS["noise_power"], REQUIRED)))
 _METHOD = _Kinds(
-    quadrature=_Table(nodes=(_int(3), DEFAULT_QUADRATURE_NODES)),
-    montecarlo=_Table(samples=(_int(100), DEFAULT_MC_SAMPLES)),
+    quadrature=_Table(nodes=({"type": "integer", "minimum": 3}, DEFAULT_QUADRATURE_NODES)),
+    montecarlo=_Table(samples=(MonteCarlo.BOUNDS["samples"], DEFAULT_MC_SAMPLES)),
 )
 _GRID = _Table(start=(_NUMBER, REQUIRED), stop=(_NUMBER, REQUIRED), step=(_POSITIVE, REQUIRED))
-_DAC = _Table(
-    bits=(_BITS, REQUIRED), kappa=(_POSITIVE, _WAVEFORM["dac_kappa"]), clip=(_POSITIVE, OPTIONAL)
-)
+# an ideal DAC takes no clip, so a config leaves the clip out rather than null
+_DAC = _Table(bits=(_BITS, REQUIRED),
+              kappa=(WaveformConfig.BOUNDS["dac_kappa"], WaveformConfig.dac_kappa),
+              clip=(QuantizerSpec.BOUNDS["uniform_midrise"]["clip"], OPTIONAL))
 _PLAN = {"fractions": (_NUMLIST, REQUIRED), "powers": (_NUMLIST, REQUIRED)}
+
+
+def _waveform_params() -> _Table:
+    """``WaveformConfig``'s fields in their order, each with its rule and
+    default; the ``dac_`` ones are the ``dac`` object, at the first one's
+    place, and a config names its window by a string."""
+    table = _Table()
+    for f in fields(WaveformConfig):
+        if f.name.startswith("dac_"):
+            table["dac"] = (_DAC, REQUIRED)
+        elif f.name != "seed":
+            table[f.name] = (WaveformConfig.BOUNDS.get(f.name, {"type": "string"}), f.default)
+    return table
+
 
 # experiment -> its params; the defaults are merged into resolved configs so a
 # logged config fully reproduces its run even if package defaults change later
@@ -124,7 +132,7 @@ EXPERIMENTS = {
     "rate": _Table(
         quantizer=(_QUANTIZER, REQUIRED),
         **_PLAN,
-        noise_power=(_NON_NEGATIVE, REQUIRED),
+        noise_power=(SimConfig.BOUNDS["noise_power"], REQUIRED),
         adc=(_QUANTIZER, OPTIONAL),
     ),
     "upper-bound": _Table(
@@ -141,39 +149,25 @@ EXPERIMENTS = {
         snr_db=(_GRID, REQUIRED),
     ),
     "sweep-aclr": _Table(
-        bits=({**_BITS_LIST, "items": _int(1)}, REQUIRED),
+        bits=({**_BITS_LIST, "items": QuantizerSpec.BOUNDS["uniform_midrise"]["bits"]}, REQUIRED),
         kappa=(_POSITIVE, DEFAULT_KAPPA),
         fractions=({**_NUMLIST, "minItems": 2, "maxItems": 2}, REQUIRED),
         aclr_db=(_GRID, REQUIRED),
         pbar=(_POSITIVE, 1.0),
     ),
     "montecarlo": _Table(
-        size=(_int(1), REQUIRED),
-        transform=({"enum": list(TRANSFORMS)}, _SIM["transform"]),
-        trials=(_int(1), _SIM["trials"]),
+        size=(SimConfig.BOUNDS["size"], REQUIRED),
+        transform=(SimConfig.BOUNDS["transform"], SimConfig.transform),
+        trials=(SimConfig.BOUNDS["trials"], SimConfig.trials),
         **_PLAN,
         quantizer=(_QUANTIZER, REQUIRED),
         channel=(_CHANNEL, OPTIONAL),
         adc=(_QUANTIZER, OPTIONAL),
-        assignment=({"enum": list(LAYOUTS)}, _SIM["assignment"]),
+        assignment=(SimConfig.BOUNDS["assignment"], SimConfig.assignment),
         mode=({"enum": ["tx", "chain"]}, "tx"),
         per_trial_csv=(_BOOL, False),
     ),
-    "waveform": _Table(
-        occupied_bandwidth=(_POSITIVE, _WAVEFORM["occupied_bandwidth"]),
-        sample_rate=(_POSITIVE, _WAVEFORM["sample_rate"]),
-        guard_band=(_NON_NEGATIVE, _WAVEFORM["guard_band"]),
-        num_subcarriers=(_int(8), _WAVEFORM["num_subcarriers"]),
-        num_symbols=(_int(1), _WAVEFORM["num_symbols"]),
-        dac=(_DAC, REQUIRED),
-        symbol_taper=({"type": "number", "minimum": 0, "maximum": 1}, _WAVEFORM["symbol_taper"]),
-        filter_taps=(_int(11), _WAVEFORM["filter_taps"]),
-        filter_attenuation_db=(_POSITIVE, _WAVEFORM["filter_attenuation_db"]),
-        zoh=(_BOOL, _WAVEFORM["zoh"]),
-        psd_segment_length=(_int(64), _WAVEFORM["psd_segment_length"]),
-        psd_overlap=({"type": "number", "minimum": 0, "maximum": 0.9}, _WAVEFORM["psd_overlap"]),
-        psd_window=({"type": "string"}, _WAVEFORM["psd_window"]),
-    ),
+    "waveform": _waveform_params(),
 }
 
 #: The experiments whose result files have a fixed format; every other one writes a table.
@@ -183,7 +177,7 @@ _OUTPUT = _Table(format=({"enum": ["csv", "json"]}, "json"), path=({"type": "str
 _CONFIG = _Table(
     schema_version=({"enum": [SCHEMA_VERSION]}, REQUIRED),
     experiment=({"enum": sorted(EXPERIMENTS)}, REQUIRED),
-    seed=(_int(0), 0),
+    seed=({"type": "integer", "minimum": 0}, 0),
     output=(_OUTPUT, {}),
     params=({"type": "object"}, REQUIRED),
 )
@@ -665,9 +659,8 @@ def _run_montecarlo(p: dict, seed: int) -> dict:
 
 
 def _run_waveform(p: dict, seed: int) -> dict:
-    dac = p["dac"]
     cfg = WaveformConfig(**{k: v for k, v in p.items() if k != "dac"}, seed=seed,
-                         dac_bits=dac["bits"], dac_kappa=dac["kappa"], dac_clip=dac.get("clip"))
+                         **{f"dac_{k}": v for k, v in p["dac"].items()})
     rec = _stamped(seed, vars(measure_aclr(cfg)))
     freq = rec.pop("psd_freq")
     psd_db = [10.0 * math.log10(v) if v > 0 else -math.inf for v in rec.pop("psd")]

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfc  # accurate in the tails, where 1 - erf is not
 
-from ._rng import check_seed, check_size, complex_normal, substream
+from ._rng import check_fields, check_seed, check_size, complex_normal, substream
 from .errors import NumericalFailureError
 from .quantizer import QuantizerSpec, quantize
 
@@ -48,9 +48,11 @@ class MonteCarlo:
     samples: int = DEFAULT_MC_SAMPLES
     seed: int = 0
 
+    #: The rule of each field, as ``_rng.check_fields`` applies it.
+    BOUNDS = {"samples": {"type": "integer", "minimum": 1}}
+
     def __post_init__(self):
-        if not self.samples >= 1:
-            raise ValueError(f"samples must be >= 1, not {self.samples}")
+        check_fields(self, self.BOUNDS)
         # the draws, and each stage's output, are samples complex values
         check_size(self.samples, 16, f"samples {self.samples}")
         check_seed(self.seed)

@@ -35,10 +35,10 @@ from typing import Optional
 
 import numpy as np
 
-from ._rng import check_seed, check_size, complex_normal, substream
+from ._rng import check_fields, check_seed, check_size, complex_normal, substream
 from .analysis import SubbandPlan, _check_fractions, _floats, predict_spectrum
 from .errors import NumericalFailureError
-from .moments import _check_noise_power, add_awgn, chain_moments, tx_moments
+from .moments import add_awgn, chain_moments, tx_moments
 from .quantizer import QuantizerSpec, quantize
 
 # A query's remainder outside the span of the earlier queries counts as zero,
@@ -195,17 +195,18 @@ class SimConfig:
     adc: QuantizerSpec = field(default_factory=QuantizerSpec.identity)
     assignment: str = "contiguous"  # a LAYOUTS key
 
+    #: The rule of each field, as ``_rng.check_fields`` applies it.
+    BOUNDS = {
+        "size": {"type": "integer", "minimum": 1},
+        "transform": {"enum": list(TRANSFORMS)},
+        "trials": {"type": "integer", "minimum": 1},
+        "noise_power": {"type": "number", "minimum": 0},
+        "assignment": {"enum": list(LAYOUTS)},
+    }
+
     def __post_init__(self):
-        if self.size < 1:
-            raise ValueError("size must be >= 1")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        check_fields(self, self.BOUNDS)
         check_size(self.trials * self.size, 16, f"size {self.size} x trials {self.trials}")
-        if self.transform not in TRANSFORMS:
-            raise ValueError(f"transform must be one of {list(TRANSFORMS)}")
-        if self.assignment not in LAYOUTS:
-            raise ValueError(f"unknown assignment layout {self.assignment!r}")
-        _check_noise_power(self.noise_power)
         check_seed(self.seed)
 
 

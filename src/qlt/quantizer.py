@@ -35,6 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
+from ._rng import check_fields
 from .errors import NumericalFailureError, UnboundedConstellationError
 
 #: Default loading factor: clip = DEFAULT_KAPPA * sqrt(input_power / 2).
@@ -63,7 +64,8 @@ class QuantizerSpec:
     energies, so ``size`` and the energy data come from L's own values; no
     array of all ``size`` points is built.  For the identity quantizer each
     raises :class:`UnboundedConstellationError`.  Specs compare and hash by
-    value: by their fields, not by the tables each builds once.
+    value: by their fields, not by the tables each builds once.  A spec
+    holds only the fields its kind takes, so one level set makes one spec.
     """
 
     kind: str
@@ -71,15 +73,24 @@ class QuantizerSpec:
     clip: float | None = None
     levels: tuple[float, ...] | None = None
 
+    #: The fields each kind takes, with their rules in the JSON-Schema words
+    #: that ``_rng.check_fields`` applies and the config schema reads; a kind
+    #: takes no other field.  A level list is checked as numpy reads it.
+    BOUNDS = {
+        "identity": {},
+        "uniform_midrise": {"bits": {"type": "integer", "minimum": 1, "maximum": MAX_BITS},
+                            "clip": {"type": "number", "exclusiveMinimum": 0}},
+        "custom_levels": {"levels": {"type": "array", "items": {"type": "number"}, "minItems": 1}},
+    }
+
     def __post_init__(self):
-        if self.kind == "identity":
-            if self.bits is not None or self.clip is not None or self.levels is not None:
-                raise ValueError("identity quantizer takes no parameters")
-        elif self.kind == "uniform_midrise":
-            if not isinstance(self.bits, int) or not 1 <= self.bits <= MAX_BITS:
-                raise ValueError(f"uniform_midrise requires integer bits in 1..{MAX_BITS}")
-            if self.clip is None or not self.clip > 0:
-                raise ValueError("uniform_midrise requires clip > 0")
+        if self.kind not in self.BOUNDS:
+            raise ValueError(f"unknown quantizer kind {self.kind!r}")
+        for name in ("bits", "clip", "levels"):
+            if name not in self.BOUNDS[self.kind] and getattr(self, name) is not None:
+                raise ValueError(f"{self.kind} quantizer takes no {name}")
+        if self.kind == "uniform_midrise":
+            check_fields(self, self.BOUNDS[self.kind])
             # the step 2 * clip / (2**bits - 1) and the outer levels'
             # numerator clip * (2**bits - 1) must both be finite (Python
             # floats overflow to inf without a warning)
@@ -91,7 +102,11 @@ class QuantizerSpec:
                 raise ValueError(f"uniform_midrise clip {self.clip} puts its step below float "
                                  "resolution: its levels are not strictly increasing")
         elif self.kind == "custom_levels":
-            lv = np.asarray(self.levels, dtype=float)
+            try:  # numpy refuses a ragged list with a message that names no field
+                lv = np.asarray(self.levels, dtype=float)
+            except ValueError:
+                raise ValueError(f"custom_levels requires a non-empty 1-D level list of numbers, "
+                                 f"not {self.levels!r}") from None
             if lv.ndim != 1 or lv.size == 0:
                 raise ValueError(f"custom_levels requires a non-empty 1-D level list, got shape {lv.shape}")
             if not np.all(np.isfinite(lv)):
@@ -100,8 +115,6 @@ class QuantizerSpec:
                 raise ValueError("levels must be strictly increasing")
             # a tuple of floats, so that equal level sets compare and hash equal
             object.__setattr__(self, "levels", tuple(lv.tolist()))
-        else:
-            raise ValueError(f"unknown quantizer kind {self.kind!r}")
 
     @classmethod
     def identity(cls) -> "QuantizerSpec":

@@ -52,10 +52,10 @@ from scipy.special import i0
 # the module alias is the name perfbench's tracer patches to time the filter
 # (``qlt.waveform.sig.upfirdn``); it goes with that tracer (ROADMAP items 1, 14)
 from . import _signal as sig
-from ._rng import check_seed, check_size, complex_normal, substream
+from ._rng import check_fields, check_seed, check_size, complex_normal, substream
 from .errors import NumericalFailureError
 from .moments import tx_moments
-from .quantizer import DEFAULT_KAPPA, MAX_BITS, QuantizerSpec, quantize
+from .quantizer import DEFAULT_KAPPA, QuantizerSpec, quantize
 
 
 @dataclass(frozen=True)
@@ -68,15 +68,17 @@ class WaveformConfig:
     ``dac_clip``; otherwise the clip level is ``dac_clip`` if given, else
     loaded as ``dac_kappa`` per-dimension sigmas of the interpolated stream.
 
-    The config refuses, naming the fields, a size whose array numpy cannot
-    index: the symbol grid and the stream at the DAC rate hold at most
-    ``num_symbols x num_subcarriers x interp_factor`` complex samples, and
-    the interpolation filter (none at a factor of 1) adds its
-    ``filter_taps`` transients to the stream.  It refuses a
-    ``filter_attenuation_db`` whose Kaiser window divides by an ``I0(beta)``
-    past the float range (from about 6,450 dB), which would make NaN taps,
-    a ``dac_kappa`` that is not positive and finite, and a ``psd_window``
-    that ``_signal.get_window`` cannot build, before anything is synthesized.
+    The config refuses, naming the field, a value that breaks its rule in
+    ``BOUNDS``, the rules a config file's ``waveform`` params meet too.  It
+    refuses, naming the fields, a size whose array numpy cannot index: the
+    symbol grid and the stream at the DAC rate hold at most ``num_symbols x
+    num_subcarriers x interp_factor`` complex samples, and the interpolation
+    filter (none at a factor of 1) adds its ``filter_taps`` transients to
+    the stream.  It refuses a ``filter_attenuation_db`` whose Kaiser window
+    divides by an ``I0(beta)`` past the float range (from about 6,450 dB),
+    which would make NaN taps, an infinite ``dac_kappa``, and a
+    ``psd_window`` that ``_signal.get_window`` cannot build, before
+    anything is synthesized.
     """
 
     occupied_bandwidth: float = 200e6
@@ -98,27 +100,40 @@ class WaveformConfig:
     psd_window: str = "hann"
     seed: int = 0
 
+    #: The rule of each field but the window (which may be any that
+    #: ``_signal.get_window`` builds), as ``_rng.check_fields`` applies it;
+    #: the DAC's bits and clip are a midrise quantizer's, or None.
+    BOUNDS = {
+        "occupied_bandwidth": {"type": "number", "exclusiveMinimum": 0},
+        "sample_rate": {"type": "number", "exclusiveMinimum": 0},
+        "guard_band": {"type": "number", "minimum": 0},
+        "num_subcarriers": {"type": "integer", "minimum": 8},
+        "num_symbols": {"type": "integer", "minimum": 1},
+        "dac_bits": {**QuantizerSpec.BOUNDS["uniform_midrise"]["bits"], "type": ["integer", "null"]},
+        "dac_kappa": {"type": "number", "exclusiveMinimum": 0},
+        "dac_clip": {**QuantizerSpec.BOUNDS["uniform_midrise"]["clip"], "type": ["number", "null"]},
+        "symbol_taper": {"type": "number", "minimum": 0, "maximum": 1},
+        "filter_taps": {"type": "integer", "minimum": 11},
+        "filter_attenuation_db": {"type": "number", "exclusiveMinimum": 0},
+        "zoh": {"type": "boolean"},
+        "psd_segment_length": {"type": "integer", "minimum": 64},
+        "psd_overlap": {"type": "number", "minimum": 0, "maximum": 0.9},
+    }
+
     def __post_init__(self):
+        check_fields(self, self.BOUNDS)
         if self.occupied_bandwidth + 2 * self.guard_band > self.sample_rate:
             raise ValueError("occupied_bandwidth + 2*guard_band must fit in sample_rate")
-        if self.psd_segment_length < 1 or self.psd_segment_length & (self.psd_segment_length - 1):
+        if self.psd_segment_length & (self.psd_segment_length - 1):
             raise ValueError("psd_segment_length must be a power of two")
-        if self.num_symbols < 1:
-            raise ValueError("num_symbols must be >= 1")
-        if self.num_subcarriers < 8:
-            raise ValueError("num_subcarriers must be >= 8")
-        if not 0.0 <= self.symbol_taper <= 1.0:
-            raise ValueError("symbol_taper must be in [0, 1]")
         ov = _overlap(self.num_subcarriers, self.symbol_taper)
         if 2 * ov > self.num_subcarriers:
             raise ValueError(
                 f"symbol_taper {self.symbol_taper} overlaps adjacent symbols by {ov} samples, "
                 f"more than half of num_subcarriers {self.num_subcarriers}"
             )
-        if self.dac_bits is not None and not 1 <= self.dac_bits <= MAX_BITS:
-            raise ValueError(f"dac_bits must be in 1..{MAX_BITS} or None")
-        if not 0.0 < self.dac_kappa < math.inf:
-            raise ValueError(f"dac_kappa must be positive and finite, not {self.dac_kappa}")
+        if self.dac_kappa == math.inf:
+            raise ValueError(f"dac_kappa must be finite, not {self.dac_kappa}")
         if self.dac_bits is None and self.dac_clip is not None:
             raise ValueError(f"dac_clip {self.dac_clip} needs dac_bits: the ideal DAC has no clip")
         if not math.isfinite(i0(sig.kaiser_beta(self.filter_attenuation_db))):

@@ -14,7 +14,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
-from dataclasses import dataclass, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -27,7 +27,9 @@ from qlt import (
     FeasibilityError,
     MonteCarlo,
     QuantizerSpec,
+    SimConfig,
     SubbandPlan,
+    WaveformConfig,
     awgn_rate_at_transmit_snr,
     chain_moments,
     cli,
@@ -417,7 +419,7 @@ def test_a_midrise_quantizer_past_16_bits_is_a_config_error(tmp_path, capsys, bi
     cfg = moments_cfg(str(tmp_path / "out"),
                       quantizer={"kind": "uniform_midrise", "bits": bits, "clip": 1.0})
     assert main(["moments", "--config", write_cfg(tmp_path, cfg)]) == 2
-    assert "bits in 1..16" in capsys.readouterr().err
+    assert f"{bits} is greater than the maximum of 16 (at params.quantizer.bits)" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -1295,7 +1297,7 @@ INVALID = {
     "method-kind": ("moments", ("params", "method"), {"kind": "exact"}),
     "method-no-kind": ("moments", ("params", "method"), {"nodes": 9}),
     "method-nodes": ("moments", ("params", "method"), {"kind": "quadrature", "nodes": 2}),
-    "method-samples": ("moments", ("params", "method"), {"kind": "montecarlo", "samples": 99}),
+    "method-samples": ("moments", ("params", "method"), {"kind": "montecarlo", "samples": 0}),
     "method-unknown-key": ("moments", ("params", "method"), {"kind": "quadrature", "seed": 1}),
     # a key of the other kind, though neither kind requires it
     "method-montecarlo-with-nodes": ("moments", ("params", "method"),
@@ -1461,6 +1463,146 @@ def test_a_nullable_integer_is_rejected_by_its_type_list(tmp_path, capsys, exper
     out = tmp_path / "out"
     assert main([experiment, "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"config error: config schema violation: {message}\n"
+    assert not out.exists()
+
+
+# --- one owner for every rule on a field of the library's configs
+
+_MIDRISE = QuantizerSpec.BOUNDS["uniform_midrise"]
+
+#: The path (keys, kind names and "items") of each fragment of the tables that
+#: rules a field of a library config, or a value that the library rules as
+#: one, and the declaration it must be.  A quantizer object's keys, wherever
+#: it sits, are its kind's fields.
+OWNERS = {
+    ("moments", "method", "montecarlo", "samples"): MonteCarlo.BOUNDS["samples"],
+    **{(exp, *path, "noise_power"): SimConfig.BOUNDS["noise_power"]
+       for exp, path in [("moments", ("channel", "awgn")), ("montecarlo", ("channel", "awgn")),
+                         ("rate", ())]},
+    **{("montecarlo", name): SimConfig.BOUNDS[name]
+       for name in ("size", "transform", "trials", "assignment")},
+    **{("waveform", name): rule for name, rule in WaveformConfig.BOUNDS.items()
+       if not name.startswith("dac_")},
+    ("waveform", "dac", "bits"): WaveformConfig.BOUNDS["dac_bits"],
+    ("waveform", "dac", "kappa"): WaveformConfig.BOUNDS["dac_kappa"],
+    # a config leaves an ideal DAC's clip out, rather than null
+    ("waveform", "dac", "clip"): _MIDRISE["clip"],
+    ("sweep-snr", "bits", "items"): WaveformConfig.BOUNDS["dac_bits"],
+    ("sweep-aclr", "bits", "items"): _MIDRISE["bits"],
+}
+
+#: The fragments with a bound that rule no field of a library config: the
+#: config's seed (``check_seed`` is its library rule), the inert quadrature
+#: nodes, and the arguments of the library's functions.
+CLI_ONLY = {
+    ("config", "seed"), ("moments", "method", "quadrature", "nodes"), ("moments", "pbar"),
+    ("upper-bound", "pbar"), ("sweep-aclr", "pbar"), ("sweep-snr", "kappa"), ("sweep-aclr", "kappa"),
+    ("sweep-snr", "snr_db", "step"), ("sweep-aclr", "aclr_db", "step"),
+}
+
+
+def _paths(spec, path):
+    """(path, fragment) of every schema fragment of a table, nested ones and
+    array items included."""
+    if isinstance(spec, cli._Kinds):
+        for kind, table in spec.items():
+            yield from _paths(table, (*path, kind))
+    elif isinstance(spec, cli._Table):
+        for name, (sub, _) in spec.items():
+            yield from _paths(sub, (*path, name))
+    else:
+        yield path, spec
+        if "items" in spec:
+            yield from _paths(spec["items"], (*path, "items"))
+
+
+def _owner(path):
+    if len(path) >= 4 and path[-3] in ("quantizer", "adc"):
+        return QuantizerSpec.BOUNDS[path[-2]][path[-1]]
+    return OWNERS.get(path)
+
+
+def test_every_rule_on_a_library_config_field_is_the_config_s_declaration():
+    found = [(path, f) for name, table in cli._TABLES.items() for path, f in _paths(table, (name,))]
+    owned = {path: f for path, f in found if _owner(path) is not None}
+    for path, fragment in owned.items():
+        assert fragment is _owner(path), path
+    assert set(OWNERS) <= set(owned)
+    # every declaration reaches the schema, the DAC's clip as the midrise clip
+    declared = [*MonteCarlo.BOUNDS.values(), *SimConfig.BOUNDS.values(),
+                *(r for n, r in WaveformConfig.BOUNDS.items() if n != "dac_clip"),
+                *(r for bounds in QuantizerSpec.BOUNDS.values() for r in bounds.values())]
+    assert {id(r) for r in declared} <= {id(f) for f in owned.values()}
+    # any other bound rules no field of a library config
+    bounded = {path for path, f in found if {"minimum", "exclusiveMinimum", "maximum"} & set(f)}
+    assert bounded - set(owned) == CLI_ONLY
+    # the waveform's params are its config's fields in order, the dac_ ones
+    # one object; the window, whatever scipy builds, is named by a string
+    names = [f.name for f in fields(WaveformConfig) if f.name != "seed"]
+    assert [n for n in names if n not in WaveformConfig.BOUNDS] == ["psd_window"]
+    assert list(cli.EXPERIMENTS["waveform"]) == list(dict.fromkeys(
+        "dac" if n.startswith("dac_") else n for n in names))
+
+
+#: A valid instance of each library config.
+_VALID = {
+    MonteCarlo: MonteCarlo(samples=1000),
+    SimConfig: SimConfig(size=16, plan=SubbandPlan([0.5, 0.5], [2.0, 0.0]),
+                         dac=QuantizerSpec.uniform_midrise(1, 1.0)),
+    WaveformConfig: WaveformConfig(num_symbols=2, dac_bits=4),
+    QuantizerSpec: QuantizerSpec.uniform_midrise(3, 1.0),
+}
+
+
+def _past(rule, word):
+    """A value just past the bound ``word`` of ``rule``."""
+    if word == "enum":
+        return "nope"
+    bound = rule[word]
+    if word == "exclusiveMinimum":
+        return float(bound)
+    step = -1 if word == "minimum" else 1
+    return bound + step if "integer" in _types(rule) else math.nextafter(float(bound), step * math.inf)
+
+
+def _where(config, field, value):
+    """The experiment, params and key path (below params) of a config file
+    that gives ``field`` of ``config`` the value ``value``."""
+    if config is QuantizerSpec:
+        return "moments", {**MINIMAL["moments"], "quantizer": {**Q1, field: value}}, f"quantizer.{field}"
+    if config is MonteCarlo:
+        return "moments", {**MINIMAL["moments"], "method": {"kind": "montecarlo", field: value}}, \
+            f"method.{field}"
+    if config is SimConfig and field == "noise_power":
+        return "montecarlo", {**MINIMAL["montecarlo"], "mode": "chain",
+                              "channel": {"kind": "awgn", field: value}}, f"channel.{field}"
+    if config is SimConfig:
+        return "montecarlo", {**MINIMAL["montecarlo"], field: value}, field
+    if field.startswith("dac_"):
+        return "waveform", {"num_symbols": 2, "dac": {"bits": 4, field[4:]: value}}, f"dac.{field[4:]}"
+    return "waveform", {"num_symbols": 2, "dac": {"bits": 4}, field: value}, field
+
+
+BOUND_CASES = [
+    (config, field, word, _past(rule, word))
+    for config in _VALID
+    for field, rule in (config.BOUNDS["uniform_midrise"] if config is QuantizerSpec
+                        else config.BOUNDS).items()
+    for word in ("minimum", "exclusiveMinimum", "maximum", "enum") if word in rule
+]
+
+
+@pytest.mark.parametrize("config, field, word, value", BOUND_CASES,
+                         ids=[f"{c.__name__}.{f}-{w}" for c, f, w, _ in BOUND_CASES])
+def test_a_value_just_past_a_declared_bound_is_refused_by_the_library_and_the_cli(
+        tmp_path, capsys, config, field, word, value):
+    with pytest.raises(ValueError, match=f"^{field} must be "):
+        replace(_VALID[config], **{field: value})
+    experiment, params, path = _where(config, field, value)
+    doc = {"schema_version": 1, "experiment": experiment, "params": params}
+    out = tmp_path / "out"
+    assert main([experiment, "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.endswith(f" (at params.{path})\n")
     assert not out.exists()
 
 

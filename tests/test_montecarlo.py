@@ -243,7 +243,7 @@ def test_sim_config_validation():
         SimConfig(size=0, plan=SHAPED_PLAN, dac=ONE_BIT)
     with pytest.raises(ValueError):
         SimConfig(size=16, plan=SHAPED_PLAN, dac=ONE_BIT, transform="dct")
-    with pytest.raises(ValueError, match="unknown assignment layout"):
+    with pytest.raises(ValueError, match=r"assignment must be one of \['contiguous', 'interleaved'\], not 'striped'"):
         SimConfig(size=16, plan=SHAPED_PLAN, dac=ONE_BIT, assignment="striped")
 
 

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import warnings
 
@@ -389,7 +390,23 @@ def test_the_identity_quantizer_writes_out_unchanged():
 
 
 @pytest.mark.parametrize("call, error, message", [
-    (lambda: QuantizerSpec("identity", bits=3), ValueError, "takes no parameters"),
+    (lambda: QuantizerSpec("identity", bits=3), ValueError, "identity quantizer takes no bits"),
+    # a field the kind does not take, which equality and hashing would read
+    (lambda: QuantizerSpec("uniform_midrise", bits=2, clip=1.0, levels=(5.0,)), ValueError,
+     "uniform_midrise quantizer takes no levels"),
+    (lambda: QuantizerSpec("custom_levels", bits=3, clip=2.0, levels=(1.0, 2.0)), ValueError,
+     "custom_levels quantizer takes no bits"),
+    # midrise bits are an int in 1..MAX_BITS
+    (lambda: QuantizerSpec.uniform_midrise(3.0, 1.0), ValueError, r"^bits must be of type integer, not 3\.0$"),
+    (lambda: QuantizerSpec.uniform_midrise(np.int64(3), 1.0), ValueError, "bits must be of type integer"),
+    (lambda: QuantizerSpec.uniform_midrise(True, 1.0), ValueError, "bits must be of type integer"),
+    (lambda: QuantizerSpec.uniform_midrise(17, 1.0), ValueError, r"^bits must be in \[1, 16\], not 17$"),
+    (lambda: QuantizerSpec.uniform_midrise(0, 1.0), ValueError, r"^bits must be in \[1, 16\], not 0$"),
+    # a midrise clip is a positive number
+    (lambda: QuantizerSpec("uniform_midrise", bits=3, clip=0.0), ValueError, r"^clip must be > 0, not 0\.0$"),
+    (lambda: QuantizerSpec("uniform_midrise", bits=3, clip=-1.0), ValueError, r"^clip must be > 0, not -1\.0$"),
+    (lambda: QuantizerSpec("uniform_midrise", bits=3, clip=math.nan), ValueError, r"^clip must be > 0, not nan$"),
+    (lambda: QuantizerSpec("uniform_midrise", bits=3), ValueError, r"^clip must be of type number, not None$"),
     (lambda: QuantizerSpec.custom_levels([0.0, np.inf]), ValueError, "levels must be finite"),
     (lambda: QuantizerSpec("lloyd_max"), ValueError, "unknown quantizer kind"),
     (lambda: QuantizerSpec.identity().levels_per_dim(), UnboundedConstellationError, "no finite level set"),
@@ -402,12 +419,18 @@ def test_the_identity_quantizer_writes_out_unchanged():
     (lambda: QuantizerSpec.custom_levels(np.float64(0.5)), ValueError, "custom_levels requires a non-empty 1-D"),
     (lambda: QuantizerSpec("custom_levels", levels=((-1.0, 0.0), (0.5, 1.0))), ValueError,
      "custom_levels requires a non-empty 1-D"),
+    # numpy's own message for a ragged list names no field
+    (lambda: QuantizerSpec.custom_levels([[0.0], [1.0, 2.0]]), ValueError,
+     "custom_levels requires a non-empty 1-D level list"),
     # subnormal levels that round together; a step of 0 would divide the map
     (lambda: QuantizerSpec.uniform_midrise(3, 5e-324), ValueError, "step below float resolution"),
     (lambda: QuantizerSpec.uniform_midrise(16, 1.5e-319), ValueError, "step below float resolution"),
-], ids=["identity_with_bits", "non_finite_level", "unknown_kind", "identity_levels", "no_points",
-        "repeated_point", "nested_list_levels", "2d_array_levels", "0d_levels", "constructor_2d_levels",
-        "subnormal_step_3_bit", "subnormal_step_16_bit"])
+], ids=["identity_with_bits", "midrise_with_levels", "custom_levels_with_bits_and_clip", "float_bits",
+        "numpy_int_bits", "bool_bits", "bits_past_16", "zero_bits", "zero_clip", "negative_clip",
+        "nan_clip", "no_clip", "non_finite_level", "unknown_kind",
+        "identity_levels", "no_points", "repeated_point", "nested_list_levels", "2d_array_levels",
+        "0d_levels", "constructor_2d_levels", "ragged_levels", "subnormal_step_3_bit",
+        "subnormal_step_16_bit"])
 def test_an_invalid_quantizer_or_constellation_is_rejected(call, error, message):
     with pytest.raises(error, match=message):
         call()

@@ -37,8 +37,9 @@ def test_config_validation():
         WaveformConfig(occupied_bandwidth=500e6, sample_rate=520e6, guard_band=20e6)
     with pytest.raises(ValueError):
         WaveformConfig(psd_segment_length=1000)
-    # 0 & -1 is 0 too: it once ran on to a division by zero in the Welch estimate
-    with pytest.raises(ValueError, match="psd_segment_length must be a power of two"):
+    # 0, which passes the power-of-two test (0 & -1 is 0), once ran on to a
+    # division by zero in the Welch estimate; it is below the minimum
+    with pytest.raises(ValueError, match="psd_segment_length must be >= 64, not 0"):
         WaveformConfig(psd_segment_length=0)
     with pytest.raises(ValueError):
         WaveformConfig(dac_bits=0)
@@ -58,7 +59,8 @@ def test_config_validation():
 @pytest.mark.parametrize("kappa", [-1.0, 0.0, math.nan, math.inf])
 def test_a_dac_kappa_that_is_not_positive_and_finite_is_refused_before_synthesis(kappa):
     # it once failed only after synthesis, as "uniform_midrise requires clip > 0"
-    with pytest.raises(ValueError, match=f"dac_kappa must be positive and finite, not {kappa}"):
+    rule = "finite" if kappa == math.inf else "> 0"
+    with pytest.raises(ValueError, match=f"dac_kappa must be {rule}, not {kappa}"):
         WaveformConfig(dac_bits=4, dac_kappa=kappa)
 
 
