@@ -8,7 +8,11 @@ not reduced modulo 2**64, so distinct seeds draw distinct streams.  A size
 that sets an array's length passes ``check_size``, the one rule that the
 configs apply to the arrays they allocate (the draws fill them).  Each
 config declares the type and bounds of its fields in JSON-Schema words,
-which ``check_fields`` applies and the CLI's config schema reads.
+and a function the rule of an argument that a config file gives too (a
+mean power, a loading factor, a noise power).  ``check_value`` is the one
+reader of those words: ``check_fields`` applies a config's declarations
+through it, the library's functions their arguments' rules, and the CLI's
+config walk every fragment of its tables.
 """
 
 import zlib
@@ -39,43 +43,57 @@ def check_size(count, itemsize: int, what: str) -> None:
         raise ValueError(f"{what} has more points than an array can index")
 
 
-#: The classes each JSON-Schema ``type`` admits of a field: an ``integer`` is
-#: an ``int``, and a bool is only a ``boolean``.
+#: The classes each JSON-Schema ``type`` admits: an ``integer`` is an
+#: ``int``, and a bool is only a ``boolean``.
 _TYPES = {"integer": int, "number": (int, float, np.integer, np.floating), "boolean": bool,
-          "null": type(None)}
+          "null": type(None), "string": str, "array": (list, tuple), "object": dict}
+
+
+def check_value(name: str, rule: dict, v) -> None:
+    """Raise ``ValueError`` naming ``name`` where the value ``v`` breaks
+    ``rule``, a fragment of the JSON-Schema words ``type`` (a name or a
+    list), ``enum`` (by JSON equality: ``1 == 1.0``, but ``True != 1``),
+    ``minimum``, ``exclusiveMinimum`` and ``maximum`` (on a number; NaN is
+    past every bound), and ``minItems`` and ``maxItems`` (on an array).
+    Every rule of a config, the CLI's and the library's, is read here."""
+    types = rule.get("type", ())
+    types = (types,) if isinstance(types, str) else types
+    for t in types:
+        if isinstance(v, _TYPES[t]) and isinstance(v, bool) is (t == "boolean"):
+            break
+    else:
+        if types:
+            raise ValueError(f"{name} must be of type {' or '.join(types)}, not {v!r}")
+    if "enum" in rule and not any(v == m and isinstance(v, bool) is isinstance(m, bool)
+                                  for m in rule["enum"]):
+        raise ValueError(f"{name} must be one of {rule['enum']}, not {v!r}")
+    if isinstance(v, _TYPES["number"]) and not isinstance(v, bool):
+        if ("minimum" in rule and not v >= rule["minimum"]
+                or "exclusiveMinimum" in rule and not v > rule["exclusiveMinimum"]
+                or "maximum" in rule and not v <= rule["maximum"]):
+            raise ValueError(f"{name} must be {_bound_words(rule)}, not {v}")
+    elif isinstance(v, _TYPES["array"]):
+        if not rule.get("minItems", 0) <= len(v) <= rule.get("maxItems", len(v)):
+            raise ValueError(f"{name} must have a length "
+                             f"{_bound_words(rule, 'minItems', 'maxItems')}, not {len(v)}")
 
 
 def check_fields(config, bounds: dict) -> None:
     """Raise ``ValueError`` naming the first field of ``config`` that breaks
-    its rule in ``bounds``: field name -> a fragment of the JSON-Schema words
-    ``type`` (a name or a list), ``enum``, ``minimum``, ``exclusiveMinimum``
-    and ``maximum``, as the CLI's config schema reads them.  NaN is past
-    every bound."""
+    its rule in ``bounds`` (field name -> a fragment that ``check_value``
+    reads)."""
     for name, rule in bounds.items():
-        v = getattr(config, name)
-        types = rule.get("type", ())
-        types = (types,) if isinstance(types, str) else types
-        for t in types:
-            if isinstance(v, _TYPES[t]) and isinstance(v, bool) is (t == "boolean"):
-                break
-        else:
-            if types:
-                raise ValueError(f"{name} must be of type {' or '.join(types)}, not {v!r}")
-        if "enum" in rule and v not in rule["enum"]:
-            raise ValueError(f"{name} must be one of {rule['enum']}, not {v!r}")
-        if v is not None and ("minimum" in rule and not v >= rule["minimum"]
-                              or "exclusiveMinimum" in rule and not v > rule["exclusiveMinimum"]
-                              or "maximum" in rule and not v <= rule["maximum"]):
-            raise ValueError(f"{name} must be {_bound_words(rule)}, not {v}")
+        check_value(name, rule, getattr(config, name))
 
 
-def _bound_words(rule: dict) -> str:
+def _bound_words(rule: dict, lo: str = "minimum", hi: str = "maximum") -> str:
     """A rule's bounds in words: ``in [0, 1]`` for a minimum and a maximum,
-    else each as ``>= 1``, ``> 0`` or ``<= 16``."""
-    if "minimum" in rule and "maximum" in rule:
-        return f"in [{rule['minimum']}, {rule['maximum']}]"
+    else each as ``>= 1``, ``> 0`` or ``<= 16``; ``lo`` and ``hi`` name the
+    inclusive bounds (``minItems`` and ``maxItems`` for a length)."""
+    if lo in rule and hi in rule:
+        return f"in [{rule[lo]}, {rule[hi]}]"
     return " and ".join(f"{op} {rule[k]}" for k, op in
-                        (("minimum", ">="), ("exclusiveMinimum", ">"), ("maximum", "<=")) if k in rule)
+                        ((lo, ">="), ("exclusiveMinimum", ">"), (hi, "<=")) if k in rule)
 
 
 def substream(seed: int, *tags) -> np.random.Generator:

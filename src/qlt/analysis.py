@@ -16,8 +16,9 @@ from functools import cached_property
 
 import numpy as np
 
+from ._rng import check_value
 from .errors import ContractError, FeasibilityError, InfiniteRateError, NumericalFailureError
-from .moments import AgnMoments, _check_noise_power
+from .moments import NOISE_POWER_RULE, AgnMoments
 
 #: Absolute slack used in feasibility boundary comparisons, absorbing
 #: float round-off of share -> power -> share round trips.
@@ -267,7 +268,6 @@ def linear_rate(plan: SubbandPlan, m_rx: AgnMoments) -> RateReport:
 
 def _awgn_noise(plan: SubbandPlan, m_tx: AgnMoments, noise_power):
     """Normalized chain noise: the transmit noise plus noise_power / mean_power."""
-    _check_noise_power(noise_power)
     _check_power_match(m_tx, plan.mean_power)
     noise = m_tx.noise + noise_power / plan.mean_power
     if not np.all(np.isfinite(noise)):
@@ -281,6 +281,7 @@ def awgn_linear_rate(plan: SubbandPlan, m_tx: AgnMoments, noise_power: float) ->
     Uses the shortcut that the chain moments equal the transmit moments with
     noise_power / mean_power added to the normalized noise variance.
     """
+    check_value("noise_power", NOISE_POWER_RULE, noise_power)
     return _rate(plan, m_tx.gain, _awgn_noise(plan, m_tx, noise_power), "awgn")
 
 
@@ -289,6 +290,8 @@ def _noise_at_snr(plan: SubbandPlan, m_tx: AgnMoments, snr):
     if not np.all(snr > 0):
         raise ValueError("snr must be positive")
     s_tot = (m_tx.gain**2 + m_tx.noise) * plan.mean_power
+    # s_tot >= 0 and snr > 0, so no noise power is negative; a NaN one (an
+    # infinite s_tot over an infinite snr) is non-finite noise below
     return _awgn_noise(plan, m_tx, s_tot / snr)
 
 

@@ -14,8 +14,13 @@ allocation that fails included).  Each rule of a config has one owner.  The
 library's configs (``SimConfig``, ``WaveformConfig``, ``MonteCarlo``,
 ``QuantizerSpec``) declare the type and bounds of their fields
 (``BOUNDS``), which their ``__post_init__`` applies and the tables read;
-the walk checks what the tables say, and the configs refuse, by name, the
-other values they cannot run, the sizes they allocate included.
+``quantizer`` declares the rules of a mean power and a loading factor
+(``pbar``, ``kappa``), and ``moments`` that of a noise power, which the
+functions taking them apply.  Only the config's ``seed``, the inert
+quadrature ``nodes`` and the grids' ``step`` are ruled here.  The walk
+reads each fragment through ``_rng.check_value``, the checker the library
+applies its rules with, and the configs refuse, by name, the other values
+they cannot run, the sizes they allocate included.
 """
 
 import argparse
@@ -32,7 +37,7 @@ import jsonschema
 import numpy as np
 
 from . import __version__
-from ._rng import check_seed, check_size
+from ._rng import check_seed, check_size, check_value
 from .analysis import (
     FEASIBILITY_SLACK,
     SubbandPlan,
@@ -46,7 +51,7 @@ from .bounds import TILT_TOL, rate_upper_bound, upper_bound_rates
 from .errors import ConfigError, QltError
 from .moments import DEFAULT_MC_SAMPLES, MonteCarlo, chain_moments, tx_moments
 from .montecarlo import SimConfig, run_chain_trials, run_tx_trials
-from .quantizer import DEFAULT_KAPPA, QuantizerSpec, constellation_of
+from .quantizer import DEFAULT_KAPPA, KAPPA_RULE, POWER_RULE, QuantizerSpec, constellation_of
 from .waveform import WaveformConfig, measure_aclr
 
 SCHEMA_VERSION = 1
@@ -80,13 +85,14 @@ class _Kinds(dict):
 
 
 _NUMBER = {"type": "number"}
-_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
 _BOOL = {"type": "boolean"}
 _NUMLIST = {"type": "array", "items": _NUMBER, "minItems": 1}
 
 
 # every rule on a field of the library's configs is the config's own
-# declaration (``BOUNDS``), the rule its ``__post_init__`` applies
+# declaration (``BOUNDS``), the rule its ``__post_init__`` applies, and every
+# rule on a library function's argument (``pbar``, ``kappa``, a noise power)
+# is the one that function applies
 _BITS = WaveformConfig.BOUNDS["dac_bits"]  # a DAC's bits, None for the ideal one
 _BITS_LIST = {"type": "array", "items": _BITS, "minItems": 1}
 
@@ -97,7 +103,8 @@ _METHOD = _Kinds(
     quadrature=_Table(nodes=({"type": "integer", "minimum": 3}, DEFAULT_QUADRATURE_NODES)),
     montecarlo=_Table(samples=(MonteCarlo.BOUNDS["samples"], DEFAULT_MC_SAMPLES)),
 )
-_GRID = _Table(start=(_NUMBER, REQUIRED), stop=(_NUMBER, REQUIRED), step=(_POSITIVE, REQUIRED))
+_GRID = _Table(start=(_NUMBER, REQUIRED), stop=(_NUMBER, REQUIRED),
+               step=({"type": "number", "exclusiveMinimum": 0}, REQUIRED))
 # an ideal DAC takes no clip, so a config leaves the clip out rather than null
 _DAC = _Table(bits=(_BITS, REQUIRED),
               kappa=(WaveformConfig.BOUNDS["dac_kappa"], WaveformConfig.dac_kappa),
@@ -123,7 +130,7 @@ def _waveform_params() -> _Table:
 EXPERIMENTS = {
     "moments": _Table(
         quantizer=(_QUANTIZER, REQUIRED),
-        pbar=(_POSITIVE, REQUIRED),
+        pbar=(POWER_RULE, REQUIRED),
         method=(_METHOD, {"kind": "quadrature"}),
         channel=(_CHANNEL, OPTIONAL),
         adc=(_QUANTIZER, OPTIONAL),
@@ -140,20 +147,20 @@ EXPERIMENTS = {
         fractions=(_NUMLIST, REQUIRED),
         band_energy=(_NUMLIST, REQUIRED),
         include_gap=(_BOOL, False),
-        pbar=(_POSITIVE, 1.0),
+        pbar=(POWER_RULE, 1.0),
     ),
     "sweep-snr": _Table(
         bits=(_BITS_LIST, REQUIRED),
-        kappa=(_POSITIVE, DEFAULT_KAPPA),
+        kappa=(KAPPA_RULE, DEFAULT_KAPPA),
         **_PLAN,
         snr_db=(_GRID, REQUIRED),
     ),
     "sweep-aclr": _Table(
         bits=({**_BITS_LIST, "items": QuantizerSpec.BOUNDS["uniform_midrise"]["bits"]}, REQUIRED),
-        kappa=(_POSITIVE, DEFAULT_KAPPA),
+        kappa=(KAPPA_RULE, DEFAULT_KAPPA),
         fractions=({**_NUMLIST, "minItems": 2, "maxItems": 2}, REQUIRED),
         aclr_db=(_GRID, REQUIRED),
-        pbar=(_POSITIVE, 1.0),
+        pbar=(POWER_RULE, 1.0),
     ),
     "montecarlo": _Table(
         size=(SimConfig.BOUNDS["size"], REQUIRED),
@@ -239,22 +246,12 @@ class _Rejected(Exception):
     """The walk rejected a value of the config."""
 
 
-#: What each schema ``type`` admits, as jsonschema's Draft 2020-12 reads it:
-#: an ``integer`` may be an integer-valued float, and a bool is no number.
-_IS_TYPE = {
-    "integer": lambda v: _IS_TYPE["number"](v) and (isinstance(v, int) or v.is_integer()),
-    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
-    "boolean": lambda v: isinstance(v, bool),
-    "null": lambda v: v is None,
-    "string": lambda v: isinstance(v, str),
-    "array": lambda v: isinstance(v, list),
-    "object": lambda v: isinstance(v, dict),
-}
-
 def _walk(spec, v):
     """``v`` as checked against ``spec`` (a table, a ``_Kinds`` or a schema
     fragment), with every value of an ``integer`` an int; raises
-    ``_Rejected`` where jsonschema rejects ``v``."""
+    ``_Rejected`` where jsonschema rejects ``v``.  A fragment's words are
+    read by ``_rng.check_value``, after an integer-valued float of an
+    ``integer`` becomes its int, as JSON Schema reads it."""
     if isinstance(spec, _Kinds):
         # the kind picks the table of the object's other keys
         kind = v.get("kind") if isinstance(v, dict) else None
@@ -263,26 +260,16 @@ def _walk(spec, v):
         return {"kind": kind, **_walk_table(spec[kind], {k: x for k, x in v.items() if k != "kind"})}
     if isinstance(spec, _Table):
         return _walk_table(spec, v)
-    # JSON equality of scalars: 1 == 1.0, but True != 1
-    if "enum" in spec and not any(v == m and isinstance(v, bool) is isinstance(m, bool)
-                                  for m in spec["enum"]):
-        raise _Rejected
-    if "type" in spec:
-        types = spec["type"] if isinstance(spec["type"], list) else [spec["type"]]
-        if not any(_IS_TYPE[t](v) for t in types):
-            raise _Rejected
-        if "integer" in types and _IS_TYPE["integer"](v):
-            v = int(v)
-    if _IS_TYPE["number"](v):
-        if ("minimum" in spec and v < spec["minimum"]
-                or "exclusiveMinimum" in spec and v <= spec["exclusiveMinimum"]
-                or "maximum" in spec and v > spec["maximum"]):
-            raise _Rejected
-    elif isinstance(v, list):
-        if len(v) < spec.get("minItems", 0) or len(v) > spec.get("maxItems", len(v)):
-            raise _Rejected
-        if "items" in spec:
-            v = [_walk(spec["items"], x) for x in v]
+    types = spec.get("type", ())
+    if isinstance(v, float) and v.is_integer() and "integer" in (
+            [types] if isinstance(types, str) else types):
+        v = int(v)
+    try:
+        check_value("value", spec, v)
+    except ValueError:
+        raise _Rejected from None
+    if "items" in spec and isinstance(v, list):
+        v = [_walk(spec["items"], x) for x in v]
     return v
 
 

@@ -24,8 +24,11 @@ drawn from the substream ``"chain"`` whatever the chain; its
 index.  Each standard error scales its terms by a power of two near their
 largest magnitude before it squares them, so no square overflows and the
 bits are those of the unscaled ``np.std`` wherever its squares stay finite.
-The power ``pbar`` must be positive and so must its per-dimension variance
-``pbar / 2``, which the exact path divides by.
+The power ``pbar`` follows ``quantizer.POWER_RULE`` (positive), and so
+must its per-dimension variance ``pbar / 2``, which the exact path divides
+by; the channel's noise power follows ``NOISE_POWER_RULE``, declared here
+(>= 0).  Both are applied through ``_rng.check_value``, as a config's
+``pbar`` and ``noise_power`` are.
 """
 
 from dataclasses import dataclass
@@ -33,12 +36,16 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfc  # accurate in the tails, where 1 - erf is not
 
-from ._rng import check_fields, check_seed, check_size, complex_normal, substream
+from ._rng import check_fields, check_seed, check_size, check_value, complex_normal, substream
 from .errors import NumericalFailureError
-from .quantizer import QuantizerSpec, quantize
+from .quantizer import POWER_RULE, QuantizerSpec, quantize
 
 #: Monte-Carlo defaults for the sampling path.
 DEFAULT_MC_SAMPLES = 1_000_000
+
+#: The rule of a channel's complex noise power, in the JSON-Schema words
+#: that ``_rng.check_value`` reads: a number >= 0 (NaN is not).
+NOISE_POWER_RULE = {"type": "number", "minimum": 0}
 
 
 @dataclass(frozen=True)
@@ -178,11 +185,6 @@ def add_awgn(x: np.ndarray, noise_power: float, rng) -> np.ndarray:
     return x + complex_normal(rng, noise_power, x.shape)
 
 
-def _check_noise_power(noise_power) -> None:
-    if not np.all(noise_power >= 0):  # also rejects NaN
-        raise ValueError("noise_power must be >= 0")
-
-
 def _mc_moments(qtx, noise_power, qrx, pbar, method: MonteCarlo) -> AgnMoments:
     rng = substream(method.seed, "moments", "chain")
     n = method.samples
@@ -222,11 +224,10 @@ def _stderr(x: np.ndarray) -> float:
 def _moments(qtx, noise_power, qrx, pbar, method) -> AgnMoments:
     """Moments of the DAC -> AWGN -> ADC chain: exact for ``method=None``,
     sampled for a :class:`MonteCarlo` method."""
-    if not pbar > 0:
-        raise ValueError("pbar must be positive")
+    check_value("pbar", POWER_RULE, pbar)
     if not pbar / 2.0 > 0:
         raise ValueError(f"pbar {pbar} underflows its per-dimension variance pbar / 2 to 0")
-    _check_noise_power(noise_power)
+    check_value("noise_power", NOISE_POWER_RULE, noise_power)
     if method is None:
         return _chain_exact(qtx, noise_power, qrx, pbar)
     if isinstance(method, MonteCarlo):

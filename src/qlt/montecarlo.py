@@ -38,7 +38,7 @@ import numpy as np
 from ._rng import check_fields, check_seed, check_size, complex_normal, substream
 from .analysis import SubbandPlan, _check_fractions, _floats, predict_spectrum
 from .errors import NumericalFailureError
-from .moments import add_awgn, chain_moments, tx_moments
+from .moments import NOISE_POWER_RULE, add_awgn, chain_moments, tx_moments
 from .quantizer import QuantizerSpec, quantize
 
 # A query's remainder outside the span of the earlier queries counts as zero,
@@ -200,7 +200,7 @@ class SimConfig:
         "size": {"type": "integer", "minimum": 1},
         "transform": {"enum": list(TRANSFORMS)},
         "trials": {"type": "integer", "minimum": 1},
-        "noise_power": {"type": "number", "minimum": 0},
+        "noise_power": NOISE_POWER_RULE,
         "assignment": {"enum": list(LAYOUTS)},
     }
 

@@ -27,6 +27,14 @@ array.  A block's intermediates are numpy's own block-sized temporaries, so
 only the output is input-sized; it is none when the output is the input
 itself (``out=u``).  Every float maps on its own, so the bits do not depend
 on the blocking.
+
+A midrise DAC loaded for a mean complex power sets its clip at ``kappa``
+per-dimension sigmas of that power (``clip_for_power``).  The rules of the
+power and of the loading factor are declared here (``POWER_RULE`` and
+``KAPPA_RULE``) and applied through ``_rng.check_value``: ``moments``
+applies the power's rule to its ``pbar``, ``WaveformConfig`` the loading
+factor's to its ``dac_kappa``, and the config schema reads both for every
+``pbar`` and ``kappa``.
 """
 
 import math
@@ -35,7 +43,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._rng import check_fields
+from ._rng import check_fields, check_value
 from .errors import NumericalFailureError, UnboundedConstellationError
 
 #: Default loading factor: clip = DEFAULT_KAPPA * sqrt(input_power / 2).
@@ -45,10 +53,17 @@ DEFAULT_KAPPA = 3.0
 MAX_BITS = 16
 
 
+#: The rules of a mean complex power and of a loading factor, in the
+#: JSON-Schema words that ``_rng.check_value`` reads: each is positive (NaN
+#: is not).
+POWER_RULE = {"type": "number", "exclusiveMinimum": 0}
+KAPPA_RULE = {"type": "number", "exclusiveMinimum": 0}
+
+
 def clip_for_power(power: float, kappa: float = DEFAULT_KAPPA) -> float:
     """Clip level for a given mean complex input power: kappa per-dimension sigmas."""
-    if not power > 0:
-        raise ValueError("power must be positive")
+    check_value("power", POWER_RULE, power)
+    check_value("kappa", KAPPA_RULE, kappa)
     return kappa * np.sqrt(power / 2.0)
 
 

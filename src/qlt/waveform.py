@@ -55,7 +55,7 @@ from . import _signal as sig
 from ._rng import check_fields, check_seed, check_size, complex_normal, substream
 from .errors import NumericalFailureError
 from .moments import tx_moments
-from .quantizer import DEFAULT_KAPPA, QuantizerSpec, quantize
+from .quantizer import DEFAULT_KAPPA, KAPPA_RULE, QuantizerSpec, quantize
 
 
 @dataclass(frozen=True)
@@ -110,7 +110,7 @@ class WaveformConfig:
         "num_subcarriers": {"type": "integer", "minimum": 8},
         "num_symbols": {"type": "integer", "minimum": 1},
         "dac_bits": {**QuantizerSpec.BOUNDS["uniform_midrise"]["bits"], "type": ["integer", "null"]},
-        "dac_kappa": {"type": "number", "exclusiveMinimum": 0},
+        "dac_kappa": KAPPA_RULE,
         "dac_clip": {**QuantizerSpec.BOUNDS["uniform_midrise"]["clip"], "type": ["number", "null"]},
         "symbol_taper": {"type": "number", "minimum": 0, "maximum": 1},
         "filter_taps": {"type": "integer", "minimum": 11},

@@ -30,6 +30,7 @@ from qlt import (
     tx_moments,
     upper_bound_rates,
 )
+from qlt.analysis import FEASIBILITY_SLACK
 
 ONE_BIT = QuantizerSpec.uniform_midrise(1, 1.0)
 FLAT_ONE_BIT_BITS = math.log2(1.0 + 2.0 / (math.pi - 2.0))  # ~1.46045
@@ -166,6 +167,14 @@ def test_feasibility_examples():
     m0 = tx_moments(QuantizerSpec.custom_levels([0.0]), 1.0)
     with np.errstate(invalid="ignore"):
         assert not feasible_fractions((0.5, 0.5), m0, (0.5, 0.5))
+
+
+def test_a_share_exactly_the_slack_below_its_floor_is_feasible_and_one_ulp_less_is_not():
+    m = tx_moments(QuantizerSpec.uniform_midrise(2, 1.0), 1.0)
+    edge = share_floor((0.5, 0.5), m)[0] - FEASIBILITY_SLACK
+    assert feasible_fractions((0.5, 0.5), m, (edge, 1.0 - edge))
+    below = math.nextafter(edge, -math.inf)
+    assert not feasible_fractions((0.5, 0.5), m, (below, 1.0 - below))
 
 
 def test_powers_from_fractions_examples():
@@ -335,6 +344,13 @@ def test_awgn_rate_overflowing_noise_is_a_numerical_failure():
     m = tx_moments(QuantizerSpec.identity(), plan.mean_power)
     with pytest.raises(NumericalFailureError):
         awgn_linear_rate(plan, m, 1e308)
+
+
+@pytest.mark.parametrize("noise_power", [-1.0, math.nan])
+def test_a_negative_or_nan_noise_power_is_refused_with_its_value(noise_power):
+    plan = SubbandPlan((0.5, 0.5), (1.5, 0.5))
+    with pytest.raises(ValueError, match=f"^noise_power must be >= 0, not {noise_power}$"):
+        awgn_linear_rate(plan, tx_moments(ONE_BIT, plan.mean_power), noise_power)
 
 
 @pytest.mark.parametrize("rate, message", [

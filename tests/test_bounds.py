@@ -138,6 +138,15 @@ def test_max_entropy_boundary_degenerates_to_class_size():
     assert max_entropy(GRID16, 18.0) == pytest.approx(2.0)
 
 
+def test_an_energy_the_tolerance_below_the_minimum_is_the_boundary_and_one_ulp_less_is_not():
+    cset = QuantizerSpec.uniform_midrise(2, 1.0)
+    e_lo, e_hi = cset.min_energy, cset.max_energy
+    edge = e_lo - 1e-12 * max(1.0, abs(e_lo), abs(e_hi))
+    assert max_entropy(cset, edge) == 2.0  # the four points of the lowest class
+    with pytest.raises(InfeasibleEnergyError):
+        max_entropy(cset, math.nextafter(edge, -math.inf))
+
+
 def test_rate_upper_bound_flat_qpsk():
     rep = rate_upper_bound(QPSK, (1.0, 1.0), (0.5, 0.5))
     assert rep.bits_per_symbol == pytest.approx(2.0, abs=1e-12)

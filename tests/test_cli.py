@@ -10,6 +10,7 @@ import math
 import operator
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -40,7 +41,10 @@ from qlt import (
     noise_free_rate,
     tx_moments,
 )
+from qlt._rng import _TYPES, check_value
 from qlt.cli import main, package_defaults
+from qlt.moments import NOISE_POWER_RULE
+from qlt.quantizer import KAPPA_RULE, POWER_RULE
 
 
 def write_cfg(tmp_path, obj, name="cfg.json"):
@@ -1435,21 +1439,52 @@ VIOLATIONS = [
 ]
 
 
+#: Every rule the library declares: its configs' fields and the arguments of
+#: its functions that a config gives too.
+LIBRARY_RULES = [*MonteCarlo.BOUNDS.values(), *SimConfig.BOUNDS.values(),
+                 *WaveformConfig.BOUNDS.values(),
+                 *(r for bounds in QuantizerSpec.BOUNDS.values() for r in bounds.values()),
+                 POWER_RULE, KAPPA_RULE, NOISE_POWER_RULE]
+
+
 def test_the_walk_interprets_every_keyword_of_the_tables():
     fragments = [f for t in cli._TABLES.values() for f in _fragments(t)]
     assert {k for f in fragments for k in f} == {k for k, _, _ in VIOLATIONS}
-    assert {t for f in fragments for t in _types(f)} <= set(cli._IS_TYPE)
+    # every word of a rule, the library's too, is one that check_value reads
+    # (items, whose fragment each item is walked against, aside), so a word
+    # it does not read fails here rather than going unenforced
+    rules = [*fragments, *(f for rule in LIBRARY_RULES for f in _fragments(rule))]
+    assert {k for f in rules for k in f} <= {k for k, _, _ in VIOLATIONS}
+    assert {t for f in rules for t in _types(f)} <= set(_TYPES)
     # enum compares JSON scalars, the only members the walk's equality takes
-    members = [m for f in fragments for m in f.get("enum", [])]
+    members = [m for f in rules for m in f.get("enum", [])]
     assert all(isinstance(m, (str, int)) and not isinstance(m, bool) for m in members)
     for keyword, fragment, value in VIOLATIONS:
         assert not Draft202012Validator(fragment).is_valid(value), keyword
         with pytest.raises(cli._Rejected):
             cli._walk(fragment, value)
         cli._walk({k: v for k, v in fragment.items() if k != keyword}, value)
+        if keyword != "items":
+            with pytest.raises(ValueError, match="^x must "):
+                check_value("x", fragment, value)
+            check_value("x", {k: v for k, v in fragment.items() if k != keyword}, value)
     # a type list takes each of its types; an integer-valued float becomes an int
     assert cli._walk(cli._BITS, None) is None
     assert type(cli._walk(cli._BITS, 3.0)) is int
+
+
+@pytest.mark.parametrize("rule, value, message", [
+    ({"type": ["integer", "null"]}, 1.5, "x must be of type integer or null, not 1.5"),
+    ({"enum": ["tx", "chain"]}, "rx", "x must be one of ['tx', 'chain'], not 'rx'"),
+    ({"enum": [1]}, True, "x must be one of [1], not True"),
+    ({"type": "number", "minimum": 0, "maximum": 0.9}, 0.95, "x must be in [0, 0.9], not 0.95"),
+    ({"type": "number", "exclusiveMinimum": 0}, math.nan, "x must be > 0, not nan"),
+    ({"type": "array", "minItems": 2, "maxItems": 2}, [1.0], "x must have a length in [2, 2], not 1"),
+    ({"type": "array", "minItems": 1}, (), "x must have a length >= 1, not 0"),
+])
+def test_check_value_names_the_value_and_its_rule(rule, value, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        check_value("x", rule, value)
 
 
 @pytest.mark.parametrize("experiment, params, message", [
@@ -1489,14 +1524,16 @@ OWNERS = {
     ("waveform", "dac", "clip"): _MIDRISE["clip"],
     ("sweep-snr", "bits", "items"): WaveformConfig.BOUNDS["dac_bits"],
     ("sweep-aclr", "bits", "items"): _MIDRISE["bits"],
+    # the arguments of the library's functions: a mean power, a loading factor
+    **{(exp, "pbar"): POWER_RULE for exp in ("moments", "upper-bound", "sweep-aclr")},
+    **{(exp, "kappa"): KAPPA_RULE for exp in ("sweep-snr", "sweep-aclr")},
 }
 
-#: The fragments with a bound that rule no field of a library config: the
-#: config's seed (``check_seed`` is its library rule), the inert quadrature
-#: nodes, and the arguments of the library's functions.
+#: The fragments with a bound that no library rule owns: the config's seed
+#: (``check_seed`` is its library rule), the inert quadrature nodes and the
+#: grids' steps.
 CLI_ONLY = {
-    ("config", "seed"), ("moments", "method", "quadrature", "nodes"), ("moments", "pbar"),
-    ("upper-bound", "pbar"), ("sweep-aclr", "pbar"), ("sweep-snr", "kappa"), ("sweep-aclr", "kappa"),
+    ("config", "seed"), ("moments", "method", "quadrature", "nodes"),
     ("sweep-snr", "snr_db", "step"), ("sweep-aclr", "aclr_db", "step"),
 }
 
@@ -1529,9 +1566,7 @@ def test_every_rule_on_a_library_config_field_is_the_config_s_declaration():
         assert fragment is _owner(path), path
     assert set(OWNERS) <= set(owned)
     # every declaration reaches the schema, the DAC's clip as the midrise clip
-    declared = [*MonteCarlo.BOUNDS.values(), *SimConfig.BOUNDS.values(),
-                *(r for n, r in WaveformConfig.BOUNDS.items() if n != "dac_clip"),
-                *(r for bounds in QuantizerSpec.BOUNDS.values() for r in bounds.values())]
+    declared = [r for r in LIBRARY_RULES if r is not WaveformConfig.BOUNDS["dac_clip"]]
     assert {id(r) for r in declared} <= {id(f) for f in owned.values()}
     # any other bound rules no field of a library config
     bounded = {path for path, f in found if {"minimum", "exclusiveMinimum", "maximum"} & set(f)}

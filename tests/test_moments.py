@@ -391,10 +391,25 @@ def test_invalid_power_rejected():
 
 def test_a_nan_power_is_rejected_like_a_zero_one():
     # NaN fails "<= 0" too, so the checks are written "not > 0"
-    with pytest.raises(ValueError, match="pbar must be positive"):
+    with pytest.raises(ValueError, match="^pbar must be > 0, not nan$"):
         tx_moments(QuantizerSpec.uniform_midrise(2, 1.8), math.nan)
-    with pytest.raises(ValueError, match="power must be positive"):
+    with pytest.raises(ValueError, match="^power must be > 0, not nan$"):
         clip_for_power(math.nan)
+
+
+@pytest.mark.parametrize("kappa", [-1.0, 0.0, math.nan])
+def test_a_loading_factor_that_is_not_positive_is_refused_by_name(kappa):
+    # it once reached the spec as a clip of kappa sigmas, refused as a clip
+    # the caller never gave
+    with pytest.raises(ValueError, match=f"^kappa must be > 0, not {kappa}$"):
+        QuantizerSpec.midrise_for_power(3, 1.0, kappa)
+
+
+@pytest.mark.parametrize("noise_power", [-1.0, math.nan])
+def test_a_negative_or_nan_noise_power_is_refused_with_its_value(noise_power):
+    with pytest.raises(ValueError, match=f"^noise_power must be >= 0, not {noise_power}$"):
+        chain_moments(QuantizerSpec.uniform_midrise(2, 1.8), noise_power,
+                      QuantizerSpec.identity(), 1.0)
 
 
 def test_the_standard_error_is_np_std_where_its_squares_stay_finite():
