@@ -1,18 +1,20 @@
 """Deterministic substream derivation for reproducible sampling, and the
 rules of the seeds, sizes and fields that the library's configs take.
 
-A seed is a non-negative integer, of any size: ``check_seed`` is its one
-rule, and the library's configs, the CLI's ``--seed`` and ``substream``
-apply it.  ``substream`` keys numpy's ``SeedSequence`` with the seed itself,
-not reduced modulo 2**64, so distinct seeds draw distinct streams.  A size
+A seed is a non-negative integer, of any size: ``SEED_RULE`` is its one
+rule, which ``check_seed`` applies for the library's configs, the CLI's
+``--seed`` and ``substream``, and which the CLI's config ``seed`` reads.
+``substream`` keys numpy's ``SeedSequence`` with the seed itself, not
+reduced modulo 2**64, so distinct seeds draw distinct streams.  A size
 that sets an array's length passes ``check_size``, the one rule that the
 configs apply to the arrays they allocate (the draws fill them).  Each
 config declares the type and bounds of its fields in JSON-Schema words,
 and a function the rule of an argument that a config file gives too (a
 mean power, a loading factor, a noise power).  ``check_value`` is the one
-reader of those words: ``check_fields`` applies a config's declarations
-through it, the library's functions their arguments' rules, and the CLI's
-config walk every fragment of its tables.
+reader of those words, and its message the one wording of a broken rule:
+``check_fields`` applies a config's declarations through it, the
+library's functions their arguments' rules, and the CLI's config walk
+every fragment of its tables, naming the config key.
 """
 
 import zlib
@@ -24,14 +26,15 @@ def _tag_value(tag) -> int:
     return int(tag) if isinstance(tag, (int, np.integer)) else zlib.crc32(str(tag).encode())
 
 
-def check_seed(seed, error=ValueError) -> None:
-    """Raise ``error`` naming ``seed`` unless it is an ``int`` or numpy
-    integer other than a ``bool``, and ``ValueError`` where it is negative.
-    A float is refused, as ``3.0`` would draw another stream than ``3``."""
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
-        raise error(f"seed must be an integer, not {seed!r} of type {type(seed).__name__}")
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, not {seed}")
+#: The rule of a seed: an integer (a numpy one too, but not a bool; a float
+#: is refused, as ``3.0`` would draw another stream than ``3``) that is not
+#: negative.
+SEED_RULE = {"type": "integer", "minimum": 0}
+
+
+def check_seed(seed) -> None:
+    """Raise ``ValueError`` naming ``seed`` where it breaks ``SEED_RULE``."""
+    check_value("seed", SEED_RULE, seed)
 
 
 def check_size(count, itemsize: int, what: str) -> None:
@@ -44,9 +47,9 @@ def check_size(count, itemsize: int, what: str) -> None:
 
 
 #: The classes each JSON-Schema ``type`` admits: an ``integer`` is an
-#: ``int``, and a bool is only a ``boolean``.
-_TYPES = {"integer": int, "number": (int, float, np.integer, np.floating), "boolean": bool,
-          "null": type(None), "string": str, "array": (list, tuple), "object": dict}
+#: ``int`` or a numpy integer, and a bool is only a ``boolean``.
+_TYPES = {"integer": (int, np.integer), "number": (int, float, np.integer, np.floating),
+          "boolean": bool, "null": type(None), "string": str, "array": (list, tuple), "object": dict}
 
 
 def check_value(name: str, rule: dict, v) -> None:
@@ -81,9 +84,13 @@ def check_value(name: str, rule: dict, v) -> None:
 def check_fields(config, bounds: dict) -> None:
     """Raise ``ValueError`` naming the first field of ``config`` that breaks
     its rule in ``bounds`` (field name -> a fragment that ``check_value``
-    reads)."""
+    reads).  A numpy integer field becomes its int, so that the sizes the
+    config computes from it are exact (a numpy product wraps past 2**63)."""
     for name, rule in bounds.items():
-        check_value(name, rule, getattr(config, name))
+        v = getattr(config, name)
+        check_value(name, rule, v)
+        if isinstance(v, np.integer):
+            object.__setattr__(config, name, int(v))
 
 
 def _bound_words(rule: dict, lo: str = "minimum", hi: str = "maximum") -> str:
@@ -100,12 +107,11 @@ def substream(seed: int, *tags) -> np.random.Generator:
     """Generator keyed by (master seed, purpose tags).
 
     Identical (seed, tags) always yields an identical stream, independent of
-    any other stream drawn elsewhere.  A ``seed`` that is not an integer
-    raises ``TypeError``, a negative one ``ValueError``; an integer tag must
-    be non-negative too, and any other tag is keyed by the CRC-32 of its
-    ``str``.
+    any other stream drawn elsewhere.  A ``seed`` that breaks ``SEED_RULE``
+    raises ``ValueError``; an integer tag must be non-negative too, and any
+    other tag is keyed by the CRC-32 of its ``str``.
     """
-    check_seed(seed, TypeError)
+    check_seed(seed)
     return np.random.default_rng([_tag_value(seed)] + [_tag_value(t) for t in tags])
 
 

@@ -19,6 +19,7 @@ import numpy as np
 from ._rng import check_value
 from .errors import ContractError, FeasibilityError, InfiniteRateError, NumericalFailureError
 from .moments import NOISE_POWER_RULE, AgnMoments
+from .quantizer import POWER_RULE
 
 #: Absolute slack used in feasibility boundary comparisons, absorbing
 #: float round-off of share -> power -> share round trips.
@@ -188,7 +189,11 @@ def _above_floor(fractions, m_tx: AgnMoments, nu) -> tuple[list, list]:
 
 
 def powers_from_fractions(fractions, m_tx: AgnMoments, pbar: float, nu) -> np.ndarray:
-    """Invert a feasible share vector into per-band symbol energies."""
+    """Invert a feasible share vector into per-band symbol energies of mean
+    ``pbar``, a power (``quantizer.POWER_RULE``) that ``m_tx`` was computed
+    at."""
+    check_value("pbar", POWER_RULE, pbar)
+    _check_power_match(m_tx, pbar)
     fr, shares = _above_floor(fractions, m_tx, nu)
     g2 = m_tx.gain**2
     if g2 == 0:

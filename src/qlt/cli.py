@@ -5,7 +5,7 @@ montecarlo, waveform, defaults.  Every experiment is driven by a versioned
 JSON config (see configs/ for presets).  One step, ``_resolve_config``,
 walks the file against the experiment table and fills in every default,
 then applies the command line's ``--seed``, ``--format`` and ``--out``, the
-seed under the library's one seed rule (``_rng.check_seed``: a non-negative
+seed under the library's one seed rule (``_rng.SEED_RULE``: a non-negative
 integer).  Results and the fully resolved config are written to the
 output directory, and a rerun of that config writes the same bytes.  Exit
 codes: 0 success, 2 config error (an unwritable output directory, or a size
@@ -16,11 +16,15 @@ library's configs (``SimConfig``, ``WaveformConfig``, ``MonteCarlo``,
 (``BOUNDS``), which their ``__post_init__`` applies and the tables read;
 ``quantizer`` declares the rules of a mean power and a loading factor
 (``pbar``, ``kappa``), and ``moments`` that of a noise power, which the
-functions taking them apply.  Only the config's ``seed``, the inert
-quadrature ``nodes`` and the grids' ``step`` are ruled here.  The walk
-reads each fragment through ``_rng.check_value``, the checker the library
-applies its rules with, and the configs refuse, by name, the other values
-they cannot run, the sizes they allocate included.
+functions taking them apply; ``_rng`` declares the seed's.  Only the inert
+quadrature ``nodes`` and the grids' ``step`` are ruled here.  The walk is
+the one validator of a config: it reads each fragment through
+``_rng.check_value``, the checker the library applies its rules with, and
+a rejection is worded by that checker, naming the nearest config key, and
+ends with the path of the value it names.  A missing key and an unknown
+key, which break no rule of a fragment, are worded by the walk.  The
+configs refuse, by name, the other values they cannot run, the sizes they
+allocate included.
 """
 
 import argparse
@@ -33,11 +37,13 @@ from itertools import repeat
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
-import jsonschema
+# no config is checked or worded by jsonschema: perfbench's import profile
+# is this import's only reader (ROADMAP item 1), and it goes with that read
+import jsonschema  # noqa: F401
 import numpy as np
 
 from . import __version__
-from ._rng import check_seed, check_size, check_value
+from ._rng import SEED_RULE, check_seed, check_size, check_value
 from .analysis import (
     FEASIBILITY_SLACK,
     SubbandPlan,
@@ -184,30 +190,10 @@ _OUTPUT = _Table(format=({"enum": ["csv", "json"]}, "json"), path=({"type": "str
 _CONFIG = _Table(
     schema_version=({"enum": [SCHEMA_VERSION]}, REQUIRED),
     experiment=({"enum": sorted(EXPERIMENTS)}, REQUIRED),
-    seed=({"type": "integer", "minimum": 0}, 0),
+    seed=(SEED_RULE, 0),
     output=(_OUTPUT, {}),
     params=({"type": "object"}, REQUIRED),
 )
-
-
-def schema_of(spec) -> dict:
-    """The JSON schema of a table or a ``_Kinds`` (or of a plain schema
-    fragment).  A ``_Kinds`` is an object with a required ``kind`` and one
-    ``allOf`` branch per kind: if ``kind`` is that kind, then the object is
-    its table plus ``kind``."""
-    if isinstance(spec, _Kinds):
-        return {"type": "object", "properties": {"kind": {"enum": list(spec)}}, "required": ["kind"],
-                "allOf": [{"if": {"properties": {"kind": {"const": k}}, "required": ["kind"]},
-                           "then": schema_of(_Table(kind=({"const": k}, REQUIRED), **table))}
-                          for k, table in spec.items()]}
-    if not isinstance(spec, _Table):
-        return spec
-    return {
-        "type": "object",
-        "properties": {name: schema_of(s) for name, (s, _) in spec.items()},
-        "required": [name for name, (_, d) in spec.items() if d is REQUIRED],
-        "additionalProperties": False,
-    }
 
 
 def _fill(table, doc: dict) -> dict:
@@ -232,58 +218,74 @@ def _fill(table, doc: dict) -> dict:
 #: The tables a config is checked against: the config itself, then its params.
 _TABLES = {"config": _CONFIG, **EXPERIMENTS}
 
-# built once: constructing a validator skips the metaschema check that
-# jsonschema.validate repeats on every call.  They only word a rejection the
-# walk below has made.
-_VALIDATORS = {
-    name: jsonschema.Draft202012Validator(schema_of(table)) for name, table in _TABLES.items()
-}
-
-# --- the config walk: accepts exactly what jsonschema accepts of schema_of(table)
+# --- the config walk: the one validator of a config, and its words
 
 
 class _Rejected(Exception):
-    """The walk rejected a value of the config."""
+    """The walk's rejection of a value of the config: the reason, and in
+    ``keys`` the path from that value up, each level of the walk adding
+    its key or index as the rejection unwinds."""
+
+    def __init__(self, reason: str):
+        super().__init__(reason)
+        self.keys = []
 
 
-def _walk(spec, v):
-    """``v`` as checked against ``spec`` (a table, a ``_Kinds`` or a schema
-    fragment), with every value of an ``integer`` an int; raises
-    ``_Rejected`` where jsonschema rejects ``v``.  A fragment's words are
-    read by ``_rng.check_value``, after an integer-valued float of an
-    ``integer`` becomes its int, as JSON Schema reads it."""
+def _walk(spec, v, name: str):
+    """``v``, the value of config key ``name``, as checked against ``spec`` (a
+    table, a ``_Kinds`` or a schema fragment), with every value of an
+    ``integer`` an int; raises ``_Rejected`` where ``v`` breaks ``spec``.  A
+    fragment's words are read by ``_rng.check_value``, after an
+    integer-valued float of an ``integer`` becomes its int, as JSON Schema
+    reads it, and its message, named by the nearest key, is the reason."""
     if isinstance(spec, _Kinds):
-        # the kind picks the table of the object's other keys
+        # the kind picks the table of the object's other keys; an object
+        # without one of the kinds is rejected by a table of the kind alone
         kind = v.get("kind") if isinstance(v, dict) else None
         if not (isinstance(kind, str) and kind in spec):
-            raise _Rejected
-        return {"kind": kind, **_walk_table(spec[kind], {k: x for k, x in v.items() if k != "kind"})}
+            _walk_table(_Table(kind=({"enum": list(spec)}, REQUIRED)),
+                        {k: x for k, x in v.items() if k == "kind"} if isinstance(v, dict) else v, name)
+        return {"kind": kind,
+                **_walk_table(spec[kind], {k: x for k, x in v.items() if k != "kind"}, name)}
     if isinstance(spec, _Table):
-        return _walk_table(spec, v)
+        return _walk_table(spec, v, name)
     types = spec.get("type", ())
     if isinstance(v, float) and v.is_integer() and "integer" in (
             [types] if isinstance(types, str) else types):
         v = int(v)
     try:
-        check_value("value", spec, v)
-    except ValueError:
-        raise _Rejected from None
+        check_value(name, spec, v)
+    except ValueError as e:
+        raise _Rejected(str(e)) from None
     if "items" in spec and isinstance(v, list):
-        v = [_walk(spec["items"], x) for x in v]
+        items, v = v, []
+        for i, x in enumerate(items):
+            try:
+                v.append(_walk(spec["items"], x, name))
+            except _Rejected as e:
+                e.keys.append(i)
+                raise
     return v
 
 
-def _walk_table(table: _Table, doc) -> dict:
-    """An object: its keys are the table's, every ``REQUIRED`` one present."""
+def _walk_table(table: _Table, doc, name: str) -> dict:
+    """An object, the value of key ``name``: its keys are the table's,
+    every ``REQUIRED`` one present.  An unknown key and a missing one break
+    no fragment's rule, so the walk words them, as JSON Schema does."""
     if not isinstance(doc, dict):
-        raise _Rejected
+        _walk({"type": "object"}, doc, name)  # rejects doc by its type
     out = {}
-    for name, v in doc.items():
-        if name not in table:
-            raise _Rejected
-        out[name] = _walk(table[name][0], v)
-    if any(default is REQUIRED and name not in doc for name, (_, default) in table.items()):
-        raise _Rejected
+    for key, v in doc.items():
+        if key not in table:
+            raise _Rejected(f"Additional properties are not allowed ({key!r} was unexpected)")
+        try:
+            out[key] = _walk(table[key][0], v, key)
+        except _Rejected as e:
+            e.keys.append(key)
+            raise
+    for key, (_, default) in table.items():
+        if default is REQUIRED and key not in doc:
+            raise _Rejected(f"{key!r} is a required property")
     return out
 
 
@@ -314,19 +316,14 @@ def _number(convert, text: str):
 
 def _validate(doc, name: str):
     """``doc`` (the config, or the params of experiment ``name``) as the walk
-    over ``_TABLES[name]`` accepts it.  A rejection is worded by jsonschema's
-    best match, with the path of the value it names in the config; the walk
-    rejects only what jsonschema does, so the fixed text for a rejection that
-    jsonschema finds no error in is not reached."""
+    over ``_TABLES[name]`` accepts it.  A rejection gives the walk's reason
+    and the path of the value it names in the config (the params are an
+    object by then, so only the config itself is named by ``name``)."""
     try:
-        return _walk(_TABLES[name], doc)
-    except _Rejected:
-        error = jsonschema.exceptions.best_match(_VALIDATORS[name].iter_errors(doc))
-        if error is None:
-            raise ConfigError("config schema violation") from None
-        path = ".".join(map(str, [*(["params"] if name in EXPERIMENTS else []), *error.path]))
-        raise ConfigError(f"config schema violation: {error.message}"
-                          + (f" (at {path})" if path else "")) from None
+        return _walk(_TABLES[name], doc, name)
+    except _Rejected as e:
+        path = ".".join(map(str, [*(["params"] if name in EXPERIMENTS else []), *reversed(e.keys)]))
+        raise ConfigError(f"config schema violation: {e}" + (f" (at {path})" if path else "")) from None
 
 
 def _resolve_config(args) -> dict:

@@ -195,6 +195,18 @@ def test_powers_from_fractions_examples():
     assert err.value.floor == pytest.approx(0.5 - 1 / math.pi)
 
 
+@pytest.mark.parametrize("pbar, error, message", [
+    (-1.0, ValueError, r"^pbar must be > 0, not -1\.0$"),
+    (math.nan, ValueError, r"^pbar must be > 0, not nan$"),
+    (2.0, ContractError, r"^moments computed at input power 1\.0, plan has 2\.0$"),
+])
+def test_powers_from_fractions_checks_its_pbar(pbar, error, message):
+    # these returned [-1, -1], [nan, nan] and [2, 2]: the powers of moments
+    # computed at 1.0, scaled by a pbar they were not computed at
+    with pytest.raises(error, match=message):
+        powers_from_fractions((0.5, 0.5), one_bit_moments(), pbar, (0.5, 0.5))
+
+
 @pytest.mark.parametrize("nu", [(math.nan, math.nan), (0.5, math.nan), (math.inf, -math.inf)])
 def test_non_finite_shares_are_rejected(nu):
     m = one_bit_moments()

@@ -41,7 +41,7 @@ from qlt import (
     noise_free_rate,
     tx_moments,
 )
-from qlt._rng import _TYPES, check_value
+from qlt._rng import _TYPES, SEED_RULE, check_value
 from qlt.cli import main, package_defaults
 from qlt.moments import NOISE_POWER_RULE
 from qlt.quantizer import KAPPA_RULE, POWER_RULE
@@ -423,7 +423,7 @@ def test_a_midrise_quantizer_past_16_bits_is_a_config_error(tmp_path, capsys, bi
     cfg = moments_cfg(str(tmp_path / "out"),
                       quantizer={"kind": "uniform_midrise", "bits": bits, "clip": 1.0})
     assert main(["moments", "--config", write_cfg(tmp_path, cfg)]) == 2
-    assert f"{bits} is greater than the maximum of 16 (at params.quantizer.bits)" in capsys.readouterr().err
+    assert f"bits must be in [1, 16], not {bits} (at params.quantizer.bits)" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -1028,7 +1028,7 @@ def test_a_negative_seed_override_is_refused(tmp_path, capsys):
     preset = pathlib.Path(__file__).resolve().parents[1] / "configs" / "moments_3bit.json"
     out = tmp_path / "out"
     assert main(["moments", "--config", str(preset), "--out", str(out), "--seed", "-1"]) == 2
-    assert capsys.readouterr().err == "config error: seed must be non-negative, not -1\n"
+    assert capsys.readouterr().err == "config error: seed must be >= 0, not -1\n"
     assert not out.exists()
 
 
@@ -1248,25 +1248,37 @@ LEVELS = {"kind": "custom_levels", "levels": [-1.0, 1.0]}
 AWGN = {"kind": "awgn", "noise_power": 0.1}
 GRID = {"start": 0.0, "stop": 1.0, "step": 1.0}
 
-# one case per constraint of the config schemas: (experiment, path, value);
-# DELETE removes the key
+# the walk's words for a missing key and an unknown one, JSON Schema's
+_REQUIRED = "{!r} is a required property"
+_UNEXPECTED = "Additional properties are not allowed ({!r} was unexpected)"
+_NO_QUANTIZER_KIND = ("kind must be one of ['identity', 'uniform_midrise', 'custom_levels'], "
+                      "not 'round'")
+
+# one case per constraint of the config schemas: (experiment, path, value,
+# the reason of its rejection); DELETE removes the key
 INVALID = {
     # top level
-    "schema-version": ("moments", ("schema_version",), 2),
-    "no-schema-version": ("moments", ("schema_version",), DELETE),
-    "unknown-experiment": ("moments", ("experiment",), "nope"),
-    "no-experiment": ("moments", ("experiment",), DELETE),
-    "seed-negative": ("moments", ("seed",), -1),
-    "seed-float": ("moments", ("seed",), 1.5),
-    "output-unknown-key": ("moments", ("output",), {"dir": "x"}),
-    "output-format": ("moments", ("output",), {"format": "xml"}),
-    "output-path-type": ("moments", ("output",), {"path": 3}),
-    "params-type": ("moments", ("params",), [1]),
-    "no-params": ("moments", ("params",), DELETE),
-    "top-unknown-key": ("moments", ("extra",), 1),
+    "schema-version": ("moments", ("schema_version",), 2,
+                       "schema_version must be one of [1], not 2"),
+    "no-schema-version": ("moments", ("schema_version",), DELETE,
+                          _REQUIRED.format("schema_version")),
+    "unknown-experiment": ("moments", ("experiment",), "nope",
+                           "experiment must be one of ['moments', 'montecarlo', 'rate', "
+                           "'spectrum', 'sweep-aclr', 'sweep-snr', 'upper-bound', 'waveform'], "
+                           "not 'nope'"),
+    "no-experiment": ("moments", ("experiment",), DELETE, _REQUIRED.format("experiment")),
+    "seed-negative": ("moments", ("seed",), -1, "seed must be >= 0, not -1"),
+    "seed-float": ("moments", ("seed",), 1.5, "seed must be of type integer, not 1.5"),
+    "output-unknown-key": ("moments", ("output",), {"dir": "x"}, _UNEXPECTED.format("dir")),
+    "output-format": ("moments", ("output",), {"format": "xml"},
+                      "format must be one of ['csv', 'json'], not 'xml'"),
+    "output-path-type": ("moments", ("output",), {"path": 3}, "path must be of type string, not 3"),
+    "params-type": ("moments", ("params",), [1], "params must be of type object, not [1]"),
+    "no-params": ("moments", ("params",), DELETE, _REQUIRED.format("params")),
+    "top-unknown-key": ("moments", ("extra",), 1, _UNEXPECTED.format("extra")),
     # a missing required key in each experiment
     **{
-        f"missing-{exp}-{key}": (exp, ("params", key), DELETE)
+        f"missing-{exp}-{key}": (exp, ("params", key), DELETE, _REQUIRED.format(key))
         for exp, key in [
             ("moments", "quantizer"), ("moments", "pbar"), ("spectrum", "quantizer"),
             ("spectrum", "fractions"), ("spectrum", "powers"), ("rate", "noise_power"),
@@ -1276,89 +1288,135 @@ INVALID = {
         ]
     },
     # an unknown key in each experiment's params
-    **{f"{exp}-unknown-param": (exp, ("params", "bogus"), 1) for exp in MINIMAL},
+    **{f"{exp}-unknown-param": (exp, ("params", "bogus"), 1, _UNEXPECTED.format("bogus"))
+       for exp in MINIMAL},
     # quantizer
-    "quantizer-kind": ("spectrum", ("params", "quantizer"), {"kind": "round"}),
-    "quantizer-no-kind": ("spectrum", ("params", "quantizer"), {"bits": 1, "clip": 1.0}),
-    "quantizer-bits": ("spectrum", ("params", "quantizer"), dict(Q1, bits=0)),
-    "quantizer-clip": ("spectrum", ("params", "quantizer"), dict(Q1, clip=0.0)),
-    "quantizer-levels-empty": ("spectrum", ("params", "quantizer"), dict(LEVELS, levels=[])),
-    "quantizer-levels-type": ("spectrum", ("params", "quantizer"), dict(LEVELS, levels=["a"])),
-    "quantizer-unknown-key": ("spectrum", ("params", "quantizer"), dict(Q1, gain=1.0)),
+    "quantizer-kind": ("spectrum", ("params", "quantizer"), {"kind": "round"}, _NO_QUANTIZER_KIND),
+    "quantizer-no-kind": ("spectrum", ("params", "quantizer"), {"bits": 1, "clip": 1.0},
+                          _REQUIRED.format("kind")),
+    "quantizer-bits": ("spectrum", ("params", "quantizer"), dict(Q1, bits=0),
+                       "bits must be in [1, 16], not 0"),
+    "quantizer-clip": ("spectrum", ("params", "quantizer"), dict(Q1, clip=0.0),
+                       "clip must be > 0, not 0.0"),
+    "quantizer-levels-empty": ("spectrum", ("params", "quantizer"), dict(LEVELS, levels=[]),
+                               "levels must have a length >= 1, not 0"),
+    "quantizer-levels-type": ("spectrum", ("params", "quantizer"), dict(LEVELS, levels=["a"]),
+                              "levels must be of type number, not 'a'"),
+    "quantizer-unknown-key": ("spectrum", ("params", "quantizer"), dict(Q1, gain=1.0),
+                              _UNEXPECTED.format("gain")),
     # another kind's keys
     "quantizer-identity-with-bits": ("spectrum", ("params", "quantizer"),
-                                     {"kind": "identity", "bits": 3}),
-    "quantizer-midrise-with-levels": ("spectrum", ("params", "quantizer"), dict(Q1, levels=[1.0])),
-    "quantizer-levels-with-clip": ("spectrum", ("params", "quantizer"), dict(LEVELS, clip=1.0)),
-    "adc-identity-with-levels": ("rate", ("params", "adc"), {"kind": "identity", "levels": [1.0]}),
-    "adc-kind": ("rate", ("params", "adc"), {"kind": "round"}),
+                                     {"kind": "identity", "bits": 3}, _UNEXPECTED.format("bits")),
+    "quantizer-midrise-with-levels": ("spectrum", ("params", "quantizer"), dict(Q1, levels=[1.0]),
+                                      _UNEXPECTED.format("levels")),
+    "quantizer-levels-with-clip": ("spectrum", ("params", "quantizer"), dict(LEVELS, clip=1.0),
+                                   _UNEXPECTED.format("clip")),
+    "adc-identity-with-levels": ("rate", ("params", "adc"), {"kind": "identity", "levels": [1.0]},
+                                 _UNEXPECTED.format("levels")),
+    "adc-kind": ("rate", ("params", "adc"), {"kind": "round"}, _NO_QUANTIZER_KIND),
     # channel
-    "channel-kind": ("moments", ("params", "channel"), dict(AWGN, kind="rayleigh")),
-    "channel-noise-negative": ("moments", ("params", "channel"), dict(AWGN, noise_power=-0.1)),
-    "channel-no-noise": ("moments", ("params", "channel"), {"kind": "awgn"}),
-    "channel-unknown-key": ("moments", ("params", "channel"), dict(AWGN, fade=1)),
+    "channel-kind": ("moments", ("params", "channel"), dict(AWGN, kind="rayleigh"),
+                     "kind must be one of ['awgn'], not 'rayleigh'"),
+    "channel-noise-negative": ("moments", ("params", "channel"), dict(AWGN, noise_power=-0.1),
+                               "noise_power must be >= 0, not -0.1"),
+    "channel-no-noise": ("moments", ("params", "channel"), {"kind": "awgn"},
+                         _REQUIRED.format("noise_power")),
+    "channel-unknown-key": ("moments", ("params", "channel"), dict(AWGN, fade=1),
+                            _UNEXPECTED.format("fade")),
     # method
-    "method-kind": ("moments", ("params", "method"), {"kind": "exact"}),
-    "method-no-kind": ("moments", ("params", "method"), {"nodes": 9}),
-    "method-nodes": ("moments", ("params", "method"), {"kind": "quadrature", "nodes": 2}),
-    "method-samples": ("moments", ("params", "method"), {"kind": "montecarlo", "samples": 0}),
-    "method-unknown-key": ("moments", ("params", "method"), {"kind": "quadrature", "seed": 1}),
+    "method-kind": ("moments", ("params", "method"), {"kind": "exact"},
+                    "kind must be one of ['quadrature', 'montecarlo'], not 'exact'"),
+    "method-no-kind": ("moments", ("params", "method"), {"nodes": 9}, _REQUIRED.format("kind")),
+    "method-nodes": ("moments", ("params", "method"), {"kind": "quadrature", "nodes": 2},
+                     "nodes must be >= 3, not 2"),
+    "method-samples": ("moments", ("params", "method"), {"kind": "montecarlo", "samples": 0},
+                       "samples must be >= 1, not 0"),
+    "method-unknown-key": ("moments", ("params", "method"), {"kind": "quadrature", "seed": 1},
+                           _UNEXPECTED.format("seed")),
     # a key of the other kind, though neither kind requires it
     "method-montecarlo-with-nodes": ("moments", ("params", "method"),
-                                     {"kind": "montecarlo", "samples": 1000, "nodes": 7}),
+                                     {"kind": "montecarlo", "samples": 1000, "nodes": 7},
+                                     _UNEXPECTED.format("nodes")),
     "method-quadrature-with-samples": ("moments", ("params", "method"),
-                                       {"kind": "quadrature", "samples": 1000}),
+                                       {"kind": "quadrature", "samples": 1000},
+                                       _UNEXPECTED.format("samples")),
     # scalar params
-    "pbar-zero": ("moments", ("params", "pbar"), 0.0),
-    "fractions-empty": ("spectrum", ("params", "fractions"), []),
-    "powers-type": ("spectrum", ("params", "powers"), [2.0, "x"]),
-    "noise-power-negative": ("rate", ("params", "noise_power"), -0.1),
-    "include-gap-type": ("upper-bound", ("params", "include_gap"), "yes"),
-    "upper-bound-pbar": ("upper-bound", ("params", "pbar"), 0.0),
+    "pbar-zero": ("moments", ("params", "pbar"), 0.0, "pbar must be > 0, not 0.0"),
+    "fractions-empty": ("spectrum", ("params", "fractions"), [],
+                        "fractions must have a length >= 1, not 0"),
+    "powers-type": ("spectrum", ("params", "powers"), [2.0, "x"],
+                    "powers must be of type number, not 'x'"),
+    "noise-power-negative": ("rate", ("params", "noise_power"), -0.1,
+                             "noise_power must be >= 0, not -0.1"),
+    "include-gap-type": ("upper-bound", ("params", "include_gap"), "yes",
+                         "include_gap must be of type boolean, not 'yes'"),
+    "upper-bound-pbar": ("upper-bound", ("params", "pbar"), 0.0, "pbar must be > 0, not 0.0"),
     # sweeps
-    "bits-empty": ("sweep-snr", ("params", "bits"), []),
-    "bits-zero": ("sweep-snr", ("params", "bits"), [0]),
-    "kappa-zero": ("sweep-snr", ("params", "kappa"), 0.0),
-    "step-zero": ("sweep-snr", ("params", "snr_db"), dict(GRID, step=0.0)),
-    "step-negative": ("sweep-aclr", ("params", "aclr_db"), dict(GRID, step=-1.0)),
-    "grid-no-start": ("sweep-snr", ("params", "snr_db"), {"stop": 1.0, "step": 1.0}),
-    "grid-unknown-key": ("sweep-snr", ("params", "snr_db"), dict(GRID, n=2)),
-    "sweep-aclr-pbar": ("sweep-aclr", ("params", "pbar"), -1.0),
-    "sweep-aclr-three-bands": ("sweep-aclr", ("params", "fractions"), [0.25, 0.25, 0.5]),
-    "sweep-aclr-ideal-dac": ("sweep-aclr", ("params", "bits"), [1, None]),
+    "bits-empty": ("sweep-snr", ("params", "bits"), [], "bits must have a length >= 1, not 0"),
+    "bits-zero": ("sweep-snr", ("params", "bits"), [0], "bits must be in [1, 16], not 0"),
+    "kappa-zero": ("sweep-snr", ("params", "kappa"), 0.0, "kappa must be > 0, not 0.0"),
+    "step-zero": ("sweep-snr", ("params", "snr_db"), dict(GRID, step=0.0),
+                  "step must be > 0, not 0.0"),
+    "step-negative": ("sweep-aclr", ("params", "aclr_db"), dict(GRID, step=-1.0),
+                      "step must be > 0, not -1.0"),
+    "grid-no-start": ("sweep-snr", ("params", "snr_db"), {"stop": 1.0, "step": 1.0},
+                      _REQUIRED.format("start")),
+    "grid-unknown-key": ("sweep-snr", ("params", "snr_db"), dict(GRID, n=2),
+                         _UNEXPECTED.format("n")),
+    "sweep-aclr-pbar": ("sweep-aclr", ("params", "pbar"), -1.0, "pbar must be > 0, not -1.0"),
+    "sweep-aclr-three-bands": ("sweep-aclr", ("params", "fractions"), [0.25, 0.25, 0.5],
+                               "fractions must have a length in [2, 2], not 3"),
+    "sweep-aclr-ideal-dac": ("sweep-aclr", ("params", "bits"), [1, None],
+                             "bits must be of type integer, not None"),
     # montecarlo
-    "size-zero": ("montecarlo", ("params", "size"), 0),
-    "trials-zero": ("montecarlo", ("params", "trials"), 0),
-    "transform": ("montecarlo", ("params", "transform"), "dct"),
-    "assignment": ("montecarlo", ("params", "assignment"), "random"),
-    "mode": ("montecarlo", ("params", "mode"), "rx"),
-    "per-trial-csv-type": ("montecarlo", ("params", "per_trial_csv"), 1),
+    "size-zero": ("montecarlo", ("params", "size"), 0, "size must be >= 1, not 0"),
+    "trials-zero": ("montecarlo", ("params", "trials"), 0, "trials must be >= 1, not 0"),
+    "transform": ("montecarlo", ("params", "transform"), "dct",
+                  "transform must be one of ['haar', 'fft'], not 'dct'"),
+    "assignment": ("montecarlo", ("params", "assignment"), "random",
+                   "assignment must be one of ['contiguous', 'interleaved'], not 'random'"),
+    "mode": ("montecarlo", ("params", "mode"), "rx",
+             "mode must be one of ['tx', 'chain'], not 'rx'"),
+    "per-trial-csv-type": ("montecarlo", ("params", "per_trial_csv"), 1,
+                           "per_trial_csv must be of type boolean, not 1"),
     # waveform
-    "occupied-bandwidth": ("waveform", ("params", "occupied_bandwidth"), 0.0),
-    "sample-rate": ("waveform", ("params", "sample_rate"), 0.0),
-    "guard-band": ("waveform", ("params", "guard_band"), -1.0),
-    "num-subcarriers": ("waveform", ("params", "num_subcarriers"), 4),
-    "num-symbols": ("waveform", ("params", "num_symbols"), 0),
-    "symbol-taper-high": ("waveform", ("params", "symbol_taper"), 1.5),
-    "symbol-taper-low": ("waveform", ("params", "symbol_taper"), -0.1),
-    "filter-taps": ("waveform", ("params", "filter_taps"), 7),
-    "filter-attenuation": ("waveform", ("params", "filter_attenuation_db"), 0.0),
-    "zoh-type": ("waveform", ("params", "zoh"), "no"),
-    "psd-segment-length": ("waveform", ("params", "psd_segment_length"), 32),
-    "psd-overlap-high": ("waveform", ("params", "psd_overlap"), 0.95),
-    "psd-overlap-low": ("waveform", ("params", "psd_overlap"), -0.1),
-    "psd-window-type": ("waveform", ("params", "psd_window"), 3),
-    "dac-no-bits": ("waveform", ("params", "dac"), {"kappa": 3.0}),
-    "dac-bits": ("waveform", ("params", "dac"), {"bits": 0}),
-    "dac-kappa": ("waveform", ("params", "dac"), {"bits": 4, "kappa": 0.0}),
-    "dac-clip": ("waveform", ("params", "dac"), {"bits": 4, "clip": 0.0}),
-    "dac-unknown-key": ("waveform", ("params", "dac"), {"bits": 4, "gain": 1.0}),
+    "occupied-bandwidth": ("waveform", ("params", "occupied_bandwidth"), 0.0,
+                           "occupied_bandwidth must be > 0, not 0.0"),
+    "sample-rate": ("waveform", ("params", "sample_rate"), 0.0, "sample_rate must be > 0, not 0.0"),
+    "guard-band": ("waveform", ("params", "guard_band"), -1.0, "guard_band must be >= 0, not -1.0"),
+    "num-subcarriers": ("waveform", ("params", "num_subcarriers"), 4,
+                        "num_subcarriers must be >= 8, not 4"),
+    "num-symbols": ("waveform", ("params", "num_symbols"), 0, "num_symbols must be >= 1, not 0"),
+    "symbol-taper-high": ("waveform", ("params", "symbol_taper"), 1.5,
+                          "symbol_taper must be in [0, 1], not 1.5"),
+    "symbol-taper-low": ("waveform", ("params", "symbol_taper"), -0.1,
+                         "symbol_taper must be in [0, 1], not -0.1"),
+    "filter-taps": ("waveform", ("params", "filter_taps"), 7, "filter_taps must be >= 11, not 7"),
+    "filter-attenuation": ("waveform", ("params", "filter_attenuation_db"), 0.0,
+                           "filter_attenuation_db must be > 0, not 0.0"),
+    "zoh-type": ("waveform", ("params", "zoh"), "no", "zoh must be of type boolean, not 'no'"),
+    "psd-segment-length": ("waveform", ("params", "psd_segment_length"), 32,
+                           "psd_segment_length must be >= 64, not 32"),
+    "psd-overlap-high": ("waveform", ("params", "psd_overlap"), 0.95,
+                         "psd_overlap must be in [0, 0.9], not 0.95"),
+    "psd-overlap-low": ("waveform", ("params", "psd_overlap"), -0.1,
+                        "psd_overlap must be in [0, 0.9], not -0.1"),
+    "psd-window-type": ("waveform", ("params", "psd_window"), 3,
+                        "psd_window must be of type string, not 3"),
+    "dac-no-bits": ("waveform", ("params", "dac"), {"kappa": 3.0}, _REQUIRED.format("bits")),
+    "dac-bits": ("waveform", ("params", "dac"), {"bits": 0}, "bits must be in [1, 16], not 0"),
+    "dac-kappa": ("waveform", ("params", "dac"), {"bits": 4, "kappa": 0.0},
+                  "kappa must be > 0, not 0.0"),
+    "dac-clip": ("waveform", ("params", "dac"), {"bits": 4, "clip": 0.0},
+                 "clip must be > 0, not 0.0"),
+    "dac-unknown-key": ("waveform", ("params", "dac"), {"bits": 4, "gain": 1.0},
+                        _UNEXPECTED.format("gain")),
 }
 
 
 @pytest.mark.parametrize("case", sorted(INVALID))
-def test_invalid_params_exit_2_without_output(tmp_path, capsys, case):
-    experiment, path, value = INVALID[case]
+def test_invalid_params_exit_2_without_output(tmp_path, capsys, monkeypatch, case):
+    experiment, path, value, reason = INVALID[case]
     params = copy.deepcopy(MINIMAL[experiment])
     doc = {"schema_version": 1, "experiment": experiment, "params": params}
     *parents, last = path
@@ -1369,35 +1427,62 @@ def test_invalid_params_exit_2_without_output(tmp_path, capsys, case):
         del target[last]
     else:
         target[last] = value
-    out = tmp_path / "out"
-    assert main([experiment, "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 2
-    # the walk alone rejects the config or, past it, the params; the message
-    # is jsonschema's best match on that part, as it was before the walk
+    # the walk rejects the config or, past it, the params, and so does
+    # jsonschema; the message ends with the path of jsonschema's best match
     name, part = ("config", doc) if not _walk_accepts("config", doc) else (experiment, params)
     assert not _walk_accepts(name, part)
     error = best_match(ORACLES[name].iter_errors(part))
     path = [*(["params"] if name != "config" else []), *error.path]
     where = f" (at {'.'.join(map(str, path))})" if path else ""
-    assert capsys.readouterr().err == (
-        f"config error: config schema violation: {error.message}{where}\n")
+    # the rejection is the walk's alone: jsonschema is never called
+    monkeypatch.setattr(Draft202012Validator, "iter_errors", _no_call)
+    monkeypatch.setattr("jsonschema.exceptions.best_match", _no_call)
+    out = tmp_path / "out"
+    assert main([experiment, "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: config schema violation: {reason}{where}\n"
     assert not out.exists()
 
 
-def test_config_schemas_pass_the_metaschema():
-    assert set(cli._VALIDATORS) == {"config", *cli.EXPERIMENTS}
-    for validator in cli._VALIDATORS.values():
-        Draft202012Validator.check_schema(validator.schema)
+def _no_call(*args, **kwargs):
+    raise AssertionError("jsonschema was called")
 
 
 # --- the config walk against jsonschema, its oracle
 
-#: jsonschema's validator of each table's schema, built here apart from cli's
-ORACLES = {name: Draft202012Validator(cli.schema_of(t)) for name, t in cli._TABLES.items()}
+
+def schema_of(spec) -> dict:
+    """The JSON schema of a table or a ``_Kinds`` (or of a plain schema
+    fragment).  A ``_Kinds`` is an object with a required ``kind`` and one
+    ``allOf`` branch per kind: if ``kind`` is that kind, then the object is
+    its table plus ``kind``."""
+    if isinstance(spec, cli._Kinds):
+        return {"type": "object", "properties": {"kind": {"enum": list(spec)}}, "required": ["kind"],
+                "allOf": [{"if": {"properties": {"kind": {"const": k}}, "required": ["kind"]},
+                           "then": schema_of(cli._Table(kind=({"const": k}, cli.REQUIRED), **table))}
+                          for k, table in spec.items()]}
+    if not isinstance(spec, cli._Table):
+        return spec
+    return {
+        "type": "object",
+        "properties": {name: schema_of(s) for name, (s, _) in spec.items()},
+        "required": [name for name, (_, d) in spec.items() if d is cli.REQUIRED],
+        "additionalProperties": False,
+    }
+
+
+#: jsonschema's validator of each table's schema: the walk's oracle
+ORACLES = {name: Draft202012Validator(schema_of(t)) for name, t in cli._TABLES.items()}
+
+
+def test_config_schemas_pass_the_metaschema():
+    assert set(ORACLES) == {"config", *cli.EXPERIMENTS}
+    for validator in ORACLES.values():
+        Draft202012Validator.check_schema(validator.schema)
 
 
 def _walk_accepts(name, doc) -> bool:
     try:
-        cli._walk(cli._TABLES[name], doc)
+        cli._walk(cli._TABLES[name], doc, name)
     except cli._Rejected:
         return False
     return True
@@ -1444,7 +1529,7 @@ VIOLATIONS = [
 LIBRARY_RULES = [*MonteCarlo.BOUNDS.values(), *SimConfig.BOUNDS.values(),
                  *WaveformConfig.BOUNDS.values(),
                  *(r for bounds in QuantizerSpec.BOUNDS.values() for r in bounds.values()),
-                 POWER_RULE, KAPPA_RULE, NOISE_POWER_RULE]
+                 POWER_RULE, KAPPA_RULE, NOISE_POWER_RULE, SEED_RULE]
 
 
 def test_the_walk_interprets_every_keyword_of_the_tables():
@@ -1461,16 +1546,16 @@ def test_the_walk_interprets_every_keyword_of_the_tables():
     assert all(isinstance(m, (str, int)) and not isinstance(m, bool) for m in members)
     for keyword, fragment, value in VIOLATIONS:
         assert not Draft202012Validator(fragment).is_valid(value), keyword
-        with pytest.raises(cli._Rejected):
-            cli._walk(fragment, value)
-        cli._walk({k: v for k, v in fragment.items() if k != keyword}, value)
+        with pytest.raises(cli._Rejected, match="^x must "):  # check_value's words
+            cli._walk(fragment, value, "x")
+        cli._walk({k: v for k, v in fragment.items() if k != keyword}, value, "x")
         if keyword != "items":
             with pytest.raises(ValueError, match="^x must "):
                 check_value("x", fragment, value)
             check_value("x", {k: v for k, v in fragment.items() if k != keyword}, value)
     # a type list takes each of its types; an integer-valued float becomes an int
-    assert cli._walk(cli._BITS, None) is None
-    assert type(cli._walk(cli._BITS, 3.0)) is int
+    assert cli._walk(cli._BITS, None, "x") is None
+    assert type(cli._walk(cli._BITS, 3.0, "x")) is int
 
 
 @pytest.mark.parametrize("rule, value, message", [
@@ -1488,8 +1573,9 @@ def test_check_value_names_the_value_and_its_rule(rule, value, message):
 
 
 @pytest.mark.parametrize("experiment, params, message", [
-    ("waveform", {"dac": {"bits": "a"}}, "'a' is not of type 'integer', 'null' (at params.dac.bits)"),
-    ("sweep-snr", {"bits": [1.5]}, "1.5 is not of type 'integer', 'null' (at params.bits.0)"),
+    ("waveform", {"dac": {"bits": "a"}},
+     "bits must be of type integer or null, not 'a' (at params.dac.bits)"),
+    ("sweep-snr", {"bits": [1.5]}, "bits must be of type integer or null, not 1.5 (at params.bits.0)"),
 ], ids=["dac-bits", "sweep-snr-bits"])
 def test_a_nullable_integer_is_rejected_by_its_type_list(tmp_path, capsys, experiment, params,
                                                          message):
@@ -1527,13 +1613,13 @@ OWNERS = {
     # the arguments of the library's functions: a mean power, a loading factor
     **{(exp, "pbar"): POWER_RULE for exp in ("moments", "upper-bound", "sweep-aclr")},
     **{(exp, "kappa"): KAPPA_RULE for exp in ("sweep-snr", "sweep-aclr")},
+    ("config", "seed"): SEED_RULE,
 }
 
-#: The fragments with a bound that no library rule owns: the config's seed
-#: (``check_seed`` is its library rule), the inert quadrature nodes and the
-#: grids' steps.
+#: The fragments with a bound that no library rule owns: the inert
+#: quadrature nodes and the grids' steps.
 CLI_ONLY = {
-    ("config", "seed"), ("moments", "method", "quadrature", "nodes"),
+    ("moments", "method", "quadrature", "nodes"),
     ("sweep-snr", "snr_db", "step"), ("sweep-aclr", "aclr_db", "step"),
 }
 
@@ -1631,13 +1717,17 @@ BOUND_CASES = [
                          ids=[f"{c.__name__}.{f}-{w}" for c, f, w, _ in BOUND_CASES])
 def test_a_value_just_past_a_declared_bound_is_refused_by_the_library_and_the_cli(
         tmp_path, capsys, config, field, word, value):
-    with pytest.raises(ValueError, match=f"^{field} must be "):
+    with pytest.raises(ValueError, match=f"^{field} must be ") as refused:
         replace(_VALID[config], **{field: value})
     experiment, params, path = _where(config, field, value)
     doc = {"schema_version": 1, "experiment": experiment, "params": params}
     out = tmp_path / "out"
     assert main([experiment, "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 2
-    assert capsys.readouterr().err.endswith(f" (at params.{path})\n")
+    # one wording: the library's message, named by the config's key
+    key = path.rsplit(".", 1)[-1]
+    reason = key + str(refused.value).removeprefix(field)
+    assert capsys.readouterr().err == (
+        f"config error: config schema violation: {reason} (at params.{path})\n")
     assert not out.exists()
 
 
@@ -1722,10 +1812,14 @@ def _mutated_configs(draw):
 def test_the_walk_accepts_exactly_what_jsonschema_accepts(case):
     experiment, doc = case
     for name, part in (("config", doc), (experiment, doc.get("params"))):
-        accepted = _walk_accepts(name, part)
-        assert accepted == ORACLES[name].is_valid(part), (name, part)
-        if accepted:
-            assert cli._walk(cli._TABLES[name], part) == part
+        try:
+            walked = cli._walk(cli._TABLES[name], part, name)
+        except cli._Rejected as e:
+            # the value the walk names is one that jsonschema finds an error at
+            assert [*reversed(e.keys)] in [list(err.path) for err in ORACLES[name].iter_errors(part)]
+        else:
+            assert ORACLES[name].is_valid(part), (name, part)
+            assert walked == part
 
 
 def _integer_paths(spec, path=()):
@@ -1828,7 +1922,7 @@ def test_a_quantizer_object_is_the_spec_its_factory_makes(obj):
 
 # (experiment, params, the rejection): a key of another kind of a kind-tagged
 # object is named, as is a kind that is none of the object's kinds
-_STRAY = "Additional properties are not allowed ({!r} was unexpected) (at params.{})"
+_STRAY = _UNEXPECTED + " (at params.{})"
 
 
 @pytest.mark.parametrize("experiment, params, message", [
@@ -1846,10 +1940,10 @@ _STRAY = "Additional properties are not allowed ({!r} was unexpected) (at params
      _STRAY.format("bits", "channel")),
     ("moments", {"quantizer": {"kind": "uniform_midrse", "bits": 3, "clip": 1.5, "gain": 1.0},
                  "pbar": 1.0},
-     "'uniform_midrse' is not one of ['identity', 'uniform_midrise', 'custom_levels'] "
+     "kind must be one of ['identity', 'uniform_midrise', 'custom_levels'], not 'uniform_midrse' "
      "(at params.quantizer.kind)"),
     ("moments", {"quantizer": Q3, "pbar": 1.0, "channel": {"kind": "quadrature"}},
-     "'quadrature' is not one of ['awgn'] (at params.channel.kind)"),
+     "kind must be one of ['awgn'], not 'quadrature' (at params.channel.kind)"),
 ], ids=["quantizer-identity-bits", "quantizer-levels-clip", "adc-midrise-levels",
         "method-quadrature-samples", "method-montecarlo-nodes", "channel-awgn-bits",
         "quantizer-unknown-kind", "channel-unknown-kind"])

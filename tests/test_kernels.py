@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -229,7 +231,7 @@ def test_a_seed_that_is_not_an_integer_is_refused():
     plan = SubbandPlan((1.0,), (1.0,))
     dac = QuantizerSpec.uniform_midrise(1, 1.0)
     for seed in (3.0, np.float64(3.0), True, np.bool_(True), "3", None):
-        with pytest.raises(TypeError, match="seed must be an integer"):
+        with pytest.raises(ValueError, match=f"^seed must be of type integer, not {re.escape(repr(seed))}$"):
             substream(seed, "trial", 0)
         for make in (
             lambda: MonteCarlo(seed=seed),
@@ -255,8 +257,27 @@ def test_a_negative_seed_is_refused():
             lambda: SimConfig(size=4, plan=plan, dac=dac, seed=seed),
             lambda: WaveformConfig(seed=seed),
         ):
-            with pytest.raises(ValueError, match="seed must be non-negative, not -1"):
+            with pytest.raises(ValueError, match="^seed must be >= 0, not -1$"):
                 make()
+
+
+def test_a_numpy_integer_is_an_integer_and_a_bool_is_not():
+    # every integer field takes a numpy integer, as a seed does
+    plan = SubbandPlan((1.0,), (1.0,))
+    dac = QuantizerSpec.uniform_midrise(1, 1.0)
+    assert SimConfig(size=np.int64(64), plan=plan, dac=dac) == SimConfig(size=64, plan=plan, dac=dac)
+    assert MonteCarlo(samples=np.int64(100)) == MonteCarlo(samples=100)
+    assert WaveformConfig(num_symbols=np.int64(4)) == WaveformConfig(num_symbols=4)
+    spec = QuantizerSpec.uniform_midrise(np.int64(4), 1.0)
+    assert spec == QuantizerSpec.uniform_midrise(4, 1.0)
+    assert hash(spec) == hash(QuantizerSpec.uniform_midrise(4, 1.0))
+    # each becomes its int, so a size computed from it does not wrap past 2**63
+    assert type(spec.bits) is int and type(MonteCarlo(samples=np.int64(100)).samples) is int
+    with pytest.raises(ValueError, match="^size 4611686018427387904 x trials 4 has more points"):
+        SimConfig(size=np.int64(2**62), trials=4, plan=plan, dac=dac)
+    for flag in (True, np.bool_(True)):
+        with pytest.raises(ValueError, match="^samples must be of type integer, not "):
+            MonteCarlo(samples=flag)
 
 
 def test_a_size_no_array_can_index_is_refused_by_the_config_that_allocates_it():

@@ -398,7 +398,7 @@ def test_the_identity_quantizer_writes_out_unchanged():
      "custom_levels quantizer takes no bits"),
     # midrise bits are an int in 1..MAX_BITS
     (lambda: QuantizerSpec.uniform_midrise(3.0, 1.0), ValueError, r"^bits must be of type integer, not 3\.0$"),
-    (lambda: QuantizerSpec.uniform_midrise(np.int64(3), 1.0), ValueError, "bits must be of type integer"),
+    (lambda: QuantizerSpec.uniform_midrise(np.bool_(True), 1.0), ValueError, "bits must be of type integer"),
     (lambda: QuantizerSpec.uniform_midrise(True, 1.0), ValueError, "bits must be of type integer"),
     (lambda: QuantizerSpec.uniform_midrise(17, 1.0), ValueError, r"^bits must be in \[1, 16\], not 17$"),
     (lambda: QuantizerSpec.uniform_midrise(0, 1.0), ValueError, r"^bits must be in \[1, 16\], not 0$"),
@@ -426,7 +426,7 @@ def test_the_identity_quantizer_writes_out_unchanged():
     (lambda: QuantizerSpec.uniform_midrise(3, 5e-324), ValueError, "step below float resolution"),
     (lambda: QuantizerSpec.uniform_midrise(16, 1.5e-319), ValueError, "step below float resolution"),
 ], ids=["identity_with_bits", "midrise_with_levels", "custom_levels_with_bits_and_clip", "float_bits",
-        "numpy_int_bits", "bool_bits", "bits_past_16", "zero_bits", "zero_clip", "negative_clip",
+        "numpy_bool_bits", "bool_bits", "bits_past_16", "zero_bits", "zero_clip", "negative_clip",
         "nan_clip", "no_clip", "non_finite_level", "unknown_kind",
         "identity_levels", "no_points", "repeated_point", "nested_list_levels", "2d_array_levels",
         "0d_levels", "constructor_2d_levels", "ragged_levels", "subnormal_step_3_bit",
