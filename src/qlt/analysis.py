@@ -53,12 +53,17 @@ class SubbandPlan:
 
     fractions follow the module's fraction rule; powers are finite and non-negative
     with a positive weighted mean ``mean_power = sum(fractions * powers)``.
+    Every element of both is a number (a numpy one too), not a bool, a
+    string or a nested sequence.
     """
 
     fractions: tuple[float, ...]
     powers: tuple[float, ...]
 
     def __post_init__(self):
+        for name, values in (("fractions", self.fractions), ("powers", self.powers)):
+            for v in values if isinstance(values, (list, tuple)) else np.ravel(values):
+                check_value(name, {"type": "number"}, v)
         fr = _check_fractions(self.fractions)
         pw = np.asarray(self.powers, dtype=float)
         if pw.shape != (len(fr),):

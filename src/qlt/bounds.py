@@ -208,7 +208,7 @@ def _bound_rows(cset: QuantizerSpec, total, shares, fractions) -> tuple[float, f
     fr = _check_fractions(fractions)
     rows = np.asarray(shares, dtype=float)
     if rows.ndim != 2 or rows.shape[1] != len(fr):
-        raise ValueError("share rows and fractions must have equal length")
+        raise ValueError("share rows must be a 2-D array as wide as the fractions")
     if total <= 0:
         raise ValueError("total target energy must be positive")
     losses = []

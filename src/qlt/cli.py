@@ -358,8 +358,9 @@ def _resolve_config(args) -> dict:
     return cfg
 
 
-def _grid(spec: dict, name: str) -> np.ndarray:
-    """The points of the grid object ``spec``, the value of key ``name``."""
+def _db_grid(spec: dict, name: str) -> tuple[list, list]:
+    """The points of the dB grid object ``spec``, the value of key ``name``,
+    as floats (an integer grid's too), and the power ratio of each."""
     if spec["start"] > spec["stop"]:
         raise ConfigError(f"{name} grid start {spec['start']} is above its stop {spec['stop']}")
     # every point lies at or below stop; the slack absorbs the rounding of
@@ -367,7 +368,14 @@ def _grid(spec: dict, name: str) -> np.ndarray:
     steps = (spec["stop"] - spec["start"]) / spec["step"] + 1e-9
     check_size(steps, 8, f"{name} grid from {spec['start']} to {spec['stop']} "
                          f"in steps of {spec['step']}")
-    return spec["start"] + spec["step"] * np.arange(math.floor(steps) + 1)
+    grid = spec["start"] + spec["step"] * np.arange(math.floor(steps) + 1)
+    # one scalar power per point: numpy's array power differs in the last
+    # bit at some points
+    with np.errstate(over="ignore"):
+        ratios = [10.0 ** (db / 10.0) for db in grid]
+    if overflows := [db for db, ratio in zip(grid, ratios) if not math.isfinite(ratio)]:
+        raise ValueError(f"{name} grid point {overflows[0]} dB overflows its power ratio")
+    return list(map(float, grid)), ratios
 
 
 def _quantizer(obj: dict) -> QuantizerSpec:
@@ -384,17 +392,6 @@ def _adc(p: dict) -> QuantizerSpec:
 
 def _plan(p: dict) -> SubbandPlan:
     return SubbandPlan(p["fractions"], p["powers"])
-
-
-def _power_ratios(grid, name: str) -> list:
-    """The power ratio of each dB grid point, one scalar power per point
-    (numpy's array power differs in the last bit at some points)."""
-    with np.errstate(over="ignore"):
-        ratios = [10.0 ** (db / 10.0) for db in grid]
-    for db, ratio in zip(grid, ratios):
-        if not math.isfinite(ratio):
-            raise ValueError(f"{name} grid point {db} dB overflows its power ratio")
-    return ratios
 
 
 # --- result serialization (deterministic bytes)
@@ -592,35 +589,40 @@ def _run_upper_bound(p: dict, seed: int) -> tuple:
     return _record(seed, {**vars(rep), "tilt": None if math.isnan(rep.tilt) else rep.tilt})
 
 
+def _sweep(p: dict, seed: int, axis: str, pbar: float, header: list, columns) -> tuple:
+    """The table of a sweep over the dB grid ``p[axis]`` and the DAC
+    resolutions ``p["bits"]``, stamped.  Each resolution adds a row per
+    grid point: the point, the resolution (``inf`` for the ideal DAC) and
+    the ``header`` columns that ``columns(q, m, ratios)`` returns for the
+    midrise DAC ``q`` loaded at ``p["kappa"]`` sigmas of power ``pbar``,
+    its exact transmit moments ``m`` and the grid's power ratios."""
+    points, ratios = _db_grid(p[axis], axis)
+    table = [[] for _ in range(len(header) + 2)]
+    for bits in p["bits"]:
+        label = "inf" if bits is None else bits
+        q = QuantizerSpec.midrise_for_power(bits, pbar, p["kappa"])
+        rows = (points, [label] * len(points), *columns(q, tx_moments(q, pbar), ratios))
+        for column, values in zip(table, rows):
+            column += values
+    return _stamped_table(seed, [axis, "bits", *header], table)
+
+
 def _run_sweep_snr(p: dict, seed: int) -> tuple:
     plan = _plan(p)
-    grid = _grid(p["snr_db"], "snr_db")
-    snr = _power_ratios(grid, "snr_db")
-    snr_db, labels, rate = [], [], []
-    for bits in p["bits"]:
-        q = QuantizerSpec.midrise_for_power(bits, plan.mean_power, p["kappa"])
-        rate += awgn_rates_at_transmit_snr(plan, tx_moments(q, plan.mean_power), snr).tolist()
-        snr_db += map(float, grid)
-        labels += ["inf" if bits is None else bits] * grid.size
-    return _stamped_table(seed, ["snr_db", "bits", "rate_bps"], [snr_db, labels, rate])
+    return _sweep(p, seed, "snr_db", plan.mean_power, ["rate_bps"],
+                  lambda q, m, snr: [awgn_rates_at_transmit_snr(plan, m, snr).tolist()])
 
 
 def _run_sweep_aclr(p: dict, seed: int) -> tuple:
-    fr = tuple(p["fractions"])
-    pbar = p["pbar"]
-    grid = _grid(p["aclr_db"], "aclr_db")
-    ratios = np.array(_power_ratios(grid, "aclr_db"))
-    nu = np.stack([ratios / (1.0 + ratios), 1.0 / (1.0 + ratios)], axis=-1)
-    aclr_db, labels, r_lin, r_upper = [], [], [], []
-    for bits in p["bits"]:
-        q = QuantizerSpec.midrise_for_power(bits, pbar, p["kappa"])
-        m = tx_moments(q, pbar)
-        r_upper += upper_bound_rates(constellation_of(q), (m.gain**2 + m.noise) * pbar, nu, fr)
-        r_lin += noise_free_rates(fr, m, nu)
-        aclr_db += map(float, grid)
-        labels += [bits] * grid.size
-    return _stamped_table(seed, ["aclr_db", "bits", "r_lin", "r_upper"],
-                          [aclr_db, labels, r_lin, r_upper])
+    fr, pbar = tuple(p["fractions"]), p["pbar"]
+
+    def columns(q, m, ratios):
+        ratios = np.array(ratios)
+        nu = np.stack([ratios / (1.0 + ratios), 1.0 / (1.0 + ratios)], axis=-1)
+        r_upper = upper_bound_rates(constellation_of(q), (m.gain**2 + m.noise) * pbar, nu, fr)
+        return noise_free_rates(fr, m, nu), r_upper
+
+    return _sweep(p, seed, "aclr_db", pbar, ["r_lin", "r_upper"], columns)
 
 
 def _run_montecarlo(p: dict, seed: int) -> dict:

@@ -106,10 +106,13 @@ class QuantizerSpec:
                 raise ValueError(f"{self.kind} quantizer takes no {name}")
         if self.kind == "uniform_midrise":
             check_fields(self, self.BOUNDS[self.kind])
+            # a float clip, once it is a number: the constructor and the
+            # factory store the same value, and equal clips hash equal
+            clip = float(self.clip)
+            object.__setattr__(self, "clip", clip)
             # the step 2 * clip / (2**bits - 1) and the outer levels'
             # numerator clip * (2**bits - 1) must both be finite (Python
             # floats overflow to inf without a warning)
-            clip = float(self.clip)
             if not np.isfinite(2.0 * clip) or not np.isfinite(clip * (2**self.bits - 1)):
                 raise ValueError(f"uniform_midrise clip {self.clip} puts its step or levels past the float range")
             # a step below float resolution (a subnormal clip) rounds levels together
@@ -137,7 +140,7 @@ class QuantizerSpec:
 
     @classmethod
     def uniform_midrise(cls, bits: int, clip: float) -> "QuantizerSpec":
-        return cls(kind="uniform_midrise", bits=bits, clip=float(clip))
+        return cls(kind="uniform_midrise", bits=bits, clip=clip)
 
     @classmethod
     def custom_levels(cls, levels) -> "QuantizerSpec":

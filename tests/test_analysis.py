@@ -66,6 +66,26 @@ def test_plan_rejects_a_nan_fraction(fractions):
         SubbandPlan(fractions, (1.0, 1.0))
 
 
+@pytest.mark.parametrize("fractions, powers, message", [
+    ((1.0,), (True,), r"^powers must be of type number, not True$"),
+    ((1.0,), ("1",), r"^powers must be of type number, not '1'$"),
+    (("0.5", "0.5"), (1.0, 1.0), r"^fractions must be of type number, not '0\.5'$"),
+    ((0.5, 0.5), (1.0, True), r"^powers must be of type number, not True$"),
+    # numpy's own message for a ragged list names no field
+    ((0.5, 0.5), [[1.0], [1.0, 2.0]], r"^powers must be of type number, not \[1\.0\]$"),
+], ids=["bool_power", "str_power", "str_fractions", "bool_second_power", "ragged_powers"])
+def test_plan_holds_numbers(fractions, powers, message):
+    with pytest.raises(ValueError, match=message):
+        SubbandPlan(fractions, powers)
+
+
+def test_plan_takes_numpy_numbers_and_arrays():
+    want = SubbandPlan((0.5, 0.5), (1.0, 2.0))
+    for plan in (SubbandPlan(np.array([0.5, 0.5]), np.array([1.0, 2.0])),
+                 SubbandPlan((np.float64(0.5), 0.5), [np.int64(1), np.float32(2.0)])):
+        assert plan == want and all(type(v) is float for v in (*plan.fractions, *plan.powers))
+
+
 @pytest.mark.parametrize("power", [math.nan, math.inf])
 def test_plan_rejects_a_non_finite_power(power):
     # NaN passes a "< 0" test and an infinite power makes an infinite mean

@@ -357,9 +357,9 @@ def test_upper_bound_rates_check_the_total_and_the_row_width():
         upper_bound_rates(GRID16, 0.0, [(0.5, 0.5)], (0.5, 0.5))
     with pytest.raises(ValueError, match="target energy must be finite"):
         upper_bound_rates(GRID16, math.inf, [(0.5, 0.5)], (0.5, 0.5))
-    with pytest.raises(ValueError, match="equal length"):
+    with pytest.raises(ValueError, match="as wide as the fractions"):
         upper_bound_rates(GRID16, 8.0, [(0.5, 0.25, 0.25)], (0.5, 0.5))
-    with pytest.raises(ValueError, match="equal length"):
+    with pytest.raises(ValueError, match="a 2-D array"):
         upper_bound_rates(GRID16, 8.0, (0.5, 0.5), (0.5, 0.5))
     assert upper_bound_rates(GRID16, 8.0, [(1.0, 0.0)], (0.5, 0.5)) == [-math.inf]
 

@@ -752,6 +752,14 @@ def _grid_spec(start, points, step):
     return {"start": start, "stop": start + (points - 1) * step, "step": step}
 
 
+def _grid_points(grid):
+    """The points of a grid object, written out: ``start + step * k`` for
+    every k whose point lies at or below stop, up to the rounding of
+    ``(stop - start) / step``."""
+    last = math.floor((grid["stop"] - grid["start"]) / grid["step"] + 1e-9)
+    return [grid["start"] + grid["step"] * k for k in range(last + 1)]
+
+
 @st.composite
 def _plans(draw):
     parts = draw(st.lists(st.integers(1, 8), min_size=2, max_size=4))
@@ -797,7 +805,7 @@ def test_sweep_snr_rows_match_per_point_rates(tmp_path_factory, plan, bits, kapp
         q = QuantizerSpec.identity() if b is None else QuantizerSpec.uniform_midrise(
             b, clip_for_power(p.mean_power, kappa))
         m = tx_moments(q, p.mean_power)
-        for db in cli._grid(grid, "snr_db"):
+        for db in _grid_points(grid):
             rate = awgn_rate_at_transmit_snr(p, m, 10.0 ** (db / 10.0)).bits_per_symbol
             expected.append([str(float(db)), "inf" if b is None else str(b), rate.hex()])
     assert [[r[0], r[1], _hex(r[2])] for r in rows] == expected
@@ -826,7 +834,7 @@ def test_sweep_aclr_rows_match_per_point_bounds(tmp_path_factory, split, bits, k
         q = QuantizerSpec.uniform_midrise(b, clip_for_power(pbar, kappa))
         m = tx_moments(q, pbar)
         s_tot = (m.gain**2 + m.noise) * pbar
-        for db in cli._grid(grid, "aclr_db"):
+        for db in _grid_points(grid):
             ratio = 10.0 ** (db / 10.0)
             nu = (ratio / (1.0 + ratio), 1.0 / (1.0 + ratio))
             try:
@@ -840,7 +848,7 @@ def test_sweep_aclr_rows_match_per_point_bounds(tmp_path_factory, split, bits, k
         assert [r[2:4] for r in rows[::2]] == [["", "-inf"]] * len(bits)
 
 
-@pytest.mark.parametrize(
+_SWEEPS = pytest.mark.parametrize(
     "experiment, grid_key, params",
     [
         ("sweep-snr", "snr_db", {"bits": [1], "fractions": [0.5, 0.5], "powers": [2.0, 0.0]}),
@@ -848,6 +856,9 @@ def test_sweep_aclr_rows_match_per_point_bounds(tmp_path_factory, split, bits, k
     ],
     ids=["sweep-snr", "sweep-aclr"],
 )
+
+
+@_SWEEPS
 def test_sweep_grid_direction(tmp_path, capsys, experiment, grid_key, params):
     def cfg(name, start, stop, step=1.0):
         return {
@@ -880,6 +891,26 @@ def test_sweep_grid_direction(tmp_path, capsys, experiment, grid_key, params):
     assert main([experiment, "--config", short]) == 0
     rows = json.loads((tmp_path / "short" / f"{experiment}.json").read_text())["rows"]
     assert [r[grid_key] for r in rows] == [0.0, 0.6]
+
+
+@_SWEEPS
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_an_integer_grid_writes_its_points_as_floats(tmp_path, experiment, grid_key, params, fmt):
+    # the points of an integer grid are floats, as a float grid's are: 0.0, not 0
+    cfg = {
+        "schema_version": 1,
+        "experiment": experiment,
+        "output": {"format": fmt, "path": str(tmp_path / "out")},
+        "params": dict(params, bits=[1, 2], **{grid_key: {"start": 0, "stop": 2, "step": 1}}),
+    }
+    assert main([experiment, "--config", write_cfg(tmp_path, cfg)]) == 0
+    text = (tmp_path / "out" / f"{experiment}.{fmt}").read_text()
+    if fmt == "csv":
+        header, *rows = csv.reader(io.StringIO(text))
+        points = [row[header.index(grid_key)] for row in rows]
+    else:
+        points = re.findall(rf'"{grid_key}": (.*),', text)
+    assert points == ["0.0", "1.0", "2.0"] * 2
 
 
 def test_montecarlo_subcommand_and_per_trial_csv(tmp_path):

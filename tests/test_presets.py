@@ -84,6 +84,12 @@ def preset_digests(preset: pathlib.Path, out: pathlib.Path) -> dict:
     """Run ``preset`` into ``out``; sha256 per written file name."""
     experiment = json.loads(preset.read_text())["experiment"]
     assert main([experiment, "--config", str(preset), "--out", str(out)]) == 0
+    return output_digests(out)
+
+
+def output_digests(out: pathlib.Path) -> dict:
+    """The sha256 of each file a run wrote into ``out``, by file name; the
+    CI workflow hashes the installed ``qlt`` command's preset runs with it."""
     digests = {}
     for path in sorted(out.iterdir()):
         data = path.read_bytes()

@@ -242,6 +242,16 @@ def test_a_spec_builds_its_level_table_once():
     assert a == b and hash(a) == hash(b)
 
 
+@pytest.mark.parametrize("clip", [1, np.int64(1), np.float64(1.0), 1.0],
+                         ids=["int", "numpy_int", "numpy_float", "float"])
+def test_a_midrise_clip_is_stored_as_a_float(clip):
+    # the factory and the constructor store the same float clip, so equal
+    # clips compare and hash equal whatever number type gave them
+    want = QuantizerSpec.uniform_midrise(3, 1.0)
+    for q in (QuantizerSpec.uniform_midrise(3, clip), QuantizerSpec("uniform_midrise", bits=3, clip=clip)):
+        assert type(q.clip) is float and q == want and hash(q) == hash(want)
+
+
 @pytest.mark.parametrize("bits, clip", [(1, 1e308), (2, 1e308), (16, 1e304), (4, float("inf"))],
                          ids=["step", "levels", "levels-16-bit", "inf"])
 def test_a_midrise_clip_past_the_float_range_is_rejected(bits, clip):
@@ -407,6 +417,11 @@ def test_the_identity_quantizer_writes_out_unchanged():
     (lambda: QuantizerSpec("uniform_midrise", bits=3, clip=-1.0), ValueError, r"^clip must be > 0, not -1\.0$"),
     (lambda: QuantizerSpec("uniform_midrise", bits=3, clip=math.nan), ValueError, r"^clip must be > 0, not nan$"),
     (lambda: QuantizerSpec("uniform_midrise", bits=3), ValueError, r"^clip must be of type number, not None$"),
+    # the factory applies the same rule before it makes the clip a float
+    (lambda: QuantizerSpec.uniform_midrise(3, "1.5"), ValueError, r"^clip must be of type number, not '1\.5'$"),
+    (lambda: QuantizerSpec.uniform_midrise(3, True), ValueError, r"^clip must be of type number, not True$"),
+    (lambda: QuantizerSpec.uniform_midrise(3, None), ValueError, r"^clip must be of type number, not None$"),
+    (lambda: QuantizerSpec.uniform_midrise(3, [1.0]), ValueError, r"^clip must be of type number, not \[1\.0\]$"),
     (lambda: QuantizerSpec.custom_levels([0.0, np.inf]), ValueError, "levels must be finite"),
     (lambda: QuantizerSpec("lloyd_max"), ValueError, "unknown quantizer kind"),
     (lambda: QuantizerSpec.identity().levels_per_dim(), UnboundedConstellationError, "no finite level set"),
@@ -427,7 +442,8 @@ def test_the_identity_quantizer_writes_out_unchanged():
     (lambda: QuantizerSpec.uniform_midrise(16, 1.5e-319), ValueError, "step below float resolution"),
 ], ids=["identity_with_bits", "midrise_with_levels", "custom_levels_with_bits_and_clip", "float_bits",
         "numpy_bool_bits", "bool_bits", "bits_past_16", "zero_bits", "zero_clip", "negative_clip",
-        "nan_clip", "no_clip", "non_finite_level", "unknown_kind",
+        "nan_clip", "no_clip", "factory_str_clip", "factory_bool_clip", "factory_none_clip",
+        "factory_list_clip", "non_finite_level", "unknown_kind",
         "identity_levels", "no_points", "repeated_point", "nested_list_levels", "2d_array_levels",
         "0d_levels", "constructor_2d_levels", "ragged_levels", "subnormal_step_3_bit",
         "subnormal_step_16_bit"])
